@@ -17,6 +17,12 @@
 //                     naive destination order — every message is a
 //                     true multi-run frame
 //
+// The pooled paths replay a StepProgram compiled once per shape and
+// layout, outside the timed loop (as TorusCommunicator memoizes it).
+// Wall time is the fastest of each path's warm reps: on a shared host,
+// interference only ever adds time, so the minimum is the stable
+// estimate of the steady state the gates compare.
+//
 // The bench is self-checking and exits non-zero on regression:
 //   * the sealed_pooled wire must allocate >= 2x less than the
 //     sealed_per_parcel wire, measured above the plain baseline (the
@@ -29,16 +35,20 @@
 //     smoke job fails when the zero-copy invariant erodes;
 //   * pooled_paper must be fully contiguous in 2D and within the
 //     2^(n-2) run bound in 3D;
+//   * pooled_paper must cost no more ns/parcel than pooled_naive on
+//     every shape — the §3.3 layout exists to make sends cheaper;
 //   * pooled_strided must gather parcels (gathered_parcels > 0, the
 //     dead run-gather path regression) with more encoded runs than
 //     messages, under the same alloc budget as pooled_paper.
 //
 // --out=FILE (default BENCH_wire.json) receives the results as JSON.
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <new>
 #include <sstream>
 #include <string>
@@ -77,9 +87,9 @@ using namespace torex;
 
 /// Allocations-per-step ceiling for the warm pooled paper path. The
 /// steady-state wire itself allocates nothing (frames recycle through
-/// the arena); what remains is buffer growth and the phase-boundary
-/// stable_sort scratch, both O(N) per phase. The budget is deliberately
-/// a hard constant: if a change re-introduces per-message allocation,
+/// the arena); what remains is O(1) per exchange — the in-flight slot
+/// table and the counting-sort scratch. The budget is deliberately a
+/// hard constant: if a change re-introduces per-message allocation,
 /// allocs-per-step jumps by ~the message count and this trips.
 constexpr double kAllocBudgetPerStep = 512.0;
 
@@ -96,8 +106,8 @@ ParcelBuffers<std::int64_t> canonical_parcels(Rank n) {
 
 struct PathResult {
   std::string name;
-  double ms = 0;                  ///< wall-clock per exchange
-  double ns_per_parcel = 0;
+  double ms = 0;                  ///< wall-clock of the fastest exchange
+  double ns_per_parcel = 0;       ///< of the fastest exchange
   double allocs_per_step = 0;
   double alloc_kib_per_step = 0;
   WirePoolStats stats;            ///< wire traffic delta (zero for plain)
@@ -106,14 +116,15 @@ struct PathResult {
 
 /// Runs `fn` (one full exchange over fresh canonical payloads) reps
 /// times, counting only the exchange itself — seed construction sits
-/// outside the measured window. The caller warms the path (and
+/// outside the measured window. Time is the fastest rep; allocations
+/// are averaged over all reps. The caller warms the path (and
 /// snapshots arena stats) before calling.
 template <typename Fn>
 PathResult measure(const std::string& name, const SuhShinAape& algo, int reps, Fn&& fn) {
   const Rank N = algo.shape().num_nodes();
   std::int64_t allocs = 0;
   std::int64_t alloc_bytes = 0;
-  double total_ms = 0;
+  double best_ms = std::numeric_limits<double>::infinity();
   for (int rep = 0; rep < reps; ++rep) {
     auto parcels = canonical_parcels(N);
     const std::int64_t a0 = g_allocs.load(std::memory_order_relaxed);
@@ -123,15 +134,14 @@ PathResult measure(const std::string& name, const SuhShinAape& algo, int reps, F
     const auto elapsed = std::chrono::steady_clock::now() - start;
     allocs += g_allocs.load(std::memory_order_relaxed) - a0;
     alloc_bytes += g_alloc_bytes.load(std::memory_order_relaxed) - b0;
-    total_ms += std::chrono::duration<double, std::milli>(elapsed).count();
+    best_ms = std::min(best_ms, std::chrono::duration<double, std::milli>(elapsed).count());
   }
   const double steps = static_cast<double>(algo.total_steps()) * reps;
-  const double parcels_moved =
-      static_cast<double>(N) * static_cast<double>(N) * reps;  // lower bound: one hop each
+  const double parcels = static_cast<double>(N) * static_cast<double>(N);  // one hop each
   PathResult r;
   r.name = name;
-  r.ms = total_ms / reps;
-  r.ns_per_parcel = total_ms * 1e6 / parcels_moved;
+  r.ms = best_ms;
+  r.ns_per_parcel = best_ms * 1e6 / parcels;
   r.allocs_per_step = static_cast<double>(allocs) / steps;
   r.alloc_kib_per_step = static_cast<double>(alloc_bytes) / steps / 1024.0;
   return r;
@@ -228,23 +238,24 @@ int main(int argc, char** argv) {
       });
     }
 
+    const StepProgram paper_program(algo, LayoutPolicy::kPaper);
+    const StepProgram naive_program(algo, LayoutPolicy::kNaiveDestinationOrder);
+
     {
       WireArena arena;
       WireExchangeOptions options;
-      options.layout = LayoutPolicy::kPaper;
       options.arena = &arena;
       run_path("pooled_paper", &arena, [&](ParcelBuffers<std::int64_t> parcels) {
-        exchange_payloads_pooled(algo, std::move(parcels), options);
+        exchange_payloads_pooled(algo, paper_program, std::move(parcels), options);
       });
     }
 
     {
       WireArena arena;
       WireExchangeOptions options;
-      options.layout = LayoutPolicy::kNaiveDestinationOrder;
       options.arena = &arena;
       run_path("pooled_naive", &arena, [&](ParcelBuffers<std::int64_t> parcels) {
-        exchange_payloads_pooled(algo, std::move(parcels), options);
+        exchange_payloads_pooled(algo, naive_program, std::move(parcels), options);
       });
     }
 
@@ -270,12 +281,13 @@ int main(int argc, char** argv) {
       }
       WireArena arena;
       WireExchangeOptions options;
-      options.layout = LayoutPolicy::kNaiveDestinationOrder;
       options.arena = &arena;
       run_path("pooled_strided", &arena, [&](ParcelBuffers<std::int64_t>) {
-        scatter_parcels_strided(
-            N, exchange_payloads_pooled(algo, seed_parcels_strided(N, send_views), options),
-            recv_views);
+        scatter_parcels_strided(N,
+                                exchange_payloads_pooled(algo, naive_program,
+                                                         seed_parcels_strided(N, send_views),
+                                                         options),
+                                recv_views);
       });
     }
 
@@ -335,6 +347,8 @@ int main(int argc, char** argv) {
           "strided workload must encode more runs than messages" + tag);
     check(pooled_strided.allocs_per_step <= kAllocBudgetPerStep,
           "strided workload exceeded the alloc budget" + tag);
+    check(pooled_paper.ns_per_parcel <= pooled_naive.ns_per_parcel,
+          "pooled_paper must cost no more ns/parcel than pooled_naive" + tag);
     if (shape.num_dims() == 2) {
       check(pooled_paper.stats.fully_contiguous(),
             "paper layout must be fully contiguous in 2D" + tag);

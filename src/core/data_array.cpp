@@ -58,7 +58,8 @@ using layout::difference_vector;
 using layout::gray_rank;
 using layout::scatter_key;
 
-LayoutStats run_layout_simulation(const SuhShinAape& algo, LayoutPolicy policy) {
+LayoutStats run_layout_simulation(const SuhShinAape& algo, LayoutPolicy policy,
+                                  std::vector<std::vector<Block>>* final_buffers) {
   const TorusShape& shape = algo.shape();
   const Rank N = shape.num_nodes();
 
@@ -72,13 +73,14 @@ LayoutStats run_layout_simulation(const SuhShinAape& algo, LayoutPolicy policy) 
   LayoutStats stats;
 
   // In-flight messages: per destination node, the spliced-out blocks in
-  // wire order, plus the hole position they must fill.
+  // wire order. The splice position belongs to the *receiver* — the hole
+  // its own send left — so it lives per node, not with the message.
   struct Incoming {
     std::vector<Block> blocks;
-    std::size_t hole = 0;
     bool active = false;
   };
   std::vector<Incoming> inbox(static_cast<std::size_t>(N));
+  std::vector<std::size_t> own_hole(static_cast<std::size_t>(N));
 
   for (int phase = 1; phase <= algo.num_phases(); ++phase) {
     // Phase-boundary rearrangement: sort every buffer by the phase key.
@@ -117,7 +119,8 @@ LayoutStats run_layout_simulation(const SuhShinAape& algo, LayoutPolicy policy) 
         std::vector<Block> message;
         std::int64_t runs = 0;
         bool in_run = false;
-        std::size_t hole = buf.size();
+        std::size_t& hole = own_hole[static_cast<std::size_t>(p)];
+        hole = buf.size();
         std::size_t write = 0;
         for (std::size_t i = 0; i < buf.size(); ++i) {
           if (algo.should_send(p, phase, step, buf[i])) {
@@ -136,6 +139,7 @@ LayoutStats run_layout_simulation(const SuhShinAape& algo, LayoutPolicy policy) 
         buf.resize(write);
 
         ++stats.total_sends;
+        stats.total_runs += runs;
         if (runs == 1) {
           ++stats.contiguous_sends;
         } else {
@@ -147,7 +151,6 @@ LayoutStats run_layout_simulation(const SuhShinAape& algo, LayoutPolicy policy) 
         Incoming& in = inbox[static_cast<std::size_t>(q)];
         TOREX_CHECK(!in.active, "one-port receive violation in layout simulation");
         in.blocks = std::move(message);
-        in.hole = hole;
         in.active = true;
       }
       // Deliver: splice each message, order preserved, into the hole
@@ -156,7 +159,7 @@ LayoutStats run_layout_simulation(const SuhShinAape& algo, LayoutPolicy policy) 
         Incoming& in = inbox[static_cast<std::size_t>(p)];
         if (!in.active) continue;
         auto& buf = buffers[static_cast<std::size_t>(p)];
-        const std::size_t at = std::min(in.hole, buf.size());
+        const std::size_t at = std::min(own_hole[static_cast<std::size_t>(p)], buf.size());
         buf.insert(buf.begin() + static_cast<std::ptrdiff_t>(at), in.blocks.begin(),
                    in.blocks.end());
         in.blocks.clear();
@@ -176,6 +179,7 @@ LayoutStats run_layout_simulation(const SuhShinAape& algo, LayoutPolicy policy) 
       seen[static_cast<std::size_t>(b.origin)] = 1;
     }
   }
+  if (final_buffers != nullptr) *final_buffers = std::move(buffers);
   return stats;
 }
 

@@ -55,6 +55,8 @@ struct LayoutStats {
   std::int64_t max_runs_per_send = 1;
   /// Blocks that belonged to multi-run sends (would need gathering).
   std::int64_t gathered_blocks = 0;
+  /// Runs across all sends (the wire's runs_encoded).
+  std::int64_t total_runs = 0;
 
   bool fully_contiguous() const { return contiguous_sends == total_sends; }
 };
@@ -96,8 +98,11 @@ enum class LayoutPolicy {
 };
 
 /// Executes the schedule with full layout fidelity and verifies the
-/// AAPE postcondition. Throws on any correctness violation.
+/// AAPE postcondition. Throws on any correctness violation. When
+/// `final_buffers` is non-null it receives every node's buffer in its
+/// final physical order.
 LayoutStats run_layout_simulation(const SuhShinAape& algo,
-                                  LayoutPolicy policy = LayoutPolicy::kPaper);
+                                  LayoutPolicy policy = LayoutPolicy::kPaper,
+                                  std::vector<std::vector<Block>>* final_buffers = nullptr);
 
 }  // namespace torex

@@ -12,6 +12,7 @@
 #include <cstddef>
 #include <cstring>
 #include <iterator>
+#include <span>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -21,6 +22,7 @@
 #include "core/block.hpp"
 #include "core/data_array.hpp"
 #include "core/integrity.hpp"
+#include "core/step_program.hpp"
 #include "core/wire_buffer.hpp"
 #include "obs/recorder.hpp"
 #include "util/assert.hpp"
@@ -336,238 +338,21 @@ bool decode_sealed_message(const std::vector<std::byte>& wire, int phase, int st
   return true;
 }
 
-// --- Batched wire frames (the pooled zero-copy encoding) ---------------
+// --- Wire frames (the pooled zero-copy encoding) -----------------------
 //
 // The per-parcel format above seals each parcel separately: flexible,
 // but every message costs one allocation plus a resize+memcpy per
-// parcel. The frame format instead ships one 48-byte header followed
-// by the raw contiguous run of Parcel<T> object representations and a
-// trailing CRC over the whole frame — so a §3.3-contiguous send is a
-// single memcpy in, and verification + integration read the run in
-// place through a non-owning view. Both CRCs (header, frame) must
-// match and the byte count must be exact, so any bit flip or
-// truncation anywhere in the frame is detected, same as the
-// per-parcel seals.
-//
-// Frame layout (little-endian):
-//   [ 0) magic u32  "TOX2"
-//   [ 4) phase u32        [ 8) step u32
-//   [12) src u64          [20) dst u64
-//   [28) count u64        [36) parcel_size u64
-//   [44) header crc u32 over bytes [0, 44)
-//   [48) count * parcel_size raw parcel bytes
-//   [..) frame crc u32 over bytes [0, 48 + run)
-
-namespace detail {
-
-inline constexpr std::uint32_t kFrameMagic = 0x544F5832u;  // "TOX2"
-inline constexpr std::size_t kFrameHeaderBytes = 48;
-inline constexpr std::size_t kFrameTrailerBytes = 4;
-
-/// Starts a frame: clears `frame` and reserves the header slot (the
-/// header is patched by frame_finish once the parcel count is known,
-/// so gather loops can append runs without a counting pre-pass).
-inline void frame_begin(std::vector<std::byte>& frame, std::size_t parcel_bytes_hint = 0) {
-  frame.clear();
-  frame.reserve(kFrameHeaderBytes + parcel_bytes_hint + kFrameTrailerBytes);
-  frame.resize(kFrameHeaderBytes);
-}
-
-/// Appends one contiguous run of parcels to a begun frame (a single
-/// memcpy of the run's object representation). Returns the run's size
-/// in bytes.
-template <typename T>
-std::size_t frame_append_run(std::vector<std::byte>& frame, const Parcel<T>* run,
-                             std::size_t count) {
-  static_assert(std::is_trivially_copyable_v<Parcel<T>>,
-                "framed exchange requires trivially copyable parcels");
-  const std::size_t bytes = count * sizeof(Parcel<T>);
-  if (bytes == 0) return 0;
-  const std::size_t at = frame.size();
-  frame.resize(at + bytes);
-  std::memcpy(frame.data() + at, run, bytes);
-  return bytes;
-}
-
-/// Patches the header and appends the trailing frame CRC. `count` must
-/// equal the parcels appended since frame_begin.
-template <typename T>
-void frame_finish(std::vector<std::byte>& frame, std::size_t count, int phase, int step,
-                  Rank src, Rank dst) {
-  TOREX_REQUIRE(phase >= 0 && step >= 0 && src >= 0 && dst >= 0,
-                "sealed message metadata must be non-negative");
-  TOREX_CHECK(frame.size() == kFrameHeaderBytes + count * sizeof(Parcel<T>),
-              "frame run bytes disagree with parcel count");
-  std::byte* h = frame.data();
-  wire_write_u32(h + 0, kFrameMagic);
-  wire_write_u32(h + 4, static_cast<std::uint32_t>(phase));
-  wire_write_u32(h + 8, static_cast<std::uint32_t>(step));
-  wire_write_u64(h + 12, static_cast<std::uint64_t>(static_cast<std::int64_t>(src)));
-  wire_write_u64(h + 20, static_cast<std::uint64_t>(static_cast<std::int64_t>(dst)));
-  wire_write_u64(h + 28, static_cast<std::uint64_t>(count));
-  wire_write_u64(h + 36, static_cast<std::uint64_t>(sizeof(Parcel<T>)));
-  // One streaming pass over the whole frame: the header digest is
-  // sampled mid-stream (value() does not consume the accumulator),
-  // patched into [44, 48), and those bytes then feed the same
-  // accumulator so the trailing digest covers them too.
-  Crc32 crc;
-  crc.update(frame.data(), 44);
-  wire_write_u32(h + 44, crc.value());
-  crc.update(frame.data() + 44, frame.size() - 44);
-  const std::uint32_t frame_crc = crc.value();
-  const std::size_t at = frame.size();
-  frame.resize(at + kFrameTrailerBytes);
-  wire_write_u32(frame.data() + at, frame_crc);
-}
-
-/// Adds a wire-stats delta to the recorder's metric counters.
-inline void publish_wire_metrics(Recorder* obs, const WirePoolStats& d) {
-  if (obs == nullptr) return;
-  MetricsRegistry& m = obs->metrics();
-  m.counter("wire.messages").add(d.messages);
-  m.counter("wire.parcels").add(d.parcels);
-  m.counter("wire.pool_hits").add(d.pool_hits);
-  m.counter("wire.pool_misses").add(d.pool_misses);
-  m.counter("wire.bytes_encoded").add(d.bytes_encoded);
-  m.counter("wire.bytes_copied").add(d.bytes_copied);
-  m.counter("wire.contiguous_sends").add(d.contiguous_sends);
-  m.counter("wire.gathered_parcels").add(d.gathered_parcels);
-  m.counter("wire.runs_encoded").add(d.runs_encoded);
-}
-
-}  // namespace detail
-
-/// Encodes one message (a single contiguous run) as a sealed frame.
-template <typename T>
-void encode_sealed_frame(const Parcel<T>* run, std::size_t count, int phase, int step, Rank src,
-                         Rank dst, std::vector<std::byte>& frame) {
-  detail::frame_begin(frame, count * sizeof(Parcel<T>));
-  detail::frame_append_run(frame, run, count);
-  detail::frame_finish<T>(frame, count, phase, step, src, dst);
-}
-
-/// Non-owning typed view over a verified frame's parcel run. Reads go
-/// through memcpy so the run may live at any alignment inside the
-/// frame bytes.
-template <typename T>
-class SealedFrameView {
- public:
-  SealedFrameView() = default;
-  SealedFrameView(const std::byte* run, std::size_t count) : run_(run), count_(count) {}
-
-  std::size_t count() const { return count_; }
-  const std::byte* run_bytes() const { return run_; }
-  std::size_t run_size() const { return count_ * sizeof(Parcel<T>); }
-
-  Block identity(std::size_t i) const {
-    Block b;
-    std::memcpy(&b, run_ + i * sizeof(Parcel<T>), sizeof(Block));
-    return b;
-  }
-
-  Parcel<T> parcel(std::size_t i) const {
-    Parcel<T> p;
-    std::memcpy(&p, run_ + i * sizeof(Parcel<T>), sizeof(Parcel<T>));
-    return p;
-  }
-
-  /// Appends the whole run to `out`: one grow plus one memcpy — the
-  /// zero-copy integrate (no per-parcel materialization).
-  void append_to(std::vector<Parcel<T>>& out) const {
-    const std::size_t old = out.size();
-    out.resize(old + count_);
-    std::memcpy(out.data() + old, run_, run_size());
-  }
-
- private:
-  const std::byte* run_ = nullptr;
-  std::size_t count_ = 0;
-};
-
-/// Verifies a sealed frame in place. On success `out` views the parcel
-/// run inside `wire` (which must outlive the view); on failure returns
-/// false with `reason` filled when non-null. Detects exactly the same
-/// corruption classes as decode_sealed_message: truncation, bit flips
-/// anywhere, wrong (phase, step) or channel, forged counts, and
-/// identities out of range.
-template <typename T>
-bool decode_sealed_frame(WireView wire, int phase, int step, Rank src, Rank dst, Rank num_nodes,
-                         SealedFrameView<T>& out, std::string* reason = nullptr) {
-  static_assert(std::is_trivially_copyable_v<Parcel<T>>,
-                "framed exchange requires trivially copyable parcels");
-  out = SealedFrameView<T>();
-  auto fail = [&](const char* what) {
-    if (reason != nullptr) *reason = what;
-    return false;
-  };
-  if (phase < 0 || step < 0 || src < 0 || dst < 0) return fail("negative message metadata");
-  if (wire.size() < detail::kFrameHeaderBytes + detail::kFrameTrailerBytes) {
-    return fail("truncated message header");
-  }
-  std::size_t offset = 0;
-  std::uint32_t magic = 0, wire_phase = 0, wire_step = 0, header_crc = 0;
-  std::uint64_t wire_src = 0, wire_dst = 0, count = 0, parcel_size = 0;
-  wire_get_u32(wire, offset, magic);
-  wire_get_u32(wire, offset, wire_phase);
-  wire_get_u32(wire, offset, wire_step);
-  wire_get_u64(wire, offset, wire_src);
-  wire_get_u64(wire, offset, wire_dst);
-  wire_get_u64(wire, offset, count);
-  wire_get_u64(wire, offset, parcel_size);
-  const std::size_t header_len = offset;
-  wire_get_u32(wire, offset, header_crc);
-  // One streaming pass verifies both digests: the accumulator is
-  // sampled after the header bytes and continued over the run.
-  Crc32 crc;
-  crc.update(wire.data(), header_len);
-  if (header_crc != crc.value()) return fail("header checksum mismatch");
-  if (magic != detail::kFrameMagic) return fail("bad magic");
-  if (wire_phase != static_cast<std::uint32_t>(phase) ||
-      wire_step != static_cast<std::uint32_t>(step)) {
-    return fail("message sealed for a different step");
-  }
-  if (wire_src != static_cast<std::uint64_t>(static_cast<std::int64_t>(src)) ||
-      wire_dst != static_cast<std::uint64_t>(static_cast<std::int64_t>(dst))) {
-    return fail("message sealed for a different channel");
-  }
-  if (parcel_size != sizeof(Parcel<T>)) return fail("parcel record size mismatch");
-  // Bound the wire's count by the bytes present before trusting it.
-  const std::size_t avail =
-      wire.size() - detail::kFrameHeaderBytes - detail::kFrameTrailerBytes;
-  if (count > avail / sizeof(Parcel<T>)) return fail("parcel count exceeds message size");
-  if (count * sizeof(Parcel<T>) != avail) return fail("frame size mismatch");
-  const std::size_t run_end = detail::kFrameHeaderBytes + avail;
-  std::uint32_t frame_crc = 0;
-  std::size_t trailer_at = run_end;
-  wire_get_u32(wire, trailer_at, frame_crc);
-  crc.update(wire.data() + header_len, run_end - header_len);
-  if (frame_crc != crc.value()) return fail("frame checksum mismatch");
-  SealedFrameView<T> view(wire.data() + detail::kFrameHeaderBytes,
-                          static_cast<std::size_t>(count));
-  const Rank N = num_nodes;
-  for (std::size_t i = 0; i < view.count(); ++i) {
-    const Block b = view.identity(i);
-    if (b.origin < 0 || b.origin >= N || b.dest < 0 || b.dest >= N) {
-      return fail("parcel identity out of range");
-    }
-  }
-  out = view;
-  return true;
-}
-
-// --- Multi-run frames (the iovec-style zero-copy encoding) -------------
-//
-// A §3.3-contiguous send fits the TOX2 frame above: one run, one
-// memcpy. But fragmented sends — the naive layout, the parity
-// obstruction in n >= 3 dimensions, any workload whose buffer order
-// diverges from the schedule — used to be staged through a
-// rearrangement copy (stable_partition) before they could be framed.
-// The TOX3 frame removes that staging: the sender appends N gathered
-// {ptr, len} runs straight out of its buffer (one memcpy per run,
-// source order untouched, so a refused frame retransmits from intact
-// parcels), and a run table of {dst_offset, count} descriptors lets
-// the receiver hole-splice scatter each run into its destination slot
-// without a rearrangement pass of its own.
+// parcel. A TOX3 frame instead ships one sealed header, a run table
+// and the raw parcel runs, with a trailing CRC over the whole frame.
+// The sender appends its send set as gathered {ptr, len} runs straight
+// out of its buffer — one memcpy per run, and a §3.3-contiguous send is
+// a single run — with the source order untouched, so a refused frame
+// retransmits from intact parcels. The run table of {dst_offset, count}
+// descriptors lets the receiver hole-splice scatter each run into its
+// destination slot without a rearrangement pass of its own. Both CRCs
+// (header, frame) must match and the byte count must be exact, so any
+// bit flip or truncation anywhere in the frame is detected, same as
+// the per-parcel seals.
 //
 // Frame layout (little-endian):
 //   [ 0) magic u32  "TOX3"
@@ -593,28 +378,52 @@ namespace detail {
 inline constexpr std::uint32_t kFrameV3Magic = 0x544F5833u;  // "TOX3"
 inline constexpr std::size_t kFrameV3HeaderBytes = 52;
 inline constexpr std::size_t kRunDescriptorBytes = 16;
+inline constexpr std::size_t kFrameTrailerBytes = 4;
 
-/// One send run: parcels [first, last) of a node's buffer.
-struct RunSpan {
-  std::size_t first = 0;
-  std::size_t last = 0;
-};
+/// Appends one contiguous run of parcels to a frame (a single memcpy of
+/// the run's object representation). Returns the run's size in bytes.
+template <typename T>
+std::size_t frame_append_run(std::vector<std::byte>& frame, const Parcel<T>* run,
+                             std::size_t count) {
+  static_assert(std::is_trivially_copyable_v<Parcel<T>>,
+                "framed exchange requires trivially copyable parcels");
+  const std::size_t bytes = count * sizeof(Parcel<T>);
+  if (bytes == 0) return 0;
+  const std::size_t at = frame.size();
+  frame.resize(at + bytes);
+  std::memcpy(frame.data() + at, run, bytes);
+  return bytes;
+}
+
+/// Adds a wire-stats delta to the recorder's metric counters.
+inline void publish_wire_metrics(Recorder* obs, const WirePoolStats& d) {
+  if (obs == nullptr) return;
+  MetricsRegistry& m = obs->metrics();
+  m.counter("wire.messages").add(d.messages);
+  m.counter("wire.parcels").add(d.parcels);
+  m.counter("wire.pool_hits").add(d.pool_hits);
+  m.counter("wire.pool_misses").add(d.pool_misses);
+  m.counter("wire.bytes_encoded").add(d.bytes_encoded);
+  m.counter("wire.bytes_copied").add(d.bytes_copied);
+  m.counter("wire.contiguous_sends").add(d.contiguous_sends);
+  m.counter("wire.gathered_parcels").add(d.gathered_parcels);
+  m.counter("wire.runs_encoded").add(d.runs_encoded);
+}
 
 /// Scans a buffer for this step's send set without reordering it.
 /// Fills `runs` with the maximal contiguous spans of parcels matched
 /// by `should_send` (buffer order) and returns the total parcel count.
 template <typename T, typename Pred>
 std::size_t collect_send_runs(const std::vector<Parcel<T>>& buf, Pred&& should_send,
-                              std::vector<RunSpan>& runs) {
+                              std::vector<SendRun>& runs) {
   runs.clear();
   std::size_t count = 0;
   for (std::size_t i = 0; i < buf.size(); ++i) {
     if (should_send(buf[i])) {
-      if (runs.empty() || runs.back().last != i) {
-        runs.push_back(RunSpan{i, i + 1});
-      } else {
-        runs.back().last = i + 1;
+      if (runs.empty() || runs.back().offset + runs.back().count != i) {
+        runs.push_back(SendRun{static_cast<std::uint32_t>(i), 0});
       }
+      ++runs.back().count;
       ++count;
     }
   }
@@ -624,12 +433,12 @@ std::size_t collect_send_runs(const std::vector<Parcel<T>>& buf, Pred&& should_s
 /// Compacts a buffer by dropping the given runs (one stable pass) —
 /// the post-delivery counterpart of collect_send_runs.
 template <typename T>
-void erase_runs(std::vector<Parcel<T>>& buf, const std::vector<RunSpan>& runs) {
+void erase_runs(std::vector<Parcel<T>>& buf, std::span<const SendRun> runs) {
   if (runs.empty()) return;
-  std::size_t write = runs.front().first;
+  std::size_t write = runs.front().offset;
   for (std::size_t r = 0; r < runs.size(); ++r) {
-    const std::size_t keep_begin = runs[r].last;
-    const std::size_t keep_end = r + 1 < runs.size() ? runs[r + 1].first : buf.size();
+    const std::size_t keep_begin = std::size_t{runs[r].offset} + runs[r].count;
+    const std::size_t keep_end = r + 1 < runs.size() ? runs[r + 1].offset : buf.size();
     for (std::size_t i = keep_begin; i < keep_end; ++i) buf[write++] = buf[i];
   }
   buf.resize(write);
@@ -642,9 +451,8 @@ void erase_runs(std::vector<Parcel<T>>& buf, const std::vector<RunSpan>& runs) {
 /// reordering of `buf`). Descriptors carry cumulative destination
 /// offsets, so the receiver's scatter reproduces the runs' order.
 template <typename T>
-void encode_multi_run_frame(const std::vector<Parcel<T>>& buf,
-                            const std::vector<detail::RunSpan>& runs, std::size_t count,
-                            int phase, int step, Rank src, Rank dst,
+void encode_multi_run_frame(const std::vector<Parcel<T>>& buf, std::span<const SendRun> runs,
+                            std::size_t count, int phase, int step, Rank src, Rank dst,
                             std::vector<std::byte>& frame) {
   static_assert(std::is_trivially_copyable_v<Parcel<T>>,
                 "framed exchange requires trivially copyable parcels");
@@ -667,19 +475,18 @@ void encode_multi_run_frame(const std::vector<Parcel<T>>& buf,
   wire_write_u32(h + 44, static_cast<std::uint32_t>(runs.size()));
   std::uint64_t dst_offset = 0;
   std::size_t at = detail::kFrameV3HeaderBytes;
-  for (const detail::RunSpan& r : runs) {
-    const std::uint64_t n = r.last - r.first;
+  for (const SendRun& r : runs) {
+    const std::uint64_t n = r.count;
     wire_write_u64(frame.data() + at, dst_offset);
     wire_write_u64(frame.data() + at + 8, n);
     at += detail::kRunDescriptorBytes;
     dst_offset += n;
   }
   TOREX_CHECK(dst_offset == count, "run spans disagree with parcel count");
-  for (const detail::RunSpan& r : runs) {
-    detail::frame_append_run(frame, buf.data() + r.first, r.last - r.first);
-  }
-  // One streaming pass: header digest sampled mid-stream, then hashed
-  // itself as part of the frame digest (same scheme as TOX2).
+  for (const SendRun& r : runs) detail::frame_append_run(frame, buf.data() + r.offset, r.count);
+  // One streaming pass: the header digest is sampled mid-stream (value()
+  // does not consume the accumulator), patched into [48, 52), and those
+  // bytes then feed the same accumulator so the frame digest covers them.
   Crc32 crc;
   crc.update(frame.data(), 48);
   wire_write_u32(frame.data() + 48, crc.value());
@@ -778,8 +585,10 @@ class SealedRunFrameView {
   std::size_t count_ = 0;
 };
 
-/// Verifies a TOX3 multi-run frame in place. Detects every corruption
-/// class decode_sealed_frame does, plus the run-table classes: a table
+/// Verifies a TOX3 multi-run frame in place. Detects the same corruption
+/// classes as decode_sealed_message — truncation, bit flips anywhere,
+/// wrong (phase, step) or channel, forged counts, identities out of
+/// range — plus the run-table classes: a table
 /// longer than the frame, zero-length runs, overlapping or
 /// out-of-order descriptors, descriptors pointing outside the scatter
 /// region, and a table that does not account for every parcel.
@@ -979,7 +788,7 @@ ParcelBuffers<T> exchange_payloads_sealed(const SuhShinAape& algo, ParcelBuffers
     bool active = false;
   };
   std::vector<Pending> pending(static_cast<std::size_t>(N));
-  std::vector<detail::RunSpan> runs;  // pooled path scratch, reused per node
+  std::vector<SendRun> runs;  // pooled path scratch, reused per node
   std::vector<std::size_t> hole(static_cast<std::size_t>(N), 0);
   for (int phase = 1; phase <= algo.num_phases(); ++phase) {
     SpanGuard phase_span(obs, "phase", -1, phase);
@@ -1071,7 +880,7 @@ ParcelBuffers<T> exchange_payloads_sealed(const SuhShinAape& algo, ParcelBuffers
               // The frame holds its own copy of the runs, so the
               // source compacts now; the receiver will splice into
               // the room this node's own send just vacated.
-              hole[static_cast<std::size_t>(p)] = runs.front().first;
+              hole[static_cast<std::size_t>(p)] = runs.front().offset;
               detail::erase_runs(buf, runs);
             }
             ++report.messages;
@@ -1147,35 +956,58 @@ ParcelBuffers<T> exchange_payloads_sealed(const SuhShinAape& algo, ParcelBuffers
 
 // --- Pooled layout-faithful exchange -----------------------------------
 
-/// Options for exchange_payloads_pooled.
+/// Options for exchange_payloads_pooled. The buffer layout is part of
+/// the StepProgram the exchange replays.
 struct WireExchangeOptions {
-  /// Buffer ordering at phase boundaries: the paper's §3.3 keys
-  /// (contiguous sends, single-memcpy frames) or the naive
-  /// destination order (fragments sends into gathered runs — the
-  /// arena's run accounting quantifies the difference).
-  LayoutPolicy layout = LayoutPolicy::kPaper;
   /// Optional external frame pool; a private arena is used when null.
   WireArena* arena = nullptr;
   Recorder* obs = nullptr;
 };
 
-/// exchange_payloads over the zero-copy wire: buffers are kept in the
-/// paper's §3.3 physical order (re-sorted once per phase boundary,
-/// exactly like data_array's layout simulator), each step's send set
-/// is gathered run-by-run into a pooled frame — one memcpy per run,
-/// and under the paper layout in 2D that is one memcpy per message —
-/// and receives are verified in place and spliced into the hole the
-/// node's own send left. The arena records LayoutStats-style run
-/// accounting, so the payload path reports the same contiguity
-/// evidence as the block-level simulator. Steady state performs no
-/// heap allocation on the wire: frames recycle through the arena.
+namespace detail {
+
+/// Puts a canonical seed (one parcel per destination, see
+/// require_canonical_parcel_seed) in destination order — the order a
+/// StepProgram is compiled for. Seeds built row by row already are.
 template <typename T>
-ParcelBuffers<T> exchange_payloads_pooled(const SuhShinAape& algo, ParcelBuffers<T> buffers,
+void order_seed_by_destination(ParcelBuffers<T>& buffers, std::vector<Parcel<T>>& scratch) {
+  for (auto& buf : buffers) {
+    bool ordered = true;
+    for (std::size_t i = 0; ordered && i < buf.size(); ++i) {
+      ordered = buf[i].block.dest == static_cast<Rank>(i);
+    }
+    if (ordered) continue;
+    scratch.resize(buf.size());
+    for (const Parcel<T>& x : buf) scratch[static_cast<std::size_t>(x.block.dest)] = x;
+    buf.swap(scratch);
+  }
+}
+
+}  // namespace detail
+
+/// exchange_payloads over the zero-copy wire, replaying a compiled
+/// StepProgram: at each phase boundary every buffer is rearranged by
+/// the program's stable counting sort (the paper's ρ pass, with the
+/// §3.3 keys, or destination order for the naive layout); at each step
+/// each node gathers the program's send runs into a pooled TOX3 frame —
+/// one memcpy per run, and under the paper layout in 2D one memcpy per
+/// message — and every receive is verified in place, then written over
+/// the node's own single-run send when the program marks it in-place,
+/// or spliced into the hole the node's own send left (appended when it
+/// sent nothing). Nothing is scanned or re-sorted per parcel. The arena
+/// records LayoutStats-style run accounting, so the payload path
+/// reports the same contiguity evidence as the block-level simulator.
+/// Steady state performs no heap allocation on the wire: frames recycle
+/// through the arena. Throws StepProgramMismatchError when `program`
+/// was compiled for another schedule.
+template <typename T>
+ParcelBuffers<T> exchange_payloads_pooled(const SuhShinAape& algo, const StepProgram& program,
+                                          ParcelBuffers<T> buffers,
                                           const WireExchangeOptions& options = {}) {
   static_assert(std::is_trivially_copyable_v<Parcel<T>>,
                 "pooled exchange requires trivially copyable parcels");
-  const TorusShape& shape = algo.shape();
-  const Rank N = shape.num_nodes();
+  program.require_compiled_for(algo);
+  const Rank N = program.num_nodes();
   detail::require_canonical_parcel_seed(N, buffers);
   Recorder* obs = options.obs;
   if (obs != nullptr && !obs->enabled()) obs = nullptr;
@@ -1185,27 +1017,18 @@ ParcelBuffers<T> exchange_payloads_pooled(const SuhShinAape& algo, ParcelBuffers
   SpanGuard exchange_span(obs, "exchange");
 
   // In-flight frames: one slot per destination, bound for the span of
-  // a step and released back to the arena at integrate time. The
-  // splice position is per *receiver* — the hole its own send left —
-  // so it lives in a separate per-node array, not in the frame slot
-  // (which is indexed by destination but filled by the sender).
+  // a step and released back to the arena at integrate time.
   struct Pending {
     PooledFrame frame;
     Rank src = -1;
     bool active = false;
   };
   std::vector<Pending> inbox(static_cast<std::size_t>(N));
-  std::vector<std::size_t> hole(static_cast<std::size_t>(N), 0);
-  std::vector<detail::RunSpan> runs;  // send-set scan scratch, reused per node
+  std::vector<Parcel<T>> scratch;        // rearrangement target, reused per node
+  std::vector<std::uint32_t> key_counts;  // counting-sort histogram
+  detail::order_seed_by_destination(buffers, scratch);
 
-  // Decorate-sort-undecorate scratch, reused across nodes and phases:
-  // each layout key is computed once per parcel instead of once per
-  // comparison, and the scratch reaches steady-state capacity after
-  // the first pass — phase boundaries then allocate nothing beyond
-  // stable_sort's own temporary.
-  std::vector<std::pair<std::uint64_t, Parcel<T>>> keyed;
-
-  for (int phase = 1; phase <= algo.num_phases(); ++phase) {
+  for (int phase = 1; phase <= program.num_phases(); ++phase) {
     SpanGuard phase_span(obs, "phase", -1, phase);
     // Phase-boundary rearrangement: one pass, same accounting as the
     // layout simulator (phase 1's initial order is counted as given).
@@ -1213,69 +1036,43 @@ ParcelBuffers<T> exchange_payloads_pooled(const SuhShinAape& algo, ParcelBuffers
       ++arena.stats().rearrangement_passes;
       arena.stats().parcels_rearranged += N;
     }
-    for (Rank p = 0; p < N; ++p) {
-      auto& buf = buffers[static_cast<std::size_t>(p)];
-      auto sort_by = [&](auto&& key_of) {
-        keyed.clear();
-        keyed.reserve(buf.size());
-        for (const Parcel<T>& a : buf) keyed.emplace_back(key_of(a), a);
-        std::stable_sort(keyed.begin(), keyed.end(),
-                         [](const auto& x, const auto& y) { return x.first < y.first; });
-        for (std::size_t i = 0; i < buf.size(); ++i) buf[i] = keyed[i].second;
-      };
-      if (options.layout == LayoutPolicy::kNaiveDestinationOrder) {
-        std::stable_sort(buf.begin(), buf.end(), [](const Parcel<T>& a, const Parcel<T>& b) {
-          return a.block.dest < b.block.dest;
-        });
-      } else if (algo.phase_kind(phase) == PhaseKind::kScatter) {
-        if (algo.steps_in_phase(phase) == 0) continue;
-        const Direction dir = algo.direction(p, phase, 1);
-        const Coord pc = shape.coord_of(p);
-        sort_by([&](const Parcel<T>& a) {
-          return static_cast<std::uint64_t>(layout::scatter_key(shape, pc, a.block, dir));
-        });
-      } else {
-        sort_by([&](const Parcel<T>& a) {
-          return static_cast<std::uint64_t>(
-              layout::gray_rank(layout::difference_vector(algo, p, phase, a.block)));
-        });
+    if (program.rearranges(phase)) {
+      for (Rank p = 0; p < N; ++p) {
+        const StepProgram::SortKey key = program.sort_key(phase, p);
+        stable_counting_sort(buffers[static_cast<std::size_t>(p)], scratch, key_counts,
+                             program.num_keys(phase),
+                             [&](const Parcel<T>& x) { return key(x.block.dest); });
       }
     }
 
-    for (int step = 1; step <= algo.steps_in_phase(phase); ++step) {
+    for (int step = 1; step <= program.steps_in_phase(phase); ++step) {
       SpanGuard step_span(obs, "step", -1, phase, step);
-      // Send half: scan each node's send set (no reordering), gather
-      // its runs straight into a TOX3 multi-run frame — one memcpy
-      // per run — then compact the buffer in one pass. Under the
-      // paper layout the scan finds a single run, so the frame costs
-      // exactly one memcpy per message.
+      // Send half: gather each node's runs into a TOX3 frame, then
+      // compact the buffer — unless the receive will overwrite the
+      // run in place.
       for (Rank p = 0; p < N; ++p) {
+        const StepProgram::NodeStep& s = program.step(phase, step, p);
+        if (s.count == 0) continue;
         auto& buf = buffers[static_cast<std::size_t>(p)];
-        hole[static_cast<std::size_t>(p)] = buf.size();
-        const std::size_t count = detail::collect_send_runs(
-            buf, [&](const Parcel<T>& x) { return algo.should_send(p, phase, step, x.block); },
-            runs);
-        if (count == 0) continue;
-        const Rank q = algo.partner(p, phase, step);
-        Pending& out = inbox[static_cast<std::size_t>(q)];
+        const std::span<const SendRun> runs = program.runs(s);
+        Pending& out = inbox[static_cast<std::size_t>(s.partner)];
         TOREX_CHECK(!out.active, "one-port receive violation in pooled exchange");
         out.frame.bind(arena, detail::kFrameV3HeaderBytes +
                                   runs.size() * detail::kRunDescriptorBytes +
-                                  count * sizeof(Parcel<T>) + detail::kFrameTrailerBytes);
-        encode_multi_run_frame(buf, runs, count, phase, step, p, q, out.frame.bytes());
-        arena.stats().note_message(static_cast<std::int64_t>(count),
+                                  s.count * sizeof(Parcel<T>) + detail::kFrameTrailerBytes);
+        encode_multi_run_frame(buf, runs, s.count, phase, step, p, s.partner,
+                               out.frame.bytes());
+        arena.stats().note_message(static_cast<std::int64_t>(s.count),
                                    static_cast<std::int64_t>(runs.size()));
         arena.stats().bytes_encoded += static_cast<std::int64_t>(out.frame.bytes().size());
-        arena.stats().bytes_copied += static_cast<std::int64_t>(count * sizeof(Parcel<T>));
-        hole[static_cast<std::size_t>(p)] = runs.front().first;
-        detail::erase_runs(buf, runs);
+        arena.stats().bytes_copied += static_cast<std::int64_t>(s.count * sizeof(Parcel<T>));
+        if (!s.in_place) detail::erase_runs(buf, runs);
         out.src = p;
         out.active = true;
       }
-      // Integrate half: verify each frame in place and hole-splice
-      // scatter its runs into the room the node's own send left
-      // (append when the node sent nothing), then return the frame to
-      // the arena.
+      // Integrate half: verify each frame in place and scatter its runs
+      // over the node's own send run, or into the hole that send left,
+      // then return the frame to the arena.
       for (Rank p = 0; p < N; ++p) {
         Pending& in = inbox[static_cast<std::size_t>(p)];
         if (!in.active) continue;
@@ -1285,8 +1082,15 @@ ParcelBuffers<T> exchange_payloads_pooled(const SuhShinAape& algo, ParcelBuffers
         TOREX_CHECK(
             decode_multi_run_frame<T>(in.frame.view(), phase, step, in.src, p, N, view, &why),
             "pooled wire frame failed verification: " + why);
-        const std::size_t at = std::min(hole[static_cast<std::size_t>(p)], buf.size());
-        buf.insert(buf.begin() + static_cast<std::ptrdiff_t>(at), view.count(), Parcel<T>{});
+        const StepProgram::NodeStep& s = program.step(phase, step, p);
+        std::size_t at = s.count > 0 ? program.runs(s).front().offset : buf.size();
+        if (s.in_place) {
+          TOREX_CHECK(view.count() == s.count,
+                      "in-place receive must match the send it replaces");
+        } else {
+          at = std::min(at, buf.size());
+          buf.insert(buf.begin() + static_cast<std::ptrdiff_t>(at), view.count(), Parcel<T>{});
+        }
         view.scatter(buf.data() + at);
         arena.stats().bytes_copied += static_cast<std::int64_t>(view.payload_size());
         in.frame.reset();

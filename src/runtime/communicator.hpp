@@ -14,8 +14,10 @@
 // "time" always comes from the model, never from the wall clock.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -25,6 +27,7 @@
 #include "baselines/ring_exchange.hpp"
 #include "core/exchange_engine.hpp"
 #include "core/payload_exchange.hpp"
+#include "core/step_program.hpp"
 #include "core/virtual_torus.hpp"
 #include "costmodel/models.hpp"
 #include "runtime/failure_detector.hpp"
@@ -156,7 +159,25 @@ struct ResumeOptions {
   void validate() const;
 };
 
+/// A collective entered a TorusCommunicator that is already running
+/// one: a call from another thread, or a call re-entered from inside
+/// the running one (say, from a payload's copy constructor). A
+/// communicator's wire arena and compiled program are per-communicator
+/// state, so its calls must not overlap; give each thread its own
+/// communicator.
+class CommunicatorBusyError : public std::logic_error {
+ public:
+  CommunicatorBusyError()
+      : std::logic_error(
+            "collective called on a communicator that is already running one (concurrent or "
+            "re-entrant call; use one communicator per thread)") {}
+};
+
 /// Collective context bound to one torus and one parameter set.
+///
+/// Every alltoall* entry point holds the communicator for the length of
+/// the call and throws CommunicatorBusyError instead of overlapping
+/// another call on it.
 class TorusCommunicator {
  public:
   TorusCommunicator(TorusShape shape, CostParams params);
@@ -195,6 +216,242 @@ class TorusCommunicator {
                                        std::int64_t block_bytes = sizeof(T),
                                        double* modeled_time = nullptr,
                                        Recorder* obs = nullptr) const {
+    const CallGuard guard(busy_);
+    return alltoall_impl(send, algorithm, block_bytes, modeled_time, obs);
+  }
+
+  /// Zero-copy strided all-to-all (Träff-style user-defined
+  /// datatypes): parcels seed straight out of the caller's memory
+  /// through per-node send views and results scatter straight back
+  /// through the recv views — no dense staging rows on either side,
+  /// so a column of a row-major matrix (stride = row length)
+  /// exchanges without ever being transposed into a contiguous copy.
+  /// send[p].at(q) is node p's payload for node q; on return
+  /// recv[q].at(p) == send[p].at(q). Requires the Suh-Shin schedule
+  /// (throws where alltoall would) and a trivially copyable T; rides
+  /// the pooled multi-run wire unconditionally.
+  template <typename T>
+  void alltoall_strided(const std::vector<StridedView<const T>>& send,
+                        const std::vector<StridedView<T>>& recv,
+                        Recorder* obs = nullptr) const {
+    static_assert(std::is_trivially_copyable_v<Parcel<T>>,
+                  "strided alltoall requires trivially copyable payloads");
+    const CallGuard guard(busy_);
+    const Rank N = size();
+    TOREX_REQUIRE(schedule_.has_value(),
+                  "Suh-Shin schedule not applicable to this shape (pad or pick another "
+                  "algorithm)");
+    if (obs != nullptr && !obs->enabled()) obs = nullptr;
+    SpanGuard alltoall_span(obs, "alltoall_strided");
+    const StepProgram& program = pooled_program();
+    WireExchangeOptions wire_options;
+    wire_options.arena = &wire_arena_;
+    wire_options.obs = obs;
+    const auto delivered = exchange_payloads_pooled(*schedule_, program,
+                                                    seed_parcels_strided(N, send),
+                                                    wire_options);
+    SpanGuard scatter_span(obs, "scatter");
+    scatter_parcels_strided(N, delivered, recv);
+  }
+
+  /// Fault-aware all-to-all. Audits the chosen schedule against
+  /// `faults` and, when impacted, recovers per `options.policy`
+  /// (retry/backoff for transient faults, degraded remap of the
+  /// Suh-Shin schedule, or the fault-tolerant direct fallback) instead
+  /// of throwing. `outcome` reports what ran; the returned permutation
+  /// is identical to the healthy alltoall. Throws FaultedExchangeError
+  /// only when recovery is disabled (RecoveryPolicy::kNone) or the
+  /// faults disconnect the live nodes.
+  template <typename T>
+  std::vector<std::vector<T>> alltoall_resilient(const std::vector<std::vector<T>>& send,
+                                                 const FaultModel& faults,
+                                                 ExchangeOutcome& outcome,
+                                                 const ResilienceOptions& options = {}) const {
+    const CallGuard guard(busy_);
+    const std::int64_t bytes =
+        options.block_bytes > 0 ? options.block_bytes : static_cast<std::int64_t>(sizeof(T));
+    Recorder* obs = options.obs != nullptr && options.obs->enabled() ? options.obs : nullptr;
+    SpanGuard resilient_span(obs, "alltoall_resilient");
+    {
+      SpanGuard plan_span(obs, "plan");
+      outcome = plan_resilient(faults, options, bytes);
+    }
+    return alltoall_impl(send, outcome.algorithm, bytes, nullptr, obs);
+  }
+
+  /// Planning half of alltoall_resilient: audit + recovery decision +
+  /// pricing, no data movement. Exposed for tools and benches that
+  /// compare policies without running payloads.
+  ExchangeOutcome plan_resilient(const FaultModel& faults, const ResilienceOptions& options,
+                                 std::int64_t block_bytes) const;
+
+  /// Self-checking all-to-all: alltoall_resilient plus end-to-end data
+  /// integrity. When the Suh-Shin schedule runs, every message crosses
+  /// the simulated wire sealed (per-parcel CRC-32 + metadata), may be
+  /// damaged by `corruption`, and is verified before integration;
+  /// detected corruption is repaired by bounded retransmission
+  /// (kCorrected). A message that stays corrupt past its budget
+  /// escalates: the corrupting channels are added to the fault model as
+  /// channel faults and the exchange re-plans through the PR-1 recovery
+  /// chain (kEscalated, outcome.integrity_failure attributes the step).
+  /// The returned permutation is always exact; persistent corruption
+  /// that cannot be attributed rethrows the IntegrityError, and
+  /// RecoveryPolicy::kNone turns escalation into FaultedExchangeError.
+  template <typename T>
+  std::vector<std::vector<T>> alltoall_checked(const std::vector<std::vector<T>>& send,
+                                               const FaultModel& faults,
+                                               const CorruptionModel& corruption,
+                                               ExchangeOutcome& outcome,
+                                               const ResilienceOptions& options = {},
+                                               const IntegrityOptions& integrity = {}) const {
+    static_assert(std::is_trivially_copyable_v<T>,
+                  "checked exchange requires trivially copyable payloads");
+    const CallGuard guard(busy_);
+    const Rank N = size();
+    TOREX_REQUIRE(static_cast<Rank>(send.size()) == N, "send buffer must have N rows");
+    for (const auto& row : send) {
+      TOREX_REQUIRE(static_cast<Rank>(row.size()) == N, "send rows must have N entries");
+    }
+    const std::int64_t bytes =
+        options.block_bytes > 0 ? options.block_bytes : static_cast<std::int64_t>(sizeof(T));
+    Recorder* obs = options.obs != nullptr && options.obs->enabled() ? options.obs : nullptr;
+    SpanGuard checked_span(obs, "alltoall_checked");
+    FaultModel effective = faults;
+    std::int64_t corrupted = 0;
+    std::int64_t retransmits = 0;
+    int escalations = 0;
+    // Recovery work spent by abandoned rounds; folded into each fresh
+    // plan so the final outcome reports the whole exchange's history.
+    int prior_attempts = 0;
+    int prior_retries = 0;
+    std::int64_t prior_waited = 0;
+    std::optional<IntegrityFailure> failure;
+    const Torus torus(shape_);
+    // Each escalation converts at least one corrupting channel into a
+    // channel fault, so the loop ends within |corruption| rounds.
+    while (true) {
+      {
+        SpanGuard plan_span(obs, "plan");
+        outcome = plan_resilient(effective, options, bytes);
+      }
+      outcome.attempts += prior_attempts;
+      outcome.retries += prior_retries;
+      outcome.waited_ticks += prior_waited;
+      outcome.integrity = escalations > 0 ? IntegrityStatus::kEscalated : IntegrityStatus::kClean;
+      outcome.corrupted_messages = corrupted;
+      outcome.retransmits = retransmits;
+      outcome.escalations = escalations;
+      outcome.integrity_failure = failure;
+      if (outcome.algorithm != AlltoallAlgorithm::kSuhShin || outcome.degraded ||
+          !schedule_.has_value()) {
+        // Degraded/baseline realizations are permutation-level
+        // simulations (see alltoall) — a remapped plan does not run the
+        // pristine schedule, so nothing crosses the sealed wire.
+        return alltoall_impl(send, outcome.algorithm, bytes, nullptr, obs);
+      }
+      IntegrityOptions iopts = integrity;
+      iopts.base_tick = outcome.run_tick;
+      try {
+        IntegrityReport report;
+        SpanGuard verify_span(obs, "verify");
+        auto recv = run_sealed<T>(send, corruption, iopts, report, obs);
+        outcome.corrupted_messages += report.corrupted;
+        outcome.retransmits += report.retransmits;
+        if (outcome.integrity == IntegrityStatus::kClean && !report.clean()) {
+          outcome.integrity = IntegrityStatus::kCorrected;
+          outcome.note += "; corruption detected and corrected by retransmission";
+        }
+        return recv;
+      } catch (const IntegrityError& error) {
+        const IntegrityReport& report = error.report();
+        corrupted += report.corrupted;
+        retransmits += report.retransmits;
+        prior_attempts = outcome.attempts;
+        prior_retries = outcome.retries;
+        prior_waited = outcome.waited_ticks;
+        TOREX_CHECK(report.fatal.has_value(), "integrity error without a fatal violation");
+        if (!add_corruption_as_faults(torus, corruption, *report.fatal, effective)) {
+          throw;  // unattributable persistent corruption: refuse loudly
+        }
+        ++escalations;
+        if (obs != nullptr) {
+          obs->instant("escalate", report.fatal->dst, report.fatal->phase, report.fatal->step,
+                       escalations);
+          obs->metrics().counter("integrity.escalations").add();
+        }
+        failure = IntegrityFailure{report.fatal->phase,   report.fatal->step,
+                                   report.fatal->src,     report.fatal->dst,
+                                   report.fatal->tick,    report.fatal->attempt,
+                                   report.fatal->reason};
+      }
+    }
+  }
+
+  /// Crash-durable all-to-all: a journaled run whose progress survives
+  /// process death. Every schedule step appends a CRC-sealed delivery
+  /// record + commit marker to `journal` (persist it via options.flush);
+  /// passing a journal with prior progress resumes the exchange,
+  /// replaying the committed prefix locally and re-sending only parcels
+  /// undelivered at the kill point, with re-received durable parcels
+  /// deduplicated (exactly-once). When the fault model carries node
+  /// faults, the heartbeat failure detector runs first — its fd.suspect
+  /// spans precede the recovery.attempt spans of planning — and the
+  /// outcome reports whether suspicion beat the tick watchdog deadline.
+  /// Degraded plans (crashed nodes) deliver the delta directly, still
+  /// journaled. Requires a qualifying (Suh-Shin) shape and copyable T.
+  template <typename T>
+  std::vector<std::vector<T>> alltoall_resumable(const std::vector<std::vector<T>>& send,
+                                                 const FaultModel& faults,
+                                                 ExchangeJournal& journal,
+                                                 ExchangeOutcome& outcome,
+                                                 const ResumeOptions& options = {}) const {
+    const CallGuard guard(busy_);
+    return alltoall_resumable_impl(send, faults, journal, outcome, options);
+  }
+
+  /// Resumes an interrupted exchange from its journal: requires
+  /// recorded progress (a fresh run belongs to alltoall_resumable).
+  /// The send buffers must be the same ones the original run used.
+  template <typename T>
+  std::vector<std::vector<T>> resume(const std::vector<std::vector<T>>& send,
+                                     const FaultModel& faults, ExchangeJournal& journal,
+                                     ExchangeOutcome& outcome,
+                                     const ResumeOptions& options = {}) const {
+    const CallGuard guard(busy_);
+    TOREX_REQUIRE(journal.bound() && !journal.fresh(),
+                  "resume requires a journal with recorded progress");
+    return alltoall_resumable_impl(send, faults, journal, outcome, options);
+  }
+
+ private:
+  /// Holds the communicator for one collective call; throws
+  /// CommunicatorBusyError when another call already holds it.
+  class CallGuard {
+   public:
+    explicit CallGuard(std::atomic<bool>& busy) : busy_(busy) {
+      if (busy_.exchange(true, std::memory_order_acquire)) throw CommunicatorBusyError();
+    }
+    ~CallGuard() { busy_.store(false, std::memory_order_release); }
+    CallGuard(const CallGuard&) = delete;
+    CallGuard& operator=(const CallGuard&) = delete;
+
+   private:
+    std::atomic<bool>& busy_;
+  };
+
+  /// The pooled wire's compiled schedule, compiled by the first pooled
+  /// call and replayed by every later one. Callers hold the CallGuard.
+  const StepProgram& pooled_program() const {
+    if (!program_.has_value()) program_.emplace(*schedule_);
+    return *program_;
+  }
+
+  /// alltoall's body; the caller holds the CallGuard.
+  template <typename T>
+  std::vector<std::vector<T>> alltoall_impl(const std::vector<std::vector<T>>& send,
+                                            AlltoallAlgorithm algorithm,
+                                            std::int64_t block_bytes, double* modeled_time,
+                                            Recorder* obs) const {
     const Rank N = size();
     TOREX_REQUIRE(static_cast<Rank>(send.size()) == N, "send buffer must have N rows");
     for (const auto& row : send) {
@@ -213,23 +470,25 @@ class TorusCommunicator {
       const SuhShinAape& algo = *schedule_;
       // Dense rows are stride-1 views: the same seed/scatter path the
       // strided API uses, with no extra staging in between.
-      ParcelBuffers<T> parcels = [&] {
+      const auto seed = [&] {
         std::vector<StridedView<const T>> views;
         views.reserve(send.size());
         for (const auto& row : send) views.push_back({row.data(), row.size(), 1});
         return seed_parcels_strided(N, views);
-      }();
-      // Trivially copyable payloads ride the pooled zero-copy wire
-      // (frames recycle through the communicator's arena across
-      // exchanges); other types fall back to the struct-move executor.
+      };
+      // Trivially copyable payloads ride the pooled zero-copy wire,
+      // replaying the communicator's compiled program (frames recycle
+      // through its arena across exchanges); other types fall back to
+      // the struct-move executor.
       ParcelBuffers<T> delivered;
       if constexpr (std::is_trivially_copyable_v<Parcel<T>>) {
+        const StepProgram& program = pooled_program();  // before the parcels exist
         WireExchangeOptions wire_options;
         wire_options.arena = &wire_arena_;
         wire_options.obs = obs;
-        delivered = exchange_payloads_pooled(algo, std::move(parcels), wire_options);
+        delivered = exchange_payloads_pooled(algo, program, seed(), wire_options);
       } else {
-        delivered = exchange_payloads(algo, std::move(parcels), obs);
+        delivered = exchange_payloads(algo, seed(), obs);
       }
       SpanGuard permute_span(obs, "permute");
       std::vector<std::vector<T>> recv(static_cast<std::size_t>(N));
@@ -290,186 +549,13 @@ class TorusCommunicator {
     return recv;
   }
 
-  /// Zero-copy strided all-to-all (Träff-style user-defined
-  /// datatypes): parcels seed straight out of the caller's memory
-  /// through per-node send views and results scatter straight back
-  /// through the recv views — no dense staging rows on either side,
-  /// so a column of a row-major matrix (stride = row length)
-  /// exchanges without ever being transposed into a contiguous copy.
-  /// send[p].at(q) is node p's payload for node q; on return
-  /// recv[q].at(p) == send[p].at(q). Requires the Suh-Shin schedule
-  /// (throws where alltoall would) and a trivially copyable T; rides
-  /// the pooled multi-run wire unconditionally.
+  /// alltoall_resumable's body; the caller holds the CallGuard.
   template <typename T>
-  void alltoall_strided(const std::vector<StridedView<const T>>& send,
-                        const std::vector<StridedView<T>>& recv,
-                        Recorder* obs = nullptr) const {
-    static_assert(std::is_trivially_copyable_v<Parcel<T>>,
-                  "strided alltoall requires trivially copyable payloads");
-    const Rank N = size();
-    TOREX_REQUIRE(schedule_.has_value(),
-                  "Suh-Shin schedule not applicable to this shape (pad or pick another "
-                  "algorithm)");
-    if (obs != nullptr && !obs->enabled()) obs = nullptr;
-    SpanGuard alltoall_span(obs, "alltoall_strided");
-    WireExchangeOptions wire_options;
-    wire_options.arena = &wire_arena_;
-    wire_options.obs = obs;
-    const auto delivered =
-        exchange_payloads_pooled(*schedule_, seed_parcels_strided(N, send), wire_options);
-    SpanGuard scatter_span(obs, "scatter");
-    scatter_parcels_strided(N, delivered, recv);
-  }
-
-  /// Fault-aware all-to-all. Audits the chosen schedule against
-  /// `faults` and, when impacted, recovers per `options.policy`
-  /// (retry/backoff for transient faults, degraded remap of the
-  /// Suh-Shin schedule, or the fault-tolerant direct fallback) instead
-  /// of throwing. `outcome` reports what ran; the returned permutation
-  /// is identical to the healthy alltoall. Throws FaultedExchangeError
-  /// only when recovery is disabled (RecoveryPolicy::kNone) or the
-  /// faults disconnect the live nodes.
-  template <typename T>
-  std::vector<std::vector<T>> alltoall_resilient(const std::vector<std::vector<T>>& send,
-                                                 const FaultModel& faults,
-                                                 ExchangeOutcome& outcome,
-                                                 const ResilienceOptions& options = {}) const {
-    const std::int64_t bytes =
-        options.block_bytes > 0 ? options.block_bytes : static_cast<std::int64_t>(sizeof(T));
-    Recorder* obs = options.obs != nullptr && options.obs->enabled() ? options.obs : nullptr;
-    SpanGuard resilient_span(obs, "alltoall_resilient");
-    {
-      SpanGuard plan_span(obs, "plan");
-      outcome = plan_resilient(faults, options, bytes);
-    }
-    return alltoall(send, outcome.algorithm, bytes, nullptr, obs);
-  }
-
-  /// Planning half of alltoall_resilient: audit + recovery decision +
-  /// pricing, no data movement. Exposed for tools and benches that
-  /// compare policies without running payloads.
-  ExchangeOutcome plan_resilient(const FaultModel& faults, const ResilienceOptions& options,
-                                 std::int64_t block_bytes) const;
-
-  /// Self-checking all-to-all: alltoall_resilient plus end-to-end data
-  /// integrity. When the Suh-Shin schedule runs, every message crosses
-  /// the simulated wire sealed (per-parcel CRC-32 + metadata), may be
-  /// damaged by `corruption`, and is verified before integration;
-  /// detected corruption is repaired by bounded retransmission
-  /// (kCorrected). A message that stays corrupt past its budget
-  /// escalates: the corrupting channels are added to the fault model as
-  /// channel faults and the exchange re-plans through the PR-1 recovery
-  /// chain (kEscalated, outcome.integrity_failure attributes the step).
-  /// The returned permutation is always exact; persistent corruption
-  /// that cannot be attributed rethrows the IntegrityError, and
-  /// RecoveryPolicy::kNone turns escalation into FaultedExchangeError.
-  template <typename T>
-  std::vector<std::vector<T>> alltoall_checked(const std::vector<std::vector<T>>& send,
-                                               const FaultModel& faults,
-                                               const CorruptionModel& corruption,
-                                               ExchangeOutcome& outcome,
-                                               const ResilienceOptions& options = {},
-                                               const IntegrityOptions& integrity = {}) const {
-    static_assert(std::is_trivially_copyable_v<T>,
-                  "checked exchange requires trivially copyable payloads");
-    const Rank N = size();
-    TOREX_REQUIRE(static_cast<Rank>(send.size()) == N, "send buffer must have N rows");
-    for (const auto& row : send) {
-      TOREX_REQUIRE(static_cast<Rank>(row.size()) == N, "send rows must have N entries");
-    }
-    const std::int64_t bytes =
-        options.block_bytes > 0 ? options.block_bytes : static_cast<std::int64_t>(sizeof(T));
-    Recorder* obs = options.obs != nullptr && options.obs->enabled() ? options.obs : nullptr;
-    SpanGuard checked_span(obs, "alltoall_checked");
-    FaultModel effective = faults;
-    std::int64_t corrupted = 0;
-    std::int64_t retransmits = 0;
-    int escalations = 0;
-    // Recovery work spent by abandoned rounds; folded into each fresh
-    // plan so the final outcome reports the whole exchange's history.
-    int prior_attempts = 0;
-    int prior_retries = 0;
-    std::int64_t prior_waited = 0;
-    std::optional<IntegrityFailure> failure;
-    const Torus torus(shape_);
-    // Each escalation converts at least one corrupting channel into a
-    // channel fault, so the loop ends within |corruption| rounds.
-    while (true) {
-      {
-        SpanGuard plan_span(obs, "plan");
-        outcome = plan_resilient(effective, options, bytes);
-      }
-      outcome.attempts += prior_attempts;
-      outcome.retries += prior_retries;
-      outcome.waited_ticks += prior_waited;
-      outcome.integrity = escalations > 0 ? IntegrityStatus::kEscalated : IntegrityStatus::kClean;
-      outcome.corrupted_messages = corrupted;
-      outcome.retransmits = retransmits;
-      outcome.escalations = escalations;
-      outcome.integrity_failure = failure;
-      if (outcome.algorithm != AlltoallAlgorithm::kSuhShin || outcome.degraded ||
-          !schedule_.has_value()) {
-        // Degraded/baseline realizations are permutation-level
-        // simulations (see alltoall) — a remapped plan does not run the
-        // pristine schedule, so nothing crosses the sealed wire.
-        return alltoall(send, outcome.algorithm, bytes, nullptr, obs);
-      }
-      IntegrityOptions iopts = integrity;
-      iopts.base_tick = outcome.run_tick;
-      try {
-        IntegrityReport report;
-        SpanGuard verify_span(obs, "verify");
-        auto recv = run_sealed<T>(send, corruption, iopts, report, obs);
-        outcome.corrupted_messages += report.corrupted;
-        outcome.retransmits += report.retransmits;
-        if (outcome.integrity == IntegrityStatus::kClean && !report.clean()) {
-          outcome.integrity = IntegrityStatus::kCorrected;
-          outcome.note += "; corruption detected and corrected by retransmission";
-        }
-        return recv;
-      } catch (const IntegrityError& error) {
-        const IntegrityReport& report = error.report();
-        corrupted += report.corrupted;
-        retransmits += report.retransmits;
-        prior_attempts = outcome.attempts;
-        prior_retries = outcome.retries;
-        prior_waited = outcome.waited_ticks;
-        TOREX_CHECK(report.fatal.has_value(), "integrity error without a fatal violation");
-        if (!add_corruption_as_faults(torus, corruption, *report.fatal, effective)) {
-          throw;  // unattributable persistent corruption: refuse loudly
-        }
-        ++escalations;
-        if (obs != nullptr) {
-          obs->instant("escalate", report.fatal->dst, report.fatal->phase, report.fatal->step,
-                       escalations);
-          obs->metrics().counter("integrity.escalations").add();
-        }
-        failure = IntegrityFailure{report.fatal->phase,   report.fatal->step,
-                                   report.fatal->src,     report.fatal->dst,
-                                   report.fatal->tick,    report.fatal->attempt,
-                                   report.fatal->reason};
-      }
-    }
-  }
-
-  /// Crash-durable all-to-all: a journaled run whose progress survives
-  /// process death. Every schedule step appends a CRC-sealed delivery
-  /// record + commit marker to `journal` (persist it via options.flush);
-  /// passing a journal with prior progress resumes the exchange,
-  /// replaying the committed prefix locally and re-sending only parcels
-  /// undelivered at the kill point, with re-received durable parcels
-  /// deduplicated (exactly-once). When the fault model carries node
-  /// faults, the heartbeat failure detector runs first — its fd.suspect
-  /// spans precede the recovery.attempt spans of planning — and the
-  /// outcome reports whether suspicion beat the tick watchdog deadline.
-  /// Degraded plans (crashed nodes) deliver the delta directly, still
-  /// journaled. Requires a qualifying (Suh-Shin) shape and copyable T.
-  template <typename T>
-  std::vector<std::vector<T>> alltoall_resumable(const std::vector<std::vector<T>>& send,
-                                                 const FaultModel& faults,
-                                                 ExchangeJournal& journal,
-                                                 ExchangeOutcome& outcome,
-                                                 const ResumeOptions& options = {}) const {
+  std::vector<std::vector<T>> alltoall_resumable_impl(const std::vector<std::vector<T>>& send,
+                                                      const FaultModel& faults,
+                                                      ExchangeJournal& journal,
+                                                      ExchangeOutcome& outcome,
+                                                      const ResumeOptions& options) const {
     options.validate();
     const Rank N = size();
     TOREX_REQUIRE(static_cast<Rank>(send.size()) == N, "send buffer must have N rows");
@@ -566,20 +652,6 @@ class TorusCommunicator {
     return recv;
   }
 
-  /// Resumes an interrupted exchange from its journal: requires
-  /// recorded progress (a fresh run belongs to alltoall_resumable).
-  /// The send buffers must be the same ones the original run used.
-  template <typename T>
-  std::vector<std::vector<T>> resume(const std::vector<std::vector<T>>& send,
-                                     const FaultModel& faults, ExchangeJournal& journal,
-                                     ExchangeOutcome& outcome,
-                                     const ResumeOptions& options = {}) const {
-    TOREX_REQUIRE(journal.bound() && !journal.fresh(),
-                  "resume requires a journal with recorded progress");
-    return alltoall_resumable(send, faults, journal, outcome, options);
-  }
-
- private:
   /// Runs the sealed Suh-Shin exchange over the payloads.
   template <typename T>
   std::vector<std::vector<T>> run_sealed(const std::vector<std::vector<T>>& send,
@@ -621,9 +693,12 @@ class TorusCommunicator {
   /// Frame pool shared by every exchange this communicator runs, so
   /// wire buffers recycle across calls and the pool/traffic statistics
   /// accumulate per communicator. Mutable because the collectives are
-  /// logically const; concurrent calls on one communicator were never
-  /// supported (each thread should own its communicator or engine).
+  /// logically const; the CallGuard keeps calls from overlapping on it.
   mutable WireArena wire_arena_;
+  /// The pooled wire's compiled schedule, memoized by pooled_program().
+  mutable std::optional<StepProgram> program_;
+  /// Set while a collective holds the communicator (see CallGuard).
+  mutable std::atomic<bool> busy_{false};
 };
 
 }  // namespace torex

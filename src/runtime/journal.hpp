@@ -332,7 +332,7 @@ ParcelBuffers<T> exchange_payloads_journaled(const SuhShinAape& algo, ParcelBuff
   ParcelBuffers<T> inbox(static_cast<std::size_t>(N));
   std::vector<std::pair<Rank, Rank>> arrivals;
   PooledFrame frame;  // wire-path scratch, rebound per message
-  std::vector<detail::RunSpan> wire_runs;  // wire-path send-set scan scratch
+  std::vector<SendRun> wire_runs;  // wire-path send-set scan scratch
   std::int64_t flat_step = 0;  // 0-based global step index
 
   for (int phase = 1; phase <= algo.num_phases(); ++phase) {

@@ -157,7 +157,7 @@ PhaseOutcome SessionExchange::run_phase(const std::atomic<bool>* cancel,
 
   std::vector<PendingFrame> pending;
   std::vector<std::pair<Rank, Rank>> arrivals;
-  std::vector<detail::RunSpan> runs;  // send-set scan scratch, reused per node
+  std::vector<SendRun> runs;  // send-set scan scratch, reused per node
   for (int step = next_step_; step <= algo_->steps_in_phase(phase); ++step) {
     if (cancel != nullptr && cancel->load(std::memory_order_relaxed)) {
       flight_note("svc.cancelled", health, phase, step);

@@ -15,6 +15,7 @@
 #include "core/payload_exchange.hpp"
 #include "core/schedule_io.hpp"
 #include "core/schedule_stats.hpp"
+#include "core/step_program.hpp"
 #include "core/trace.hpp"
 #include "core/virtual_torus.hpp"
 #include "core/wire_buffer.hpp"

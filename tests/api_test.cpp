@@ -1,11 +1,16 @@
 // Tests for the application-facing API layers: payload exchange, the
-// Alltoallv-style custom workloads, the communicator facade, and
-// schedule serialization.
+// Alltoallv-style custom workloads, the communicator facade (including
+// its refusal of re-entrant and concurrent calls), and schedule
+// serialization.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <latch>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
+#include <type_traits>
 
 #include "core/exchange_engine.hpp"
 #include "core/payload_exchange.hpp"
@@ -253,6 +258,119 @@ TEST(CommunicatorTest, BruckEstimateAvailableOnAnyShape) {
   const AlltoallAlgorithm chosen = comm.select(64);
   EXPECT_TRUE(chosen == AlltoallAlgorithm::kBruck || chosen == AlltoallAlgorithm::kRing ||
               chosen == AlltoallAlgorithm::kDirect);
+}
+
+/// A payload whose copy constructor runs a hook: the deterministic way
+/// to land inside a running collective, since seeding copies every
+/// payload. Not trivially copyable, so alltoall moves it by struct.
+struct HookedPayload {
+  static inline std::function<void()> on_copy;
+  int value = 0;
+  HookedPayload() = default;
+  explicit HookedPayload(int v) : value(v) {}
+  HookedPayload(const HookedPayload& other) : value(other.value) {
+    if (on_copy) on_copy();
+  }
+  HookedPayload& operator=(const HookedPayload&) = default;
+};
+static_assert(!std::is_trivially_copyable_v<HookedPayload>);
+
+std::vector<std::vector<HookedPayload>> hooked_send(Rank N) {
+  std::vector<std::vector<HookedPayload>> send(static_cast<std::size_t>(N));
+  for (Rank p = 0; p < N; ++p) {
+    for (Rank q = 0; q < N; ++q) send[static_cast<std::size_t>(p)].emplace_back(p * 100 + q);
+  }
+  return send;
+}
+
+void expect_hooked_transpose(Rank N, const std::vector<std::vector<HookedPayload>>& recv) {
+  for (Rank q = 0; q < N; ++q) {
+    for (Rank p = 0; p < N; ++p) {
+      EXPECT_EQ(recv[static_cast<std::size_t>(q)][static_cast<std::size_t>(p)].value,
+                p * 100 + q);
+    }
+  }
+}
+
+TEST(CommunicatorTest, ReentrantCallsAreRefused) {
+  // Every entry point, re-entered from inside a running alltoall (here:
+  // from a payload's copy constructor), must refuse with a typed error
+  // instead of sharing the running call's arena and program.
+  TorusCommunicator comm(TorusShape::make_2d(4, 4), CostParams::balanced());
+  const Rank N = comm.size();
+  const auto n = static_cast<std::size_t>(N);
+  const std::vector<std::vector<std::int64_t>> words(n, std::vector<std::int64_t>(n, 7));
+  std::vector<std::int64_t> send_mat(n * n, 7);
+  std::vector<std::int64_t> recv_mat(n * n, 0);
+  std::vector<StridedView<const std::int64_t>> send_views;
+  std::vector<StridedView<std::int64_t>> recv_views;
+  for (std::size_t p = 0; p < n; ++p) {
+    send_views.push_back({send_mat.data() + p * n, n, 1});
+    recv_views.push_back({recv_mat.data() + p * n, n, 1});
+  }
+  const auto send = hooked_send(N);
+  int refused = 0;
+  bool hooked = false;
+  const auto expect_busy = [&](auto&& call) {
+    try {
+      call();
+    } catch (const CommunicatorBusyError&) {
+      ++refused;
+    }
+  };
+  HookedPayload::on_copy = [&] {
+    if (hooked) return;
+    hooked = true;
+    ExchangeOutcome outcome;
+    ExchangeJournal journal;
+    expect_busy([&] { comm.alltoall(words, AlltoallAlgorithm::kSuhShin); });
+    expect_busy([&] { comm.alltoall_strided(send_views, recv_views); });
+    expect_busy([&] { comm.alltoall_resilient(words, FaultModel{}, outcome); });
+    expect_busy(
+        [&] { comm.alltoall_checked(words, FaultModel{}, CorruptionModel{}, outcome); });
+    expect_busy([&] { comm.alltoall_resumable(words, FaultModel{}, journal, outcome); });
+  };
+  const auto recv = comm.alltoall(send, AlltoallAlgorithm::kSuhShin);
+  HookedPayload::on_copy = nullptr;
+  EXPECT_EQ(refused, 5);
+  expect_hooked_transpose(N, recv);
+  // The running call released the communicator when it returned.
+  EXPECT_EQ(comm.alltoall(words, AlltoallAlgorithm::kSuhShin)[3][2], 7);
+}
+
+TEST(CommunicatorTest, ConcurrentCallIsRefused) {
+  // A second thread calls while the first is parked inside its
+  // alltoall; the second must get the typed error, and the first must
+  // finish unharmed. (Runs under TSan in CI.)
+  TorusCommunicator comm(TorusShape::make_2d(4, 4), CostParams::balanced());
+  const Rank N = comm.size();
+  const auto n = static_cast<std::size_t>(N);
+  const std::vector<std::vector<std::int64_t>> words(n, std::vector<std::int64_t>(n, 7));
+  const auto send = hooked_send(N);
+  std::latch inside(1);
+  std::latch attempted(1);
+  bool parked = false;
+  bool refused = false;
+  HookedPayload::on_copy = [&] {
+    if (parked) return;
+    parked = true;
+    inside.count_down();
+    attempted.wait();
+  };
+  std::thread other([&] {
+    inside.wait();
+    try {
+      comm.alltoall(words, AlltoallAlgorithm::kSuhShin);
+    } catch (const CommunicatorBusyError&) {
+      refused = true;
+    }
+    attempted.count_down();
+  });
+  const auto recv = comm.alltoall(send, AlltoallAlgorithm::kSuhShin);
+  other.join();
+  HookedPayload::on_copy = nullptr;
+  EXPECT_TRUE(refused);
+  expect_hooked_transpose(N, recv);
 }
 
 TEST(CommunicatorTest, ToStringNames) {

@@ -140,8 +140,8 @@ TEST(Crc32Test, IncrementalManyChunksWithZeroLengthSlices) {
 }
 
 TEST(Crc32Test, ValueSamplesMidStreamWithoutConsuming) {
-  // frame_finish() reads the header digest mid-stream and keeps
-  // hashing; value() must not perturb the accumulator.
+  // encode_multi_run_frame() reads the header digest mid-stream and
+  // keeps hashing; value() must not perturb the accumulator.
   const std::vector<unsigned char> data = pattern_bytes(96, 0xD16E57u);
   Crc32 crc;
   crc.update(data.data(), 48);

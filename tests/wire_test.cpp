@@ -1,25 +1,28 @@
 // The zero-copy pooled wire path: WireArena recycling semantics,
-// PooledFrame RAII, the TOX2 frame codec (round-trip, every-bit-flip
-// and every-truncation detection, forged counts, negative metadata),
-// the TOX3 multi-run codec (run gather/erase primitives, scatter
-// offsets, forged run tables as typed errors), strided user-buffer
-// views, the pooled layout-faithful executor (differential against the
-// plain executor, §3.3 run accounting differential against the
-// block-level layout simulator on both layouts, steady-state
-// allocation behavior), and a seeded deterministic fuzz harness over
-// all three wire formats — mutations must never decode and never read
-// out of bounds (the ASan/UBSan CI job runs this suite under
-// sanitizers).
+// PooledFrame RAII, the TOX3 multi-run codec (round-trip, every-bit-flip
+// and every-truncation detection, run gather/erase primitives, scatter
+// offsets, forged counts and run tables as typed errors), strided
+// user-buffer views, the compiled StepProgram and the pooled executor
+// that replays it (transpose delivery and §3.3 run accounting
+// differential against the block-level layout simulator, on both
+// layouts and every reference shape; mismatched programs refused;
+// steady-state allocation behavior), and a seeded deterministic fuzz
+// harness over both wire formats — mutations must never decode and
+// never read out of bounds (the ASan/UBSan CI job runs this suite
+// under sanitizers).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstring>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "core/data_array.hpp"
 #include "core/payload_exchange.hpp"
+#include "core/step_program.hpp"
 #include "core/wire_buffer.hpp"
 #include "obs/recorder.hpp"
 #include "util/crc32.hpp"
@@ -108,7 +111,7 @@ TEST(PooledFrameTest, DefaultConstructedIsUnboundAndRebindable) {
   EXPECT_EQ(arena.pooled(), 1u);
 }
 
-// --- TOX2 frame codec --------------------------------------------------
+// --- TOX3 multi-run frame codec ----------------------------------------
 
 std::vector<Parcel<std::int64_t>> make_parcels(Rank src, int count) {
   std::vector<Parcel<std::int64_t>> out;
@@ -118,136 +121,11 @@ std::vector<Parcel<std::int64_t>> make_parcels(Rank src, int count) {
   return out;
 }
 
-TEST(SealedFrameTest, RoundTrip) {
-  const auto parcels = make_parcels(3, 5);
-  std::vector<std::byte> frame;
-  encode_sealed_frame(parcels.data(), parcels.size(), 2, 1, 3, 7, frame);
-  SealedFrameView<std::int64_t> view;
-  std::string reason;
-  ASSERT_TRUE(decode_sealed_frame<std::int64_t>(WireView(frame), 2, 1, 3, 7, 16, view, &reason))
-      << reason;
-  ASSERT_EQ(view.count(), parcels.size());
-  for (std::size_t i = 0; i < view.count(); ++i) {
-    const Parcel<std::int64_t> p = view.parcel(i);
-    EXPECT_EQ(p.block.origin, parcels[i].block.origin);
-    EXPECT_EQ(p.block.dest, parcels[i].block.dest);
-    EXPECT_EQ(p.payload, parcels[i].payload);
-  }
-  // append_to: the zero-copy integrate (one grow + one memcpy).
-  std::vector<Parcel<std::int64_t>> out;
-  out.push_back(parcels[0]);
-  view.append_to(out);
-  ASSERT_EQ(out.size(), parcels.size() + 1);
-  EXPECT_EQ(out.back().payload, parcels.back().payload);
-}
-
-TEST(SealedFrameTest, EmptyRunRoundTrips) {
-  std::vector<std::byte> frame;
-  encode_sealed_frame<std::int64_t>(nullptr, 0, 1, 1, 0, 1, frame);
-  SealedFrameView<std::int64_t> view;
-  std::string reason;
-  ASSERT_TRUE(decode_sealed_frame<std::int64_t>(WireView(frame), 1, 1, 0, 1, 4, view, &reason))
-      << reason;
-  EXPECT_EQ(view.count(), 0u);
-}
-
-TEST(SealedFrameTest, EveryBitFlipIsDetected) {
-  const auto parcels = make_parcels(2, 3);
-  std::vector<std::byte> clean;
-  encode_sealed_frame(parcels.data(), parcels.size(), 1, 2, 5, 6, clean);
-  SealedFrameView<std::int64_t> view;
-  for (std::size_t bit = 0; bit < clean.size() * 8; ++bit) {
-    auto frame = clean;
-    frame[bit / 8] ^= static_cast<std::byte>(1u << (bit % 8));
-    EXPECT_FALSE(decode_sealed_frame<std::int64_t>(WireView(frame), 1, 2, 5, 6, 16, view))
-        << "flipped bit " << bit << " slipped through";
-  }
-}
-
-TEST(SealedFrameTest, EveryTruncationIsDetected) {
-  const auto parcels = make_parcels(0, 2);
-  std::vector<std::byte> clean;
-  encode_sealed_frame(parcels.data(), parcels.size(), 1, 2, 0, 4, clean);
-  SealedFrameView<std::int64_t> view;
-  for (std::size_t keep = 0; keep < clean.size(); ++keep) {
-    const std::vector<std::byte> frame(clean.begin(),
-                                       clean.begin() + static_cast<std::ptrdiff_t>(keep));
-    EXPECT_FALSE(decode_sealed_frame<std::int64_t>(WireView(frame), 1, 2, 0, 4, 16, view))
-        << "truncation to " << keep << " bytes slipped through";
-  }
-}
-
-/// Patches the frame's count field and re-seals the header CRC so the
-/// forged count itself — not the checksum — is what decode must catch.
-std::vector<std::byte> forge_frame_count(std::vector<std::byte> frame, std::uint64_t count) {
-  wire_write_u64(frame.data() + 28, count);
-  wire_write_u32(frame.data() + 44, crc32(frame.data(), 44));
-  return frame;
-}
-
-TEST(SealedFrameTest, ForgedCountIsBoundedBeforeParsing) {
-  const auto parcels = make_parcels(1, 3);
-  std::vector<std::byte> clean;
-  encode_sealed_frame(parcels.data(), parcels.size(), 1, 1, 1, 2, clean);
-  SealedFrameView<std::int64_t> view;
-  std::string reason;
-  // A count far beyond the bytes present must be rejected by the bound
-  // check, not by running off the end of the buffer (or reserving an
-  // attacker-chosen allocation).
-  auto forged = forge_frame_count(clean, std::uint64_t{1} << 60);
-  EXPECT_FALSE(decode_sealed_frame<std::int64_t>(WireView(forged), 1, 1, 1, 2, 16, view, &reason));
-  EXPECT_EQ(reason, "parcel count exceeds message size");
-  // A count smaller than the bytes present is a size mismatch.
-  forged = forge_frame_count(clean, 2);
-  EXPECT_FALSE(decode_sealed_frame<std::int64_t>(WireView(forged), 1, 1, 1, 2, 16, view, &reason));
-  EXPECT_EQ(reason, "frame size mismatch");
-}
-
-TEST(SealedFrameTest, NegativeMetadataRejected) {
-  const auto parcels = make_parcels(1, 1);
-  std::vector<std::byte> frame;
-  EXPECT_THROW(encode_sealed_frame(parcels.data(), parcels.size(), -1, 1, 1, 2, frame),
-               std::invalid_argument);
-  EXPECT_THROW(encode_sealed_frame(parcels.data(), parcels.size(), 1, 1, -3, 2, frame),
-               std::invalid_argument);
-  encode_sealed_frame(parcels.data(), parcels.size(), 1, 1, 1, 2, frame);
-  SealedFrameView<std::int64_t> view;
-  std::string reason;
-  EXPECT_FALSE(decode_sealed_frame<std::int64_t>(WireView(frame), -1, 1, 1, 2, 16, view, &reason));
-  EXPECT_EQ(reason, "negative message metadata");
-  EXPECT_FALSE(decode_sealed_frame<std::int64_t>(WireView(frame), 1, 1, 1, -2, 16, view, &reason));
-  EXPECT_EQ(reason, "negative message metadata");
-}
-
-TEST(SealedFrameTest, RejectsWrongStepAndChannel) {
-  const auto parcels = make_parcels(1, 2);
-  std::vector<std::byte> frame;
-  encode_sealed_frame(parcels.data(), parcels.size(), 1, 2, 1, 3, frame);
-  SealedFrameView<std::int64_t> view;
-  std::string reason;
-  EXPECT_FALSE(decode_sealed_frame<std::int64_t>(WireView(frame), 2, 2, 1, 3, 16, view, &reason));
-  EXPECT_EQ(reason, "message sealed for a different step");
-  EXPECT_FALSE(decode_sealed_frame<std::int64_t>(WireView(frame), 1, 2, 1, 4, 16, view, &reason));
-  EXPECT_EQ(reason, "message sealed for a different channel");
-}
-
-TEST(SealedFrameTest, RejectsIdentityOutOfRange) {
-  const auto parcels = make_parcels(9, 1);  // origin 9 in a 4-node torus
-  std::vector<std::byte> frame;
-  encode_sealed_frame(parcels.data(), parcels.size(), 1, 1, 1, 2, frame);
-  SealedFrameView<std::int64_t> view;
-  std::string reason;
-  EXPECT_FALSE(decode_sealed_frame<std::int64_t>(WireView(frame), 1, 1, 1, 2, 4, view, &reason));
-  EXPECT_EQ(reason, "parcel identity out of range");
-}
-
-// --- TOX3 multi-run frame codec ----------------------------------------
-
 /// A buffer with a known send set: parcels at indices {1,2} and {5,6}
 /// of an 8-parcel buffer (two runs with gaps on both sides).
 struct MultiRunFixture {
   std::vector<Parcel<std::int64_t>> buf;
-  std::vector<detail::RunSpan> runs;
+  std::vector<SendRun> runs;
   std::size_t count = 0;
 
   MultiRunFixture() {
@@ -263,10 +141,10 @@ TEST(MultiRunFrameTest, CollectRunsFindsMaximalSpans) {
   MultiRunFixture fx;
   EXPECT_EQ(fx.count, 4u);
   ASSERT_EQ(fx.runs.size(), 2u);
-  EXPECT_EQ(fx.runs[0].first, 1u);
-  EXPECT_EQ(fx.runs[0].last, 3u);
-  EXPECT_EQ(fx.runs[1].first, 5u);
-  EXPECT_EQ(fx.runs[1].last, 7u);
+  EXPECT_EQ(fx.runs[0].offset, 1u);
+  EXPECT_EQ(fx.runs[0].count, 2u);
+  EXPECT_EQ(fx.runs[1].offset, 5u);
+  EXPECT_EQ(fx.runs[1].count, 2u);
 }
 
 TEST(MultiRunFrameTest, EraseRunsCompactsStably) {
@@ -311,7 +189,7 @@ TEST(MultiRunFrameTest, MultiRunRoundTrips) {
 
 TEST(MultiRunFrameTest, EmptyFrameRoundTrips) {
   const std::vector<Parcel<std::int64_t>> buf;
-  const std::vector<detail::RunSpan> runs;
+  const std::vector<SendRun> runs;
   std::vector<std::byte> frame;
   encode_multi_run_frame(buf, runs, 0, 1, 1, 0, 1, frame);
   SealedRunFrameView<std::int64_t> view;
@@ -465,7 +343,8 @@ TEST(StridedViewTest, SeedAndScatterTransposeColumns) {
                static_cast<std::size_t>(p)] = p * 10000 + q;
     }
   }
-  auto delivered = exchange_payloads_pooled(algo, seed_parcels_strided(N, send_views));
+  auto delivered = exchange_payloads_pooled(algo, StepProgram(algo),
+                                            seed_parcels_strided(N, send_views));
   scatter_parcels_strided(N, delivered, recv_views);
   for (Rank q = 0; q < N; ++q) {
     for (Rank p = 0; p < N; ++p) {
@@ -507,23 +386,46 @@ void expect_delivered(Rank N, const ParcelBuffers<std::int64_t>& out) {
   }
 }
 
+/// One pooled exchange of the canonical parcels, replaying a program
+/// compiled for `layout`; returns the arena's traffic.
+WirePoolStats run_pooled(const SuhShinAape& algo, LayoutPolicy layout,
+                         ParcelBuffers<std::int64_t>* out = nullptr) {
+  WireArena arena;
+  WireExchangeOptions options;
+  options.arena = &arena;
+  auto delivered = exchange_payloads_pooled(
+      algo, StepProgram(algo, layout), canonical_parcels(algo.shape().num_nodes()), options);
+  if (out != nullptr) *out = std::move(delivered);
+  return arena.stats();
+}
+
+/// The wire's run accounting must equal the layout simulator's, run for
+/// run: both order buffers by the same keys and splice at the same hole.
+void expect_matches_simulator(const WirePoolStats& wire, const LayoutStats& blocks,
+                              const std::string& what) {
+  EXPECT_EQ(wire.total_sends, blocks.total_sends) << what;
+  EXPECT_EQ(wire.contiguous_sends, blocks.contiguous_sends) << what;
+  EXPECT_EQ(wire.gathered_parcels, blocks.gathered_blocks) << what;
+  EXPECT_EQ(wire.max_runs_per_send, blocks.max_runs_per_send) << what;
+  EXPECT_EQ(wire.runs_encoded, blocks.total_runs) << what;
+  EXPECT_EQ(wire.rearrangement_passes, blocks.rearrangement_passes) << what;
+  EXPECT_EQ(wire.parcels_rearranged, blocks.blocks_rearranged) << what;
+}
+
 TEST(PooledExchangeTest, DeliversTheAapePermutation) {
   for (const auto& extents :
        std::vector<std::vector<std::int32_t>>{{4, 4}, {8, 8}, {8, 4, 4}, {4, 4, 4}}) {
-    const TorusShape shape(extents);
-    const SuhShinAape algo(shape);
-    const Rank N = shape.num_nodes();
-    const auto out = exchange_payloads_pooled(algo, canonical_parcels(N));
-    expect_delivered(N, out);
+    const SuhShinAape algo{TorusShape(extents)};
+    ParcelBuffers<std::int64_t> out;
+    run_pooled(algo, LayoutPolicy::kPaper, &out);
+    expect_delivered(algo.shape().num_nodes(), out);
   }
 }
 
 TEST(PooledExchangeTest, NaiveLayoutDeliversToo) {
-  const TorusShape shape({4, 4});
-  const SuhShinAape algo(shape);
-  WireExchangeOptions options;
-  options.layout = LayoutPolicy::kNaiveDestinationOrder;
-  const auto out = exchange_payloads_pooled(algo, canonical_parcels(16), options);
+  const SuhShinAape algo(TorusShape({4, 4}));
+  ParcelBuffers<std::int64_t> out;
+  run_pooled(algo, LayoutPolicy::kNaiveDestinationOrder, &out);
   expect_delivered(16, out);
 }
 
@@ -533,55 +435,32 @@ TEST(PooledExchangeTest, RunAccountingMatchesLayoutSimulator) {
   // block-level layout simulator, because both order their buffers
   // with the same keys and hole-splice discipline.
   for (const auto& extents : std::vector<std::vector<std::int32_t>>{{8, 8}, {4, 4, 4}}) {
-    const TorusShape shape(extents);
-    const SuhShinAape algo(shape);
-    const LayoutStats blocks = run_layout_simulation(algo, LayoutPolicy::kPaper);
-    WireArena arena;
-    WireExchangeOptions options;
-    options.arena = &arena;
-    exchange_payloads_pooled(algo, canonical_parcels(shape.num_nodes()), options);
-    const WirePoolStats& wire = arena.stats();
-    EXPECT_EQ(wire.total_sends, blocks.total_sends) << shape.to_string();
-    EXPECT_EQ(wire.contiguous_sends, blocks.contiguous_sends) << shape.to_string();
-    EXPECT_EQ(wire.gathered_parcels, blocks.gathered_blocks) << shape.to_string();
-    EXPECT_EQ(wire.max_runs_per_send, blocks.max_runs_per_send) << shape.to_string();
+    const SuhShinAape algo{TorusShape(extents)};
+    expect_matches_simulator(run_pooled(algo, LayoutPolicy::kPaper),
+                             run_layout_simulation(algo, LayoutPolicy::kPaper),
+                             algo.shape().to_string());
   }
 }
 
 TEST(PooledExchangeTest, PaperLayoutIsFullyContiguousIn2D) {
-  const TorusShape shape({8, 8});
-  const SuhShinAape algo(shape);
-  WireArena arena;
-  WireExchangeOptions options;
-  options.arena = &arena;
-  exchange_payloads_pooled(algo, canonical_parcels(64), options);
-  EXPECT_TRUE(arena.stats().fully_contiguous());
-  EXPECT_EQ(arena.stats().max_runs_per_send, 1);
-  EXPECT_EQ(arena.stats().gathered_parcels, 0);
+  const WirePoolStats wire = run_pooled(SuhShinAape(TorusShape({8, 8})), LayoutPolicy::kPaper);
+  EXPECT_TRUE(wire.fully_contiguous());
+  EXPECT_EQ(wire.max_runs_per_send, 1);
+  EXPECT_EQ(wire.gathered_parcels, 0);
 }
 
 TEST(PooledExchangeTest, PaperLayoutBoundsRunsIn3D) {
   // n = 3: the parity obstruction allows at most 2^(n-2) = 2 runs.
-  const TorusShape shape({8, 4, 4});
-  const SuhShinAape algo(shape);
-  WireArena arena;
-  WireExchangeOptions options;
-  options.arena = &arena;
-  exchange_payloads_pooled(algo, canonical_parcels(shape.num_nodes()), options);
-  EXPECT_LE(arena.stats().max_runs_per_send, 2);
+  const SuhShinAape algo(TorusShape({8, 4, 4}));
+  EXPECT_LE(run_pooled(algo, LayoutPolicy::kPaper).max_runs_per_send, 2);
 }
 
 TEST(PooledExchangeTest, NaiveLayoutFragmentsSends) {
-  const TorusShape shape({8, 8});
-  const SuhShinAape algo(shape);
-  WireArena arena;
-  WireExchangeOptions options;
-  options.layout = LayoutPolicy::kNaiveDestinationOrder;
-  options.arena = &arena;
-  exchange_payloads_pooled(algo, canonical_parcels(64), options);
-  EXPECT_FALSE(arena.stats().fully_contiguous());
-  EXPECT_GT(arena.stats().gathered_parcels, 0);
-  EXPECT_GT(arena.stats().max_runs_per_send, 1);
+  const WirePoolStats wire =
+      run_pooled(SuhShinAape(TorusShape({8, 8})), LayoutPolicy::kNaiveDestinationOrder);
+  EXPECT_FALSE(wire.fully_contiguous());
+  EXPECT_GT(wire.gathered_parcels, 0);
+  EXPECT_GT(wire.max_runs_per_send, 1);
 }
 
 TEST(PooledExchangeTest, NaiveLayoutRunAccountingMatchesSimulatorToo) {
@@ -590,76 +469,173 @@ TEST(PooledExchangeTest, NaiveLayoutRunAccountingMatchesSimulatorToo) {
   // contiguous branch does. Before the run-gather rework the executors
   // hard-coded one run per message, so gathered_parcels never moved.
   for (const auto& extents : std::vector<std::vector<std::int32_t>>{{8, 8}, {4, 4, 4}}) {
-    const TorusShape shape(extents);
-    const SuhShinAape algo(shape);
-    const LayoutStats blocks = run_layout_simulation(algo, LayoutPolicy::kNaiveDestinationOrder);
-    WireArena arena;
-    WireExchangeOptions options;
-    options.layout = LayoutPolicy::kNaiveDestinationOrder;
-    options.arena = &arena;
-    exchange_payloads_pooled(algo, canonical_parcels(shape.num_nodes()), options);
-    const WirePoolStats& wire = arena.stats();
-    EXPECT_EQ(wire.total_sends, blocks.total_sends) << shape.to_string();
-    EXPECT_EQ(wire.contiguous_sends, blocks.contiguous_sends) << shape.to_string();
-    EXPECT_EQ(wire.gathered_parcels, blocks.gathered_blocks) << shape.to_string();
-    EXPECT_EQ(wire.max_runs_per_send, blocks.max_runs_per_send) << shape.to_string();
-    EXPECT_GT(wire.gathered_parcels, 0) << shape.to_string();
-    EXPECT_GT(wire.max_runs_per_send, 1) << shape.to_string();
+    const SuhShinAape algo{TorusShape(extents)};
+    const WirePoolStats wire = run_pooled(algo, LayoutPolicy::kNaiveDestinationOrder);
+    expect_matches_simulator(
+        wire, run_layout_simulation(algo, LayoutPolicy::kNaiveDestinationOrder),
+        algo.shape().to_string());
+    EXPECT_GT(wire.gathered_parcels, 0) << algo.shape().to_string();
+    EXPECT_GT(wire.max_runs_per_send, 1) << algo.shape().to_string();
   }
 }
 
 TEST(PooledExchangeTest, RunsEncodedCountsTrueRunsPerMessage) {
+  const SuhShinAape algo(TorusShape({8, 8}));
   // Contiguous 2D paper layout: every message is exactly one run.
   {
-    WireArena arena;
-    WireExchangeOptions options;
-    options.arena = &arena;
-    exchange_payloads_pooled(SuhShinAape(TorusShape({8, 8})), canonical_parcels(64), options);
-    EXPECT_EQ(arena.stats().runs_encoded, arena.stats().total_sends);
+    const WirePoolStats wire = run_pooled(algo, LayoutPolicy::kPaper);
+    EXPECT_EQ(wire.runs_encoded, wire.total_sends);
   }
   // Fragmented naive layout: strictly more runs than messages, and
   // never more than max_runs_per_send allows.
   {
-    WireArena arena;
-    WireExchangeOptions options;
-    options.layout = LayoutPolicy::kNaiveDestinationOrder;
-    options.arena = &arena;
-    exchange_payloads_pooled(SuhShinAape(TorusShape({8, 8})), canonical_parcels(64), options);
-    const WirePoolStats& wire = arena.stats();
+    const WirePoolStats wire = run_pooled(algo, LayoutPolicy::kNaiveDestinationOrder);
     EXPECT_GT(wire.runs_encoded, wire.total_sends);
     EXPECT_LE(wire.runs_encoded, wire.total_sends * wire.max_runs_per_send);
   }
 }
 
 TEST(PooledExchangeTest, ArenaReachesSteadyStateAcrossExchanges) {
-  const TorusShape shape({4, 4});
-  const SuhShinAape algo(shape);
+  const SuhShinAape algo(TorusShape({4, 4}));
+  const StepProgram program(algo);
   WireArena arena;
   WireExchangeOptions options;
   options.arena = &arena;
-  exchange_payloads_pooled(algo, canonical_parcels(16), options);
+  exchange_payloads_pooled(algo, program, canonical_parcels(16), options);
   const std::int64_t misses_first = arena.stats().pool_misses;
   EXPECT_GT(misses_first, 0);
   EXPECT_EQ(arena.in_use(), 0);
   // The pool is warm: a second exchange allocates no new frames.
-  exchange_payloads_pooled(algo, canonical_parcels(16), options);
+  exchange_payloads_pooled(algo, program, canonical_parcels(16), options);
   EXPECT_EQ(arena.stats().pool_misses, misses_first);
   EXPECT_GT(arena.stats().pool_hits, 0);
   EXPECT_EQ(arena.in_use(), 0);
 }
 
 TEST(PooledExchangeTest, PublishesWireMetrics) {
-  const TorusShape shape({4, 4});
-  const SuhShinAape algo(shape);
+  const SuhShinAape algo(TorusShape({4, 4}));
   Recorder recorder;
   WireExchangeOptions options;
   options.obs = &recorder;
-  exchange_payloads_pooled(algo, canonical_parcels(16), options);
+  exchange_payloads_pooled(algo, StepProgram(algo), canonical_parcels(16), options);
   MetricsRegistry& m = recorder.metrics();
   EXPECT_GT(m.counter("wire.messages").value(), 0);
   EXPECT_GT(m.counter("wire.parcels").value(), 0);
   EXPECT_GT(m.counter("wire.bytes_encoded").value(), 0);
   EXPECT_GT(m.counter("wire.contiguous_sends").value(), 0);
+}
+
+// --- Compiled step programs ----------------------------------------------
+
+struct ReplayCase {
+  std::vector<std::int32_t> extents;
+  LayoutPolicy layout;
+};
+
+class StepProgramReplayTest : public ::testing::TestWithParam<ReplayCase> {};
+
+TEST_P(StepProgramReplayTest, DeliversTheTransposeWithSimulatorRunAccounting) {
+  const SuhShinAape algo{TorusShape(GetParam().extents)};
+  ParcelBuffers<std::int64_t> out;
+  const WirePoolStats wire = run_pooled(algo, GetParam().layout, &out);
+  expect_delivered(algo.shape().num_nodes(), out);
+  std::vector<std::vector<Block>> oracle_order;
+  expect_matches_simulator(wire, run_layout_simulation(algo, GetParam().layout, &oracle_order),
+                           algo.shape().to_string());
+  // Same order, bit for bit: the counting sort is stable and both
+  // splice at the receiver's own hole, so every delivered buffer ends
+  // in the simulator's physical order.
+  for (std::size_t p = 0; p < out.size(); ++p) {
+    ASSERT_EQ(out[p].size(), oracle_order[p].size());
+    for (std::size_t i = 0; i < out[p].size(); ++i) {
+      ASSERT_EQ(out[p][i].block, oracle_order[p][i]) << "node " << p << " slot " << i;
+    }
+  }
+}
+
+std::vector<ReplayCase> replay_cases() {
+  std::vector<ReplayCase> cases;
+  for (const auto& extents : std::vector<std::vector<std::int32_t>>{
+           {4, 4}, {8, 8}, {16, 8}, {12, 8}, {8, 4, 4}, {8, 8, 8}, {4, 4, 4, 4}, {12, 12, 4}}) {
+    for (const LayoutPolicy layout :
+         {LayoutPolicy::kPaper, LayoutPolicy::kNaiveDestinationOrder}) {
+      cases.push_back({extents, layout});
+    }
+  }
+  return cases;
+}
+
+std::string replay_case_label(const ReplayCase& c) {
+  return TorusShape(c.extents).to_string() +
+         (c.layout == LayoutPolicy::kPaper ? "_paper" : "_naive");
+}
+
+void PrintTo(const ReplayCase& c, std::ostream* os) { *os << replay_case_label(c); }
+
+std::string replay_case_name(const ::testing::TestParamInfo<ReplayCase>& info) {
+  return replay_case_label(info.param);
+}
+
+INSTANTIATE_TEST_SUITE_P(Shapes, StepProgramReplayTest, ::testing::ValuesIn(replay_cases()),
+                         replay_case_name);
+
+TEST(StepProgramTest, RefusesAProgramCompiledForAnotherSchedule) {
+  const SuhShinAape algo(TorusShape({8, 8}));
+  // Another shape.
+  const StepProgram small(SuhShinAape(TorusShape({4, 4})));
+  EXPECT_THROW(exchange_payloads_pooled(algo, small, canonical_parcels(64)),
+               StepProgramMismatchError);
+  // The same shape under another pattern convention.
+  const StepProgram nested(SuhShinAape(TorusShape({8, 8}), PatternConvention::kNested));
+  ASSERT_NE(algo.convention(), PatternConvention::kNested);
+  EXPECT_THROW(exchange_payloads_pooled(algo, nested, canonical_parcels(64)),
+               StepProgramMismatchError);
+  EXPECT_NO_THROW(exchange_payloads_pooled(algo, StepProgram(algo), canonical_parcels(64)));
+}
+
+TEST(StepProgramTest, TablesStayFarBelowAPermutationPerNode) {
+  // 8x8x8: one uint16 permutation per node per boundary would cost
+  // N^2 * 2 bytes = 512 KiB per boundary, 2.5 MiB in all. The program
+  // keeps per-step runs and small key tables instead; the naive layout
+  // needs more runs, since its sends fragment.
+  const SuhShinAape algo(TorusShape({8, 8, 8}));
+  EXPECT_LT(StepProgram(algo, LayoutPolicy::kPaper).memory_bytes(), std::size_t{192} << 10);
+  EXPECT_LT(StepProgram(algo, LayoutPolicy::kNaiveDestinationOrder).memory_bytes(),
+            std::size_t{640} << 10);
+}
+
+TEST(StepProgramTest, PaperLayoutReceivesInPlaceIn2D) {
+  // Every 2D paper-layout send is one run, and partners trade equal
+  // counts, so every receive overwrites its node's own send slots.
+  const SuhShinAape algo(TorusShape({8, 8}));
+  const StepProgram program(algo);
+  for (int phase = 1; phase <= program.num_phases(); ++phase) {
+    for (int step = 1; step <= program.steps_in_phase(phase); ++step) {
+      for (Rank p = 0; p < program.num_nodes(); ++p) {
+        const StepProgram::NodeStep& s = program.step(phase, step, p);
+        ASSERT_GT(s.count, 0u);
+        EXPECT_EQ(s.run_count, 1u);
+        EXPECT_TRUE(s.in_place) << "phase " << phase << " step " << step << " node " << p;
+      }
+    }
+  }
+}
+
+TEST(StepProgramTest, ReplaysAnySeedOrder) {
+  // The program is compiled for seeds in destination order; a seed in
+  // any other order is put in that order first.
+  const SuhShinAape algo(TorusShape({8, 4, 4}));
+  auto seed = canonical_parcels(128);
+  for (auto& buf : seed) std::reverse(buf.begin(), buf.end());
+  expect_delivered(128, exchange_payloads_pooled(algo, StepProgram(algo), std::move(seed)));
+}
+
+TEST(StepProgramTest, CopiesReplayIndependentlyOfTheOriginal) {
+  const SuhShinAape algo(TorusShape({8, 8}));
+  std::optional<StepProgram> original(std::in_place, algo);
+  const StepProgram copy = *original;
+  original.reset();
+  expect_delivered(64, exchange_payloads_pooled(algo, copy, canonical_parcels(64)));
 }
 
 // --- Sealed exchange over both wire paths ------------------------------
@@ -754,22 +730,6 @@ bool mutate(SplitMix64& rng, const std::vector<std::byte>& clean, std::vector<st
   }
 }
 
-TEST(WireFuzzTest, MutatedFramesNeverDecode) {
-  SplitMix64 rng(0xF00DFACEu);
-  const auto parcels = make_parcels(2, 6);
-  std::vector<std::byte> clean;
-  encode_sealed_frame(parcels.data(), parcels.size(), 3, 1, 2, 9, clean);
-  SealedFrameView<std::int64_t> view;
-  std::vector<std::byte> wire;
-  for (int iter = 0; iter < 4000; ++iter) {
-    if (!mutate(rng, clean, wire)) continue;
-    std::string reason;
-    const bool ok = decode_sealed_frame<std::int64_t>(WireView(wire), 3, 1, 2, 9, 16, view, &reason);
-    ASSERT_FALSE(ok) << "mutated frame decoded at iter " << iter;
-    EXPECT_FALSE(reason.empty()) << "rejection must be named (iter " << iter << ")";
-  }
-}
-
 TEST(WireFuzzTest, MutatedMessagesNeverDecode) {
   SplitMix64 rng(0xBADDCAFEu);
   const auto parcels = make_parcels(4, 6);
@@ -837,13 +797,11 @@ TEST(WireFuzzTest, ResealedRandomRunTablesNeverScatterOutOfBounds) {
 
 TEST(WireFuzzTest, RandomGarbageNeverDecodes) {
   SplitMix64 rng(0x5EEDu);
-  SealedFrameView<std::int64_t> view;
   SealedRunFrameView<std::int64_t> run_view;
   std::vector<Parcel<std::int64_t>> out;
   for (int iter = 0; iter < 1000; ++iter) {
     std::vector<std::byte> wire(static_cast<std::size_t>(rng.next_below(256)));
     for (auto& b : wire) b = static_cast<std::byte>(rng.next() & 0xFF);
-    EXPECT_FALSE(decode_sealed_frame<std::int64_t>(WireView(wire), 1, 1, 0, 1, 4, view));
     EXPECT_FALSE(decode_sealed_message<std::int64_t>(wire, 1, 1, 0, 1, 4, out));
     EXPECT_FALSE(decode_multi_run_frame<std::int64_t>(WireView(wire), 1, 1, 0, 1, 4, run_view));
   }

@@ -11,7 +11,9 @@
 //   * engine execution + AAPE postcondition + phase invariants
 //   * per-step contention check (max channel load must be 1)
 //   * Table 1 count checks (startups, blocks, hops)
-//   * optionally (--layout) the §3.3 layout audit
+//   * optionally (--layout) the §3.3 layout audit, plus the compiled
+//     StepProgram of both layouts replayed on the pooled wire: transpose
+//     delivered, run accounting equal to the layout simulator's
 //   * optionally (--flit-level) stall-freedom in the wormhole simulator
 //   * optionally (--static-nodes=K) static contention proofs on shapes
 //     up to K nodes that are too large to execute
@@ -68,6 +70,8 @@
 
 #include "core/data_array.hpp"
 #include "core/exchange_engine.hpp"
+#include "core/payload_exchange.hpp"
+#include "core/step_program.hpp"
 #include "obs/chrome_trace.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/recorder.hpp"
@@ -129,6 +133,50 @@ void save_flight_artifact(const std::string& tag, const std::string& text) {
   } else {
     std::cerr << "  flight-recorder artifact NOT saved: cannot write " << path << '\n';
   }
+}
+
+/// The --layout audit of the compiled program: compiles the schedule
+/// under `policy`, replays it over word payloads on the pooled wire, and
+/// requires the transpose plus run accounting identical to `expected`,
+/// the layout simulator's stats under the same policy. Returns false
+/// (after printing a FAIL line) otherwise.
+bool verify_step_program(const SuhShinAape& algo, LayoutPolicy policy,
+                         const LayoutStats& expected) {
+  const std::string tag = algo.shape().to_string() + (policy == LayoutPolicy::kPaper
+                                                           ? " (paper layout)"
+                                                           : " (naive layout)");
+  const Rank N = algo.shape().num_nodes();
+  ParcelBuffers<std::int64_t> seed(static_cast<std::size_t>(N));
+  for (Rank p = 0; p < N; ++p) {
+    for (Rank q = 0; q < N; ++q) {
+      seed[static_cast<std::size_t>(p)].push_back({Block{p, q}, std::int64_t{p} * N + q});
+    }
+  }
+  WireArena arena;
+  WireExchangeOptions options;
+  options.arena = &arena;
+  const auto delivered =
+      exchange_payloads_pooled(algo, StepProgram(algo, policy), std::move(seed), options);
+  for (Rank q = 0; q < N; ++q) {
+    for (const auto& parcel : delivered[static_cast<std::size_t>(q)]) {
+      if (parcel.payload != std::int64_t{parcel.block.origin} * N + q) {
+        std::cerr << "FAIL " << tag << ": compiled program corrupted a payload\n";
+        return false;
+      }
+    }
+  }
+  const WirePoolStats& wire = arena.stats();
+  if (wire.total_sends != expected.total_sends ||
+      wire.contiguous_sends != expected.contiguous_sends ||
+      wire.gathered_parcels != expected.gathered_blocks ||
+      wire.max_runs_per_send != expected.max_runs_per_send ||
+      wire.runs_encoded != expected.total_runs) {
+    std::cerr << "FAIL " << tag << ": compiled program's runs (" << wire.runs_encoded
+              << " over " << wire.total_sends << " sends) diverge from the layout simulator's ("
+              << expected.total_runs << " over " << expected.total_sends << ")\n";
+    return false;
+  }
+  return true;
 }
 
 /// Re-runs the exchange with `faults_k` seeded permanent channel faults
@@ -1062,6 +1110,12 @@ int main(int argc, char** argv) {
         if (stats.max_runs_per_send > run_bound) {
           std::cerr << "FAIL " << shape.to_string() << ": send fragmented into "
                     << stats.max_runs_per_send << " runs (bound " << run_bound << ")\n";
+          return 1;
+        }
+        if (!verify_step_program(algo, LayoutPolicy::kPaper, stats) ||
+            !verify_step_program(
+                algo, LayoutPolicy::kNaiveDestinationOrder,
+                run_layout_simulation(algo, LayoutPolicy::kNaiveDestinationOrder))) {
           return 1;
         }
       }
