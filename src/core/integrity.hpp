@@ -4,12 +4,13 @@
 // The schedule proofs elsewhere in this library guarantee *where*
 // blocks go; they say nothing about the bytes surviving the trip. This
 // module gives payload exchanges an end-to-end check: every message is
-// sealed (origin/dest/phase/step metadata + CRC-32 per parcel, see
-// core/payload_exchange.hpp), a tamper hook lets the fault model
-// corrupt the wire bytes in flight, and the receiver verifies seals at
-// integrate time. A detected corruption triggers a bounded retransmit;
-// an exhausted budget raises IntegrityError carrying the full report,
-// which the communicator escalates into the PR-1 recovery chain.
+// a sealed TOX3 frame (phase/step/channel metadata, a header CRC-32 and
+// a frame CRC-32, see core/payload_exchange.hpp), a tamper hook lets
+// the fault model corrupt the wire bytes in flight, and the receiver
+// verifies the frame before anything integrates. A detected corruption
+// triggers a bounded retransmit; an exhausted budget raises
+// IntegrityError carrying the full report, which the communicator
+// escalates into the recovery chain (runtime/recovery.hpp).
 //
 // Tick semantics: transmission attempt `a` of the message for schedule
 // step `s` (0-based, global) happens at tick `base_tick + ticks so
@@ -104,10 +105,6 @@ struct IntegrityOptions {
   int max_retransmits = 3;
   /// Fault tick the first schedule step transmits at.
   std::int64_t base_tick = 0;
-  /// Wire encoding: pooled batched frames (default) or the original
-  /// per-parcel records. Both detect every corruption; they differ in
-  /// allocation and copy behavior (see core/wire_buffer.hpp).
-  WirePath wire_path = WirePath::kPooled;
   /// Optional external frame pool. When null the exchange uses a
   /// private arena; supplying one lets frames (and the arena's pool /
   /// traffic statistics) survive across exchanges.

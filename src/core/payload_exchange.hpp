@@ -200,159 +200,20 @@ ParcelBuffers<T> exchange_payloads(const SuhShinAape& algo, ParcelBuffers<T> buf
   return buffers;
 }
 
-// --- Sealed exchange ---------------------------------------------------
+// --- Wire frames (TOX3, the one frame format) ---------------------------
 //
-// The self-checking variant of exchange_payloads: every message is
-// serialized to wire bytes with per-parcel seals (origin, dest, phase,
-// step, CRC-32 over header + payload) plus a checksummed message
-// header, optionally tampered with in flight (ParcelTamperer), and
-// verified by the receiver before integration. Detection triggers a
-// bounded retransmit; exhaustion raises IntegrityError. Restricted to
-// trivially copyable payloads because sealing hashes the payload's
-// object representation.
-
-namespace detail {
-
-inline constexpr std::uint32_t kSealedMagic = 0x544F5831u;  // "TOX1"
-
-/// Seal digest of one parcel: binds payload bytes to the parcel's
-/// identity and the schedule step it was transmitted in.
-inline std::uint32_t parcel_seal(Rank origin, Rank dest, int phase, int step,
-                                 const void* payload, std::size_t payload_len) {
-  Crc32 crc;
-  crc.update_value(static_cast<std::int64_t>(origin));
-  crc.update_value(static_cast<std::int64_t>(dest));
-  crc.update_value(static_cast<std::int32_t>(phase));
-  crc.update_value(static_cast<std::int32_t>(step));
-  crc.update(payload, payload_len);
-  return crc.value();
-}
-
-}  // namespace detail
-
-/// Serializes one step's message (all parcels `src` ships to `dst` in
-/// (phase, step)) into sealed wire bytes.
-template <typename T>
-std::vector<std::byte> encode_sealed_message(const std::vector<Parcel<T>>& parcels, int phase,
-                                             int step, Rank src, Rank dst) {
-  static_assert(std::is_trivially_copyable_v<T>,
-                "sealed exchange requires trivially copyable payloads");
-  TOREX_REQUIRE(phase >= 0 && step >= 0 && src >= 0 && dst >= 0,
-                "sealed message metadata must be non-negative");
-  std::vector<std::byte> wire;
-  wire.reserve(40 + parcels.size() * (28 + sizeof(T)));
-  wire_put_u32(wire, detail::kSealedMagic);
-  wire_put_u32(wire, static_cast<std::uint32_t>(phase));
-  wire_put_u32(wire, static_cast<std::uint32_t>(step));
-  wire_put_u64(wire, static_cast<std::uint64_t>(static_cast<std::int64_t>(src)));
-  wire_put_u64(wire, static_cast<std::uint64_t>(static_cast<std::int64_t>(dst)));
-  wire_put_u64(wire, static_cast<std::uint64_t>(parcels.size()));
-  wire_put_u32(wire, crc32(wire.data(), wire.size()));
-  for (const auto& parcel : parcels) {
-    wire_put_u64(wire, static_cast<std::uint64_t>(static_cast<std::int64_t>(parcel.block.origin)));
-    wire_put_u64(wire, static_cast<std::uint64_t>(static_cast<std::int64_t>(parcel.block.dest)));
-    wire_put_u64(wire, static_cast<std::uint64_t>(sizeof(T)));
-    const std::size_t at = wire.size();
-    wire.resize(at + sizeof(T));
-    std::memcpy(wire.data() + at, &parcel.payload, sizeof(T));
-    wire_put_u32(wire, detail::parcel_seal(parcel.block.origin, parcel.block.dest, phase, step,
-                                           wire.data() + at, sizeof(T)));
-  }
-  return wire;
-}
-
-/// Verifies and deserializes a sealed message. Returns false (with
-/// `reason` filled when non-null) on any integrity violation: short or
-/// oversized buffer, bad magic, header/seal checksum mismatch, metadata
-/// that does not match the expected (phase, step, src, dst), or parcel
-/// identities out of range. On success `out` holds the parcels.
-template <typename T>
-bool decode_sealed_message(const std::vector<std::byte>& wire, int phase, int step, Rank src,
-                           Rank dst, Rank num_nodes, std::vector<Parcel<T>>& out,
-                           std::string* reason = nullptr) {
-  static_assert(std::is_trivially_copyable_v<T>,
-                "sealed exchange requires trivially copyable payloads");
-  out.clear();
-  auto fail = [&](const char* what) {
-    if (reason != nullptr) *reason = what;
-    out.clear();
-    return false;
-  };
-  if (phase < 0 || step < 0 || src < 0 || dst < 0) return fail("negative message metadata");
-  std::size_t offset = 0;
-  std::uint32_t magic = 0, wire_phase = 0, wire_step = 0, header_crc = 0;
-  std::uint64_t wire_src = 0, wire_dst = 0, count = 0;
-  if (!wire_get_u32(wire, offset, magic) || !wire_get_u32(wire, offset, wire_phase) ||
-      !wire_get_u32(wire, offset, wire_step) || !wire_get_u64(wire, offset, wire_src) ||
-      !wire_get_u64(wire, offset, wire_dst) || !wire_get_u64(wire, offset, count)) {
-    return fail("truncated message header");
-  }
-  const std::size_t header_len = offset;
-  if (!wire_get_u32(wire, offset, header_crc)) return fail("truncated message header");
-  if (header_crc != crc32(wire.data(), header_len)) return fail("header checksum mismatch");
-  if (magic != detail::kSealedMagic) return fail("bad magic");
-  if (wire_phase != static_cast<std::uint32_t>(phase) ||
-      wire_step != static_cast<std::uint32_t>(step)) {
-    return fail("message sealed for a different step");
-  }
-  if (wire_src != static_cast<std::uint64_t>(static_cast<std::int64_t>(src)) ||
-      wire_dst != static_cast<std::uint64_t>(static_cast<std::int64_t>(dst))) {
-    return fail("message sealed for a different channel");
-  }
-  // Never trust the wire's count: bound it by the bytes actually
-  // present (each parcel record is at least its 28-byte header plus
-  // the payload) before the parse loop, and size `out` only after the
-  // bound holds, so a forged count cannot drive the loop or the
-  // allocator beyond the message.
-  constexpr std::uint64_t kParcelWireBytes = 28 + sizeof(T);
-  if (count > (wire.size() - offset) / kParcelWireBytes) {
-    return fail("parcel count exceeds message size");
-  }
-  out.reserve(count);
-  const std::uint64_t N = static_cast<std::uint64_t>(num_nodes);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    std::uint64_t origin = 0, dest = 0, payload_len = 0;
-    if (!wire_get_u64(wire, offset, origin) || !wire_get_u64(wire, offset, dest) ||
-        !wire_get_u64(wire, offset, payload_len)) {
-      return fail("truncated parcel header");
-    }
-    if (origin >= N || dest >= N) return fail("parcel identity out of range");
-    if (payload_len != sizeof(T)) return fail("parcel payload length mismatch");
-    if (wire.size() < offset + sizeof(T)) return fail("truncated parcel payload");
-    const std::byte* payload_at = wire.data() + offset;
-    offset += sizeof(T);
-    std::uint32_t seal = 0;
-    if (!wire_get_u32(wire, offset, seal)) return fail("truncated parcel seal");
-    const Rank parcel_origin = static_cast<Rank>(origin);
-    const Rank parcel_dest = static_cast<Rank>(dest);
-    if (seal != detail::parcel_seal(parcel_origin, parcel_dest, phase, step, payload_at,
-                                    sizeof(T))) {
-      return fail("parcel seal mismatch");
-    }
-    Parcel<T> parcel;
-    parcel.block = Block{parcel_origin, parcel_dest};
-    std::memcpy(&parcel.payload, payload_at, sizeof(T));
-    out.push_back(std::move(parcel));
-  }
-  if (offset != wire.size()) return fail("trailing bytes after last parcel");
-  return true;
-}
-
-// --- Wire frames (the pooled zero-copy encoding) -----------------------
-//
-// The per-parcel format above seals each parcel separately: flexible,
-// but every message costs one allocation plus a resize+memcpy per
-// parcel. A TOX3 frame instead ships one sealed header, a run table
-// and the raw parcel runs, with a trailing CRC over the whole frame.
-// The sender appends its send set as gathered {ptr, len} runs straight
-// out of its buffer — one memcpy per run, and a §3.3-contiguous send is
-// a single run — with the source order untouched, so a refused frame
-// retransmits from intact parcels. The run table of {dst_offset, count}
-// descriptors lets the receiver hole-splice scatter each run into its
-// destination slot without a rearrangement pass of its own. Both CRCs
-// (header, frame) must match and the byte count must be exact, so any
-// bit flip or truncation anywhere in the frame is detected, same as
-// the per-parcel seals.
+// A TOX3 frame ships one sealed header, a run table and the raw parcel
+// runs, with a trailing CRC over the whole frame. The sender appends
+// its send set as gathered {ptr, len} runs straight out of its buffer —
+// one memcpy per run, and a §3.3-contiguous send is a single run — with
+// the source order untouched, so a refused frame retransmits from
+// intact parcels. The run table of {dst_offset, count} descriptors lets
+// the receiver scatter each run into its destination slot without a
+// rearrangement pass of its own. Both CRCs (header, frame) must match
+// and the byte count must be exact, so any bit flip or truncation
+// anywhere in the frame is detected. The frame seals the parcels'
+// object representation, so framed exchanges need trivially copyable
+// parcels.
 //
 // Frame layout (little-endian):
 //   [ 0) magic u32  "TOX3"
@@ -439,7 +300,7 @@ void erase_runs(std::vector<Parcel<T>>& buf, std::span<const SendRun> runs) {
   for (std::size_t r = 0; r < runs.size(); ++r) {
     const std::size_t keep_begin = std::size_t{runs[r].offset} + runs[r].count;
     const std::size_t keep_end = r + 1 < runs.size() ? runs[r + 1].offset : buf.size();
-    for (std::size_t i = keep_begin; i < keep_end; ++i) buf[write++] = buf[i];
+    for (std::size_t i = keep_begin; i < keep_end; ++i) buf[write++] = std::move(buf[i]);
   }
   buf.resize(write);
 }
@@ -585,13 +446,12 @@ class SealedRunFrameView {
   std::size_t count_ = 0;
 };
 
-/// Verifies a TOX3 multi-run frame in place. Detects the same corruption
-/// classes as decode_sealed_message — truncation, bit flips anywhere,
-/// wrong (phase, step) or channel, forged counts, identities out of
-/// range — plus the run-table classes: a table
-/// longer than the frame, zero-length runs, overlapping or
-/// out-of-order descriptors, descriptors pointing outside the scatter
-/// region, and a table that does not account for every parcel.
+/// Verifies a TOX3 multi-run frame in place. Detects truncation, bit
+/// flips anywhere, wrong (phase, step) or channel, forged counts and
+/// identities out of range, plus the run-table classes: a table longer
+/// than the frame, zero-length runs, overlapping or out-of-order
+/// descriptors, descriptors pointing outside the scatter region, and a
+/// table that does not account for every parcel.
 template <typename T>
 bool decode_multi_run_frame(WireView wire, int phase, int step, Rank src, Rank dst,
                             Rank num_nodes, SealedRunFrameView<T>& out,
@@ -735,236 +595,72 @@ void scatter_parcels_strided(Rank N, const ParcelBuffers<T>& delivered,
   }
 }
 
-/// exchange_payloads with end-to-end integrity: every message crosses
-/// the (simulated) wire sealed, may be tampered with by `tamperer`, and
-/// is verified at integrate time. A rejected delivery is retransmitted
-/// up to options.max_retransmits times — each retransmission costs one
-/// fault tick, so transient corruption windows heal under retry — and
-/// an exhausted budget raises IntegrityError carrying the report.
-/// `report_out`, when non-null, receives the report even on throw.
-template <typename T>
-ParcelBuffers<T> exchange_payloads_sealed(const SuhShinAape& algo, ParcelBuffers<T> buffers,
-                                          const ParcelTamperer& tamperer = {},
-                                          const IntegrityOptions& options = {},
-                                          IntegrityReport* report_out = nullptr,
-                                          Recorder* obs = nullptr) {
-  static_assert(std::is_trivially_copyable_v<T>,
-                "sealed exchange requires trivially copyable payloads");
-  const Rank N = algo.shape().num_nodes();
-  detail::require_canonical_parcel_seed(N, buffers);
-  TOREX_REQUIRE(options.max_retransmits >= 0, "retransmit budget must be non-negative");
-  if (obs != nullptr && !obs->enabled()) obs = nullptr;
-  SpanGuard exchange_span(obs, "exchange_sealed");
-  const auto flush_metrics = [&](const IntegrityReport& r) {
-    if (obs == nullptr) return;
-    MetricsRegistry& m = obs->metrics();
-    m.counter("integrity.messages").add(r.messages);
-    m.counter("integrity.parcels").add(r.parcels);
-    m.counter("integrity.retransmits").add(r.retransmits);
-    m.counter("integrity.corrupted").add(r.corrupted);
-  };
-
-  IntegrityReport report;
-  std::int64_t tick = options.base_tick;
-  WireArena local_arena;
-  WireArena& arena = options.arena != nullptr ? *options.arena : local_arena;
-  const WirePoolStats stats_before = arena.stats();
-  const bool pooled = options.wire_path == WirePath::kPooled;
-  const auto publish_wire = [&] {
-    detail::publish_wire_metrics(obs, wire_stats_delta(arena.stats(), stats_before));
-  };
-  ParcelBuffers<T> inbox(static_cast<std::size_t>(N));  // per-parcel path
-  std::vector<Parcel<T>> received;                      // per-parcel path scratch
-  // Pooled path: the send set is gathered run-by-run into a TOX3
-  // frame without reordering the buffer (a refused frame re-encodes
-  // from intact source parcels), the verified frame stays leased until
-  // the integrate half, and the receiver hole-splices its runs where
-  // its own send left room — no rearrangement copy in either
-  // direction.
-  struct Pending {
-    PooledFrame frame;
-    SealedRunFrameView<T> view;
-    Rank src = -1;
-    bool active = false;
-  };
-  std::vector<Pending> pending(static_cast<std::size_t>(N));
-  std::vector<SendRun> runs;  // pooled path scratch, reused per node
-  std::vector<std::size_t> hole(static_cast<std::size_t>(N), 0);
-  for (int phase = 1; phase <= algo.num_phases(); ++phase) {
-    SpanGuard phase_span(obs, "phase", -1, phase);
-    const int hops = algo.hops_per_step(phase);
-    for (int step = 1; step <= algo.steps_in_phase(phase); ++step) {
-      SpanGuard step_span(obs, "step", -1, phase, step);
-      // Retransmissions across node pairs overlap in time; the step
-      // consumes 1 + (worst retransmit count) ticks.
-      std::int64_t extra_ticks = 0;
-      for (Rank p = 0; p < N; ++p) {
-        auto& buf = buffers[static_cast<std::size_t>(p)];
-        hole[static_cast<std::size_t>(p)] = buf.size();
-        // The pooled path gathers the send set straight out of the
-        // (unreordered) buffer; the per-parcel path materializes the
-        // outgoing message via the partition as before.
-        std::vector<Parcel<T>> outgoing;
-        std::size_t send_count = 0;
-        if (pooled) {
-          send_count = detail::collect_send_runs(
-              buf,
-              [&](const Parcel<T>& x) { return algo.should_send(p, phase, step, x.block); },
-              runs);
-        } else {
-          auto split = std::stable_partition(buf.begin(), buf.end(), [&](const Parcel<T>& x) {
-            return !algo.should_send(p, phase, step, x.block);
-          });
-          send_count = static_cast<std::size_t>(buf.end() - split);
-          if (send_count > 0) {
-            outgoing.assign(std::make_move_iterator(split), std::make_move_iterator(buf.end()));
-            buf.erase(split, buf.end());
-          }
-        }
-        if (send_count == 0) continue;
-        const std::size_t run_bytes = send_count * sizeof(Parcel<T>);
-        const Rank q = algo.partner(p, phase, step);
-        const Direction dir = algo.direction(p, phase, step);
-        for (int attempt = 0;; ++attempt) {
-          TransferContext ctx;
-          ctx.phase = phase;
-          ctx.step = step;
-          ctx.src = p;
-          ctx.dst = q;
-          ctx.direction = dir;
-          ctx.hops = hops;
-          ctx.tick = tick + attempt;
-          ctx.attempt = attempt;
-          std::string reason;
-          bool delivered = false;
-          std::int64_t delivered_parcels = 0;
-          if (pooled) {
-            Pending& out = pending[static_cast<std::size_t>(q)];
-            TOREX_CHECK(!out.active, "one-port receive violation in sealed exchange");
-            out.frame.bind(arena, detail::kFrameV3HeaderBytes +
-                                      runs.size() * detail::kRunDescriptorBytes + run_bytes +
-                                      detail::kFrameTrailerBytes);
-            encode_multi_run_frame(buf, runs, send_count, phase, step, p, q, out.frame.bytes());
-            arena.stats().note_message(static_cast<std::int64_t>(send_count),
-                                       static_cast<std::int64_t>(runs.size()));
-            arena.stats().bytes_encoded += static_cast<std::int64_t>(out.frame.bytes().size());
-            arena.stats().bytes_copied += static_cast<std::int64_t>(run_bytes);
-            if (tamperer) tamperer(ctx, out.frame.bytes());
-            if (decode_multi_run_frame<T>(out.frame.view(), phase, step, p, q, N, out.view,
-                                          &reason)) {
-              out.src = p;
-              out.active = true;
-              delivered = true;
-              delivered_parcels = static_cast<std::int64_t>(send_count);
-            }
-          } else {
-            auto wire = encode_sealed_message(outgoing, phase, step, p, q);
-            arena.stats().note_message(static_cast<std::int64_t>(outgoing.size()), 1);
-            arena.stats().bytes_encoded += static_cast<std::int64_t>(wire.size());
-            // Encode copies each payload; decode materializes every
-            // parcel; the inbox insert copies them again.
-            arena.stats().bytes_copied += static_cast<std::int64_t>(outgoing.size() * sizeof(T));
-            if (tamperer) tamperer(ctx, wire);
-            if (decode_sealed_message<T>(wire, phase, step, p, q, N, received, &reason)) {
-              auto& in = inbox[static_cast<std::size_t>(q)];
-              in.insert(in.end(), std::make_move_iterator(received.begin()),
-                        std::make_move_iterator(received.end()));
-              arena.stats().bytes_copied +=
-                  static_cast<std::int64_t>(2 * received.size() * sizeof(Parcel<T>));
-              delivered = true;
-              delivered_parcels = static_cast<std::int64_t>(received.size());
-            }
-          }
-          if (delivered) {
-            if (pooled) {
-              // The frame holds its own copy of the runs, so the
-              // source compacts now; the receiver will splice into
-              // the room this node's own send just vacated.
-              hole[static_cast<std::size_t>(p)] = runs.front().offset;
-              detail::erase_runs(buf, runs);
-            }
-            ++report.messages;
-            report.parcels += delivered_parcels;
-            report.retransmits += attempt;
-            if (obs != nullptr && attempt > 0) {
-              obs->instant("retransmit_ok", q, phase, step, attempt);
-            }
-            extra_ticks = std::max<std::int64_t>(extra_ticks, attempt);
-            break;
-          }
-          ++report.corrupted;
-          if (obs != nullptr) obs->instant("corrupted", q, phase, step, attempt);
-          IntegrityViolation violation;
-          violation.phase = phase;
-          violation.step = step;
-          violation.src = p;
-          violation.dst = q;
-          violation.direction = dir;
-          violation.hops = hops;
-          violation.tick = ctx.tick;
-          violation.attempt = attempt;
-          violation.reason = std::move(reason);
-          if (report.violations.size() < IntegrityReport::kMaxRecordedViolations) {
-            report.violations.push_back(violation);
-          }
-          if (attempt == options.max_retransmits) {
-            report.retransmits += attempt;
-            report.fatal = violation;
-            report.final_tick = ctx.tick;
-            if (obs != nullptr) obs->instant("integrity_fatal", q, phase, step, attempt);
-            flush_metrics(report);
-            publish_wire();
-            if (report_out != nullptr) *report_out = report;
-            throw IntegrityError("integrity failure: " + violation.describe() +
-                                     " (retransmit budget exhausted)",
-                                 std::move(report));
-          }
-        }
-      }
-      // Integrate half (pooled): splice each already-verified frame's
-      // runs into the hole the receiver's own send left — one grow
-      // plus one memcpy per run — then return the frame to the arena.
-      for (Rank p = 0; p < N; ++p) {
-        Pending& in = pending[static_cast<std::size_t>(p)];
-        if (!in.active) continue;
-        auto& buf = buffers[static_cast<std::size_t>(p)];
-        const std::size_t at = std::min(hole[static_cast<std::size_t>(p)], buf.size());
-        buf.insert(buf.begin() + static_cast<std::ptrdiff_t>(at), in.view.count(), Parcel<T>{});
-        in.view.scatter(buf.data() + at);
-        arena.stats().bytes_copied += static_cast<std::int64_t>(in.view.payload_size());
-        in.frame.reset();
-        in.active = false;
-      }
-      for (Rank p = 0; p < N; ++p) {
-        auto& in = inbox[static_cast<std::size_t>(p)];
-        if (in.empty()) continue;
-        auto& buf = buffers[static_cast<std::size_t>(p)];
-        buf.insert(buf.end(), std::make_move_iterator(in.begin()),
-                   std::make_move_iterator(in.end()));
-        in.clear();
-      }
-      tick += 1 + extra_ticks;
-    }
-  }
-  report.final_tick = tick;
-  detail::check_parcel_postcondition(N, buffers);
-  flush_metrics(report);
-  publish_wire();
-  if (report_out != nullptr) *report_out = report;
-  return buffers;
-}
-
-// --- Pooled layout-faithful exchange -----------------------------------
-
-/// Options for exchange_payloads_pooled. The buffer layout is part of
-/// the StepProgram the exchange replays.
-struct WireExchangeOptions {
-  /// Optional external frame pool; a private arena is used when null.
-  WireArena* arena = nullptr;
-  Recorder* obs = nullptr;
-};
+// --- The step kernel ---------------------------------------------------
+//
+// Every data-moving executor below is a thin driver over one loop that
+// replays a compiled StepProgram. At each phase boundary every buffer
+// is rearranged by the program's stable counting sort (the paper's ρ
+// pass, with the §3.3 keys, or destination order for the naive layout).
+// At each step every sending node's runs leave as one message, and
+// every receive lands either over the receiver's own single-run send
+// (when the program marks it in place) or in the hole that send left
+// (appended when the receiver sent nothing). No parcel is tested with
+// should_send and nothing is comparison-sorted.
+//
+// A message either crosses the framed wire — gathered into a pooled
+// TOX3 frame, one memcpy per run, and verified — or, for payloads that
+// are not trivially copyable and for steps a driver replays locally,
+// moves through a staging vector. Every message of a step leaves before
+// any receive integrates, so a refused frame re-encodes from intact
+// source runs, and an in-place receive overwrites its node's send only
+// once every frame of the step has been verified. The arena records
+// LayoutStats-style run accounting, so the payload path reports the
+// same contiguity evidence as the block-level simulator.
+//
+// Drivers extend the loop through StepHooks. Hooks are template
+// arguments: no std::function and no virtual call per message.
 
 namespace detail {
+
+/// One message of a step, as the kernel shows it to its hooks.
+struct StepMessage {
+  int phase = 0;  ///< 1-based schedule coordinates
+  int step = 0;
+  Rank src = -1;
+  Rank dst = -1;
+  int attempt = 0;  ///< 0: first transmission; >= 1: retransmission
+};
+
+/// The kernel's default hooks. A driver derives from them and hides the
+/// members it extends.
+struct StepHooks {
+  /// Whether (phase, step) crosses the framed wire; when false its
+  /// messages move locally. Non-trivially-copyable parcels always move
+  /// locally.
+  bool framed(int /*phase*/, int /*step*/) const { return true; }
+
+  /// Verifies one freshly encoded frame in place, leaving its view in
+  /// `view`. Returning false makes the kernel re-encode the message from
+  /// its source runs and deliver it again (attempt + 1). The default
+  /// wire is never tampered with, so a refused frame is a logic error.
+  template <typename T>
+  bool deliver(const StepMessage& m, Rank num_nodes, PooledFrame& frame,
+               SealedRunFrameView<T>& view) {
+    std::string why;
+    TOREX_CHECK(decode_multi_run_frame<T>(frame.view(), m.phase, m.step, m.src, m.dst,
+                                          num_nodes, view, &why),
+                "wire frame failed verification: " + why);
+    return true;
+  }
+
+  /// One integrated receive: `count` parcels at `first` in `node`'s buffer.
+  template <typename T>
+  void received(Rank /*node*/, int /*phase*/, int /*step*/, Parcel<T>* /*first*/,
+                std::size_t /*count*/) {}
+
+  void step_done(int /*phase*/, int /*step*/) {}
+  void phase_done(int /*phase*/) {}
+};
 
 /// Puts a canonical seed (one parcel per destination, see
 /// require_canonical_parcel_seed) in destination order — the order a
@@ -978,55 +674,32 @@ void order_seed_by_destination(ParcelBuffers<T>& buffers, std::vector<Parcel<T>>
     }
     if (ordered) continue;
     scratch.resize(buf.size());
-    for (const Parcel<T>& x : buf) scratch[static_cast<std::size_t>(x.block.dest)] = x;
+    for (Parcel<T>& x : buf) scratch[static_cast<std::size_t>(x.block.dest)] = std::move(x);
     buf.swap(scratch);
   }
 }
 
-}  // namespace detail
-
-/// exchange_payloads over the zero-copy wire, replaying a compiled
-/// StepProgram: at each phase boundary every buffer is rearranged by
-/// the program's stable counting sort (the paper's ρ pass, with the
-/// §3.3 keys, or destination order for the naive layout); at each step
-/// each node gathers the program's send runs into a pooled TOX3 frame —
-/// one memcpy per run, and under the paper layout in 2D one memcpy per
-/// message — and every receive is verified in place, then written over
-/// the node's own single-run send when the program marks it in-place,
-/// or spliced into the hole the node's own send left (appended when it
-/// sent nothing). Nothing is scanned or re-sorted per parcel. The arena
-/// records LayoutStats-style run accounting, so the payload path
-/// reports the same contiguity evidence as the block-level simulator.
-/// Steady state performs no heap allocation on the wire: frames recycle
-/// through the arena. Throws StepProgramMismatchError when `program`
-/// was compiled for another schedule.
-template <typename T>
-ParcelBuffers<T> exchange_payloads_pooled(const SuhShinAape& algo, const StepProgram& program,
-                                          ParcelBuffers<T> buffers,
-                                          const WireExchangeOptions& options = {}) {
-  static_assert(std::is_trivially_copyable_v<Parcel<T>>,
-                "pooled exchange requires trivially copyable parcels");
-  program.require_compiled_for(algo);
+/// The step kernel: replays `program` over `buffers` (a canonical seed
+/// the driver has validated) on `arena`'s frames, calls `hooks` as
+/// described above, and checks the AAPE postcondition.
+template <typename T, typename Hooks>
+void replay_step_program(const StepProgram& program, ParcelBuffers<T>& buffers, WireArena& arena,
+                         Recorder* obs, Hooks& hooks) {
+  constexpr bool kFramable = std::is_trivially_copyable_v<Parcel<T>>;
   const Rank N = program.num_nodes();
-  detail::require_canonical_parcel_seed(N, buffers);
-  Recorder* obs = options.obs;
-  if (obs != nullptr && !obs->enabled()) obs = nullptr;
-  WireArena local_arena;
-  WireArena& arena = options.arena != nullptr ? *options.arena : local_arena;
-  const WirePoolStats stats_before = arena.stats();
-  SpanGuard exchange_span(obs, "exchange");
-
-  // In-flight frames: one slot per destination, bound for the span of
-  // a step and released back to the arena at integrate time.
-  struct Pending {
+  const auto nodes = static_cast<std::size_t>(N);
+  // In flight, one slot per receiver: a leased frame with its verified
+  // view, or the parcels moved into `staged`.
+  struct Inbound {
     PooledFrame frame;
-    Rank src = -1;
+    SealedRunFrameView<T> view;
     bool active = false;
   };
-  std::vector<Pending> inbox(static_cast<std::size_t>(N));
-  std::vector<Parcel<T>> scratch;        // rearrangement target, reused per node
+  std::vector<Inbound> inbound(nodes);
+  ParcelBuffers<T> staged;                // local transport, sized on first use
+  std::vector<Parcel<T>> scratch;         // rearrangement target, reused per node
   std::vector<std::uint32_t> key_counts;  // counting-sort histogram
-  detail::order_seed_by_destination(buffers, scratch);
+  order_seed_by_destination(buffers, scratch);
 
   for (int phase = 1; phase <= program.num_phases(); ++phase) {
     SpanGuard phase_span(obs, "phase", -1, phase);
@@ -1047,60 +720,239 @@ ParcelBuffers<T> exchange_payloads_pooled(const SuhShinAape& algo, const StepPro
 
     for (int step = 1; step <= program.steps_in_phase(phase); ++step) {
       SpanGuard step_span(obs, "step", -1, phase, step);
-      // Send half: gather each node's runs into a TOX3 frame, then
-      // compact the buffer — unless the receive will overwrite the
-      // run in place.
+      const bool framed = kFramable && hooks.framed(phase, step);
+      if (!framed && staged.empty()) staged.resize(nodes);
+      // Send half: each sender's runs leave (and, when framed, are
+      // verified); the sender compacts unless its receive lands in place.
       for (Rank p = 0; p < N; ++p) {
         const StepProgram::NodeStep& s = program.step(phase, step, p);
         if (s.count == 0) continue;
         auto& buf = buffers[static_cast<std::size_t>(p)];
         const std::span<const SendRun> runs = program.runs(s);
-        Pending& out = inbox[static_cast<std::size_t>(s.partner)];
-        TOREX_CHECK(!out.active, "one-port receive violation in pooled exchange");
-        out.frame.bind(arena, detail::kFrameV3HeaderBytes +
-                                  runs.size() * detail::kRunDescriptorBytes +
-                                  s.count * sizeof(Parcel<T>) + detail::kFrameTrailerBytes);
-        encode_multi_run_frame(buf, runs, s.count, phase, step, p, s.partner,
-                               out.frame.bytes());
-        arena.stats().note_message(static_cast<std::int64_t>(s.count),
-                                   static_cast<std::int64_t>(runs.size()));
-        arena.stats().bytes_encoded += static_cast<std::int64_t>(out.frame.bytes().size());
-        arena.stats().bytes_copied += static_cast<std::int64_t>(s.count * sizeof(Parcel<T>));
-        if (!s.in_place) detail::erase_runs(buf, runs);
-        out.src = p;
-        out.active = true;
+        Inbound& in = inbound[static_cast<std::size_t>(s.partner)];
+        TOREX_CHECK(!in.active, "one-port receive violation in the step kernel");
+        in.active = true;
+        if constexpr (kFramable) {
+          if (framed) {
+            const std::size_t run_bytes = s.count * sizeof(Parcel<T>);
+            for (StepMessage m{phase, step, p, s.partner, 0};; ++m.attempt) {
+              in.frame.bind(arena, kFrameV3HeaderBytes + runs.size() * kRunDescriptorBytes +
+                                       run_bytes + kFrameTrailerBytes);
+              encode_multi_run_frame(buf, runs, s.count, phase, step, p, s.partner,
+                                     in.frame.bytes());
+              arena.stats().note_message(static_cast<std::int64_t>(s.count),
+                                         static_cast<std::int64_t>(runs.size()));
+              arena.stats().bytes_encoded += static_cast<std::int64_t>(in.frame.bytes().size());
+              arena.stats().bytes_copied += static_cast<std::int64_t>(run_bytes);
+              if (hooks.deliver(m, N, in.frame, in.view)) break;
+            }
+          }
+        }
+        if (!framed) {
+          auto& out = staged[static_cast<std::size_t>(s.partner)];
+          for (const SendRun& r : runs) {
+            const auto first = buf.begin() + static_cast<std::ptrdiff_t>(r.offset);
+            out.insert(out.end(), std::make_move_iterator(first),
+                       std::make_move_iterator(first + static_cast<std::ptrdiff_t>(r.count)));
+          }
+        }
+        if (!s.in_place) erase_runs(buf, runs);
       }
-      // Integrate half: verify each frame in place and scatter its runs
-      // over the node's own send run, or into the hole that send left,
-      // then return the frame to the arena.
+      // Integrate half: each receive lands over the node's own send run
+      // (in place) or in the hole that send left, then the frame returns
+      // to the arena.
       for (Rank p = 0; p < N; ++p) {
-        Pending& in = inbox[static_cast<std::size_t>(p)];
+        Inbound& in = inbound[static_cast<std::size_t>(p)];
         if (!in.active) continue;
+        in.active = false;
         auto& buf = buffers[static_cast<std::size_t>(p)];
-        SealedRunFrameView<T> view;
-        std::string why;
-        TOREX_CHECK(
-            decode_multi_run_frame<T>(in.frame.view(), phase, step, in.src, p, N, view, &why),
-            "pooled wire frame failed verification: " + why);
+        std::size_t count = 0;
+        if constexpr (kFramable) {
+          if (framed) count = in.view.count();
+        }
+        if (!framed) count = staged[static_cast<std::size_t>(p)].size();
         const StepProgram::NodeStep& s = program.step(phase, step, p);
         std::size_t at = s.count > 0 ? program.runs(s).front().offset : buf.size();
         if (s.in_place) {
-          TOREX_CHECK(view.count() == s.count,
-                      "in-place receive must match the send it replaces");
+          TOREX_CHECK(count == s.count, "in-place receive must match the send it replaces");
         } else {
           at = std::min(at, buf.size());
-          buf.insert(buf.begin() + static_cast<std::ptrdiff_t>(at), view.count(), Parcel<T>{});
+          buf.insert(buf.begin() + static_cast<std::ptrdiff_t>(at), count, Parcel<T>{});
         }
-        view.scatter(buf.data() + at);
-        arena.stats().bytes_copied += static_cast<std::int64_t>(view.payload_size());
-        in.frame.reset();
-        in.active = false;
+        Parcel<T>* first = buf.data() + at;
+        if constexpr (kFramable) {
+          if (framed) {
+            in.view.scatter(first);
+            arena.stats().bytes_copied += static_cast<std::int64_t>(in.view.payload_size());
+            in.frame.reset();
+          }
+        }
+        if (!framed) {
+          auto& local = staged[static_cast<std::size_t>(p)];
+          std::move(local.begin(), local.end(), first);
+          local.clear();
+        }
+        hooks.received(p, phase, step, first, count);
       }
+      hooks.step_done(phase, step);
     }
+    hooks.phase_done(phase);
   }
+  check_parcel_postcondition(N, buffers);
+}
 
-  detail::check_parcel_postcondition(N, buffers);
+}  // namespace detail
+
+// --- Pooled exchange ----------------------------------------------------
+
+/// Options for exchange_payloads_pooled. The buffer layout is part of
+/// the StepProgram the exchange replays.
+struct WireExchangeOptions {
+  /// Optional external frame pool; a private arena is used when null.
+  WireArena* arena = nullptr;
+  Recorder* obs = nullptr;
+};
+
+/// exchange_payloads over the zero-copy wire: the step kernel replaying
+/// `program`, with every frame verified in place. Under the paper layout
+/// in 2D each message is one memcpy. Steady state performs no heap
+/// allocation on the wire: frames recycle through the arena. Throws
+/// StepProgramMismatchError when `program` was compiled for another
+/// schedule.
+template <typename T>
+ParcelBuffers<T> exchange_payloads_pooled(const SuhShinAape& algo, const StepProgram& program,
+                                          ParcelBuffers<T> buffers,
+                                          const WireExchangeOptions& options = {}) {
+  static_assert(std::is_trivially_copyable_v<Parcel<T>>,
+                "pooled exchange requires trivially copyable parcels");
+  program.require_compiled_for(algo);
+  detail::require_canonical_parcel_seed(program.num_nodes(), buffers);
+  Recorder* obs = options.obs;
+  if (obs != nullptr && !obs->enabled()) obs = nullptr;
+  WireArena local_arena;
+  WireArena& arena = options.arena != nullptr ? *options.arena : local_arena;
+  const WirePoolStats stats_before = arena.stats();
+  SpanGuard exchange_span(obs, "exchange");
+  detail::StepHooks hooks;
+  detail::replay_step_program(program, buffers, arena, obs, hooks);
   detail::publish_wire_metrics(obs, wire_stats_delta(arena.stats(), stats_before));
+  return buffers;
+}
+
+// --- Sealed exchange ---------------------------------------------------
+
+/// exchange_payloads_pooled with end-to-end integrity: every frame may
+/// be tampered with in flight by `tamperer` before it is verified. A
+/// refused frame is re-encoded from its intact source runs and
+/// retransmitted up to options.max_retransmits times — each
+/// retransmission costs one fault tick, so transient corruption windows
+/// heal under retry — and an exhausted budget raises IntegrityError
+/// carrying the report. `report_out`, when non-null, receives the
+/// report even on throw.
+template <typename T>
+ParcelBuffers<T> exchange_payloads_sealed(const SuhShinAape& algo, const StepProgram& program,
+                                          ParcelBuffers<T> buffers,
+                                          const ParcelTamperer& tamperer = {},
+                                          const IntegrityOptions& options = {},
+                                          IntegrityReport* report_out = nullptr,
+                                          Recorder* obs = nullptr) {
+  static_assert(std::is_trivially_copyable_v<T>,
+                "sealed exchange requires trivially copyable payloads");
+  program.require_compiled_for(algo);
+  detail::require_canonical_parcel_seed(program.num_nodes(), buffers);
+  TOREX_REQUIRE(options.max_retransmits >= 0, "retransmit budget must be non-negative");
+  if (obs != nullptr && !obs->enabled()) obs = nullptr;
+  SpanGuard exchange_span(obs, "exchange_sealed");
+  WireArena local_arena;
+  WireArena& arena = options.arena != nullptr ? *options.arena : local_arena;
+
+  // Tamper, verify, retransmit; the report is published on every exit.
+  struct Sealer : detail::StepHooks {
+    const SuhShinAape& algo;
+    const ParcelTamperer& tamperer;
+    const IntegrityOptions& options;
+    WireArena& arena;
+    Recorder* obs;
+    IntegrityReport* report_out;
+    WirePoolStats stats_before;
+    IntegrityReport report;
+    std::int64_t tick;
+    std::int64_t extra_ticks;  // worst retransmit count of the step
+
+    bool deliver(const detail::StepMessage& m, Rank num_nodes, PooledFrame& frame,
+                 SealedRunFrameView<T>& view) {
+      TransferContext ctx;
+      ctx.phase = m.phase;
+      ctx.step = m.step;
+      ctx.src = m.src;
+      ctx.dst = m.dst;
+      ctx.direction = algo.direction(m.src, m.phase, m.step);
+      ctx.hops = algo.hops_per_step(m.phase);
+      ctx.tick = tick + m.attempt;
+      ctx.attempt = m.attempt;
+      if (tamperer) tamperer(ctx, frame.bytes());
+      std::string reason;
+      if (decode_multi_run_frame<T>(frame.view(), m.phase, m.step, m.src, m.dst, num_nodes,
+                                    view, &reason)) {
+        ++report.messages;
+        report.parcels += static_cast<std::int64_t>(view.count());
+        report.retransmits += m.attempt;
+        if (obs != nullptr && m.attempt > 0) {
+          obs->instant("retransmit_ok", m.dst, m.phase, m.step, m.attempt);
+        }
+        extra_ticks = std::max<std::int64_t>(extra_ticks, m.attempt);
+        return true;
+      }
+      ++report.corrupted;
+      if (obs != nullptr) obs->instant("corrupted", m.dst, m.phase, m.step, m.attempt);
+      IntegrityViolation violation;
+      violation.phase = m.phase;
+      violation.step = m.step;
+      violation.src = m.src;
+      violation.dst = m.dst;
+      violation.direction = ctx.direction;
+      violation.hops = ctx.hops;
+      violation.tick = ctx.tick;
+      violation.attempt = m.attempt;
+      violation.reason = std::move(reason);
+      if (report.violations.size() < IntegrityReport::kMaxRecordedViolations) {
+        report.violations.push_back(violation);
+      }
+      if (m.attempt < options.max_retransmits) return false;
+      report.retransmits += m.attempt;
+      report.fatal = violation;
+      report.final_tick = ctx.tick;
+      if (obs != nullptr) obs->instant("integrity_fatal", m.dst, m.phase, m.step, m.attempt);
+      publish();
+      throw IntegrityError(
+          "integrity failure: " + violation.describe() + " (retransmit budget exhausted)",
+          std::move(report));
+    }
+
+    // Retransmissions across node pairs overlap in time: a step consumes
+    // 1 + (worst retransmit count) ticks.
+    void step_done(int /*phase*/, int /*step*/) {
+      tick += 1 + extra_ticks;
+      extra_ticks = 0;
+    }
+
+    void publish() {
+      if (obs != nullptr) {
+        MetricsRegistry& m = obs->metrics();
+        m.counter("integrity.messages").add(report.messages);
+        m.counter("integrity.parcels").add(report.parcels);
+        m.counter("integrity.retransmits").add(report.retransmits);
+        m.counter("integrity.corrupted").add(report.corrupted);
+      }
+      detail::publish_wire_metrics(obs, wire_stats_delta(arena.stats(), stats_before));
+      if (report_out != nullptr) *report_out = report;
+    }
+  };
+  Sealer sealer{{}, algo, tamperer, options, arena, obs, report_out, arena.stats(), {},
+                options.base_tick, 0};
+  detail::replay_step_program(program, buffers, arena, obs, sealer);
+  sealer.report.final_tick = sealer.tick;
+  sealer.publish();
   return buffers;
 }
 

@@ -1,5 +1,5 @@
 // The compiled schedule: a SuhShinAape plus a §3.3 layout policy,
-// replayed by the pooled payload executor without re-deriving either.
+// replayed by the payload step kernel without re-deriving either.
 //
 // The schedule does not depend on the data. For the canonical seed (one
 // parcel per destination, in destination order) every buffer's content
@@ -31,6 +31,7 @@
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/aape.hpp"
@@ -54,7 +55,7 @@ class StepProgramMismatchError : public std::invalid_argument {
 };
 
 /// Stable counting sort of `items` by `key_of(item)` in [0, num_keys):
-/// three linear passes (histogram, prefix sum, scatter into `scratch`),
+/// three linear passes (histogram, prefix sum, move into `scratch`),
 /// then the two vectors swap. `scratch` and `counts` are reusable
 /// storage; once they reach capacity the sort allocates nothing.
 template <typename Item, typename KeyOf>
@@ -65,12 +66,15 @@ void stable_counting_sort(std::vector<Item>& items, std::vector<Item>& scratch,
   for (const Item& x : items) ++counts[static_cast<std::size_t>(key_of(x)) + 1];
   for (std::size_t k = 1; k < counts.size(); ++k) counts[k] += counts[k - 1];
   scratch.resize(items.size());
-  for (const Item& x : items) scratch[counts[key_of(x)]++] = x;
+  for (Item& x : items) {
+    const std::size_t key = key_of(x);
+    scratch[counts[key]++] = std::move(x);
+  }
   items.swap(scratch);
 }
 
-/// A schedule compiled for replay by exchange_payloads_pooled (see the
-/// file comment).
+/// A schedule compiled for replay by the step kernel of
+/// core/payload_exchange.hpp (see the file comment).
 class StepProgram {
  public:
   /// One node's part of one step.

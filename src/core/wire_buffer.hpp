@@ -87,16 +87,6 @@ inline void wire_write_u64(std::byte* at, std::uint64_t v) {
   }
 }
 
-/// Which wire encoding a sealed exchange uses.
-enum class WirePath {
-  /// Batched frames from a WireArena: one header + one contiguous
-  /// parcel run per message, verified and integrated in place.
-  kPooled,
-  /// The original per-parcel encoding: every parcel carries its own
-  /// sealed record and every message allocates a fresh buffer.
-  kPerParcel,
-};
-
 /// Pool and traffic statistics of a WireArena. Pool counters describe
 /// buffer recycling; traffic counters describe what crossed the wire;
 /// run counters mirror data_array's LayoutStats so the payload path

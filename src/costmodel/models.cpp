@@ -36,6 +36,10 @@ CostBreakdown proposed_cost_nd(const TorusShape& shape, const CostParams& p) {
   return out;
 }
 
+double proposed_phase_cost(const TorusShape& shape, const CostParams& p) {
+  return proposed_cost_nd(shape, p).total() / static_cast<double>(shape.num_dims() + 2);
+}
+
 CostBreakdown tseng_cost(int d, const CostParams& p) {
   TOREX_REQUIRE(d >= 2, "2^d x 2^d torus needs d >= 2");
   const double m = static_cast<double>(p.m);

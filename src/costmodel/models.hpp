@@ -24,6 +24,11 @@ CostBreakdown proposed_cost_2d(std::int64_t rows, std::int64_t cols, const CostP
 /// (a1 >= ... >= an, all multiples of four).
 CostBreakdown proposed_cost_nd(const TorusShape& shape, const CostParams& p);
 
+/// One phase of proposed_cost_nd: the total spread evenly over the
+/// schedule's n + 2 phases (n scatter phases, then the quarter and pair
+/// exchanges). The torexd service charges this per executed phase.
+double proposed_phase_cost(const TorusShape& shape, const CostParams& p);
+
 /// Table 2, column "[13]": Tseng et al. on a 2^d x 2^d torus.
 CostBreakdown tseng_cost(int d, const CostParams& p);
 

@@ -152,8 +152,10 @@ CostBreakdown TorusCommunicator::estimate(AlltoallAlgorithm algorithm,
 double TorusCommunicator::phase_cost(std::int64_t block_bytes) const {
   TOREX_REQUIRE(suh_shin_applicable(),
                 "per-phase pricing requires the Suh-Shin schedule (qualifying shape)");
-  const auto phases = static_cast<double>(schedule_->num_phases());
-  return estimate(AlltoallAlgorithm::kSuhShin, block_bytes).total() / phases;
+  TOREX_REQUIRE(block_bytes >= 1, "block size must be positive");
+  CostParams p = params_;
+  p.m = block_bytes;
+  return proposed_phase_cost(shape_, p);
 }
 
 ExchangeOutcome TorusCommunicator::plan_resilient(const FaultModel& faults,

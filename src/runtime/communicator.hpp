@@ -243,7 +243,7 @@ class TorusCommunicator {
                   "algorithm)");
     if (obs != nullptr && !obs->enabled()) obs = nullptr;
     SpanGuard alltoall_span(obs, "alltoall_strided");
-    const StepProgram& program = pooled_program();
+    const StepProgram& program = compiled_program();
     WireExchangeOptions wire_options;
     wire_options.arena = &wire_arena_;
     wire_options.obs = obs;
@@ -287,7 +287,7 @@ class TorusCommunicator {
 
   /// Self-checking all-to-all: alltoall_resilient plus end-to-end data
   /// integrity. When the Suh-Shin schedule runs, every message crosses
-  /// the simulated wire sealed (per-parcel CRC-32 + metadata), may be
+  /// the simulated wire as a sealed TOX3 frame (CRC-32 + metadata), may be
   /// damaged by `corruption`, and is verified before integration;
   /// detected corruption is repaired by bounded retransmission
   /// (kCorrected). A message that stays corrupt past its budget
@@ -439,11 +439,36 @@ class TorusCommunicator {
     std::atomic<bool>& busy_;
   };
 
-  /// The pooled wire's compiled schedule, compiled by the first pooled
-  /// call and replayed by every later one. Callers hold the CallGuard.
-  const StepProgram& pooled_program() const {
+  /// The schedule compiled under the paper layout, compiled by the first
+  /// call that moves data over it and replayed by every later one
+  /// (pooled, sealed and journaled alike). Callers hold the CallGuard.
+  const StepProgram& compiled_program() const {
     if (!program_.has_value()) program_.emplace(*schedule_);
     return *program_;
+  }
+
+  /// Seeds the canonical parcels from dense rows (stride-1 views).
+  template <typename T>
+  static ParcelBuffers<T> seed_rows(Rank N, const std::vector<std::vector<T>>& send) {
+    std::vector<StridedView<const T>> views;
+    views.reserve(send.size());
+    for (const auto& row : send) views.push_back({row.data(), row.size(), 1});
+    return seed_parcels_strided(N, views);
+  }
+
+  /// Unpacks delivered parcels into dense rows: recv[q][p] is the parcel
+  /// q received from origin p.
+  template <typename T>
+  static std::vector<std::vector<T>> unpack_rows(Rank N, const ParcelBuffers<T>& delivered) {
+    std::vector<std::vector<T>> recv(static_cast<std::size_t>(N));
+    std::vector<StridedView<T>> views;
+    views.reserve(recv.size());
+    for (auto& row : recv) {
+      row.resize(static_cast<std::size_t>(N));
+      views.push_back({row.data(), row.size(), 1});
+    }
+    scatter_parcels_strided(N, delivered, views);
+    return recv;
   }
 
   /// alltoall's body; the caller holds the CallGuard.
@@ -469,37 +494,23 @@ class TorusCommunicator {
                     "algorithm)");
       const SuhShinAape& algo = *schedule_;
       // Dense rows are stride-1 views: the same seed/scatter path the
-      // strided API uses, with no extra staging in between.
-      const auto seed = [&] {
-        std::vector<StridedView<const T>> views;
-        views.reserve(send.size());
-        for (const auto& row : send) views.push_back({row.data(), row.size(), 1});
-        return seed_parcels_strided(N, views);
-      };
-      // Trivially copyable payloads ride the pooled zero-copy wire,
-      // replaying the communicator's compiled program (frames recycle
-      // through its arena across exchanges); other types fall back to
-      // the struct-move executor.
+      // strided API uses, with no extra staging in between. Trivially
+      // copyable payloads ride the pooled zero-copy wire, replaying the
+      // communicator's compiled program (frames recycle through its
+      // arena across exchanges); other types fall back to the
+      // struct-move executor.
       ParcelBuffers<T> delivered;
       if constexpr (std::is_trivially_copyable_v<Parcel<T>>) {
-        const StepProgram& program = pooled_program();  // before the parcels exist
+        const StepProgram& program = compiled_program();  // before the parcels exist
         WireExchangeOptions wire_options;
         wire_options.arena = &wire_arena_;
         wire_options.obs = obs;
-        delivered = exchange_payloads_pooled(algo, program, seed(), wire_options);
+        delivered = exchange_payloads_pooled(algo, program, seed_rows(N, send), wire_options);
       } else {
-        delivered = exchange_payloads(algo, seed(), obs);
+        delivered = exchange_payloads(algo, seed_rows(N, send), obs);
       }
       SpanGuard permute_span(obs, "permute");
-      std::vector<std::vector<T>> recv(static_cast<std::size_t>(N));
-      std::vector<StridedView<T>> recv_views;
-      recv_views.reserve(recv.size());
-      for (auto& row : recv) {
-        row.resize(static_cast<std::size_t>(N));
-        recv_views.push_back({row.data(), row.size(), 1});
-      }
-      scatter_parcels_strided(N, delivered, recv_views);
-      return recv;
+      return unpack_rows(N, delivered);
     }
 
     if (chosen == AlltoallAlgorithm::kSuhShinPadded) {
@@ -611,15 +622,7 @@ class TorusCommunicator {
                            : "");
     }
 
-    ParcelBuffers<T> parcels(static_cast<std::size_t>(N));
-    for (Rank p = 0; p < N; ++p) {
-      auto& buf = parcels[static_cast<std::size_t>(p)];
-      buf.reserve(static_cast<std::size_t>(N));
-      for (Rank q = 0; q < N; ++q) {
-        buf.push_back(
-            {Block{p, q}, send[static_cast<std::size_t>(p)][static_cast<std::size_t>(q)]});
-      }
-    }
+    ParcelBuffers<T> parcels = seed_rows(N, send);
     JournalRunOptions run_options;
     run_options.crash = options.crash;
     run_options.cancel = options.cancel;
@@ -629,8 +632,8 @@ class TorusCommunicator {
     ResumeReport report;
     ParcelBuffers<T> delivered;
     if (outcome.algorithm == AlltoallAlgorithm::kSuhShin && !outcome.degraded) {
-      delivered = exchange_payloads_journaled(*schedule_, std::move(parcels), journal,
-                                              run_options, report);
+      delivered = exchange_payloads_journaled(*schedule_, compiled_program(), std::move(parcels),
+                                              journal, run_options, report);
     } else {
       // Degraded plan: the schedule is abandoned, but the journal stays
       // the source of truth — deliver the undelivered delta directly.
@@ -641,15 +644,7 @@ class TorusCommunicator {
     outcome.resume = report;
 
     SpanGuard permute_span(obs, "permute");
-    std::vector<std::vector<T>> recv(static_cast<std::size_t>(N));
-    for (Rank q = 0; q < N; ++q) {
-      auto& row = recv[static_cast<std::size_t>(q)];
-      row.resize(static_cast<std::size_t>(N));
-      for (const auto& parcel : delivered[static_cast<std::size_t>(q)]) {
-        row[static_cast<std::size_t>(parcel.block.origin)] = parcel.payload;
-      }
-    }
-    return recv;
+    return unpack_rows(N, delivered);
   }
 
   /// Runs the sealed Suh-Shin exchange over the payloads.
@@ -661,28 +656,13 @@ class TorusCommunicator {
                                          Recorder* obs = nullptr) const {
     const Rank N = size();
     const SuhShinAape& algo = *schedule_;
-    ParcelBuffers<T> parcels(static_cast<std::size_t>(N));
-    for (Rank p = 0; p < N; ++p) {
-      auto& buf = parcels[static_cast<std::size_t>(p)];
-      buf.reserve(static_cast<std::size_t>(N));
-      for (Rank q = 0; q < N; ++q) {
-        buf.push_back(
-            {Block{p, q}, send[static_cast<std::size_t>(p)][static_cast<std::size_t>(q)]});
-      }
-    }
+    ParcelBuffers<T> parcels = seed_rows(N, send);
     IntegrityOptions effective = options;
     if (effective.arena == nullptr) effective.arena = &wire_arena_;
-    const auto delivered = exchange_payloads_sealed(
-        algo, std::move(parcels), corruption.tamperer(algo.torus()), effective, &report, obs);
-    std::vector<std::vector<T>> recv(static_cast<std::size_t>(N));
-    for (Rank q = 0; q < N; ++q) {
-      auto& row = recv[static_cast<std::size_t>(q)];
-      row.resize(static_cast<std::size_t>(N));
-      for (const auto& parcel : delivered[static_cast<std::size_t>(q)]) {
-        row[static_cast<std::size_t>(parcel.block.origin)] = parcel.payload;
-      }
-    }
-    return recv;
+    const auto delivered =
+        exchange_payloads_sealed(algo, compiled_program(), std::move(parcels),
+                                 corruption.tamperer(algo.torus()), effective, &report, obs);
+    return unpack_rows(N, delivered);
   }
 
   TorusShape shape_;
@@ -695,7 +675,7 @@ class TorusCommunicator {
   /// accumulate per communicator. Mutable because the collectives are
   /// logically const; the CallGuard keeps calls from overlapping on it.
   mutable WireArena wire_arena_;
-  /// The pooled wire's compiled schedule, memoized by pooled_program().
+  /// The compiled schedule, memoized by compiled_program().
   mutable std::optional<StepProgram> program_;
   /// Set while a collective holds the communicator (see CallGuard).
   mutable std::atomic<bool> busy_{false};

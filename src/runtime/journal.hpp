@@ -25,6 +25,7 @@
 // unrecoverable corruption and raises JournalError.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -232,11 +233,8 @@ struct JournalRunOptions {
   /// (JournalFileSink::sync appends incrementally).
   std::function<void(const ExchangeJournal&)> flush;
   Recorder* obs = nullptr;
-  /// Optional frame pool: when set (and the payload is trivially
-  /// copyable) live sends cross the wire as pooled sealed frames —
-  /// encoded with one memcpy, verified, and integrated in place —
-  /// instead of per-parcel struct moves. Replayed steps stay local
-  /// and never touch the wire either way.
+  /// Optional external frame pool for the live steps' frames; a private
+  /// arena is used when null.
   WireArena* wire = nullptr;
 };
 
@@ -273,18 +271,21 @@ void require_journal_matches(const SuhShinAape& algo, const ExchangeJournal& jou
 }  // namespace detail
 
 /// Runs the schedule over `buffers` (canonical all-to-all seed) with
-/// write-ahead journaling into `journal`. A bound journal with prior
-/// progress triggers delta resume: the committed prefix is replayed
-/// locally, flushed-but-uncommitted deliveries are materialized from the
-/// seed, and only the remaining steps touch the wire; re-received
-/// durable parcels are dropped (report.duplicates_dropped). An unbound
-/// journal is bound to the schedule's geometry first. Requires T
+/// write-ahead journaling into `journal`: the step kernel replaying
+/// `program`. A bound journal with prior progress triggers delta resume:
+/// the committed prefix is replayed locally, flushed-but-uncommitted
+/// deliveries are materialized from the seed, and only the remaining
+/// steps touch the wire; re-received durable parcels are dropped
+/// (report.duplicates_dropped). An unbound journal is bound to the
+/// schedule's geometry first. Live steps of trivially copyable payloads
+/// cross the framed wire; other payloads move locally. Requires T
 /// copyable (materialization duplicates payloads on purpose).
 template <typename T>
-ParcelBuffers<T> exchange_payloads_journaled(const SuhShinAape& algo, ParcelBuffers<T> buffers,
-                                             ExchangeJournal& journal,
+ParcelBuffers<T> exchange_payloads_journaled(const SuhShinAape& algo, const StepProgram& program,
+                                             ParcelBuffers<T> buffers, ExchangeJournal& journal,
                                              const JournalRunOptions& options,
                                              ResumeReport& report) {
+  program.require_compiled_for(algo);
   const Rank N = algo.shape().num_nodes();
   detail::require_canonical_parcel_seed(N, buffers);
   if (!journal.bound()) {
@@ -301,141 +302,79 @@ ParcelBuffers<T> exchange_payloads_journaled(const SuhShinAape& algo, ParcelBuff
   report.committed_steps_at_start = journal.committed_steps();
   report.committed_phase_at_start = journal.committed_phase();
   report.delivered_at_start = journal.delivered_parcels();
-  const WirePoolStats wire_stats_before =
-      options.wire != nullptr ? options.wire->stats() : WirePoolStats{};
 
   if (journal.exchange_complete()) {
     return detail::rebuild_complete(N, std::move(buffers), report);
   }
+  WireArena local_arena;
+  WireArena& arena = options.wire != nullptr ? *options.wire : local_arena;
+  const WirePoolStats wire_stats_before = arena.stats();
 
   // Materialize flushed-but-uncommitted deliveries from the canonical
-  // seed: the payload of (origin -> dest) sits in origin's buffer. The
-  // seed copy stays put — it re-travels the re-run steps exactly as a
-  // real sender that never saw the ack would re-send it, and arrives as
-  // a duplicate the bitmap catches.
-  const auto uncommitted = journal.uncommitted_deliveries();
-  for (const auto& [dest, origin] : uncommitted) {
+  // seed: the payload of (origin -> dest) sits in slot dest of origin's
+  // buffer. The copy waits in a side list at dest, so the buffers keep
+  // the program's order. The seed copy re-travels the re-run steps
+  // exactly as a real sender that never saw the ack would re-send it;
+  // when it arrives, the bitmap catches it and the durable copy takes
+  // its slot.
+  std::vector<Parcel<T>> scratch;
+  detail::order_seed_by_destination(buffers, scratch);
+  ParcelBuffers<T> durable(static_cast<std::size_t>(N));
+  for (const auto& [dest, origin] : journal.uncommitted_deliveries()) {
     if (origin == dest) continue;
-    auto& src = buffers[static_cast<std::size_t>(origin)];
-    bool found = false;
-    for (const auto& parcel : src) {
-      if (parcel.block.origin == origin && parcel.block.dest == dest) {
-        buffers[static_cast<std::size_t>(dest)].push_back(parcel);
-        ++report.materialized;
-        found = true;
-        break;
-      }
-    }
-    TOREX_CHECK(found, "journaled delivery missing from the canonical seed");
+    durable[static_cast<std::size_t>(dest)].push_back(
+        buffers[static_cast<std::size_t>(origin)][static_cast<std::size_t>(dest)]);
+    ++report.materialized;
   }
 
-  ParcelBuffers<T> inbox(static_cast<std::size_t>(N));
-  std::vector<std::pair<Rank, Rank>> arrivals;
-  PooledFrame frame;  // wire-path scratch, rebound per message
-  std::vector<SendRun> wire_runs;  // wire-path send-set scan scratch
-  std::int64_t flat_step = 0;  // 0-based global step index
+  // Local replay of the committed prefix, bitmap dedup, and the
+  // write-ahead sequence of every live step.
+  struct Journaler : detail::StepHooks {
+    ExchangeJournal& journal;
+    const JournalRunOptions& options;
+    ResumeReport& report;
+    ParcelBuffers<T>& durable;
+    Recorder* obs;
+    std::int64_t flat_step;  // 0-based global step index
+    std::vector<std::pair<Rank, Rank>> arrivals;
 
-  for (int phase = 1; phase <= algo.num_phases(); ++phase) {
-    SpanGuard phase_span(obs, "journal_phase", -1, phase);
-    for (int step = 1; step <= algo.steps_in_phase(phase); ++step, ++flat_step) {
-      const bool replay = flat_step < report.committed_steps_at_start;
-      SpanGuard step_span(obs, replay ? "journal_replay_step" : "journal_step", -1, phase, step);
+    bool replaying() const { return flat_step < report.committed_steps_at_start; }
+    bool framed(int /*phase*/, int /*step*/) const { return !replaying(); }
 
-      arrivals.clear();
-      for (Rank p = 0; p < N; ++p) {
-        auto& buf = buffers[static_cast<std::size_t>(p)];
-        const Rank q = algo.partner(p, phase, step);
-        bool framed = false;
-        if constexpr (std::is_trivially_copyable_v<Parcel<T>>) {
-          if (!replay && options.wire != nullptr) {
-            // Live send over the pooled wire: the send set is gathered
-            // run-by-run straight out of the (unreordered) buffer into
-            // a TOX3 multi-run frame, CRC-verified, and scattered into
-            // the inbox in place — no partition pass, no staging copy.
-            // The internal wire is never tampered with, so a failed
-            // verification is a logic error, not a retransmit case.
-            // (A materialized duplicate already sitting on its
-            // destination never matches should_send, so only genuine
-            // in-flight parcels move.)
-            WireArena& arena = *options.wire;
-            const std::size_t send_count = detail::collect_send_runs(
-                buf,
-                [&](const Parcel<T>& x) { return algo.should_send(p, phase, step, x.block); },
-                wire_runs);
-            if (send_count == 0) continue;
-            report.sent_parcels += static_cast<std::int64_t>(send_count);
-            const std::size_t run_bytes = send_count * sizeof(Parcel<T>);
-            frame.bind(arena, detail::kFrameV3HeaderBytes +
-                                  wire_runs.size() * detail::kRunDescriptorBytes + run_bytes +
-                                  detail::kFrameTrailerBytes);
-            encode_multi_run_frame(buf, wire_runs, send_count, phase, step, p, q,
-                                   frame.bytes());
-            arena.stats().note_message(static_cast<std::int64_t>(send_count),
-                                       static_cast<std::int64_t>(wire_runs.size()));
-            arena.stats().bytes_encoded += static_cast<std::int64_t>(frame.bytes().size());
-            arena.stats().bytes_copied += static_cast<std::int64_t>(run_bytes);
-            SealedRunFrameView<T> view;
-            std::string why;
-            TOREX_CHECK(
-                decode_multi_run_frame<T>(frame.view(), phase, step, p, q, N, view, &why),
-                "journaled wire frame failed verification: " + why);
-            view.append_to(inbox[static_cast<std::size_t>(q)]);
-            arena.stats().bytes_copied += static_cast<std::int64_t>(view.payload_size());
-            detail::erase_runs(buf, wire_runs);
-            framed = true;
-          }
+    void received(Rank node, int phase, int step, Parcel<T>* first, std::size_t count) {
+      if (replaying()) {
+        report.replayed_parcels += static_cast<std::int64_t>(count);
+        return;
+      }
+      report.sent_parcels += static_cast<std::int64_t>(count);
+      for (Parcel<T>* x = first; x != first + count; ++x) {
+        const Rank origin = x->block.origin;
+        if (x->block.dest != node || origin == node) continue;
+        if (!journal.delivered().test(node, origin)) {
+          arrivals.emplace_back(node, origin);
+          continue;
         }
-        if (framed) continue;
-        // A materialized duplicate already sitting on its destination
-        // never matches should_send (the predicates compare node vs
-        // dest coordinates), so only genuine in-flight parcels move.
-        auto split = std::stable_partition(buf.begin(), buf.end(), [&](const Parcel<T>& x) {
-          return !algo.should_send(p, phase, step, x.block);
+        // The seed copy of a durable delivery: exactly-once, so it is
+        // dropped and the materialized copy takes its slot.
+        ++report.duplicates_dropped;
+        if (obs != nullptr) {
+          obs->instant("duplicate_dropped", node, phase, step, static_cast<std::int64_t>(origin));
+        }
+        auto& side = durable[static_cast<std::size_t>(node)];
+        const auto it = std::find_if(side.begin(), side.end(), [&](const Parcel<T>& d) {
+          return d.block.origin == origin;
         });
-        if (split == buf.end()) continue;
-        const auto moved = static_cast<std::int64_t>(std::distance(split, buf.end()));
-        if (replay) {
-          report.replayed_parcels += moved;
-        } else {
-          report.sent_parcels += moved;
-        }
-        auto& in = inbox[static_cast<std::size_t>(q)];
-        in.insert(in.end(), std::make_move_iterator(split),
-                  std::make_move_iterator(buf.end()));
-        buf.erase(split, buf.end());
+        TOREX_CHECK(it != side.end(), "durable parcel re-received without a materialized copy");
+        *x = std::move(*it);
+        side.erase(it);
       }
-      for (Rank p = 0; p < N; ++p) {
-        auto& in = inbox[static_cast<std::size_t>(p)];
-        if (in.empty()) continue;
-        auto& buf = buffers[static_cast<std::size_t>(p)];
-        for (auto& parcel : in) {
-          if (parcel.block.dest == p) {
-            if (!replay && journal.delivered().test(p, parcel.block.origin)) {
-              // Durable copy already materialized; this is the seed
-              // copy arriving again. Exactly-once: drop it.
-              ++report.duplicates_dropped;
-              if (obs != nullptr) {
-                obs->instant("duplicate_dropped", p, phase, step,
-                             static_cast<std::int64_t>(parcel.block.origin));
-              }
-              continue;
-            }
-            arrivals.emplace_back(p, parcel.block.origin);
-          }
-          buf.push_back(std::move(parcel));
-        }
-        in.clear();
-      }
+    }
 
-      if (replay) continue;  // progress already durable; nothing to journal
-
-      // Write-ahead order: deliveries flush before the commit marker,
-      // and the cooperative cancel window sits exactly between them.
-      // Self pairs are pre-marked at bind; filter them out.
-      std::vector<std::pair<Rank, Rank>> new_deliveries;
-      for (const auto& [dest, origin] : arrivals) {
-        if (dest != origin) new_deliveries.emplace_back(dest, origin);
-      }
+    // Write-ahead order: deliveries flush before the commit marker, and
+    // the cooperative cancel window sits exactly between them.
+    void step_done(int phase, int step) {
+      const std::int64_t flat = flat_step++;
+      if (flat < report.committed_steps_at_start) return;  // already durable
       const bool crash_here = options.crash.armed() && options.crash.phase == phase &&
                               options.crash.step == step;
       if (crash_here && !options.crash.after_flush) {
@@ -444,13 +383,14 @@ ParcelBuffers<T> exchange_payloads_journaled(const SuhShinAape& algo, ParcelBuff
                                      std::to_string(phase) + ", step " + std::to_string(step) +
                                      ")");
       }
-      if (!new_deliveries.empty()) {
-        journal.record_deliveries(flat_step, new_deliveries);
+      if (!arrivals.empty()) {
+        journal.record_deliveries(flat, arrivals);
         detail::journal_flush(journal, options, report);
         if (obs != nullptr) {
           obs->instant("journal_flush", -1, phase, step,
-                       static_cast<std::int64_t>(new_deliveries.size()));
+                       static_cast<std::int64_t>(arrivals.size()));
         }
+        arrivals.clear();
       }
       if (crash_here) {
         throw ExchangeCrashError(phase, step,
@@ -461,26 +401,28 @@ ParcelBuffers<T> exchange_payloads_journaled(const SuhShinAape& algo, ParcelBuff
       if (options.cancel != nullptr && options.cancel->load(std::memory_order_relaxed)) {
         detail::throw_journal_cancelled(phase, step);
       }
-      journal.commit_step(flat_step);
+      journal.commit_step(flat);
       detail::journal_flush(journal, options, report);
     }
-    if (phase > journal.committed_phase()) {
+
+    void phase_done(int phase) {
+      if (phase <= journal.committed_phase()) return;
       journal.commit_phase(phase);
       detail::journal_flush(journal, options, report);
     }
+  };
+  Journaler hooks{{}, journal, options, report, durable, obs, 0, {}};
+  detail::replay_step_program(program, buffers, arena, obs, hooks);
+  for (const auto& side : durable) {
+    TOREX_CHECK(side.empty(), "a materialized delivery never met its re-sent seed copy");
   }
-
-  detail::check_parcel_postcondition(N, buffers);
   TOREX_CHECK(journal.exchange_complete(), "journal incomplete after a finished exchange");
   if (obs != nullptr) {
     obs->metrics().counter("journal.records").add(journal.records());
     obs->metrics().counter("resume.sent_parcels").add(report.sent_parcels);
     obs->metrics().counter("resume.replayed_parcels").add(report.replayed_parcels);
     obs->metrics().counter("resume.duplicates_dropped").add(report.duplicates_dropped);
-    if (options.wire != nullptr) {
-      detail::publish_wire_metrics(
-          obs, wire_stats_delta(options.wire->stats(), wire_stats_before));
-    }
+    detail::publish_wire_metrics(obs, wire_stats_delta(arena.stats(), wire_stats_before));
   }
   return buffers;
 }

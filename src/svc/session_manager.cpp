@@ -4,6 +4,7 @@
 #include <cmath>
 #include <utility>
 
+#include "costmodel/models.hpp"
 #include "runtime/watchdog.hpp"
 #include "util/assert.hpp"
 
@@ -55,12 +56,12 @@ void SessionManagerOptions::validate() const {
 SessionManager::SessionManager(TorusShape shape, CostParams params, SessionManagerOptions options)
     : shape_(shape),
       schedule_(shape),
-      comm_(shape, params),
       options_(std::move(options)),
       flight_(options_.flight) {
   options_.validate();
   obs_ = options_.obs != nullptr && options_.obs->enabled() ? options_.obs : nullptr;
-  phase_cost_ = comm_.phase_cost(options_.block_bytes);
+  params.m = options_.block_bytes;
+  phase_cost_ = proposed_phase_cost(shape_, params);
   if (options_.health.enabled || !options_.service_faults.empty()) {
     health_ = std::make_unique<HealthRegistry>(shape_, options_.health.breaker, obs_);
     retry_budget_ = std::make_unique<RetryBudget>(options_.health.retries);

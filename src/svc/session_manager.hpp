@@ -53,7 +53,6 @@
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 #include "obs/recorder.hpp"
-#include "runtime/communicator.hpp"
 #include "runtime/failure_detector.hpp"
 #include "sim/fault_model.hpp"
 #include "svc/health_registry.hpp"
@@ -244,7 +243,6 @@ class SessionManager {
 
   TorusShape shape_;
   SuhShinAape schedule_;
-  TorusCommunicator comm_;
   SessionManagerOptions options_;
   Recorder* obs_ = nullptr;
   double phase_cost_ = 0.0;

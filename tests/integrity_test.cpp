@@ -1,7 +1,8 @@
-// End-to-end data integrity: CRC-32 and wire primitives, sealed
-// message encode/decode, corruption faults, the detect-and-retransmit
-// protocol, the checked communicator entry point with escalation into
-// the recovery chain, and a miniature chaos differential sweep.
+// End-to-end data integrity: CRC-32 and wire primitives, corruption
+// faults, the detect-and-retransmit protocol, the checked communicator
+// entry point with escalation into the recovery chain, and a miniature
+// chaos differential sweep. The TOX3 frame codec itself is covered by
+// wire_test.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -64,103 +65,6 @@ TEST(WireTest, RoundTrip) {
   // Reads past the end must fail without advancing.
   EXPECT_FALSE(wire_get_u32(wire, offset, a));
   EXPECT_EQ(offset, wire.size());
-}
-
-// --- Sealed messages ---------------------------------------------------
-
-std::vector<Parcel<std::int64_t>> make_parcels(Rank src, int count) {
-  std::vector<Parcel<std::int64_t>> out;
-  for (int i = 0; i < count; ++i) {
-    out.push_back({Block{src, static_cast<Rank>(i)}, src * 1000 + i});
-  }
-  return out;
-}
-
-TEST(SealedMessageTest, EncodeDecodeRoundTrip) {
-  const auto parcels = make_parcels(3, 4);
-  const auto wire = encode_sealed_message(parcels, 1, 2, 3, 7);
-  std::vector<Parcel<std::int64_t>> out;
-  std::string reason;
-  ASSERT_TRUE(decode_sealed_message<std::int64_t>(wire, 1, 2, 3, 7, 16, out, &reason)) << reason;
-  ASSERT_EQ(out.size(), parcels.size());
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    EXPECT_EQ(out[i].block.origin, parcels[i].block.origin);
-    EXPECT_EQ(out[i].block.dest, parcels[i].block.dest);
-    EXPECT_EQ(out[i].payload, parcels[i].payload);
-  }
-}
-
-TEST(SealedMessageTest, EveryBitFlipIsDetected) {
-  // The end-to-end guarantee in miniature: no single-bit corruption of
-  // the wire image decodes successfully.
-  const auto parcels = make_parcels(2, 3);
-  const auto clean = encode_sealed_message(parcels, 1, 2, 5, 6);
-  std::vector<Parcel<std::int64_t>> out;
-  for (std::size_t bit = 0; bit < clean.size() * 8; ++bit) {
-    auto wire = clean;
-    wire[bit / 8] ^= static_cast<std::byte>(1u << (bit % 8));
-    EXPECT_FALSE(decode_sealed_message<std::int64_t>(wire, 1, 2, 5, 6, 16, out))
-        << "flipped bit " << bit << " slipped through";
-  }
-}
-
-TEST(SealedMessageTest, EveryTruncationIsDetected) {
-  const auto parcels = make_parcels(0, 2);
-  const auto clean = encode_sealed_message(parcels, 1, 2, 0, 4);
-  std::vector<Parcel<std::int64_t>> out;
-  for (std::size_t keep = 0; keep < clean.size(); ++keep) {
-    std::vector<std::byte> wire(clean.begin(), clean.begin() + static_cast<std::ptrdiff_t>(keep));
-    EXPECT_FALSE(decode_sealed_message<std::int64_t>(wire, 1, 2, 0, 4, 16, out))
-        << "truncation to " << keep << " bytes slipped through";
-  }
-}
-
-TEST(SealedMessageTest, ForgedCountIsBoundedBeforeParsing) {
-  const auto parcels = make_parcels(2, 3);
-  auto wire = encode_sealed_message(parcels, 1, 2, 5, 6);
-  // Forge a huge count and re-seal the header CRC, so the count bound
-  // — not the checksum — is what must reject it; the decoder may not
-  // let a forged count drive the parse loop or the allocator.
-  wire_write_u64(wire.data() + 28, std::uint64_t{1} << 60);
-  wire_write_u32(wire.data() + 36, crc32(wire.data(), 36));
-  std::vector<Parcel<std::int64_t>> out;
-  std::string reason;
-  EXPECT_FALSE(decode_sealed_message<std::int64_t>(wire, 1, 2, 5, 6, 16, out, &reason));
-  EXPECT_EQ(reason, "parcel count exceeds message size");
-}
-
-TEST(SealedMessageTest, NegativeMetadataRejected) {
-  const auto parcels = make_parcels(1, 1);
-  EXPECT_THROW(encode_sealed_message(parcels, -1, 2, 5, 6), std::invalid_argument);
-  EXPECT_THROW(encode_sealed_message(parcels, 1, 2, -5, 6), std::invalid_argument);
-  const auto wire = encode_sealed_message(parcels, 1, 2, 5, 6);
-  std::vector<Parcel<std::int64_t>> out;
-  std::string reason;
-  EXPECT_FALSE(decode_sealed_message<std::int64_t>(wire, 1, -2, 5, 6, 16, out, &reason));
-  EXPECT_EQ(reason, "negative message metadata");
-  EXPECT_FALSE(decode_sealed_message<std::int64_t>(wire, 1, 2, 5, -6, 16, out, &reason));
-  EXPECT_EQ(reason, "negative message metadata");
-}
-
-TEST(SealedMessageTest, RejectsWrongStepAndChannel) {
-  const auto parcels = make_parcels(1, 2);
-  const auto wire = encode_sealed_message(parcels, 1, 2, 1, 3);
-  std::vector<Parcel<std::int64_t>> out;
-  std::string reason;
-  EXPECT_FALSE(decode_sealed_message<std::int64_t>(wire, 2, 2, 1, 3, 16, out, &reason));
-  EXPECT_EQ(reason, "message sealed for a different step");
-  EXPECT_FALSE(decode_sealed_message<std::int64_t>(wire, 1, 2, 1, 4, 16, out, &reason));
-  EXPECT_EQ(reason, "message sealed for a different channel");
-}
-
-TEST(SealedMessageTest, RejectsTrailingBytes) {
-  const auto parcels = make_parcels(1, 1);
-  auto wire = encode_sealed_message(parcels, 1, 1, 1, 2);
-  wire.push_back(std::byte{0});
-  std::vector<Parcel<std::int64_t>> out;
-  std::string reason;
-  EXPECT_FALSE(decode_sealed_message<std::int64_t>(wire, 1, 1, 1, 2, 16, out, &reason));
-  EXPECT_EQ(reason, "trailing bytes after last parcel");
 }
 
 // --- Corruption model --------------------------------------------------
@@ -244,7 +148,8 @@ TEST(SealedExchangeTest, CleanWireMatchesUnsealed) {
   const SuhShinAape algo(TorusShape({4, 4}));
   const Rank N = 16;
   IntegrityReport report;
-  const auto out = exchange_payloads_sealed(algo, canonical_parcels(N), {}, {}, &report);
+  const auto out =
+      exchange_payloads_sealed(algo, StepProgram(algo), canonical_parcels(N), {}, {}, &report);
   expect_delivered(N, out);
   EXPECT_TRUE(report.clean());
   EXPECT_EQ(report.retransmits, 0);
@@ -271,8 +176,8 @@ TEST(SealedExchangeTest, TransientCorruptionHealsUnderRetransmit) {
     }
   }
   IntegrityReport report;
-  const auto out =
-      exchange_payloads_sealed(algo, canonical_parcels(N), model.tamperer(torus), {}, &report);
+  const auto out = exchange_payloads_sealed(algo, StepProgram(algo), canonical_parcels(N),
+                                            model.tamperer(torus), {}, &report);
   expect_delivered(N, out);
   EXPECT_GT(report.corrupted, 0);
   EXPECT_GT(report.retransmits, 0);
@@ -288,8 +193,8 @@ TEST(SealedExchangeTest, PermanentCorruptionExhaustsBudgetAndThrows) {
   options.max_retransmits = 2;
   IntegrityReport report;
   try {
-    exchange_payloads_sealed(algo, canonical_parcels(N), model.tamperer(algo.torus()), options,
-                             &report);
+    exchange_payloads_sealed(algo, StepProgram(algo), canonical_parcels(N),
+                             model.tamperer(algo.torus()), options, &report);
     FAIL() << "permanent corruption must raise IntegrityError";
   } catch (const IntegrityError& e) {
     ASSERT_TRUE(e.report().fatal.has_value());
@@ -352,7 +257,8 @@ TEST(PayloadPreconditionTest, SealedVariantChecksTheSamePreconditions) {
   const SuhShinAape algo(TorusShape({4, 4}));
   auto buffers = canonical_parcels(16);
   buffers[0][1].block.dest = 0;
-  EXPECT_THROW(exchange_payloads_sealed(algo, std::move(buffers)), std::invalid_argument);
+  EXPECT_THROW(exchange_payloads_sealed(algo, StepProgram(algo), std::move(buffers)),
+               std::invalid_argument);
 }
 
 // --- Checked communicator ----------------------------------------------

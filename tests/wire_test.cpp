@@ -1,15 +1,16 @@
 // The zero-copy pooled wire path: WireArena recycling semantics,
 // PooledFrame RAII, the TOX3 multi-run codec (round-trip, every-bit-flip
 // and every-truncation detection, run gather/erase primitives, scatter
-// offsets, forged counts and run tables as typed errors), strided
-// user-buffer views, the compiled StepProgram and the pooled executor
-// that replays it (transpose delivery and §3.3 run accounting
+// offsets, negative metadata, forged counts and run tables as typed
+// errors), strided user-buffer views, the compiled StepProgram and the
+// step kernel's three drivers that replay it — pooled, sealed and
+// journaled (transpose delivery, §3.3 run accounting and buffer order
 // differential against the block-level layout simulator, on both
 // layouts and every reference shape; mismatched programs refused;
-// steady-state allocation behavior), and a seeded deterministic fuzz
-// harness over both wire formats — mutations must never decode and
-// never read out of bounds (the ASan/UBSan CI job runs this suite
-// under sanitizers).
+// in-place receives that survive retransmission; steady-state
+// allocation behavior) — and a seeded deterministic fuzz harness over
+// the frame codec: mutations must never decode and never read out of
+// bounds (the ASan/UBSan CI job runs this suite under sanitizers).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -25,6 +26,7 @@
 #include "core/step_program.hpp"
 #include "core/wire_buffer.hpp"
 #include "obs/recorder.hpp"
+#include "runtime/journal.hpp"
 #include "util/crc32.hpp"
 #include "util/prng.hpp"
 
@@ -200,6 +202,30 @@ TEST(MultiRunFrameTest, EmptyFrameRoundTrips) {
   EXPECT_EQ(view.run_count(), 0u);
 }
 
+TEST(MultiRunFrameTest, NegativeMetadataRejected) {
+  MultiRunFixture fx;
+  std::vector<std::byte> frame;
+  EXPECT_THROW(encode_multi_run_frame(fx.buf, fx.runs, fx.count, -1, 2, 5, 6, frame),
+               std::invalid_argument);
+  EXPECT_THROW(encode_multi_run_frame(fx.buf, fx.runs, fx.count, 1, 2, -5, 6, frame),
+               std::invalid_argument);
+  encode_multi_run_frame(fx.buf, fx.runs, fx.count, 1, 2, 5, 6, frame);
+  SealedRunFrameView<std::int64_t> view;
+  std::string reason;
+  EXPECT_FALSE(
+      decode_multi_run_frame<std::int64_t>(WireView(frame), -1, 2, 5, 6, 16, view, &reason));
+  EXPECT_EQ(reason, "negative message metadata");
+  EXPECT_FALSE(
+      decode_multi_run_frame<std::int64_t>(WireView(frame), 1, -2, 5, 6, 16, view, &reason));
+  EXPECT_EQ(reason, "negative message metadata");
+  EXPECT_FALSE(
+      decode_multi_run_frame<std::int64_t>(WireView(frame), 1, 2, -5, 6, 16, view, &reason));
+  EXPECT_EQ(reason, "negative message metadata");
+  EXPECT_FALSE(
+      decode_multi_run_frame<std::int64_t>(WireView(frame), 1, 2, 5, -6, 16, view, &reason));
+  EXPECT_EQ(reason, "negative message metadata");
+}
+
 TEST(MultiRunFrameTest, EveryBitFlipIsDetected) {
   MultiRunFixture fx;
   std::vector<std::byte> clean;
@@ -299,6 +325,21 @@ TEST(MultiRunFrameTest, ForgedRunCountIsBoundedBeforeParsing) {
   forged = reseal_v3(std::move(forged));
   EXPECT_FALSE(
       decode_multi_run_frame<std::int64_t>(WireView(forged), 1, 1, 1, 2, 16, view, &reason));
+  EXPECT_EQ(reason, "frame size mismatch");
+}
+
+TEST(MultiRunFrameTest, RejectsAnAppendedByte) {
+  // One byte past the last run, resealed so both CRCs match: only the
+  // exact-size check stands between the extra byte and the decoder.
+  MultiRunFixture fx;
+  std::vector<std::byte> frame;
+  encode_multi_run_frame(fx.buf, fx.runs, fx.count, 1, 1, 1, 2, frame);
+  frame.push_back(std::byte{0});
+  frame = reseal_v3(std::move(frame));
+  SealedRunFrameView<std::int64_t> view;
+  std::string reason;
+  EXPECT_FALSE(
+      decode_multi_run_frame<std::int64_t>(WireView(frame), 1, 1, 1, 2, 16, view, &reason));
   EXPECT_EQ(reason, "frame size mismatch");
 }
 
@@ -527,17 +568,70 @@ TEST(PooledExchangeTest, PublishesWireMetrics) {
 
 // --- Compiled step programs ----------------------------------------------
 
+/// The step kernel's drivers.
+enum class Driver { kPooled, kSealed, kJournaled };
+
 struct ReplayCase {
   std::vector<std::int32_t> extents;
   LayoutPolicy layout;
+  Driver driver;
 };
+
+/// Everything the wire carried, counter for counter.
+void expect_same_traffic(const WirePoolStats& got, const WirePoolStats& want,
+                         const std::string& what) {
+  EXPECT_EQ(got.messages, want.messages) << what;
+  EXPECT_EQ(got.parcels, want.parcels) << what;
+  EXPECT_EQ(got.bytes_encoded, want.bytes_encoded) << what;
+  EXPECT_EQ(got.bytes_copied, want.bytes_copied) << what;
+  EXPECT_EQ(got.contiguous_sends, want.contiguous_sends) << what;
+  EXPECT_EQ(got.runs_encoded, want.runs_encoded) << what;
+  EXPECT_EQ(got.max_runs_per_send, want.max_runs_per_send) << what;
+  EXPECT_EQ(got.parcels_rearranged, want.parcels_rearranged) << what;
+}
+
+/// One fresh exchange of the canonical parcels by `driver`, replaying a
+/// program compiled for `layout`; returns the arena's traffic. The
+/// sealed and journaled drivers (clean wire, fresh journal) must carry
+/// exactly what the pooled one does.
+WirePoolStats run_driver(const SuhShinAape& algo, LayoutPolicy layout, Driver driver,
+                         ParcelBuffers<std::int64_t>& out) {
+  if (driver == Driver::kPooled) return run_pooled(algo, layout, &out);
+  const Rank N = algo.shape().num_nodes();
+  const std::string what = algo.shape().to_string();
+  const StepProgram program(algo, layout);
+  const WirePoolStats pooled = run_pooled(algo, layout);
+  WireArena arena;
+  if (driver == Driver::kSealed) {
+    IntegrityOptions options;
+    options.arena = &arena;
+    IntegrityReport report;
+    out = exchange_payloads_sealed(algo, program, canonical_parcels(N), {}, options, &report);
+    EXPECT_TRUE(report.clean()) << what;
+    EXPECT_EQ(report.messages, pooled.messages) << what;
+    EXPECT_EQ(report.parcels, pooled.parcels) << what;
+    EXPECT_EQ(report.final_tick, algo.total_steps()) << what;  // one tick per step
+  } else {
+    ExchangeJournal journal;
+    JournalRunOptions options;
+    options.wire = &arena;
+    ResumeReport report;
+    out = exchange_payloads_journaled(algo, program, canonical_parcels(N), journal, options,
+                                      report);
+    EXPECT_TRUE(journal.exchange_complete()) << what;
+    EXPECT_EQ(report.sent_parcels, pooled.parcels) << what;
+    EXPECT_EQ(report.replayed_parcels, 0) << what;
+  }
+  expect_same_traffic(arena.stats(), pooled, what);
+  return arena.stats();
+}
 
 class StepProgramReplayTest : public ::testing::TestWithParam<ReplayCase> {};
 
 TEST_P(StepProgramReplayTest, DeliversTheTransposeWithSimulatorRunAccounting) {
   const SuhShinAape algo{TorusShape(GetParam().extents)};
   ParcelBuffers<std::int64_t> out;
-  const WirePoolStats wire = run_pooled(algo, GetParam().layout, &out);
+  const WirePoolStats wire = run_driver(algo, GetParam().layout, GetParam().driver, out);
   expect_delivered(algo.shape().num_nodes(), out);
   std::vector<std::vector<Block>> oracle_order;
   expect_matches_simulator(wire, run_layout_simulation(algo, GetParam().layout, &oracle_order),
@@ -555,19 +649,24 @@ TEST_P(StepProgramReplayTest, DeliversTheTransposeWithSimulatorRunAccounting) {
 
 std::vector<ReplayCase> replay_cases() {
   std::vector<ReplayCase> cases;
-  for (const auto& extents : std::vector<std::vector<std::int32_t>>{
-           {4, 4}, {8, 8}, {16, 8}, {12, 8}, {8, 4, 4}, {8, 8, 8}, {4, 4, 4, 4}, {12, 12, 4}}) {
-    for (const LayoutPolicy layout :
-         {LayoutPolicy::kPaper, LayoutPolicy::kNaiveDestinationOrder}) {
-      cases.push_back({extents, layout});
+  for (const Driver driver : {Driver::kPooled, Driver::kSealed, Driver::kJournaled}) {
+    for (const auto& extents : std::vector<std::vector<std::int32_t>>{
+             {4, 4}, {8, 8}, {16, 8}, {12, 8}, {8, 4, 4}, {8, 8, 8}, {4, 4, 4, 4}, {12, 12, 4}}) {
+      for (const LayoutPolicy layout :
+           {LayoutPolicy::kPaper, LayoutPolicy::kNaiveDestinationOrder}) {
+        cases.push_back({extents, layout, driver});
+      }
     }
   }
   return cases;
 }
 
 std::string replay_case_label(const ReplayCase& c) {
+  const char* driver = c.driver == Driver::kSealed      ? "_sealed"
+                       : c.driver == Driver::kJournaled ? "_journaled"
+                                                        : "";
   return TorusShape(c.extents).to_string() +
-         (c.layout == LayoutPolicy::kPaper ? "_paper" : "_naive");
+         (c.layout == LayoutPolicy::kPaper ? "_paper" : "_naive") + driver;
 }
 
 void PrintTo(const ReplayCase& c, std::ostream* os) { *os << replay_case_label(c); }
@@ -638,33 +737,13 @@ TEST(StepProgramTest, CopiesReplayIndependentlyOfTheOriginal) {
   expect_delivered(64, exchange_payloads_pooled(algo, copy, canonical_parcels(64)));
 }
 
-// --- Sealed exchange over both wire paths ------------------------------
-
-TEST(SealedWirePathTest, PooledAndPerParcelAgree) {
-  const TorusShape shape({4, 4});
-  const SuhShinAape algo(shape);
-  IntegrityOptions pooled_options;
-  pooled_options.wire_path = WirePath::kPooled;
-  IntegrityReport pooled_report;
-  const auto pooled =
-      exchange_payloads_sealed(algo, canonical_parcels(16), {}, pooled_options, &pooled_report);
-  IntegrityOptions per_parcel_options;
-  per_parcel_options.wire_path = WirePath::kPerParcel;
-  IntegrityReport per_parcel_report;
-  const auto per_parcel = exchange_payloads_sealed(algo, canonical_parcels(16), {},
-                                                   per_parcel_options, &per_parcel_report);
-  expect_delivered(16, pooled);
-  expect_delivered(16, per_parcel);
-  EXPECT_EQ(pooled_report.messages, per_parcel_report.messages);
-  EXPECT_EQ(pooled_report.parcels, per_parcel_report.parcels);
-  EXPECT_EQ(pooled_report.final_tick, per_parcel_report.final_tick);
-}
+// --- Sealed driver -------------------------------------------------------
 
 TEST(SealedWirePathTest, PooledPathSurvivesTamperingWithRetransmit) {
   const TorusShape shape({4, 4});
   const SuhShinAape algo(shape);
   int tampered = 0;
-  // Flip one payload byte of the first few transmissions; the sealed
+  // Flip one header-CRC byte of the first few transmissions; the sealed
   // frame must detect each and heal under retransmission.
   const ParcelTamperer tamperer = [&](const TransferContext&, std::vector<std::byte>& wire) {
     if (tampered >= 3 || wire.size() < 60) return false;
@@ -673,31 +752,95 @@ TEST(SealedWirePathTest, PooledPathSurvivesTamperingWithRetransmit) {
     return true;
   };
   IntegrityReport report;
-  const auto out = exchange_payloads_sealed(algo, canonical_parcels(16), tamperer, {}, &report);
+  const auto out =
+      exchange_payloads_sealed(algo, StepProgram(algo), canonical_parcels(16), tamperer, {}, &report);
   expect_delivered(16, out);
   EXPECT_EQ(report.corrupted, 3);
   EXPECT_EQ(report.retransmits, 3);
 }
 
 TEST(SealedWirePathTest, PooledPathGathersMultiRunFrames) {
-  // The sealed pooled executor keeps buffers in caller (destination)
-  // order — exactly the permuted layout that fragments send sets — so
-  // its messages exercise the v3 run-gather encode, the hole-splice
-  // scatter, and the true-run accounting. Before the rework this path
-  // hard-coded one run per message and gathered_parcels stayed 0.
+  // Replaying the naive-layout program, sends fragment: the sealed
+  // driver's messages exercise the v3 run-gather encode, the hole-splice
+  // scatter, and the true-run accounting.
   const TorusShape shape({8, 8});
   const SuhShinAape algo(shape);
   WireArena arena;
   IntegrityOptions options;
-  options.wire_path = WirePath::kPooled;
   options.arena = &arena;
   IntegrityReport report;
-  const auto out = exchange_payloads_sealed(algo, canonical_parcels(64), {}, options, &report);
+  const auto out =
+      exchange_payloads_sealed(algo, StepProgram(algo, LayoutPolicy::kNaiveDestinationOrder),
+                               canonical_parcels(64), {}, options, &report);
   expect_delivered(64, out);
   EXPECT_GT(arena.stats().gathered_parcels, 0);
   EXPECT_GT(arena.stats().max_runs_per_send, 1);
   EXPECT_GT(arena.stats().runs_encoded, arena.stats().total_sends);
   EXPECT_EQ(arena.stats().outstanding_frames(), 0);
+}
+
+/// Messages of one step; `in_place` reports whether every receive of
+/// the step lands over its node's own send run.
+std::int64_t step_messages(const StepProgram& program, int phase, int step, bool& in_place) {
+  std::int64_t messages = 0;
+  in_place = true;
+  for (Rank p = 0; p < program.num_nodes(); ++p) {
+    const StepProgram::NodeStep& s = program.step(phase, step, p);
+    messages += s.count > 0 ? 1 : 0;
+    in_place = in_place && s.in_place;
+  }
+  return messages;
+}
+
+/// Refuses the first attempt of every message in (phase, step): each
+/// must re-encode from its sender's source runs and arrive intact.
+void expect_step_retransmits_intact(const SuhShinAape& algo, const StepProgram& program,
+                                    int phase, int step, std::int64_t messages) {
+  const Rank N = algo.shape().num_nodes();
+  const ParcelTamperer refuse_first = [&](const TransferContext& ctx,
+                                          std::vector<std::byte>& wire) {
+    if (ctx.phase != phase || ctx.step != step || ctx.attempt != 0) return false;
+    wire.back() ^= std::byte{0x01};  // the frame CRC
+    return true;
+  };
+  IntegrityReport report;
+  const auto out =
+      exchange_payloads_sealed(algo, program, canonical_parcels(N), refuse_first, {}, &report);
+  expect_delivered(N, out);
+  EXPECT_EQ(report.corrupted, messages);
+  EXPECT_EQ(report.retransmits, messages);
+  EXPECT_EQ(report.final_tick, algo.total_steps() + 1);  // the step took one extra tick
+}
+
+TEST(SealedWirePathTest, InPlaceStepRetransmitsFromIntactRuns) {
+  // Every 2D paper-layout step receives in place, overwriting the run
+  // the node just sent. A refused message re-encodes from that run, so
+  // it must still hold the original parcels: receives integrate only
+  // after every frame of the step has been verified.
+  const SuhShinAape algo(TorusShape({8, 8}));
+  const StepProgram program(algo);
+  bool in_place = false;
+  const std::int64_t messages = step_messages(program, algo.num_phases(), 1, in_place);
+  ASSERT_TRUE(in_place);
+  ASSERT_GT(messages, 0);
+  expect_step_retransmits_intact(algo, program, algo.num_phases(), 1, messages);
+}
+
+TEST(SealedWirePathTest, CompactingStepRetransmitsFromIntactRuns) {
+  // The 3D counterpart: a step whose senders compact their buffers. The
+  // compaction must wait until the message has been verified.
+  const SuhShinAape algo(TorusShape({8, 4, 4}));
+  const StepProgram program(algo);
+  for (int phase = 1; phase <= program.num_phases(); ++phase) {
+    for (int step = 1; step <= program.steps_in_phase(phase); ++step) {
+      bool in_place = true;
+      const std::int64_t messages = step_messages(program, phase, step, in_place);
+      if (in_place || messages == 0) continue;
+      expect_step_retransmits_intact(algo, program, phase, step, messages);
+      return;
+    }
+  }
+  FAIL() << "no compacting step in the 8x4x4 program";
 }
 
 // --- Deterministic fuzz harness ----------------------------------------
@@ -730,24 +873,9 @@ bool mutate(SplitMix64& rng, const std::vector<std::byte>& clean, std::vector<st
   }
 }
 
-TEST(WireFuzzTest, MutatedMessagesNeverDecode) {
-  SplitMix64 rng(0xBADDCAFEu);
-  const auto parcels = make_parcels(4, 6);
-  const auto clean = encode_sealed_message(parcels, 3, 1, 4, 9);
-  std::vector<Parcel<std::int64_t>> out;
-  std::vector<std::byte> wire;
-  for (int iter = 0; iter < 4000; ++iter) {
-    if (!mutate(rng, clean, wire)) continue;
-    std::string reason;
-    const bool ok = decode_sealed_message<std::int64_t>(wire, 3, 1, 4, 9, 16, out, &reason);
-    ASSERT_FALSE(ok) << "mutated message decoded at iter " << iter;
-    EXPECT_FALSE(reason.empty()) << "rejection must be named (iter " << iter << ")";
-  }
-}
-
 TEST(WireFuzzTest, MutatedMultiRunFramesNeverDecode) {
-  // The v3 codec under the same seeded mutation harness: no mutation
-  // may decode, and (under the ASan/UBSan CI job) none may read out of
+  // The v3 codec under a seeded mutation harness: no mutation may
+  // decode, and (under the ASan/UBSan CI job) none may read out of
   // bounds — the run-table bound checks are what this leans on.
   SplitMix64 rng(0xD00DF00Du);
   MultiRunFixture fx;
@@ -798,11 +926,9 @@ TEST(WireFuzzTest, ResealedRandomRunTablesNeverScatterOutOfBounds) {
 TEST(WireFuzzTest, RandomGarbageNeverDecodes) {
   SplitMix64 rng(0x5EEDu);
   SealedRunFrameView<std::int64_t> run_view;
-  std::vector<Parcel<std::int64_t>> out;
   for (int iter = 0; iter < 1000; ++iter) {
     std::vector<std::byte> wire(static_cast<std::size_t>(rng.next_below(256)));
     for (auto& b : wire) b = static_cast<std::byte>(rng.next() & 0xFF);
-    EXPECT_FALSE(decode_sealed_message<std::int64_t>(wire, 1, 1, 0, 1, 4, out));
     EXPECT_FALSE(decode_multi_run_frame<std::int64_t>(WireView(wire), 1, 1, 0, 1, 4, run_view));
   }
 }
