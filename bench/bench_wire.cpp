@@ -23,6 +23,12 @@
 // interference only ever adds time, so the minimum is the stable
 // estimate of the steady state the gates compare.
 //
+// A thread sweep then times pooled_paper and sealed_pooled with the
+// step kernel on a StepPool of 1, 2 and nproc participants, on 8x8,
+// 8x4x4 and 8x8x8. Allocations are also counted per thread: a
+// thread-local flag marks the calling thread, so an allocation made on
+// a pool worker is counted apart.
+//
 // The bench is self-checking and exits non-zero on regression:
 //   * sealed_pooled must allocate no more per step than pooled_paper
 //     and copy exactly the same payload bytes: both are the same step
@@ -38,7 +44,12 @@
 //     every shape — the §3.3 layout exists to make sends cheaper;
 //   * pooled_strided must gather parcels (gathered_parcels > 0, the
 //     dead run-gather path regression) with more encoded runs than
-//     messages, under the same alloc budget as pooled_paper.
+//     messages, under the same alloc budget as pooled_paper;
+//   * in the thread sweep, pool workers must make no allocation at all
+//     once the path is warm (the caller sizes every buffer, frame and
+//     scratch vector they write);
+//   * on 8x8x8, with nproc >= 2, nproc participants must cost no more
+//     ns/parcel than one, on both swept paths.
 //
 // --out=FILE (default BENCH_wire.json) receives the results as JSON.
 #include <algorithm>
@@ -51,12 +62,14 @@
 #include <new>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/payload_exchange.hpp"
 #include "core/wire_buffer.hpp"
 #include "obs/chrome_trace.hpp"
 #include "util/cli.hpp"
+#include "util/step_pool.hpp"
 #include "util/table.hpp"
 
 // --- Global allocation counting ----------------------------------------
@@ -64,11 +77,15 @@
 namespace {
 std::atomic<std::int64_t> g_allocs{0};
 std::atomic<std::int64_t> g_alloc_bytes{0};
+/// Allocations made on any thread but the one running main().
+std::atomic<std::int64_t> g_off_caller_allocs{0};
+thread_local bool t_calling_thread = false;
 }  // namespace
 
 void* operator new(std::size_t size) {
   g_allocs.fetch_add(1, std::memory_order_relaxed);
   g_alloc_bytes.fetch_add(static_cast<std::int64_t>(size), std::memory_order_relaxed);
+  if (!t_calling_thread) g_off_caller_allocs.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(size)) return p;
   throw std::bad_alloc{};
 }
@@ -169,6 +186,25 @@ void append_path_json(std::ostringstream& out, const PathResult& r, bool last) {
   out << "\n        }" << (last ? "\n" : ",\n");
 }
 
+/// One configuration of the thread sweep.
+struct SweepResult {
+  std::string shape;
+  std::string path;
+  int participants = 1;
+  PathResult timing;
+  double off_caller_allocs_per_step = 0;
+};
+
+void append_sweep_json(std::ostringstream& out, const SweepResult& r, bool last) {
+  out << "    {\"shape\": \"" << r.shape << "\", \"path\": \"" << r.path
+      << "\", \"participants\": " << r.participants
+      << ", \"ms_per_exchange\": " << r.timing.ms
+      << ", \"ns_per_parcel\": " << r.timing.ns_per_parcel
+      << ", \"allocs_per_step\": " << r.timing.allocs_per_step
+      << ", \"off_caller_allocs_per_step\": " << r.off_caller_allocs_per_step << "}"
+      << (last ? "\n" : ",\n");
+}
+
 int g_failures = 0;
 
 void check(bool ok, const std::string& what) {
@@ -180,13 +216,16 @@ void check(bool ok, const std::string& what) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  t_calling_thread = true;
   const CliFlags flags = CliFlags::parse(argc, argv, {"out", "reps"});
   const std::string out_path = flags.get_string("out", "BENCH_wire.json");
   const int reps = static_cast<int>(flags.get_int("reps", 10, 1, 10000));
+  const int nproc = std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
 
   std::ostringstream json;
   json << "{\n  \"bench\": \"wire\",\n  \"alloc_budget_per_step\": " << kAllocBudgetPerStep
-       << ",\n  \"reps\": " << reps << ",\n  \"shapes\": [\n";
+       << ",\n  \"reps\": " << reps << ",\n  \"nproc\": " << nproc
+       << ",\n  \"shapes\": [\n";
 
   const std::vector<std::vector<std::int32_t>> shapes{{8, 8}, {8, 4, 4}};
   for (std::size_t si = 0; si < shapes.size(); ++si) {
@@ -349,6 +388,102 @@ int main(int argc, char** argv) {
     json << "      }\n    }" << (si + 1 == shapes.size() ? "\n" : ",\n");
   }
 
+  json << "  ],\n";
+
+  // Thread sweep: the same kernel on 1, 2 and nproc participants.
+  std::vector<int> participant_counts{1, 2, nproc};
+  std::sort(participant_counts.begin(), participant_counts.end());
+  participant_counts.erase(std::unique(participant_counts.begin(), participant_counts.end()),
+                           participant_counts.end());
+  std::vector<SweepResult> sweep;
+  {
+    // Cores that sat idle through the single-threaded paths above come
+    // up slowly, on a virtual machine for a second or so: run threaded
+    // exchanges for a second before timing any.
+    const SuhShinAape algo(TorusShape({8, 8, 8}));
+    const StepProgram program(algo, LayoutPolicy::kPaper);
+    StepPool pool(nproc);
+    WireExchangeOptions options;
+    options.pool = &pool;
+    const auto start = std::chrono::steady_clock::now();
+    while (std::chrono::steady_clock::now() - start < std::chrono::seconds(1)) {
+      exchange_payloads_pooled(algo, program, canonical_parcels(algo.shape().num_nodes()),
+                               options);
+    }
+  }
+  std::cout << "=== thread sweep (nproc " << nproc << ", " << reps << " reps) ===\n\n";
+  TextTable sweep_table({"shape", "path", "participants", "ms/exch", "ns/parcel", "allocs/step",
+                         "worker allocs/step"});
+  sweep_table.set_align(0, TextTable::Align::kLeft);
+  sweep_table.set_align(1, TextTable::Align::kLeft);
+  for (const auto& extents : std::vector<std::vector<std::int32_t>>{{8, 8}, {8, 4, 4}, {8, 8, 8}}) {
+    const TorusShape shape(extents);
+    const SuhShinAape algo(shape);
+    const Rank N = shape.num_nodes();
+    const StepProgram program(algo, LayoutPolicy::kPaper);
+    const double steps = static_cast<double>(algo.total_steps()) * reps;
+    for (const std::string path : {"pooled_paper", "sealed_pooled"}) {
+      for (const int participants : participant_counts) {
+        StepPool pool(participants);
+        WireArena arena;
+        const auto exchange = [&](ParcelBuffers<std::int64_t> parcels) {
+          if (path == "pooled_paper") {
+            WireExchangeOptions options;
+            options.arena = &arena;
+            options.pool = &pool;
+            exchange_payloads_pooled(algo, program, std::move(parcels), options);
+          } else {
+            IntegrityOptions options;
+            options.arena = &arena;
+            options.pool = &pool;
+            exchange_payloads_sealed(algo, program, std::move(parcels), {}, options);
+          }
+        };
+        exchange(canonical_parcels(N));  // warmup
+        const std::int64_t off0 = g_off_caller_allocs.load(std::memory_order_relaxed);
+        SweepResult r;
+        r.shape = shape.to_string();
+        r.path = path;
+        r.participants = participants;
+        r.timing = measure(path, algo, reps, exchange);
+        r.off_caller_allocs_per_step =
+            static_cast<double>(g_off_caller_allocs.load(std::memory_order_relaxed) - off0) /
+            steps;
+        sweep_table.start_row()
+            .cell(r.shape)
+            .cell(r.path)
+            .cell(static_cast<std::int64_t>(participants))
+            .cell(r.timing.ms, 3)
+            .cell(r.timing.ns_per_parcel, 1)
+            .cell(r.timing.allocs_per_step, 1)
+            .cell(r.off_caller_allocs_per_step, 1);
+        check(r.off_caller_allocs_per_step == 0,
+              "pool workers must not allocate on a warm path (" + r.shape + " " + path + ", " +
+                  std::to_string(participants) + " participants)");
+        sweep.push_back(r);
+      }
+    }
+  }
+  sweep_table.print(std::cout);
+  std::cout << "\n";
+  // The threaded kernel must pay for itself where the work is largest.
+  if (nproc >= 2) {
+    for (const std::string path : {"pooled_paper", "sealed_pooled"}) {
+      double one = 0;
+      double all = 0;
+      for (const SweepResult& r : sweep) {
+        if (r.shape != "8x8x8" || r.path != path) continue;
+        if (r.participants == 1) one = r.timing.ns_per_parcel;
+        if (r.participants == nproc) all = r.timing.ns_per_parcel;
+      }
+      check(all <= one, path + " on nproc participants must cost no more ns/parcel than on one "
+                               "(8x8x8)");
+    }
+  }
+  json << "  \"thread_sweep\": [\n";
+  for (std::size_t i = 0; i < sweep.size(); ++i) {
+    append_sweep_json(json, sweep[i], i + 1 == sweep.size());
+  }
   json << "  ],\n  \"pass\": " << (g_failures == 0 ? "true" : "false") << "\n}\n";
 
   std::string error;

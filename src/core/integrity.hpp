@@ -32,6 +32,8 @@
 
 namespace torex {
 
+class StepPool;
+
 // --- Wire primitives ---------------------------------------------------
 
 /// Little-endian append of a 32-bit word.
@@ -109,6 +111,9 @@ struct IntegrityOptions {
   /// private arena; supplying one lets frames (and the arena's pool /
   /// traffic statistics) survive across exchanges.
   WireArena* arena = nullptr;
+  /// Optional worker pool for the step kernel's per-node work; every
+  /// stage runs inline on the calling thread when null.
+  StepPool* pool = nullptr;
 };
 
 /// One detected integrity violation (a seal that failed verification).

@@ -27,6 +27,7 @@
 #include "obs/recorder.hpp"
 #include "util/assert.hpp"
 #include "util/crc32.hpp"
+#include "util/step_pool.hpp"
 
 namespace torex {
 
@@ -115,13 +116,26 @@ class DeliveryBitmap {
 
 namespace detail {
 
+/// Runs `check(p, seen)` for every node p on `pool` (inline when null),
+/// each participant with its own N-entry `seen` scratch, allocated here
+/// on the calling thread.
+template <typename Check>
+void check_each_node(Rank N, StepPool* pool, Check&& check) {
+  std::vector<std::vector<char>> seen(static_cast<std::size_t>(participants(pool)),
+                                      std::vector<char>(static_cast<std::size_t>(N)));
+  StepPool::run(pool, static_cast<std::size_t>(N), [&](std::size_t p, int who) {
+    check(static_cast<Rank>(p), seen[static_cast<std::size_t>(who)]);
+  });
+}
+
 /// Validates the canonical all-to-all seed: one buffer per node, one
-/// parcel per destination, every parcel originating at its node.
+/// parcel per destination, every parcel originating at its node. Nodes
+/// are checked on `pool`; the lowest failing node's error is thrown.
 template <typename T>
-void require_canonical_parcel_seed(Rank N, const ParcelBuffers<T>& buffers) {
+void require_canonical_parcel_seed(Rank N, const ParcelBuffers<T>& buffers,
+                                   StepPool* pool = nullptr) {
   TOREX_REQUIRE(static_cast<Rank>(buffers.size()) == N, "need one buffer per node");
-  std::vector<char> seen(static_cast<std::size_t>(N));
-  for (Rank p = 0; p < N; ++p) {
+  check_each_node(N, pool, [&](Rank p, std::vector<char>& seen) {
     TOREX_REQUIRE(static_cast<Rank>(buffers[static_cast<std::size_t>(p)].size()) == N,
                   "node must start with one parcel per destination");
     std::fill(seen.begin(), seen.end(), 0);
@@ -133,15 +147,16 @@ void require_canonical_parcel_seed(Rank N, const ParcelBuffers<T>& buffers) {
                     "duplicate destination in a node's initial parcels");
       seen[static_cast<std::size_t>(parcel.block.dest)] = 1;
     }
-  }
+  });
 }
 
 /// Verifies the AAPE postcondition on delivered parcels: node p holds
-/// exactly one parcel from every origin, all addressed to p.
+/// exactly one parcel from every origin, all addressed to p. Nodes are
+/// checked on `pool`.
 template <typename T>
-void check_parcel_postcondition(Rank N, const ParcelBuffers<T>& buffers) {
-  std::vector<char> seen(static_cast<std::size_t>(N));
-  for (Rank p = 0; p < N; ++p) {
+void check_parcel_postcondition(Rank N, const ParcelBuffers<T>& buffers,
+                                StepPool* pool = nullptr) {
+  check_each_node(N, pool, [&](Rank p, std::vector<char>& seen) {
     const auto& buf = buffers[static_cast<std::size_t>(p)];
     TOREX_CHECK(static_cast<Rank>(buf.size()) == N, "payload exchange lost parcels");
     std::fill(seen.begin(), seen.end(), 0);
@@ -150,7 +165,7 @@ void check_parcel_postcondition(Rank N, const ParcelBuffers<T>& buffers) {
       TOREX_CHECK(!seen[static_cast<std::size_t>(parcel.block.origin)], "duplicate origin");
       seen[static_cast<std::size_t>(parcel.block.origin)] = 1;
     }
-  }
+  });
 }
 
 }  // namespace detail
@@ -451,21 +466,18 @@ class SealedRunFrameView {
 /// identities out of range, plus the run-table classes: a table longer
 /// than the frame, zero-length runs, overlapping or out-of-order
 /// descriptors, descriptors pointing outside the scatter region, and a
-/// table that does not account for every parcel.
+/// table that does not account for every parcel. Returns null when the
+/// frame verifies, leaving its view in `out`; otherwise the reason, a
+/// string literal. Allocates nothing, so step-kernel workers call it.
 template <typename T>
-bool decode_multi_run_frame(WireView wire, int phase, int step, Rank src, Rank dst,
-                            Rank num_nodes, SealedRunFrameView<T>& out,
-                            std::string* reason = nullptr) {
+const char* verify_multi_run_frame(WireView wire, int phase, int step, Rank src, Rank dst,
+                                   Rank num_nodes, SealedRunFrameView<T>& out) {
   static_assert(std::is_trivially_copyable_v<Parcel<T>>,
                 "framed exchange requires trivially copyable parcels");
   out = SealedRunFrameView<T>();
-  auto fail = [&](const char* what) {
-    if (reason != nullptr) *reason = what;
-    return false;
-  };
-  if (phase < 0 || step < 0 || src < 0 || dst < 0) return fail("negative message metadata");
+  if (phase < 0 || step < 0 || src < 0 || dst < 0) return "negative message metadata";
   if (wire.size() < detail::kFrameV3HeaderBytes + detail::kFrameTrailerBytes) {
-    return fail("truncated message header");
+    return "truncated message header";
   }
   std::size_t offset = 0;
   std::uint32_t magic = 0, wire_phase = 0, wire_step = 0, run_count = 0, header_crc = 0;
@@ -482,35 +494,35 @@ bool decode_multi_run_frame(WireView wire, int phase, int step, Rank src, Rank d
   wire_get_u32(wire, offset, header_crc);
   Crc32 crc;
   crc.update(wire.data(), header_len);
-  if (header_crc != crc.value()) return fail("header checksum mismatch");
-  if (magic != detail::kFrameV3Magic) return fail("bad magic");
+  if (header_crc != crc.value()) return "header checksum mismatch";
+  if (magic != detail::kFrameV3Magic) return "bad magic";
   if (wire_phase != static_cast<std::uint32_t>(phase) ||
       wire_step != static_cast<std::uint32_t>(step)) {
-    return fail("message sealed for a different step");
+    return "message sealed for a different step";
   }
   if (wire_src != static_cast<std::uint64_t>(static_cast<std::int64_t>(src)) ||
       wire_dst != static_cast<std::uint64_t>(static_cast<std::int64_t>(dst))) {
-    return fail("message sealed for a different channel");
+    return "message sealed for a different channel";
   }
-  if (parcel_size != sizeof(Parcel<T>)) return fail("parcel record size mismatch");
+  if (parcel_size != sizeof(Parcel<T>)) return "parcel record size mismatch";
   // Bound the run table, then the parcel count, by the bytes actually
   // present — neither may drive a read past the frame.
   const std::size_t avail_all =
       wire.size() - detail::kFrameV3HeaderBytes - detail::kFrameTrailerBytes;
   if (run_count > avail_all / detail::kRunDescriptorBytes) {
-    return fail("run table exceeds message size");
+    return "run table exceeds message size";
   }
   const std::size_t table_bytes =
       static_cast<std::size_t>(run_count) * detail::kRunDescriptorBytes;
   const std::size_t avail = avail_all - table_bytes;
-  if (count > avail / sizeof(Parcel<T>)) return fail("parcel count exceeds message size");
-  if (count * sizeof(Parcel<T>) != avail) return fail("frame size mismatch");
+  if (count > avail / sizeof(Parcel<T>)) return "parcel count exceeds message size";
+  if (count * sizeof(Parcel<T>) != avail) return "frame size mismatch";
   const std::size_t run_end = wire.size() - detail::kFrameTrailerBytes;
   std::uint32_t frame_crc = 0;
   std::size_t trailer_at = run_end;
   wire_get_u32(wire, trailer_at, frame_crc);
   crc.update(wire.data() + header_len, run_end - header_len);
-  if (frame_crc != crc.value()) return fail("frame checksum mismatch");
+  if (frame_crc != crc.value()) return "frame checksum mismatch";
   // The descriptors must form an exact ascending partition of the
   // scatter region [0, count): no zero-length, overlapping, or
   // out-of-bounds run can reach the scatter memcpy.
@@ -522,13 +534,13 @@ bool decode_multi_run_frame(WireView wire, int phase, int step, Rank src, Rank d
     std::uint64_t dst_offset = 0, n = 0;
     wire_get_u64(wire, at, dst_offset);
     wire_get_u64(wire, at, n);
-    if (n == 0) return fail("empty run descriptor");
-    if (dst_offset < next_free) return fail("overlapping run descriptors");
-    if (n > count || dst_offset > count - n) return fail("run descriptor out of bounds");
+    if (n == 0) return "empty run descriptor";
+    if (dst_offset < next_free) return "overlapping run descriptors";
+    if (n > count || dst_offset > count - n) return "run descriptor out of bounds";
     next_free = dst_offset + n;
     covered += n;
   }
-  if (covered != count) return fail("run table does not cover the frame");
+  if (covered != count) return "run table does not cover the frame";
   SealedRunFrameView<T> view(wire.data() + detail::kFrameV3HeaderBytes,
                              static_cast<std::size_t>(run_count),
                              wire.data() + detail::kFrameV3HeaderBytes + table_bytes,
@@ -536,11 +548,22 @@ bool decode_multi_run_frame(WireView wire, int phase, int step, Rank src, Rank d
   for (std::size_t i = 0; i < view.count(); ++i) {
     const Block b = view.identity(i);
     if (b.origin < 0 || b.origin >= num_nodes || b.dest < 0 || b.dest >= num_nodes) {
-      return fail("parcel identity out of range");
+      return "parcel identity out of range";
     }
   }
   out = view;
-  return true;
+  return nullptr;
+}
+
+/// verify_multi_run_frame with a boolean verdict; the reason, when the
+/// frame is refused, goes to `reason`.
+template <typename T>
+bool decode_multi_run_frame(WireView wire, int phase, int step, Rank src, Rank dst,
+                            Rank num_nodes, SealedRunFrameView<T>& out,
+                            std::string* reason = nullptr) {
+  const char* refused = verify_multi_run_frame<T>(wire, phase, step, src, dst, num_nodes, out);
+  if (refused != nullptr && reason != nullptr) *reason = refused;
+  return refused == nullptr;
 }
 
 // --- Strided user-buffer views (Träff-style datatypes) ------------------
@@ -559,40 +582,67 @@ struct StridedView {
   T& at(std::size_t i) const { return base[static_cast<std::ptrdiff_t>(i) * stride]; }
 };
 
-/// Seeds the canonical all-to-all parcels from per-node strided send
-/// views: node p's element for destination q is send[p].at(q).
-template <typename T>
-ParcelBuffers<T> seed_parcels_strided(Rank N, const std::vector<StridedView<const T>>& send) {
-  TOREX_REQUIRE(static_cast<Rank>(send.size()) == N, "need one send view per node");
-  ParcelBuffers<T> buffers(static_cast<std::size_t>(N));
-  for (Rank p = 0; p < N; ++p) {
-    const StridedView<const T>& view = send[static_cast<std::size_t>(p)];
-    TOREX_REQUIRE(static_cast<Rank>(view.count) == N && view.base != nullptr,
-                  "send view must cover one element per destination");
-    auto& buf = buffers[static_cast<std::size_t>(p)];
-    buf.reserve(static_cast<std::size_t>(N));
-    for (Rank q = 0; q < N; ++q) {
-      buf.push_back({Block{p, q}, view.at(static_cast<std::size_t>(q))});
-    }
+namespace detail {
+
+/// Requires one view per node, each covering N elements: checked for
+/// every view before any data moves, so a bad view leaves the caller's
+/// memory untouched.
+template <typename View>
+void require_strided_views(Rank N, const std::vector<View>& views, const char* per_node,
+                           const char* per_view) {
+  TOREX_REQUIRE(static_cast<Rank>(views.size()) == N, per_node);
+  for (const View& view : views) {
+    TOREX_REQUIRE(static_cast<Rank>(view.count) == N && view.base != nullptr, per_view);
   }
+}
+
+/// The pool that may copy payloads of type T: copying runs no user code
+/// only for trivially copyable payloads, so other payloads are copied
+/// inline, on the calling thread.
+template <typename T>
+StepPool* copy_pool(StepPool* pool) {
+  return std::is_trivially_copyable_v<T> ? pool : nullptr;
+}
+
+}  // namespace detail
+
+/// Seeds the canonical all-to-all parcels from per-node strided send
+/// views: node p's element for destination q is send[p].at(q). Every
+/// buffer is allocated on the calling thread; trivially copyable
+/// payloads are then copied on `pool`.
+template <typename T>
+ParcelBuffers<T> seed_parcels_strided(Rank N, const std::vector<StridedView<const T>>& send,
+                                      StepPool* pool = nullptr) {
+  detail::require_strided_views(N, send, "need one send view per node",
+                                "send view must cover one element per destination");
+  ParcelBuffers<T> buffers(static_cast<std::size_t>(N));
+  for (auto& buf : buffers) buf.reserve(static_cast<std::size_t>(N));
+  StepPool::run(detail::copy_pool<T>(pool), buffers.size(), [&](std::size_t p, int) {
+    const StridedView<const T>& view = send[p];
+    auto& buf = buffers[p];
+    for (Rank q = 0; q < N; ++q) {
+      buf.push_back({Block{static_cast<Rank>(p), q}, view.at(static_cast<std::size_t>(q))});
+    }
+  });
   return buffers;
 }
 
 /// Scatters delivered parcels into per-node strided receive views:
 /// node p's parcel from origin o lands at recv[p].at(o). `delivered`
 /// must satisfy the AAPE postcondition (checked by the executors).
+/// Every view is checked before any element is written. Trivially
+/// copyable payloads are written on `pool`, so the views must not
+/// overlap.
 template <typename T>
 void scatter_parcels_strided(Rank N, const ParcelBuffers<T>& delivered,
-                             const std::vector<StridedView<T>>& recv) {
-  TOREX_REQUIRE(static_cast<Rank>(recv.size()) == N, "need one receive view per node");
-  for (Rank p = 0; p < N; ++p) {
-    const StridedView<T>& view = recv[static_cast<std::size_t>(p)];
-    TOREX_REQUIRE(static_cast<Rank>(view.count) == N && view.base != nullptr,
-                  "receive view must cover one element per origin");
-    for (const Parcel<T>& parcel : delivered[static_cast<std::size_t>(p)]) {
-      view.at(static_cast<std::size_t>(parcel.block.origin)) = parcel.payload;
+                             const std::vector<StridedView<T>>& recv, StepPool* pool = nullptr) {
+  detail::require_strided_views(N, recv, "need one receive view per node",
+                                "receive view must cover one element per origin");
+  StepPool::run(detail::copy_pool<T>(pool), recv.size(), [&](std::size_t p, int) {
+    for (const Parcel<T>& parcel : delivered[p]) {
+      recv[p].at(static_cast<std::size_t>(parcel.block.origin)) = parcel.payload;
     }
-  }
+  });
 }
 
 // --- The step kernel ---------------------------------------------------
@@ -613,9 +663,38 @@ void scatter_parcels_strided(Rank N, const ParcelBuffers<T>& delivered,
 // moves through a staging vector. Every message of a step leaves before
 // any receive integrates, so a refused frame re-encodes from intact
 // source runs, and an in-place receive overwrites its node's send only
-// once every frame of the step has been verified. The arena records
+// once every message of the step has settled. The arena records
 // LayoutStats-style run accounting, so the payload path reports the
 // same contiguity evidence as the block-level simulator.
+//
+// The one-port model makes every node's part of a stage independent —
+// each node sorts only its own buffer, each sender writes only its
+// receiver's frame, each node lands only its own receive — so the
+// per-node work of a step runs on an optional StepPool
+// (util/step_pool.hpp), as bulk-synchronous stages:
+//
+//   caller   lease every frame at full size (or reserve staging), check
+//            the one-port model, size every receive, account traffic;
+//   workers  each sender gathers its runs into its frame and seals it
+//            (a local step moves them into the receiver's staging slot);
+//            with no tamper stage, each frame is verified here too;
+//   caller   the driver tampers with every first transmission, in
+//            sender order (only drivers that tamper);
+//   workers  every frame is verified (only drivers that tamper);
+//   caller   the driver settles each message in sender order; a refused
+//            one is re-encoded, tampered with and verified right there,
+//            before the next sender's message settles;
+//   workers  each node compacts its send, unless it receives in place,
+//            then lands its receive;
+//   caller   frames return to the arena; `received` and `step_done` run.
+//
+// The phase-boundary sort, the seed order and the postcondition check
+// run on the pool too. Every hook runs on the calling thread, in node
+// order, so reports, recorder events and journal records come out the
+// same at any pool size; with a null or one-participant pool the same
+// stages run inline. Workers never allocate — the caller sizes every
+// frame, buffer, staging slot and scratch vector first — and record
+// nothing: the phase and step spans wrap the stages on the caller.
 //
 // Drivers extend the loop through StepHooks. Hooks are template
 // arguments: no std::function and no virtual call per message.
@@ -632,28 +711,37 @@ struct StepMessage {
 };
 
 /// The kernel's default hooks. A driver derives from them and hides the
-/// members it extends.
+/// members it extends. Every hook runs on the calling thread.
 struct StepHooks {
   /// Whether (phase, step) crosses the framed wire; when false its
   /// messages move locally. Non-trivially-copyable parcels always move
   /// locally.
   bool framed(int /*phase*/, int /*step*/) const { return true; }
 
-  /// Verifies one freshly encoded frame in place, leaving its view in
-  /// `view`. Returning false makes the kernel re-encode the message from
-  /// its source runs and deliver it again (attempt + 1). The default
-  /// wire is never tampered with, so a refused frame is a logic error.
+  /// Whether frames pass through tamper() before they are verified.
+  /// When false the workers verify each frame as soon as it is sealed.
+  bool tampers() const { return false; }
+
+  /// May damage one transmission's frame in flight. All first
+  /// transmissions of a step are tampered with, in sender order, before
+  /// any is verified; a retransmission right after it is re-encoded.
+  void tamper(const StepMessage& /*m*/, std::vector<std::byte>& /*frame*/) {}
+
+  /// Settles one transmission, in sender order: `refused` is null when
+  /// the frame verified (its parcels are in `view`), else the verifier's
+  /// reason. Returning false makes the kernel re-encode the message from
+  /// its intact source runs, tamper with it and verify it again (attempt
+  /// + 1). The default wire is never tampered with, so a refused frame is
+  /// a logic error.
   template <typename T>
-  bool deliver(const StepMessage& m, Rank num_nodes, PooledFrame& frame,
-               SealedRunFrameView<T>& view) {
-    std::string why;
-    TOREX_CHECK(decode_multi_run_frame<T>(frame.view(), m.phase, m.step, m.src, m.dst,
-                                          num_nodes, view, &why),
-                "wire frame failed verification: " + why);
+  bool settle(const StepMessage& /*m*/, const SealedRunFrameView<T>& /*view*/,
+              const char* refused) {
+    TOREX_CHECK(refused == nullptr, std::string("wire frame failed verification: ") + refused);
     return true;
   }
 
-  /// One integrated receive: `count` parcels at `first` in `node`'s buffer.
+  /// One integrated receive: `count` parcels at `first` in `node`'s
+  /// buffer. Called in node order once every receive of the step landed.
   template <typename T>
   void received(Rank /*node*/, int /*phase*/, int /*step*/, Parcel<T>* /*first*/,
                 std::size_t /*count*/) {}
@@ -662,44 +750,75 @@ struct StepHooks {
   void phase_done(int /*phase*/) {}
 };
 
-/// Puts a canonical seed (one parcel per destination, see
-/// require_canonical_parcel_seed) in destination order — the order a
-/// StepProgram is compiled for. Seeds built row by row already are.
+/// Puts one node's canonical seed (one parcel per destination) in
+/// destination order, through `scratch` (capacity for the buffer, so
+/// nothing allocates). Seeds built row by row already are in order.
+template <typename T>
+void order_by_destination(std::vector<Parcel<T>>& buf, std::vector<Parcel<T>>& scratch) {
+  bool ordered = true;
+  for (std::size_t i = 0; ordered && i < buf.size(); ++i) {
+    ordered = buf[i].block.dest == static_cast<Rank>(i);
+  }
+  if (ordered) return;
+  scratch.resize(buf.size());
+  for (Parcel<T>& x : buf) scratch[static_cast<std::size_t>(x.block.dest)] = std::move(x);
+  buf.swap(scratch);
+}
+
+/// Puts a canonical seed (see require_canonical_parcel_seed) in
+/// destination order — the order a StepProgram is compiled for.
 template <typename T>
 void order_seed_by_destination(ParcelBuffers<T>& buffers, std::vector<Parcel<T>>& scratch) {
-  for (auto& buf : buffers) {
-    bool ordered = true;
-    for (std::size_t i = 0; ordered && i < buf.size(); ++i) {
-      ordered = buf[i].block.dest == static_cast<Rank>(i);
-    }
-    if (ordered) continue;
-    scratch.resize(buf.size());
-    for (Parcel<T>& x : buf) scratch[static_cast<std::size_t>(x.block.dest)] = std::move(x);
-    buf.swap(scratch);
-  }
+  for (auto& buf : buffers) order_by_destination(buf, scratch);
 }
 
 /// The step kernel: replays `program` over `buffers` (a canonical seed
-/// the driver has validated) on `arena`'s frames, calls `hooks` as
-/// described above, and checks the AAPE postcondition.
+/// the driver has validated) on `arena`'s frames and `pool`'s workers
+/// (inline when null), calls `hooks` as described above, and checks the
+/// AAPE postcondition.
 template <typename T, typename Hooks>
 void replay_step_program(const StepProgram& program, ParcelBuffers<T>& buffers, WireArena& arena,
-                         Recorder* obs, Hooks& hooks) {
+                         StepPool* pool, Recorder* obs, Hooks& hooks) {
   constexpr bool kFramable = std::is_trivially_copyable_v<Parcel<T>>;
   const Rank N = program.num_nodes();
   const auto nodes = static_cast<std::size_t>(N);
-  // In flight, one slot per receiver: a leased frame with its verified
-  // view, or the parcels moved into `staged`.
+  // In flight, one slot per receiver: its sender and a leased frame with
+  // the verifier's verdict, or the parcels moved into `staged`.
   struct Inbound {
+    Rank src = -1;  ///< -1: nothing arrives this step
     PooledFrame frame;
     SealedRunFrameView<T> view;
-    bool active = false;
+    const char* refused = nullptr;  ///< null once the frame verified
+    std::size_t at = 0;             ///< where the receive landed
+    std::size_t count = 0;          ///< parcels received
   };
   std::vector<Inbound> inbound(nodes);
-  ParcelBuffers<T> staged;                // local transport, sized on first use
-  std::vector<Parcel<T>> scratch;         // rearrangement target, reused per node
-  std::vector<std::uint32_t> key_counts;  // counting-sort histogram
-  order_seed_by_destination(buffers, scratch);
+  ParcelBuffers<T> staged;  // local transport, sized on first use
+  // Per-participant sort scratch: once every buffer and scratch vector
+  // holds the largest buffer, the sort's swaps keep it that way.
+  struct Scratch {
+    std::vector<Parcel<T>> parcels;
+    std::vector<std::uint32_t> key_counts;
+  };
+  std::uint32_t max_keys = 0;
+  for (int phase = 1; phase <= program.num_phases(); ++phase) {
+    max_keys = std::max(max_keys, program.num_keys(phase));
+  }
+  std::vector<Scratch> scratch(static_cast<std::size_t>(participants(pool)));
+  for (Scratch& s : scratch) s.key_counts.reserve(std::size_t{max_keys} + 1);
+  const auto hold_largest_buffer = [&] {
+    std::size_t largest = 0;
+    for (const auto& buf : buffers) largest = std::max(largest, buf.size());
+    for (auto& buf : buffers) buf.reserve(largest);
+    for (Scratch& s : scratch) s.parcels.reserve(largest);
+  };
+  // Every stage below runs over all nodes.
+  const auto each_node = [&](auto&& fn) { StepPool::run(pool, nodes, fn); };
+
+  hold_largest_buffer();
+  each_node([&](std::size_t p, int who) {
+    order_by_destination(buffers[p], scratch[static_cast<std::size_t>(who)].parcels);
+  });
 
   for (int phase = 1; phase <= program.num_phases(); ++phase) {
     SpanGuard phase_span(obs, "phase", -1, phase);
@@ -710,95 +829,153 @@ void replay_step_program(const StepProgram& program, ParcelBuffers<T>& buffers, 
       arena.stats().parcels_rearranged += N;
     }
     if (program.rearranges(phase)) {
-      for (Rank p = 0; p < N; ++p) {
-        const StepProgram::SortKey key = program.sort_key(phase, p);
-        stable_counting_sort(buffers[static_cast<std::size_t>(p)], scratch, key_counts,
-                             program.num_keys(phase),
+      hold_largest_buffer();
+      each_node([&](std::size_t p, int who) {
+        const StepProgram::SortKey key = program.sort_key(phase, static_cast<Rank>(p));
+        Scratch& s = scratch[static_cast<std::size_t>(who)];
+        stable_counting_sort(buffers[p], s.parcels, s.key_counts, program.num_keys(phase),
                              [&](const Parcel<T>& x) { return key(x.block.dest); });
-      }
+      });
     }
 
     for (int step = 1; step <= program.steps_in_phase(phase); ++step) {
       SpanGuard step_span(obs, "step", -1, phase, step);
       const bool framed = kFramable && hooks.framed(phase, step);
+      const bool verify_at_seal = !hooks.tampers();
       if (!framed && staged.empty()) staged.resize(nodes);
-      // Send half: each sender's runs leave (and, when framed, are
-      // verified); the sender compacts unless its receive lands in place.
+      const auto message = [&](Rank p) {
+        const StepProgram::NodeStep& s = program.step(phase, step, p);
+        return StepMessage{phase, step, p, s.partner, 0};
+      };
+      // Caller: lease, check, size and account, in sender order.
       for (Rank p = 0; p < N; ++p) {
         const StepProgram::NodeStep& s = program.step(phase, step, p);
         if (s.count == 0) continue;
-        auto& buf = buffers[static_cast<std::size_t>(p)];
+        Inbound& in = inbound[static_cast<std::size_t>(s.partner)];
+        TOREX_CHECK(in.src < 0, "one-port receive violation in the step kernel");
+        in.src = p;
+        const std::size_t run_bytes = s.count * sizeof(Parcel<T>);
+        if (framed) {
+          const std::size_t frame_bytes = kFrameV3HeaderBytes +
+                                          s.run_count * kRunDescriptorBytes + run_bytes +
+                                          kFrameTrailerBytes;
+          in.frame.bind(arena, frame_bytes);
+          arena.stats().note_message(static_cast<std::int64_t>(s.count),
+                                     static_cast<std::int64_t>(s.run_count));
+          arena.stats().bytes_encoded += static_cast<std::int64_t>(frame_bytes);
+          arena.stats().bytes_copied += static_cast<std::int64_t>(2 * run_bytes);  // gather, splice
+        } else {
+          staged[static_cast<std::size_t>(s.partner)].reserve(s.count);
+        }
+        // A receive that does not land in place grows its buffer by the
+        // difference between what arrives and what the receiver sent.
+        const StepProgram::NodeStep& r = program.step(phase, step, s.partner);
+        if (!r.in_place) {
+          auto& dst = buffers[static_cast<std::size_t>(s.partner)];
+          dst.reserve(dst.size() - r.count + s.count);
+        }
+      }
+      // Workers: gather and seal (or stage locally).
+      each_node([&](std::size_t p, int) {
+        const StepProgram::NodeStep& s = program.step(phase, step, static_cast<Rank>(p));
+        if (s.count == 0) return;
+        auto& buf = buffers[p];
         const std::span<const SendRun> runs = program.runs(s);
         Inbound& in = inbound[static_cast<std::size_t>(s.partner)];
-        TOREX_CHECK(!in.active, "one-port receive violation in the step kernel");
-        in.active = true;
         if constexpr (kFramable) {
           if (framed) {
-            const std::size_t run_bytes = s.count * sizeof(Parcel<T>);
-            for (StepMessage m{phase, step, p, s.partner, 0};; ++m.attempt) {
-              in.frame.bind(arena, kFrameV3HeaderBytes + runs.size() * kRunDescriptorBytes +
-                                       run_bytes + kFrameTrailerBytes);
-              encode_multi_run_frame(buf, runs, s.count, phase, step, p, s.partner,
-                                     in.frame.bytes());
+            encode_multi_run_frame(buf, runs, s.count, phase, step, static_cast<Rank>(p),
+                                   s.partner, in.frame.bytes());
+            if (verify_at_seal) {
+              in.refused = verify_multi_run_frame<T>(in.frame.view(), phase, step,
+                                                     static_cast<Rank>(p), s.partner, N, in.view);
+            }
+            return;
+          }
+        }
+        auto& out = staged[static_cast<std::size_t>(s.partner)];
+        for (const SendRun& r : runs) {
+          const auto first = buf.begin() + static_cast<std::ptrdiff_t>(r.offset);
+          out.insert(out.end(), std::make_move_iterator(first),
+                     std::make_move_iterator(first + static_cast<std::ptrdiff_t>(r.count)));
+        }
+      });
+      if constexpr (kFramable) {
+        if (framed) {
+          if (!verify_at_seal) {
+            for (Rank p = 0; p < N; ++p) {
+              if (program.step(phase, step, p).count == 0) continue;
+              const StepMessage m = message(p);
+              hooks.tamper(m, inbound[static_cast<std::size_t>(m.dst)].frame.bytes());
+            }
+            each_node([&](std::size_t q, int) {
+              Inbound& in = inbound[q];
+              if (in.src < 0) return;
+              in.refused = verify_multi_run_frame<T>(in.frame.view(), phase, step, in.src,
+                                                     static_cast<Rank>(q), N, in.view);
+            });
+          }
+          // Caller: settle in sender order, retransmitting refused frames.
+          for (Rank p = 0; p < N; ++p) {
+            const StepProgram::NodeStep& s = program.step(phase, step, p);
+            if (s.count == 0) continue;
+            Inbound& in = inbound[static_cast<std::size_t>(s.partner)];
+            for (StepMessage m = message(p); !hooks.settle(m, in.view, in.refused);) {
+              ++m.attempt;
+              encode_multi_run_frame(buffers[static_cast<std::size_t>(p)], program.runs(s),
+                                     s.count, phase, step, p, s.partner, in.frame.bytes());
               arena.stats().note_message(static_cast<std::int64_t>(s.count),
-                                         static_cast<std::int64_t>(runs.size()));
+                                         static_cast<std::int64_t>(s.run_count));
               arena.stats().bytes_encoded += static_cast<std::int64_t>(in.frame.bytes().size());
-              arena.stats().bytes_copied += static_cast<std::int64_t>(run_bytes);
-              if (hooks.deliver(m, N, in.frame, in.view)) break;
+              arena.stats().bytes_copied += static_cast<std::int64_t>(s.count * sizeof(Parcel<T>));
+              hooks.tamper(m, in.frame.bytes());
+              in.refused = verify_multi_run_frame<T>(in.frame.view(), phase, step, p, s.partner, N,
+                                                     in.view);
             }
           }
         }
-        if (!framed) {
-          auto& out = staged[static_cast<std::size_t>(s.partner)];
-          for (const SendRun& r : runs) {
-            const auto first = buf.begin() + static_cast<std::ptrdiff_t>(r.offset);
-            out.insert(out.end(), std::make_move_iterator(first),
-                       std::make_move_iterator(first + static_cast<std::ptrdiff_t>(r.count)));
-          }
-        }
-        if (!s.in_place) erase_runs(buf, runs);
       }
-      // Integrate half: each receive lands over the node's own send run
-      // (in place) or in the hole that send left, then the frame returns
-      // to the arena.
-      for (Rank p = 0; p < N; ++p) {
-        Inbound& in = inbound[static_cast<std::size_t>(p)];
-        if (!in.active) continue;
-        in.active = false;
-        auto& buf = buffers[static_cast<std::size_t>(p)];
-        std::size_t count = 0;
-        if constexpr (kFramable) {
-          if (framed) count = in.view.count();
-        }
-        if (!framed) count = staged[static_cast<std::size_t>(p)].size();
-        const StepProgram::NodeStep& s = program.step(phase, step, p);
-        std::size_t at = s.count > 0 ? program.runs(s).front().offset : buf.size();
+      // Workers: compact, then land the receive over the node's own send
+      // run (in place) or in the hole that send left.
+      each_node([&](std::size_t p, int) {
+        const StepProgram::NodeStep& s = program.step(phase, step, static_cast<Rank>(p));
+        auto& buf = buffers[p];
+        if (s.count > 0 && !s.in_place) erase_runs(buf, program.runs(s));
+        Inbound& in = inbound[p];
+        if (in.src < 0) return;
+        in.count = framed ? in.view.count() : staged[p].size();
+        in.at = s.count > 0 ? program.runs(s).front().offset : buf.size();
         if (s.in_place) {
-          TOREX_CHECK(count == s.count, "in-place receive must match the send it replaces");
+          TOREX_CHECK(in.count == s.count, "in-place receive must match the send it replaces");
         } else {
-          at = std::min(at, buf.size());
-          buf.insert(buf.begin() + static_cast<std::ptrdiff_t>(at), count, Parcel<T>{});
+          in.at = std::min(in.at, buf.size());
+          buf.insert(buf.begin() + static_cast<std::ptrdiff_t>(in.at), in.count, Parcel<T>{});
         }
-        Parcel<T>* first = buf.data() + at;
+        Parcel<T>* first = buf.data() + in.at;
         if constexpr (kFramable) {
           if (framed) {
             in.view.scatter(first);
-            arena.stats().bytes_copied += static_cast<std::int64_t>(in.view.payload_size());
-            in.frame.reset();
+            return;
           }
         }
-        if (!framed) {
-          auto& local = staged[static_cast<std::size_t>(p)];
-          std::move(local.begin(), local.end(), first);
-          local.clear();
-        }
-        hooks.received(p, phase, step, first, count);
+        auto& local = staged[p];
+        std::move(local.begin(), local.end(), first);
+        local.clear();
+      });
+      // Caller: frames go back to the arena, then the receive hooks run.
+      for (Rank p = 0; p < N; ++p) {
+        Inbound& in = inbound[static_cast<std::size_t>(p)];
+        if (in.src < 0) continue;
+        in.src = -1;
+        in.frame.reset();
+        hooks.received(p, phase, step, buffers[static_cast<std::size_t>(p)].data() + in.at,
+                       in.count);
       }
       hooks.step_done(phase, step);
     }
     hooks.phase_done(phase);
   }
-  check_parcel_postcondition(N, buffers);
+  check_parcel_postcondition(N, buffers, pool);
 }
 
 }  // namespace detail
@@ -810,15 +987,18 @@ void replay_step_program(const StepProgram& program, ParcelBuffers<T>& buffers, 
 struct WireExchangeOptions {
   /// Optional external frame pool; a private arena is used when null.
   WireArena* arena = nullptr;
+  /// Optional worker pool for the step kernel's per-node work; every
+  /// stage runs inline on the calling thread when null.
+  StepPool* pool = nullptr;
   Recorder* obs = nullptr;
 };
 
 /// exchange_payloads over the zero-copy wire: the step kernel replaying
-/// `program`, with every frame verified in place. Under the paper layout
-/// in 2D each message is one memcpy. Steady state performs no heap
-/// allocation on the wire: frames recycle through the arena. Throws
-/// StepProgramMismatchError when `program` was compiled for another
-/// schedule.
+/// `program` on options.pool (inline when null), with every frame
+/// verified in place. Under the paper layout in 2D each message is one
+/// memcpy. Steady state performs no heap allocation on the wire: frames
+/// recycle through the arena. Throws StepProgramMismatchError when
+/// `program` was compiled for another schedule.
 template <typename T>
 ParcelBuffers<T> exchange_payloads_pooled(const SuhShinAape& algo, const StepProgram& program,
                                           ParcelBuffers<T> buffers,
@@ -826,7 +1006,7 @@ ParcelBuffers<T> exchange_payloads_pooled(const SuhShinAape& algo, const StepPro
   static_assert(std::is_trivially_copyable_v<Parcel<T>>,
                 "pooled exchange requires trivially copyable parcels");
   program.require_compiled_for(algo);
-  detail::require_canonical_parcel_seed(program.num_nodes(), buffers);
+  detail::require_canonical_parcel_seed(program.num_nodes(), buffers, options.pool);
   Recorder* obs = options.obs;
   if (obs != nullptr && !obs->enabled()) obs = nullptr;
   WireArena local_arena;
@@ -834,7 +1014,7 @@ ParcelBuffers<T> exchange_payloads_pooled(const SuhShinAape& algo, const StepPro
   const WirePoolStats stats_before = arena.stats();
   SpanGuard exchange_span(obs, "exchange");
   detail::StepHooks hooks;
-  detail::replay_step_program(program, buffers, arena, obs, hooks);
+  detail::replay_step_program(program, buffers, arena, options.pool, obs, hooks);
   detail::publish_wire_metrics(obs, wire_stats_delta(arena.stats(), stats_before));
   return buffers;
 }
@@ -849,6 +1029,13 @@ ParcelBuffers<T> exchange_payloads_pooled(const SuhShinAape& algo, const StepPro
 /// heal under retry — and an exhausted budget raises IntegrityError
 /// carrying the report. `report_out`, when non-null, receives the
 /// report even on throw.
+///
+/// The tamperer runs on the calling thread. All of a step's first
+/// transmissions are tampered with, in sender order, before any
+/// retransmission; each retransmission follows its refusal at once. A
+/// tamperer that depends only on its TransferContext and the frame
+/// bytes (CorruptionModel::tamperer is one) therefore yields the same
+/// buffers, report and wire statistics at any options.pool size.
 template <typename T>
 ParcelBuffers<T> exchange_payloads_sealed(const SuhShinAape& algo, const StepProgram& program,
                                           ParcelBuffers<T> buffers,
@@ -859,7 +1046,7 @@ ParcelBuffers<T> exchange_payloads_sealed(const SuhShinAape& algo, const StepPro
   static_assert(std::is_trivially_copyable_v<T>,
                 "sealed exchange requires trivially copyable payloads");
   program.require_compiled_for(algo);
-  detail::require_canonical_parcel_seed(program.num_nodes(), buffers);
+  detail::require_canonical_parcel_seed(program.num_nodes(), buffers, options.pool);
   TOREX_REQUIRE(options.max_retransmits >= 0, "retransmit budget must be non-negative");
   if (obs != nullptr && !obs->enabled()) obs = nullptr;
   SpanGuard exchange_span(obs, "exchange_sealed");
@@ -879,8 +1066,7 @@ ParcelBuffers<T> exchange_payloads_sealed(const SuhShinAape& algo, const StepPro
     std::int64_t tick;
     std::int64_t extra_ticks;  // worst retransmit count of the step
 
-    bool deliver(const detail::StepMessage& m, Rank num_nodes, PooledFrame& frame,
-                 SealedRunFrameView<T>& view) {
+    TransferContext context(const detail::StepMessage& m) const {
       TransferContext ctx;
       ctx.phase = m.phase;
       ctx.step = m.step;
@@ -890,10 +1076,18 @@ ParcelBuffers<T> exchange_payloads_sealed(const SuhShinAape& algo, const StepPro
       ctx.hops = algo.hops_per_step(m.phase);
       ctx.tick = tick + m.attempt;
       ctx.attempt = m.attempt;
-      if (tamperer) tamperer(ctx, frame.bytes());
-      std::string reason;
-      if (decode_multi_run_frame<T>(frame.view(), m.phase, m.step, m.src, m.dst, num_nodes,
-                                    view, &reason)) {
+      return ctx;
+    }
+
+    bool tampers() const { return static_cast<bool>(tamperer); }
+
+    void tamper(const detail::StepMessage& m, std::vector<std::byte>& frame) {
+      if (tamperer) tamperer(context(m), frame);
+    }
+
+    bool settle(const detail::StepMessage& m, const SealedRunFrameView<T>& view,
+                const char* refused) {
+      if (refused == nullptr) {
         ++report.messages;
         report.parcels += static_cast<std::int64_t>(view.count());
         report.retransmits += m.attempt;
@@ -905,6 +1099,7 @@ ParcelBuffers<T> exchange_payloads_sealed(const SuhShinAape& algo, const StepPro
       }
       ++report.corrupted;
       if (obs != nullptr) obs->instant("corrupted", m.dst, m.phase, m.step, m.attempt);
+      const TransferContext ctx = context(m);
       IntegrityViolation violation;
       violation.phase = m.phase;
       violation.step = m.step;
@@ -914,7 +1109,7 @@ ParcelBuffers<T> exchange_payloads_sealed(const SuhShinAape& algo, const StepPro
       violation.hops = ctx.hops;
       violation.tick = ctx.tick;
       violation.attempt = m.attempt;
-      violation.reason = std::move(reason);
+      violation.reason = refused;
       if (report.violations.size() < IntegrityReport::kMaxRecordedViolations) {
         report.violations.push_back(violation);
       }
@@ -950,7 +1145,7 @@ ParcelBuffers<T> exchange_payloads_sealed(const SuhShinAape& algo, const StepPro
   };
   Sealer sealer{{}, algo, tamperer, options, arena, obs, report_out, arena.stats(), {},
                 options.base_tick, 0};
-  detail::replay_step_program(program, buffers, arena, obs, sealer);
+  detail::replay_step_program(program, buffers, arena, options.pool, obs, sealer);
   sealer.report.final_tick = sealer.tick;
   sealer.publish();
   return buffers;

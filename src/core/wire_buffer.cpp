@@ -39,8 +39,13 @@ std::vector<std::byte> WireArena::acquire(std::size_t size_hint) {
   // so repeated acquire/release converges on zero reallocation.
   std::vector<std::byte> frame = std::move(free_.back());
   free_.pop_back();
-  if (frame.capacity() < size_hint) ++stats_.undersized_hits;
   frame.clear();
+  if (frame.capacity() < size_hint) {
+    // Grow here, on the thread that leases the frame, so whoever writes
+    // the frame (a step-kernel worker) never allocates.
+    ++stats_.undersized_hits;
+    frame.reserve(size_hint);
+  }
   return frame;
 }
 

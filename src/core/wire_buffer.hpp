@@ -17,9 +17,11 @@
 //    accounting mirroring data_array's LayoutStats);
 //  * PooledFrame — RAII handle that returns its buffer to the arena.
 //
-// The arena is deliberately not thread-safe: each executor (or each
-// worker thread) owns its own arena, matching the one-port model where
-// a node drives one send at a time.
+// The arena is deliberately not thread-safe: only the thread that runs
+// an exchange leases and releases its frames. The step kernel's workers
+// (util/step_pool.hpp) only write into frames already leased at full
+// size, matching the one-port model where a node drives one send at a
+// time.
 #pragma once
 
 #include <algorithm>
@@ -98,7 +100,7 @@ struct WirePoolStats {
   std::int64_t releases = 0;        ///< frames returned to the pool
   std::int64_t pool_hits = 0;       ///< satisfied from the freelist
   std::int64_t pool_misses = 0;     ///< needed a fresh allocation
-  std::int64_t undersized_hits = 0; ///< pooled frame will regrow for this use
+  std::int64_t undersized_hits = 0; ///< pooled frame grown to the size hint on acquire
   std::int64_t peak_in_use = 0;     ///< most frames outstanding at once
 
   /// Leased frames never returned: acquires - releases. Zero whenever
@@ -151,9 +153,10 @@ class WireArena {
   WireArena(const WireArena&) = delete;
   WireArena& operator=(const WireArena&) = delete;
 
-  /// Hands out an empty frame with at least `size_hint` capacity when
-  /// the pool can provide it (a smaller pooled frame is still reused —
-  /// it regrows once and then sticks).
+  /// Hands out an empty frame with at least `size_hint` capacity. A
+  /// pooled frame that is too small is still reused: acquire grows it to
+  /// `size_hint`, once, so filling the frame up to the hint never
+  /// allocates.
   std::vector<std::byte> acquire(std::size_t size_hint = 0);
 
   /// Returns a frame's storage to the pool.

@@ -14,11 +14,14 @@
 // "time" always comes from the model, never from the wall clock.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <type_traits>
 #include <vector>
 
@@ -35,6 +38,7 @@
 #include "runtime/recovery.hpp"
 #include "sim/cost_simulator.hpp"
 #include "sim/fault_model.hpp"
+#include "util/step_pool.hpp"
 
 namespace torex {
 
@@ -162,9 +166,9 @@ struct ResumeOptions {
 /// A collective entered a TorusCommunicator that is already running
 /// one: a call from another thread, or a call re-entered from inside
 /// the running one (say, from a payload's copy constructor). A
-/// communicator's wire arena and compiled program are per-communicator
-/// state, so its calls must not overlap; give each thread its own
-/// communicator.
+/// communicator's wire arena, compiled program and worker pool are
+/// per-communicator state, so its calls must not overlap; give each
+/// thread its own communicator.
 class CommunicatorBusyError : public std::logic_error {
  public:
   CommunicatorBusyError()
@@ -178,6 +182,14 @@ class CommunicatorBusyError : public std::logic_error {
 /// Every alltoall* entry point holds the communicator for the length of
 /// the call and throws CommunicatorBusyError instead of overlapping
 /// another call on it.
+///
+/// Each communicator owns a StepPool (util/step_pool.hpp), started by
+/// its first call that moves data over the Suh-Shin schedule: one
+/// participant per hardware thread (std::thread::hardware_concurrency,
+/// at least one) and never more participants than nodes. The pool runs
+/// the step kernel's per-node work and seeds, validates, checks and
+/// unpacks the N rows; its workers block while the communicator is
+/// idle.
 class TorusCommunicator {
  public:
   TorusCommunicator(TorusShape shape, CostParams params);
@@ -229,7 +241,10 @@ class TorusCommunicator {
   /// send[p].at(q) is node p's payload for node q; on return
   /// recv[q].at(p) == send[p].at(q). Requires the Suh-Shin schedule
   /// (throws where alltoall would) and a trivially copyable T; rides
-  /// the pooled multi-run wire unconditionally.
+  /// the pooled multi-run wire unconditionally. Every view is checked
+  /// before any data moves, so a malformed view throws
+  /// std::invalid_argument with `recv` untouched. The receive views are
+  /// written concurrently and must not overlap.
   template <typename T>
   void alltoall_strided(const std::vector<StridedView<const T>>& send,
                         const std::vector<StridedView<T>>& recv,
@@ -241,17 +256,23 @@ class TorusCommunicator {
     TOREX_REQUIRE(schedule_.has_value(),
                   "Suh-Shin schedule not applicable to this shape (pad or pick another "
                   "algorithm)");
+    detail::require_strided_views(N, send, "need one send view per node",
+                                  "send view must cover one element per destination");
+    detail::require_strided_views(N, recv, "need one receive view per node",
+                                  "receive view must cover one element per origin");
     if (obs != nullptr && !obs->enabled()) obs = nullptr;
     SpanGuard alltoall_span(obs, "alltoall_strided");
     const StepProgram& program = compiled_program();
+    StepPool* pool = step_pool();
     WireExchangeOptions wire_options;
     wire_options.arena = &wire_arena_;
+    wire_options.pool = pool;
     wire_options.obs = obs;
     const auto delivered = exchange_payloads_pooled(*schedule_, program,
-                                                    seed_parcels_strided(N, send),
+                                                    seed_parcels_strided(N, send, pool),
                                                     wire_options);
     SpanGuard scatter_span(obs, "scatter");
-    scatter_parcels_strided(N, delivered, recv);
+    scatter_parcels_strided(N, delivered, recv, pool);
   }
 
   /// Fault-aware all-to-all. Audits the chosen schedule against
@@ -447,27 +468,41 @@ class TorusCommunicator {
     return *program_;
   }
 
+  /// The communicator's worker pool, started by the first call that
+  /// moves data over the schedule. Callers hold the CallGuard.
+  StepPool* step_pool() const {
+    if (pool_ == nullptr) {
+      const auto hardware = static_cast<Rank>(std::thread::hardware_concurrency());
+      pool_ = std::make_unique<StepPool>(std::clamp<Rank>(hardware, 1, size()));
+    }
+    return pool_.get();
+  }
+
   /// Seeds the canonical parcels from dense rows (stride-1 views).
   template <typename T>
-  static ParcelBuffers<T> seed_rows(Rank N, const std::vector<std::vector<T>>& send) {
+  static ParcelBuffers<T> seed_rows(Rank N, const std::vector<std::vector<T>>& send,
+                                    StepPool* pool) {
     std::vector<StridedView<const T>> views;
     views.reserve(send.size());
     for (const auto& row : send) views.push_back({row.data(), row.size(), 1});
-    return seed_parcels_strided(N, views);
+    return seed_parcels_strided(N, views, pool);
   }
 
   /// Unpacks delivered parcels into dense rows: recv[q][p] is the parcel
-  /// q received from origin p.
+  /// q received from origin p. Rows are allocated here; trivially
+  /// copyable payloads are filled in on `pool`.
   template <typename T>
-  static std::vector<std::vector<T>> unpack_rows(Rank N, const ParcelBuffers<T>& delivered) {
+  static std::vector<std::vector<T>> unpack_rows(Rank N, const ParcelBuffers<T>& delivered,
+                                                 StepPool* pool) {
     std::vector<std::vector<T>> recv(static_cast<std::size_t>(N));
-    std::vector<StridedView<T>> views;
-    views.reserve(recv.size());
-    for (auto& row : recv) {
-      row.resize(static_cast<std::size_t>(N));
-      views.push_back({row.data(), row.size(), 1});
-    }
-    scatter_parcels_strided(N, delivered, views);
+    for (auto& row : recv) row.reserve(static_cast<std::size_t>(N));
+    StepPool::run(detail::copy_pool<T>(pool), recv.size(), [&](std::size_t q, int) {
+      auto& row = recv[q];
+      row.resize(static_cast<std::size_t>(N));  // within the reserved capacity
+      for (const Parcel<T>& parcel : delivered[q]) {
+        row[static_cast<std::size_t>(parcel.block.origin)] = parcel.payload;
+      }
+    });
     return recv;
   }
 
@@ -500,17 +535,21 @@ class TorusCommunicator {
       // arena across exchanges); other types fall back to the
       // struct-move executor.
       ParcelBuffers<T> delivered;
+      StepPool* pool = nullptr;
       if constexpr (std::is_trivially_copyable_v<Parcel<T>>) {
         const StepProgram& program = compiled_program();  // before the parcels exist
+        pool = step_pool();
         WireExchangeOptions wire_options;
         wire_options.arena = &wire_arena_;
+        wire_options.pool = pool;
         wire_options.obs = obs;
-        delivered = exchange_payloads_pooled(algo, program, seed_rows(N, send), wire_options);
+        delivered =
+            exchange_payloads_pooled(algo, program, seed_rows(N, send, pool), wire_options);
       } else {
-        delivered = exchange_payloads(algo, seed_rows(N, send), obs);
+        delivered = exchange_payloads(algo, seed_rows(N, send, nullptr), obs);
       }
       SpanGuard permute_span(obs, "permute");
-      return unpack_rows(N, delivered);
+      return unpack_rows(N, delivered, pool);
     }
 
     if (chosen == AlltoallAlgorithm::kSuhShinPadded) {
@@ -622,13 +661,15 @@ class TorusCommunicator {
                            : "");
     }
 
-    ParcelBuffers<T> parcels = seed_rows(N, send);
+    StepPool* pool = step_pool();
+    ParcelBuffers<T> parcels = seed_rows(N, send, pool);
     JournalRunOptions run_options;
     run_options.crash = options.crash;
     run_options.cancel = options.cancel;
     run_options.flush = options.flush;
     run_options.obs = obs;
     run_options.wire = &wire_arena_;
+    run_options.pool = pool;
     ResumeReport report;
     ParcelBuffers<T> delivered;
     if (outcome.algorithm == AlltoallAlgorithm::kSuhShin && !outcome.degraded) {
@@ -644,7 +685,7 @@ class TorusCommunicator {
     outcome.resume = report;
 
     SpanGuard permute_span(obs, "permute");
-    return unpack_rows(N, delivered);
+    return unpack_rows(N, delivered, pool);
   }
 
   /// Runs the sealed Suh-Shin exchange over the payloads.
@@ -656,13 +697,15 @@ class TorusCommunicator {
                                          Recorder* obs = nullptr) const {
     const Rank N = size();
     const SuhShinAape& algo = *schedule_;
-    ParcelBuffers<T> parcels = seed_rows(N, send);
+    StepPool* pool = step_pool();
+    ParcelBuffers<T> parcels = seed_rows(N, send, pool);
     IntegrityOptions effective = options;
     if (effective.arena == nullptr) effective.arena = &wire_arena_;
+    if (effective.pool == nullptr) effective.pool = pool;
     const auto delivered =
         exchange_payloads_sealed(algo, compiled_program(), std::move(parcels),
                                  corruption.tamperer(algo.torus()), effective, &report, obs);
-    return unpack_rows(N, delivered);
+    return unpack_rows(N, delivered, pool);
   }
 
   TorusShape shape_;
@@ -677,6 +720,8 @@ class TorusCommunicator {
   mutable WireArena wire_arena_;
   /// The compiled schedule, memoized by compiled_program().
   mutable std::optional<StepProgram> program_;
+  /// The worker pool, started by step_pool().
+  mutable std::unique_ptr<StepPool> pool_;
   /// Set while a collective holds the communicator (see CallGuard).
   mutable std::atomic<bool> busy_{false};
 };

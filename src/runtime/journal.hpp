@@ -236,6 +236,10 @@ struct JournalRunOptions {
   /// Optional external frame pool for the live steps' frames; a private
   /// arena is used when null.
   WireArena* wire = nullptr;
+  /// Optional worker pool for the step kernel's per-node work; every
+  /// stage runs inline on the calling thread when null. The hooks below
+  /// (flush, the journal records) still run on the calling thread.
+  StepPool* pool = nullptr;
 };
 
 namespace detail {
@@ -287,7 +291,7 @@ ParcelBuffers<T> exchange_payloads_journaled(const SuhShinAape& algo, const Step
                                              ResumeReport& report) {
   program.require_compiled_for(algo);
   const Rank N = algo.shape().num_nodes();
-  detail::require_canonical_parcel_seed(N, buffers);
+  detail::require_canonical_parcel_seed(N, buffers, options.pool);
   if (!journal.bound()) {
     journal = ExchangeJournal(algo.shape(), algo.num_phases(), algo.total_steps());
   }
@@ -412,7 +416,7 @@ ParcelBuffers<T> exchange_payloads_journaled(const SuhShinAape& algo, const Step
     }
   };
   Journaler hooks{{}, journal, options, report, durable, obs, 0, {}};
-  detail::replay_step_program(program, buffers, arena, obs, hooks);
+  detail::replay_step_program(program, buffers, arena, options.pool, obs, hooks);
   for (const auto& side : durable) {
     TOREX_CHECK(side.empty(), "a materialized delivery never met its re-sent seed copy");
   }

@@ -46,6 +46,7 @@
 #include "topology/group.hpp"
 #include "topology/shape.hpp"
 #include "topology/torus.hpp"
+#include "util/step_pool.hpp"
 
 namespace torex {
 

@@ -197,6 +197,47 @@ TEST(CommunicatorTest, AlltoallStridedExchangesColumnsInPlace) {
   }
 }
 
+TEST(CommunicatorTest, AlltoallStridedChecksEveryViewBeforeAnyDataMoves) {
+  // A bad receive view at the last node must be refused before a single
+  // element of the caller's memory is written: rows are unpacked
+  // concurrently, so a late check would leave other rows overwritten.
+  TorusCommunicator comm(TorusShape::make_2d(4, 4), CostParams::balanced());
+  const Rank N = comm.size();
+  const auto n = static_cast<std::size_t>(N);
+  constexpr std::int64_t kSentinel = -7;
+  std::vector<std::int64_t> send_mat(n * n, 1);
+  for (const bool null_view : {false, true}) {
+    std::vector<std::int64_t> recv_mat(n * n, kSentinel);
+    std::vector<StridedView<const std::int64_t>> send;
+    std::vector<StridedView<std::int64_t>> recv;
+    for (std::size_t p = 0; p < n; ++p) {
+      send.push_back({send_mat.data() + p * n, n, 1});
+      recv.push_back({recv_mat.data() + p * n, n, 1});
+    }
+    if (null_view) {
+      recv.back().base = nullptr;
+    } else {
+      recv.back().count = n - 1;  // one element short
+    }
+    EXPECT_THROW(comm.alltoall_strided(send, recv), std::invalid_argument)
+        << (null_view ? "null view" : "short view");
+    for (const std::int64_t v : recv_mat) {
+      ASSERT_EQ(v, kSentinel) << (null_view ? "null view" : "short view");
+    }
+  }
+  // A bad send view is refused the same way.
+  std::vector<std::int64_t> recv_mat(n * n, kSentinel);
+  std::vector<StridedView<const std::int64_t>> send;
+  std::vector<StridedView<std::int64_t>> recv;
+  for (std::size_t p = 0; p < n; ++p) {
+    send.push_back({send_mat.data() + p * n, n, 1});
+    recv.push_back({recv_mat.data() + p * n, n, 1});
+  }
+  send.back().count = n - 1;
+  EXPECT_THROW(comm.alltoall_strided(send, recv), std::invalid_argument);
+  for (const std::int64_t v : recv_mat) ASSERT_EQ(v, kSentinel);
+}
+
 TEST(CommunicatorTest, AlltoallStridedRequiresApplicableShape) {
   TorusCommunicator comm(TorusShape({10, 6}), CostParams::balanced());
   std::vector<StridedView<const std::int64_t>> send;

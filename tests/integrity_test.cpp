@@ -1,5 +1,6 @@
 // End-to-end data integrity: CRC-32 and wire primitives, corruption
-// faults, the detect-and-retransmit protocol, the checked communicator
+// faults, the detect-and-retransmit protocol (the same run at one and
+// at four StepPool participants), the checked communicator
 // entry point with escalation into the recovery chain, and a miniature
 // chaos differential sweep. The TOX3 frame codec itself is covered by
 // wire_test.
@@ -15,6 +16,7 @@
 #include "sim/fault_model.hpp"
 #include "util/crc32.hpp"
 #include "util/prng.hpp"
+#include "util/step_pool.hpp"
 
 namespace torex {
 namespace {
@@ -221,6 +223,131 @@ TEST(SealedExchangeTest, ViolationDescribeNamesTheStep) {
   EXPECT_NE(text.find("step 3"), std::string::npos);
   EXPECT_NE(text.find("4 -> 8"), std::string::npos);
   EXPECT_NE(text.find("parcel seal mismatch"), std::string::npos);
+}
+
+// --- The same run at any pool size ------------------------------------
+
+/// What one sealed run produced: the delivered buffers, the report
+/// (through report_out, so also on throw) and the arena's statistics.
+struct SealedRun {
+  ParcelBuffers<std::int64_t> out;
+  IntegrityReport report;
+  WirePoolStats stats;
+  bool threw = false;
+};
+
+SealedRun run_sealed_on(const SuhShinAape& algo, const StepProgram& program,
+                        const ParcelTamperer& tamperer, int participants) {
+  StepPool pool(participants);
+  WireArena arena;
+  IntegrityOptions options;
+  options.arena = &arena;
+  options.pool = &pool;
+  SealedRun run;
+  try {
+    run.out = exchange_payloads_sealed(algo, program, canonical_parcels(algo.shape().num_nodes()),
+                                       tamperer, options, &run.report);
+  } catch (const IntegrityError&) {
+    run.threw = true;
+  }
+  run.stats = arena.stats();
+  return run;
+}
+
+void expect_same_violation(const IntegrityViolation& a, const IntegrityViolation& b,
+                           const std::string& what) {
+  EXPECT_EQ(a.phase, b.phase) << what;
+  EXPECT_EQ(a.step, b.step) << what;
+  EXPECT_EQ(a.src, b.src) << what;
+  EXPECT_EQ(a.dst, b.dst) << what;
+  EXPECT_EQ(a.direction, b.direction) << what;
+  EXPECT_EQ(a.hops, b.hops) << what;
+  EXPECT_EQ(a.tick, b.tick) << what;
+  EXPECT_EQ(a.attempt, b.attempt) << what;
+  EXPECT_EQ(a.reason, b.reason) << what;
+}
+
+void expect_same_report(const IntegrityReport& a, const IntegrityReport& b,
+                        const std::string& what) {
+  EXPECT_EQ(a.messages, b.messages) << what;
+  EXPECT_EQ(a.parcels, b.parcels) << what;
+  EXPECT_EQ(a.corrupted, b.corrupted) << what;
+  EXPECT_EQ(a.retransmits, b.retransmits) << what;
+  EXPECT_EQ(a.final_tick, b.final_tick) << what;
+  ASSERT_EQ(a.violations.size(), b.violations.size()) << what;
+  for (std::size_t i = 0; i < a.violations.size(); ++i) {
+    expect_same_violation(a.violations[i], b.violations[i],
+                          what + ", violation " + std::to_string(i));
+  }
+  ASSERT_EQ(a.fatal.has_value(), b.fatal.has_value()) << what;
+  if (a.fatal) expect_same_violation(*a.fatal, *b.fatal, what + ", fatal");
+}
+
+void expect_same_stats(const WirePoolStats& a, const WirePoolStats& b, const std::string& what) {
+  EXPECT_EQ(a.acquires, b.acquires) << what;
+  EXPECT_EQ(a.releases, b.releases) << what;
+  EXPECT_EQ(a.pool_hits, b.pool_hits) << what;
+  EXPECT_EQ(a.pool_misses, b.pool_misses) << what;
+  EXPECT_EQ(a.undersized_hits, b.undersized_hits) << what;
+  EXPECT_EQ(a.peak_in_use, b.peak_in_use) << what;
+  EXPECT_EQ(a.messages, b.messages) << what;
+  EXPECT_EQ(a.parcels, b.parcels) << what;
+  EXPECT_EQ(a.bytes_encoded, b.bytes_encoded) << what;
+  EXPECT_EQ(a.bytes_copied, b.bytes_copied) << what;
+  EXPECT_EQ(a.total_sends, b.total_sends) << what;
+  EXPECT_EQ(a.contiguous_sends, b.contiguous_sends) << what;
+  EXPECT_EQ(a.gathered_parcels, b.gathered_parcels) << what;
+  EXPECT_EQ(a.runs_encoded, b.runs_encoded) << what;
+  EXPECT_EQ(a.max_runs_per_send, b.max_runs_per_send) << what;
+  EXPECT_EQ(a.rearrangement_passes, b.rearrangement_passes) << what;
+  EXPECT_EQ(a.parcels_rearranged, b.parcels_rearranged) << what;
+}
+
+TEST(SealedExchangeTest, SameRunAtOneAndFourParticipants) {
+  // CorruptionModel's tamperer depends only on its TransferContext and
+  // the frame bytes, so the kernel's pool size must not show anywhere:
+  // not in the buffers, not in the report (violations in the same
+  // order, the same final tick), not in the wire statistics. Odd seeds
+  // corrupt transiently (corrected by retransmission), even seeds
+  // permanently (the budget runs out and the run throws).
+  int corrected = 0;
+  int thrown = 0;
+  for (const auto& extents : std::vector<std::vector<std::int32_t>>{{8, 8}, {8, 4, 4}}) {
+    const SuhShinAape algo{TorusShape(extents)};
+    const StepProgram program(algo);
+    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+      SplitMix64 rng(seed * 0x9E3779B97F4A7C15ull);
+      const std::int64_t until =
+          seed % 2 == 1 ? static_cast<std::int64_t>(1 + rng.next_below(3)) : kFaultForever;
+      CorruptionModel corruption;
+      corruption.inject_random_corruptions(algo.torus(), rng.next(), 2, 0, until);
+      const ParcelTamperer tamperer = corruption.tamperer(algo.torus());
+      const std::string what = algo.shape().to_string() + " seed " + std::to_string(seed);
+      const SealedRun one = run_sealed_on(algo, program, tamperer, 1);
+      const SealedRun four = run_sealed_on(algo, program, tamperer, 4);
+      ASSERT_EQ(one.threw, four.threw) << what;
+      expect_same_report(one.report, four.report, what);
+      expect_same_stats(one.stats, four.stats, what);
+      EXPECT_EQ(four.stats.outstanding_frames(), 0) << what;
+      ASSERT_EQ(one.out.size(), four.out.size()) << what;
+      for (std::size_t p = 0; p < one.out.size(); ++p) {
+        ASSERT_EQ(one.out[p].size(), four.out[p].size()) << what;
+        for (std::size_t i = 0; i < one.out[p].size(); ++i) {
+          ASSERT_EQ(one.out[p][i].block, four.out[p][i].block) << what << " node " << p;
+          ASSERT_EQ(one.out[p][i].payload, four.out[p][i].payload) << what << " node " << p;
+        }
+      }
+      if (one.threw) {
+        ++thrown;
+      } else if (!one.report.clean()) {
+        ++corrected;
+        expect_delivered(algo.shape().num_nodes(), four.out);
+      }
+    }
+  }
+  // Both repair outcomes must be covered.
+  EXPECT_GT(corrected, 0);
+  EXPECT_GT(thrown, 0);
 }
 
 // --- exchange_payloads preconditions -----------------------------------

@@ -23,6 +23,7 @@
 #include "runtime/watchdog.hpp"
 #include "sim/fault_model.hpp"
 #include "topology/torus.hpp"
+#include "util/step_pool.hpp"
 
 namespace torex {
 namespace {
@@ -391,6 +392,134 @@ TEST(ResumeTest, StringPayloadsKilledAtEveryStepResumeExactlyOnce) {
   }
   EXPECT_GT(materialized, 0);
   EXPECT_EQ(comm.wire_stats().messages, 0);  // the local transport only
+
+  // The same sweep straight through the journaled driver on a
+  // four-participant pool: the local transport's moves then run on
+  // worker threads.
+  const StepProgram program(algo);
+  StepPool pool(4);
+  WireArena arena;
+  JournalRunOptions pooled;
+  pooled.pool = &pool;
+  pooled.wire = &arena;
+  const auto seed = [&] {
+    ParcelBuffers<std::string> buffers(static_cast<std::size_t>(n));
+    for (Rank p = 0; p < n; ++p) {
+      for (Rank q = 0; q < n; ++q) {
+        buffers[static_cast<std::size_t>(p)].push_back(
+            {Block{p, q}, send[static_cast<std::size_t>(p)][static_cast<std::size_t>(q)]});
+      }
+    }
+    return buffers;
+  };
+  std::int64_t pooled_materialized = 0;
+  for (const auto& [phase, step] : active_steps(algo)) {
+    for (const bool after_flush : {false, true}) {
+      ExchangeJournal journal;
+      ResumeReport report;
+      JournalRunOptions options = pooled;
+      options.crash = CrashPoint{phase, step, after_flush};
+      EXPECT_THROW(exchange_payloads_journaled(algo, program, seed(), journal, options, report),
+                   ExchangeCrashError);
+      ExchangeJournal loaded = ExchangeJournal::decode(journal.encode());
+      const auto out = exchange_payloads_journaled(algo, program, seed(), loaded, pooled, report);
+      for (Rank p = 0; p < n; ++p) {
+        for (const auto& parcel : out[static_cast<std::size_t>(p)]) {
+          ASSERT_EQ(parcel.payload, payload(parcel.block.origin, p))
+              << "after a kill at (" << phase << ", " << step << ") on the pool";
+        }
+      }
+      EXPECT_TRUE(loaded.exchange_complete());
+      EXPECT_EQ(report.duplicates_dropped, report.materialized);
+      pooled_materialized += report.materialized;
+    }
+  }
+  EXPECT_EQ(pooled_materialized, materialized);
+  EXPECT_EQ(arena.stats().messages, 0);
+}
+
+/// One journaled exchange of the canonical parcels on `participants`:
+/// killed at `crash` (when armed), then resumed from the decoded bytes.
+struct JournaledRun {
+  std::vector<std::byte> killed_bytes;  ///< the journal as the kill left it
+  std::vector<std::byte> final_bytes;
+  ResumeReport report;
+  ParcelBuffers<std::int64_t> out;
+};
+
+JournaledRun run_journaled_on(const SuhShinAape& algo, const StepProgram& program,
+                              const CrashPoint& crash, int participants) {
+  const Rank n = algo.shape().num_nodes();
+  const auto seed = [&] {
+    ParcelBuffers<std::int64_t> buffers(static_cast<std::size_t>(n));
+    for (Rank p = 0; p < n; ++p) {
+      for (Rank q = 0; q < n; ++q) {
+        buffers[static_cast<std::size_t>(p)].push_back({Block{p, q}, std::int64_t{p} * n + q});
+      }
+    }
+    return buffers;
+  };
+  StepPool pool(participants);
+  JournalRunOptions options;
+  options.pool = &pool;
+  ExchangeJournal journal;
+  JournaledRun run;
+  if (crash.armed()) {
+    JournalRunOptions killed = options;
+    killed.crash = crash;
+    EXPECT_THROW(
+        exchange_payloads_journaled(algo, program, seed(), journal, killed, run.report),
+        ExchangeCrashError);
+    run.killed_bytes = journal.encode();
+    journal = ExchangeJournal::decode(run.killed_bytes);
+  }
+  run.out = exchange_payloads_journaled(algo, program, seed(), journal, options, run.report);
+  run.final_bytes = journal.encode();
+  return run;
+}
+
+TEST(ResumeTest, JournalBytesAreIdenticalAtOneAndFourParticipants) {
+  // The journal is written by hooks on the calling thread in node
+  // order, so the kernel's pool size must not show in a single byte:
+  // not on a fresh run, not where a kill cut it, not after the resume
+  // (with its materialized parcels and dropped duplicates).
+  for (const auto& extents : std::vector<std::vector<std::int32_t>>{{8, 8}, {8, 4, 4}}) {
+    const SuhShinAape algo{TorusShape(extents)};
+    const StepProgram program(algo);
+    std::vector<CrashPoint> crashes{CrashPoint{}};
+    for (const auto& [phase, step] : active_steps(algo)) {
+      crashes.push_back(CrashPoint{phase, step, true});
+    }
+    crashes.push_back(CrashPoint{algo.num_phases(), 1, false});
+    for (const CrashPoint& crash : crashes) {
+      const std::string what = algo.shape().to_string() + " kill at (" +
+                               std::to_string(crash.phase) + ", " + std::to_string(crash.step) +
+                               ")";
+      const JournaledRun one = run_journaled_on(algo, program, crash, 1);
+      const JournaledRun four = run_journaled_on(algo, program, crash, 4);
+      EXPECT_EQ(one.killed_bytes, four.killed_bytes) << what;
+      EXPECT_EQ(one.final_bytes, four.final_bytes) << what;
+      const ResumeReport& a = one.report;
+      const ResumeReport& b = four.report;
+      EXPECT_EQ(a.resumed, b.resumed) << what;
+      EXPECT_EQ(a.committed_steps_at_start, b.committed_steps_at_start) << what;
+      EXPECT_EQ(a.committed_phase_at_start, b.committed_phase_at_start) << what;
+      EXPECT_EQ(a.delivered_at_start, b.delivered_at_start) << what;
+      EXPECT_EQ(a.materialized, b.materialized) << what;
+      EXPECT_EQ(a.replayed_parcels, b.replayed_parcels) << what;
+      EXPECT_EQ(a.sent_parcels, b.sent_parcels) << what;
+      EXPECT_EQ(a.duplicates_dropped, b.duplicates_dropped) << what;
+      EXPECT_EQ(a.journal_flushes, b.journal_flushes) << what;
+      ASSERT_EQ(one.out.size(), four.out.size()) << what;
+      for (std::size_t p = 0; p < one.out.size(); ++p) {
+        ASSERT_EQ(one.out[p].size(), four.out[p].size()) << what;
+        for (std::size_t i = 0; i < one.out[p].size(); ++i) {
+          ASSERT_EQ(one.out[p][i].block, four.out[p][i].block) << what << " node " << p;
+          ASSERT_EQ(one.out[p][i].payload, four.out[p][i].payload) << what << " node " << p;
+        }
+      }
+    }
+  }
 }
 
 TEST(ResumeTest, ResumingACompleteJournalSendsNothing) {

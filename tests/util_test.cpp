@@ -1,12 +1,22 @@
-// Unit tests for the util module: checked math, tables, PRNG, CLI.
+// Unit tests for the util module: checked math, tables, PRNG, CLI, and
+// the step kernel's worker pool.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <filesystem>
+#include <iterator>
 #include <sstream>
+#include <stdexcept>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "util/assert.hpp"
 #include "util/cli.hpp"
 #include "util/math.hpp"
 #include "util/prng.hpp"
+#include "util/step_pool.hpp"
 #include "util/table.hpp"
 
 namespace torex {
@@ -215,6 +225,149 @@ TEST(CliTest, StrictIntListRejectsBadElements) {
   auto flags = CliFlags::parse(3, argv, {"a", "b"});
   EXPECT_THROW(flags.get_int_list("a", {}), std::invalid_argument);
   EXPECT_THROW(flags.get_int_list("b", {}), std::invalid_argument);
+}
+
+// --- StepPool -----------------------------------------------------------
+
+TEST(StepPoolTest, EveryIndexRunsExactlyOnce) {
+  for (const int participants : {1, 2, 4, 7}) {
+    StepPool pool(participants);
+    ASSERT_EQ(pool.participants(), participants);
+    // Many stages back to back, so the two stage slots alternate.
+    for (int stage = 0; stage < 50; ++stage) {
+      for (const std::size_t count : {std::size_t{0}, std::size_t{1}, std::size_t{3},
+                                      std::size_t{64}, std::size_t{1000}}) {
+        std::vector<std::atomic<int>> hits(count);
+        std::atomic<int> bad_participant{0};
+        StepPool::run(&pool, count, [&](std::size_t i, int who) {
+          hits[i].fetch_add(1);
+          if (who < 0 || who >= participants) bad_participant.fetch_add(1);
+        });
+        for (std::size_t i = 0; i < count; ++i) {
+          ASSERT_EQ(hits[i].load(), 1) << "index " << i << " of " << count << " on "
+                                       << participants << " participants";
+        }
+        EXPECT_EQ(bad_participant.load(), 0);
+      }
+    }
+  }
+}
+
+TEST(StepPoolTest, NullPoolRunsInlineAsParticipantZero) {
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::size_t> order;
+  StepPool::run(nullptr, 5, [&](std::size_t i, int who) {
+    EXPECT_EQ(who, 0);
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    order.push_back(i);
+  });
+  EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
+}
+
+TEST(StepPoolTest, LowestFailingIndexIsRethrownOnTheCaller) {
+  StepPool pool(4);
+  for (int rep = 0; rep < 20; ++rep) {
+    const std::thread::id caller = std::this_thread::get_id();
+    try {
+      StepPool::run(&pool, 1000, [&](std::size_t i, int) {
+        if (i == 977 || i == 301 || i == 640) throw std::runtime_error(std::to_string(i));
+      });
+      FAIL() << "the stage must rethrow";
+    } catch (const std::runtime_error& error) {
+      EXPECT_STREQ(error.what(), "301");
+    }
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+  }
+  // A throw from an index that only a worker runs: the caller is kept
+  // busy on index 0 until some other participant has failed.
+  StepPool fresh(4);
+  std::atomic<bool> failed{false};
+  EXPECT_THROW(StepPool::run(&fresh, 64,
+                             [&](std::size_t i, int who) {
+                               if (i == 0) {
+                                 const auto deadline =
+                                     std::chrono::steady_clock::now() + std::chrono::seconds(5);
+                                 while (!failed.load() && std::chrono::steady_clock::now() < deadline) {
+                                   std::this_thread::yield();
+                                 }
+                                 return;
+                               }
+                               if (who != 0) {
+                                 failed.store(true);
+                                 throw std::out_of_range("worker");
+                               }
+                             }),
+               std::out_of_range);
+}
+
+TEST(StepPoolTest, ReusableAfterAThrow) {
+  StepPool pool(4);
+  EXPECT_THROW(StepPool::run(&pool, 100,
+                             [](std::size_t i, int) {
+                               if (i % 10 == 3) throw std::logic_error("stage failed");
+                             }),
+               std::logic_error);
+  std::vector<std::atomic<int>> hits(100);
+  StepPool::run(&pool, hits.size(), [&](std::size_t i, int) { hits[i].fetch_add(1); });
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(StepPoolTest, StalledStagesShedWorkersAndHealthyOnesWinThemBack) {
+  // Workers that stop mid-chunk (here: sleep, as a preempted core would)
+  // hold each stage up; the pool sheds them until the caller runs alone,
+  // and the results never change.
+  StepPool pool(4);
+  ASSERT_EQ(pool.helpers(), 3);
+  for (int stage = 0; stage < 50 && pool.helpers() > 0; ++stage) {
+    std::vector<std::atomic<int>> hits(64);
+    StepPool::run(&pool, hits.size(), [&](std::size_t i, int who) {
+      if (who != 0) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      } else {
+        // Slow enough that the workers claim chunks before the caller
+        // has taken them all.
+        const auto until = std::chrono::steady_clock::now() + std::chrono::microseconds(10);
+        while (std::chrono::steady_clock::now() < until) {
+        }
+      }
+      hits[i].fetch_add(1);
+    });
+    for (const auto& h : hits) ASSERT_EQ(h.load(), 1);
+  }
+  ASSERT_EQ(pool.helpers(), 0);
+  const std::thread::id caller = std::this_thread::get_id();
+  StepPool::run(&pool, 100, [&](std::size_t, int who) {
+    EXPECT_EQ(who, 0);
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+  });
+  // Healthy stages bring the workers back, one at a time.
+  for (int stage = 0; stage < 200; ++stage) StepPool::run(&pool, 8, [](std::size_t, int) {});
+  EXPECT_GE(pool.helpers(), 1);
+}
+
+/// Threads of this process, or -1 where /proc is unavailable.
+long thread_count() {
+  std::error_code error;
+  std::filesystem::directory_iterator tasks("/proc/self/task", error);
+  if (error) return -1;
+  return static_cast<long>(std::distance(tasks, std::filesystem::directory_iterator{}));
+}
+
+TEST(StepPoolTest, DestructorJoinsIdleWorkers) {
+  const long before = thread_count();
+  if (before < 0) GTEST_SKIP() << "no /proc/self/task to count threads";
+  {
+    StepPool never_ran(4);
+    EXPECT_EQ(thread_count(), before + 3);
+  }
+  EXPECT_EQ(thread_count(), before);
+  {
+    StepPool pool(4);
+    StepPool::run(&pool, 100, [](std::size_t, int) {});
+    // Long past the spin: every worker is blocked when the pool dies.
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  EXPECT_EQ(thread_count(), before);
 }
 
 }  // namespace

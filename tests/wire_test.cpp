@@ -8,9 +8,11 @@
 // differential against the block-level layout simulator, on both
 // layouts and every reference shape; mismatched programs refused;
 // in-place receives that survive retransmission; steady-state
-// allocation behavior) — and a seeded deterministic fuzz harness over
-// the frame codec: mutations must never decode and never read out of
-// bounds (the ASan/UBSan CI job runs this suite under sanitizers).
+// allocation behavior; every driver also on a four-participant
+// StepPool, with worker failures surfacing on the caller) — and a
+// seeded deterministic fuzz harness over the frame codec: mutations
+// must never decode and never read out of bounds (the ASan/UBSan CI job
+// runs this suite under sanitizers, the TSan job under TSan).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,6 +20,8 @@
 #include <cstring>
 #include <optional>
 #include <set>
+#include <span>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -29,6 +33,7 @@
 #include "runtime/journal.hpp"
 #include "util/crc32.hpp"
 #include "util/prng.hpp"
+#include "util/step_pool.hpp"
 
 namespace torex {
 namespace {
@@ -77,6 +82,8 @@ TEST(WireArenaTest, UndersizedPooledFrameStillReused) {
   EXPECT_EQ(arena.stats().pool_hits, 1);
   EXPECT_EQ(arena.stats().pool_misses, 1);
   EXPECT_EQ(arena.stats().undersized_hits, 1);
+  // Grown on acquire, so a step-kernel worker filling it never allocates.
+  EXPECT_GE(f.capacity(), std::size_t{1} << 16);
 }
 
 TEST(WireArenaTest, TracksPeakInUse) {
@@ -428,12 +435,13 @@ void expect_delivered(Rank N, const ParcelBuffers<std::int64_t>& out) {
 }
 
 /// One pooled exchange of the canonical parcels, replaying a program
-/// compiled for `layout`; returns the arena's traffic.
+/// compiled for `layout` on `pool`; returns the arena's traffic.
 WirePoolStats run_pooled(const SuhShinAape& algo, LayoutPolicy layout,
-                         ParcelBuffers<std::int64_t>* out = nullptr) {
+                         ParcelBuffers<std::int64_t>* out = nullptr, StepPool* pool = nullptr) {
   WireArena arena;
   WireExchangeOptions options;
   options.arena = &arena;
+  options.pool = pool;
   auto delivered = exchange_payloads_pooled(
       algo, StepProgram(algo, layout), canonical_parcels(algo.shape().num_nodes()), options);
   if (out != nullptr) *out = std::move(delivered);
@@ -575,6 +583,7 @@ struct ReplayCase {
   std::vector<std::int32_t> extents;
   LayoutPolicy layout;
   Driver driver;
+  int participants;  ///< of the StepPool the kernel runs on
 };
 
 /// Everything the wire carried, counter for counter.
@@ -590,21 +599,27 @@ void expect_same_traffic(const WirePoolStats& got, const WirePoolStats& want,
   EXPECT_EQ(got.parcels_rearranged, want.parcels_rearranged) << what;
 }
 
-/// One fresh exchange of the canonical parcels by `driver`, replaying a
-/// program compiled for `layout`; returns the arena's traffic. The
-/// sealed and journaled drivers (clean wire, fresh journal) must carry
-/// exactly what the pooled one does.
+/// One fresh exchange of the canonical parcels by `driver` on `pool`,
+/// replaying a program compiled for `layout`; returns the arena's
+/// traffic. Every driver at every pool size must carry exactly what the
+/// pooled driver carries inline; the sealed and journaled drivers run a
+/// clean wire and a fresh journal.
 WirePoolStats run_driver(const SuhShinAape& algo, LayoutPolicy layout, Driver driver,
-                         ParcelBuffers<std::int64_t>& out) {
-  if (driver == Driver::kPooled) return run_pooled(algo, layout, &out);
-  const Rank N = algo.shape().num_nodes();
+                         StepPool& pool, ParcelBuffers<std::int64_t>& out) {
   const std::string what = algo.shape().to_string();
-  const StepProgram program(algo, layout);
   const WirePoolStats pooled = run_pooled(algo, layout);
+  if (driver == Driver::kPooled) {
+    const WirePoolStats wire = run_pooled(algo, layout, &out, &pool);
+    expect_same_traffic(wire, pooled, what);
+    return wire;
+  }
+  const Rank N = algo.shape().num_nodes();
+  const StepProgram program(algo, layout);
   WireArena arena;
   if (driver == Driver::kSealed) {
     IntegrityOptions options;
     options.arena = &arena;
+    options.pool = &pool;
     IntegrityReport report;
     out = exchange_payloads_sealed(algo, program, canonical_parcels(N), {}, options, &report);
     EXPECT_TRUE(report.clean()) << what;
@@ -615,6 +630,7 @@ WirePoolStats run_driver(const SuhShinAape& algo, LayoutPolicy layout, Driver dr
     ExchangeJournal journal;
     JournalRunOptions options;
     options.wire = &arena;
+    options.pool = &pool;
     ResumeReport report;
     out = exchange_payloads_journaled(algo, program, canonical_parcels(N), journal, options,
                                       report);
@@ -630,8 +646,9 @@ class StepProgramReplayTest : public ::testing::TestWithParam<ReplayCase> {};
 
 TEST_P(StepProgramReplayTest, DeliversTheTransposeWithSimulatorRunAccounting) {
   const SuhShinAape algo{TorusShape(GetParam().extents)};
+  StepPool pool(GetParam().participants);
   ParcelBuffers<std::int64_t> out;
-  const WirePoolStats wire = run_driver(algo, GetParam().layout, GetParam().driver, out);
+  const WirePoolStats wire = run_driver(algo, GetParam().layout, GetParam().driver, pool, out);
   expect_delivered(algo.shape().num_nodes(), out);
   std::vector<std::vector<Block>> oracle_order;
   expect_matches_simulator(wire, run_layout_simulation(algo, GetParam().layout, &oracle_order),
@@ -649,12 +666,16 @@ TEST_P(StepProgramReplayTest, DeliversTheTransposeWithSimulatorRunAccounting) {
 
 std::vector<ReplayCase> replay_cases() {
   std::vector<ReplayCase> cases;
-  for (const Driver driver : {Driver::kPooled, Driver::kSealed, Driver::kJournaled}) {
-    for (const auto& extents : std::vector<std::vector<std::int32_t>>{
-             {4, 4}, {8, 8}, {16, 8}, {12, 8}, {8, 4, 4}, {8, 8, 8}, {4, 4, 4, 4}, {12, 12, 4}}) {
-      for (const LayoutPolicy layout :
-           {LayoutPolicy::kPaper, LayoutPolicy::kNaiveDestinationOrder}) {
-        cases.push_back({extents, layout, driver});
+  // Four participants even on a smaller host: the stages then really
+  // interleave on more threads than cores.
+  for (const int participants : {1, 4}) {
+    for (const Driver driver : {Driver::kPooled, Driver::kSealed, Driver::kJournaled}) {
+      for (const auto& extents : std::vector<std::vector<std::int32_t>>{
+               {4, 4}, {8, 8}, {16, 8}, {12, 8}, {8, 4, 4}, {8, 8, 8}, {4, 4, 4, 4}, {12, 12, 4}}) {
+        for (const LayoutPolicy layout :
+             {LayoutPolicy::kPaper, LayoutPolicy::kNaiveDestinationOrder}) {
+          cases.push_back({extents, layout, driver, participants});
+        }
       }
     }
   }
@@ -666,7 +687,8 @@ std::string replay_case_label(const ReplayCase& c) {
                        : c.driver == Driver::kJournaled ? "_journaled"
                                                         : "";
   return TorusShape(c.extents).to_string() +
-         (c.layout == LayoutPolicy::kPaper ? "_paper" : "_naive") + driver;
+         (c.layout == LayoutPolicy::kPaper ? "_paper" : "_naive") + driver +
+         (c.participants > 1 ? "_pool" + std::to_string(c.participants) : "");
 }
 
 void PrintTo(const ReplayCase& c, std::ostream* os) { *os << replay_case_label(c); }
@@ -793,7 +815,8 @@ std::int64_t step_messages(const StepProgram& program, int phase, int step, bool
 }
 
 /// Refuses the first attempt of every message in (phase, step): each
-/// must re-encode from its sender's source runs and arrive intact.
+/// must re-encode from its sender's source runs and arrive intact, on
+/// one participant and on four.
 void expect_step_retransmits_intact(const SuhShinAape& algo, const StepProgram& program,
                                     int phase, int step, std::int64_t messages) {
   const Rank N = algo.shape().num_nodes();
@@ -803,13 +826,19 @@ void expect_step_retransmits_intact(const SuhShinAape& algo, const StepProgram& 
     wire.back() ^= std::byte{0x01};  // the frame CRC
     return true;
   };
-  IntegrityReport report;
-  const auto out =
-      exchange_payloads_sealed(algo, program, canonical_parcels(N), refuse_first, {}, &report);
-  expect_delivered(N, out);
-  EXPECT_EQ(report.corrupted, messages);
-  EXPECT_EQ(report.retransmits, messages);
-  EXPECT_EQ(report.final_tick, algo.total_steps() + 1);  // the step took one extra tick
+  for (const int participants : {1, 4}) {
+    StepPool pool(participants);
+    IntegrityOptions options;
+    options.pool = &pool;
+    IntegrityReport report;
+    const auto out = exchange_payloads_sealed(algo, program, canonical_parcels(N), refuse_first,
+                                              options, &report);
+    expect_delivered(N, out);
+    EXPECT_EQ(report.corrupted, messages) << participants << " participants";
+    EXPECT_EQ(report.retransmits, messages) << participants << " participants";
+    // The step took one extra tick.
+    EXPECT_EQ(report.final_tick, algo.total_steps() + 1) << participants << " participants";
+  }
 }
 
 TEST(SealedWirePathTest, InPlaceStepRetransmitsFromIntactRuns) {
@@ -841,6 +870,45 @@ TEST(SealedWirePathTest, CompactingStepRetransmitsFromIntactRuns) {
     }
   }
   FAIL() << "no compacting step in the 8x4x4 program";
+}
+
+TEST(SealedWirePathTest, WorkerFailureSurfacesOnTheCallerWithEveryFrameReturned) {
+  // The tamperer re-seals every first transmission of one step a parcel
+  // short: each frame verifies, but none can land in place over the
+  // send it replaces. The invariant check fails inside the integrate
+  // stage, on whichever participant lands the receive; it must surface
+  // on the calling thread, and every leased frame must be back.
+  const SuhShinAape algo(TorusShape({8, 8}));
+  const StepProgram program(algo);
+  const int phase = algo.num_phases();
+  const ParcelTamperer shorten = [&](const TransferContext& ctx, std::vector<std::byte>& wire) {
+    if (ctx.phase != phase || ctx.step != 1 || ctx.attempt != 0) return false;
+    SealedRunFrameView<std::int64_t> view;
+    EXPECT_TRUE(decode_multi_run_frame<std::int64_t>(wire, ctx.phase, ctx.step, ctx.src, ctx.dst,
+                                                     64, view));
+    std::vector<Parcel<std::int64_t>> parcels(view.count());
+    view.scatter(parcels.data());
+    const SendRun run{0, static_cast<std::uint32_t>(parcels.size() - 1)};
+    encode_multi_run_frame(parcels, std::span<const SendRun>(&run, 1), run.count, ctx.phase,
+                           ctx.step, ctx.src, ctx.dst, wire);
+    return true;
+  };
+  for (const int participants : {1, 4}) {
+    StepPool pool(participants);
+    WireArena arena;
+    IntegrityOptions options;
+    options.arena = &arena;
+    options.pool = &pool;
+    try {
+      exchange_payloads_sealed(algo, program, canonical_parcels(64), shorten, options);
+      ADD_FAILURE() << "a short in-place receive must fail the kernel's check";
+    } catch (const std::logic_error& error) {
+      EXPECT_NE(std::string(error.what()).find("in-place receive"), std::string::npos)
+          << error.what();
+    }
+    EXPECT_EQ(arena.stats().outstanding_frames(), 0) << participants << " participants";
+    EXPECT_EQ(arena.in_use(), 0) << participants << " participants";
+  }
 }
 
 // --- Deterministic fuzz harness ----------------------------------------
