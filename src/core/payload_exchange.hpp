@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstring>
+#include <exception>
 #include <iterator>
 #include <span>
 #include <string>
@@ -286,28 +287,8 @@ inline void publish_wire_metrics(Recorder* obs, const WirePoolStats& d) {
   m.counter("wire.runs_encoded").add(d.runs_encoded);
 }
 
-/// Scans a buffer for this step's send set without reordering it.
-/// Fills `runs` with the maximal contiguous spans of parcels matched
-/// by `should_send` (buffer order) and returns the total parcel count.
-template <typename T, typename Pred>
-std::size_t collect_send_runs(const std::vector<Parcel<T>>& buf, Pred&& should_send,
-                              std::vector<SendRun>& runs) {
-  runs.clear();
-  std::size_t count = 0;
-  for (std::size_t i = 0; i < buf.size(); ++i) {
-    if (should_send(buf[i])) {
-      if (runs.empty() || runs.back().offset + runs.back().count != i) {
-        runs.push_back(SendRun{static_cast<std::uint32_t>(i), 0});
-      }
-      ++runs.back().count;
-      ++count;
-    }
-  }
-  return count;
-}
-
-/// Compacts a buffer by dropping the given runs (one stable pass) —
-/// the post-delivery counterpart of collect_send_runs.
+/// Compacts a buffer by dropping the given runs (ascending, disjoint)
+/// in one stable pass: what a node keeps once its send has left.
 template <typename T>
 void erase_runs(std::vector<Parcel<T>>& buf, std::span<const SendRun> runs) {
   if (runs.empty()) return;
@@ -673,6 +654,7 @@ void scatter_parcels_strided(Rank N, const ParcelBuffers<T>& delivered,
 // per-node work of a step runs on an optional StepPool
 // (util/step_pool.hpp), as bulk-synchronous stages:
 //
+//   caller   begin_step: the driver may defer the step, untouched;
 //   caller   lease every frame at full size (or reserve staging), check
 //            the one-port model, size every receive, account traffic;
 //   workers  each sender gathers its runs into its frame and seals it
@@ -696,6 +678,16 @@ void scatter_parcels_strided(Rank N, const ParcelBuffers<T>& delivered,
 // frame, buffer, staging slot and scratch vector first — and record
 // nothing: the phase and step spans wrap the stages on the caller.
 //
+// The loop is resumable. A StepReplay holds where a replay stands, the
+// next (phase, step), together with the storage the kernel reuses from
+// step to step, and replay_phase() runs it from there to the end of
+// that phase. The one-shot drivers call it phase after phase within one
+// call; torexd's sessions (svc/session_exchange.hpp) keep their
+// StepReplay and run one phase per dispatch. A step that begin_step
+// defers has mutated nothing — a phase's rearrangement runs after its
+// first step's begin_step — so the next call resumes exactly there, and
+// no step or rearrangement runs twice.
+//
 // Drivers extend the loop through StepHooks. Hooks are template
 // arguments: no std::function and no virtual call per message.
 
@@ -713,6 +705,12 @@ struct StepMessage {
 /// The kernel's default hooks. A driver derives from them and hides the
 /// members it extends. Every hook runs on the calling thread.
 struct StepHooks {
+  /// Runs before anything of (phase, step) does, the phase's
+  /// rearrangement included when `step` is its first. Returning false
+  /// defers the step: replay_phase returns false with the step still
+  /// next, and nothing of it has run.
+  bool begin_step(int /*phase*/, int /*step*/) { return true; }
+
   /// Whether (phase, step) crosses the framed wire; when false its
   /// messages move locally. Non-trivially-copyable parcels always move
   /// locally.
@@ -772,18 +770,12 @@ void order_seed_by_destination(ParcelBuffers<T>& buffers, std::vector<Parcel<T>>
   for (auto& buf : buffers) order_by_destination(buf, scratch);
 }
 
-/// The step kernel: replays `program` over `buffers` (a canonical seed
-/// the driver has validated) on `arena`'s frames and `pool`'s workers
-/// (inline when null), calls `hooks` as described above, and checks the
-/// AAPE postcondition.
-template <typename T, typename Hooks>
-void replay_step_program(const StepProgram& program, ParcelBuffers<T>& buffers, WireArena& arena,
-                         StepPool* pool, Recorder* obs, Hooks& hooks) {
-  constexpr bool kFramable = std::is_trivially_copyable_v<Parcel<T>>;
-  const Rank N = program.num_nodes();
-  const auto nodes = static_cast<std::size_t>(N);
-  // In flight, one slot per receiver: its sender and a leased frame with
-  // the verifier's verdict, or the parcels moved into `staged`.
+/// A replay in progress: the next (phase, step) to run, and the storage
+/// the kernel reuses from step to step (see the section comment).
+template <typename T>
+struct StepReplay {
+  /// In flight, one per receiver: its sender and a leased frame with the
+  /// verifier's verdict, or the parcels moved into `staged`.
   struct Inbound {
     Rank src = -1;  ///< -1: nothing arrives this step
     PooledFrame frame;
@@ -792,190 +784,267 @@ void replay_step_program(const StepProgram& program, ParcelBuffers<T>& buffers, 
     std::size_t at = 0;             ///< where the receive landed
     std::size_t count = 0;          ///< parcels received
   };
-  std::vector<Inbound> inbound(nodes);
-  ParcelBuffers<T> staged;  // local transport, sized on first use
-  // Per-participant sort scratch: once every buffer and scratch vector
-  // holds the largest buffer, the sort's swaps keep it that way.
+  /// One participant's sort scratch. The histogram is written for every
+  /// parcel the participant sorts, so it owns its cache lines: no other
+  /// participant's histogram and no program table can share them.
   struct Scratch {
     std::vector<Parcel<T>> parcels;
-    std::vector<std::uint32_t> key_counts;
+    LineVector<std::uint32_t> key_counts;
   };
+
+  int phase = 1;  ///< 1-based; num_phases() + 1 once every phase ran
+  int step = 1;   ///< 1-based, within `phase`
+  std::vector<Inbound> inbound;
+  ParcelBuffers<T> staged;       // local transport, sized on first use
+  std::vector<Scratch> scratch;  // one per participant
+};
+
+/// Reserves the largest buffer's size in every buffer and participant
+/// scratch vector: once they all hold it, the sort's swaps keep it so.
+template <typename T>
+void hold_largest_buffer(ParcelBuffers<T>& buffers, StepReplay<T>& replay) {
+  std::size_t largest = 0;
+  for (const auto& buf : buffers) largest = std::max(largest, buf.size());
+  for (auto& buf : buffers) buf.reserve(largest);
+  for (auto& s : replay.scratch) s.parcels.reserve(largest);
+}
+
+/// Starts a fresh replay of `program` over `buffers` (a canonical seed
+/// the driver has validated): sizes the kernel's storage for `pool`'s
+/// participants and puts the seed in destination order.
+template <typename T>
+void begin_replay(const StepProgram& program, ParcelBuffers<T>& buffers, StepPool* pool,
+                  StepReplay<T>& replay) {
+  replay.inbound.resize(static_cast<std::size_t>(program.num_nodes()));
   std::uint32_t max_keys = 0;
   for (int phase = 1; phase <= program.num_phases(); ++phase) {
     max_keys = std::max(max_keys, program.num_keys(phase));
   }
-  std::vector<Scratch> scratch(static_cast<std::size_t>(participants(pool)));
-  for (Scratch& s : scratch) s.key_counts.reserve(std::size_t{max_keys} + 1);
-  const auto hold_largest_buffer = [&] {
-    std::size_t largest = 0;
-    for (const auto& buf : buffers) largest = std::max(largest, buf.size());
-    for (auto& buf : buffers) buf.reserve(largest);
-    for (Scratch& s : scratch) s.parcels.reserve(largest);
-  };
+  replay.scratch.resize(static_cast<std::size_t>(participants(pool)));
+  for (auto& s : replay.scratch) s.key_counts.reserve(std::size_t{max_keys} + 1);
+  hold_largest_buffer(buffers, replay);
+  StepPool::run(pool, buffers.size(), [&](std::size_t p, int who) {
+    order_by_destination(buffers[p], replay.scratch[static_cast<std::size_t>(who)].parcels);
+  });
+}
+
+/// Returns every frame a replay still leases when a hook or a worker
+/// throws mid-step: the replay may outlive the throw (a failed torexd
+/// session keeps its state), its frames may not.
+template <typename T>
+class ReleaseFramesOnThrow {
+ public:
+  explicit ReleaseFramesOnThrow(StepReplay<T>& replay) : replay_(replay) {}
+  ReleaseFramesOnThrow(const ReleaseFramesOnThrow&) = delete;
+  ReleaseFramesOnThrow& operator=(const ReleaseFramesOnThrow&) = delete;
+  ~ReleaseFramesOnThrow() {
+    if (std::uncaught_exceptions() == uncaught_) return;
+    for (auto& in : replay_.inbound) {
+      in.src = -1;
+      in.frame.reset();
+    }
+  }
+
+ private:
+  StepReplay<T>& replay_;
+  int uncaught_ = std::uncaught_exceptions();
+};
+
+/// The step kernel: runs `replay` from its (phase, step) to the end of
+/// that phase, replaying `program` over `buffers` on `arena`'s frames
+/// and `pool`'s workers (inline when null) and calling `hooks` as the
+/// section comment describes. Returns true once the phase is done
+/// (`replay` then names the next phase's first step), false when
+/// hooks.begin_step deferred a step (`replay` still names it).
+template <typename T, typename Hooks>
+bool replay_phase(const StepProgram& program, ParcelBuffers<T>& buffers, WireArena& arena,
+                  StepPool* pool, Recorder* obs, Hooks& hooks, StepReplay<T>& replay) {
+  constexpr bool kFramable = std::is_trivially_copyable_v<Parcel<T>>;
+  const Rank N = program.num_nodes();
+  const auto nodes = static_cast<std::size_t>(N);
+  const int phase = replay.phase;
+  auto& inbound = replay.inbound;
+  auto& staged = replay.staged;
   // Every stage below runs over all nodes.
   const auto each_node = [&](auto&& fn) { StepPool::run(pool, nodes, fn); };
+  const ReleaseFramesOnThrow<T> release(replay);
 
-  hold_largest_buffer();
-  each_node([&](std::size_t p, int who) {
-    order_by_destination(buffers[p], scratch[static_cast<std::size_t>(who)].parcels);
-  });
-
-  for (int phase = 1; phase <= program.num_phases(); ++phase) {
-    SpanGuard phase_span(obs, "phase", -1, phase);
-    // Phase-boundary rearrangement: one pass, same accounting as the
-    // layout simulator (phase 1's initial order is counted as given).
+  SpanGuard phase_span(obs, "phase", -1, phase);
+  // Phase-boundary rearrangement: one pass, same accounting as the
+  // layout simulator (phase 1's initial order is counted as given).
+  const auto rearrange = [&] {
     if (phase > 1) {
       ++arena.stats().rearrangement_passes;
       arena.stats().parcels_rearranged += N;
     }
-    if (program.rearranges(phase)) {
-      hold_largest_buffer();
-      each_node([&](std::size_t p, int who) {
-        const StepProgram::SortKey key = program.sort_key(phase, static_cast<Rank>(p));
-        Scratch& s = scratch[static_cast<std::size_t>(who)];
-        stable_counting_sort(buffers[p], s.parcels, s.key_counts, program.num_keys(phase),
-                             [&](const Parcel<T>& x) { return key(x.block.dest); });
-      });
-    }
+    if (!program.rearranges(phase)) return;
+    hold_largest_buffer(buffers, replay);
+    each_node([&](std::size_t p, int who) {
+      const StepProgram::SortKey key = program.sort_key(phase, static_cast<Rank>(p));
+      auto& s = replay.scratch[static_cast<std::size_t>(who)];
+      stable_counting_sort(buffers[p], s.parcels, s.key_counts, program.num_keys(phase),
+                           [&](const Parcel<T>& x) { return key(x.block.dest); });
+    });
+  };
+  if (program.steps_in_phase(phase) == 0) rearrange();
 
-    for (int step = 1; step <= program.steps_in_phase(phase); ++step) {
-      SpanGuard step_span(obs, "step", -1, phase, step);
-      const bool framed = kFramable && hooks.framed(phase, step);
-      const bool verify_at_seal = !hooks.tampers();
-      if (!framed && staged.empty()) staged.resize(nodes);
-      const auto message = [&](Rank p) {
-        const StepProgram::NodeStep& s = program.step(phase, step, p);
-        return StepMessage{phase, step, p, s.partner, 0};
-      };
-      // Caller: lease, check, size and account, in sender order.
-      for (Rank p = 0; p < N; ++p) {
-        const StepProgram::NodeStep& s = program.step(phase, step, p);
-        if (s.count == 0) continue;
-        Inbound& in = inbound[static_cast<std::size_t>(s.partner)];
-        TOREX_CHECK(in.src < 0, "one-port receive violation in the step kernel");
-        in.src = p;
-        const std::size_t run_bytes = s.count * sizeof(Parcel<T>);
-        if (framed) {
-          const std::size_t frame_bytes = kFrameV3HeaderBytes +
-                                          s.run_count * kRunDescriptorBytes + run_bytes +
-                                          kFrameTrailerBytes;
-          in.frame.bind(arena, frame_bytes);
-          arena.stats().note_message(static_cast<std::int64_t>(s.count),
-                                     static_cast<std::int64_t>(s.run_count));
-          arena.stats().bytes_encoded += static_cast<std::int64_t>(frame_bytes);
-          arena.stats().bytes_copied += static_cast<std::int64_t>(2 * run_bytes);  // gather, splice
-        } else {
-          staged[static_cast<std::size_t>(s.partner)].reserve(s.count);
-        }
-        // A receive that does not land in place grows its buffer by the
-        // difference between what arrives and what the receiver sent.
-        const StepProgram::NodeStep& r = program.step(phase, step, s.partner);
-        if (!r.in_place) {
-          auto& dst = buffers[static_cast<std::size_t>(s.partner)];
-          dst.reserve(dst.size() - r.count + s.count);
-        }
+  for (; replay.step <= program.steps_in_phase(phase); ++replay.step) {
+    const int step = replay.step;
+    if (!hooks.begin_step(phase, step)) return false;
+    if (step == 1) rearrange();
+    SpanGuard step_span(obs, "step", -1, phase, step);
+    const bool framed = kFramable && hooks.framed(phase, step);
+    const bool verify_at_seal = !hooks.tampers();
+    if (!framed && staged.empty()) staged.resize(nodes);
+    const auto message = [&](Rank p) {
+      const StepProgram::NodeStep& s = program.step(phase, step, p);
+      return StepMessage{phase, step, p, s.partner, 0};
+    };
+    // Caller: lease, check, size and account, in sender order.
+    for (Rank p = 0; p < N; ++p) {
+      const StepProgram::NodeStep& s = program.step(phase, step, p);
+      if (s.count == 0) continue;
+      auto& in = inbound[static_cast<std::size_t>(s.partner)];
+      TOREX_CHECK(in.src < 0, "one-port receive violation in the step kernel");
+      in.src = p;
+      const std::size_t run_bytes = s.count * sizeof(Parcel<T>);
+      if (framed) {
+        const std::size_t frame_bytes = kFrameV3HeaderBytes +
+                                        s.run_count * kRunDescriptorBytes + run_bytes +
+                                        kFrameTrailerBytes;
+        in.frame.bind(arena, frame_bytes);
+        arena.stats().note_message(static_cast<std::int64_t>(s.count),
+                                   static_cast<std::int64_t>(s.run_count));
+        arena.stats().bytes_encoded += static_cast<std::int64_t>(frame_bytes);
+        arena.stats().bytes_copied += static_cast<std::int64_t>(2 * run_bytes);  // gather, splice
+      } else {
+        staged[static_cast<std::size_t>(s.partner)].reserve(s.count);
       }
-      // Workers: gather and seal (or stage locally).
-      each_node([&](std::size_t p, int) {
-        const StepProgram::NodeStep& s = program.step(phase, step, static_cast<Rank>(p));
-        if (s.count == 0) return;
-        auto& buf = buffers[p];
-        const std::span<const SendRun> runs = program.runs(s);
-        Inbound& in = inbound[static_cast<std::size_t>(s.partner)];
-        if constexpr (kFramable) {
-          if (framed) {
-            encode_multi_run_frame(buf, runs, s.count, phase, step, static_cast<Rank>(p),
-                                   s.partner, in.frame.bytes());
-            if (verify_at_seal) {
-              in.refused = verify_multi_run_frame<T>(in.frame.view(), phase, step,
-                                                     static_cast<Rank>(p), s.partner, N, in.view);
-            }
-            return;
-          }
-        }
-        auto& out = staged[static_cast<std::size_t>(s.partner)];
-        for (const SendRun& r : runs) {
-          const auto first = buf.begin() + static_cast<std::ptrdiff_t>(r.offset);
-          out.insert(out.end(), std::make_move_iterator(first),
-                     std::make_move_iterator(first + static_cast<std::ptrdiff_t>(r.count)));
-        }
-      });
+      // A receive that does not land in place grows its buffer by the
+      // difference between what arrives and what the receiver sent.
+      const StepProgram::NodeStep& r = program.step(phase, step, s.partner);
+      if (!r.in_place) {
+        auto& dst = buffers[static_cast<std::size_t>(s.partner)];
+        dst.reserve(dst.size() - r.count + s.count);
+      }
+    }
+    // Workers: gather and seal (or stage locally).
+    each_node([&](std::size_t p, int) {
+      const StepProgram::NodeStep& s = program.step(phase, step, static_cast<Rank>(p));
+      if (s.count == 0) return;
+      auto& buf = buffers[p];
+      const std::span<const SendRun> runs = program.runs(s);
+      auto& in = inbound[static_cast<std::size_t>(s.partner)];
       if constexpr (kFramable) {
         if (framed) {
-          if (!verify_at_seal) {
-            for (Rank p = 0; p < N; ++p) {
-              if (program.step(phase, step, p).count == 0) continue;
-              const StepMessage m = message(p);
-              hooks.tamper(m, inbound[static_cast<std::size_t>(m.dst)].frame.bytes());
-            }
-            each_node([&](std::size_t q, int) {
-              Inbound& in = inbound[q];
-              if (in.src < 0) return;
-              in.refused = verify_multi_run_frame<T>(in.frame.view(), phase, step, in.src,
-                                                     static_cast<Rank>(q), N, in.view);
-            });
+          encode_multi_run_frame(buf, runs, s.count, phase, step, static_cast<Rank>(p), s.partner,
+                                 in.frame.bytes());
+          if (verify_at_seal) {
+            in.refused = verify_multi_run_frame<T>(in.frame.view(), phase, step,
+                                                   static_cast<Rank>(p), s.partner, N, in.view);
           }
-          // Caller: settle in sender order, retransmitting refused frames.
+          return;
+        }
+      }
+      auto& out = staged[static_cast<std::size_t>(s.partner)];
+      for (const SendRun& r : runs) {
+        const auto first = buf.begin() + static_cast<std::ptrdiff_t>(r.offset);
+        out.insert(out.end(), std::make_move_iterator(first),
+                   std::make_move_iterator(first + static_cast<std::ptrdiff_t>(r.count)));
+      }
+    });
+    if constexpr (kFramable) {
+      if (framed) {
+        if (!verify_at_seal) {
           for (Rank p = 0; p < N; ++p) {
-            const StepProgram::NodeStep& s = program.step(phase, step, p);
-            if (s.count == 0) continue;
-            Inbound& in = inbound[static_cast<std::size_t>(s.partner)];
-            for (StepMessage m = message(p); !hooks.settle(m, in.view, in.refused);) {
-              ++m.attempt;
-              encode_multi_run_frame(buffers[static_cast<std::size_t>(p)], program.runs(s),
-                                     s.count, phase, step, p, s.partner, in.frame.bytes());
-              arena.stats().note_message(static_cast<std::int64_t>(s.count),
-                                         static_cast<std::int64_t>(s.run_count));
-              arena.stats().bytes_encoded += static_cast<std::int64_t>(in.frame.bytes().size());
-              arena.stats().bytes_copied += static_cast<std::int64_t>(s.count * sizeof(Parcel<T>));
-              hooks.tamper(m, in.frame.bytes());
-              in.refused = verify_multi_run_frame<T>(in.frame.view(), phase, step, p, s.partner, N,
-                                                     in.view);
-            }
+            if (program.step(phase, step, p).count == 0) continue;
+            const StepMessage m = message(p);
+            hooks.tamper(m, inbound[static_cast<std::size_t>(m.dst)].frame.bytes());
+          }
+          each_node([&](std::size_t q, int) {
+            auto& in = inbound[q];
+            if (in.src < 0) return;
+            in.refused = verify_multi_run_frame<T>(in.frame.view(), phase, step, in.src,
+                                                   static_cast<Rank>(q), N, in.view);
+          });
+        }
+        // Caller: settle in sender order, retransmitting refused frames.
+        for (Rank p = 0; p < N; ++p) {
+          const StepProgram::NodeStep& s = program.step(phase, step, p);
+          if (s.count == 0) continue;
+          auto& in = inbound[static_cast<std::size_t>(s.partner)];
+          for (StepMessage m = message(p); !hooks.settle(m, in.view, in.refused);) {
+            ++m.attempt;
+            encode_multi_run_frame(buffers[static_cast<std::size_t>(p)], program.runs(s), s.count,
+                                   phase, step, p, s.partner, in.frame.bytes());
+            arena.stats().note_message(static_cast<std::int64_t>(s.count),
+                                       static_cast<std::int64_t>(s.run_count));
+            arena.stats().bytes_encoded += static_cast<std::int64_t>(in.frame.bytes().size());
+            arena.stats().bytes_copied += static_cast<std::int64_t>(s.count * sizeof(Parcel<T>));
+            hooks.tamper(m, in.frame.bytes());
+            in.refused = verify_multi_run_frame<T>(in.frame.view(), phase, step, p, s.partner, N,
+                                                   in.view);
           }
         }
       }
-      // Workers: compact, then land the receive over the node's own send
-      // run (in place) or in the hole that send left.
-      each_node([&](std::size_t p, int) {
-        const StepProgram::NodeStep& s = program.step(phase, step, static_cast<Rank>(p));
-        auto& buf = buffers[p];
-        if (s.count > 0 && !s.in_place) erase_runs(buf, program.runs(s));
-        Inbound& in = inbound[p];
-        if (in.src < 0) return;
-        in.count = framed ? in.view.count() : staged[p].size();
-        in.at = s.count > 0 ? program.runs(s).front().offset : buf.size();
-        if (s.in_place) {
-          TOREX_CHECK(in.count == s.count, "in-place receive must match the send it replaces");
-        } else {
-          in.at = std::min(in.at, buf.size());
-          buf.insert(buf.begin() + static_cast<std::ptrdiff_t>(in.at), in.count, Parcel<T>{});
-        }
-        Parcel<T>* first = buf.data() + in.at;
-        if constexpr (kFramable) {
-          if (framed) {
-            in.view.scatter(first);
-            return;
-          }
-        }
-        auto& local = staged[p];
-        std::move(local.begin(), local.end(), first);
-        local.clear();
-      });
-      // Caller: frames go back to the arena, then the receive hooks run.
-      for (Rank p = 0; p < N; ++p) {
-        Inbound& in = inbound[static_cast<std::size_t>(p)];
-        if (in.src < 0) continue;
-        in.src = -1;
-        in.frame.reset();
-        hooks.received(p, phase, step, buffers[static_cast<std::size_t>(p)].data() + in.at,
-                       in.count);
-      }
-      hooks.step_done(phase, step);
     }
-    hooks.phase_done(phase);
+    // Workers: compact, then land the receive over the node's own send
+    // run (in place) or in the hole that send left.
+    each_node([&](std::size_t p, int) {
+      const StepProgram::NodeStep& s = program.step(phase, step, static_cast<Rank>(p));
+      auto& buf = buffers[p];
+      if (s.count > 0 && !s.in_place) erase_runs(buf, program.runs(s));
+      auto& in = inbound[p];
+      if (in.src < 0) return;
+      in.count = framed ? in.view.count() : staged[p].size();
+      in.at = s.count > 0 ? program.runs(s).front().offset : buf.size();
+      if (s.in_place) {
+        TOREX_CHECK(in.count == s.count, "in-place receive must match the send it replaces");
+      } else {
+        in.at = std::min(in.at, buf.size());
+        buf.insert(buf.begin() + static_cast<std::ptrdiff_t>(in.at), in.count, Parcel<T>{});
+      }
+      Parcel<T>* first = buf.data() + in.at;
+      if constexpr (kFramable) {
+        if (framed) {
+          in.view.scatter(first);
+          return;
+        }
+      }
+      auto& local = staged[p];
+      std::move(local.begin(), local.end(), first);
+      local.clear();
+    });
+    // Caller: frames go back to the arena, then the receive hooks run.
+    for (Rank p = 0; p < N; ++p) {
+      auto& in = inbound[static_cast<std::size_t>(p)];
+      if (in.src < 0) continue;
+      in.src = -1;
+      in.frame.reset();
+      hooks.received(p, phase, step, buffers[static_cast<std::size_t>(p)].data() + in.at,
+                     in.count);
+    }
+    hooks.step_done(phase, step);
   }
-  check_parcel_postcondition(N, buffers, pool);
+  hooks.phase_done(phase);
+  ++replay.phase;
+  replay.step = 1;
+  return true;
+}
+
+/// The one-shot replay: runs `program` over `buffers` (a canonical seed
+/// the driver has validated) from (1, 1) to the end in one call, then
+/// checks the AAPE postcondition. Its hooks never defer.
+template <typename T, typename Hooks>
+void replay_step_program(const StepProgram& program, ParcelBuffers<T>& buffers, WireArena& arena,
+                         StepPool* pool, Recorder* obs, Hooks& hooks) {
+  StepReplay<T> replay;
+  begin_replay(program, buffers, pool, replay);
+  while (replay.phase <= program.num_phases()) {
+    TOREX_CHECK(replay_phase(program, buffers, arena, pool, obs, hooks, replay),
+                "a one-shot replay deferred a step");
+  }
+  check_parcel_postcondition(program.num_nodes(), buffers, pool);
 }
 
 }  // namespace detail

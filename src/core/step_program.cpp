@@ -37,11 +37,17 @@ void StepProgram::require_compiled_for(const SuhShinAape& algo) const {
   }
 }
 
+std::array<std::span<const std::byte>, 7> StepProgram::tables() const {
+  return {std::as_bytes(std::span(phase_first_step_)), std::as_bytes(std::span(steps_)),
+          std::as_bytes(std::span(runs_)),             std::as_bytes(std::span(classes_)),
+          std::as_bytes(std::span(keys_)),             std::as_bytes(std::span(keying_)),
+          std::as_bytes(std::span(num_keys_))};
+}
+
 std::size_t StepProgram::memory_bytes() const {
-  return phase_first_step_.size() * sizeof(int) + steps_.size() * sizeof(NodeStep) +
-         runs_.size() * sizeof(SendRun) + classes_.size() * sizeof(std::uint32_t) +
-         keys_.size() * sizeof(std::uint32_t) + keying_.size() * sizeof(Keying) +
-         num_keys_.size() * sizeof(std::uint32_t);
+  std::size_t bytes = 0;
+  for (const std::span<const std::byte> table : tables()) bytes += table.size();
+  return bytes;
 }
 
 // Each key table is built by evaluating the layout simulator's own key

@@ -23,9 +23,12 @@
 // checks the AAPE postcondition. The program is a value: it holds no
 // pointer into the schedule it was compiled from, only that schedule's
 // shape and convention, against which require_compiled_for() checks
-// every replay.
+// every replay. Every table owns whole cache lines (util/cache_line.hpp):
+// the kernel's participants read them for every parcel while writing
+// their own scratch, and must never share a line with that scratch.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -36,6 +39,7 @@
 
 #include "core/aape.hpp"
 #include "core/data_array.hpp"
+#include "util/cache_line.hpp"
 
 namespace torex {
 
@@ -54,14 +58,18 @@ class StepProgramMismatchError : public std::invalid_argument {
       : std::invalid_argument("step program does not match the schedule: " + why) {}
 };
 
+/// A vector whose storage owns whole cache lines.
+template <typename T>
+using LineVector = std::vector<T, CacheLineAllocator<T>>;
+
 /// Stable counting sort of `items` by `key_of(item)` in [0, num_keys):
 /// three linear passes (histogram, prefix sum, move into `scratch`),
-/// then the two vectors swap. `scratch` and `counts` are reusable
-/// storage; once they reach capacity the sort allocates nothing.
-template <typename Item, typename KeyOf>
-void stable_counting_sort(std::vector<Item>& items, std::vector<Item>& scratch,
-                          std::vector<std::uint32_t>& counts, std::uint32_t num_keys,
-                          KeyOf&& key_of) {
+/// then the two vectors swap. `scratch` and `counts` (a vector of
+/// std::uint32_t) are reusable storage; once they reach capacity the
+/// sort allocates nothing.
+template <typename Item, typename Counts, typename KeyOf>
+void stable_counting_sort(std::vector<Item>& items, std::vector<Item>& scratch, Counts& counts,
+                          std::uint32_t num_keys, KeyOf&& key_of) {
   counts.assign(static_cast<std::size_t>(num_keys) + 1, 0);
   for (const Item& x : items) ++counts[static_cast<std::size_t>(key_of(x)) + 1];
   for (std::size_t k = 1; k < counts.size(); ++k) counts[k] += counts[k - 1];
@@ -138,6 +146,10 @@ class StepProgram {
     return {classes_.data() + k.classes_at, keys_.data() + k.keys_at};
   }
 
+  /// The program's tables as byte ranges. Each starts on a cache line,
+  /// and the lines it spans hold nothing else.
+  std::array<std::span<const std::byte>, 7> tables() const;
+
   /// Bytes held by the program's tables.
   std::size_t memory_bytes() const;
 
@@ -157,13 +169,13 @@ class StepProgram {
 
   TorusShape shape_;
   PatternConvention convention_;
-  std::vector<int> phase_first_step_;       // [phase - 1]: flat index of step 1; last = total
-  std::vector<NodeStep> steps_;             // [flat step * N + node]
-  std::vector<SendRun> runs_;
-  std::vector<std::uint32_t> classes_;      // dest -> class tables, N entries each
-  std::vector<std::uint32_t> keys_;         // class -> key tables, deduplicated
-  std::vector<Keying> keying_;              // [(phase - 1) * N + node]
-  std::vector<std::uint32_t> num_keys_;     // [phase - 1]
+  LineVector<int> phase_first_step_;       // [phase - 1]: flat index of step 1; last = total
+  LineVector<NodeStep> steps_;             // [flat step * N + node]
+  LineVector<SendRun> runs_;
+  LineVector<std::uint32_t> classes_;      // dest -> class tables, N entries each
+  LineVector<std::uint32_t> keys_;         // class -> key tables, deduplicated
+  LineVector<Keying> keying_;              // [(phase - 1) * N + node]
+  LineVector<std::uint32_t> num_keys_;     // [phase - 1]
 };
 
 }  // namespace torex

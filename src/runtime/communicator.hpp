@@ -31,6 +31,7 @@
 #include "core/exchange_engine.hpp"
 #include "core/payload_exchange.hpp"
 #include "core/step_program.hpp"
+#include "core/step_program_cache.hpp"
 #include "core/virtual_torus.hpp"
 #include "costmodel/models.hpp"
 #include "runtime/failure_detector.hpp"
@@ -460,11 +461,12 @@ class TorusCommunicator {
     std::atomic<bool>& busy_;
   };
 
-  /// The schedule compiled under the paper layout, compiled by the first
-  /// call that moves data over it and replayed by every later one
-  /// (pooled, sealed and journaled alike). Callers hold the CallGuard.
+  /// The schedule compiled under the paper layout, drawn from the
+  /// process's program cache by the first call that moves data over it
+  /// and replayed by every later one (pooled, sealed and journaled
+  /// alike). Callers hold the CallGuard.
   const StepProgram& compiled_program() const {
-    if (!program_.has_value()) program_.emplace(*schedule_);
+    if (program_ == nullptr) program_ = step_program_cache().get(*schedule_, LayoutPolicy::kPaper);
     return *program_;
   }
 
@@ -718,8 +720,8 @@ class TorusCommunicator {
   /// accumulate per communicator. Mutable because the collectives are
   /// logically const; the CallGuard keeps calls from overlapping on it.
   mutable WireArena wire_arena_;
-  /// The compiled schedule, memoized by compiled_program().
-  mutable std::optional<StepProgram> program_;
+  /// The compiled schedule, shared through compiled_program().
+  mutable std::shared_ptr<const StepProgram> program_;
   /// The worker pool, started by step_pool().
   mutable std::unique_ptr<StepPool> pool_;
   /// Set while a collective holds the communicator (see CallGuard).

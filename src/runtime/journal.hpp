@@ -272,6 +272,74 @@ inline void journal_flush(ExchangeJournal& journal, const JournalRunOptions& opt
 /// Requires `journal` bound and matching the schedule's geometry.
 void require_journal_matches(const SuhShinAape& algo, const ExchangeJournal& journal);
 
+/// The journal side of the step kernel's hooks, shared by every driver
+/// that journals: the journaled exchange below and torexd's sessions
+/// (svc/session_exchange.cpp). Steps before report.committed_steps_at_start
+/// are already durable and replay locally. Every live receive collects
+/// its new deliveries for the step's record; a re-received parcel whose
+/// delivery is already durable is dropped, and its materialized copy
+/// from `durable` takes its slot. Drivers add the write-ahead sequence
+/// (record_arrivals(), their crash and cancel window, commit_step()) in
+/// their own step_done.
+template <typename T>
+struct JournalHooks : StepHooks {
+  JournalHooks(ExchangeJournal& journal_in, ResumeReport& report_in,
+               ParcelBuffers<T>* durable_in, Recorder* obs_in)
+      : journal(journal_in), report(report_in), durable(durable_in), obs(obs_in) {}
+
+  ExchangeJournal& journal;
+  ResumeReport& report;
+  ParcelBuffers<T>* durable;  ///< materialized deliveries, per destination; resume only
+  Recorder* obs;
+  std::int64_t flat_step = 0;  ///< 0-based global index of the step in flight
+  std::vector<std::pair<Rank, Rank>> arrivals;  ///< the live step's new (dest, origin) pairs
+
+  bool replaying() const { return flat_step < report.committed_steps_at_start; }
+  bool framed(int /*phase*/, int /*step*/) const { return !replaying(); }
+
+  void received(Rank node, int phase, int step, Parcel<T>* first, std::size_t count) {
+    if (replaying()) {
+      report.replayed_parcels += static_cast<std::int64_t>(count);
+      return;
+    }
+    report.sent_parcels += static_cast<std::int64_t>(count);
+    for (Parcel<T>* x = first; x != first + count; ++x) {
+      const Rank origin = x->block.origin;
+      if (x->block.dest != node || origin == node) continue;
+      if (!journal.delivered().test(node, origin)) {
+        arrivals.emplace_back(node, origin);
+        continue;
+      }
+      // The seed copy of a durable delivery: exactly-once, so it is
+      // dropped and the materialized copy takes its slot.
+      ++report.duplicates_dropped;
+      if (obs != nullptr) {
+        obs->instant("duplicate_dropped", node, phase, step, static_cast<std::int64_t>(origin));
+      }
+      TOREX_CHECK(durable != nullptr, "durable parcel re-received without a materialized copy");
+      auto& side = (*durable)[static_cast<std::size_t>(node)];
+      const auto it = std::find_if(side.begin(), side.end(), [&](const Parcel<T>& d) {
+        return d.block.origin == origin;
+      });
+      TOREX_CHECK(it != side.end(), "durable parcel re-received without a materialized copy");
+      *x = std::move(*it);
+      side.erase(it);
+    }
+  }
+
+  /// Appends the live step's deliveries record; false when nothing new
+  /// arrived (no record is written then).
+  bool record_arrivals() {
+    if (arrivals.empty()) return false;
+    journal.record_deliveries(flat_step, arrivals);
+    arrivals.clear();
+    return true;
+  }
+
+  /// Appends the live step's commit marker and moves to the next step.
+  void commit_step() { journal.commit_step(flat_step++); }
+};
+
 }  // namespace detail
 
 /// Runs the schedule over `buffers` (canonical all-to-all seed) with
@@ -333,52 +401,16 @@ ParcelBuffers<T> exchange_payloads_journaled(const SuhShinAape& algo, const Step
 
   // Local replay of the committed prefix, bitmap dedup, and the
   // write-ahead sequence of every live step.
-  struct Journaler : detail::StepHooks {
-    ExchangeJournal& journal;
+  struct Journaler : detail::JournalHooks<T> {
     const JournalRunOptions& options;
-    ResumeReport& report;
-    ParcelBuffers<T>& durable;
-    Recorder* obs;
-    std::int64_t flat_step;  // 0-based global step index
-    std::vector<std::pair<Rank, Rank>> arrivals;
-
-    bool replaying() const { return flat_step < report.committed_steps_at_start; }
-    bool framed(int /*phase*/, int /*step*/) const { return !replaying(); }
-
-    void received(Rank node, int phase, int step, Parcel<T>* first, std::size_t count) {
-      if (replaying()) {
-        report.replayed_parcels += static_cast<std::int64_t>(count);
-        return;
-      }
-      report.sent_parcels += static_cast<std::int64_t>(count);
-      for (Parcel<T>* x = first; x != first + count; ++x) {
-        const Rank origin = x->block.origin;
-        if (x->block.dest != node || origin == node) continue;
-        if (!journal.delivered().test(node, origin)) {
-          arrivals.emplace_back(node, origin);
-          continue;
-        }
-        // The seed copy of a durable delivery: exactly-once, so it is
-        // dropped and the materialized copy takes its slot.
-        ++report.duplicates_dropped;
-        if (obs != nullptr) {
-          obs->instant("duplicate_dropped", node, phase, step, static_cast<std::int64_t>(origin));
-        }
-        auto& side = durable[static_cast<std::size_t>(node)];
-        const auto it = std::find_if(side.begin(), side.end(), [&](const Parcel<T>& d) {
-          return d.block.origin == origin;
-        });
-        TOREX_CHECK(it != side.end(), "durable parcel re-received without a materialized copy");
-        *x = std::move(*it);
-        side.erase(it);
-      }
-    }
 
     // Write-ahead order: deliveries flush before the commit marker, and
     // the cooperative cancel window sits exactly between them.
     void step_done(int phase, int step) {
-      const std::int64_t flat = flat_step++;
-      if (flat < report.committed_steps_at_start) return;  // already durable
+      if (this->replaying()) {
+        ++this->flat_step;  // already durable
+        return;
+      }
       const bool crash_here = options.crash.armed() && options.crash.phase == phase &&
                               options.crash.step == step;
       if (crash_here && !options.crash.after_flush) {
@@ -387,14 +419,10 @@ ParcelBuffers<T> exchange_payloads_journaled(const SuhShinAape& algo, const Step
                                      std::to_string(phase) + ", step " + std::to_string(step) +
                                      ")");
       }
-      if (!arrivals.empty()) {
-        journal.record_deliveries(flat, arrivals);
-        detail::journal_flush(journal, options, report);
-        if (obs != nullptr) {
-          obs->instant("journal_flush", -1, phase, step,
-                       static_cast<std::int64_t>(arrivals.size()));
-        }
-        arrivals.clear();
+      const auto delivered = static_cast<std::int64_t>(this->arrivals.size());
+      if (this->record_arrivals()) {
+        detail::journal_flush(this->journal, options, this->report);
+        if (this->obs != nullptr) this->obs->instant("journal_flush", -1, phase, step, delivered);
       }
       if (crash_here) {
         throw ExchangeCrashError(phase, step,
@@ -405,17 +433,17 @@ ParcelBuffers<T> exchange_payloads_journaled(const SuhShinAape& algo, const Step
       if (options.cancel != nullptr && options.cancel->load(std::memory_order_relaxed)) {
         detail::throw_journal_cancelled(phase, step);
       }
-      journal.commit_step(flat);
-      detail::journal_flush(journal, options, report);
+      this->commit_step();
+      detail::journal_flush(this->journal, options, this->report);
     }
 
     void phase_done(int phase) {
-      if (phase <= journal.committed_phase()) return;
-      journal.commit_phase(phase);
-      detail::journal_flush(journal, options, report);
+      if (phase <= this->journal.committed_phase()) return;
+      this->journal.commit_phase(phase);
+      detail::journal_flush(this->journal, options, this->report);
     }
   };
-  Journaler hooks{{}, journal, options, report, durable, obs, 0, {}};
+  Journaler hooks{{journal, report, &durable, obs}, options};
   detail::replay_step_program(program, buffers, arena, options.pool, obs, hooks);
   for (const auto& side : durable) {
     TOREX_CHECK(side.empty(), "a materialized delivery never met its re-sent seed copy");

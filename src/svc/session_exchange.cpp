@@ -12,21 +12,12 @@ namespace {
 
 using Word = std::int64_t;
 
-/// A step's in-flight message: the sealed frame stays leased (RAII)
-/// until the integrate half has verified and spliced it.
-struct PendingFrame {
-  PooledFrame frame;
-  Rank src = -1;
-  Rank dst = -1;
-  std::int64_t count = 0;
-};
-
 }  // namespace
 
-SessionExchange::SessionExchange(SessionId id, const SuhShinAape& algo,
+SessionExchange::SessionExchange(SessionId id, const SuhShinAape& algo, const StepProgram& program,
                                  const std::vector<std::vector<Word>>& send, WireArena& arena,
                                  std::int64_t max_leased_frames, FlightRecorder* flight)
-    : SessionExchange(id, algo,
+    : SessionExchange(id, algo, program,
                       [&] {
                         // Dense rows are just stride-1 views.
                         std::vector<StridedView<const Word>> views;
@@ -38,16 +29,17 @@ SessionExchange::SessionExchange(SessionId id, const SuhShinAape& algo,
                       }(),
                       arena, max_leased_frames, flight) {}
 
-SessionExchange::SessionExchange(SessionId id, const SuhShinAape& algo,
+SessionExchange::SessionExchange(SessionId id, const SuhShinAape& algo, const StepProgram& program,
                                  const std::vector<StridedView<const Word>>& send,
                                  WireArena& arena, std::int64_t max_leased_frames,
                                  FlightRecorder* flight)
-    : id_(id), algo_(&algo), arena_(&arena), flight_(flight),
+    : id_(id), algo_(&algo), program_(&program), arena_(&arena), flight_(flight),
       frame_quota_(max_leased_frames) {
+  program.require_compiled_for(algo);
   const Rank N = algo.shape().num_nodes();
   TOREX_REQUIRE(static_cast<Rank>(send.size()) == N, "session send buffer must have N rows");
   buffers_ = seed_parcels_strided(N, send);
-  inbox_.resize(static_cast<std::size_t>(N));
+  detail::begin_replay(program, buffers_, nullptr, replay_);
   journal_ = ExchangeJournal(algo.shape(), algo.num_phases(), algo.total_steps());
 }
 
@@ -71,13 +63,10 @@ bool SessionExchange::health_gate(int phase, int step, const HealthContext& heal
   const int hops = algo_->hops_per_step(phase);
   std::vector<ChannelId> route;
   for (Rank p = 0; p < N; ++p) {
-    const auto& buf = buffers_[static_cast<std::size_t>(p)];
-    std::int64_t parcels = 0;
-    for (const Parcel<Word>& x : buf) {
-      if (algo_->should_send(p, phase, step, x.block)) ++parcels;
-    }
+    const StepProgram::NodeStep& send = program_->step(phase, step, p);
+    const auto parcels = static_cast<std::int64_t>(send.count);
     if (parcels == 0) continue;
-    const Rank q = algo_->partner(p, phase, step);
+    const Rank q = send.partner;
 
     // §6 remap hosting: a message whose endpoint is dead or
     // quarantined is hosted by the surviving neighbor the remap
@@ -147,122 +136,107 @@ bool SessionExchange::health_gate(int phase, int step, const HealthContext& heal
   return true;
 }
 
-PhaseOutcome SessionExchange::run_phase(const std::atomic<bool>* cancel,
-                                        const SessionInjection& inject,
-                                        const HealthContext& health) {
-  TOREX_REQUIRE(!complete(), "session exchange already complete");
-  const Rank N = algo_->shape().num_nodes();
-  const int phase = phases_done_ + 1;
-  bool corrupted_this_phase = false;
+// The service's policies as step-kernel hooks, for one dispatch. The
+// journal side (deliveries collected per receive, the record, the
+// commit marker) is the journaled executor's; a session's journal
+// starts fresh and never resumes, so every step is live, and the next
+// step's flat index is the journal's count of committed steps.
+struct SessionExchange::Driver : detail::JournalHooks<Word> {
+  Driver(SessionExchange& session, ResumeReport& journal_report,
+         const std::atomic<bool>* cancel_flag, const SessionInjection& injection,
+         const HealthContext& health_context)
+      : detail::JournalHooks<Word>(session.journal_, journal_report, nullptr, nullptr),
+        self(session),
+        cancel(cancel_flag),
+        inject(injection),
+        health(health_context),
+        corrupt_pending(injection.corrupt_phase == session.replay_.phase) {
+    flat_step = journal.committed_steps();
+  }
 
-  std::vector<PendingFrame> pending;
-  std::vector<std::pair<Rank, Rank>> arrivals;
-  std::vector<SendRun> runs;  // send-set scan scratch, reused per node
-  for (int step = next_step_; step <= algo_->steps_in_phase(phase); ++step) {
-    if (cancel != nullptr && cancel->load(std::memory_order_relaxed)) {
-      flight_note("svc.cancelled", health, phase, step);
-      detail::throw_journal_cancelled(phase, step);
-    }
-    if (health.active() && !health_gate(phase, step, health)) {
-      next_step_ = step;  // resume exactly here; nothing was mutated
-      return PhaseOutcome::kDeferred;
-    }
+  SessionExchange& self;
+  const std::atomic<bool>* cancel;
+  const SessionInjection& inject;
+  const HealthContext& health;
+  bool corrupt_pending;       ///< the phase's first frame is still to be damaged
+  std::int64_t step_sent = 0;  ///< parcels the step in flight sends
 
-    // Send half: scan each node's buffer for its send runs (no
-    // reordering), gather them into a leased multi-run frame, and
-    // count the lease against the tenant's quota before the arena is
-    // touched.
-    const std::int64_t sent_before = sent_parcels_;
-    pending.clear();
-    arrivals.clear();
-    for (Rank p = 0; p < N; ++p) {
-      auto& buf = buffers_[static_cast<std::size_t>(p)];
-      const std::size_t send_count = detail::collect_send_runs(
-          buf,
-          [&](const Parcel<Word>& x) { return algo_->should_send(p, phase, step, x.block); },
-          runs);
-      if (send_count == 0) continue;
-      const auto moved = static_cast<std::int64_t>(send_count);
-      if (frame_quota_ > 0 && static_cast<std::int64_t>(pending.size()) >= frame_quota_) {
-        flight_note("svc.quota_breach", health, phase, step,
-                    static_cast<std::int64_t>(pending.size()) + 1);
-        throw SessionQuotaError(id_, static_cast<std::int64_t>(pending.size()), frame_quota_);
-      }
-      const Rank q = algo_->partner(p, phase, step);
-      const std::size_t run_bytes = send_count * sizeof(Parcel<Word>);
-      PendingFrame out;
-      out.frame.bind(*arena_, detail::kFrameV3HeaderBytes +
-                                  runs.size() * detail::kRunDescriptorBytes + run_bytes +
-                                  detail::kFrameTrailerBytes);
-      encode_multi_run_frame(buf, runs, send_count, phase, step, p, q, out.frame.bytes());
-      arena_->stats().note_message(moved, static_cast<std::int64_t>(runs.size()));
-      arena_->stats().bytes_encoded += static_cast<std::int64_t>(out.frame.bytes().size());
-      arena_->stats().bytes_copied += static_cast<std::int64_t>(run_bytes);
-      if (inject.corrupt_phase == phase && !corrupted_this_phase) {
-        // One flipped run-table bit: the frame CRC refuses it below.
-        out.frame.bytes()[detail::kFrameV3HeaderBytes] ^= std::byte{0x01};
-        corrupted_this_phase = true;
-      }
-      out.src = p;
-      out.dst = q;
-      out.count = moved;
-      pending.push_back(std::move(out));
-      sent_parcels_ += moved;
-      detail::erase_runs(buf, runs);
-    }
-    peak_leased_ = std::max(peak_leased_, static_cast<std::int64_t>(pending.size()));
+  void throw_if_cancelled(int phase, int step) {
+    if (cancel == nullptr || !cancel->load(std::memory_order_relaxed)) return;
+    self.flight_note("svc.cancelled", health, phase, step);
+    detail::throw_journal_cancelled(phase, step);
+  }
 
-    // Integrate half: verify each frame in place and append its run to
-    // the receiver's inbox. A refused frame kills this session only —
-    // the pending frames release via RAII on the throw.
-    for (const PendingFrame& in : pending) {
-      SealedRunFrameView<Word> view;
-      std::string why;
-      if (!decode_multi_run_frame<Word>(in.frame.view(), phase, step, in.src, in.dst, N, view,
-                                        &why)) {
-        flight_note("svc.integrity_refused", health, phase, step, in.src);
-        throw SessionIntegrityError(id_, phase, step, why);
+  // Before the kernel touches anything of the step: cancel, the health
+  // gate, then the frame quota — the kernel leases one frame per
+  // sender, in sender order — and the sent-parcel accounting.
+  bool begin_step(int phase, int step) {
+    throw_if_cancelled(phase, step);
+    if (health.active() && !self.health_gate(phase, step, health)) return false;
+    std::int64_t frames = 0;
+    step_sent = 0;
+    for (Rank p = 0; p < self.program_->num_nodes(); ++p) {
+      const std::uint32_t count = self.program_->step(phase, step, p).count;
+      if (count == 0) continue;
+      if (self.frame_quota_ > 0 && frames >= self.frame_quota_) {
+        self.flight_note("svc.quota_breach", health, phase, step, frames + 1);
+        throw SessionQuotaError(self.id_, frames, self.frame_quota_);
       }
-      view.append_to(inbox_[static_cast<std::size_t>(in.dst)]);
-      arena_->stats().bytes_copied += static_cast<std::int64_t>(view.payload_size());
+      ++frames;
+      step_sent += count;
+      self.sent_parcels_ += count;
     }
-    pending.clear();  // return the step's frames to the arena
-    for (Rank p = 0; p < N; ++p) {
-      auto& in = inbox_[static_cast<std::size_t>(p)];
-      if (in.empty()) continue;
-      auto& buf = buffers_[static_cast<std::size_t>(p)];
-      for (auto& parcel : in) {
-        if (parcel.block.dest == p && parcel.block.origin != p) {
-          arrivals.emplace_back(p, parcel.block.origin);
-        }
-        buf.push_back(std::move(parcel));
-      }
-      in.clear();
-    }
+    self.peak_leased_ = std::max(self.peak_leased_, frames);
+    return true;
+  }
 
-    // Write-ahead order, exactly as the journaled executor: deliveries
-    // flush before the commit marker; the crash injection and the
-    // cancel window both sit between them.
-    if (!arrivals.empty()) journal_.record_deliveries(flat_step_, arrivals);
+  bool tampers() const { return corrupt_pending; }
+
+  // One flipped run-table bit: the frame CRC refuses it.
+  void tamper(const detail::StepMessage& /*m*/, std::vector<std::byte>& frame) {
+    if (!corrupt_pending) return;
+    frame[detail::kFrameV3HeaderBytes] ^= std::byte{0x01};
+    corrupt_pending = false;
+  }
+
+  // A refused frame kills this session only; the kernel returns the
+  // step's frames to the arena as the error unwinds.
+  bool settle(const detail::StepMessage& m, const SealedRunFrameView<Word>& /*view*/,
+              const char* refused) {
+    if (refused == nullptr) return true;
+    self.flight_note("svc.integrity_refused", health, m.phase, m.step, m.src);
+    throw SessionIntegrityError(self.id_, m.phase, m.step, refused);
+  }
+
+  // Write-ahead order, exactly as the journaled executor: deliveries
+  // flush before the commit marker; the crash injection and the cancel
+  // window both sit between them.
+  void step_done(int phase, int step) {
+    record_arrivals();
     if (inject.crash_phase == phase && step == 1) {
-      flight_note("svc.crash", health, phase, step);
+      self.flight_note("svc.crash", health, phase, step);
       throw ExchangeCrashError(phase, step,
                                "injected session crash after journal flush (phase " +
                                    std::to_string(phase) + ", step " + std::to_string(step) +
                                    ")");
     }
-    if (cancel != nullptr && cancel->load(std::memory_order_relaxed)) {
-      flight_note("svc.cancelled", health, phase, step);
-      detail::throw_journal_cancelled(phase, step);
-    }
-    journal_.commit_step(flat_step_);
-    flight_note("wire.step", health, phase, step, sent_parcels_ - sent_before);
-    ++flat_step_;
+    throw_if_cancelled(phase, step);
+    commit_step();
+    self.flight_note("wire.step", health, phase, step, step_sent);
   }
-  next_step_ = 1;
-  journal_.commit_phase(phase);
-  ++phases_done_;
-  return PhaseOutcome::kComplete;
+
+  void phase_done(int phase) { journal.commit_phase(phase); }
+};
+
+PhaseOutcome SessionExchange::run_phase(const std::atomic<bool>* cancel,
+                                        const SessionInjection& inject,
+                                        const HealthContext& health) {
+  TOREX_REQUIRE(!complete(), "session exchange already complete");
+  ResumeReport report;
+  Driver driver(*this, report, cancel, inject, health);
+  return detail::replay_phase(*program_, buffers_, *arena_, nullptr, nullptr, driver, replay_)
+             ? PhaseOutcome::kComplete
+             : PhaseOutcome::kDeferred;
 }
 
 std::vector<std::vector<Word>> SessionExchange::take_result() {

@@ -2,26 +2,37 @@
 //
 // The journaled executor (runtime/journal.hpp) runs a whole exchange in
 // one call; the weighted-fair scheduler needs to interleave *phases*
-// from different sessions. SessionExchange is the journaled data path
-// re-cut at phase granularity: each run_phase() call executes exactly
-// one Suh-Shin phase's steps over the session's parcels — pooled sealed
-// frames on the wire, write-ahead journal flush before every step
-// commit, cooperative cancel polled at the step boundary and inside the
-// flush/commit window — then returns control to the scheduler. State
-// between calls lives in the object, so a session can sit unscheduled
-// for arbitrarily long between phases while other tenants use the
-// engine.
+// from different sessions. SessionExchange is the step kernel's fourth
+// driver (core/payload_exchange.hpp): it keeps a StepReplay of the
+// manager's compiled StepProgram, and each run_phase() call replays
+// exactly one Suh-Shin phase's steps over the session's parcels —
+// pooled sealed frames on the wire, write-ahead journal flush before
+// every step commit, cooperative cancel polled at the step boundary and
+// inside the flush/commit window — then returns control to the
+// scheduler. State between calls lives in the object, so a session can
+// sit unscheduled for arbitrarily long between phases while other
+// tenants use the engine. The kernel runs inline: an 8x8 step is too
+// short to split over threads.
+//
+// The service's policies are the driver's hooks. Before each step, the
+// health gate, the frame quota and the sent-parcel accounting read the
+// step's partners and parcel counts from the program (and direction and
+// hops from the schedule) — no buffer is scanned. The corrupt injection
+// tampers with the phase's first frame, the settle hook turns a refused
+// frame into SessionIntegrityError, and the journal records reuse the
+// journaled executor's hooks, with the crash injection and the cancel
+// window between each step's flush and its commit.
 //
 // Isolation properties the manager relies on:
-//  * every frame leased from the shared arena during a step is held by
-//    an RAII PooledFrame inside run_phase's scope — any throw (crash,
-//    corruption, quota, cancel) releases them all before unwinding, so
-//    a failing session cannot leak frames into other tenants' budget
-//    (WirePoolStats::outstanding_frames() stays balanced);
+//  * every frame a step leases from the shared arena goes back to it
+//    before any throw (crash, corruption, quota, cancel) leaves
+//    run_phase, so a failing session cannot leak frames into other
+//    tenants' budget (WirePoolStats::outstanding_frames() stays
+//    balanced);
 //  * the journal is per-session: a victim's partial journal decodes and
 //    resumes independently of every other session's;
-//  * tenant frame quotas are enforced at lease time, before the arena
-//    is touched, so a quota breach costs the breaching session only.
+//  * tenant frame quotas are enforced before a step leases anything, so
+//    a quota breach costs the breaching session only.
 #pragma once
 
 #include <atomic>
@@ -30,6 +41,7 @@
 
 #include "core/aape.hpp"
 #include "core/payload_exchange.hpp"
+#include "core/step_program.hpp"
 #include "core/wire_buffer.hpp"
 #include "obs/flight_recorder.hpp"
 #include "runtime/journal.hpp"
@@ -68,11 +80,13 @@ class SessionExchange {
  public:
   /// Seeds the canonical parcel buffers from `send` (must be N x N for
   /// the schedule's node count) and binds a fresh per-session journal.
-  /// `algo` and `arena` must outlive the exchange; `max_leased_frames`
-  /// is the tenant's arena-frame quota (0 = unlimited). `flight`, when
-  /// non-null, receives per-step black-box notes (including one at the
-  /// exact phase/step of any throw) under this session's id.
-  SessionExchange(SessionId id, const SuhShinAape& algo,
+  /// `program` is `algo` compiled (StepProgramMismatchError otherwise);
+  /// `algo`, `program` and `arena` must outlive the exchange.
+  /// `max_leased_frames` is the tenant's arena-frame quota (0 =
+  /// unlimited). `flight`, when non-null, receives per-step black-box
+  /// notes (including one at the exact phase/step of any throw) under
+  /// this session's id.
+  SessionExchange(SessionId id, const SuhShinAape& algo, const StepProgram& program,
                   const std::vector<std::vector<std::int64_t>>& send, WireArena& arena,
                   std::int64_t max_leased_frames, FlightRecorder* flight = nullptr);
 
@@ -80,13 +94,13 @@ class SessionExchange {
   /// straight out of the caller's buffers through per-node
   /// StridedViews — no dense staging rows. send[p].at(q) is node p's
   /// word for destination q.
-  SessionExchange(SessionId id, const SuhShinAape& algo,
+  SessionExchange(SessionId id, const SuhShinAape& algo, const StepProgram& program,
                   const std::vector<StridedView<const std::int64_t>>& send, WireArena& arena,
                   std::int64_t max_leased_frames, FlightRecorder* flight = nullptr);
 
   int num_phases() const { return algo_->num_phases(); }
-  int phases_done() const { return phases_done_; }
-  bool complete() const { return phases_done_ == num_phases(); }
+  int phases_done() const { return replay_.phase - 1; }
+  bool complete() const { return phases_done() == num_phases(); }
   std::int64_t sent_parcels() const { return sent_parcels_; }
   /// Retry-budget tokens this session's discoveries drew (per-tenant
   /// spend attribution for the SLO ledger).
@@ -104,7 +118,8 @@ class SessionExchange {
   /// flushed so far); the manager retires the session.
   ///
   /// With an active `health` context every step runs a pre-flight gate
-  /// before any buffer is touched: scheduled routes are checked against
+  /// before any buffer is touched: scheduled routes (the program's
+  /// partners, the schedule's directions and hops) are checked against
   /// the breaker registry and the service fault model; discovery
   /// retries draw from the global budget (denial returns kDeferred —
   /// the step is untouched and a later dispatch resumes it); messages
@@ -123,6 +138,8 @@ class SessionExchange {
   void take_result_into(const std::vector<StridedView<std::int64_t>>& recv);
 
  private:
+  struct Driver;
+
   /// Pre-mutation health check for one step. Returns false to defer
   /// (budget denied); throws SessionFaultError when no detour exists.
   bool health_gate(int phase, int step, const HealthContext& health);
@@ -133,15 +150,15 @@ class SessionExchange {
 
   SessionId id_;
   const SuhShinAape* algo_;
+  const StepProgram* program_;
   WireArena* arena_;
   FlightRecorder* flight_ = nullptr;
   std::int64_t frame_quota_;
   ParcelBuffers<std::int64_t> buffers_;
-  ParcelBuffers<std::int64_t> inbox_;
+  /// The kernel's replay: the next (phase, step), where a deferred step
+  /// resumes.
+  detail::StepReplay<std::int64_t> replay_;
   ExchangeJournal journal_;
-  std::int64_t flat_step_ = 0;  // 0-based global step index
-  int phases_done_ = 0;
-  int next_step_ = 1;  ///< deferred-phase resume point (1-based in-phase)
   std::int64_t sent_parcels_ = 0;
   std::int64_t resent_parcels_ = 0;
   std::int64_t peak_leased_ = 0;

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <utility>
 
+#include "core/step_program_cache.hpp"
 #include "costmodel/models.hpp"
 #include "runtime/watchdog.hpp"
 #include "util/assert.hpp"
@@ -56,6 +57,7 @@ void SessionManagerOptions::validate() const {
 SessionManager::SessionManager(TorusShape shape, CostParams params, SessionManagerOptions options)
     : shape_(shape),
       schedule_(shape),
+      program_(step_program_cache().get(schedule_, LayoutPolicy::kPaper)),
       options_(std::move(options)),
       flight_(options_.flight) {
   options_.validate();
@@ -391,8 +393,8 @@ void SessionManager::promote() {
       }
       const std::int64_t frame_quota =
           quota_it != options_.quotas.end() ? quota_it->second.max_arena_frames : 0;
-      s.exchange = std::make_unique<SessionExchange>(s.record.id, schedule_, s.request.send,
-                                                     arena_, frame_quota,
+      s.exchange = std::make_unique<SessionExchange>(s.record.id, schedule_, *program_,
+                                                     s.request.send, arena_, frame_quota,
                                                      flight_.enabled() ? &flight_ : nullptr);
       s.request.send.clear();
       s.request.send.shrink_to_fit();

@@ -20,6 +20,10 @@
 //    the manager's virtual clock. Expiry in the queue retires it
 //    unadmitted; expiry mid-run fires its cooperative cancel flag at
 //    the next dispatch, reusing the watchdog/cancel machinery.
+//  * One compiled schedule — the manager draws its StepProgram from the
+//    process's cache (core/step_program_cache.hpp), so a fresh manager
+//    of a shape the process has seen compiles nothing, and every session
+//    replays that program on the step kernel.
 //  * Isolation — each session has its own journal, parcels, and cancel
 //    flag; a crash, corruption storm, or quota breach unwinds through
 //    RAII (frames back to the arena, exception recorded on the session)
@@ -243,6 +247,10 @@ class SessionManager {
 
   TorusShape shape_;
   SuhShinAape schedule_;
+  /// The schedule compiled under the paper layout, from the process's
+  /// program cache: every session replays it, and every manager of the
+  /// same shape shares it.
+  std::shared_ptr<const StepProgram> program_;
   SessionManagerOptions options_;
   Recorder* obs_ = nullptr;
   double phase_cost_ = 0.0;

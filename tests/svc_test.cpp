@@ -1,20 +1,30 @@
 // torexd service tests: admission control, quotas, deadlines, the
-// weighted-fair phase scheduler, failure isolation, and the svc.*
-// telemetry surface. Everything runs on the virtual clock, so every
-// assertion here is exact — no sleeps, no tolerances.
+// weighted-fair phase scheduler, failure isolation, the svc.*
+// telemetry surface, and the session driver on the step kernel
+// (journal bytes equal to the journaled executor's, mid-phase deferral
+// that changes nothing, one compiled program per shape per process).
+// Everything runs on the virtual clock, so every assertion here is
+// exact — no sleeps, no tolerances.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
 #include <limits>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/aape.hpp"
+#include "core/step_program.hpp"
+#include "core/step_program_cache.hpp"
 #include "core/wire_buffer.hpp"
 #include "costmodel/params.hpp"
 #include "obs/recorder.hpp"
+#include "runtime/communicator.hpp"
+#include "runtime/journal.hpp"
+#include "sim/fault_model.hpp"
+#include "svc/health_registry.hpp"
 #include "svc/session_manager.hpp"
 
 namespace torex {
@@ -418,6 +428,7 @@ TEST(SvcResultTest, StridedSessionExchangeRoundTripsUserBuffers) {
   // endpoints are columns of row-major matrices, and the session reads
   // and writes them through the views — no dense staging rows.
   const SuhShinAape algo(kShape);
+  const StepProgram program(algo);
   WireArena arena;
   const auto n = static_cast<std::size_t>(kN);
   std::vector<std::int64_t> send_mat(n * n);
@@ -432,7 +443,7 @@ TEST(SvcResultTest, StridedSessionExchangeRoundTripsUserBuffers) {
           payload(42, p, q);
     }
   }
-  SessionExchange exchange(42, algo, send, arena, 0);
+  SessionExchange exchange(42, algo, program, send, arena, 0);
   EXPECT_THROW(exchange.take_result_into(recv), std::invalid_argument)
       << "result before completion must throw";
   while (!exchange.complete()) {
@@ -447,10 +458,188 @@ TEST(SvcResultTest, StridedSessionExchangeRoundTripsUserBuffers) {
     }
   }
   EXPECT_EQ(arena.stats().outstanding_frames(), 0);
-  // The session's frames were true multi-run messages (canonical seed
-  // order fragments the send sets), not hard-coded single runs.
-  EXPECT_GT(arena.stats().gathered_parcels, 0);
-  EXPECT_GT(arena.stats().runs_encoded, arena.stats().total_sends);
+  // The session replays the compiled paper-layout program: in 2D every
+  // send set is one contiguous run, gathered with a single memcpy.
+  EXPECT_GT(arena.stats().total_sends, 0);
+  EXPECT_TRUE(arena.stats().fully_contiguous());
+  EXPECT_EQ(arena.stats().gathered_parcels, 0);
+  EXPECT_EQ(arena.stats().runs_encoded, arena.stats().total_sends);
+}
+
+// --- The session driver on the step kernel --------------------------------
+
+/// Session `id`'s n x n send rows.
+std::vector<std::vector<std::int64_t>> send_rows(Rank n, SessionId id) {
+  std::vector<std::vector<std::int64_t>> send(static_cast<std::size_t>(n));
+  for (Rank p = 0; p < n; ++p) {
+    for (Rank q = 0; q < n; ++q) send[static_cast<std::size_t>(p)].push_back(payload(id, p, q));
+  }
+  return send;
+}
+
+/// recv[q][p] == send[p][q] for every pair.
+void expect_transposed(const std::vector<std::vector<std::int64_t>>& send,
+                       const std::vector<std::vector<std::int64_t>>& recv) {
+  ASSERT_EQ(recv.size(), send.size());
+  for (std::size_t q = 0; q < recv.size(); ++q) {
+    for (std::size_t p = 0; p < send.size(); ++p) {
+      ASSERT_EQ(recv[q][p], send[p][q]) << "recv[" << q << "][" << p << "]";
+    }
+  }
+}
+
+TEST(SvcDriverTest, SessionJournalIsTheJournaledExecutorsByteForByte) {
+  // Run phase by phase, a session writes exactly the journal the
+  // one-shot journaled executor writes for the same send: both drive
+  // the same kernel over the same program with the same journal hooks.
+  for (const TorusShape& shape : {TorusShape({8, 8}), TorusShape({8, 4, 4})}) {
+    const SuhShinAape algo(shape);
+    const StepProgram program(algo);
+    const Rank n = shape.num_nodes();
+    const auto send = send_rows(n, 5);
+    WireArena arena;
+    SessionExchange session(5, algo, program, send, arena, 0);
+    while (!session.complete()) {
+      ASSERT_EQ(session.run_phase(nullptr, {}), PhaseOutcome::kComplete);
+    }
+
+    ParcelBuffers<std::int64_t> seed(static_cast<std::size_t>(n));
+    for (Rank p = 0; p < n; ++p) {
+      for (Rank q = 0; q < n; ++q) {
+        seed[static_cast<std::size_t>(p)].push_back(
+            {Block{p, q}, send[static_cast<std::size_t>(p)][static_cast<std::size_t>(q)]});
+      }
+    }
+    ExchangeJournal journal;
+    ResumeReport report;
+    exchange_payloads_journaled(algo, program, std::move(seed), journal, JournalRunOptions{},
+                                report);
+    EXPECT_EQ(session.journal().encode(), journal.encode()) << shape.to_string();
+    EXPECT_EQ(session.sent_parcels(), report.sent_parcels) << shape.to_string();
+    expect_transposed(send, session.take_result());
+    EXPECT_EQ(arena.stats().outstanding_frames(), 0);
+  }
+}
+
+/// A message that step `step` >= 2 of `phase` sends from `src` towards
+/// `dir`, over a first channel that no earlier step of the phase uses.
+struct MidPhaseRoute {
+  int phase = 0;
+  int step = 0;
+  Rank src = -1;
+  Direction dir{};
+};
+
+MidPhaseRoute find_mid_phase_route(const SuhShinAape& algo, const StepProgram& program) {
+  const Torus& torus = algo.torus();
+  std::vector<ChannelId> route;
+  for (int phase = 1; phase <= algo.num_phases(); ++phase) {
+    std::set<ChannelId> earlier;
+    for (int step = 1; step <= algo.steps_in_phase(phase); ++step) {
+      for (Rank p = 0; p < program.num_nodes(); ++p) {
+        const Direction dir = algo.direction(p, phase, step);
+        if (step >= 2 && program.step(phase, step, p).count > 0 &&
+            earlier.count(torus.channel_id(p, dir)) == 0) {
+          return {phase, step, p, dir};
+        }
+      }
+      for (Rank p = 0; p < program.num_nodes(); ++p) {
+        if (program.step(phase, step, p).count == 0) continue;
+        route.clear();
+        torus.straight_path(p, algo.direction(p, phase, step), algo.hops_per_step(phase), route);
+        earlier.insert(route.begin(), route.end());
+      }
+    }
+  }
+  return {};
+}
+
+TEST(SvcDriverTest, SessionDeferredMidPhaseEndsAsIfNeverDeferred) {
+  // A live fault on a channel first used mid-phase, and a retry budget
+  // that cannot pay its discovery: the dispatch defers at that step,
+  // after the phase's earlier steps committed. Resumed with a budget,
+  // the session ends exactly as one that never deferred — the deferred
+  // step had mutated nothing, and no step or rearrangement ran twice.
+  const TorusShape shape({8, 8});
+  const SuhShinAape algo(shape);
+  const StepProgram program(algo);
+  const MidPhaseRoute mid = find_mid_phase_route(algo, program);
+  ASSERT_GE(mid.step, 2) << "no route is first used mid-phase";
+  constexpr std::int64_t kStorm = 10;  // the fault is live from this tick on
+  FaultModel faults;
+  faults.fail_channel(mid.src, mid.dir, kStorm);
+  const auto send = send_rows(shape.num_nodes(), 3);
+
+  struct Outcome {
+    std::vector<std::vector<std::int64_t>> recv;
+    std::vector<std::byte> journal;
+    std::int64_t sent = 0;
+    std::int64_t resent = 0;
+    WirePoolStats wire;
+    int deferrals = 0;
+  };
+  const auto run = [&](bool tight) {
+    WireArena arena;
+    HealthRegistry registry(shape, BreakerOptions{});
+    RetryBudget empty(RetryBudgetOptions{1, 0.0});  // one token: denies every message
+    RetryBudget unlimited;
+    SessionExchange session(3, algo, program, send, arena, 0);
+    Outcome out;
+    while (!session.complete()) {
+      HealthContext health;
+      health.faults = &faults;
+      health.registry = &registry;
+      health.budget = tight && out.deferrals == 0 ? &empty : &unlimited;
+      health.tick = session.phases_done() + 1 < mid.phase ? 0 : kStorm;
+      const std::int64_t committed = session.journal().committed_steps();
+      if (session.run_phase(nullptr, {}, health) == PhaseOutcome::kDeferred) {
+        ++out.deferrals;
+        EXPECT_EQ(session.phases_done() + 1, mid.phase);
+        EXPECT_EQ(session.journal().committed_steps() - committed, mid.step - 1)
+            << "the steps before the faulted one commit before the deferral";
+      }
+    }
+    out.journal = session.journal().encode();
+    out.sent = session.sent_parcels();
+    out.resent = session.resent_parcels();
+    out.recv = session.take_result();
+    out.wire = arena.stats();
+    EXPECT_EQ(out.wire.outstanding_frames(), 0);
+    return out;
+  };
+  const Outcome undeferred = run(false);
+  const Outcome deferred = run(true);
+  EXPECT_EQ(undeferred.deferrals, 0);
+  EXPECT_EQ(deferred.deferrals, 1);
+  expect_transposed(send, deferred.recv);
+  EXPECT_EQ(deferred.recv, undeferred.recv);
+  EXPECT_EQ(deferred.journal, undeferred.journal);
+  EXPECT_EQ(deferred.sent, undeferred.sent);
+  EXPECT_GT(deferred.resent, 0);
+  EXPECT_EQ(deferred.resent, undeferred.resent);
+  EXPECT_EQ(deferred.wire.messages, undeferred.wire.messages);
+  // One rearrangement per phase boundary, deferred or not.
+  EXPECT_EQ(deferred.wire.rearrangement_passes, algo.num_phases() - 1);
+  EXPECT_EQ(undeferred.wire.rearrangement_passes, algo.num_phases() - 1);
+  EXPECT_EQ(deferred.wire.parcels_rearranged, undeferred.wire.parcels_rearranged);
+}
+
+TEST(SvcDriverTest, ManagersAndCommunicatorsShareOneCompiledProgram) {
+  // Every service epoch builds a fresh manager; none of them, and no
+  // communicator of the same shape, compiles the schedule again.
+  const TorusShape shape({12, 4});
+  SessionManager first(shape, CostParams{}, {});
+  const std::int64_t compiled = step_program_cache().compiles();
+  SessionManager second(shape, CostParams{}, {});
+  SessionRequest req;
+  req.send = send_rows(shape.num_nodes(), 9);
+  const auto send = req.send;
+  second.submit(std::move(req));
+  second.run_until_idle();
+  expect_transposed(send, second.take_result(0));
+  const TorusCommunicator comm(shape, CostParams{});
+  expect_transposed(send, comm.alltoall(send, AlltoallAlgorithm::kSuhShin));
+  EXPECT_EQ(step_program_cache().compiles(), compiled);
 }
 
 // --- Telemetry -----------------------------------------------------------

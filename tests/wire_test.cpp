@@ -2,14 +2,18 @@
 // PooledFrame RAII, the TOX3 multi-run codec (round-trip, every-bit-flip
 // and every-truncation detection, run gather/erase primitives, scatter
 // offsets, negative metadata, forged counts and run tables as typed
-// errors), strided user-buffer views, the compiled StepProgram and the
-// step kernel's three drivers that replay it — pooled, sealed and
-// journaled (transpose delivery, §3.3 run accounting and buffer order
-// differential against the block-level layout simulator, on both
-// layouts and every reference shape; mismatched programs refused;
-// in-place receives that survive retransmission; steady-state
-// allocation behavior; every driver also on a four-participant
-// StepPool, with worker failures surfacing on the caller) — and a
+// errors), strided user-buffer views, the compiled StepProgram (maximal
+// send runs; tables and sort histograms on cache lines of their own),
+// the process's program cache (one compile per key, also under
+// concurrent first use; least-recently-used eviction that keeps held
+// programs valid), and the step kernel's drivers that replay it —
+// pooled, sealed and journaled (transpose delivery, §3.3 run
+// accounting and buffer order differential against the block-level
+// layout simulator, on both layouts and every reference shape;
+// mismatched programs refused; in-place receives that survive
+// retransmission; steady-state allocation behavior; every driver also
+// on a four-participant StepPool, with worker failures surfacing on the
+// caller) — and a
 // seeded deterministic fuzz harness over the frame codec: mutations
 // must never decode and never read out of bounds (the ASan/UBSan CI job
 // runs this suite under sanitizers, the TSan job under TSan).
@@ -18,19 +22,25 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstring>
+#include <latch>
+#include <memory>
 #include <optional>
 #include <set>
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/data_array.hpp"
 #include "core/payload_exchange.hpp"
 #include "core/step_program.hpp"
+#include "core/step_program_cache.hpp"
 #include "core/wire_buffer.hpp"
 #include "obs/recorder.hpp"
 #include "runtime/journal.hpp"
+#include "util/cache_line.hpp"
 #include "util/crc32.hpp"
 #include "util/prng.hpp"
 #include "util/step_pool.hpp"
@@ -133,28 +143,10 @@ std::vector<Parcel<std::int64_t>> make_parcels(Rank src, int count) {
 /// A buffer with a known send set: parcels at indices {1,2} and {5,6}
 /// of an 8-parcel buffer (two runs with gaps on both sides).
 struct MultiRunFixture {
-  std::vector<Parcel<std::int64_t>> buf;
-  std::vector<SendRun> runs;
-  std::size_t count = 0;
-
-  MultiRunFixture() {
-    buf = make_parcels(3, 8);
-    count = detail::collect_send_runs(
-        buf, [](const Parcel<std::int64_t>& p) { return p.block.dest == 1 || p.block.dest == 2 ||
-                                                        p.block.dest == 5 || p.block.dest == 6; },
-        runs);
-  }
+  std::vector<Parcel<std::int64_t>> buf = make_parcels(3, 8);
+  std::vector<SendRun> runs{{1, 2}, {5, 2}};
+  std::size_t count = 4;
 };
-
-TEST(MultiRunFrameTest, CollectRunsFindsMaximalSpans) {
-  MultiRunFixture fx;
-  EXPECT_EQ(fx.count, 4u);
-  ASSERT_EQ(fx.runs.size(), 2u);
-  EXPECT_EQ(fx.runs[0].offset, 1u);
-  EXPECT_EQ(fx.runs[0].count, 2u);
-  EXPECT_EQ(fx.runs[1].offset, 5u);
-  EXPECT_EQ(fx.runs[1].count, 2u);
-}
 
 TEST(MultiRunFrameTest, EraseRunsCompactsStably) {
   MultiRunFixture fx;
@@ -757,6 +749,188 @@ TEST(StepProgramTest, CopiesReplayIndependentlyOfTheOriginal) {
   const StepProgram copy = *original;
   original.reset();
   expect_delivered(64, exchange_payloads_pooled(algo, copy, canonical_parcels(64)));
+}
+
+TEST(StepProgramTest, SendRunsAreMaximalAscendingSpans) {
+  // Each node step's runs are exactly the maximal spans of its send set:
+  // non-empty, ascending and never adjacent (adjacent runs would be one
+  // run), and they add up to the step's parcel count.
+  for (const auto& extents : std::vector<std::vector<std::int32_t>>{{8, 8}, {8, 4, 4}}) {
+    const SuhShinAape algo{TorusShape(extents)};
+    for (const LayoutPolicy layout :
+         {LayoutPolicy::kPaper, LayoutPolicy::kNaiveDestinationOrder}) {
+      const StepProgram program(algo, layout);
+      for (int phase = 1; phase <= program.num_phases(); ++phase) {
+        for (int step = 1; step <= program.steps_in_phase(phase); ++step) {
+          for (Rank p = 0; p < program.num_nodes(); ++p) {
+            const StepProgram::NodeStep& s = program.step(phase, step, p);
+            const std::span<const SendRun> runs = program.runs(s);
+            ASSERT_EQ(runs.size(), s.run_count);
+            EXPECT_EQ(s.count == 0, runs.empty());
+            std::size_t total = 0;
+            for (std::size_t r = 0; r < runs.size(); ++r) {
+              EXPECT_GT(runs[r].count, 0u);
+              if (r > 0) {
+                EXPECT_LT(runs[r - 1].offset + runs[r - 1].count, runs[r].offset);
+              }
+              total += runs[r].count;
+            }
+            EXPECT_EQ(total, s.count) << "phase " << phase << " step " << step << " node " << p;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(StepProgramTest, TablesAndSortHistogramsOwnTheirCacheLines) {
+  // Every participant reads the program's tables for every parcel it
+  // sorts, and writes its own histogram for every parcel. None of them
+  // may share a 64-byte line: each starts on a line boundary, and the
+  // lines each spans are disjoint from all the others'.
+  const SuhShinAape algo(TorusShape({8, 8, 8}));
+  const Rank N = algo.shape().num_nodes();
+  for (const LayoutPolicy layout : {LayoutPolicy::kPaper, LayoutPolicy::kNaiveDestinationOrder}) {
+    const StepProgram program(algo, layout);
+    for (const int participants : {1, 4}) {
+      std::optional<StepPool> pool;
+      if (participants > 1) pool.emplace(participants);
+      StepPool* workers = pool.has_value() ? &*pool : nullptr;
+      auto buffers = canonical_parcels(N);
+      detail::StepReplay<std::int64_t> replay;
+      detail::begin_replay(program, buffers, workers, replay);
+      ASSERT_EQ(replay.scratch.size(), static_cast<std::size_t>(participants));
+
+      struct Lines {
+        std::uintptr_t first;
+        std::uintptr_t end;
+        std::string what;
+      };
+      std::vector<Lines> lines;
+      const auto add = [&](const void* data, std::size_t bytes, const std::string& what) {
+        ASSERT_GT(bytes, 0u) << what;
+        const auto at = reinterpret_cast<std::uintptr_t>(data);
+        EXPECT_EQ(at % kCacheLine, 0u) << what << " does not start on a cache line";
+        lines.push_back({at / kCacheLine, (at + bytes + kCacheLine - 1) / kCacheLine, what});
+      };
+      const auto tables = program.tables();
+      for (std::size_t t = 0; t < tables.size(); ++t) {
+        add(tables[t].data(), tables[t].size(), "program table " + std::to_string(t));
+      }
+      std::vector<const std::uint32_t*> histograms;
+      for (std::size_t who = 0; who < replay.scratch.size(); ++who) {
+        const auto& counts = replay.scratch[who].key_counts;
+        add(counts.data(), counts.capacity() * sizeof(std::uint32_t),
+            "histogram of participant " + std::to_string(who));
+        histograms.push_back(counts.data());
+      }
+      std::sort(lines.begin(), lines.end(),
+                [](const Lines& a, const Lines& b) { return a.first < b.first; });
+      for (std::size_t i = 1; i < lines.size(); ++i) {
+        EXPECT_LE(lines[i - 1].end, lines[i].first)
+            << lines[i - 1].what << " shares a cache line with " << lines[i].what;
+      }
+
+      // The replay sorts in place: no histogram moves to another line.
+      detail::StepHooks hooks;
+      WireArena arena;
+      while (replay.phase <= program.num_phases()) {
+        ASSERT_TRUE(
+            detail::replay_phase(program, buffers, arena, workers, nullptr, hooks, replay));
+      }
+      for (std::size_t who = 0; who < replay.scratch.size(); ++who) {
+        EXPECT_EQ(replay.scratch[who].key_counts.data(), histograms[who]);
+      }
+      expect_delivered(N, buffers);
+    }
+  }
+}
+
+// --- The process's program cache ----------------------------------------
+
+TEST(StepProgramCacheTest, SameKeyReturnsOneProgramCompiledOnce) {
+  StepProgramCache cache;
+  const SuhShinAape algo(TorusShape({8, 8}));
+  const auto first = cache.get(algo, LayoutPolicy::kPaper);
+  const auto second = cache.get(SuhShinAape(TorusShape({8, 8})), LayoutPolicy::kPaper);
+  EXPECT_EQ(first.get(), second.get());
+  EXPECT_EQ(cache.compiles(), 1);
+  EXPECT_EQ(cache.size(), 1u);
+  expect_delivered(64, exchange_payloads_pooled(algo, *first, canonical_parcels(64)));
+}
+
+TEST(StepProgramCacheTest, LayoutAndConventionAreTheirOwnKeys) {
+  StepProgramCache cache;
+  const SuhShinAape paper2d(TorusShape({8, 8}));
+  const SuhShinAape nested(TorusShape({8, 8}), PatternConvention::kNested);
+  ASSERT_NE(paper2d.convention(), nested.convention());
+  const auto paper = cache.get(paper2d, LayoutPolicy::kPaper);
+  const auto naive = cache.get(paper2d, LayoutPolicy::kNaiveDestinationOrder);
+  const auto other = cache.get(nested, LayoutPolicy::kPaper);
+  EXPECT_NE(paper.get(), naive.get());
+  EXPECT_NE(paper.get(), other.get());
+  EXPECT_EQ(cache.compiles(), 3);
+  EXPECT_NO_THROW(other->require_compiled_for(nested));
+  EXPECT_THROW(other->require_compiled_for(paper2d), StepProgramMismatchError);
+  // The naive program fragments the sends the paper program keeps whole.
+  WireArena paper_wire;
+  WireArena naive_wire;
+  exchange_payloads_pooled(paper2d, *paper, canonical_parcels(64), {&paper_wire});
+  exchange_payloads_pooled(paper2d, *naive, canonical_parcels(64), {&naive_wire});
+  EXPECT_TRUE(paper_wire.stats().fully_contiguous());
+  EXPECT_FALSE(naive_wire.stats().fully_contiguous());
+}
+
+TEST(StepProgramCacheTest, ConcurrentFirstUsesCompileOnce) {
+  StepProgramCache cache;
+  const SuhShinAape algo(TorusShape({8, 8, 8}));
+  constexpr int kThreads = 4;
+  std::vector<std::shared_ptr<const StepProgram>> got(kThreads);
+  std::latch start(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      got[static_cast<std::size_t>(t)] = cache.get(algo, LayoutPolicy::kPaper);
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  EXPECT_EQ(cache.compiles(), 1);
+  for (const auto& program : got) EXPECT_EQ(program.get(), got.front().get());
+}
+
+TEST(StepProgramCacheTest, EvictsTheLeastRecentlyUsedAndKeepsHeldProgramsValid) {
+  StepProgramCache cache;
+  std::vector<SuhShinAape> schedules;
+  for (const auto& extents : std::vector<std::vector<std::int32_t>>{
+           {4, 4}, {8, 4}, {8, 8}, {12, 4}, {4, 4, 4}, {8, 4, 4}}) {
+    schedules.emplace_back(TorusShape(extents));
+  }
+  const SuhShinAape& oldest = schedules.front();
+  const auto held = cache.get(oldest, LayoutPolicy::kPaper);
+  const auto key = [&](std::size_t i) {
+    return std::pair{&schedules[i / 2], i % 2 == 0 ? LayoutPolicy::kPaper
+                                                   : LayoutPolicy::kNaiveDestinationOrder};
+  };
+  // Fill the cache behind `held`, touching `oldest`'s naive program on
+  // the way so that it is not the least recently used.
+  const auto touched = cache.get(oldest, LayoutPolicy::kNaiveDestinationOrder);
+  for (std::size_t i = 2; cache.size() < StepProgramCache::kCapacity; ++i) {
+    cache.get(*key(i).first, key(i).second);
+  }
+  ASSERT_EQ(cache.compiles(), static_cast<std::int64_t>(StepProgramCache::kCapacity));
+  cache.get(oldest, LayoutPolicy::kNaiveDestinationOrder);
+  const auto [next_algo, next_layout] = key(StepProgramCache::kCapacity);
+  cache.get(*next_algo, next_layout);  // one past capacity: evicts the oldest
+  EXPECT_EQ(cache.size(), StepProgramCache::kCapacity);
+  EXPECT_EQ(cache.get(oldest, LayoutPolicy::kNaiveDestinationOrder).get(), touched.get())
+      << "a recently used program was evicted";
+  const std::int64_t compiled = cache.compiles();
+  const auto recompiled = cache.get(oldest, LayoutPolicy::kPaper);
+  EXPECT_EQ(cache.compiles(), compiled + 1) << "the least recently used program stayed cached";
+  EXPECT_NE(recompiled.get(), held.get());
+  // The evicted program is still whole for the caller holding it.
+  expect_delivered(16, exchange_payloads_pooled(oldest, *held, canonical_parcels(16)));
 }
 
 // --- Sealed driver -------------------------------------------------------
