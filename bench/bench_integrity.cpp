@@ -71,7 +71,7 @@ int main() {
         time_ms([&] { exchange_payloads(algo, canonical_parcels(N)); }, reps);
     const StepProgram program(algo);  // compiled once, as the communicator memoizes it
     const double sealed =
-        time_ms([&] { exchange_payloads_sealed(algo, program, canonical_parcels(N)); }, reps);
+        time_ms([&] { exchange_payloads_sealed(algo, program, make_send(N)); }, reps);
     overhead.start_row()
         .cell(shape.to_string())
         .cell(static_cast<std::int64_t>(N))

@@ -1,27 +1,33 @@
 // Wire-path evaluation: what the pooled zero-copy frame layer costs
 // over wire-free struct moves, and what sealing every frame costs over
 // the pooled wire, measured where it matters — heap allocations, bytes
-// copied, and wall-clock per parcel.
+// copied, and wall-clock per parcel — plus what compiling each
+// StepProgram costs.
 //
 // Every heap allocation in the process is counted by overriding the
 // global operator new/delete, so the numbers are ground truth, not
 // instrumentation estimates. For each shape (the paper's 8x8 and the
 // 3D 8x4x4) five executors run over identical payloads:
 //
-//   plain             exchange_payloads (struct moves, no wire)
+//   plain             exchange_payloads (the reference executor: parcels
+//                     carrying their identity, struct moves, no wire)
 //   sealed_pooled     exchange_payloads_sealed, §3.3 layout, clean wire
 //   pooled_paper      exchange_payloads_pooled, §3.3 layout
 //   pooled_naive      exchange_payloads_pooled, naive destination order
 //   pooled_strided    strided user-buffer views (columns of row-major
-//                     matrices) through seed/scatter_parcels_strided,
-//                     naive destination order — every message is a
-//                     true multi-run frame
+//                     matrices) through seed_rows_strided and
+//                     scatter_rows_strided, naive destination order —
+//                     every message is a true multi-run frame
 //
 // The wire paths replay a StepProgram compiled once per shape and
 // layout, outside the timed loop (as TorusCommunicator memoizes it).
 // Wall time is the fastest of each path's warm reps: on a shared host,
 // interference only ever adds time, so the minimum is the stable
 // estimate of the steady state the gates compare.
+//
+// The compile table times StepProgram's constructor (the p50 of five
+// compiles, identity tables included) and reports its memory_bytes(),
+// per shape and layout, for 8x8, 8x4x4 and 8x8x8.
 //
 // A thread sweep then times pooled_paper and sealed_pooled with the
 // step kernel on a StepPool of 1, 2 and nproc participants, on 8x8,
@@ -51,10 +57,14 @@
 //   * on 8x8x8, with nproc >= 2, nproc participants must cost no more
 //     ns/parcel than one, on both swept paths.
 //
-// --out=FILE (default BENCH_wire.json) receives the results as JSON.
+// --out=FILE (default BENCH_wire.json) receives the results as JSON,
+// with a provenance record: git describe of the source tree, build
+// type, compiler, CPU model, nproc and the CRC-32 backend.
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
@@ -69,6 +79,7 @@
 #include "core/wire_buffer.hpp"
 #include "obs/chrome_trace.hpp"
 #include "util/cli.hpp"
+#include "util/crc32.hpp"
 #include "util/step_pool.hpp"
 #include "util/table.hpp"
 
@@ -104,11 +115,23 @@ using namespace torex;
 /// Allocations-per-step ceiling for the warm pooled paper path. The
 /// steady-state wire itself allocates nothing (frames recycle through
 /// the arena); what remains is O(1) per exchange — the in-flight slot
-/// table and the counting-sort scratch. The budget is deliberately a
+/// table and the scratch rows. The budget is deliberately a
 /// hard constant: if a change re-introduces per-message allocation,
 /// allocs-per-step jumps by ~the message count and this trips.
 constexpr double kAllocBudgetPerStep = 512.0;
 
+/// The rows every step-kernel path starts from: rows[p][q] = p * n + q.
+std::vector<std::vector<std::int64_t>> canonical_rows(Rank n) {
+  std::vector<std::vector<std::int64_t>> rows(static_cast<std::size_t>(n));
+  for (Rank p = 0; p < n; ++p) {
+    for (Rank q = 0; q < n; ++q) {
+      rows[static_cast<std::size_t>(p)].push_back(static_cast<std::int64_t>(p) * n + q);
+    }
+  }
+  return rows;
+}
+
+/// The reference executor's seed: the same payloads, identities attached.
 ParcelBuffers<std::int64_t> canonical_parcels(Rank n) {
   ParcelBuffers<std::int64_t> buffers(static_cast<std::size_t>(n));
   for (Rank p = 0; p < n; ++p) {
@@ -130,19 +153,20 @@ struct PathResult {
   bool has_stats = false;
 };
 
-/// Runs `fn` (one full exchange over fresh canonical payloads) reps
+/// Runs `fn` (one full exchange over a fresh seed from `seed`) reps
 /// times, counting only the exchange itself — seed construction sits
 /// outside the measured window. Time is the fastest rep; allocations
 /// are averaged over all reps. The caller warms the path (and
 /// snapshots arena stats) before calling.
-template <typename Fn>
-PathResult measure(const std::string& name, const SuhShinAape& algo, int reps, Fn&& fn) {
+template <typename Seed, typename Fn>
+PathResult measure(const std::string& name, const SuhShinAape& algo, int reps, Seed&& seed,
+                   Fn&& fn) {
   const Rank N = algo.shape().num_nodes();
   std::int64_t allocs = 0;
   std::int64_t alloc_bytes = 0;
   double best_ms = std::numeric_limits<double>::infinity();
   for (int rep = 0; rep < reps; ++rep) {
-    auto parcels = canonical_parcels(N);
+    auto parcels = seed(N);
     const std::int64_t a0 = g_allocs.load(std::memory_order_relaxed);
     const std::int64_t b0 = g_alloc_bytes.load(std::memory_order_relaxed);
     const auto start = std::chrono::steady_clock::now();
@@ -205,6 +229,70 @@ void append_sweep_json(std::ostringstream& out, const SweepResult& r, bool last)
       << (last ? "\n" : ",\n");
 }
 
+/// One StepProgram compile timing.
+struct CompileResult {
+  std::string shape;
+  std::string layout;
+  double compile_ms = 0;  ///< p50 of kCompileReps
+  std::size_t memory_bytes = 0;
+};
+
+constexpr int kCompileReps = 5;
+
+/// The p50 wall time of kCompileReps compiles of `algo` under `layout`.
+CompileResult time_compile(const SuhShinAape& algo, LayoutPolicy layout) {
+  std::vector<double> ms;
+  CompileResult r;
+  r.shape = algo.shape().to_string();
+  r.layout = layout == LayoutPolicy::kPaper ? "paper" : "naive";
+  for (int rep = 0; rep < kCompileReps; ++rep) {
+    const auto start = std::chrono::steady_clock::now();
+    const StepProgram program(algo, layout);
+    ms.push_back(
+        std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - start)
+            .count());
+    r.memory_bytes = program.memory_bytes();
+  }
+  std::sort(ms.begin(), ms.end());
+  r.compile_ms = ms[ms.size() / 2];
+  return r;
+}
+
+/// First line of a shell command's output; "unknown" when it fails.
+std::string command_line(const std::string& command) {
+  std::string out;
+  if (FILE* pipe = ::popen(command.c_str(), "r")) {
+    std::array<char, 256> buf{};
+    if (std::fgets(buf.data(), static_cast<int>(buf.size()), pipe) != nullptr) out = buf.data();
+    ::pclose(pipe);
+  }
+  while (!out.empty() && (out.back() == '\n' || out.back() == '\r')) out.pop_back();
+  return out.empty() ? "unknown" : out;
+}
+
+/// The CPU model from /proc/cpuinfo ("unknown" elsewhere).
+std::string cpu_model() {
+  std::ifstream in("/proc/cpuinfo");
+  for (std::string line; std::getline(in, line);) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const std::size_t colon = line.find(':');
+    if (colon == std::string::npos) break;
+    const std::size_t first = line.find_first_not_of(' ', colon + 1);
+    return first == std::string::npos ? "unknown" : line.substr(first);
+  }
+  return "unknown";
+}
+
+/// Escapes a string for a JSON literal.
+std::string json_string(const std::string& s) {
+  std::string out = "\"";
+  for (const char c : s) {
+    if (c == '"' || c == '\\') out += '\\';
+    if (static_cast<unsigned char>(c) >= 0x20) out += c;
+  }
+  return out + "\"";
+}
+
 int g_failures = 0;
 
 void check(bool ok, const std::string& what) {
@@ -223,7 +311,14 @@ int main(int argc, char** argv) {
   const int nproc = std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
 
   std::ostringstream json;
-  json << "{\n  \"bench\": \"wire\",\n  \"alloc_budget_per_step\": " << kAllocBudgetPerStep
+  json << "{\n  \"bench\": \"wire\",\n  \"provenance\": {\"git_describe\": "
+       << json_string(
+              command_line("git -C '" TOREX_SOURCE_DIR "' describe --always --dirty 2>/dev/null"))
+       << ", \"build_type\": " << json_string(TOREX_BUILD_TYPE)
+       << ", \"compiler\": " << json_string(std::string("g++ ") + __VERSION__)
+       << ", \"cpu_model\": " << json_string(cpu_model()) << ", \"nproc\": " << nproc
+       << ", \"crc32_backend\": " << json_string(crc32_backend_name())
+       << "},\n  \"alloc_budget_per_step\": " << kAllocBudgetPerStep
        << ",\n  \"reps\": " << reps << ",\n  \"nproc\": " << nproc
        << ",\n  \"shapes\": [\n";
 
@@ -241,10 +336,11 @@ int main(int argc, char** argv) {
     // warm), then snapshot arena stats, then the measured reps — so
     // both the allocation counts and the traffic stats cover exactly
     // the steady-state reps.
-    const auto run_path = [&](const std::string& name, WireArena* arena, auto&& exchange) {
-      exchange(canonical_parcels(N));  // warmup
+    const auto run_path = [&](const std::string& name, WireArena* arena, auto&& seed,
+                              auto&& exchange) {
+      exchange(seed(N));  // warmup
       const WirePoolStats before = arena != nullptr ? arena->stats() : WirePoolStats{};
-      PathResult r = measure(name, algo, reps, exchange);
+      PathResult r = measure(name, algo, reps, seed, exchange);
       if (arena != nullptr) {
         r.stats = wire_stats_delta(arena->stats(), before);
         r.has_stats = true;
@@ -252,7 +348,7 @@ int main(int argc, char** argv) {
       results.push_back(r);
     };
 
-    run_path("plain", nullptr, [&](ParcelBuffers<std::int64_t> parcels) {
+    run_path("plain", nullptr, canonical_parcels, [&](ParcelBuffers<std::int64_t> parcels) {
       exchange_payloads(algo, std::move(parcels));
     });
 
@@ -263,27 +359,30 @@ int main(int argc, char** argv) {
       WireArena arena;
       IntegrityOptions options;
       options.arena = &arena;
-      run_path("sealed_pooled", &arena, [&](ParcelBuffers<std::int64_t> parcels) {
-        exchange_payloads_sealed(algo, paper_program, std::move(parcels), {}, options);
-      });
+      run_path("sealed_pooled", &arena, canonical_rows,
+               [&](std::vector<std::vector<std::int64_t>> rows) {
+                 exchange_payloads_sealed(algo, paper_program, std::move(rows), {}, options);
+               });
     }
 
     {
       WireArena arena;
       WireExchangeOptions options;
       options.arena = &arena;
-      run_path("pooled_paper", &arena, [&](ParcelBuffers<std::int64_t> parcels) {
-        exchange_payloads_pooled(algo, paper_program, std::move(parcels), options);
-      });
+      run_path("pooled_paper", &arena, canonical_rows,
+               [&](std::vector<std::vector<std::int64_t>> rows) {
+                 exchange_payloads_pooled(algo, paper_program, std::move(rows), options);
+               });
     }
 
     {
       WireArena arena;
       WireExchangeOptions options;
       options.arena = &arena;
-      run_path("pooled_naive", &arena, [&](ParcelBuffers<std::int64_t> parcels) {
-        exchange_payloads_pooled(algo, naive_program, std::move(parcels), options);
-      });
+      run_path("pooled_naive", &arena, canonical_rows,
+               [&](std::vector<std::vector<std::int64_t>> rows) {
+                 exchange_payloads_pooled(algo, naive_program, std::move(rows), options);
+               });
     }
 
     {
@@ -309,13 +408,13 @@ int main(int argc, char** argv) {
       WireArena arena;
       WireExchangeOptions options;
       options.arena = &arena;
-      run_path("pooled_strided", &arena, [&](ParcelBuffers<std::int64_t>) {
-        scatter_parcels_strided(N,
-                                exchange_payloads_pooled(algo, naive_program,
-                                                         seed_parcels_strided(N, send_views),
-                                                         options),
-                                recv_views);
-      });
+      run_path("pooled_strided", &arena, canonical_rows,
+               [&](std::vector<std::vector<std::int64_t>>) {
+                 auto rows = seed_rows_strided(N, send_views);
+                 detail::StepReplay<std::int64_t> replay;
+                 detail::run_pooled(algo, naive_program, rows, options, replay);
+                 scatter_rows_strided(naive_program, rows, recv_views);
+               });
     }
 
     TextTable table({"path", "ms/exch", "ns/parcel", "allocs/step", "KiB alloc/step",
@@ -390,6 +489,34 @@ int main(int argc, char** argv) {
 
   json << "  ],\n";
 
+  // Compile times, identity tables included.
+  std::vector<CompileResult> compiles;
+  for (const auto& extents : std::vector<std::vector<std::int32_t>>{{8, 8}, {8, 4, 4}, {8, 8, 8}}) {
+    const SuhShinAape algo{TorusShape(extents)};
+    for (const LayoutPolicy layout : {LayoutPolicy::kPaper, LayoutPolicy::kNaiveDestinationOrder}) {
+      compiles.push_back(time_compile(algo, layout));
+    }
+  }
+  std::cout << "=== StepProgram compile (p50 of " << kCompileReps << ") ===\n\n";
+  TextTable compile_table({"shape", "layout", "compile ms", "table bytes"});
+  compile_table.set_align(0, TextTable::Align::kLeft);
+  compile_table.set_align(1, TextTable::Align::kLeft);
+  json << "  \"compile\": [\n";
+  for (std::size_t i = 0; i < compiles.size(); ++i) {
+    const CompileResult& r = compiles[i];
+    compile_table.start_row()
+        .cell(r.shape)
+        .cell(r.layout)
+        .cell(r.compile_ms, 3)
+        .cell(static_cast<std::int64_t>(r.memory_bytes));
+    json << "    {\"shape\": \"" << r.shape << "\", \"layout\": \"" << r.layout
+         << "\", \"compile_ms\": " << r.compile_ms << ", \"memory_bytes\": " << r.memory_bytes
+         << "}" << (i + 1 == compiles.size() ? "\n" : ",\n");
+  }
+  json << "  ],\n";
+  compile_table.print(std::cout);
+  std::cout << "\n";
+
   // Thread sweep: the same kernel on 1, 2 and nproc participants.
   std::vector<int> participant_counts{1, 2, nproc};
   std::sort(participant_counts.begin(), participant_counts.end());
@@ -407,8 +534,7 @@ int main(int argc, char** argv) {
     options.pool = &pool;
     const auto start = std::chrono::steady_clock::now();
     while (std::chrono::steady_clock::now() - start < std::chrono::seconds(1)) {
-      exchange_payloads_pooled(algo, program, canonical_parcels(algo.shape().num_nodes()),
-                               options);
+      exchange_payloads_pooled(algo, program, canonical_rows(algo.shape().num_nodes()), options);
     }
   }
   std::cout << "=== thread sweep (nproc " << nproc << ", " << reps << " reps) ===\n\n";
@@ -426,26 +552,26 @@ int main(int argc, char** argv) {
       for (const int participants : participant_counts) {
         StepPool pool(participants);
         WireArena arena;
-        const auto exchange = [&](ParcelBuffers<std::int64_t> parcels) {
+        const auto exchange = [&](std::vector<std::vector<std::int64_t>> rows) {
           if (path == "pooled_paper") {
             WireExchangeOptions options;
             options.arena = &arena;
             options.pool = &pool;
-            exchange_payloads_pooled(algo, program, std::move(parcels), options);
+            exchange_payloads_pooled(algo, program, std::move(rows), options);
           } else {
             IntegrityOptions options;
             options.arena = &arena;
             options.pool = &pool;
-            exchange_payloads_sealed(algo, program, std::move(parcels), {}, options);
+            exchange_payloads_sealed(algo, program, std::move(rows), {}, options);
           }
         };
-        exchange(canonical_parcels(N));  // warmup
+        exchange(canonical_rows(N));  // warmup
         const std::int64_t off0 = g_off_caller_allocs.load(std::memory_order_relaxed);
         SweepResult r;
         r.shape = shape.to_string();
         r.path = path;
         r.participants = participants;
-        r.timing = measure(path, algo, reps, exchange);
+        r.timing = measure(path, algo, reps, canonical_rows, exchange);
         r.off_caller_allocs_per_step =
             static_cast<double>(g_off_caller_allocs.load(std::memory_order_relaxed) - off0) /
             steps;

@@ -59,7 +59,8 @@ using layout::gray_rank;
 using layout::scatter_key;
 
 LayoutStats run_layout_simulation(const SuhShinAape& algo, LayoutPolicy policy,
-                                  std::vector<std::vector<Block>>* final_buffers) {
+                                  std::vector<std::vector<Block>>* final_buffers,
+                                  const LayoutReceiveObserver& on_receive) {
   const TorusShape& shape = algo.shape();
   const Rank N = shape.num_nodes();
 
@@ -162,6 +163,7 @@ LayoutStats run_layout_simulation(const SuhShinAape& algo, LayoutPolicy policy,
         const std::size_t at = std::min(own_hole[static_cast<std::size_t>(p)], buf.size());
         buf.insert(buf.begin() + static_cast<std::ptrdiff_t>(at), in.blocks.begin(),
                    in.blocks.end());
+        if (on_receive) on_receive(phase, step, p, in.blocks);
         in.blocks.clear();
         in.active = false;
       }

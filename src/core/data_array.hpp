@@ -33,6 +33,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "core/aape.hpp"
@@ -97,12 +98,19 @@ enum class LayoutPolicy {
   kNaiveDestinationOrder,
 };
 
+/// Sees every message a layout simulation lands: the 1-based
+/// (phase, step), the receiver, and the message's blocks in wire order.
+using LayoutReceiveObserver =
+    std::function<void(int phase, int step, Rank receiver, const std::vector<Block>& message)>;
+
 /// Executes the schedule with full layout fidelity and verifies the
 /// AAPE postcondition. Throws on any correctness violation. When
 /// `final_buffers` is non-null it receives every node's buffer in its
-/// final physical order.
+/// final physical order; `on_receive`, when set, sees every landed
+/// message.
 LayoutStats run_layout_simulation(const SuhShinAape& algo,
                                   LayoutPolicy policy = LayoutPolicy::kPaper,
-                                  std::vector<std::vector<Block>>* final_buffers = nullptr);
+                                  std::vector<std::vector<Block>>* final_buffers = nullptr,
+                                  const LayoutReceiveObserver& on_receive = {});
 
 }  // namespace torex

@@ -4,7 +4,7 @@
 // The schedule proofs elsewhere in this library guarantee *where*
 // blocks go; they say nothing about the bytes surviving the trip. This
 // module gives payload exchanges an end-to-end check: every message is
-// a sealed TOX3 frame (phase/step/channel metadata, a header CRC-32 and
+// a sealed TOX4 frame (program/step/channel metadata, a header CRC-32 and
 // a frame CRC-32, see core/payload_exchange.hpp), a tamper hook lets
 // the fault model corrupt the wire bytes in flight, and the receiver
 // verifies the frame before anything integrates. A detected corruption

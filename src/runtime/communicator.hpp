@@ -234,11 +234,12 @@ class TorusCommunicator {
   }
 
   /// Zero-copy strided all-to-all (Träff-style user-defined
-  /// datatypes): parcels seed straight out of the caller's memory
-  /// through per-node send views and results scatter straight back
-  /// through the recv views — no dense staging rows on either side,
-  /// so a column of a row-major matrix (stride = row length)
-  /// exchanges without ever being transposed into a contiguous copy.
+  /// datatypes): the exchange's rows seed straight out of the caller's
+  /// memory through per-node send views, and results scatter straight
+  /// back through the recv views and the program's final table — no
+  /// dense staging rows on either side, so a column of a row-major
+  /// matrix (stride = row length) exchanges without ever being
+  /// transposed into a contiguous copy.
   /// send[p].at(q) is node p's payload for node q; on return
   /// recv[q].at(p) == send[p].at(q). Requires the Suh-Shin schedule
   /// (throws where alltoall would) and a trivially copyable T; rides
@@ -250,7 +251,7 @@ class TorusCommunicator {
   void alltoall_strided(const std::vector<StridedView<const T>>& send,
                         const std::vector<StridedView<T>>& recv,
                         Recorder* obs = nullptr) const {
-    static_assert(std::is_trivially_copyable_v<Parcel<T>>,
+    static_assert(std::is_trivially_copyable_v<T>,
                   "strided alltoall requires trivially copyable payloads");
     const CallGuard guard(busy_);
     const Rank N = size();
@@ -269,11 +270,11 @@ class TorusCommunicator {
     wire_options.arena = &wire_arena_;
     wire_options.pool = pool;
     wire_options.obs = obs;
-    const auto delivered = exchange_payloads_pooled(*schedule_, program,
-                                                    seed_parcels_strided(N, send, pool),
-                                                    wire_options);
+    auto rows = seed_rows_strided(N, send, pool);
+    detail::StepReplay<T> replay;
+    detail::run_pooled(*schedule_, program, rows, wire_options, replay);
     SpanGuard scatter_span(obs, "scatter");
-    scatter_parcels_strided(N, delivered, recv, pool);
+    scatter_rows_strided(program, rows, recv, pool);
   }
 
   /// Fault-aware all-to-all. Audits the chosen schedule against
@@ -309,7 +310,7 @@ class TorusCommunicator {
 
   /// Self-checking all-to-all: alltoall_resilient plus end-to-end data
   /// integrity. When the Suh-Shin schedule runs, every message crosses
-  /// the simulated wire as a sealed TOX3 frame (CRC-32 + metadata), may be
+  /// the simulated wire as a sealed TOX4 frame (CRC-32 + metadata), may be
   /// damaged by `corruption`, and is verified before integration;
   /// detected corruption is repaired by bounded retransmission
   /// (kCorrected). A message that stays corrupt past its budget
@@ -480,31 +481,32 @@ class TorusCommunicator {
     return pool_.get();
   }
 
-  /// Seeds the canonical parcels from dense rows (stride-1 views).
+  /// The reference executor's run over dense rows, for payloads the
+  /// step kernel's wire cannot carry: parcels seeded from `send`,
+  /// unpacked by origin.
   template <typename T>
-  static ParcelBuffers<T> seed_rows(Rank N, const std::vector<std::vector<T>>& send,
-                                    StepPool* pool) {
-    std::vector<StridedView<const T>> views;
-    views.reserve(send.size());
-    for (const auto& row : send) views.push_back({row.data(), row.size(), 1});
-    return seed_parcels_strided(N, views, pool);
-  }
-
-  /// Unpacks delivered parcels into dense rows: recv[q][p] is the parcel
-  /// q received from origin p. Rows are allocated here; trivially
-  /// copyable payloads are filled in on `pool`.
-  template <typename T>
-  static std::vector<std::vector<T>> unpack_rows(Rank N, const ParcelBuffers<T>& delivered,
-                                                 StepPool* pool) {
+  std::vector<std::vector<T>> alltoall_reference(const std::vector<std::vector<T>>& send,
+                                                 Recorder* obs) const {
+    const Rank N = size();
+    ParcelBuffers<T> parcels(static_cast<std::size_t>(N));
+    for (Rank p = 0; p < N; ++p) {
+      auto& buf = parcels[static_cast<std::size_t>(p)];
+      buf.reserve(static_cast<std::size_t>(N));
+      for (Rank q = 0; q < N; ++q) {
+        buf.push_back(
+            {Block{p, q}, send[static_cast<std::size_t>(p)][static_cast<std::size_t>(q)]});
+      }
+    }
+    const auto delivered = exchange_payloads(*schedule_, std::move(parcels), obs);
+    SpanGuard permute_span(obs, "permute");
     std::vector<std::vector<T>> recv(static_cast<std::size_t>(N));
-    for (auto& row : recv) row.reserve(static_cast<std::size_t>(N));
-    StepPool::run(detail::copy_pool<T>(pool), recv.size(), [&](std::size_t q, int) {
-      auto& row = recv[q];
-      row.resize(static_cast<std::size_t>(N));  // within the reserved capacity
-      for (const Parcel<T>& parcel : delivered[q]) {
+    for (Rank q = 0; q < N; ++q) {
+      auto& row = recv[static_cast<std::size_t>(q)];
+      row.resize(static_cast<std::size_t>(N));
+      for (const Parcel<T>& parcel : delivered[static_cast<std::size_t>(q)]) {
         row[static_cast<std::size_t>(parcel.block.origin)] = parcel.payload;
       }
-    });
+    }
     return recv;
   }
 
@@ -529,29 +531,23 @@ class TorusCommunicator {
       TOREX_REQUIRE(schedule_.has_value(),
                     "Suh-Shin schedule not applicable to this shape (pad or pick another "
                     "algorithm)");
-      const SuhShinAape& algo = *schedule_;
-      // Dense rows are stride-1 views: the same seed/scatter path the
-      // strided API uses, with no extra staging in between. Trivially
-      // copyable payloads ride the pooled zero-copy wire, replaying the
-      // communicator's compiled program (frames recycle through its
-      // arena across exchanges); other types fall back to the
-      // struct-move executor.
-      ParcelBuffers<T> delivered;
-      StepPool* pool = nullptr;
-      if constexpr (std::is_trivially_copyable_v<Parcel<T>>) {
-        const StepProgram& program = compiled_program();  // before the parcels exist
-        pool = step_pool();
+      // Trivially copyable payloads ride the pooled zero-copy wire:
+      // each send row is copied into the recv row it returns, in
+      // destination order, and the communicator's compiled program
+      // replays in those rows (frames recycle through its arena across
+      // exchanges). Other types fall back to the struct-move executor.
+      if constexpr (std::is_trivially_copyable_v<T>) {
+        const StepProgram& program = compiled_program();  // before the rows exist
+        StepPool* pool = step_pool();
         WireExchangeOptions wire_options;
         wire_options.arena = &wire_arena_;
         wire_options.pool = pool;
         wire_options.obs = obs;
-        delivered =
-            exchange_payloads_pooled(algo, program, seed_rows(N, send, pool), wire_options);
+        return exchange_payloads_pooled(*schedule_, program, copy_rows(send, pool),
+                                        wire_options);
       } else {
-        delivered = exchange_payloads(algo, seed_rows(N, send, nullptr), obs);
+        return alltoall_reference(send, obs);
       }
-      SpanGuard permute_span(obs, "permute");
-      return unpack_rows(N, delivered, pool);
     }
 
     if (chosen == AlltoallAlgorithm::kSuhShinPadded) {
@@ -664,7 +660,7 @@ class TorusCommunicator {
     }
 
     StepPool* pool = step_pool();
-    ParcelBuffers<T> parcels = seed_rows(N, send, pool);
+    auto rows = copy_rows(send, pool);
     JournalRunOptions run_options;
     run_options.crash = options.crash;
     run_options.cancel = options.cancel;
@@ -673,21 +669,19 @@ class TorusCommunicator {
     run_options.wire = &wire_arena_;
     run_options.pool = pool;
     ResumeReport report;
-    ParcelBuffers<T> delivered;
+    std::vector<std::vector<T>> recv;
     if (outcome.algorithm == AlltoallAlgorithm::kSuhShin && !outcome.degraded) {
-      delivered = exchange_payloads_journaled(*schedule_, compiled_program(), std::move(parcels),
-                                              journal, run_options, report);
+      recv = exchange_payloads_journaled(*schedule_, compiled_program(), std::move(rows), journal,
+                                         run_options, report);
     } else {
       // Degraded plan: the schedule is abandoned, but the journal stays
       // the source of truth — deliver the undelivered delta directly.
       run_options.crash = CrashPoint{};  // crash injection is schedule-granular
-      delivered = exchange_payloads_direct_journaled(*schedule_, std::move(parcels), journal,
-                                                     run_options, report);
+      recv = exchange_payloads_direct_journaled(*schedule_, std::move(rows), journal, run_options,
+                                                report);
     }
     outcome.resume = report;
-
-    SpanGuard permute_span(obs, "permute");
-    return unpack_rows(N, delivered, pool);
+    return recv;
   }
 
   /// Runs the sealed Suh-Shin exchange over the payloads.
@@ -697,17 +691,14 @@ class TorusCommunicator {
                                          const IntegrityOptions& options,
                                          IntegrityReport& report,
                                          Recorder* obs = nullptr) const {
-    const Rank N = size();
     const SuhShinAape& algo = *schedule_;
+    const StepProgram& program = compiled_program();  // before the rows exist
     StepPool* pool = step_pool();
-    ParcelBuffers<T> parcels = seed_rows(N, send, pool);
     IntegrityOptions effective = options;
     if (effective.arena == nullptr) effective.arena = &wire_arena_;
     if (effective.pool == nullptr) effective.pool = pool;
-    const auto delivered =
-        exchange_payloads_sealed(algo, compiled_program(), std::move(parcels),
-                                 corruption.tamperer(algo.torus()), effective, &report, obs);
-    return unpack_rows(N, delivered, pool);
+    return exchange_payloads_sealed(algo, program, copy_rows(send, pool),
+                                    corruption.tamperer(algo.torus()), effective, &report, obs);
   }
 
   TorusShape shape_;

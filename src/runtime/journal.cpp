@@ -319,6 +319,19 @@ void require_journal_matches(const SuhShinAape& algo, const ExchangeJournal& jou
                 "journal was recorded for a different schedule");
 }
 
+void begin_journaled_run(const SuhShinAape& algo, ExchangeJournal& journal,
+                         ResumeReport& report) {
+  if (!journal.bound()) {
+    journal = ExchangeJournal(algo.shape(), algo.num_phases(), algo.total_steps());
+  }
+  require_journal_matches(algo, journal);
+  report = ResumeReport{};
+  report.resumed = !journal.fresh();
+  report.committed_steps_at_start = journal.committed_steps();
+  report.committed_phase_at_start = journal.committed_phase();
+  report.delivered_at_start = journal.delivered_parcels();
+}
+
 }  // namespace detail
 
 std::string ResumeReport::summary() const {

@@ -246,23 +246,6 @@ namespace detail {
 
 void throw_journal_cancelled(int phase, int step);
 
-/// Resuming a journal that already covers the whole exchange: nothing
-/// crosses the wire; rebuild the delivered buffers from the seed.
-template <typename T>
-ParcelBuffers<T> rebuild_complete(Rank N, ParcelBuffers<T> buffers, ResumeReport& report) {
-  ParcelBuffers<T> out(static_cast<std::size_t>(N));
-  for (Rank origin = 0; origin < N; ++origin) {
-    auto& src = buffers[static_cast<std::size_t>(origin)];
-    for (auto& parcel : src) {
-      if (parcel.block.dest != origin) ++report.materialized;
-      out[static_cast<std::size_t>(parcel.block.dest)].push_back(std::move(parcel));
-    }
-    src.clear();
-  }
-  check_parcel_postcondition(N, out);
-  return out;
-}
-
 inline void journal_flush(ExchangeJournal& journal, const JournalRunOptions& options,
                           ResumeReport& report) {
   if (options.flush) options.flush(journal);
@@ -272,24 +255,38 @@ inline void journal_flush(ExchangeJournal& journal, const JournalRunOptions& opt
 /// Requires `journal` bound and matching the schedule's geometry.
 void require_journal_matches(const SuhShinAape& algo, const ExchangeJournal& journal);
 
+/// A journaled run's opening: binds an unbound journal to the schedule's
+/// geometry, checks a bound one, and starts the report from the
+/// journal's durable progress.
+void begin_journaled_run(const SuhShinAape& algo, ExchangeJournal& journal,
+                         ResumeReport& report);
+
+/// Materialized copies of flushed-but-uncommitted deliveries, per
+/// destination: (origin, payload) pairs waiting for their re-sent seed
+/// copies.
+template <typename T>
+using DurableCopies = std::vector<std::vector<std::pair<Rank, T>>>;
+
 /// The journal side of the step kernel's hooks, shared by every driver
 /// that journals: the journaled exchange below and torexd's sessions
 /// (svc/session_exchange.cpp). Steps before report.committed_steps_at_start
 /// are already durable and replay locally. Every live receive collects
-/// its new deliveries for the step's record; a re-received parcel whose
-/// delivery is already durable is dropped, and its materialized copy
-/// from `durable` takes its slot. Drivers add the write-ahead sequence
-/// (record_arrivals(), their crash and cancel window, commit_step()) in
-/// their own step_done.
+/// its new deliveries for the step's record from the program's arrival
+/// table; a re-received parcel whose delivery is already durable is
+/// dropped, and its materialized copy from `durable` takes its slot.
+/// Drivers add the write-ahead sequence (record_arrivals(), their crash
+/// and cancel window, commit_step()) in their own step_done.
 template <typename T>
 struct JournalHooks : StepHooks {
-  JournalHooks(ExchangeJournal& journal_in, ResumeReport& report_in,
-               ParcelBuffers<T>* durable_in, Recorder* obs_in)
-      : journal(journal_in), report(report_in), durable(durable_in), obs(obs_in) {}
+  JournalHooks(const StepProgram& program_in, ExchangeJournal& journal_in,
+               ResumeReport& report_in, DurableCopies<T>* durable_in, Recorder* obs_in)
+      : program(program_in), journal(journal_in), report(report_in), durable(durable_in),
+        obs(obs_in) {}
 
+  const StepProgram& program;
   ExchangeJournal& journal;
   ResumeReport& report;
-  ParcelBuffers<T>* durable;  ///< materialized deliveries, per destination; resume only
+  DurableCopies<T>* durable;  ///< materialized deliveries, per destination; resume only
   Recorder* obs;
   std::int64_t flat_step = 0;  ///< 0-based global index of the step in flight
   std::vector<std::pair<Rank, Rank>> arrivals;  ///< the live step's new (dest, origin) pairs
@@ -297,18 +294,16 @@ struct JournalHooks : StepHooks {
   bool replaying() const { return flat_step < report.committed_steps_at_start; }
   bool framed(int /*phase*/, int /*step*/) const { return !replaying(); }
 
-  void received(Rank node, int phase, int step, Parcel<T>* first, std::size_t count) {
+  void received(Rank node, int phase, int step, T* first, std::size_t count) {
     if (replaying()) {
       report.replayed_parcels += static_cast<std::int64_t>(count);
       return;
     }
     report.sent_parcels += static_cast<std::int64_t>(count);
-    for (Parcel<T>* x = first; x != first + count; ++x) {
-      const Rank origin = x->block.origin;
-      if (x->block.dest != node || origin == node) continue;
+    program.for_each_arrival(phase, step, node, [&](std::uint32_t offset, Rank origin) {
       if (!journal.delivered().test(node, origin)) {
         arrivals.emplace_back(node, origin);
-        continue;
+        return;
       }
       // The seed copy of a durable delivery: exactly-once, so it is
       // dropped and the materialized copy takes its slot.
@@ -318,13 +313,12 @@ struct JournalHooks : StepHooks {
       }
       TOREX_CHECK(durable != nullptr, "durable parcel re-received without a materialized copy");
       auto& side = (*durable)[static_cast<std::size_t>(node)];
-      const auto it = std::find_if(side.begin(), side.end(), [&](const Parcel<T>& d) {
-        return d.block.origin == origin;
-      });
+      const auto it = std::find_if(side.begin(), side.end(),
+                                   [&](const auto& copy) { return copy.first == origin; });
       TOREX_CHECK(it != side.end(), "durable parcel re-received without a materialized copy");
-      *x = std::move(*it);
+      first[offset] = std::move(it->second);
       side.erase(it);
-    }
+    });
   }
 
   /// Appends the live step's deliveries record; false when nothing new
@@ -342,60 +336,55 @@ struct JournalHooks : StepHooks {
 
 }  // namespace detail
 
-/// Runs the schedule over `buffers` (canonical all-to-all seed) with
-/// write-ahead journaling into `journal`: the step kernel replaying
-/// `program`. A bound journal with prior progress triggers delta resume:
-/// the committed prefix is replayed locally, flushed-but-uncommitted
-/// deliveries are materialized from the seed, and only the remaining
-/// steps touch the wire; re-received durable parcels are dropped
+/// Runs the schedule over `rows` (row p holds node p's payload for each
+/// destination, in destination order) with write-ahead journaling into
+/// `journal`: the step kernel replaying `program`. Returns the same rows
+/// in origin order (rows[q][p] is what p sent to q). A bound journal
+/// with prior progress triggers delta resume: the committed prefix is
+/// replayed locally, flushed-but-uncommitted deliveries are
+/// materialized from the seed, and only the remaining steps touch the
+/// wire; re-received durable parcels are dropped
 /// (report.duplicates_dropped). An unbound journal is bound to the
 /// schedule's geometry first. Live steps of trivially copyable payloads
 /// cross the framed wire; other payloads move locally. Requires T
 /// copyable (materialization duplicates payloads on purpose).
 template <typename T>
-ParcelBuffers<T> exchange_payloads_journaled(const SuhShinAape& algo, const StepProgram& program,
-                                             ParcelBuffers<T> buffers, ExchangeJournal& journal,
-                                             const JournalRunOptions& options,
-                                             ResumeReport& report) {
+std::vector<std::vector<T>> exchange_payloads_journaled(const SuhShinAape& algo,
+                                                        const StepProgram& program,
+                                                        std::vector<std::vector<T>> rows,
+                                                        ExchangeJournal& journal,
+                                                        const JournalRunOptions& options,
+                                                        ResumeReport& report) {
   program.require_compiled_for(algo);
   const Rank N = algo.shape().num_nodes();
-  detail::require_canonical_parcel_seed(N, buffers, options.pool);
-  if (!journal.bound()) {
-    journal = ExchangeJournal(algo.shape(), algo.num_phases(), algo.total_steps());
-  }
-  detail::require_journal_matches(algo, journal);
+  detail::require_rows(N, rows);
+  detail::begin_journaled_run(algo, journal, report);
 
   Recorder* obs = options.obs;
   if (obs != nullptr && !obs->enabled()) obs = nullptr;
   SpanGuard run_span(obs, "journaled_exchange");
 
-  report = ResumeReport{};
-  report.resumed = !journal.fresh();
-  report.committed_steps_at_start = journal.committed_steps();
-  report.committed_phase_at_start = journal.committed_phase();
-  report.delivered_at_start = journal.delivered_parcels();
-
   if (journal.exchange_complete()) {
-    return detail::rebuild_complete(N, std::move(buffers), report);
+    // Nothing crosses the wire: the delivered rows are the seed's.
+    report.materialized += static_cast<std::int64_t>(N) * (N - 1);
+    detail::transpose_rows(rows);
+    return rows;
   }
   WireArena local_arena;
   WireArena& arena = options.wire != nullptr ? *options.wire : local_arena;
   const WirePoolStats wire_stats_before = arena.stats();
 
-  // Materialize flushed-but-uncommitted deliveries from the canonical
-  // seed: the payload of (origin -> dest) sits in slot dest of origin's
-  // buffer. The copy waits in a side list at dest, so the buffers keep
-  // the program's order. The seed copy re-travels the re-run steps
-  // exactly as a real sender that never saw the ack would re-send it;
-  // when it arrives, the bitmap catches it and the durable copy takes
-  // its slot.
-  std::vector<Parcel<T>> scratch;
-  detail::order_seed_by_destination(buffers, scratch);
-  ParcelBuffers<T> durable(static_cast<std::size_t>(N));
+  // Materialize flushed-but-uncommitted deliveries from the seed: the
+  // payload of (origin -> dest) sits in slot dest of origin's row. The
+  // copy waits in a side list at dest, so the rows keep the program's
+  // order. The seed copy re-travels the re-run steps exactly as a real
+  // sender that never saw the ack would re-send it; when it arrives,
+  // the bitmap catches it and the durable copy takes its slot.
+  detail::DurableCopies<T> durable(static_cast<std::size_t>(N));
   for (const auto& [dest, origin] : journal.uncommitted_deliveries()) {
     if (origin == dest) continue;
-    durable[static_cast<std::size_t>(dest)].push_back(
-        buffers[static_cast<std::size_t>(origin)][static_cast<std::size_t>(dest)]);
+    durable[static_cast<std::size_t>(dest)].emplace_back(
+        origin, rows[static_cast<std::size_t>(origin)][static_cast<std::size_t>(dest)]);
     ++report.materialized;
   }
 
@@ -443,8 +432,9 @@ ParcelBuffers<T> exchange_payloads_journaled(const SuhShinAape& algo, const Step
       detail::journal_flush(this->journal, options, this->report);
     }
   };
-  Journaler hooks{{journal, report, &durable, obs}, options};
-  detail::replay_step_program(program, buffers, arena, options.pool, obs, hooks);
+  Journaler hooks{{program, journal, report, &durable, obs}, options};
+  detail::StepReplay<T> replay;
+  detail::replay_step_program(program, rows, arena, options.pool, obs, hooks, replay);
   for (const auto& side : durable) {
     TOREX_CHECK(side.empty(), "a materialized delivery never met its re-sent seed copy");
   }
@@ -456,41 +446,36 @@ ParcelBuffers<T> exchange_payloads_journaled(const SuhShinAape& algo, const Step
     obs->metrics().counter("resume.duplicates_dropped").add(report.duplicates_dropped);
     detail::publish_wire_metrics(obs, wire_stats_delta(arena.stats(), wire_stats_before));
   }
-  return buffers;
+  detail::put_rows_in_origin_order(program, rows, options.pool, replay, obs);
+  return rows;
 }
 
 /// Degraded-mode journaled delta: delivers every still-undelivered
-/// parcel straight to its destination (no schedule), journaling one
-/// deliveries record per origin. Used when the recovery chain has
+/// payload of `rows` (destination order) straight to its destination
+/// (no schedule), journaling one deliveries record per origin, and
+/// returns the rows in origin order. Used when the recovery chain has
 /// abandoned the Suh-Shin schedule (remap/direct plans) but the journal
 /// must stay the source of truth so a later resume — scheduled or
 /// direct — sends strictly less. Already-durable parcels are
 /// materialized, not re-sent.
 template <typename T>
-ParcelBuffers<T> exchange_payloads_direct_journaled(const SuhShinAape& algo,
-                                                    ParcelBuffers<T> buffers,
-                                                    ExchangeJournal& journal,
-                                                    const JournalRunOptions& options,
-                                                    ResumeReport& report) {
+std::vector<std::vector<T>> exchange_payloads_direct_journaled(const SuhShinAape& algo,
+                                                               std::vector<std::vector<T>> rows,
+                                                               ExchangeJournal& journal,
+                                                               const JournalRunOptions& options,
+                                                               ResumeReport& report) {
   const Rank N = algo.shape().num_nodes();
-  detail::require_canonical_parcel_seed(N, buffers);
-  if (!journal.bound()) {
-    journal = ExchangeJournal(algo.shape(), algo.num_phases(), algo.total_steps());
-  }
-  detail::require_journal_matches(algo, journal);
+  detail::require_rows(N, rows);
+  detail::begin_journaled_run(algo, journal, report);
 
   Recorder* obs = options.obs;
   if (obs != nullptr && !obs->enabled()) obs = nullptr;
   SpanGuard run_span(obs, "journaled_direct_delta");
 
-  report = ResumeReport{};
-  report.resumed = !journal.fresh();
-  report.committed_steps_at_start = journal.committed_steps();
-  report.committed_phase_at_start = journal.committed_phase();
-  report.delivered_at_start = journal.delivered_parcels();
-
   if (journal.exchange_complete()) {
-    return detail::rebuild_complete(N, std::move(buffers), report);
+    report.materialized += static_cast<std::int64_t>(N) * (N - 1);
+    detail::transpose_rows(rows);
+    return rows;
   }
 
   // The direct path ignores step structure entirely: all delivery
@@ -498,22 +483,17 @@ ParcelBuffers<T> exchange_payloads_direct_journaled(const SuhShinAape& algo,
   // final phase is committed. A scheduled resume of such a journal sees
   // zero committed steps and treats every durable pair as
   // flushed-but-uncommitted — materialize + dedup — which is correct.
-  ParcelBuffers<T> out(static_cast<std::size_t>(N));
   std::vector<std::pair<Rank, Rank>> new_deliveries;
   for (Rank origin = 0; origin < N; ++origin) {
     new_deliveries.clear();
-    auto& src = buffers[static_cast<std::size_t>(origin)];
-    for (auto& parcel : src) {
-      const Rank dest = parcel.block.dest;
+    for (Rank dest = 0; dest < N; ++dest) {
       if (journal.delivered().test(dest, origin)) {
         ++report.materialized;
       } else if (dest != origin) {
         ++report.sent_parcels;
         new_deliveries.emplace_back(dest, origin);
       }
-      out[static_cast<std::size_t>(dest)].push_back(std::move(parcel));
     }
-    src.clear();
     if (!new_deliveries.empty()) {
       journal.record_deliveries(journal.total_steps(), new_deliveries);
       detail::journal_flush(journal, options, report);
@@ -530,13 +510,13 @@ ParcelBuffers<T> exchange_payloads_direct_journaled(const SuhShinAape& algo,
   }
   detail::journal_flush(journal, options, report);
 
-  detail::check_parcel_postcondition(N, out);
   TOREX_CHECK(journal.exchange_complete(), "journal incomplete after a finished direct delta");
   if (obs != nullptr) {
     obs->metrics().counter("resume.sent_parcels").add(report.sent_parcels);
     obs->metrics().counter("resume.duplicates_dropped").add(report.duplicates_dropped);
   }
-  return out;
+  detail::transpose_rows(rows);
+  return rows;
 }
 
 }  // namespace torex

@@ -38,8 +38,8 @@ SessionExchange::SessionExchange(SessionId id, const SuhShinAape& algo, const St
   program.require_compiled_for(algo);
   const Rank N = algo.shape().num_nodes();
   TOREX_REQUIRE(static_cast<Rank>(send.size()) == N, "session send buffer must have N rows");
-  buffers_ = seed_parcels_strided(N, send);
-  detail::begin_replay(program, buffers_, nullptr, replay_);
+  rows_ = seed_rows_strided(N, send);
+  detail::begin_replay(program, nullptr, replay_);
   journal_ = ExchangeJournal(algo.shape(), algo.num_phases(), algo.total_steps());
 }
 
@@ -145,7 +145,8 @@ struct SessionExchange::Driver : detail::JournalHooks<Word> {
   Driver(SessionExchange& session, ResumeReport& journal_report,
          const std::atomic<bool>* cancel_flag, const SessionInjection& injection,
          const HealthContext& health_context)
-      : detail::JournalHooks<Word>(session.journal_, journal_report, nullptr, nullptr),
+      : detail::JournalHooks<Word>(*session.program_, session.journal_, journal_report, nullptr,
+                                   nullptr),
         self(session),
         cancel(cancel_flag),
         inject(injection),
@@ -192,17 +193,16 @@ struct SessionExchange::Driver : detail::JournalHooks<Word> {
 
   bool tampers() const { return corrupt_pending; }
 
-  // One flipped run-table bit: the frame CRC refuses it.
+  // One flipped payload bit: the frame CRC refuses it.
   void tamper(const detail::StepMessage& /*m*/, std::vector<std::byte>& frame) {
     if (!corrupt_pending) return;
-    frame[detail::kFrameV3HeaderBytes] ^= std::byte{0x01};
+    frame[detail::kFrameHeaderBytes] ^= std::byte{0x01};
     corrupt_pending = false;
   }
 
   // A refused frame kills this session only; the kernel returns the
   // step's frames to the arena as the error unwinds.
-  bool settle(const detail::StepMessage& m, const SealedRunFrameView<Word>& /*view*/,
-              const char* refused) {
+  bool settle(const detail::StepMessage& m, const char* refused) {
     if (refused == nullptr) return true;
     self.flight_note("svc.integrity_refused", health, m.phase, m.step, m.src);
     throw SessionIntegrityError(self.id_, m.phase, m.step, refused);
@@ -234,7 +234,7 @@ PhaseOutcome SessionExchange::run_phase(const std::atomic<bool>* cancel,
   TOREX_REQUIRE(!complete(), "session exchange already complete");
   ResumeReport report;
   Driver driver(*this, report, cancel, inject, health);
-  return detail::replay_phase(*program_, buffers_, *arena_, nullptr, nullptr, driver, replay_)
+  return detail::replay_phase(*program_, rows_, *arena_, nullptr, nullptr, driver, replay_)
              ? PhaseOutcome::kComplete
              : PhaseOutcome::kDeferred;
 }
@@ -254,11 +254,10 @@ std::vector<std::vector<Word>> SessionExchange::take_result() {
 
 void SessionExchange::take_result_into(const std::vector<StridedView<Word>>& recv) {
   TOREX_REQUIRE(complete(), "session result requested before the exchange finished");
-  const Rank N = algo_->shape().num_nodes();
-  detail::check_parcel_postcondition(N, buffers_);
+  TOREX_REQUIRE(!rows_.empty(), "session result already taken");
   TOREX_CHECK(journal_.exchange_complete(), "session journal incomplete after a finished exchange");
-  scatter_parcels_strided(N, buffers_, recv);
-  for (auto& buf : buffers_) buf.clear();
+  scatter_rows_strided(*program_, rows_, recv);
+  rows_.clear();
 }
 
 }  // namespace torex

@@ -3,25 +3,27 @@
 // The journaled executor (runtime/journal.hpp) runs a whole exchange in
 // one call; the weighted-fair scheduler needs to interleave *phases*
 // from different sessions. SessionExchange is the step kernel's fourth
-// driver (core/payload_exchange.hpp): it keeps a StepReplay of the
-// manager's compiled StepProgram, and each run_phase() call replays
-// exactly one Suh-Shin phase's steps over the session's parcels —
-// pooled sealed frames on the wire, write-ahead journal flush before
-// every step commit, cooperative cancel polled at the step boundary and
-// inside the flush/commit window — then returns control to the
-// scheduler. State between calls lives in the object, so a session can
-// sit unscheduled for arbitrarily long between phases while other
-// tenants use the engine. The kernel runs inline: an 8x8 step is too
-// short to split over threads.
+// driver (core/payload_exchange.hpp): it keeps its own rows and a
+// StepReplay of the manager's compiled StepProgram, and each
+// run_phase() call replays exactly one Suh-Shin phase's steps over the
+// session's rows — pooled sealed frames on the wire, write-ahead
+// journal flush before every step commit, cooperative cancel polled at
+// the step boundary and inside the flush/commit window — then returns
+// control to the scheduler. State between calls lives in the object, so
+// a session can sit unscheduled for arbitrarily long between phases
+// while other tenants use the engine. The kernel runs inline: an 8x8
+// step is too short to split over threads.
 //
 // The service's policies are the driver's hooks. Before each step, the
 // health gate, the frame quota and the sent-parcel accounting read the
 // step's partners and parcel counts from the program (and direction and
-// hops from the schedule) — no buffer is scanned. The corrupt injection
-// tampers with the phase's first frame, the settle hook turns a refused
-// frame into SessionIntegrityError, and the journal records reuse the
-// journaled executor's hooks, with the crash injection and the cancel
-// window between each step's flush and its commit.
+// hops from the schedule) — no row is scanned. The corrupt injection
+// flips a payload bit of the phase's first frame, the settle hook turns
+// a refused frame into SessionIntegrityError, and the journal records
+// reuse the journaled executor's hooks (the program's arrival tables),
+// with the crash injection and the cancel window between each step's
+// flush and its commit. The result unpacks through the program's final
+// table, once the journal's delivery bitmap is complete.
 //
 // Isolation properties the manager relies on:
 //  * every frame a step leases from the shared arena goes back to it
@@ -78,8 +80,8 @@ enum class PhaseOutcome {
 /// payload is fixed to one machine word.
 class SessionExchange {
  public:
-  /// Seeds the canonical parcel buffers from `send` (must be N x N for
-  /// the schedule's node count) and binds a fresh per-session journal.
+  /// Seeds the session's rows from `send` (must be N x N for the
+  /// schedule's node count) and binds a fresh per-session journal.
   /// `program` is `algo` compiled (StepProgramMismatchError otherwise);
   /// `algo`, `program` and `arena` must outlive the exchange.
   /// `max_leased_frames` is the tenant's arena-frame quota (0 =
@@ -90,10 +92,9 @@ class SessionExchange {
                   const std::vector<std::vector<std::int64_t>>& send, WireArena& arena,
                   std::int64_t max_leased_frames, FlightRecorder* flight = nullptr);
 
-  /// Strided-view seed (Träff-style datatypes): parcels are read
+  /// Strided-view seed (Träff-style datatypes): the rows are read
   /// straight out of the caller's buffers through per-node
-  /// StridedViews — no dense staging rows. send[p].at(q) is node p's
-  /// word for destination q.
+  /// StridedViews. send[p].at(q) is node p's word for destination q.
   SessionExchange(SessionId id, const SuhShinAape& algo, const StepProgram& program,
                   const std::vector<StridedView<const std::int64_t>>& send, WireArena& arena,
                   std::int64_t max_leased_frames, FlightRecorder* flight = nullptr);
@@ -128,13 +129,12 @@ class SessionExchange {
   PhaseOutcome run_phase(const std::atomic<bool>* cancel, const SessionInjection& inject,
                          const HealthContext& health = {});
 
-  /// recv[q][p] = send[p][q]; requires complete(). Consumes the
-  /// buffers.
+  /// recv[q][p] = send[p][q]; requires complete(). Consumes the rows.
   std::vector<std::vector<std::int64_t>> take_result();
 
-  /// Strided-view result: scatters delivered parcels straight into the
-  /// caller's buffers (recv[q].at(p) = send[p].at(q)); requires
-  /// complete(). Consumes the buffers.
+  /// Strided-view result: scatters the delivered rows straight into the
+  /// caller's buffers (recv[q].at(p) = send[p].at(q)) through the
+  /// program's final table; requires complete(). Consumes the rows.
   void take_result_into(const std::vector<StridedView<std::int64_t>>& recv);
 
  private:
@@ -154,7 +154,7 @@ class SessionExchange {
   WireArena* arena_;
   FlightRecorder* flight_ = nullptr;
   std::int64_t frame_quota_;
-  ParcelBuffers<std::int64_t> buffers_;
+  std::vector<std::vector<std::int64_t>> rows_;  ///< in the program's slot order
   /// The kernel's replay: the next (phase, step), where a deferred step
   /// resumes.
   detail::StepReplay<std::int64_t> replay_;

@@ -140,7 +140,7 @@ TEST(Crc32Test, IncrementalManyChunksWithZeroLengthSlices) {
 }
 
 TEST(Crc32Test, ValueSamplesMidStreamWithoutConsuming) {
-  // encode_multi_run_frame() reads the header digest mid-stream and
+  // encode_frame() reads the header digest mid-stream and
   // keeps hashing; value() must not perturb the accumulator.
   const std::vector<unsigned char> data = pattern_bytes(96, 0xD16E57u);
   Crc32 crc;

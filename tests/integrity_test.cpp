@@ -2,7 +2,7 @@
 // faults, the detect-and-retransmit protocol (the same run at one and
 // at four StepPool participants), the checked communicator
 // entry point with escalation into the recovery chain, and a miniature
-// chaos differential sweep. The TOX3 frame codec itself is covered by
+// chaos differential sweep. The TOX4 frame codec itself is covered by
 // wire_test.
 #include <gtest/gtest.h>
 
@@ -17,6 +17,7 @@
 #include "util/crc32.hpp"
 #include "util/prng.hpp"
 #include "util/step_pool.hpp"
+#include "tagged.hpp"
 
 namespace torex {
 namespace {
@@ -126,32 +127,33 @@ TEST(CorruptionModelTest, ApplyDamagesWire) {
 
 // --- Sealed exchange protocol ------------------------------------------
 
-ParcelBuffers<std::int64_t> canonical_parcels(Rank N) {
-  ParcelBuffers<std::int64_t> buffers(static_cast<std::size_t>(N));
+std::vector<std::vector<std::int64_t>> canonical_rows(Rank N) {
+  std::vector<std::vector<std::int64_t>> rows(static_cast<std::size_t>(N));
   for (Rank p = 0; p < N; ++p) {
-    for (Rank q = 0; q < N; ++q) {
-      buffers[static_cast<std::size_t>(p)].push_back({Block{p, q}, p * 10000 + q});
-    }
+    for (Rank q = 0; q < N; ++q) rows[static_cast<std::size_t>(p)].push_back(p * 10000 + q);
   }
-  return buffers;
+  return rows;
 }
 
-void expect_delivered(Rank N, const ParcelBuffers<std::int64_t>& out) {
+void expect_delivered(Rank N, const std::vector<std::vector<std::int64_t>>& out) {
+  ASSERT_EQ(out.size(), static_cast<std::size_t>(N));
   for (Rank q = 0; q < N; ++q) {
     ASSERT_EQ(out[static_cast<std::size_t>(q)].size(), static_cast<std::size_t>(N));
-    for (const auto& parcel : out[static_cast<std::size_t>(q)]) {
-      EXPECT_EQ(parcel.block.dest, q);
-      EXPECT_EQ(parcel.payload, parcel.block.origin * 10000 + q);
+    for (Rank p = 0; p < N; ++p) {
+      EXPECT_EQ(out[static_cast<std::size_t>(q)][static_cast<std::size_t>(p)], p * 10000 + q);
     }
   }
 }
+
+/// The salt the Tagged runs of this suite seed with.
+constexpr std::uint64_t kSalt = 0x1D7E6;
 
 TEST(SealedExchangeTest, CleanWireMatchesUnsealed) {
   const SuhShinAape algo(TorusShape({4, 4}));
   const Rank N = 16;
   IntegrityReport report;
   const auto out =
-      exchange_payloads_sealed(algo, StepProgram(algo), canonical_parcels(N), {}, {}, &report);
+      exchange_payloads_sealed(algo, StepProgram(algo), canonical_rows(N), {}, {}, &report);
   expect_delivered(N, out);
   EXPECT_TRUE(report.clean());
   EXPECT_EQ(report.retransmits, 0);
@@ -178,7 +180,7 @@ TEST(SealedExchangeTest, TransientCorruptionHealsUnderRetransmit) {
     }
   }
   IntegrityReport report;
-  const auto out = exchange_payloads_sealed(algo, StepProgram(algo), canonical_parcels(N),
+  const auto out = exchange_payloads_sealed(algo, StepProgram(algo), canonical_rows(N),
                                             model.tamperer(torus), {}, &report);
   expect_delivered(N, out);
   EXPECT_GT(report.corrupted, 0);
@@ -195,7 +197,7 @@ TEST(SealedExchangeTest, PermanentCorruptionExhaustsBudgetAndThrows) {
   options.max_retransmits = 2;
   IntegrityReport report;
   try {
-    exchange_payloads_sealed(algo, StepProgram(algo), canonical_parcels(N),
+    exchange_payloads_sealed(algo, StepProgram(algo), canonical_rows(N),
                              model.tamperer(algo.torus()), options, &report);
     FAIL() << "permanent corruption must raise IntegrityError";
   } catch (const IntegrityError& e) {
@@ -227,10 +229,11 @@ TEST(SealedExchangeTest, ViolationDescribeNamesTheStep) {
 
 // --- The same run at any pool size ------------------------------------
 
-/// What one sealed run produced: the delivered buffers, the report
-/// (through report_out, so also on throw) and the arena's statistics.
+/// What one sealed run of Tagged payloads produced: the delivered rows,
+/// the report (through report_out, so also on throw) and the arena's
+/// statistics.
 struct SealedRun {
-  ParcelBuffers<std::int64_t> out;
+  std::vector<std::vector<testing::Tagged>> out;
   IntegrityReport report;
   WirePoolStats stats;
   bool threw = false;
@@ -245,7 +248,8 @@ SealedRun run_sealed_on(const SuhShinAape& algo, const StepProgram& program,
   options.pool = &pool;
   SealedRun run;
   try {
-    run.out = exchange_payloads_sealed(algo, program, canonical_parcels(algo.shape().num_nodes()),
+    run.out = exchange_payloads_sealed(algo, program,
+                                       testing::tagged_rows(algo.shape().num_nodes(), kSalt),
                                        tamperer, options, &run.report);
   } catch (const IntegrityError&) {
     run.threw = true;
@@ -306,7 +310,7 @@ void expect_same_stats(const WirePoolStats& a, const WirePoolStats& b, const std
 TEST(SealedExchangeTest, SameRunAtOneAndFourParticipants) {
   // CorruptionModel's tamperer depends only on its TransferContext and
   // the frame bytes, so the kernel's pool size must not show anywhere:
-  // not in the buffers, not in the report (violations in the same
+  // not in the rows, not in the report (violations in the same
   // order, the same final tick), not in the wire statistics. Odd seeds
   // corrupt transiently (corrected by retransmission), even seeds
   // permanently (the budget runs out and the run throws).
@@ -329,19 +333,14 @@ TEST(SealedExchangeTest, SameRunAtOneAndFourParticipants) {
       expect_same_report(one.report, four.report, what);
       expect_same_stats(one.stats, four.stats, what);
       EXPECT_EQ(four.stats.outstanding_frames(), 0) << what;
-      ASSERT_EQ(one.out.size(), four.out.size()) << what;
-      for (std::size_t p = 0; p < one.out.size(); ++p) {
-        ASSERT_EQ(one.out[p].size(), four.out[p].size()) << what;
-        for (std::size_t i = 0; i < one.out[p].size(); ++i) {
-          ASSERT_EQ(one.out[p][i].block, four.out[p][i].block) << what << " node " << p;
-          ASSERT_EQ(one.out[p][i].payload, four.out[p][i].payload) << what << " node " << p;
-        }
-      }
+      ASSERT_EQ(one.out, four.out) << what;
       if (one.threw) {
         ++thrown;
-      } else if (!one.report.clean()) {
-        ++corrected;
-        expect_delivered(algo.shape().num_nodes(), four.out);
+      } else {
+        // Slot for slot: every payload names its origin and destination.
+        EXPECT_EQ(testing::transpose_mismatch(algo.shape().num_nodes(), four.out, kSalt), "")
+            << what;
+        if (!one.report.clean()) ++corrected;
       }
     }
   }
@@ -351,6 +350,17 @@ TEST(SealedExchangeTest, SameRunAtOneAndFourParticipants) {
 }
 
 // --- exchange_payloads preconditions -----------------------------------
+
+/// The reference executor's canonical parcels: identities attached.
+ParcelBuffers<std::int64_t> canonical_parcels(Rank N) {
+  ParcelBuffers<std::int64_t> buffers(static_cast<std::size_t>(N));
+  for (Rank p = 0; p < N; ++p) {
+    for (Rank q = 0; q < N; ++q) {
+      buffers[static_cast<std::size_t>(p)].push_back({Block{p, q}, p * 10000 + q});
+    }
+  }
+  return buffers;
+}
 
 TEST(PayloadPreconditionTest, RejectsDuplicateDestination) {
   const SuhShinAape algo(TorusShape({4, 4}));
@@ -381,10 +391,16 @@ TEST(PayloadPreconditionTest, RejectsDestinationOutOfRange) {
 }
 
 TEST(PayloadPreconditionTest, SealedVariantChecksTheSamePreconditions) {
+  // The sealed driver's rows carry no identity to forge: a row per node,
+  // a payload per destination, checked before anything moves.
   const SuhShinAape algo(TorusShape({4, 4}));
-  auto buffers = canonical_parcels(16);
-  buffers[0][1].block.dest = 0;
-  EXPECT_THROW(exchange_payloads_sealed(algo, StepProgram(algo), std::move(buffers)),
+  auto rows = canonical_rows(16);
+  rows[5].pop_back();
+  EXPECT_THROW(exchange_payloads_sealed(algo, StepProgram(algo), std::move(rows)),
+               std::invalid_argument);
+  rows = canonical_rows(16);
+  rows.pop_back();
+  EXPECT_THROW(exchange_payloads_sealed(algo, StepProgram(algo), std::move(rows)),
                std::invalid_argument);
 }
 

@@ -22,7 +22,9 @@
 #include "runtime/recovery.hpp"
 #include "runtime/watchdog.hpp"
 #include "sim/fault_model.hpp"
+#include "tagged.hpp"
 #include "topology/torus.hpp"
+#include "util/crc32.hpp"
 #include "util/step_pool.hpp"
 
 namespace torex {
@@ -402,16 +404,7 @@ TEST(ResumeTest, StringPayloadsKilledAtEveryStepResumeExactlyOnce) {
   JournalRunOptions pooled;
   pooled.pool = &pool;
   pooled.wire = &arena;
-  const auto seed = [&] {
-    ParcelBuffers<std::string> buffers(static_cast<std::size_t>(n));
-    for (Rank p = 0; p < n; ++p) {
-      for (Rank q = 0; q < n; ++q) {
-        buffers[static_cast<std::size_t>(p)].push_back(
-            {Block{p, q}, send[static_cast<std::size_t>(p)][static_cast<std::size_t>(q)]});
-      }
-    }
-    return buffers;
-  };
+  const auto seed = [&] { return send; };
   std::int64_t pooled_materialized = 0;
   for (const auto& [phase, step] : active_steps(algo)) {
     for (const bool after_flush : {false, true}) {
@@ -424,8 +417,8 @@ TEST(ResumeTest, StringPayloadsKilledAtEveryStepResumeExactlyOnce) {
       ExchangeJournal loaded = ExchangeJournal::decode(journal.encode());
       const auto out = exchange_payloads_journaled(algo, program, seed(), loaded, pooled, report);
       for (Rank p = 0; p < n; ++p) {
-        for (const auto& parcel : out[static_cast<std::size_t>(p)]) {
-          ASSERT_EQ(parcel.payload, payload(parcel.block.origin, p))
+        for (Rank q = 0; q < n; ++q) {
+          ASSERT_EQ(out[static_cast<std::size_t>(p)][static_cast<std::size_t>(q)], payload(q, p))
               << "after a kill at (" << phase << ", " << step << ") on the pool";
         }
       }
@@ -438,27 +431,22 @@ TEST(ResumeTest, StringPayloadsKilledAtEveryStepResumeExactlyOnce) {
   EXPECT_EQ(arena.stats().messages, 0);
 }
 
-/// One journaled exchange of the canonical parcels on `participants`:
-/// killed at `crash` (when armed), then resumed from the decoded bytes.
+/// The salt the Tagged runs of this suite seed with.
+constexpr std::uint64_t kSalt = 0x70A5;
+
+/// One journaled exchange of Tagged rows on `participants`: killed at
+/// `crash` (when armed), then resumed from the decoded bytes.
 struct JournaledRun {
   std::vector<std::byte> killed_bytes;  ///< the journal as the kill left it
   std::vector<std::byte> final_bytes;
   ResumeReport report;
-  ParcelBuffers<std::int64_t> out;
+  std::vector<std::vector<testing::Tagged>> out;
 };
 
 JournaledRun run_journaled_on(const SuhShinAape& algo, const StepProgram& program,
                               const CrashPoint& crash, int participants) {
   const Rank n = algo.shape().num_nodes();
-  const auto seed = [&] {
-    ParcelBuffers<std::int64_t> buffers(static_cast<std::size_t>(n));
-    for (Rank p = 0; p < n; ++p) {
-      for (Rank q = 0; q < n; ++q) {
-        buffers[static_cast<std::size_t>(p)].push_back({Block{p, q}, std::int64_t{p} * n + q});
-      }
-    }
-    return buffers;
-  };
+  const auto seed = [&] { return testing::tagged_rows(n, kSalt); };
   StepPool pool(participants);
   JournalRunOptions options;
   options.pool = &pool;
@@ -510,15 +498,52 @@ TEST(ResumeTest, JournalBytesAreIdenticalAtOneAndFourParticipants) {
       EXPECT_EQ(a.sent_parcels, b.sent_parcels) << what;
       EXPECT_EQ(a.duplicates_dropped, b.duplicates_dropped) << what;
       EXPECT_EQ(a.journal_flushes, b.journal_flushes) << what;
-      ASSERT_EQ(one.out.size(), four.out.size()) << what;
-      for (std::size_t p = 0; p < one.out.size(); ++p) {
-        ASSERT_EQ(one.out[p].size(), four.out[p].size()) << what;
-        for (std::size_t i = 0; i < one.out[p].size(); ++i) {
-          ASSERT_EQ(one.out[p][i].block, four.out[p][i].block) << what << " node " << p;
-          ASSERT_EQ(one.out[p][i].payload, four.out[p][i].payload) << what << " node " << p;
-        }
-      }
+      // Slot for slot, materialized copies included.
+      EXPECT_EQ(testing::transpose_mismatch(algo.shape().num_nodes(), one.out, kSalt), "")
+          << what;
+      EXPECT_EQ(one.out, four.out) << what;
     }
+  }
+}
+
+/// Length and CRC-32 of a journal's bytes.
+std::pair<std::size_t, std::uint32_t> digest(const std::vector<std::byte>& bytes) {
+  Crc32 crc;
+  crc.update(bytes.data(), bytes.size());
+  return {bytes.size(), crc.value()};
+}
+
+TEST(ResumeTest, JournalBytesMatchTheGoldenRecords) {
+  // The journal's bytes, pinned: these lengths and CRC-32s were recorded
+  // from the step kernel that carried each parcel's block identity and
+  // read its arrivals off the parcels. The kernel now reads them from
+  // the program's arrival tables, and must write the same records in
+  // the same order: fresh runs on three shapes, and a kill at
+  // (phase 2, step 1) then a resume on 8x4x4, at 1 and 4 participants.
+  using Golden = std::pair<std::size_t, std::uint32_t>;
+  const std::vector<std::pair<std::vector<std::int32_t>, Golden>> fresh{
+      {{4, 4}, {2160, 0x62CE9AB4u}},
+      {{8, 8}, {32568, 0x745C9E84u}},
+      {{8, 4, 4}, {130488, 0xE82084F7u}},
+  };
+  for (const int participants : {1, 4}) {
+    for (const auto& [extents, golden] : fresh) {
+      const SuhShinAape algo{TorusShape(extents)};
+      const JournaledRun run =
+          run_journaled_on(algo, StepProgram(algo), CrashPoint{}, participants);
+      EXPECT_EQ(digest(run.final_bytes), golden)
+          << algo.shape().to_string() << " at " << participants << " participants";
+    }
+    const SuhShinAape algo{TorusShape({8, 4, 4})};
+    const JournaledRun run =
+        run_journaled_on(algo, StepProgram(algo), CrashPoint{2, 1, true}, participants);
+    EXPECT_EQ(digest(run.killed_bytes), (Golden{876, 0xDA5091E2u})) << participants;
+    EXPECT_EQ(digest(run.final_bytes), (Golden{130488, 0xE82084F7u})) << participants;
+    EXPECT_EQ(run.report.materialized, 64) << participants;
+    EXPECT_EQ(run.report.duplicates_dropped, 64) << participants;
+    EXPECT_EQ(run.report.sent_parcels, 55296) << participants;
+    EXPECT_EQ(run.report.replayed_parcels, 2048) << participants;
+    EXPECT_EQ(run.report.journal_flushes, 19) << participants;
   }
 }
 
@@ -567,14 +592,6 @@ TEST(ResumeTest, DirectDeltaJournalResumesOnTheSchedule) {
   const SuhShinAape algo(shape);
   const Rank n = shape.num_nodes();
 
-  const auto send = make_send(n);
-  ParcelBuffers<std::int64_t> parcels(static_cast<std::size_t>(n));
-  for (Rank p = 0; p < n; ++p) {
-    for (Rank q = 0; q < n; ++q) {
-      parcels[static_cast<std::size_t>(p)].push_back(
-          {Block{p, q}, send[static_cast<std::size_t>(p)][static_cast<std::size_t>(q)]});
-    }
-  }
   ExchangeJournal journal(shape, algo.num_phases(), algo.total_steps());
   std::atomic<bool> cancel{false};
   JournalRunOptions options;
@@ -584,8 +601,7 @@ TEST(ResumeTest, DirectDeltaJournalResumesOnTheSchedule) {
     if (++flushes == 8) cancel.store(true);  // half the origins delivered
   };
   ResumeReport report;
-  EXPECT_THROW(exchange_payloads_direct_journaled(algo, std::move(parcels), journal, options,
-                                                  report),
+  EXPECT_THROW(exchange_payloads_direct_journaled(algo, make_send(n), journal, options, report),
                ExchangeCancelledError);
   EXPECT_GT(journal.delivered_parcels(), 16);  // more than the self diagonal
   EXPECT_FALSE(journal.exchange_complete());

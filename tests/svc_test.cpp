@@ -503,17 +503,9 @@ TEST(SvcDriverTest, SessionJournalIsTheJournaledExecutorsByteForByte) {
       ASSERT_EQ(session.run_phase(nullptr, {}), PhaseOutcome::kComplete);
     }
 
-    ParcelBuffers<std::int64_t> seed(static_cast<std::size_t>(n));
-    for (Rank p = 0; p < n; ++p) {
-      for (Rank q = 0; q < n; ++q) {
-        seed[static_cast<std::size_t>(p)].push_back(
-            {Block{p, q}, send[static_cast<std::size_t>(p)][static_cast<std::size_t>(q)]});
-      }
-    }
     ExchangeJournal journal;
     ResumeReport report;
-    exchange_payloads_journaled(algo, program, std::move(seed), journal, JournalRunOptions{},
-                                report);
+    exchange_payloads_journaled(algo, program, send, journal, JournalRunOptions{}, report);
     EXPECT_EQ(session.journal().encode(), journal.encode()) << shape.to_string();
     EXPECT_EQ(session.sent_parcels(), report.sent_parcels) << shape.to_string();
     expect_transposed(send, session.take_result());

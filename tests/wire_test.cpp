@@ -1,22 +1,23 @@
 // The zero-copy pooled wire path: WireArena recycling semantics,
-// PooledFrame RAII, the TOX3 multi-run codec (round-trip, every-bit-flip
-// and every-truncation detection, run gather/erase primitives, scatter
-// offsets, negative metadata, forged counts and run tables as typed
-// errors), strided user-buffer views, the compiled StepProgram (maximal
-// send runs; tables and sort histograms on cache lines of their own),
+// PooledFrame RAII, the TOX4 frame codec (round-trip with run gather,
+// every-bit-flip and every-truncation detection, negative metadata,
+// re-sealed frames with a wrong program, step, channel, count or
+// element size refused by name), strided user-buffer views, the
+// compiled StepProgram (maximal send runs; every node receiving what
+// it sends; interned tables on cache lines of their own; the final
+// and arrival tables pinned to the layout simulator, slot for slot),
 // the process's program cache (one compile per key, also under
 // concurrent first use; least-recently-used eviction that keeps held
 // programs valid), and the step kernel's drivers that replay it —
-// pooled, sealed and journaled (transpose delivery, §3.3 run
-// accounting and buffer order differential against the block-level
-// layout simulator, on both layouts and every reference shape;
-// mismatched programs refused; in-place receives that survive
-// retransmission; steady-state allocation behavior; every driver also
-// on a four-participant StepPool, with worker failures surfacing on the
-// caller) — and a
+// pooled, sealed and journaled, over Tagged payloads that carry their
+// own identity (the transpose checked slot for slot, §3.3 run
+// accounting against the block-level layout simulator, on both layouts
+// and every reference shape; mismatched programs refused; in-place
+// receives that survive retransmission; steady-state allocation
+// behavior; every driver also on a four-participant StepPool) — and a
 // seeded deterministic fuzz harness over the frame codec: mutations
-// must never decode and never read out of bounds (the ASan/UBSan CI job
-// runs this suite under sanitizers, the TSan job under TSan).
+// must never verify and never read out of bounds (the ASan/UBSan CI
+// job runs this suite under sanitizers, the TSan job under TSan).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -25,7 +26,6 @@
 #include <latch>
 #include <memory>
 #include <optional>
-#include <set>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -40,6 +40,7 @@
 #include "core/wire_buffer.hpp"
 #include "obs/recorder.hpp"
 #include "runtime/journal.hpp"
+#include "tagged.hpp"
 #include "util/cache_line.hpp"
 #include "util/crc32.hpp"
 #include "util/prng.hpp"
@@ -47,6 +48,11 @@
 
 namespace torex {
 namespace {
+
+using testing::Tagged;
+using testing::tagged;
+using testing::tagged_rows;
+using testing::transpose_mismatch;
 
 // --- WireArena ---------------------------------------------------------
 
@@ -130,110 +136,72 @@ TEST(PooledFrameTest, DefaultConstructedIsUnboundAndRebindable) {
   EXPECT_EQ(arena.pooled(), 1u);
 }
 
-// --- TOX3 multi-run frame codec ----------------------------------------
+// --- TOX4 frame codec ---------------------------------------------------
 
-std::vector<Parcel<std::int64_t>> make_parcels(Rank src, int count) {
-  std::vector<Parcel<std::int64_t>> out;
-  for (int i = 0; i < count; ++i) {
-    out.push_back({Block{src, static_cast<Rank>(i)}, src * 1000 + i});
-  }
-  return out;
-}
-
-/// A buffer with a known send set: parcels at indices {1,2} and {5,6}
-/// of an 8-parcel buffer (two runs with gaps on both sides).
+/// A row with a known send set: slots {1,2} and {5,6} of an 8-slot row
+/// (two runs with gaps on both sides).
 struct MultiRunFixture {
-  std::vector<Parcel<std::int64_t>> buf = make_parcels(3, 8);
+  std::vector<std::int64_t> row{3000, 3001, 3002, 3003, 3004, 3005, 3006, 3007};
   std::vector<SendRun> runs{{1, 2}, {5, 2}};
-  std::size_t count = 4;
+  FrameHeader header{0xF1A6F1A6F1A6F1A6ull, 2, 1, 3, 7, 4};
 };
 
-TEST(MultiRunFrameTest, EraseRunsCompactsStably) {
-  MultiRunFixture fx;
-  detail::erase_runs(fx.buf, fx.runs);
-  ASSERT_EQ(fx.buf.size(), 4u);
-  EXPECT_EQ(fx.buf[0].block.dest, 0);
-  EXPECT_EQ(fx.buf[1].block.dest, 3);
-  EXPECT_EQ(fx.buf[2].block.dest, 4);
-  EXPECT_EQ(fx.buf[3].block.dest, 7);
+/// The payloads of a verified frame.
+std::vector<std::int64_t> payloads_of(const std::vector<std::byte>& frame, std::size_t count) {
+  std::vector<std::int64_t> out(count);
+  std::memcpy(out.data(), frame.data() + detail::kFrameHeaderBytes, count * sizeof(std::int64_t));
+  return out;
 }
 
 TEST(MultiRunFrameTest, MultiRunRoundTrips) {
   MultiRunFixture fx;
   std::vector<std::byte> frame;
-  encode_multi_run_frame(fx.buf, fx.runs, fx.count, 2, 1, 3, 7, frame);
-  SealedRunFrameView<std::int64_t> view;
-  std::string reason;
-  ASSERT_TRUE(decode_multi_run_frame<std::int64_t>(WireView(frame), 2, 1, 3, 7, 16, view, &reason))
-      << reason;
-  ASSERT_EQ(view.count(), 4u);
-  ASSERT_EQ(view.run_count(), 2u);
-  // Payload order is send order (buffer order of the send set).
-  const int expect_dest[] = {1, 2, 5, 6};
-  for (std::size_t i = 0; i < view.count(); ++i) {
-    EXPECT_EQ(view.parcel(i).block.dest, expect_dest[i]);
-    EXPECT_EQ(view.parcel(i).payload, 3000 + expect_dest[i]);
-  }
-  // Run descriptors carry cumulative destination offsets.
-  EXPECT_EQ(view.run(0).dst_offset, 0u);
-  EXPECT_EQ(view.run(0).count, 2u);
-  EXPECT_EQ(view.run(1).dst_offset, 2u);
-  EXPECT_EQ(view.run(1).count, 2u);
-  // scatter() reproduces the send set contiguously at the destination.
-  std::vector<Parcel<std::int64_t>> out;
-  view.append_to(out);
-  ASSERT_EQ(out.size(), 4u);
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    EXPECT_EQ(out[i].block.dest, expect_dest[i]);
-  }
+  encode_frame(fx.row.data(), fx.runs, fx.header, frame);
+  EXPECT_EQ(frame.size(), frame_size<std::int64_t>(4));
+  EXPECT_EQ(verify_frame<std::int64_t>(WireView(frame), fx.header), nullptr);
+  // Payload order is send order (row order of the send set); the row
+  // itself is untouched.
+  EXPECT_EQ(payloads_of(frame, 4), (std::vector<std::int64_t>{3001, 3002, 3005, 3006}));
+  EXPECT_EQ(fx.row[1], 3001);
 }
 
 TEST(MultiRunFrameTest, EmptyFrameRoundTrips) {
-  const std::vector<Parcel<std::int64_t>> buf;
-  const std::vector<SendRun> runs;
+  const std::vector<std::int64_t> row;
+  const FrameHeader header{7, 1, 1, 0, 1, 0};
   std::vector<std::byte> frame;
-  encode_multi_run_frame(buf, runs, 0, 1, 1, 0, 1, frame);
-  SealedRunFrameView<std::int64_t> view;
-  std::string reason;
-  ASSERT_TRUE(decode_multi_run_frame<std::int64_t>(WireView(frame), 1, 1, 0, 1, 4, view, &reason))
-      << reason;
-  EXPECT_EQ(view.count(), 0u);
-  EXPECT_EQ(view.run_count(), 0u);
+  encode_frame<std::int64_t>(row.data(), {}, header, frame);
+  EXPECT_EQ(frame.size(), detail::kFrameHeaderBytes + detail::kFrameTrailerBytes);
+  EXPECT_EQ(verify_frame<std::int64_t>(WireView(frame), header), nullptr);
 }
 
 TEST(MultiRunFrameTest, NegativeMetadataRejected) {
   MultiRunFixture fx;
   std::vector<std::byte> frame;
-  EXPECT_THROW(encode_multi_run_frame(fx.buf, fx.runs, fx.count, -1, 2, 5, 6, frame),
-               std::invalid_argument);
-  EXPECT_THROW(encode_multi_run_frame(fx.buf, fx.runs, fx.count, 1, 2, -5, 6, frame),
-               std::invalid_argument);
-  encode_multi_run_frame(fx.buf, fx.runs, fx.count, 1, 2, 5, 6, frame);
-  SealedRunFrameView<std::int64_t> view;
-  std::string reason;
-  EXPECT_FALSE(
-      decode_multi_run_frame<std::int64_t>(WireView(frame), -1, 2, 5, 6, 16, view, &reason));
-  EXPECT_EQ(reason, "negative message metadata");
-  EXPECT_FALSE(
-      decode_multi_run_frame<std::int64_t>(WireView(frame), 1, -2, 5, 6, 16, view, &reason));
-  EXPECT_EQ(reason, "negative message metadata");
-  EXPECT_FALSE(
-      decode_multi_run_frame<std::int64_t>(WireView(frame), 1, 2, -5, 6, 16, view, &reason));
-  EXPECT_EQ(reason, "negative message metadata");
-  EXPECT_FALSE(
-      decode_multi_run_frame<std::int64_t>(WireView(frame), 1, 2, 5, -6, 16, view, &reason));
-  EXPECT_EQ(reason, "negative message metadata");
+  FrameHeader bad = fx.header;
+  bad.phase = -1;
+  EXPECT_THROW(encode_frame(fx.row.data(), fx.runs, bad, frame), std::invalid_argument);
+  bad = fx.header;
+  bad.src = -5;
+  EXPECT_THROW(encode_frame(fx.row.data(), fx.runs, bad, frame), std::invalid_argument);
+  encode_frame(fx.row.data(), fx.runs, fx.header, frame);
+  for (int field = 0; field < 4; ++field) {
+    FrameHeader want = fx.header;
+    (field == 0 ? want.phase : field == 1 ? want.step : field == 2 ? want.src : want.dst) = -1;
+    const char* reason = verify_frame<std::int64_t>(WireView(frame), want);
+    ASSERT_NE(reason, nullptr) << "field " << field;
+    EXPECT_STREQ(reason, "negative message metadata");
+  }
 }
 
 TEST(MultiRunFrameTest, EveryBitFlipIsDetected) {
+  // Header, payload and trailer alike: both CRCs cover every byte.
   MultiRunFixture fx;
   std::vector<std::byte> clean;
-  encode_multi_run_frame(fx.buf, fx.runs, fx.count, 1, 2, 5, 6, clean);
-  SealedRunFrameView<std::int64_t> view;
+  encode_frame(fx.row.data(), fx.runs, fx.header, clean);
   for (std::size_t bit = 0; bit < clean.size() * 8; ++bit) {
     auto frame = clean;
     frame[bit / 8] ^= static_cast<std::byte>(1u << (bit % 8));
-    EXPECT_FALSE(decode_multi_run_frame<std::int64_t>(WireView(frame), 1, 2, 5, 6, 16, view))
+    EXPECT_NE(verify_frame<std::int64_t>(WireView(frame), fx.header), nullptr)
         << "flipped bit " << bit << " slipped through";
   }
 }
@@ -241,120 +209,117 @@ TEST(MultiRunFrameTest, EveryBitFlipIsDetected) {
 TEST(MultiRunFrameTest, EveryTruncationIsDetected) {
   MultiRunFixture fx;
   std::vector<std::byte> clean;
-  encode_multi_run_frame(fx.buf, fx.runs, fx.count, 1, 2, 0, 4, clean);
-  SealedRunFrameView<std::int64_t> view;
+  encode_frame(fx.row.data(), fx.runs, fx.header, clean);
   for (std::size_t keep = 0; keep < clean.size(); ++keep) {
     const std::vector<std::byte> frame(clean.begin(),
                                        clean.begin() + static_cast<std::ptrdiff_t>(keep));
-    EXPECT_FALSE(decode_multi_run_frame<std::int64_t>(WireView(frame), 1, 2, 0, 4, 16, view))
+    EXPECT_NE(verify_frame<std::int64_t>(WireView(frame), fx.header), nullptr)
         << "truncation to " << keep << " bytes slipped through";
   }
 }
 
-/// Re-seals a forged TOX3 frame (header CRC at 48, trailer CRC last)
-/// so the forged structure itself — not a checksum — is what decode
-/// must reject.
-std::vector<std::byte> reseal_v3(std::vector<std::byte> frame) {
+/// Re-seals a forged TOX4 frame (header CRC after the header fields,
+/// frame CRC last) so the forged field itself — not a checksum — is
+/// what verify must reject.
+std::vector<std::byte> reseal(std::vector<std::byte> frame) {
   Crc32 crc;
-  crc.update(frame.data(), 48);
-  wire_write_u32(frame.data() + 48, crc.value());
-  crc.update(frame.data() + 48, frame.size() - 48 - 4);
-  wire_write_u32(frame.data() + frame.size() - 4, crc.value());
+  crc.update(frame.data(), detail::kFrameHeaderCrcAt);
+  wire_write_u32(frame.data() + detail::kFrameHeaderCrcAt, crc.value());
+  crc.update(frame.data() + detail::kFrameHeaderCrcAt,
+             frame.size() - detail::kFrameHeaderCrcAt - detail::kFrameTrailerBytes);
+  wire_write_u32(frame.data() + frame.size() - detail::kFrameTrailerBytes, crc.value());
   return frame;
 }
 
-/// Patches descriptor `r`'s {dst_offset, count} in a sealed v3 frame
-/// and re-seals it.
-std::vector<std::byte> forge_descriptor(std::vector<std::byte> frame, std::size_t r,
-                                        std::uint64_t dst_offset, std::uint64_t n) {
-  std::byte* d = frame.data() + detail::kFrameV3HeaderBytes + r * detail::kRunDescriptorBytes;
-  wire_write_u64(d, dst_offset);
-  wire_write_u64(d + 8, n);
-  return reseal_v3(std::move(frame));
-}
-
-TEST(MultiRunFrameTest, ForgedRunTablesAreTypedErrors) {
+TEST(MultiRunFrameTest, ResealedHeaderFieldsAreRefusedByName) {
+  // A frame re-sealed with valid CRCs but one header field changed: the
+  // frame is intact, the field is wrong, and verify names the field.
   MultiRunFixture fx;
   std::vector<std::byte> clean;
-  encode_multi_run_frame(fx.buf, fx.runs, fx.count, 1, 1, 1, 2, clean);
-  SealedRunFrameView<std::int64_t> view;
-  std::string reason;
-  const auto refuse = [&](const std::vector<std::byte>& frame, const char* why) {
-    EXPECT_FALSE(decode_multi_run_frame<std::int64_t>(WireView(frame), 1, 1, 1, 2, 16, view,
-                                                      &reason));
-    EXPECT_EQ(reason, why);
+  encode_frame(fx.row.data(), fx.runs, fx.header, clean);
+  ASSERT_EQ(verify_frame<std::int64_t>(WireView(clean), fx.header), nullptr);
+  struct Forgery {
+    std::size_t at;
+    bool wide;
+    const char* reason;
   };
-  // Zero-length run.
-  refuse(forge_descriptor(clean, 0, 0, 0), "empty run descriptor");
-  // Second run overlaps the first ([0,2) then [1,3)).
-  refuse(forge_descriptor(clean, 1, 1, 2), "overlapping run descriptors");
-  // Out-of-order descriptors are the same overlap class ([2..) then [0..)).
-  {
-    auto frame = forge_descriptor(clean, 0, 2, 2);
-    refuse(forge_descriptor(std::move(frame), 1, 0, 2), "overlapping run descriptors");
+  for (const Forgery& f : {Forgery{28, true, "message sealed for another program"},
+                           Forgery{4, false, "message sealed for another phase"},
+                           Forgery{8, false, "message sealed for another step"},
+                           Forgery{12, false, "message sealed by another sender"},
+                           Forgery{16, false, "message sealed for another receiver"},
+                           Forgery{24, false, "element size mismatch"},
+                           Forgery{20, false, "parcel count mismatch"},
+                           Forgery{0, false, "bad magic"}}) {
+    auto frame = clean;
+    if (f.wide) {
+      wire_write_u64(frame.data() + f.at, fx.header.fingerprint + 1);
+    } else {
+      std::size_t offset = f.at;
+      std::uint32_t v = 0;
+      ASSERT_TRUE(wire_get_u32(WireView(frame), offset, v));
+      wire_write_u32(frame.data() + f.at, v + 1);
+    }
+    const char* reason = verify_frame<std::int64_t>(WireView(reseal(std::move(frame))), fx.header);
+    ASSERT_NE(reason, nullptr) << f.reason;
+    EXPECT_STREQ(reason, f.reason);
   }
-  // Run reaching past the scatter region [0, count).
-  refuse(forge_descriptor(clean, 1, 3, 2), "run descriptor out of bounds");
-  // Run count far beyond the region (also trips the bounds check, not
-  // an allocation or an OOB scatter).
-  refuse(forge_descriptor(clean, 1, 2, std::uint64_t{1} << 60), "run descriptor out of bounds");
-  // A gap the table never covers: [0,2) then [3,4) accounts for only 3
-  // of the 4 parcels on the wire.
-  refuse(forge_descriptor(clean, 1, 3, 1), "run table does not cover the frame");
-}
-
-TEST(MultiRunFrameTest, ForgedRunCountIsBoundedBeforeParsing) {
-  MultiRunFixture fx;
-  std::vector<std::byte> clean;
-  encode_multi_run_frame(fx.buf, fx.runs, fx.count, 1, 1, 1, 2, clean);
-  SealedRunFrameView<std::int64_t> view;
-  std::string reason;
-  // A run count claiming a table longer than the whole frame must be
-  // rejected by the bound check before any descriptor is read.
-  auto forged = clean;
-  wire_write_u32(forged.data() + 44, 0xFFFFFFFFu);
-  forged = reseal_v3(std::move(forged));
-  EXPECT_FALSE(
-      decode_multi_run_frame<std::int64_t>(WireView(forged), 1, 1, 1, 2, 16, view, &reason));
-  EXPECT_EQ(reason, "run table exceeds message size");
-  // A plausible-but-wrong run count shifts the table/payload boundary;
-  // the exact-size check refuses it.
-  forged = clean;
-  wire_write_u32(forged.data() + 44, 1);
-  forged = reseal_v3(std::move(forged));
-  EXPECT_FALSE(
-      decode_multi_run_frame<std::int64_t>(WireView(forged), 1, 1, 1, 2, 16, view, &reason));
-  EXPECT_EQ(reason, "frame size mismatch");
+  // A count forged together with the frame's length, so the size check
+  // agrees with the header: the program's expected count still refuses.
+  std::vector<std::int64_t> longer = fx.row;
+  const std::vector<SendRun> five{{1, 2}, {4, 3}};
+  FrameHeader forged = fx.header;
+  forged.count = 5;
+  std::vector<std::byte> frame;
+  encode_frame(longer.data(), five, forged, frame);
+  EXPECT_STREQ(verify_frame<std::int64_t>(WireView(frame), fx.header), "parcel count mismatch");
 }
 
 TEST(MultiRunFrameTest, RejectsAnAppendedByte) {
-  // One byte past the last run, resealed so both CRCs match: only the
-  // exact-size check stands between the extra byte and the decoder.
+  // One byte past the payload, resealed so both CRCs match: only the
+  // exact-size check stands between the extra byte and the receive.
   MultiRunFixture fx;
   std::vector<std::byte> frame;
-  encode_multi_run_frame(fx.buf, fx.runs, fx.count, 1, 1, 1, 2, frame);
+  encode_frame(fx.row.data(), fx.runs, fx.header, frame);
   frame.push_back(std::byte{0});
-  frame = reseal_v3(std::move(frame));
-  SealedRunFrameView<std::int64_t> view;
-  std::string reason;
-  EXPECT_FALSE(
-      decode_multi_run_frame<std::int64_t>(WireView(frame), 1, 1, 1, 2, 16, view, &reason));
-  EXPECT_EQ(reason, "frame size mismatch");
+  frame = reseal(std::move(frame));
+  EXPECT_STREQ(verify_frame<std::int64_t>(WireView(frame), fx.header), "frame size mismatch");
 }
 
-TEST(MultiRunFrameTest, RejectsWrongStepChannelAndIdentity) {
+TEST(MultiRunFrameTest, RejectsWrongProgramStepAndChannel) {
+  // An intact frame verified against the wrong expectation: a stale or
+  // misrouted frame fails its header check.
   MultiRunFixture fx;
   std::vector<std::byte> frame;
-  encode_multi_run_frame(fx.buf, fx.runs, fx.count, 1, 2, 1, 3, frame);
-  SealedRunFrameView<std::int64_t> view;
-  std::string reason;
-  EXPECT_FALSE(decode_multi_run_frame<std::int64_t>(WireView(frame), 2, 2, 1, 3, 16, view, &reason));
-  EXPECT_EQ(reason, "message sealed for a different step");
-  EXPECT_FALSE(decode_multi_run_frame<std::int64_t>(WireView(frame), 1, 2, 1, 4, 16, view, &reason));
-  EXPECT_EQ(reason, "message sealed for a different channel");
-  // Origin 3 is out of range in a 2-node torus.
-  EXPECT_FALSE(decode_multi_run_frame<std::int64_t>(WireView(frame), 1, 2, 1, 3, 2, view, &reason));
-  EXPECT_EQ(reason, "parcel identity out of range");
+  encode_frame(fx.row.data(), fx.runs, fx.header, frame);
+  const auto refused = [&](FrameHeader want) {
+    const char* reason = verify_frame<std::int64_t>(WireView(frame), want);
+    return std::string(reason == nullptr ? "verified" : reason);
+  };
+  FrameHeader want = fx.header;
+  want.fingerprint ^= 1;
+  EXPECT_EQ(refused(want), "message sealed for another program");
+  want = fx.header;
+  want.step = 2;
+  EXPECT_EQ(refused(want), "message sealed for another step");
+  want = fx.header;
+  want.dst = 4;
+  EXPECT_EQ(refused(want), "message sealed for another receiver");
+  // The same bytes read as another payload type: the element size.
+  EXPECT_STREQ(verify_frame<std::int32_t>(WireView(frame), fx.header), "element size mismatch");
+}
+
+TEST(MultiRunFrameTest, CloseSendGapsCompactsStably) {
+  // A two-run send from an 8-slot row: the slots that stay after the
+  // first run move, in order, to the end, leaving the receive one piece
+  // of four slots at the first run's offset.
+  std::vector<int> row{0, 1, 2, 3, 4, 5, 6, 7};
+  const std::vector<SendRun> runs{{1, 2}, {5, 2}};
+  close_send_gaps(row.data(), row.size(), runs);
+  EXPECT_EQ(row[0], 0);
+  EXPECT_EQ(row[5], 3);
+  EXPECT_EQ(row[6], 4);
+  EXPECT_EQ(row[7], 7);
 }
 
 // --- Strided user-buffer views ------------------------------------------
@@ -362,10 +327,11 @@ TEST(MultiRunFrameTest, RejectsWrongStepChannelAndIdentity) {
 TEST(StridedViewTest, SeedAndScatterTransposeColumns) {
   // Both matrices live row-major; the views walk columns (stride N).
   // seed reads send column p as node p's row; scatter writes node q's
-  // result into recv column q — the engine never sees a dense copy.
+  // result into recv column q through the program's final table — the
+  // exchange never sees a dense copy.
   const Rank N = 16;
-  const TorusShape shape({4, 4});
-  const SuhShinAape algo(shape);
+  const SuhShinAape algo(TorusShape({4, 4}));
+  const StepProgram program(algo);
   std::vector<std::int64_t> send_mat(static_cast<std::size_t>(N) * N);
   std::vector<std::int64_t> recv_mat(static_cast<std::size_t>(N) * N, -1);
   std::vector<StridedView<const std::int64_t>> send_views;
@@ -383,9 +349,10 @@ TEST(StridedViewTest, SeedAndScatterTransposeColumns) {
                static_cast<std::size_t>(p)] = p * 10000 + q;
     }
   }
-  auto delivered = exchange_payloads_pooled(algo, StepProgram(algo),
-                                            seed_parcels_strided(N, send_views));
-  scatter_parcels_strided(N, delivered, recv_views);
+  auto rows = seed_rows_strided(N, send_views);
+  detail::StepReplay<std::int64_t> replay;
+  detail::run_pooled(algo, program, rows, {}, replay);
+  scatter_rows_strided(program, rows, recv_views);
   for (Rank q = 0; q < N; ++q) {
     for (Rank p = 0; p < N; ++p) {
       EXPECT_EQ(recv_views[static_cast<std::size_t>(q)].at(static_cast<std::size_t>(p)),
@@ -398,50 +365,50 @@ TEST(StridedViewTest, SeedAndScatterTransposeColumns) {
 TEST(StridedViewTest, SeedRejectsShortViews) {
   std::int64_t one = 0;
   std::vector<StridedView<const std::int64_t>> views(4, {&one, 1, 1});
-  EXPECT_THROW(seed_parcels_strided<std::int64_t>(4, views), std::invalid_argument);
+  EXPECT_THROW(seed_rows_strided<std::int64_t>(4, views), std::invalid_argument);
 }
 
 // --- Pooled layout-faithful exchange -----------------------------------
 
-ParcelBuffers<std::int64_t> canonical_parcels(Rank N) {
-  ParcelBuffers<std::int64_t> buffers(static_cast<std::size_t>(N));
+std::vector<std::vector<std::int64_t>> canonical_rows(Rank N) {
+  std::vector<std::vector<std::int64_t>> rows(static_cast<std::size_t>(N));
   for (Rank p = 0; p < N; ++p) {
-    for (Rank q = 0; q < N; ++q) {
-      buffers[static_cast<std::size_t>(p)].push_back({Block{p, q}, p * 10000 + q});
-    }
+    for (Rank q = 0; q < N; ++q) rows[static_cast<std::size_t>(p)].push_back(p * 10000 + q);
   }
-  return buffers;
+  return rows;
 }
 
-void expect_delivered(Rank N, const ParcelBuffers<std::int64_t>& out) {
+void expect_delivered(Rank N, const std::vector<std::vector<std::int64_t>>& out) {
+  ASSERT_EQ(out.size(), static_cast<std::size_t>(N));
   for (Rank q = 0; q < N; ++q) {
     ASSERT_EQ(out[static_cast<std::size_t>(q)].size(), static_cast<std::size_t>(N));
-    std::set<Rank> origins;
-    for (const auto& parcel : out[static_cast<std::size_t>(q)]) {
-      EXPECT_EQ(parcel.block.dest, q);
-      EXPECT_EQ(parcel.payload, parcel.block.origin * 10000 + q);
-      origins.insert(parcel.block.origin);
+    for (Rank p = 0; p < N; ++p) {
+      EXPECT_EQ(out[static_cast<std::size_t>(q)][static_cast<std::size_t>(p)], p * 10000 + q)
+          << "recv[" << q << "][" << p << "]";
     }
-    EXPECT_EQ(origins.size(), static_cast<std::size_t>(N));
   }
 }
 
-/// One pooled exchange of the canonical parcels, replaying a program
-/// compiled for `layout` on `pool`; returns the arena's traffic.
+/// The salt every Tagged run of this suite seeds with.
+constexpr std::uint64_t kSalt = 0x7A66ED;
+
+/// One pooled exchange of Tagged rows, replaying a program compiled for
+/// `layout` on `pool`; returns the arena's traffic.
 WirePoolStats run_pooled(const SuhShinAape& algo, LayoutPolicy layout,
-                         ParcelBuffers<std::int64_t>* out = nullptr, StepPool* pool = nullptr) {
+                         std::vector<std::vector<Tagged>>* out = nullptr,
+                         StepPool* pool = nullptr) {
   WireArena arena;
   WireExchangeOptions options;
   options.arena = &arena;
   options.pool = pool;
-  auto delivered = exchange_payloads_pooled(
-      algo, StepProgram(algo, layout), canonical_parcels(algo.shape().num_nodes()), options);
+  auto delivered = exchange_payloads_pooled(algo, StepProgram(algo, layout),
+                                            tagged_rows(algo.shape().num_nodes(), kSalt), options);
   if (out != nullptr) *out = std::move(delivered);
   return arena.stats();
 }
 
 /// The wire's run accounting must equal the layout simulator's, run for
-/// run: both order buffers by the same keys and splice at the same hole.
+/// run: both order rows by the same keys and land at the same slot.
 void expect_matches_simulator(const WirePoolStats& wire, const LayoutStats& blocks,
                               const std::string& what) {
   EXPECT_EQ(wire.total_sends, blocks.total_sends) << what;
@@ -457,24 +424,28 @@ TEST(PooledExchangeTest, DeliversTheAapePermutation) {
   for (const auto& extents :
        std::vector<std::vector<std::int32_t>>{{4, 4}, {8, 8}, {8, 4, 4}, {4, 4, 4}}) {
     const SuhShinAape algo{TorusShape(extents)};
-    ParcelBuffers<std::int64_t> out;
+    std::vector<std::vector<Tagged>> out;
     run_pooled(algo, LayoutPolicy::kPaper, &out);
-    expect_delivered(algo.shape().num_nodes(), out);
+    EXPECT_EQ(transpose_mismatch(algo.shape().num_nodes(), out, kSalt), "")
+        << algo.shape().to_string();
+    expect_delivered(algo.shape().num_nodes(),
+                     exchange_payloads_pooled(algo, StepProgram(algo),
+                                              canonical_rows(algo.shape().num_nodes())));
   }
 }
 
 TEST(PooledExchangeTest, NaiveLayoutDeliversToo) {
   const SuhShinAape algo(TorusShape({4, 4}));
-  ParcelBuffers<std::int64_t> out;
+  std::vector<std::vector<Tagged>> out;
   run_pooled(algo, LayoutPolicy::kNaiveDestinationOrder, &out);
-  expect_delivered(16, out);
+  EXPECT_EQ(transpose_mismatch(16, out, kSalt), "");
 }
 
 TEST(PooledExchangeTest, RunAccountingMatchesLayoutSimulator) {
   // The paper's §3.3 claim, cross-checked at the payload layer: the
   // pooled executor's run accounting must agree exactly with the
-  // block-level layout simulator, because both order their buffers
-  // with the same keys and hole-splice discipline.
+  // block-level layout simulator, because both order their rows with
+  // the same keys and land every receive at the same slot.
   for (const auto& extents : std::vector<std::vector<std::int32_t>>{{8, 8}, {4, 4, 4}}) {
     const SuhShinAape algo{TorusShape(extents)};
     expect_matches_simulator(run_pooled(algo, LayoutPolicy::kPaper),
@@ -536,18 +507,31 @@ TEST(PooledExchangeTest, RunsEncodedCountsTrueRunsPerMessage) {
   }
 }
 
+TEST(PooledExchangeTest, FramesCarryPayloadsOnly) {
+  // Every frame is a 40-byte header, the payloads and a 4-byte trailer:
+  // no identity and no run table, whatever the runs. Each payload byte
+  // is copied twice (gathered, landed).
+  const SuhShinAape algo(TorusShape({8, 4, 4}));
+  for (const LayoutPolicy layout : {LayoutPolicy::kPaper, LayoutPolicy::kNaiveDestinationOrder}) {
+    const WirePoolStats wire = run_pooled(algo, layout);
+    EXPECT_EQ(wire.bytes_encoded,
+              wire.messages * 44 + wire.parcels * static_cast<std::int64_t>(sizeof(Tagged)));
+    EXPECT_EQ(wire.bytes_copied, 2 * wire.parcels * static_cast<std::int64_t>(sizeof(Tagged)));
+  }
+}
+
 TEST(PooledExchangeTest, ArenaReachesSteadyStateAcrossExchanges) {
   const SuhShinAape algo(TorusShape({4, 4}));
   const StepProgram program(algo);
   WireArena arena;
   WireExchangeOptions options;
   options.arena = &arena;
-  exchange_payloads_pooled(algo, program, canonical_parcels(16), options);
+  exchange_payloads_pooled(algo, program, canonical_rows(16), options);
   const std::int64_t misses_first = arena.stats().pool_misses;
   EXPECT_GT(misses_first, 0);
   EXPECT_EQ(arena.in_use(), 0);
   // The pool is warm: a second exchange allocates no new frames.
-  exchange_payloads_pooled(algo, program, canonical_parcels(16), options);
+  exchange_payloads_pooled(algo, program, canonical_rows(16), options);
   EXPECT_EQ(arena.stats().pool_misses, misses_first);
   EXPECT_GT(arena.stats().pool_hits, 0);
   EXPECT_EQ(arena.in_use(), 0);
@@ -558,12 +542,25 @@ TEST(PooledExchangeTest, PublishesWireMetrics) {
   Recorder recorder;
   WireExchangeOptions options;
   options.obs = &recorder;
-  exchange_payloads_pooled(algo, StepProgram(algo), canonical_parcels(16), options);
+  exchange_payloads_pooled(algo, StepProgram(algo), canonical_rows(16), options);
   MetricsRegistry& m = recorder.metrics();
   EXPECT_GT(m.counter("wire.messages").value(), 0);
   EXPECT_GT(m.counter("wire.parcels").value(), 0);
   EXPECT_GT(m.counter("wire.bytes_encoded").value(), 0);
   EXPECT_GT(m.counter("wire.contiguous_sends").value(), 0);
+}
+
+TEST(PooledExchangeTest, RefusesRowsThatAreNotNByN) {
+  const SuhShinAape algo(TorusShape({4, 4}));
+  const StepProgram program(algo);
+  auto short_row = canonical_rows(16);
+  short_row[5].pop_back();
+  EXPECT_THROW(exchange_payloads_pooled(algo, program, std::move(short_row)),
+               std::invalid_argument);
+  auto missing_row = canonical_rows(16);
+  missing_row.pop_back();
+  EXPECT_THROW(exchange_payloads_pooled(algo, program, std::move(missing_row)),
+               std::invalid_argument);
 }
 
 // --- Compiled step programs ----------------------------------------------
@@ -591,13 +588,13 @@ void expect_same_traffic(const WirePoolStats& got, const WirePoolStats& want,
   EXPECT_EQ(got.parcels_rearranged, want.parcels_rearranged) << what;
 }
 
-/// One fresh exchange of the canonical parcels by `driver` on `pool`,
-/// replaying a program compiled for `layout`; returns the arena's
-/// traffic. Every driver at every pool size must carry exactly what the
-/// pooled driver carries inline; the sealed and journaled drivers run a
-/// clean wire and a fresh journal.
+/// One fresh exchange of Tagged rows by `driver` on `pool`, replaying a
+/// program compiled for `layout`; returns the arena's traffic. Every
+/// driver at every pool size must carry exactly what the pooled driver
+/// carries inline; the sealed and journaled drivers run a clean wire
+/// and a fresh journal.
 WirePoolStats run_driver(const SuhShinAape& algo, LayoutPolicy layout, Driver driver,
-                         StepPool& pool, ParcelBuffers<std::int64_t>& out) {
+                         StepPool& pool, std::vector<std::vector<Tagged>>& out) {
   const std::string what = algo.shape().to_string();
   const WirePoolStats pooled = run_pooled(algo, layout);
   if (driver == Driver::kPooled) {
@@ -613,7 +610,7 @@ WirePoolStats run_driver(const SuhShinAape& algo, LayoutPolicy layout, Driver dr
     options.arena = &arena;
     options.pool = &pool;
     IntegrityReport report;
-    out = exchange_payloads_sealed(algo, program, canonical_parcels(N), {}, options, &report);
+    out = exchange_payloads_sealed(algo, program, tagged_rows(N, kSalt), {}, options, &report);
     EXPECT_TRUE(report.clean()) << what;
     EXPECT_EQ(report.messages, pooled.messages) << what;
     EXPECT_EQ(report.parcels, pooled.parcels) << what;
@@ -624,7 +621,7 @@ WirePoolStats run_driver(const SuhShinAape& algo, LayoutPolicy layout, Driver dr
     options.wire = &arena;
     options.pool = &pool;
     ResumeReport report;
-    out = exchange_payloads_journaled(algo, program, canonical_parcels(N), journal, options,
+    out = exchange_payloads_journaled(algo, program, tagged_rows(N, kSalt), journal, options,
                                       report);
     EXPECT_TRUE(journal.exchange_complete()) << what;
     EXPECT_EQ(report.sent_parcels, pooled.parcels) << what;
@@ -639,21 +636,13 @@ class StepProgramReplayTest : public ::testing::TestWithParam<ReplayCase> {};
 TEST_P(StepProgramReplayTest, DeliversTheTransposeWithSimulatorRunAccounting) {
   const SuhShinAape algo{TorusShape(GetParam().extents)};
   StepPool pool(GetParam().participants);
-  ParcelBuffers<std::int64_t> out;
+  std::vector<std::vector<Tagged>> out;
   const WirePoolStats wire = run_driver(algo, GetParam().layout, GetParam().driver, pool, out);
-  expect_delivered(algo.shape().num_nodes(), out);
-  std::vector<std::vector<Block>> oracle_order;
-  expect_matches_simulator(wire, run_layout_simulation(algo, GetParam().layout, &oracle_order),
+  // Slot for slot: every payload names the origin and destination it
+  // was seeded for, so a payload in the wrong slot cannot pass.
+  EXPECT_EQ(transpose_mismatch(algo.shape().num_nodes(), out, kSalt), "");
+  expect_matches_simulator(wire, run_layout_simulation(algo, GetParam().layout),
                            algo.shape().to_string());
-  // Same order, bit for bit: the counting sort is stable and both
-  // splice at the receiver's own hole, so every delivered buffer ends
-  // in the simulator's physical order.
-  for (std::size_t p = 0; p < out.size(); ++p) {
-    ASSERT_EQ(out[p].size(), oracle_order[p].size());
-    for (std::size_t i = 0; i < out[p].size(); ++i) {
-      ASSERT_EQ(out[p][i].block, oracle_order[p][i]) << "node " << p << " slot " << i;
-    }
-  }
 }
 
 std::vector<ReplayCase> replay_cases() {
@@ -696,30 +685,43 @@ TEST(StepProgramTest, RefusesAProgramCompiledForAnotherSchedule) {
   const SuhShinAape algo(TorusShape({8, 8}));
   // Another shape.
   const StepProgram small(SuhShinAape(TorusShape({4, 4})));
-  EXPECT_THROW(exchange_payloads_pooled(algo, small, canonical_parcels(64)),
+  EXPECT_THROW(exchange_payloads_pooled(algo, small, canonical_rows(64)),
                StepProgramMismatchError);
   // The same shape under another pattern convention.
   const StepProgram nested(SuhShinAape(TorusShape({8, 8}), PatternConvention::kNested));
   ASSERT_NE(algo.convention(), PatternConvention::kNested);
-  EXPECT_THROW(exchange_payloads_pooled(algo, nested, canonical_parcels(64)),
+  EXPECT_THROW(exchange_payloads_pooled(algo, nested, canonical_rows(64)),
                StepProgramMismatchError);
-  EXPECT_NO_THROW(exchange_payloads_pooled(algo, StepProgram(algo), canonical_parcels(64)));
+  EXPECT_NO_THROW(exchange_payloads_pooled(algo, StepProgram(algo), canonical_rows(64)));
+}
+
+TEST(StepProgramTest, FingerprintNamesShapeConventionAndLayout) {
+  const SuhShinAape algo(TorusShape({8, 8}));
+  const StepProgram paper(algo);
+  EXPECT_EQ(paper.fingerprint(), StepProgram(SuhShinAape(TorusShape({8, 8}))).fingerprint());
+  EXPECT_NE(paper.fingerprint(),
+            StepProgram(algo, LayoutPolicy::kNaiveDestinationOrder).fingerprint());
+  EXPECT_NE(paper.fingerprint(),
+            StepProgram(SuhShinAape(TorusShape({8, 8}), PatternConvention::kNested)).fingerprint());
+  EXPECT_NE(paper.fingerprint(), StepProgram(SuhShinAape(TorusShape({8, 4}))).fingerprint());
 }
 
 TEST(StepProgramTest, TablesStayFarBelowAPermutationPerNode) {
   // 8x8x8: one uint16 permutation per node per boundary would cost
-  // N^2 * 2 bytes = 512 KiB per boundary, 2.5 MiB in all. The program
-  // keeps per-step runs and small key tables instead; the naive layout
-  // needs more runs, since its sends fragment.
+  // N^2 * 2 bytes = 512 KiB per boundary, 2.5 MiB in all, and absolute
+  // per-node identity tables more again. The program interns its
+  // permutations, final layouts and arrival lists in node-relative form
+  // instead; the naive layout's permutations differ more from node to
+  // node, since its sends fragment.
   const SuhShinAape algo(TorusShape({8, 8, 8}));
-  EXPECT_LT(StepProgram(algo, LayoutPolicy::kPaper).memory_bytes(), std::size_t{192} << 10);
-  EXPECT_LT(StepProgram(algo, LayoutPolicy::kNaiveDestinationOrder).memory_bytes(),
-            std::size_t{640} << 10);
+  EXPECT_LE(StepProgram(algo, LayoutPolicy::kPaper).memory_bytes(), std::size_t{1} << 20);
+  EXPECT_LE(StepProgram(algo, LayoutPolicy::kNaiveDestinationOrder).memory_bytes(),
+            std::size_t{2} << 20);
 }
 
 TEST(StepProgramTest, PaperLayoutReceivesInPlaceIn2D) {
-  // Every 2D paper-layout send is one run, and partners trade equal
-  // counts, so every receive overwrites its node's own send slots.
+  // Every 2D paper-layout send is one run, so every receive overwrites
+  // its node's own send slots.
   const SuhShinAape algo(TorusShape({8, 8}));
   const StepProgram program(algo);
   for (int phase = 1; phase <= program.num_phases(); ++phase) {
@@ -734,13 +736,81 @@ TEST(StepProgramTest, PaperLayoutReceivesInPlaceIn2D) {
   }
 }
 
-TEST(StepProgramTest, ReplaysAnySeedOrder) {
-  // The program is compiled for seeds in destination order; a seed in
-  // any other order is put in that order first.
-  const SuhShinAape algo(TorusShape({8, 4, 4}));
-  auto seed = canonical_parcels(128);
-  for (auto& buf : seed) std::reverse(buf.begin(), buf.end());
-  expect_delivered(128, exchange_payloads_pooled(algo, StepProgram(algo), std::move(seed)));
+TEST(StepProgramTest, EveryNodeReceivesWhatItSends) {
+  // Rows stay N slots: at every node step the partner's message is
+  // exactly as large as the node's own send.
+  for (const auto& extents :
+       std::vector<std::vector<std::int32_t>>{{8, 8}, {8, 4, 4}, {4, 4, 4, 4}}) {
+    const SuhShinAape algo{TorusShape(extents)};
+    for (const LayoutPolicy layout :
+         {LayoutPolicy::kPaper, LayoutPolicy::kNaiveDestinationOrder}) {
+      const StepProgram program(algo, layout);
+      for (int phase = 1; phase <= program.num_phases(); ++phase) {
+        for (int step = 1; step <= program.steps_in_phase(phase); ++step) {
+          std::vector<std::uint32_t> received(static_cast<std::size_t>(program.num_nodes()));
+          for (Rank p = 0; p < program.num_nodes(); ++p) {
+            const StepProgram::NodeStep& s = program.step(phase, step, p);
+            if (s.count > 0) received[static_cast<std::size_t>(s.partner)] = s.count;
+          }
+          for (Rank p = 0; p < program.num_nodes(); ++p) {
+            EXPECT_EQ(received[static_cast<std::size_t>(p)], program.step(phase, step, p).count)
+                << algo.shape().to_string() << " phase " << phase << " step " << step;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(StepProgramTest, FinalAndArrivalTablesMatchTheLayoutSimulator) {
+  // The program's identity tables, resolved from their node-relative
+  // form, against the block-level layout simulator's own buffers: the
+  // final table names the slot of every origin in each node's last
+  // buffer, and each receive's arrival list names, in wire order, the
+  // offset and origin of every block that reached its destination.
+  for (const auto& extents : std::vector<std::vector<std::int32_t>>{
+           {4, 4}, {8, 8}, {12, 8}, {8, 4, 4}, {8, 8, 8}, {4, 4, 4, 4}}) {
+    const SuhShinAape algo{TorusShape(extents)};
+    for (const LayoutPolicy layout :
+         {LayoutPolicy::kPaper, LayoutPolicy::kNaiveDestinationOrder}) {
+      const StepProgram program(algo, layout);
+      const std::string what = algo.shape().to_string() +
+                               (layout == LayoutPolicy::kPaper ? " paper" : " naive");
+      std::int64_t arrivals = 0;
+      std::vector<std::vector<Block>> final_buffers;
+      run_layout_simulation(
+          algo, layout, &final_buffers,
+          [&](int phase, int step, Rank q, const std::vector<Block>& message) {
+            std::vector<std::pair<std::uint32_t, Rank>> want;
+            for (std::size_t i = 0; i < message.size(); ++i) {
+              if (message[i].dest != q) continue;
+              want.emplace_back(static_cast<std::uint32_t>(i), message[i].origin);
+            }
+            std::vector<std::pair<std::uint32_t, Rank>> got;
+            program.for_each_arrival(phase, step, q, [&](std::uint32_t offset, Rank origin) {
+              got.emplace_back(offset, origin);
+            });
+            EXPECT_EQ(got, want) << what << " phase " << phase << " step " << step << " node " << q;
+            EXPECT_EQ(program.step(phase, step, q).count, message.size()) << what;
+            arrivals += static_cast<std::int64_t>(got.size());
+          });
+      const Rank N = program.num_nodes();
+      EXPECT_EQ(arrivals, static_cast<std::int64_t>(N) * (N - 1)) << what;
+      for (Rank p = 0; p < N; ++p) {
+        const auto& buf = final_buffers[static_cast<std::size_t>(p)];
+        std::vector<int> held(buf.size());
+        Rank expected_origin = 0;
+        program.for_each_origin(p, [&](Rank origin, std::uint32_t slot) {
+          EXPECT_EQ(origin, expected_origin++) << what;
+          ASSERT_LT(slot, buf.size()) << what;
+          EXPECT_EQ(buf[slot].origin, origin) << what << " node " << p << " slot " << slot;
+          ++held[slot];
+        });
+        EXPECT_EQ(expected_origin, N) << what;
+        EXPECT_EQ(std::count(held.begin(), held.end(), 1), N) << what << " node " << p;
+      }
+    }
+  }
 }
 
 TEST(StepProgramTest, CopiesReplayIndependentlyOfTheOriginal) {
@@ -748,7 +818,7 @@ TEST(StepProgramTest, CopiesReplayIndependentlyOfTheOriginal) {
   std::optional<StepProgram> original(std::in_place, algo);
   const StepProgram copy = *original;
   original.reset();
-  expect_delivered(64, exchange_payloads_pooled(algo, copy, canonical_parcels(64)));
+  expect_delivered(64, exchange_payloads_pooled(algo, copy, canonical_rows(64)));
 }
 
 TEST(StepProgramTest, SendRunsAreMaximalAscendingSpans) {
@@ -783,65 +853,34 @@ TEST(StepProgramTest, SendRunsAreMaximalAscendingSpans) {
   }
 }
 
-TEST(StepProgramTest, TablesAndSortHistogramsOwnTheirCacheLines) {
-  // Every participant reads the program's tables for every parcel it
-  // sorts, and writes its own histogram for every parcel. None of them
-  // may share a 64-byte line: each starts on a line boundary, and the
-  // lines each spans are disjoint from all the others'.
+TEST(StepProgramTest, TablesOwnTheirCacheLines) {
+  // Every participant reads the program's tables for every slot it
+  // moves, while writing rows. No table may share a 64-byte line with
+  // anything else: each starts on a line boundary, and the lines each
+  // spans are disjoint from all the others'.
   const SuhShinAape algo(TorusShape({8, 8, 8}));
-  const Rank N = algo.shape().num_nodes();
   for (const LayoutPolicy layout : {LayoutPolicy::kPaper, LayoutPolicy::kNaiveDestinationOrder}) {
     const StepProgram program(algo, layout);
-    for (const int participants : {1, 4}) {
-      std::optional<StepPool> pool;
-      if (participants > 1) pool.emplace(participants);
-      StepPool* workers = pool.has_value() ? &*pool : nullptr;
-      auto buffers = canonical_parcels(N);
-      detail::StepReplay<std::int64_t> replay;
-      detail::begin_replay(program, buffers, workers, replay);
-      ASSERT_EQ(replay.scratch.size(), static_cast<std::size_t>(participants));
-
-      struct Lines {
-        std::uintptr_t first;
-        std::uintptr_t end;
-        std::string what;
-      };
-      std::vector<Lines> lines;
-      const auto add = [&](const void* data, std::size_t bytes, const std::string& what) {
-        ASSERT_GT(bytes, 0u) << what;
-        const auto at = reinterpret_cast<std::uintptr_t>(data);
-        EXPECT_EQ(at % kCacheLine, 0u) << what << " does not start on a cache line";
-        lines.push_back({at / kCacheLine, (at + bytes + kCacheLine - 1) / kCacheLine, what});
-      };
-      const auto tables = program.tables();
-      for (std::size_t t = 0; t < tables.size(); ++t) {
-        add(tables[t].data(), tables[t].size(), "program table " + std::to_string(t));
-      }
-      std::vector<const std::uint32_t*> histograms;
-      for (std::size_t who = 0; who < replay.scratch.size(); ++who) {
-        const auto& counts = replay.scratch[who].key_counts;
-        add(counts.data(), counts.capacity() * sizeof(std::uint32_t),
-            "histogram of participant " + std::to_string(who));
-        histograms.push_back(counts.data());
-      }
-      std::sort(lines.begin(), lines.end(),
-                [](const Lines& a, const Lines& b) { return a.first < b.first; });
-      for (std::size_t i = 1; i < lines.size(); ++i) {
-        EXPECT_LE(lines[i - 1].end, lines[i].first)
-            << lines[i - 1].what << " shares a cache line with " << lines[i].what;
-      }
-
-      // The replay sorts in place: no histogram moves to another line.
-      detail::StepHooks hooks;
-      WireArena arena;
-      while (replay.phase <= program.num_phases()) {
-        ASSERT_TRUE(
-            detail::replay_phase(program, buffers, arena, workers, nullptr, hooks, replay));
-      }
-      for (std::size_t who = 0; who < replay.scratch.size(); ++who) {
-        EXPECT_EQ(replay.scratch[who].key_counts.data(), histograms[who]);
-      }
-      expect_delivered(N, buffers);
+    struct Lines {
+      std::uintptr_t first;
+      std::uintptr_t end;
+      std::string what;
+    };
+    std::vector<Lines> lines;
+    const auto tables = program.tables();
+    for (std::size_t t = 0; t < tables.size(); ++t) {
+      const std::string what = "program table " + std::to_string(t);
+      ASSERT_GT(tables[t].size(), 0u) << what;
+      const auto at = reinterpret_cast<std::uintptr_t>(tables[t].data());
+      EXPECT_EQ(at % kCacheLine, 0u) << what << " does not start on a cache line";
+      lines.push_back({at / kCacheLine, (at + tables[t].size() + kCacheLine - 1) / kCacheLine,
+                       what});
+    }
+    std::sort(lines.begin(), lines.end(),
+              [](const Lines& a, const Lines& b) { return a.first < b.first; });
+    for (std::size_t i = 1; i < lines.size(); ++i) {
+      EXPECT_LE(lines[i - 1].end, lines[i].first)
+          << lines[i - 1].what << " shares a cache line with " << lines[i].what;
     }
   }
 }
@@ -856,7 +895,7 @@ TEST(StepProgramCacheTest, SameKeyReturnsOneProgramCompiledOnce) {
   EXPECT_EQ(first.get(), second.get());
   EXPECT_EQ(cache.compiles(), 1);
   EXPECT_EQ(cache.size(), 1u);
-  expect_delivered(64, exchange_payloads_pooled(algo, *first, canonical_parcels(64)));
+  expect_delivered(64, exchange_payloads_pooled(algo, *first, canonical_rows(64)));
 }
 
 TEST(StepProgramCacheTest, LayoutAndConventionAreTheirOwnKeys) {
@@ -875,8 +914,8 @@ TEST(StepProgramCacheTest, LayoutAndConventionAreTheirOwnKeys) {
   // The naive program fragments the sends the paper program keeps whole.
   WireArena paper_wire;
   WireArena naive_wire;
-  exchange_payloads_pooled(paper2d, *paper, canonical_parcels(64), {&paper_wire});
-  exchange_payloads_pooled(paper2d, *naive, canonical_parcels(64), {&naive_wire});
+  exchange_payloads_pooled(paper2d, *paper, canonical_rows(64), {&paper_wire});
+  exchange_payloads_pooled(paper2d, *naive, canonical_rows(64), {&naive_wire});
   EXPECT_TRUE(paper_wire.stats().fully_contiguous());
   EXPECT_FALSE(naive_wire.stats().fully_contiguous());
 }
@@ -930,7 +969,7 @@ TEST(StepProgramCacheTest, EvictsTheLeastRecentlyUsedAndKeepsHeldProgramsValid) 
   EXPECT_EQ(cache.compiles(), compiled + 1) << "the least recently used program stayed cached";
   EXPECT_NE(recompiled.get(), held.get());
   // The evicted program is still whole for the caller holding it.
-  expect_delivered(16, exchange_payloads_pooled(oldest, *held, canonical_parcels(16)));
+  expect_delivered(16, exchange_payloads_pooled(oldest, *held, canonical_rows(16)));
 }
 
 // --- Sealed driver -------------------------------------------------------
@@ -942,23 +981,23 @@ TEST(SealedWirePathTest, PooledPathSurvivesTamperingWithRetransmit) {
   // Flip one header-CRC byte of the first few transmissions; the sealed
   // frame must detect each and heal under retransmission.
   const ParcelTamperer tamperer = [&](const TransferContext&, std::vector<std::byte>& wire) {
-    if (tampered >= 3 || wire.size() < 60) return false;
+    if (tampered >= 3) return false;
     ++tampered;
-    wire[50] ^= std::byte{0x10};
+    wire[detail::kFrameHeaderCrcAt + 1] ^= std::byte{0x10};
     return true;
   };
   IntegrityReport report;
-  const auto out =
-      exchange_payloads_sealed(algo, StepProgram(algo), canonical_parcels(16), tamperer, {}, &report);
-  expect_delivered(16, out);
+  const auto out = exchange_payloads_sealed(algo, StepProgram(algo), tagged_rows(16, kSalt),
+                                            tamperer, {}, &report);
+  EXPECT_EQ(transpose_mismatch(16, out, kSalt), "");
   EXPECT_EQ(report.corrupted, 3);
   EXPECT_EQ(report.retransmits, 3);
 }
 
 TEST(SealedWirePathTest, PooledPathGathersMultiRunFrames) {
   // Replaying the naive-layout program, sends fragment: the sealed
-  // driver's messages exercise the v3 run-gather encode, the hole-splice
-  // scatter, and the true-run accounting.
+  // driver's messages exercise the run gather, the gap-closing landing
+  // and the true-run accounting.
   const TorusShape shape({8, 8});
   const SuhShinAape algo(shape);
   WireArena arena;
@@ -967,8 +1006,8 @@ TEST(SealedWirePathTest, PooledPathGathersMultiRunFrames) {
   IntegrityReport report;
   const auto out =
       exchange_payloads_sealed(algo, StepProgram(algo, LayoutPolicy::kNaiveDestinationOrder),
-                               canonical_parcels(64), {}, options, &report);
-  expect_delivered(64, out);
+                               tagged_rows(64, kSalt), {}, options, &report);
+  EXPECT_EQ(transpose_mismatch(64, out, kSalt), "");
   EXPECT_GT(arena.stats().gathered_parcels, 0);
   EXPECT_GT(arena.stats().max_runs_per_send, 1);
   EXPECT_GT(arena.stats().runs_encoded, arena.stats().total_sends);
@@ -1005,9 +1044,9 @@ void expect_step_retransmits_intact(const SuhShinAape& algo, const StepProgram& 
     IntegrityOptions options;
     options.pool = &pool;
     IntegrityReport report;
-    const auto out = exchange_payloads_sealed(algo, program, canonical_parcels(N), refuse_first,
+    const auto out = exchange_payloads_sealed(algo, program, tagged_rows(N, kSalt), refuse_first,
                                               options, &report);
-    expect_delivered(N, out);
+    EXPECT_EQ(transpose_mismatch(N, out, kSalt), "") << participants << " participants";
     EXPECT_EQ(report.corrupted, messages) << participants << " participants";
     EXPECT_EQ(report.retransmits, messages) << participants << " participants";
     // The step took one extra tick.
@@ -1018,8 +1057,8 @@ void expect_step_retransmits_intact(const SuhShinAape& algo, const StepProgram& 
 TEST(SealedWirePathTest, InPlaceStepRetransmitsFromIntactRuns) {
   // Every 2D paper-layout step receives in place, overwriting the run
   // the node just sent. A refused message re-encodes from that run, so
-  // it must still hold the original parcels: receives integrate only
-  // after every frame of the step has been verified.
+  // it must still hold the original payloads: receives land only after
+  // every frame of the step has been verified.
   const SuhShinAape algo(TorusShape({8, 8}));
   const StepProgram program(algo);
   bool in_place = false;
@@ -1030,8 +1069,8 @@ TEST(SealedWirePathTest, InPlaceStepRetransmitsFromIntactRuns) {
 }
 
 TEST(SealedWirePathTest, CompactingStepRetransmitsFromIntactRuns) {
-  // The 3D counterpart: a step whose senders compact their buffers. The
-  // compaction must wait until the message has been verified.
+  // The 3D counterpart: a step whose senders close their send's gaps.
+  // That must wait until the message has been verified.
   const SuhShinAape algo(TorusShape({8, 4, 4}));
   const StepProgram program(algo);
   for (int phase = 1; phase <= program.num_phases(); ++phase) {
@@ -1046,25 +1085,25 @@ TEST(SealedWirePathTest, CompactingStepRetransmitsFromIntactRuns) {
   FAIL() << "no compacting step in the 8x4x4 program";
 }
 
-TEST(SealedWirePathTest, WorkerFailureSurfacesOnTheCallerWithEveryFrameReturned) {
-  // The tamperer re-seals every first transmission of one step a parcel
-  // short: each frame verifies, but none can land in place over the
-  // send it replaces. The invariant check fails inside the integrate
-  // stage, on whichever participant lands the receive; it must surface
-  // on the calling thread, and every leased frame must be back.
+TEST(SealedWirePathTest, ForgedCountIsRefusedWithEveryFrameReturned) {
+  // The tamperer re-seals every transmission of one step a payload
+  // short, with valid CRCs: each frame is intact, but its count is not
+  // the program's, so verify refuses it by name — before anything could
+  // land short — and the budget runs out. The error surfaces on the
+  // calling thread with every leased frame back in the arena.
   const SuhShinAape algo(TorusShape({8, 8}));
   const StepProgram program(algo);
   const int phase = algo.num_phases();
   const ParcelTamperer shorten = [&](const TransferContext& ctx, std::vector<std::byte>& wire) {
-    if (ctx.phase != phase || ctx.step != 1 || ctx.attempt != 0) return false;
-    SealedRunFrameView<std::int64_t> view;
-    EXPECT_TRUE(decode_multi_run_frame<std::int64_t>(wire, ctx.phase, ctx.step, ctx.src, ctx.dst,
-                                                     64, view));
-    std::vector<Parcel<std::int64_t>> parcels(view.count());
-    view.scatter(parcels.data());
-    const SendRun run{0, static_cast<std::uint32_t>(parcels.size() - 1)};
-    encode_multi_run_frame(parcels, std::span<const SendRun>(&run, 1), run.count, ctx.phase,
-                           ctx.step, ctx.src, ctx.dst, wire);
+    if (ctx.phase != phase || ctx.step != 1) return false;
+    const std::size_t count = (wire.size() - frame_size<std::int64_t>(0)) / sizeof(std::int64_t);
+    std::vector<std::int64_t> payloads(count);
+    std::memcpy(payloads.data(), wire.data() + detail::kFrameHeaderBytes,
+                count * sizeof(std::int64_t));
+    const SendRun run{0, static_cast<std::uint32_t>(count - 1)};
+    const FrameHeader header{program.fingerprint(), ctx.phase, ctx.step, ctx.src, ctx.dst,
+                             run.count};
+    encode_frame(payloads.data(), std::span<const SendRun>(&run, 1), header, wire);
     return true;
   };
   for (const int participants : {1, 4}) {
@@ -1074,11 +1113,11 @@ TEST(SealedWirePathTest, WorkerFailureSurfacesOnTheCallerWithEveryFrameReturned)
     options.arena = &arena;
     options.pool = &pool;
     try {
-      exchange_payloads_sealed(algo, program, canonical_parcels(64), shorten, options);
-      ADD_FAILURE() << "a short in-place receive must fail the kernel's check";
-    } catch (const std::logic_error& error) {
-      EXPECT_NE(std::string(error.what()).find("in-place receive"), std::string::npos)
-          << error.what();
+      exchange_payloads_sealed(algo, program, canonical_rows(64), shorten, options);
+      ADD_FAILURE() << "a forged count must exhaust the retransmit budget";
+    } catch (const IntegrityError& error) {
+      ASSERT_TRUE(error.report().fatal.has_value());
+      EXPECT_EQ(error.report().fatal->reason, "parcel count mismatch");
     }
     EXPECT_EQ(arena.stats().outstanding_frames(), 0) << participants << " participants";
     EXPECT_EQ(arena.in_use(), 0) << participants << " participants";
@@ -1116,62 +1155,51 @@ bool mutate(SplitMix64& rng, const std::vector<std::byte>& clean, std::vector<st
 }
 
 TEST(WireFuzzTest, MutatedMultiRunFramesNeverDecode) {
-  // The v3 codec under a seeded mutation harness: no mutation may
-  // decode, and (under the ASan/UBSan CI job) none may read out of
-  // bounds — the run-table bound checks are what this leans on.
+  // The codec under a seeded mutation harness: no mutation may verify,
+  // and (under the ASan/UBSan CI job) none may read out of bounds.
   SplitMix64 rng(0xD00DF00Du);
   MultiRunFixture fx;
   std::vector<std::byte> clean;
-  encode_multi_run_frame(fx.buf, fx.runs, fx.count, 3, 1, 2, 9, clean);
-  SealedRunFrameView<std::int64_t> view;
+  encode_frame(fx.row.data(), fx.runs, fx.header, clean);
   std::vector<std::byte> wire;
   for (int iter = 0; iter < 4000; ++iter) {
     if (!mutate(rng, clean, wire)) continue;
-    std::string reason;
-    const bool ok =
-        decode_multi_run_frame<std::int64_t>(WireView(wire), 3, 1, 2, 9, 16, view, &reason);
-    ASSERT_FALSE(ok) << "mutated multi-run frame decoded at iter " << iter;
-    EXPECT_FALSE(reason.empty()) << "rejection must be named (iter " << iter << ")";
+    const char* reason = verify_frame<std::int64_t>(WireView(wire), fx.header);
+    ASSERT_NE(reason, nullptr) << "mutated frame verified at iter " << iter;
+    EXPECT_GT(std::strlen(reason), 0u) << "rejection must be named (iter " << iter << ")";
   }
 }
 
-TEST(WireFuzzTest, ResealedRandomRunTablesNeverScatterOutOfBounds) {
-  // Adversarial (not just corrupted) tables: random descriptors with
-  // *valid* CRCs. Decode must either refuse with a typed reason or
-  // yield a view whose scatter stays inside count() parcels.
+TEST(WireFuzzTest, ResealedRandomHeadersNeverVerify) {
+  // Adversarial (not just corrupted) headers: random field values with
+  // *valid* CRCs. Verify must refuse every frame whose header differs
+  // from what the program expects, with a named reason.
   SplitMix64 rng(0x7AB1E5u);
   MultiRunFixture fx;
   std::vector<std::byte> clean;
-  encode_multi_run_frame(fx.buf, fx.runs, fx.count, 1, 1, 1, 2, clean);
-  SealedRunFrameView<std::int64_t> view;
-  std::vector<Parcel<std::int64_t>> out;
+  encode_frame(fx.row.data(), fx.runs, fx.header, clean);
   for (int iter = 0; iter < 2000; ++iter) {
     auto frame = clean;
-    for (std::size_t r = 0; r < fx.runs.size(); ++r) {
-      std::byte* d =
-          frame.data() + detail::kFrameV3HeaderBytes + r * detail::kRunDescriptorBytes;
-      wire_write_u64(d, rng.next() % 8);
-      wire_write_u64(d + 8, rng.next() % 8);
-    }
-    frame = reseal_v3(std::move(frame));
-    std::string reason;
-    if (decode_multi_run_frame<std::int64_t>(WireView(frame), 1, 1, 1, 2, 16, view, &reason)) {
-      out.clear();
-      view.append_to(out);  // ASan-audited: never writes past count()
-      EXPECT_EQ(out.size(), view.count());
-    } else {
-      EXPECT_FALSE(reason.empty());
-    }
+    const std::size_t field = 4 * (1 + static_cast<std::size_t>(rng.next_below(8)));  // [4, 32]
+    const std::uint32_t value = static_cast<std::uint32_t>(rng.next() % 16);
+    std::size_t offset = field;
+    std::uint32_t old = 0;
+    ASSERT_TRUE(wire_get_u32(WireView(frame), offset, old));
+    if (value == old) continue;
+    wire_write_u32(frame.data() + field, value);
+    const char* reason = verify_frame<std::int64_t>(WireView(reseal(std::move(frame))), fx.header);
+    ASSERT_NE(reason, nullptr) << "re-sealed header verified at iter " << iter;
+    EXPECT_GT(std::strlen(reason), 0u);
   }
 }
 
 TEST(WireFuzzTest, RandomGarbageNeverDecodes) {
   SplitMix64 rng(0x5EEDu);
-  SealedRunFrameView<std::int64_t> run_view;
+  const FrameHeader want{1, 1, 1, 0, 1, 2};
   for (int iter = 0; iter < 1000; ++iter) {
     std::vector<std::byte> wire(static_cast<std::size_t>(rng.next_below(256)));
     for (auto& b : wire) b = static_cast<std::byte>(rng.next() & 0xFF);
-    EXPECT_FALSE(decode_multi_run_frame<std::int64_t>(WireView(wire), 1, 1, 0, 1, 4, run_view));
+    EXPECT_NE(verify_frame<std::int64_t>(WireView(wire), want), nullptr);
   }
 }
 

@@ -80,6 +80,7 @@
 #include "sim/fault_model.hpp"
 #include "sim/wormhole.hpp"
 #include "svc/session_manager.hpp"
+#include "tagged.hpp"
 #include "util/cli.hpp"
 #include "util/prng.hpp"
 
@@ -136,8 +137,9 @@ void save_flight_artifact(const std::string& tag, const std::string& text) {
 }
 
 /// The --layout audit of the compiled program: compiles the schedule
-/// under `policy`, replays it over word payloads on the pooled wire, and
-/// requires the transpose plus run accounting identical to `expected`,
+/// under `policy`, replays it over Tagged payloads (each naming its own
+/// origin and destination) on the pooled wire, and requires the
+/// transpose slot for slot plus run accounting identical to `expected`,
 /// the layout simulator's stats under the same policy. Returns false
 /// (after printing a FAIL line) otherwise.
 bool verify_step_program(const SuhShinAape& algo, LayoutPolicy policy,
@@ -146,24 +148,16 @@ bool verify_step_program(const SuhShinAape& algo, LayoutPolicy policy,
                                                            ? " (paper layout)"
                                                            : " (naive layout)");
   const Rank N = algo.shape().num_nodes();
-  ParcelBuffers<std::int64_t> seed(static_cast<std::size_t>(N));
-  for (Rank p = 0; p < N; ++p) {
-    for (Rank q = 0; q < N; ++q) {
-      seed[static_cast<std::size_t>(p)].push_back({Block{p, q}, std::int64_t{p} * N + q});
-    }
-  }
+  const std::uint64_t salt =
+      static_cast<std::uint64_t>(N) * 0x51ED + (policy == LayoutPolicy::kPaper ? 1 : 0);
   WireArena arena;
   WireExchangeOptions options;
   options.arena = &arena;
-  const auto delivered =
-      exchange_payloads_pooled(algo, StepProgram(algo, policy), std::move(seed), options);
-  for (Rank q = 0; q < N; ++q) {
-    for (const auto& parcel : delivered[static_cast<std::size_t>(q)]) {
-      if (parcel.payload != std::int64_t{parcel.block.origin} * N + q) {
-        std::cerr << "FAIL " << tag << ": compiled program corrupted a payload\n";
-        return false;
-      }
-    }
+  const auto delivered = exchange_payloads_pooled(algo, StepProgram(algo, policy),
+                                                  testing::tagged_rows(N, salt), options);
+  if (const std::string wrong = testing::transpose_mismatch(N, delivered, salt); !wrong.empty()) {
+    std::cerr << "FAIL " << tag << ": compiled program misplaced a payload: " << wrong << "\n";
+    return false;
   }
   const WirePoolStats& wire = arena.stats();
   if (wire.total_sends != expected.total_sends ||
