@@ -7,10 +7,12 @@
 #include "baselines/direct_exchange.hpp"
 #include "core/data_array.hpp"
 #include "core/exchange_engine.hpp"
-#include "runtime/parallel_engine.hpp"
+#include "core/payload_exchange.hpp"
+#include "core/step_program.hpp"
 #include "sim/contention.hpp"
 #include "sim/cost_simulator.hpp"
 #include "sim/wormhole.hpp"
+#include "util/step_pool.hpp"
 
 namespace {
 
@@ -98,18 +100,31 @@ void BM_LayoutSimulation(benchmark::State& state) {
 }
 BENCHMARK(BM_LayoutSimulation)->Args({8, 2})->Args({12, 2})->Args({8, 3});
 
-void BM_ParallelExchange(benchmark::State& state) {
+void BM_StepKernel(benchmark::State& state) {
+  // The step kernel over int64 rows on a pool of range(1) participants;
+  // the program compiles once, outside the timed loop.
   const TorusShape shape = shape_for(state.range(0), 2);
   const SuhShinAape algo(shape);
-  ParallelOptions opts;
-  opts.num_threads = static_cast<int>(state.range(1));
-  for (auto _ : state) {
-    ParallelExchange engine(algo, opts);
-    benchmark::DoNotOptimize(engine.run_verified());
+  const StepProgram program(algo);
+  StepPool pool(static_cast<int>(state.range(1)));
+  WireArena arena;
+  WireExchangeOptions options;
+  options.arena = &arena;
+  options.pool = &pool;
+  const Rank n = shape.num_nodes();
+  std::vector<std::vector<std::int64_t>> rows(static_cast<std::size_t>(n));
+  for (Rank p = 0; p < n; ++p) {
+    for (Rank q = 0; q < n; ++q) {
+      rows[static_cast<std::size_t>(p)].push_back(static_cast<std::int64_t>(p) * n + q);
+    }
   }
-  state.SetLabel(shape.to_string() + "/t" + std::to_string(state.range(1)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(exchange_payloads_pooled(algo, program, rows, options));
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n) * n);
+  state.SetLabel(shape.to_string() + "/p" + std::to_string(state.range(1)));
 }
-BENCHMARK(BM_ParallelExchange)->Args({16, 1})->Args({16, 2})->Args({16, 4});
+BENCHMARK(BM_StepKernel)->Args({16, 1})->Args({16, 2})->Args({16, 4});
 
 void BM_WormholeStep(benchmark::State& state) {
   // One contention-free schedule step at flit level.

@@ -7,10 +7,10 @@
 //   disabled  a recorder constructed with enabled=false passed through
 //             the hooks — prices the "one branch per event" claim;
 //   recording a live recorder with default buffers.
-// Paths: the sequential engine and the threaded BSP runtime on 8x8
-// (the reference parallel shape), plus the payload exchange. Overhead
-// is reported, not asserted — the target is < 5% on the 8x8 parallel
-// path, but wall-clock on shared CI machines is advisory.
+// Paths on 8x8: the sequential engine, the reference payload executor
+// and the step kernel on a 4-participant pool. Overhead is reported,
+// not asserted — the target is < 5% on the kernel path, but wall-clock
+// on shared CI machines is advisory.
 //
 // The service path IS asserted: a seeded multi-session torexd run on
 // 4x4 is timed with the observability plane off (flight rings
@@ -31,12 +31,13 @@
 
 #include "core/exchange_engine.hpp"
 #include "core/payload_exchange.hpp"
+#include "core/step_program.hpp"
 #include "obs/chrome_trace.hpp"
 #include "obs/exposition.hpp"
 #include "obs/recorder.hpp"
-#include "runtime/parallel_engine.hpp"
 #include "svc/session_manager.hpp"
 #include "util/cli.hpp"
+#include "util/step_pool.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -141,7 +142,7 @@ int main(int argc, char** argv) {
       double off = 0, disabled = 0, recording = 0;
       std::int64_t events = 0;
     };
-    PathRow engine_row{"engine"}, payload_row{"payload"}, parallel_row{"parallel_x4"};
+    PathRow engine_row{"engine"}, payload_row{"payload"}, kernel_row{"step_kernel_x4"};
 
     std::cout << "=== Recorder overhead on 8x8 (" << N << " nodes, " << kReps
               << " reps/cell) ===\n\n";
@@ -188,26 +189,38 @@ int main(int argc, char** argv) {
       add_row(payload_row);
     }
 
-    {  // Threaded BSP runtime: superstep spans + barrier histogram from
-       // every worker (the < 5% target path).
-      ParallelOptions base;
-      base.num_threads = 4;
-      parallel_row.off = time_ms([&] { ParallelExchange(algo, base).run_verified(); }, kReps);
+    {  // Step kernel on a 4-participant pool: exchange/phase/step/permute
+       // spans on the caller (the < 5% target path).
+      const StepProgram program(algo);
+      StepPool pool(4);
+      std::vector<std::vector<std::int64_t>> rows(static_cast<std::size_t>(N));
+      for (Rank p = 0; p < N; ++p) {
+        for (Rank q = 0; q < N; ++q) {
+          rows[static_cast<std::size_t>(p)].push_back(static_cast<std::int64_t>(p) * N + q);
+        }
+      }
+      WireExchangeOptions base;
+      base.pool = &pool;
+      // Settle the pool first (its workers wake and it adapts its helper
+      // count), so the first cell does not pay for that alone.
+      for (int i = 0; i < kReps; ++i) exchange_payloads_pooled(algo, program, rows, base);
+      kernel_row.off =
+          time_ms([&] { exchange_payloads_pooled(algo, program, rows, base); }, kReps);
       Recorder disabled(disabled_options);
-      ParallelOptions with_disabled = base;
+      WireExchangeOptions with_disabled = base;
       with_disabled.obs = &disabled;
-      parallel_row.disabled =
-          time_ms([&] { ParallelExchange(algo, with_disabled).run_verified(); }, kReps);
+      kernel_row.disabled =
+          time_ms([&] { exchange_payloads_pooled(algo, program, rows, with_disabled); }, kReps);
       Recorder recording;
-      ParallelOptions with_obs = base;
+      WireExchangeOptions with_obs = base;
       with_obs.obs = &recording;
-      parallel_row.recording =
-          time_ms([&] { ParallelExchange(algo, with_obs).run_verified(); }, kReps);
-      parallel_row.events = static_cast<std::int64_t>(recording.snapshot().events.size());
-      add_row(parallel_row);
+      kernel_row.recording =
+          time_ms([&] { exchange_payloads_pooled(algo, program, rows, with_obs); }, kReps);
+      kernel_row.events = static_cast<std::int64_t>(recording.snapshot().events.size());
+      add_row(kernel_row);
     }
     table.print(std::cout);
-    std::cout << "\ntarget: recording < 5% on the parallel path (advisory — wall-clock "
+    std::cout << "\ntarget: recording < 5% on the step kernel path (advisory — wall-clock "
                  "noise on shared machines can exceed the effect being measured).\n";
 
     // === Service observability A/B (asserted). ===
@@ -261,7 +274,7 @@ int main(int argc, char** argv) {
     };
     path_json(engine_row, false);
     path_json(payload_row, false);
-    path_json(parallel_row, true);
+    path_json(kernel_row, true);
     json << "  },\n  \"service\": {\n"
          << "    \"shape\": \"" << svc_shape.to_string() << "\",\n"
          << "    \"sessions\": " << svc_sessions << ",\n"

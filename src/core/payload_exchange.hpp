@@ -162,21 +162,14 @@ void check_parcel_postcondition(Rank N, const ParcelBuffers<T>& buffers) {
   }
 }
 
-}  // namespace detail
-
-/// Runs the full schedule over `initial` parcels. Requirements:
-/// initial[p] holds exactly one parcel per destination, each with
-/// block.origin == p. Returns the final buffers: node p ends with one
-/// parcel from every origin, all with block.dest == p. Throws on any
-/// violation.
+/// The reference loop: runs the whole schedule over `buffers`, moving
+/// every parcel the oracle's predicate selects to the step's partner
+/// (partition, then inbox). Records an `exchange` span with its
+/// `phase` and `step` spans when `obs` is live.
 template <typename T>
-ParcelBuffers<T> exchange_payloads(const SuhShinAape& algo, ParcelBuffers<T> buffers,
-                                   Recorder* obs = nullptr) {
+void forward_parcels(const SuhShinAape& algo, ParcelBuffers<T>& buffers, Recorder* obs) {
   const Rank N = algo.shape().num_nodes();
-  detail::require_canonical_parcel_seed(N, buffers);
-  if (obs != nullptr && !obs->enabled()) obs = nullptr;
   SpanGuard exchange_span(obs, "exchange");
-
   ParcelBuffers<T> inbox(static_cast<std::size_t>(N));
   for (int phase = 1; phase <= algo.num_phases(); ++phase) {
     SpanGuard phase_span(obs, "phase", -1, phase);
@@ -204,7 +197,21 @@ ParcelBuffers<T> exchange_payloads(const SuhShinAape& algo, ParcelBuffers<T> buf
       }
     }
   }
+}
 
+}  // namespace detail
+
+/// The reference executor: runs the full schedule over `initial`
+/// parcels. Requirements: initial[p] holds exactly one parcel per
+/// destination, each with block.origin == p. Returns the final buffers:
+/// node p ends with one parcel from every origin, all with
+/// block.dest == p. Throws on any violation.
+template <typename T>
+ParcelBuffers<T> exchange_payloads(const SuhShinAape& algo, ParcelBuffers<T> buffers,
+                                   Recorder* obs = nullptr) {
+  const Rank N = algo.shape().num_nodes();
+  detail::require_canonical_parcel_seed(N, buffers);
+  detail::forward_parcels(algo, buffers, obs);
   detail::check_parcel_postcondition(N, buffers);
   return buffers;
 }
@@ -888,8 +895,6 @@ template <typename T>
 void run_pooled(const SuhShinAape& algo, const StepProgram& program,
                 std::vector<std::vector<T>>& rows, const WireExchangeOptions& options,
                 StepReplay<T>& replay) {
-  static_assert(std::is_trivially_copyable_v<T>,
-                "pooled exchange requires trivially copyable payloads");
   program.require_compiled_for(algo);
   require_rows(program.num_nodes(), rows);
   Recorder* obs = options.obs;
@@ -911,7 +916,9 @@ void run_pooled(const SuhShinAape& algo, const StepProgram& program,
 /// destination, in destination order; the same rows come back with
 /// rows[q][p] the payload node p sent to q. Under the paper layout in 2D
 /// each message is one memcpy. Steady state performs no heap allocation
-/// on the wire: frames recycle through the arena. Throws
+/// on the wire: frames recycle through the arena. Payloads that are not
+/// trivially copyable move through the kernel's local transport
+/// instead, with their moves on options.pool's workers. Throws
 /// StepProgramMismatchError when `program` was compiled for another
 /// schedule.
 template <typename T>
@@ -1077,32 +1084,7 @@ ParcelBuffers<T> exchange_parcels_custom(const SuhShinAape& algo, ParcelBuffers<
       ++total;
     }
   }
-
-  ParcelBuffers<T> inbox(static_cast<std::size_t>(N));
-  for (int phase = 1; phase <= algo.num_phases(); ++phase) {
-    for (int step = 1; step <= algo.steps_in_phase(phase); ++step) {
-      for (Rank p = 0; p < N; ++p) {
-        auto& buf = buffers[static_cast<std::size_t>(p)];
-        auto split = std::stable_partition(buf.begin(), buf.end(), [&](const Parcel<T>& x) {
-          return !algo.should_send(p, phase, step, x.block);
-        });
-        if (split == buf.end()) continue;
-        const Rank q = algo.partner(p, phase, step);
-        auto& in = inbox[static_cast<std::size_t>(q)];
-        in.insert(in.end(), std::make_move_iterator(split),
-                  std::make_move_iterator(buf.end()));
-        buf.erase(split, buf.end());
-      }
-      for (Rank p = 0; p < N; ++p) {
-        auto& in = inbox[static_cast<std::size_t>(p)];
-        if (in.empty()) continue;
-        auto& buf = buffers[static_cast<std::size_t>(p)];
-        buf.insert(buf.end(), std::make_move_iterator(in.begin()),
-                   std::make_move_iterator(in.end()));
-        in.clear();
-      }
-    }
-  }
+  detail::forward_parcels(algo, buffers, nullptr);
 
   std::int64_t delivered = 0;
   for (Rank p = 0; p < N; ++p) {

@@ -48,8 +48,8 @@ class Counter {
   std::atomic<std::int64_t> value_{0};
 };
 
-/// Last-write-wins instantaneous value (in-flight transfers, armed
-/// watchdog deadline).
+/// Last-write-wins instantaneous value (in-flight transfers, session
+/// queue depth).
 class Gauge {
  public:
   void set(std::int64_t value) { value_.store(value, std::memory_order_relaxed); }

@@ -35,7 +35,7 @@ namespace torex {
 enum class EventKind : std::uint8_t {
   kBegin,    ///< span open (matched by name at export time)
   kEnd,      ///< span close
-  kInstant,  ///< point event (retransmit, watchdog fire, escalation)
+  kInstant,  ///< point event (retransmit, escalation)
   kCounter,  ///< sampled counter track value
 };
 

@@ -147,9 +147,9 @@ struct ResumeOptions {
   /// Heartbeat failure detector tuning; the detector runs whenever the
   /// fault model contains node faults (crashes).
   FailureDetectorOptions detector;
-  /// Tick-axis analogue of the runtimes' wall-clock stall deadline: the
-  /// horizon the failure detector observes heartbeats over, and the
-  /// bar its suspicion must beat for outcome.proactive_recovery.
+  /// Stall deadline on the fault-tick axis: the horizon the failure
+  /// detector observes heartbeats over, and the bar its suspicion must
+  /// beat for outcome.proactive_recovery.
   std::int64_t stall_deadline_ticks = 64;
   /// Simulated process death for tests/tools (see runtime/journal.hpp);
   /// only honored on the scheduled (non-degraded) path.
@@ -222,7 +222,10 @@ class TorusCommunicator {
   /// All-to-all personalized exchange: send[p][q] is node p's payload
   /// for node q; returns recv with recv[q][p] == send[p][q]. The
   /// estimated time of the run is written to `modeled_time` when
-  /// non-null.
+  /// non-null. Under Suh-Shin every payload type runs on the step
+  /// kernel: trivially copyable payloads cross the framed wire on the
+  /// communicator's pool, other payloads move locally on the calling
+  /// thread.
   template <typename T>
   std::vector<std::vector<T>> alltoall(const std::vector<std::vector<T>>& send,
                                        AlltoallAlgorithm algorithm = AlltoallAlgorithm::kAuto,
@@ -243,7 +246,7 @@ class TorusCommunicator {
   /// send[p].at(q) is node p's payload for node q; on return
   /// recv[q].at(p) == send[p].at(q). Requires the Suh-Shin schedule
   /// (throws where alltoall would) and a trivially copyable T; rides
-  /// the pooled multi-run wire unconditionally. Every view is checked
+  /// the framed TOX4 wire unconditionally. Every view is checked
   /// before any data moves, so a malformed view throws
   /// std::invalid_argument with `recv` untouched. The receive views are
   /// written concurrently and must not overlap.
@@ -481,35 +484,6 @@ class TorusCommunicator {
     return pool_.get();
   }
 
-  /// The reference executor's run over dense rows, for payloads the
-  /// step kernel's wire cannot carry: parcels seeded from `send`,
-  /// unpacked by origin.
-  template <typename T>
-  std::vector<std::vector<T>> alltoall_reference(const std::vector<std::vector<T>>& send,
-                                                 Recorder* obs) const {
-    const Rank N = size();
-    ParcelBuffers<T> parcels(static_cast<std::size_t>(N));
-    for (Rank p = 0; p < N; ++p) {
-      auto& buf = parcels[static_cast<std::size_t>(p)];
-      buf.reserve(static_cast<std::size_t>(N));
-      for (Rank q = 0; q < N; ++q) {
-        buf.push_back(
-            {Block{p, q}, send[static_cast<std::size_t>(p)][static_cast<std::size_t>(q)]});
-      }
-    }
-    const auto delivered = exchange_payloads(*schedule_, std::move(parcels), obs);
-    SpanGuard permute_span(obs, "permute");
-    std::vector<std::vector<T>> recv(static_cast<std::size_t>(N));
-    for (Rank q = 0; q < N; ++q) {
-      auto& row = recv[static_cast<std::size_t>(q)];
-      row.resize(static_cast<std::size_t>(N));
-      for (const Parcel<T>& parcel : delivered[static_cast<std::size_t>(q)]) {
-        row[static_cast<std::size_t>(parcel.block.origin)] = parcel.payload;
-      }
-    }
-    return recv;
-  }
-
   /// alltoall's body; the caller holds the CallGuard.
   template <typename T>
   std::vector<std::vector<T>> alltoall_impl(const std::vector<std::vector<T>>& send,
@@ -531,23 +505,19 @@ class TorusCommunicator {
       TOREX_REQUIRE(schedule_.has_value(),
                     "Suh-Shin schedule not applicable to this shape (pad or pick another "
                     "algorithm)");
-      // Trivially copyable payloads ride the pooled zero-copy wire:
-      // each send row is copied into the recv row it returns, in
+      // Each send row is copied into the recv row it returns, in
       // destination order, and the communicator's compiled program
-      // replays in those rows (frames recycle through its arena across
-      // exchanges). Other types fall back to the struct-move executor.
-      if constexpr (std::is_trivially_copyable_v<T>) {
-        const StepProgram& program = compiled_program();  // before the rows exist
-        StepPool* pool = step_pool();
-        WireExchangeOptions wire_options;
-        wire_options.arena = &wire_arena_;
-        wire_options.pool = pool;
-        wire_options.obs = obs;
-        return exchange_payloads_pooled(*schedule_, program, copy_rows(send, pool),
-                                        wire_options);
-      } else {
-        return alltoall_reference(send, obs);
-      }
+      // replays in those rows. Trivially copyable payloads ride the
+      // pooled zero-copy wire (frames recycle through its arena across
+      // exchanges); other payloads move locally, inline, so no user
+      // copy or move runs on a pool worker.
+      const StepProgram& program = compiled_program();  // before the rows exist
+      StepPool* pool = detail::copy_pool<T>(step_pool());
+      WireExchangeOptions wire_options;
+      wire_options.arena = &wire_arena_;
+      wire_options.pool = pool;
+      wire_options.obs = obs;
+      return exchange_payloads_pooled(*schedule_, program, copy_rows(send, pool), wire_options);
     }
 
     if (chosen == AlltoallAlgorithm::kSuhShinPadded) {

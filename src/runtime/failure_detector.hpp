@@ -1,8 +1,8 @@
 // Heartbeat failure detector: phi-accrual suspicion over the simulated
 // clock.
 //
-// PR 2's watchdogs are reactive — a dead node is only noticed after a
-// whole stall deadline of silence. This detector is predictive in the
+// A stall deadline is reactive — a dead node is only noticed after a
+// whole deadline of silence. This detector is predictive in the
 // phi-accrual style (Hayashibara et al.): every node emits a heartbeat
 // each `heartbeat_interval` ticks; the detector keeps a sliding window
 // of observed inter-arrival gaps per node and converts "how long since

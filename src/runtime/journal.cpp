@@ -5,7 +5,6 @@
 #include <sstream>
 
 #include "core/integrity.hpp"
-#include "runtime/watchdog.hpp"
 #include "util/crc32.hpp"
 
 namespace torex {

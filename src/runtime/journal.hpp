@@ -206,6 +206,13 @@ class ExchangeCrashError : public std::runtime_error {
   int step_;
 };
 
+/// Raised when a journaled run (or a torexd session) observes its
+/// cooperative cancel flag set.
+class ExchangeCancelledError : public std::runtime_error {
+ public:
+  explicit ExchangeCancelledError(const std::string& what) : std::runtime_error(what) {}
+};
+
 /// Accounting of one journaled run, fresh or resumed.
 struct ResumeReport {
   bool resumed = false;                     ///< journal had prior progress
@@ -226,7 +233,7 @@ struct JournalRunOptions {
   CrashPoint crash;
   /// Cooperative cancel, polled between a step's journal flush and its
   /// commit marker (the worst-case race for the resume path). Throws
-  /// ExchangeCancelledError (runtime/watchdog.hpp) via the runner.
+  /// ExchangeCancelledError via the runner.
   const std::atomic<bool>* cancel = nullptr;
   /// Durability hook: called after every appended record batch with the
   /// journal in its current (flushed) state. Persist encode() here

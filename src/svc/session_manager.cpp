@@ -6,7 +6,6 @@
 
 #include "core/step_program_cache.hpp"
 #include "costmodel/models.hpp"
-#include "runtime/watchdog.hpp"
 #include "util/assert.hpp"
 
 namespace torex {

@@ -18,8 +18,8 @@
 //    end-to-end.
 //  * Deadline scheduling — a session's deadline is an absolute point on
 //    the manager's virtual clock. Expiry in the queue retires it
-//    unadmitted; expiry mid-run fires its cooperative cancel flag at
-//    the next dispatch, reusing the watchdog/cancel machinery.
+//    unadmitted; expiry mid-run sets its cooperative cancel flag,
+//    which the session driver polls at the next dispatch.
 //  * One compiled schedule — the manager draws its StepProgram from the
 //    process's cache (core/step_program_cache.hpp), so a fresh manager
 //    of a shape the process has seen compiles nothing, and every session

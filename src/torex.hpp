@@ -30,10 +30,7 @@
 #include "runtime/communicator.hpp"
 #include "runtime/failure_detector.hpp"
 #include "runtime/journal.hpp"
-#include "runtime/node_program.hpp"
-#include "runtime/parallel_engine.hpp"
 #include "runtime/recovery.hpp"
-#include "runtime/watchdog.hpp"
 #include "sim/contention.hpp"
 #include "sim/cost_simulator.hpp"
 #include "sim/fault_model.hpp"

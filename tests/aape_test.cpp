@@ -2,6 +2,9 @@
 // geometry, and the forwarding predicates (paper §3.2-§3.4, §4).
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "core/aape.hpp"
 #include "core/schedule_stats.hpp"
 #include "topology/group.hpp"
@@ -136,6 +139,49 @@ TEST(AapeTest, ScatterPredicateComparesSubmeshAlongPhaseDimension) {
   // Phase 2 for key 0 goes +r: SM rows != 0 forwarded.
   EXPECT_TRUE(algo.should_send(p, 2, 1, Block{p, s.rank_of({4, 0})}));
   EXPECT_FALSE(algo.should_send(p, 2, 1, Block{p, s.rank_of({2, 0})}));
+}
+
+/// The forwarding rule as one node evaluates it: mod-4 arithmetic on
+/// its own coordinates and the block's destination along the dimension
+/// it transmits in this step. Nothing global is consulted.
+bool forwards_locally(PhaseKind kind, int dim, const Coord& self, const Coord& dest) {
+  const auto d = static_cast<std::size_t>(dim);
+  switch (kind) {
+    case PhaseKind::kScatter:
+      return dest[d] / 4 != self[d] / 4;
+    case PhaseKind::kQuarterExchange:
+      return (dest[d] % 4) / 2 != (self[d] % 4) / 2;
+    case PhaseKind::kPairExchange:
+      return dest[d] % 2 != self[d] % 2;
+  }
+  return false;
+}
+
+TEST(AapeTest, ForwardingRuleIsNodeLocal) {
+  // A node needs only its coordinates, its per-step transmit dimension
+  // and the block's destination to decide what to send, so a real
+  // machine runs the schedule with no global knowledge. The local rule
+  // must agree with the oracle for every node, step and destination.
+  for (const auto& extents :
+       std::vector<std::vector<std::int32_t>>{{8, 8}, {12, 8}, {8, 8, 4}}) {
+    const SuhShinAape algo{TorusShape(extents)};
+    const TorusShape& s = algo.shape();
+    std::int64_t mismatches = 0;
+    for (Rank node = 0; node < s.num_nodes(); ++node) {
+      const Coord self = s.coord_of(node);
+      for (int phase = 1; phase <= algo.num_phases(); ++phase) {
+        for (int step = 1; step <= algo.steps_in_phase(phase); ++step) {
+          const PhaseKind kind = algo.phase_kind(phase);
+          const int dim = algo.direction(node, phase, step).dim;
+          for (Rank dest = 0; dest < s.num_nodes(); ++dest) {
+            const bool local = forwards_locally(kind, dim, self, s.coord_of(dest));
+            if (local != algo.should_send(node, phase, step, Block{node, dest})) ++mismatches;
+          }
+        }
+      }
+    }
+    EXPECT_EQ(mismatches, 0) << s.to_string();
+  }
 }
 
 TEST(AapeTest, FourByFourTorusHasOnlyExchangePhases) {

@@ -15,8 +15,10 @@
 #include "core/exchange_engine.hpp"
 #include "core/payload_exchange.hpp"
 #include "core/schedule_io.hpp"
+#include "core/step_program.hpp"
 #include "runtime/communicator.hpp"
 #include "util/prng.hpp"
+#include "util/step_pool.hpp"
 
 namespace torex {
 namespace {
@@ -171,6 +173,38 @@ TEST(CommunicatorTest, AlltoallPermutesCorrectly) {
   }
 }
 
+TEST(CommunicatorTest, StringPayloadsRunOnTheStepKernel) {
+  // Payloads that are not trivially copyable run on the step kernel
+  // too, through its local transport: nothing crosses the framed wire,
+  // and the phase-boundary rearrangements count as they do for words.
+  // The kernel on a four-participant pool (moves on its workers) must
+  // return the same rows.
+  TorusCommunicator comm(TorusShape::make_2d(8, 8), CostParams::balanced());
+  const Rank N = comm.size();
+  const auto payload = [](Rank from, Rank to) {
+    return "parcel " + std::to_string(from) + " -> " + std::to_string(to) +
+           ", longer than any small-string buffer";
+  };
+  std::vector<std::vector<std::string>> send(static_cast<std::size_t>(N));
+  for (Rank p = 0; p < N; ++p) {
+    for (Rank q = 0; q < N; ++q) send[static_cast<std::size_t>(p)].push_back(payload(p, q));
+  }
+  const auto recv = comm.alltoall(send, AlltoallAlgorithm::kSuhShin);
+  for (Rank q = 0; q < N; ++q) {
+    for (Rank p = 0; p < N; ++p) {
+      ASSERT_EQ(recv[static_cast<std::size_t>(q)][static_cast<std::size_t>(p)], payload(p, q));
+    }
+  }
+  EXPECT_EQ(comm.wire_stats().messages, 0);
+  EXPECT_GT(comm.wire_stats().rearrangement_passes, 0);
+
+  const SuhShinAape algo(comm.shape());
+  StepPool pool(4);
+  WireExchangeOptions options;
+  options.pool = &pool;
+  EXPECT_EQ(exchange_payloads_pooled(algo, StepProgram(algo), send, options), recv);
+}
+
 TEST(CommunicatorTest, AlltoallStridedExchangesColumnsInPlace) {
   // Träff-style datatypes: both endpoints are columns of row-major
   // matrices (stride = row length); the exchange reads and writes the
@@ -303,7 +337,8 @@ TEST(CommunicatorTest, BruckEstimateAvailableOnAnyShape) {
 
 /// A payload whose copy constructor runs a hook: the deterministic way
 /// to land inside a running collective, since seeding copies every
-/// payload. Not trivially copyable, so alltoall moves it by struct.
+/// payload. Not trivially copyable, so alltoall moves it locally, on
+/// the calling thread.
 struct HookedPayload {
   static inline std::function<void()> on_copy;
   int value = 0;

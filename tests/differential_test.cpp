@@ -1,5 +1,5 @@
 // Cross-executor differential tests: the four independent executors
-// (sequential engine, layout engine, parallel engine, parcel runner)
+// (sequential engine, layout engine, step kernel, parcel runner)
 // replay the same schedule oracle; on random workloads and shapes their
 // observable results must agree. A bug in any one of them — or in the
 // oracle — shows up as a divergence here even if each executor's own
@@ -12,8 +12,10 @@
 #include "core/data_array.hpp"
 #include "core/exchange_engine.hpp"
 #include "core/payload_exchange.hpp"
-#include "runtime/parallel_engine.hpp"
+#include "core/step_program.hpp"
+#include "tagged.hpp"
 #include "util/prng.hpp"
+#include "util/step_pool.hpp"
 
 namespace torex {
 namespace {
@@ -76,26 +78,39 @@ TEST_P(DifferentialTest, LayoutEngineAgreesWithTraceCounts) {
   EXPECT_EQ(layout.rearrangement_passes, algo.num_dims() + 1);
 }
 
-TEST_P(DifferentialTest, ParallelEngineAgreesOnRandomThreadCounts) {
+/// Blocks the engine's trace moved, over every step.
+std::int64_t total_blocks(const ExchangeTrace& trace) {
+  std::int64_t blocks = 0;
+  for (const auto& step : trace.steps) blocks += step.total_blocks;
+  return blocks;
+}
+
+/// The step kernel over Tagged rows salted with `salt`, on a pool of
+/// `participants`: the transpose must arrive slot for slot, and the
+/// wire must carry exactly the blocks the engine moved.
+void expect_kernel_agrees(const SuhShinAape& algo, const ExchangeTrace& trace,
+                          int participants, std::uint64_t salt) {
+  const Rank N = algo.shape().num_nodes();
+  StepPool pool(participants);
+  WireArena arena;
+  WireExchangeOptions options;
+  options.arena = &arena;
+  options.pool = &pool;
+  const auto recv =
+      exchange_payloads_pooled(algo, StepProgram(algo), testing::tagged_rows(N, salt), options);
+  EXPECT_EQ(testing::transpose_mismatch(N, recv, salt), "") << "participants=" << participants;
+  EXPECT_EQ(arena.stats().parcels, total_blocks(trace)) << "participants=" << participants;
+}
+
+TEST_P(DifferentialTest, StepKernelAgreesOnRandomParticipantCounts) {
   const SuhShinAape algo{TorusShape{GetParam().extents}};
   SplitMix64 rng(GetParam().seed ^ 0xABCDEF);
-  const int threads = 1 + static_cast<int>(rng.next_below(8));
+  const int participants = 1 + static_cast<int>(rng.next_below(8));
 
   EngineOptions opts;
   opts.record_transfers = false;
-  ExchangeEngine sequential(algo, opts);
-  const ExchangeTrace seq = sequential.run_verified();
-
-  ParallelOptions popts;
-  popts.num_threads = threads;
-  ParallelExchange parallel(algo, popts);
-  const ExchangeTrace par = parallel.run_verified();
-
-  ASSERT_EQ(seq.steps.size(), par.steps.size()) << "threads=" << threads;
-  for (std::size_t i = 0; i < seq.steps.size(); ++i) {
-    EXPECT_EQ(seq.steps[i].total_blocks, par.steps[i].total_blocks);
-    EXPECT_EQ(seq.steps[i].max_blocks_per_node, par.steps[i].max_blocks_per_node);
-  }
+  const ExchangeTrace trace = ExchangeEngine(algo, opts).run_verified();
+  expect_kernel_agrees(algo, trace, participants, GetParam().seed);
 }
 
 INSTANTIATE_TEST_SUITE_P(Cases, DifferentialTest,
@@ -111,12 +126,8 @@ TEST(DifferentialTest, CanonicalWorkloadAcrossAllExecutors) {
   const Rank N = algo.shape().num_nodes();
 
   ExchangeEngine engine(algo);
-  engine.run_verified();
-
-  ParallelOptions popts;
-  popts.num_threads = 3;
-  ParallelExchange parallel(algo, popts);
-  parallel.run_verified();
+  const ExchangeTrace trace = engine.run_verified();
+  expect_kernel_agrees(algo, trace, 3, 0xC0FFEE);
 
   ParcelBuffers<Rank> parcels(static_cast<std::size_t>(N));
   for (Rank p = 0; p < N; ++p) {
@@ -131,16 +142,13 @@ TEST(DifferentialTest, CanonicalWorkloadAcrossAllExecutors) {
 
   for (Rank q = 0; q < N; ++q) {
     auto a = engine.buffers()[static_cast<std::size_t>(q)];
-    auto b = parallel.buffers()[static_cast<std::size_t>(q)];
     std::vector<Block> c;
     for (const auto& parcel : delivered[static_cast<std::size_t>(q)]) {
       EXPECT_EQ(parcel.payload, parcel.block.origin);  // payload integrity
       c.push_back(parcel.block);
     }
     std::sort(a.begin(), a.end());
-    std::sort(b.begin(), b.end());
     std::sort(c.begin(), c.end());
-    EXPECT_EQ(a, b);
     EXPECT_EQ(a, c);
   }
 }

@@ -9,8 +9,11 @@
 
 #include <atomic>
 #include <cstdio>
+#include <exception>
 #include <stdexcept>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/aape.hpp"
@@ -20,7 +23,6 @@
 #include "runtime/failure_detector.hpp"
 #include "runtime/journal.hpp"
 #include "runtime/recovery.hpp"
-#include "runtime/watchdog.hpp"
 #include "sim/fault_model.hpp"
 #include "tagged.hpp"
 #include "topology/torus.hpp"
@@ -618,6 +620,329 @@ TEST(ResumeTest, DirectDeltaJournalResumesOnTheSchedule) {
   EXPECT_GT(outcome.resume->materialized, 0);
   EXPECT_EQ(outcome.resume->materialized, outcome.resume->duplicates_dropped);
   EXPECT_TRUE(loaded.exchange_complete());
+}
+
+// --- Cancellation and worker failures ------------------------------------
+
+TEST(JournalCancelRaceTest, CancelBetweenFlushAndCommitLeavesResumableJournal) {
+  // The worst-case race for crash durability: the cancel flag flips
+  // after a step's deliveries are flushed but before its commit marker
+  // is appended. The run must unwind as ExchangeCancelledError, the
+  // journal must load, and a re-run must finish exactly-once — the
+  // flushed-but-uncommitted parcels materialize and their re-sent seed
+  // copies are dropped as duplicates.
+  const TorusShape shape({4, 4});
+  const Rank n = shape.num_nodes();
+  const auto send = make_send(n);
+  const TorusCommunicator comm(shape, CostParams{});
+
+  std::atomic<bool> cancel{false};
+  ResumeOptions options;
+  options.resilience.algorithm = AlltoallAlgorithm::kSuhShin;
+  options.cancel = &cancel;
+  int flushes = 0;
+  // The deliveries flush of step k is followed by the cancel poll and
+  // only then the commit flush; tripping the flag inside an odd flush
+  // lands the cancellation exactly in the window.
+  options.flush = [&](const ExchangeJournal&) {
+    if (++flushes == 3) cancel.store(true);
+  };
+
+  ExchangeJournal journal;
+  ExchangeOutcome outcome;
+  EXPECT_THROW(comm.alltoall_resumable(send, FaultModel{}, journal, outcome, options),
+               ExchangeCancelledError);
+  EXPECT_FALSE(journal.exchange_complete());
+  EXPECT_GT(journal.uncommitted_deliveries().size(), 0u)
+      << "the cancel must land between a flush and its commit";
+
+  ExchangeJournal loaded = ExchangeJournal::decode(journal.encode());
+  EXPECT_FALSE(loaded.torn_tail());
+  ExchangeOutcome resumed;
+  ResumeOptions clean;
+  clean.resilience.algorithm = AlltoallAlgorithm::kSuhShin;
+  const auto recv = comm.resume(send, FaultModel{}, loaded, resumed, clean);
+  expect_transposed(recv, n);
+  ASSERT_TRUE(resumed.resume.has_value());
+  EXPECT_GT(resumed.resume->materialized, 0);
+  EXPECT_EQ(resumed.resume->materialized, resumed.resume->duplicates_dropped);
+  EXPECT_TRUE(loaded.exchange_complete());
+}
+
+TEST(JournalCancelRaceTest, ConcurrentRunsCancelInIsolation) {
+  // Two journaled exchanges on two threads, each with its own pool and
+  // cancel flag: A trips its flag from its own flush hook and unwinds
+  // as cancelled; B must not observe it, and returns the transpose.
+  const SuhShinAape algo(TorusShape({8, 4}));
+  const StepProgram program(algo);
+  const Rank n = algo.shape().num_nodes();
+  std::atomic<bool> cancel_a{false};
+  std::atomic<bool> cancel_b{false};
+  std::exception_ptr error_a;
+  std::exception_ptr error_b;
+  std::vector<std::vector<testing::Tagged>> out_b;
+
+  const auto run = [&](std::atomic<bool>& cancel, bool trips, std::exception_ptr& error,
+                       std::vector<std::vector<testing::Tagged>>* out) {
+    StepPool pool(2);
+    JournalRunOptions options;
+    options.pool = &pool;
+    options.cancel = &cancel;
+    int flushes = 0;
+    if (trips) {
+      options.flush = [&](const ExchangeJournal&) {
+        if (++flushes == 3) cancel.store(true);
+      };
+    }
+    ExchangeJournal journal;
+    ResumeReport report;
+    try {
+      auto rows = exchange_payloads_journaled(algo, program, testing::tagged_rows(n, kSalt),
+                                              journal, options, report);
+      if (out != nullptr) *out = std::move(rows);
+    } catch (...) {
+      error = std::current_exception();
+    }
+  };
+  std::thread run_a([&] { run(cancel_a, true, error_a, nullptr); });
+  std::thread run_b([&] { run(cancel_b, false, error_b, &out_b); });
+  run_a.join();
+  run_b.join();
+
+  ASSERT_TRUE(error_a != nullptr) << "run A must unwind as cancelled";
+  EXPECT_THROW(std::rethrow_exception(error_a), ExchangeCancelledError);
+  ASSERT_TRUE(error_b == nullptr) << "run B must not observe A's cancel";
+  EXPECT_EQ(testing::transpose_mismatch(n, out_b, kSalt), "");
+  EXPECT_FALSE(cancel_b.load()) << "B's flag must never flip";
+}
+
+/// A payload whose move throws when it is planted. The only code of
+/// the caller's a step-kernel worker runs is a payload's move, so this
+/// is how a worker fails.
+struct PlantedMove {
+  Rank node = -1;  ///< the node whose row it was seeded in
+  bool planted = false;
+
+  PlantedMove() = default;
+  PlantedMove(Rank node_in, bool planted_in) : node(node_in), planted(planted_in) {}
+  PlantedMove(const PlantedMove&) = default;
+  PlantedMove& operator=(const PlantedMove&) = default;
+  PlantedMove(PlantedMove&& other) : node(other.node), planted(other.planted) {
+    if (planted) throw_planted();
+  }
+  PlantedMove& operator=(PlantedMove&& other) {
+    if (other.planted) other.throw_planted();
+    node = other.node;
+    planted = other.planted;
+    return *this;
+  }
+  [[noreturn]] void throw_planted() const {
+    throw std::runtime_error("moved a planted payload of node " + std::to_string(node));
+  }
+};
+
+TEST(JournalWorkerFailureTest, LowestNodesThrowReachesTheCallerWithNoFrameOutstanding) {
+  // Every payload of the odd nodes throws when moved, so several of
+  // them throw at once in the kernel's first stage: phase 1's
+  // rearrangement when it permutes any row, else its first gather. The
+  // caller must get the lowest such node's exception, at four
+  // participants exactly as inline, and the arena every frame back.
+  const SuhShinAape algo(TorusShape({8, 8}));
+  const StepProgram program(algo);
+  const Rank n = algo.shape().num_nodes();
+  const auto planted = [](Rank p) { return p % 2 == 1; };
+  const auto moves_first = [&](Rank p) {
+    return program.rearranges(1) ? !program.permutation(1, p).empty()
+                                 : program.step(1, 1, p).count > 0;
+  };
+  Rank first_thrower = -1;
+  for (Rank p = n - 1; p >= 0; --p) {
+    if (planted(p) && moves_first(p)) first_thrower = p;
+  }
+  ASSERT_GE(first_thrower, 0) << "no planted payload moves in the first stage";
+
+  const auto failure_on = [&](int participants) {
+    std::vector<std::vector<PlantedMove>> rows(static_cast<std::size_t>(n));
+    for (Rank p = 0; p < n; ++p) {
+      auto& row = rows[static_cast<std::size_t>(p)];
+      row.reserve(static_cast<std::size_t>(n));
+      for (Rank q = 0; q < n; ++q) row.emplace_back(p, planted(p));
+    }
+    StepPool pool(participants);
+    WireArena arena;
+    JournalRunOptions options;
+    options.pool = &pool;
+    options.wire = &arena;
+    ExchangeJournal journal;
+    ResumeReport report;
+    std::string what;
+    try {
+      exchange_payloads_journaled(algo, program, std::move(rows), journal, options, report);
+      ADD_FAILURE() << "a planted move must throw at " << participants << " participant(s)";
+    } catch (const std::runtime_error& error) {
+      what = error.what();
+    }
+    EXPECT_EQ(arena.stats().outstanding_frames(), 0) << participants << " participant(s)";
+    return what;
+  };
+  const std::string inline_failure = failure_on(1);
+  EXPECT_EQ(inline_failure, "moved a planted payload of node " + std::to_string(first_thrower));
+  EXPECT_EQ(failure_on(4), inline_failure);
+}
+
+TEST(JournalWorkerFailureTest, ThrowingFlushHookReachesTheCallerAndTheJournalResumes) {
+  // A durability hook that fails mid-run (a full disk, say) unwinds the
+  // pooled run on the calling thread as the hook's own exception, with
+  // every frame back in the arena; the journal it leaves resumes to the
+  // transpose.
+  const SuhShinAape algo(TorusShape({8, 8}));
+  const StepProgram program(algo);
+  const Rank n = algo.shape().num_nodes();
+  StepPool pool(4);
+  WireArena arena;
+  JournalRunOptions options;
+  options.pool = &pool;
+  options.wire = &arena;
+  int flushes = 0;
+  options.flush = [&](const ExchangeJournal&) {
+    if (++flushes == 3) throw std::runtime_error("journal sink failed");
+  };
+  ExchangeJournal journal;
+  ResumeReport report;
+  try {
+    exchange_payloads_journaled(algo, program, testing::tagged_rows(n, kSalt), journal, options,
+                                report);
+    ADD_FAILURE() << "the failing flush must unwind the run";
+  } catch (const std::runtime_error& error) {
+    EXPECT_STREQ(error.what(), "journal sink failed");
+  }
+  EXPECT_EQ(arena.stats().outstanding_frames(), 0);
+  EXPECT_FALSE(journal.exchange_complete());
+
+  ExchangeJournal loaded = ExchangeJournal::decode(journal.encode());
+  JournalRunOptions clean;
+  clean.pool = &pool;
+  clean.wire = &arena;
+  ResumeReport resumed;
+  const auto out = exchange_payloads_journaled(algo, program, testing::tagged_rows(n, kSalt),
+                                               loaded, clean, resumed);
+  EXPECT_EQ(testing::transpose_mismatch(n, out, kSalt), "");
+  EXPECT_TRUE(loaded.exchange_complete());
+  EXPECT_TRUE(resumed.resumed);
+  EXPECT_EQ(resumed.duplicates_dropped, resumed.materialized);
+  EXPECT_EQ(arena.stats().outstanding_frames(), 0);
+}
+
+TEST(JournalWorkerFailureTest, FlushHookRunsOnTheCallingThreadOnly) {
+  // The kernel runs its hooks between stages on the calling thread: the
+  // durability hook never runs on a pool worker, is called as often at
+  // four participants as inline, and a hook that does not throw leaves
+  // the run to finish.
+  const SuhShinAape algo(TorusShape({8, 4, 4}));
+  const StepProgram program(algo);
+  const Rank n = algo.shape().num_nodes();
+  const auto flushes_on = [&](int participants) {
+    StepPool pool(participants);
+    JournalRunOptions options;
+    options.pool = &pool;
+    const std::thread::id caller = std::this_thread::get_id();
+    std::atomic<std::int64_t> calls{0};
+    std::atomic<std::int64_t> off_caller{0};
+    options.flush = [&](const ExchangeJournal&) {
+      calls.fetch_add(1);
+      if (std::this_thread::get_id() != caller) off_caller.fetch_add(1);
+    };
+    ExchangeJournal journal;
+    ResumeReport report;
+    const auto out = exchange_payloads_journaled(algo, program, testing::tagged_rows(n, kSalt),
+                                                 journal, options, report);
+    EXPECT_EQ(testing::transpose_mismatch(n, out, kSalt), "") << participants;
+    EXPECT_TRUE(journal.exchange_complete()) << participants;
+    EXPECT_EQ(off_caller.load(), 0) << participants << " participant(s)";
+    EXPECT_EQ(calls.load(), report.journal_flushes) << participants << " participant(s)";
+    return calls.load();
+  };
+  const std::int64_t inline_calls = flushes_on(1);
+  EXPECT_GT(inline_calls, 0);
+  EXPECT_EQ(flushes_on(4), inline_calls);
+}
+
+TEST(JournalCancelRaceTest, CancelledPooledRunReturnsEveryFrameAndResumes) {
+  // A cancel that lands mid-exchange on a four-participant pool unwinds
+  // as ExchangeCancelledError with every frame back in the arena; the
+  // journal then resumes on the same pool to the transpose, re-sending
+  // strictly less than a fresh run.
+  const SuhShinAape algo(TorusShape({8, 8}));
+  const StepProgram program(algo);
+  const Rank n = algo.shape().num_nodes();
+  StepPool pool(4);
+  WireArena arena;
+  JournalRunOptions clean;
+  clean.pool = &pool;
+  clean.wire = &arena;
+
+  ExchangeJournal fresh_journal;
+  ResumeReport fresh;
+  exchange_payloads_journaled(algo, program, testing::tagged_rows(n, kSalt), fresh_journal,
+                              clean, fresh);
+
+  std::atomic<bool> cancel{false};
+  JournalRunOptions options = clean;
+  options.cancel = &cancel;
+  int flushes = 0;
+  options.flush = [&](const ExchangeJournal&) {
+    if (++flushes == 5) cancel.store(true);
+  };
+  ExchangeJournal journal;
+  ResumeReport report;
+  EXPECT_THROW(exchange_payloads_journaled(algo, program, testing::tagged_rows(n, kSalt),
+                                           journal, options, report),
+               ExchangeCancelledError);
+  EXPECT_EQ(arena.stats().outstanding_frames(), 0);
+  EXPECT_GT(journal.committed_steps(), 0);
+  EXPECT_FALSE(journal.exchange_complete());
+
+  ExchangeJournal loaded = ExchangeJournal::decode(journal.encode());
+  ResumeReport resumed;
+  const auto out = exchange_payloads_journaled(algo, program, testing::tagged_rows(n, kSalt),
+                                               loaded, clean, resumed);
+  EXPECT_EQ(testing::transpose_mismatch(n, out, kSalt), "");
+  EXPECT_TRUE(loaded.exchange_complete());
+  EXPECT_EQ(resumed.committed_steps_at_start, journal.committed_steps());
+  EXPECT_LT(resumed.sent_parcels, fresh.sent_parcels);
+  EXPECT_EQ(arena.stats().outstanding_frames(), 0);
+}
+
+TEST(JournalCancelRaceTest, CancelSetBeforeTheRunCommitsNoStep) {
+  // A flag already set is seen at the first step's cancel window: the
+  // run unwinds before any commit marker, and once the flag is cleared
+  // the same journal finishes the exchange.
+  const SuhShinAape algo(TorusShape({8, 8}));
+  const StepProgram program(algo);
+  const Rank n = algo.shape().num_nodes();
+  StepPool pool(4);
+  WireArena arena;
+  std::atomic<bool> cancel{true};
+  JournalRunOptions options;
+  options.pool = &pool;
+  options.wire = &arena;
+  options.cancel = &cancel;
+  ExchangeJournal journal;
+  ResumeReport report;
+  EXPECT_THROW(exchange_payloads_journaled(algo, program, testing::tagged_rows(n, kSalt),
+                                           journal, options, report),
+               ExchangeCancelledError);
+  EXPECT_EQ(journal.committed_steps(), 0);
+  EXPECT_EQ(journal.committed_phase(), 0);
+  EXPECT_EQ(arena.stats().outstanding_frames(), 0);
+
+  cancel.store(false);
+  ResumeReport resumed;
+  const auto out = exchange_payloads_journaled(algo, program, testing::tagged_rows(n, kSalt),
+                                               journal, options, resumed);
+  EXPECT_EQ(testing::transpose_mismatch(n, out, kSalt), "");
+  EXPECT_TRUE(journal.exchange_complete());
+  EXPECT_EQ(resumed.duplicates_dropped, resumed.materialized);
 }
 
 // --- Option validation (construction-time rejection) -------------------

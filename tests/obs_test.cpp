@@ -5,13 +5,16 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/exchange_engine.hpp"
+#include "core/payload_exchange.hpp"
+#include "core/step_program.hpp"
 #include "obs/chrome_trace.hpp"
 #include "obs/metrics.hpp"
 #include "obs/recorder.hpp"
-#include "runtime/parallel_engine.hpp"
+#include "util/step_pool.hpp"
 
 namespace torex {
 namespace {
@@ -405,19 +408,24 @@ TEST(ChromeTraceTest, DisabledRecorderThroughEngineRecordsNothing) {
   EXPECT_TRUE(recorder.snapshot().events.empty());
 }
 
-TEST(ChromeTraceTest, ParallelRunProducesSuperstepSpans) {
+TEST(ChromeTraceTest, PooledKernelRecordsOnTheCallingThreadOnly) {
+  // The step kernel's workers record nothing: every span of a run on a
+  // four-participant pool wraps the stages on the calling thread.
   const SuhShinAape algo(TorusShape::make_2d(4, 4));
+  const auto n = static_cast<std::size_t>(algo.shape().num_nodes());
+  std::vector<std::vector<std::int64_t>> rows(n, std::vector<std::int64_t>(n));
   Recorder recorder;
-  ParallelOptions options;
-  options.num_threads = 2;
+  StepPool pool(4);
+  WireExchangeOptions options;
+  options.pool = &pool;
   options.obs = &recorder;
-  ParallelExchange(algo, options).run_verified();
+  exchange_payloads_pooled(algo, StepProgram(algo), std::move(rows), options);
   const Telemetry telemetry = recorder.snapshot();
-  EXPECT_GE(telemetry.streams, 2);
+  EXPECT_EQ(telemetry.streams, 1);
   const auto spans = pair_spans(telemetry);
-  EXPECT_NE(find_span(spans, "superstep"), nullptr);
-  EXPECT_NE(find_span(spans, "parallel_run"), nullptr);
-  EXPECT_GT(telemetry.metrics.counter_value("watchdog.armed"), 0);
+  for (const char* name : {"exchange", "phase", "step", "permute"}) {
+    EXPECT_NE(find_span(spans, name), nullptr) << name;
+  }
   std::string error;
   EXPECT_TRUE(json_well_formed(chrome_trace_json(telemetry), &error)) << error;
 }

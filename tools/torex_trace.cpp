@@ -16,8 +16,11 @@
 //
 // Modes:
 //   engine    sequential ExchangeEngine (default on a healthy network);
-//   parallel  threaded BSP runtime — superstep spans carry per-thread
-//             streams and the barrier-wait histogram;
+//   parallel  the step kernel (exchange_payloads_pooled) over int64 rows
+//             on a --threads participant pool: 0 takes every hardware
+//             thread, and the count is capped at the host's hardware
+//             threads and at N. Workers record nothing, so the trace
+//             holds one stream;
 //   payload   communicator alltoall over real payloads;
 //   checked   integrity-checked alltoall under injected faults
 //             (--faults=K channel faults, --corrupt=K corrupting
@@ -38,6 +41,7 @@
 // --kill-at/--resume/--crash switch it to `resumable`. The emitted
 // JSON is validated with the built-in RFC 8259 checker before writing;
 // buffer overflow (undersized --buffer) is reported as dropped events.
+#include <algorithm>
 #include <charconv>
 #include <fstream>
 #include <iostream>
@@ -45,16 +49,19 @@
 #include <sstream>
 #include <string>
 #include <system_error>
+#include <thread>
 #include <vector>
 
 #include "core/exchange_engine.hpp"
+#include "core/payload_exchange.hpp"
+#include "core/step_program.hpp"
 #include "obs/chrome_trace.hpp"
 #include "obs/recorder.hpp"
 #include "runtime/communicator.hpp"
-#include "runtime/parallel_engine.hpp"
 #include "sim/fault_model.hpp"
 #include "topology/torus.hpp"
 #include "util/cli.hpp"
+#include "util/step_pool.hpp"
 
 namespace {
 
@@ -95,6 +102,18 @@ std::vector<std::vector<std::int64_t>> make_send(Rank n) {
     for (Rank q = 0; q < n; ++q) row.push_back(static_cast<std::int64_t>(p) * n + q);
   }
   return send;
+}
+
+/// True when `recv` is the transpose of make_send(n): recv[p][q] holds
+/// what q sent to p.
+bool is_transpose(const std::vector<std::vector<std::int64_t>>& recv, Rank n) {
+  for (Rank p = 0; p < n; ++p) {
+    for (Rank q = 0; q < n; ++q) {
+      const auto got = recv[static_cast<std::size_t>(p)][static_cast<std::size_t>(q)];
+      if (got != static_cast<std::int64_t>(q) * n + p) return false;
+    }
+  }
+  return true;
 }
 
 /// Schedule trace without telemetry or per-transfer detail — the model
@@ -156,10 +175,24 @@ int main(int argc, char** argv) {
       options.obs = &recorder;
       trace = ExchangeEngine(algo, options).run_verified();
     } else if (mode == "parallel") {
-      ParallelOptions options;
-      options.num_threads = static_cast<int>(flags.get_int("threads", 0, 0, 4096));
+      // Sized the way TorusCommunicator sizes its pool: at most one
+      // participant per hardware thread and per node.
+      const auto hardware = std::max<std::int64_t>(std::thread::hardware_concurrency(), 1);
+      const std::int64_t wanted = flags.get_int("threads", 0, 0, 4096);
+      const auto participants = static_cast<int>(std::clamp<std::int64_t>(
+          wanted == 0 ? hardware : std::min(wanted, hardware), 1, shape.num_nodes()));
+      std::cout << "step kernel on " << participants << " participant(s)\n";
+      StepPool pool(participants);
+      WireExchangeOptions options;
+      options.pool = &pool;
       options.obs = &recorder;
-      trace = ParallelExchange(algo, options).run_verified();
+      const auto recv = exchange_payloads_pooled(algo, StepProgram(algo),
+                                                 make_send(shape.num_nodes()), options);
+      if (!is_transpose(recv, shape.num_nodes())) {
+        std::cerr << "error: pooled exchange broke the AAPE permutation\n";
+        return 1;
+      }
+      trace = schedule_trace(algo);
     } else if (mode == "payload") {
       const TorusCommunicator comm(shape, params);
       comm.alltoall(make_send(shape.num_nodes()), AlltoallAlgorithm::kSuhShin, params.m,
@@ -195,15 +228,6 @@ int main(int argc, char** argv) {
       const std::string journal_path = flags.get_string("journal", "torex_journal.toxj");
       const Rank N = shape.num_nodes();
       const auto send = make_send(N);
-      const auto matches = [&](const std::vector<std::vector<std::int64_t>>& recv) {
-        for (Rank p = 0; p < N; ++p) {
-          for (Rank q = 0; q < N; ++q) {
-            const auto got = recv[static_cast<std::size_t>(p)][static_cast<std::size_t>(q)];
-            if (got != static_cast<std::int64_t>(q) * N + p) return false;
-          }
-        }
-        return true;
-      };
 
       FaultModel fault_model;
       if (crash_k > 0) {
@@ -233,7 +257,7 @@ int main(int argc, char** argv) {
         std::cout << "loaded " << journal.summary() << "\n";
         const auto recv = comm.resume(send, fault_model, journal, outcome, options);
         sink.sync(journal);
-        if (!matches(recv)) {
+        if (!is_transpose(recv, N)) {
           std::cerr << "error: resumed exchange broke the AAPE permutation\n";
           return 1;
         }
@@ -261,7 +285,7 @@ int main(int argc, char** argv) {
           const auto recv = comm.alltoall_resumable(send, fault_model, journal, outcome,
                                                     options);
           sink.sync(journal);
-          if (!matches(recv)) {
+          if (!is_transpose(recv, N)) {
             std::cerr << "error: journaled exchange broke the AAPE permutation\n";
             return 1;
           }
