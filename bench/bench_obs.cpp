@@ -19,7 +19,8 @@
 // scheduler noise; the cheapest observed run must stay within 5% (plus
 // a small epsilon for timer granularity) of the cheapest blind run, or
 // the bench exits non-zero. --out=FILE (default BENCH_obs.json)
-// receives every measurement as validated JSON.
+// receives every measurement as validated JSON, with a provenance
+// record (provenance.hpp).
 #include <algorithm>
 #include <chrono>
 #include <fstream>
@@ -35,6 +36,7 @@
 #include "obs/chrome_trace.hpp"
 #include "obs/exposition.hpp"
 #include "obs/recorder.hpp"
+#include "provenance.hpp"
 #include "svc/session_manager.hpp"
 #include "util/cli.hpp"
 #include "util/step_pool.hpp"
@@ -262,7 +264,8 @@ int main(int argc, char** argv) {
               << "counted, recording never blocks)\n";
 
     std::ostringstream json;
-    json << "{\n  \"bench\": \"obs\",\n  \"reps\": " << kReps << ",\n  \"paths\": {\n";
+    json << "{\n  \"bench\": \"obs\",\n  \"provenance\": " << bench::provenance_json()
+         << ",\n  \"reps\": " << kReps << ",\n  \"paths\": {\n";
     const auto path_json = [&](const PathRow& row, bool last) {
       json << "    \"" << row.path << "\": {\n"
            << "      \"off_ms\": " << row.off << ",\n"

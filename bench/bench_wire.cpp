@@ -61,10 +61,8 @@
 // with a provenance record: git describe of the source tree, build
 // type, compiler, CPU model, nproc and the CRC-32 backend.
 #include <algorithm>
-#include <array>
 #include <atomic>
 #include <chrono>
-#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
@@ -78,6 +76,7 @@
 #include "core/payload_exchange.hpp"
 #include "core/wire_buffer.hpp"
 #include "obs/chrome_trace.hpp"
+#include "provenance.hpp"
 #include "util/cli.hpp"
 #include "util/crc32.hpp"
 #include "util/step_pool.hpp"
@@ -258,41 +257,6 @@ CompileResult time_compile(const SuhShinAape& algo, LayoutPolicy layout) {
   return r;
 }
 
-/// First line of a shell command's output; "unknown" when it fails.
-std::string command_line(const std::string& command) {
-  std::string out;
-  if (FILE* pipe = ::popen(command.c_str(), "r")) {
-    std::array<char, 256> buf{};
-    if (std::fgets(buf.data(), static_cast<int>(buf.size()), pipe) != nullptr) out = buf.data();
-    ::pclose(pipe);
-  }
-  while (!out.empty() && (out.back() == '\n' || out.back() == '\r')) out.pop_back();
-  return out.empty() ? "unknown" : out;
-}
-
-/// The CPU model from /proc/cpuinfo ("unknown" elsewhere).
-std::string cpu_model() {
-  std::ifstream in("/proc/cpuinfo");
-  for (std::string line; std::getline(in, line);) {
-    if (line.rfind("model name", 0) != 0) continue;
-    const std::size_t colon = line.find(':');
-    if (colon == std::string::npos) break;
-    const std::size_t first = line.find_first_not_of(' ', colon + 1);
-    return first == std::string::npos ? "unknown" : line.substr(first);
-  }
-  return "unknown";
-}
-
-/// Escapes a string for a JSON literal.
-std::string json_string(const std::string& s) {
-  std::string out = "\"";
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    if (static_cast<unsigned char>(c) >= 0x20) out += c;
-  }
-  return out + "\"";
-}
-
 int g_failures = 0;
 
 void check(bool ok, const std::string& what) {
@@ -311,14 +275,8 @@ int main(int argc, char** argv) {
   const int nproc = std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
 
   std::ostringstream json;
-  json << "{\n  \"bench\": \"wire\",\n  \"provenance\": {\"git_describe\": "
-       << json_string(
-              command_line("git -C '" TOREX_SOURCE_DIR "' describe --always --dirty 2>/dev/null"))
-       << ", \"build_type\": " << json_string(TOREX_BUILD_TYPE)
-       << ", \"compiler\": " << json_string(std::string("g++ ") + __VERSION__)
-       << ", \"cpu_model\": " << json_string(cpu_model()) << ", \"nproc\": " << nproc
-       << ", \"crc32_backend\": " << json_string(crc32_backend_name())
-       << "},\n  \"alloc_budget_per_step\": " << kAllocBudgetPerStep
+  json << "{\n  \"bench\": \"wire\",\n  \"provenance\": " << bench::provenance_json()
+       << ",\n  \"alloc_budget_per_step\": " << kAllocBudgetPerStep
        << ",\n  \"reps\": " << reps << ",\n  \"nproc\": " << nproc
        << ",\n  \"shapes\": [\n";
 

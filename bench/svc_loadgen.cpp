@@ -34,7 +34,8 @@
 //
 // --out=FILE (default BENCH_svc.json) receives the results as JSON:
 // parcels/sec, p50/p99 session latency (virtual time), and the shed
-// rate, alongside the full disposition accounting.
+// rate, alongside the full disposition accounting and a provenance
+// record (provenance.hpp).
 #include <algorithm>
 #include <charconv>
 #include <chrono>
@@ -49,6 +50,7 @@
 #include <vector>
 
 #include "costmodel/params.hpp"
+#include "provenance.hpp"
 #include "obs/chrome_trace.hpp"
 #include "obs/exposition.hpp"
 #include "obs/recorder.hpp"
@@ -371,6 +373,7 @@ int main(int argc, char** argv) {
 
     std::ostringstream json;
     json << "{\n  \"bench\": \"svc\",\n"
+         << "  \"provenance\": " << bench::provenance_json() << ",\n"
          << "  \"shape\": \"" << shape.to_string() << "\",\n"
          << "  \"nodes\": " << N << ",\n"
          << "  \"sessions\": " << num_sessions << ",\n"

@@ -16,6 +16,11 @@ std::uint32_t crc_of(const std::vector<std::byte>& bytes, std::size_t begin, std
   return crc.value();
 }
 
+/// Little-endian write of a 32-bit word at `out`, which advances.
+void put_u32(std::byte*& out, std::uint32_t v) {
+  for (int i = 0; i < 4; ++i) *out++ = static_cast<std::byte>((v >> (8 * i)) & 0xFFu);
+}
+
 }  // namespace
 
 ExchangeJournal::ExchangeJournal(const TorusShape& shape, int num_phases,
@@ -41,9 +46,27 @@ ExchangeJournal::ExchangeJournal(const TorusShape& shape, int num_phases,
 }
 
 std::vector<std::pair<Rank, Rank>> ExchangeJournal::uncommitted_deliveries() const {
+  // The stream holds only intact records (decode drops a torn tail), so
+  // every field read below is in bounds.
   std::vector<std::pair<Rank, Rank>> out;
-  for (const auto& entry : deliveries_) {
-    if (entry.flat_step >= committed_steps_) out.emplace_back(entry.dest, entry.origin);
+  std::size_t offset = header_bytes();
+  while (offset < bytes_.size()) {
+    std::uint32_t kind = 0, payload_len = 0;
+    wire_get_u32(bytes_, offset, kind);
+    wire_get_u32(bytes_, offset, payload_len);
+    const std::size_t next = offset + payload_len + 4;
+    std::uint32_t flat_step = 0, count = 0;
+    if (kind == kDeliveries && wire_get_u32(bytes_, offset, flat_step) &&
+        static_cast<std::int64_t>(flat_step) >= committed_steps_ &&
+        wire_get_u32(bytes_, offset, count)) {
+      for (std::uint32_t i = 0; i < count; ++i) {
+        std::uint32_t dest = 0, origin = 0;
+        wire_get_u32(bytes_, offset, dest);
+        wire_get_u32(bytes_, offset, origin);
+        out.emplace_back(static_cast<Rank>(dest), static_cast<Rank>(origin));
+      }
+    }
+    offset = next;
   }
   return out;
 }
@@ -55,14 +78,28 @@ void ExchangeJournal::mark_pair(Rank dest, Rank origin, bool require_new) {
   }
 }
 
-void ExchangeJournal::append_record(RecordKind kind, const std::vector<std::byte>& payload) {
-  TOREX_REQUIRE(bound(), "journal is not bound to an exchange");
+void ExchangeJournal::reserve_records(std::size_t bytes) { bytes_.reserve(bytes_.size() + bytes); }
+
+std::byte* ExchangeJournal::open_record(RecordKind kind, std::size_t payload_bytes) {
   const std::size_t record_begin = bytes_.size();
-  wire_put_u32(bytes_, static_cast<std::uint32_t>(kind));
-  wire_put_u32(bytes_, static_cast<std::uint32_t>(payload.size()));
-  bytes_.insert(bytes_.end(), payload.begin(), payload.end());
-  wire_put_u32(bytes_, crc_of(bytes_, record_begin, bytes_.size()));
+  bytes_.resize(record_begin + kRecordFrameBytes + payload_bytes);
+  std::byte* out = bytes_.data() + record_begin;
+  put_u32(out, static_cast<std::uint32_t>(kind));
+  put_u32(out, static_cast<std::uint32_t>(payload_bytes));
+  return out;
+}
+
+void ExchangeJournal::seal_record(std::size_t record_begin) {
+  std::byte* crc_at = bytes_.data() + bytes_.size() - 4;
+  put_u32(crc_at, crc_of(bytes_, record_begin, bytes_.size() - 4));
   ++records_;
+}
+
+void ExchangeJournal::append_marker(RecordKind kind, std::uint32_t value) {
+  const std::size_t record_begin = bytes_.size();
+  std::byte* out = open_record(kind, 4);
+  put_u32(out, value);
+  seal_record(record_begin);
 }
 
 void ExchangeJournal::record_deliveries(std::int64_t flat_step,
@@ -71,30 +108,27 @@ void ExchangeJournal::record_deliveries(std::int64_t flat_step,
   TOREX_REQUIRE(flat_step >= 0 && flat_step <= total_steps_,
                 "delivery record step out of range");
   TOREX_REQUIRE(!pairs.empty(), "delivery record needs at least one pair");
-  scratch_.clear();
-  wire_put_u32(scratch_, static_cast<std::uint32_t>(flat_step));
-  wire_put_u32(scratch_, static_cast<std::uint32_t>(pairs.size()));
+  const std::size_t record_begin = bytes_.size();
+  std::byte* out = open_record(kDeliveries, 8 + 8 * pairs.size());
+  put_u32(out, static_cast<std::uint32_t>(flat_step));
+  put_u32(out, static_cast<std::uint32_t>(pairs.size()));
   for (const auto& [dest, origin] : pairs) {
-    TOREX_REQUIRE(dest >= 0 && dest < num_nodes_ && origin >= 0 && origin < num_nodes_,
-                  "delivery pair out of range");
+    const bool in_range = dest >= 0 && dest < num_nodes_ && origin >= 0 && origin < num_nodes_;
+    if (!in_range || dest == origin) bytes_.resize(record_begin);  // refused: no bytes
+    TOREX_REQUIRE(in_range, "delivery pair out of range");
     TOREX_REQUIRE(dest != origin, "self-deliveries are implicit, never recorded");
-    wire_put_u32(scratch_, static_cast<std::uint32_t>(dest));
-    wire_put_u32(scratch_, static_cast<std::uint32_t>(origin));
+    put_u32(out, static_cast<std::uint32_t>(dest));
+    put_u32(out, static_cast<std::uint32_t>(origin));
   }
-  append_record(kDeliveries, scratch_);
-  for (const auto& [dest, origin] : pairs) {
-    mark_pair(dest, origin, /*require_new=*/true);
-    deliveries_.push_back({flat_step, dest, origin});
-  }
+  seal_record(record_begin);
+  for (const auto& [dest, origin] : pairs) mark_pair(dest, origin, /*require_new=*/true);
 }
 
 void ExchangeJournal::commit_step(std::int64_t flat_step) {
   TOREX_REQUIRE(bound(), "journal is not bound to an exchange");
   TOREX_REQUIRE(flat_step == committed_steps_, "steps must commit in order");
   TOREX_REQUIRE(flat_step < total_steps_, "step commit past the schedule");
-  scratch_.clear();
-  wire_put_u32(scratch_, static_cast<std::uint32_t>(flat_step));
-  append_record(kStepCommit, scratch_);
+  append_marker(kStepCommit, static_cast<std::uint32_t>(flat_step));
   committed_steps_ = flat_step + 1;
 }
 
@@ -102,9 +136,7 @@ void ExchangeJournal::commit_phase(int phase) {
   TOREX_REQUIRE(bound(), "journal is not bound to an exchange");
   TOREX_REQUIRE(phase == committed_phase_ + 1, "phases must commit in order");
   TOREX_REQUIRE(phase <= num_phases_, "phase commit past the schedule");
-  scratch_.clear();
-  wire_put_u32(scratch_, static_cast<std::uint32_t>(phase));
-  append_record(kPhaseCommit, scratch_);
+  append_marker(kPhaseCommit, static_cast<std::uint32_t>(phase));
   committed_phase_ = phase;
 }
 
@@ -144,6 +176,7 @@ ExchangeJournal ExchangeJournal::decode(const std::vector<std::byte>& bytes) {
 
   ExchangeJournal journal(TorusShape(extents), static_cast<int>(num_phases),
                           static_cast<std::int64_t>(total_steps));
+  journal.bytes_.reserve(bytes.size());
 
   while (offset < bytes.size()) {
     const std::size_t record_begin = offset;
@@ -200,8 +233,6 @@ ExchangeJournal ExchangeJournal::decode(const std::vector<std::byte>& bytes) {
             throw JournalError("journal: duplicate delivery record");
           }
           journal.bitmap_.mark(dest, origin);
-          journal.deliveries_.push_back(
-              {static_cast<std::int64_t>(flat_step), dest, origin});
         }
         break;
       }

@@ -92,12 +92,27 @@ class ExchangeJournal {
   bool exchange_complete() const { return bitmap_.complete() && committed_phase_ == num_phases_; }
 
   /// Deliveries recorded for steps after the last committed one —
-  /// durable parcels whose step died before its commit marker.
+  /// durable parcels whose step died before its commit marker — in
+  /// journal order. Read back from the byte stream's deliveries records,
+  /// so it costs one pass over the stream; only resume asks for it.
   std::vector<std::pair<Rank, Rank>> uncommitted_deliveries() const;
+
+  /// Bytes the records of one live step take in the stream: its
+  /// deliveries record when `arrivals` > 0, and its commit marker.
+  static constexpr std::size_t step_record_bytes(std::size_t arrivals) {
+    return (arrivals > 0 ? kRecordFrameBytes + 8 + 8 * arrivals : 0) + kMarkerRecordBytes;
+  }
+  /// Bytes of one phase commit marker.
+  static constexpr std::size_t phase_record_bytes() { return kMarkerRecordBytes; }
+  /// Reserves room for `bytes` more bytes of records, so a writer that
+  /// knows its run up front appends without regrowing the stream.
+  void reserve_records(std::size_t bytes);
 
   /// Appends one kDeliveries record for `flat_step` (0-based) and marks
   /// the bitmap. Pairs are (dest, origin); re-marking an already
-  /// delivered pair is an error (exactly-once is the writer's job).
+  /// delivered pair is an error (exactly-once is the writer's job). The
+  /// record is encoded straight into the stream; a pair refused as out
+  /// of range or as a self-delivery leaves the stream as it was.
   void record_deliveries(std::int64_t flat_step,
                          const std::vector<std::pair<Rank, Rank>>& pairs);
   /// Appends a kStepCommit marker; steps must commit in order.
@@ -121,12 +136,20 @@ class ExchangeJournal {
   std::string summary() const;
 
  private:
-  void append_record(RecordKind kind, const std::vector<std::byte>& payload);
-  void mark_pair(Rank dest, Rank origin, bool require_new);
+  /// kind, payload length, and the trailing CRC-32.
+  static constexpr std::size_t kRecordFrameBytes = 12;
+  /// A commit marker: one u32 payload field.
+  static constexpr std::size_t kMarkerRecordBytes = kRecordFrameBytes + 4;
 
-  /// Reused by every record builder so steady-state journaling does
-  /// not allocate per record.
-  std::vector<std::byte> scratch_;
+  /// Grows the stream by one record of `payload_bytes`, writes its kind
+  /// and length, and returns where its payload goes; seal_record() then
+  /// writes the CRC of the record that starts at `record_begin`.
+  std::byte* open_record(RecordKind kind, std::size_t payload_bytes);
+  void seal_record(std::size_t record_begin);
+  void append_marker(RecordKind kind, std::uint32_t value);
+  void mark_pair(Rank dest, Rank origin, bool require_new);
+  /// Bytes of the stream's header.
+  std::size_t header_bytes() const { return 4 * (6 + extents_.size()); }
 
   std::vector<std::int32_t> extents_;
   Rank num_nodes_ = 0;
@@ -138,15 +161,6 @@ class ExchangeJournal {
   int committed_phase_ = 0;
   std::int64_t records_ = 0;
   bool torn_tail_ = false;
-
-  /// Every delivery with the flat step it was recorded in, journal
-  /// order — the source for uncommitted_deliveries().
-  struct DeliveryEntry {
-    std::int64_t flat_step;
-    Rank dest;
-    Rank origin;
-  };
-  std::vector<DeliveryEntry> deliveries_;
 
   std::vector<std::byte> bytes_;
 };
@@ -286,9 +300,10 @@ using DurableCopies = std::vector<std::vector<std::pair<Rank, T>>>;
 template <typename T>
 struct JournalHooks : StepHooks {
   JournalHooks(const StepProgram& program_in, ExchangeJournal& journal_in,
-               ResumeReport& report_in, DurableCopies<T>* durable_in, Recorder* obs_in)
+               ResumeReport& report_in, DurableCopies<T>* durable_in, Recorder* obs_in,
+               std::vector<std::pair<Rank, Rank>>& arrivals_in)
       : program(program_in), journal(journal_in), report(report_in), durable(durable_in),
-        obs(obs_in) {}
+        obs(obs_in), arrivals(arrivals_in) {}
 
   const StepProgram& program;
   ExchangeJournal& journal;
@@ -296,7 +311,9 @@ struct JournalHooks : StepHooks {
   DurableCopies<T>* durable;  ///< materialized deliveries, per destination; resume only
   Recorder* obs;
   std::int64_t flat_step = 0;  ///< 0-based global index of the step in flight
-  std::vector<std::pair<Rank, Rank>> arrivals;  ///< the live step's new (dest, origin) pairs
+  /// The live step's new (dest, origin) pairs, in storage the driver
+  /// keeps, so a driver that runs one phase per call reuses it.
+  std::vector<std::pair<Rank, Rank>>& arrivals;
 
   bool replaying() const { return flat_step < report.committed_steps_at_start; }
   bool framed(int /*phase*/, int /*step*/) const { return !replaying(); }
@@ -439,7 +456,8 @@ std::vector<std::vector<T>> exchange_payloads_journaled(const SuhShinAape& algo,
       detail::journal_flush(this->journal, options, this->report);
     }
   };
-  Journaler hooks{{program, journal, report, &durable, obs}, options};
+  std::vector<std::pair<Rank, Rank>> arrivals;
+  Journaler hooks{{program, journal, report, &durable, obs, arrivals}, options};
   detail::StepReplay<T> replay;
   detail::replay_step_program(program, rows, arena, options.pool, obs, hooks, replay);
   for (const auto& side : durable) {

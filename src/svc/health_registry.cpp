@@ -307,6 +307,19 @@ void HealthRegistry::add_quarantine(FaultModel& out, std::int64_t tick) const {
   }
 }
 
+void HealthRegistry::add_quarantined(std::int64_t tick, std::vector<ChannelId>& channels,
+                                     std::vector<Rank>& nodes) const {
+  std::lock_guard<std::mutex> lk(mu_);
+  for (const auto& [key, b] : breakers_) {
+    if (effective_state(b, tick) == BreakerState::kClosed) continue;
+    if (key.kind == FaultKind::kChannel) {
+      channels.push_back(key.id);
+    } else {
+      nodes.push_back(static_cast<Rank>(key.id));
+    }
+  }
+}
+
 std::string HealthRegistry::channel_verdict(ChannelId id) const {
   std::lock_guard<std::mutex> lk(mu_);
   const auto it = breakers_.find({FaultKind::kChannel, id});
@@ -403,6 +416,85 @@ std::string HealthRegistry::dump(std::int64_t tick) const {
     out << "  " << r.describe(torus_) << "\n";
   }
   return out.str();
+}
+
+HealthView::HealthView(const Torus& torus, const FaultModel* faults,
+                       const HealthRegistry& registry, std::int64_t tick)
+    : torus_(&torus), faults_(faults), registry_(&registry), tick_(tick) {
+  if (faults != nullptr) {
+    for (const FaultSpec& spec : faults->specs()) {
+      if (spec.kind == FaultKind::kChannel) {
+        if (spec.active_at(tick)) {
+          down_channels_.push_back(torus.channel_id(spec.channel.from, spec.channel.direction));
+        }
+        continue;
+      }
+      if (!spec.relevant_at(tick)) continue;
+      failed_nodes_.push_back(spec.node);
+      if (!spec.active_at(tick)) continue;
+      // A dead node downs every channel out of it and into it.
+      for (int d = 0; d < torus.shape().num_dims(); ++d) {
+        for (const Sign sign : {Sign::kPositive, Sign::kNegative}) {
+          const Direction out{d, sign};
+          down_channels_.push_back(torus.channel_id(spec.node, out));
+          down_channels_.push_back(
+              torus.channel_id(torus.neighbor(spec.node, out), Direction{d, flip(sign)}));
+        }
+      }
+    }
+  }
+  registry.add_quarantined(tick, quarantined_channels_, failed_nodes_);
+}
+
+bool HealthView::node_failed(Rank node) const {
+  return std::find(failed_nodes_.begin(), failed_nodes_.end(), node) != failed_nodes_.end();
+}
+
+bool HealthView::channel_down(ChannelId id) const {
+  return std::find(down_channels_.begin(), down_channels_.end(), id) != down_channels_.end();
+}
+
+bool HealthView::channel_quarantined(ChannelId id) const {
+  return std::find(quarantined_channels_.begin(), quarantined_channels_.end(), id) !=
+         quarantined_channels_.end();
+}
+
+void HealthView::quarantine(ChannelId id) { quarantined_channels_.push_back(id); }
+
+bool HealthView::crosses(Rank from, Direction direction, int hops) const {
+  return crosses(down_channels_, from, direction, hops) ||
+         crosses(quarantined_channels_, from, direction, hops);
+}
+
+bool HealthView::crosses(const std::vector<ChannelId>& ids, Rank from, Direction direction,
+                         int hops) const {
+  const TorusShape& shape = torus_->shape();
+  const int dim = direction.dim;
+  const std::int32_t extent = shape.extent(dim);
+  for (const ChannelId id : ids) {
+    const Channel c = torus_->channel_of(id);
+    if (!(c.direction == direction)) continue;
+    bool same_line = true;
+    for (int d = 0; d < shape.num_dims() && same_line; ++d) {
+      same_line = d == dim || shape.coord_along(from, d) == shape.coord_along(c.from, d);
+    }
+    if (!same_line) continue;
+    // Hops from `from` to the channel's node along the direction.
+    std::int32_t ahead = shape.coord_along(c.from, dim) - shape.coord_along(from, dim);
+    if (direction.sign == Sign::kNegative) ahead = -ahead;
+    ahead = ((ahead % extent) + extent) % extent;
+    if (ahead < hops) return true;
+  }
+  return false;
+}
+
+const FaultModel& HealthView::planning() {
+  if (!planned_) {
+    if (faults_ != nullptr) planning_ = *faults_;
+    registry_->add_quarantine(planning_, tick_);
+    planned_ = true;
+  }
+  return planning_;
 }
 
 }  // namespace torex

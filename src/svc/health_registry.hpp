@@ -231,6 +231,11 @@ class HealthRegistry {
   /// resources exactly like faulted ones.
   void add_quarantine(FaultModel& out, std::int64_t tick) const;
 
+  /// The same quarantine as two lists: every channel and every node
+  /// whose breaker is not closed at `tick`, appended under one lock.
+  void add_quarantined(std::int64_t tick, std::vector<ChannelId>& channels,
+                       std::vector<Rank>& nodes) const;
+
   /// Published verdict of a resource's first discoverer ("" if none).
   std::string channel_verdict(ChannelId id) const;
 
@@ -288,6 +293,64 @@ class HealthRegistry {
   mutable std::mutex mu_;
   std::map<Key, Breaker> breakers_;
   HealthStats totals_;  // aggregate counters only; resources built on demand
+};
+
+/// What the health gate of one dispatch checks its messages against.
+/// The fault tick is fixed for a dispatch, so the view is built once
+/// per dispatch, with one pass over the service fault specs and one
+/// registry call. It holds:
+///  * the channels down at the tick (a channel fault active at the tick,
+///    or a node fault active at the tick on either end);
+///  * the relevant-failed nodes (a node fault active at or after the
+///    tick, or a node breaker that is not closed);
+///  * the channel breakers that are not closed, and every breaker the
+///    dispatch trips on its way (quarantine()).
+/// An empty view means no message of the dispatch can meet a remap, a
+/// quarantine hit or a discovery. Lookups scan short lists: a view
+/// holds the handful of resources that are bad at one tick.
+class HealthView {
+ public:
+  /// An empty view: nothing is down, failed or quarantined.
+  HealthView() = default;
+  /// The view at `tick`. `faults` may be null (no ground-truth faults).
+  HealthView(const Torus& torus, const FaultModel* faults, const HealthRegistry& registry,
+             std::int64_t tick);
+
+  bool empty() const {
+    return down_channels_.empty() && failed_nodes_.empty() && quarantined_channels_.empty();
+  }
+  bool node_failed(Rank node) const;
+  bool channel_down(ChannelId id) const;
+  bool channel_quarantined(ChannelId id) const;
+  /// Whether the straight route of `hops` hops from `from` along
+  /// `direction` crosses a channel the view holds down or quarantined.
+  /// It reads coordinates one at a time and allocates nothing, so only
+  /// the messages it names need their route spelled out.
+  bool crosses(Rank from, Direction direction, int hops) const;
+  /// A breaker the dispatch tripped joins the view.
+  void quarantine(ChannelId id);
+
+  /// The model detours are planned against: the service faults plus
+  /// everything the registry has quarantined, so a reroute never lands
+  /// on another known-bad resource. Built on the dispatch's first detour
+  /// and kept for the rest of it: a breaker the dispatch trips sits on a
+  /// channel that is already down in the service faults.
+  const FaultModel& planning();
+
+ private:
+  /// Whether some channel of `ids` leaves a node of the route.
+  bool crosses(const std::vector<ChannelId>& ids, Rank from, Direction direction,
+               int hops) const;
+
+  const Torus* torus_ = nullptr;
+  const FaultModel* faults_ = nullptr;
+  const HealthRegistry* registry_ = nullptr;
+  std::int64_t tick_ = 0;
+  std::vector<ChannelId> down_channels_;
+  std::vector<ChannelId> quarantined_channels_;
+  std::vector<Rank> failed_nodes_;
+  FaultModel planning_;
+  bool planned_ = false;
 };
 
 }  // namespace torex

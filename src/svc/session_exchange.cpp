@@ -12,53 +12,59 @@ namespace {
 
 using Word = std::int64_t;
 
+/// Empties `v` and gives its capacity back.
+template <typename T>
+void free_storage(std::vector<T>& v) {
+  std::vector<T>().swap(v);
+}
+
 }  // namespace
 
 SessionExchange::SessionExchange(SessionId id, const SuhShinAape& algo, const StepProgram& program,
-                                 const std::vector<std::vector<Word>>& send, WireArena& arena,
+                                 std::vector<std::vector<Word>> send, WireArena& arena,
                                  std::int64_t max_leased_frames, FlightRecorder* flight)
-    : SessionExchange(id, algo, program,
-                      [&] {
-                        // Dense rows are just stride-1 views.
-                        std::vector<StridedView<const Word>> views;
-                        views.reserve(send.size());
-                        for (const auto& row : send) {
-                          views.push_back({row.data(), row.size(), 1});
-                        }
-                        return views;
-                      }(),
-                      arena, max_leased_frames, flight) {}
+    : id_(id), algo_(&algo), program_(&program), arena_(&arena), flight_(flight),
+      frame_quota_(max_leased_frames), rows_(std::move(send)) {
+  program.require_compiled_for(algo);
+  const Rank N = algo.shape().num_nodes();
+  detail::require_rows(N, rows_);
+  detail::begin_replay(program, nullptr, replay_);
+  journal_ = ExchangeJournal(algo.shape(), algo.num_phases(), algo.total_steps());
+  // The program knows every step's arrivals: size the journal stream
+  // and the arrival list once, here.
+  std::size_t record_bytes = 0;
+  std::size_t most_arrivals = 0;
+  for (int phase = 1; phase <= program.num_phases(); ++phase) {
+    for (int step = 1; step <= program.steps_in_phase(phase); ++step) {
+      std::size_t arrivals = 0;
+      for (Rank p = 0; p < N; ++p) arrivals += program.step(phase, step, p).arrival_count;
+      record_bytes += ExchangeJournal::step_record_bytes(arrivals);
+      most_arrivals = std::max(most_arrivals, arrivals);
+    }
+    record_bytes += ExchangeJournal::phase_record_bytes();
+  }
+  journal_.reserve_records(record_bytes);
+  arrivals_.reserve(most_arrivals);
+}
 
 SessionExchange::SessionExchange(SessionId id, const SuhShinAape& algo, const StepProgram& program,
                                  const std::vector<StridedView<const Word>>& send,
                                  WireArena& arena, std::int64_t max_leased_frames,
                                  FlightRecorder* flight)
-    : id_(id), algo_(&algo), program_(&program), arena_(&arena), flight_(flight),
-      frame_quota_(max_leased_frames) {
-  program.require_compiled_for(algo);
-  const Rank N = algo.shape().num_nodes();
-  TOREX_REQUIRE(static_cast<Rank>(send.size()) == N, "session send buffer must have N rows");
-  rows_ = seed_rows_strided(N, send);
-  detail::begin_replay(program, nullptr, replay_);
-  journal_ = ExchangeJournal(algo.shape(), algo.num_phases(), algo.total_steps());
-}
+    : SessionExchange(id, algo, program, seed_rows_strided(algo.shape().num_nodes(), send),
+                      arena, max_leased_frames, flight) {}
 
 void SessionExchange::flight_note(const char* name, const HealthContext& health, int phase,
                                   int step, std::int64_t value) {
   if (flight_ != nullptr) flight_->note(id_, name, health.tick, phase, step, value);
 }
 
-bool SessionExchange::health_gate(int phase, int step, const HealthContext& health) {
+bool SessionExchange::health_gate(int phase, int step, const HealthContext& health,
+                                  HealthView& view) {
   const Rank N = algo_->shape().num_nodes();
   const Torus& torus = algo_->torus();
   HealthRegistry& registry = *health.registry;
   const std::int64_t tick = health.tick;
-
-  // Planning view: ground-truth service faults plus everything the
-  // registry has quarantined. Detours route against this model, so a
-  // reroute never lands on another known-bad resource.
-  FaultModel avoid = health.faults != nullptr ? *health.faults : FaultModel{};
-  registry.add_quarantine(avoid, tick);
 
   const int hops = algo_->hops_per_step(phase);
   std::vector<ChannelId> route;
@@ -71,17 +77,19 @@ bool SessionExchange::health_gate(int phase, int step, const HealthContext& heal
     // §6 remap hosting: a message whose endpoint is dead or
     // quarantined is hosted by the surviving neighbor the remap
     // assigns — the exchange proceeds, the registry accounts it.
-    if (avoid.node_relevant_failed(p, tick) || avoid.node_relevant_failed(q, tick)) {
+    if (view.node_failed(p) || view.node_failed(q)) {
       registry.note_remap_hosted();
       flight_note("health.remap_hosted", health, phase, step, q);
       continue;
     }
 
+    const Direction direction = algo_->direction(p, phase, step);
+    if (!view.crosses(p, direction, hops)) continue;
     route.clear();
-    torus.straight_path(p, algo_->direction(p, phase, step), hops, route);
+    torus.straight_path(p, direction, hops, route);
     bool needs_detour = false;
     for (const ChannelId id : route) {
-      if (registry.channel_quarantined(id, tick)) {
+      if (view.channel_quarantined(id)) {
         // Someone already paid the discovery: reroute immediately, no
         // retries, no chain walk — first-discoverer-heals-all.
         registry.note_quarantine_hit();
@@ -89,9 +97,7 @@ bool SessionExchange::health_gate(int phase, int step, const HealthContext& heal
         needs_detour = true;
         continue;
       }
-      if (health.faults == nullptr || !health.faults->channel_failed(torus, id, tick)) {
-        continue;
-      }
+      if (!view.channel_down(id)) continue;
       // A live, undiscovered fault: this session is the discoverer.
       // Each retransmission attempt draws the message's parcel count
       // from the global budget; denial defers the whole step (nothing
@@ -116,13 +122,15 @@ bool SessionExchange::health_gate(int phase, int step, const HealthContext& heal
           flight_note("health.breaker_trip", health, phase, step, id);
         }
       }
+      view.quarantine(id);
       needs_detour = true;
     }
     if (!needs_detour) continue;
 
-    // The quarantined channels are already failed in `avoid` (either a
-    // service fault or add_quarantine above), so BFS plans past them.
-    auto path = route_around_faults(torus, avoid, p, q, tick);
+    // The quarantined channels are failed in the planning model (a
+    // service fault, or the registry's quarantine), so BFS plans past
+    // them.
+    auto path = route_around_faults(torus, view.planning(), p, q, tick);
     if (!path.has_value()) {
       flight_note("health.unroutable", health, phase, step, q);
       throw SessionFaultError(id_, phase, step,
@@ -144,13 +152,14 @@ bool SessionExchange::health_gate(int phase, int step, const HealthContext& heal
 struct SessionExchange::Driver : detail::JournalHooks<Word> {
   Driver(SessionExchange& session, ResumeReport& journal_report,
          const std::atomic<bool>* cancel_flag, const SessionInjection& injection,
-         const HealthContext& health_context)
+         const HealthContext& health_context, HealthView& health_view)
       : detail::JournalHooks<Word>(*session.program_, session.journal_, journal_report, nullptr,
-                                   nullptr),
+                                   nullptr, session.arrivals_),
         self(session),
         cancel(cancel_flag),
         inject(injection),
         health(health_context),
+        view(health_view),
         corrupt_pending(injection.corrupt_phase == session.replay_.phase) {
     flat_step = journal.committed_steps();
   }
@@ -159,6 +168,7 @@ struct SessionExchange::Driver : detail::JournalHooks<Word> {
   const std::atomic<bool>* cancel;
   const SessionInjection& inject;
   const HealthContext& health;
+  HealthView& view;
   bool corrupt_pending;       ///< the phase's first frame is still to be damaged
   std::int64_t step_sent = 0;  ///< parcels the step in flight sends
 
@@ -169,11 +179,14 @@ struct SessionExchange::Driver : detail::JournalHooks<Word> {
   }
 
   // Before the kernel touches anything of the step: cancel, the health
-  // gate, then the frame quota — the kernel leases one frame per
-  // sender, in sender order — and the sent-parcel accounting.
+  // gate (nothing to check while the view is empty), then the frame
+  // quota — the kernel leases one frame per sender, in sender order —
+  // and the sent-parcel accounting.
   bool begin_step(int phase, int step) {
     throw_if_cancelled(phase, step);
-    if (health.active() && !self.health_gate(phase, step, health)) return false;
+    if (health.active() && !view.empty() && !self.health_gate(phase, step, health, view)) {
+      return false;
+    }
     std::int64_t frames = 0;
     step_sent = 0;
     for (Rank p = 0; p < self.program_->num_nodes(); ++p) {
@@ -232,8 +245,12 @@ PhaseOutcome SessionExchange::run_phase(const std::atomic<bool>* cancel,
                                         const SessionInjection& inject,
                                         const HealthContext& health) {
   TOREX_REQUIRE(!complete(), "session exchange already complete");
+  TOREX_REQUIRE(!rows_.empty(), "session exchange retired");
+  HealthView view = health.active() ? HealthView(algo_->torus(), health.faults,
+                                                 *health.registry, health.tick)
+                                      : HealthView();
   ResumeReport report;
-  Driver driver(*this, report, cancel, inject, health);
+  Driver driver(*this, report, cancel, inject, health, view);
   return detail::replay_phase(*program_, rows_, *arena_, nullptr, nullptr, driver, replay_)
              ? PhaseOutcome::kComplete
              : PhaseOutcome::kDeferred;
@@ -257,7 +274,15 @@ void SessionExchange::take_result_into(const std::vector<StridedView<Word>>& rec
   TOREX_REQUIRE(!rows_.empty(), "session result already taken");
   TOREX_CHECK(journal_.exchange_complete(), "session journal incomplete after a finished exchange");
   scatter_rows_strided(*program_, rows_, recv);
-  rows_.clear();
+  free_storage(rows_);
+}
+
+void SessionExchange::retire() {
+  free_storage(rows_);
+  free_storage(replay_.inbound);
+  free_storage(replay_.staged);
+  free_storage(replay_.scratch);
+  free_storage(arrivals_);
 }
 
 }  // namespace torex

@@ -3,7 +3,7 @@
 // The journaled executor (runtime/journal.hpp) runs a whole exchange in
 // one call; the weighted-fair scheduler needs to interleave *phases*
 // from different sessions. SessionExchange is the step kernel's fourth
-// driver (core/payload_exchange.hpp): it keeps its own rows and a
+// driver (core/payload_exchange.hpp): it owns the request's rows and a
 // StepReplay of the manager's compiled StepProgram, and each
 // run_phase() call replays exactly one Suh-Shin phase's steps over the
 // session's rows — pooled sealed frames on the wire, write-ahead
@@ -17,13 +17,22 @@
 // The service's policies are the driver's hooks. Before each step, the
 // health gate, the frame quota and the sent-parcel accounting read the
 // step's partners and parcel counts from the program (and direction and
-// hops from the schedule) — no row is scanned. The corrupt injection
-// flips a payload bit of the phase's first frame, the settle hook turns
-// a refused frame into SessionIntegrityError, and the journal records
-// reuse the journaled executor's hooks (the program's arrival tables),
-// with the crash injection and the cancel window between each step's
-// flush and its commit. The result unpacks through the program's final
-// table, once the journal's delivery bitmap is complete.
+// hops from the schedule) — no row is scanned. The health gate reads a
+// HealthView built once per dispatch; when nothing is down, failed or
+// quarantined at the dispatch's tick it has nothing to check. The
+// corrupt injection flips a payload bit of the phase's first frame, the
+// settle hook turns a refused frame into SessionIntegrityError, and the
+// journal records reuse the journaled executor's hooks (the program's
+// arrival tables), with the crash injection and the cancel window
+// between each step's flush and its commit. The result unpacks through
+// the program's final table, once the journal's delivery bitmap is
+// complete.
+//
+// What a session owns: the rows (adopted from the request at
+// admission), the kernel's inbound, staging and scratch storage, one
+// arrival list sized for the program's busiest step, and a journal
+// whose stream is reserved at its final size. retire() frees all of it
+// but the journal and the counters.
 //
 // Isolation properties the manager relies on:
 //  * every frame a step leases from the shared arena goes back to it
@@ -39,6 +48,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "core/aape.hpp"
@@ -57,7 +67,7 @@ namespace torex {
 /// service faults on the manager's fault tick axis, the shared breaker
 /// registry, and the global retry token bucket. Default-constructed
 /// (inactive) when the manager runs without a health layer — the data
-/// path is then byte-for-byte the PR 6 behavior.
+/// path then never consults health state.
 struct HealthContext {
   const FaultModel* faults = nullptr;  ///< service ground truth (may be empty)
   HealthRegistry* registry = nullptr;
@@ -80,16 +90,17 @@ enum class PhaseOutcome {
 /// payload is fixed to one machine word.
 class SessionExchange {
  public:
-  /// Seeds the session's rows from `send` (must be N x N for the
-  /// schedule's node count) and binds a fresh per-session journal.
-  /// `program` is `algo` compiled (StepProgramMismatchError otherwise);
-  /// `algo`, `program` and `arena` must outlive the exchange.
-  /// `max_leased_frames` is the tenant's arena-frame quota (0 =
-  /// unlimited). `flight`, when non-null, receives per-step black-box
-  /// notes (including one at the exact phase/step of any throw) under
-  /// this session's id.
+  /// Adopts `send` as the session's rows (must be N x N for the
+  /// schedule's node count; send[p][q] is node p's word for q, which is
+  /// already the program's first slot order) and binds a fresh
+  /// per-session journal. `program` is `algo` compiled
+  /// (StepProgramMismatchError otherwise); `algo`, `program` and `arena`
+  /// must outlive the exchange. `max_leased_frames` is the tenant's
+  /// arena-frame quota (0 = unlimited). `flight`, when non-null,
+  /// receives per-step black-box notes (including one at the exact
+  /// phase/step of any throw) under this session's id.
   SessionExchange(SessionId id, const SuhShinAape& algo, const StepProgram& program,
-                  const std::vector<std::vector<std::int64_t>>& send, WireArena& arena,
+                  std::vector<std::vector<std::int64_t>> send, WireArena& arena,
                   std::int64_t max_leased_frames, FlightRecorder* flight = nullptr);
 
   /// Strided-view seed (Träff-style datatypes): the rows are read
@@ -118,14 +129,15 @@ class SessionExchange {
   /// After a throw the exchange is dead (the journal keeps everything
   /// flushed so far); the manager retires the session.
   ///
-  /// With an active `health` context every step runs a pre-flight gate
-  /// before any buffer is touched: scheduled routes (the program's
-  /// partners, the schedule's directions and hops) are checked against
-  /// the breaker registry and the service fault model; discovery
-  /// retries draw from the global budget (denial returns kDeferred —
-  /// the step is untouched and a later dispatch resumes it); messages
-  /// over bad resources are rerouted (or remap-hosted when an endpoint
-  /// is quarantined), with the detours accounted in the registry.
+  /// With an active `health` context the dispatch builds its HealthView
+  /// at the context's tick, and every step whose view is not empty runs
+  /// a pre-flight gate before any buffer is touched: scheduled routes
+  /// (the program's partners, the schedule's directions and hops) are
+  /// checked against the view in sender order; discovery retries draw
+  /// from the global budget (denial returns kDeferred — the step is
+  /// untouched and a later dispatch resumes it); messages over bad
+  /// resources are rerouted (or remap-hosted when an endpoint is
+  /// failed or quarantined), with the detours accounted in the registry.
   PhaseOutcome run_phase(const std::atomic<bool>* cancel, const SessionInjection& inject,
                          const HealthContext& health = {});
 
@@ -137,12 +149,19 @@ class SessionExchange {
   /// program's final table; requires complete(). Consumes the rows.
   void take_result_into(const std::vector<StridedView<std::int64_t>>& recv);
 
+  /// Frees the rows (unless the result was taken), the kernel's storage
+  /// and the arrival list once the session is terminal. The journal and
+  /// the counters stay readable; run_phase and the result calls then
+  /// refuse.
+  void retire();
+
  private:
   struct Driver;
 
-  /// Pre-mutation health check for one step. Returns false to defer
-  /// (budget denied); throws SessionFaultError when no detour exists.
-  bool health_gate(int phase, int step, const HealthContext& health);
+  /// Pre-mutation health check of one step against the dispatch's view.
+  /// Returns false to defer (budget denied); throws SessionFaultError
+  /// when no detour exists.
+  bool health_gate(int phase, int step, const HealthContext& health, HealthView& view);
 
   /// Black-box note at (phase, step); no-op without a recorder.
   void flight_note(const char* name, const HealthContext& health, int phase, int step,
@@ -159,6 +178,9 @@ class SessionExchange {
   /// resumes.
   detail::StepReplay<std::int64_t> replay_;
   ExchangeJournal journal_;
+  /// The live step's (dest, origin) deliveries; reserved for the
+  /// program's busiest step, so no dispatch grows it.
+  std::vector<std::pair<Rank, Rank>> arrivals_;
   std::int64_t sent_parcels_ = 0;
   std::int64_t resent_parcels_ = 0;
   std::int64_t peak_leased_ = 0;

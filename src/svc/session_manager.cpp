@@ -22,12 +22,22 @@ constexpr int kMaxDeferralsPerSession = 256;
 /// phase cost of virtual time). Octaves from a quarter phase to ~512
 /// phases cover queue waits and end-to-end latencies of any plausible
 /// schedule depth; beyond that the overflow bucket plus min/max carry
-/// the tail.
-std::vector<std::int64_t> slo_bounds_milliphase() {
-  std::vector<std::int64_t> bounds;
-  for (std::int64_t b = 250; b <= 512'000; b *= 2) bounds.push_back(b);
+/// the tail. Built once per process.
+const std::vector<std::int64_t>& slo_bounds_milliphase() {
+  static const std::vector<std::int64_t> bounds = [] {
+    std::vector<std::int64_t> edges;
+    for (std::int64_t b = 250; b <= 512'000; b *= 2) edges.push_back(b);
+    return edges;
+  }();
   return bounds;
 }
+
+/// The causes of svc.slo.deadline_missed, indexed like
+/// TenantLedger::deadline_missed: a shed miss expired in the queue; a
+/// mid-run miss deferred on the retry budget, paid discovery retries,
+/// or neither (plain overload).
+enum MissCause { kMissShed, kMissDeferred, kMissFaulted, kMissOverload };
+constexpr const char* kMissCauseNames[] = {"shed", "deferred", "faulted", "overload"};
 
 /// Short resource label for breaker gauges: "channel:12" / "node:3".
 std::string resource_label(const ResourceHealth& r) {
@@ -108,11 +118,12 @@ SessionId SessionManager::submit(SessionRequest request) {
   s->record.state = SessionState::kQueued;
   s->cancel_flag = std::make_shared<std::atomic<bool>>(false);
   s->request = std::move(request);
+  s->ledger = &ledgers_[s->record.tenant];
   slots_.push_back(std::move(s));
   pending_arrivals_.push_back(id);
   ++stats_.offered;
   const Slot& added = *slots_.back();
-  slo_counter("svc.slo.offered", added.record.tenant).add();
+  slo_counter(added.ledger->offered, "svc.slo.offered", added.record.tenant).add();
   flight_.note(id, "svc.submit", fault_tick_, 0, 0, added.record.weight);
   if (obs_ != nullptr) {
     obs_->metrics().counter("svc.offered").add();
@@ -121,8 +132,22 @@ SessionId SessionManager::submit(SessionRequest request) {
   return id;
 }
 
-Counter& SessionManager::slo_counter(const char* name, const std::string& tenant) {
-  return slo_.counter(name, {{"tenant", tenant}});
+Counter& SessionManager::slo_counter(Counter*& handle, const char* name,
+                                     const std::string& tenant, const char* cause) {
+  if (handle == nullptr) {
+    MetricLabels labels{{"tenant", tenant}};
+    if (cause != nullptr) labels.emplace_back("cause", cause);
+    handle = &slo_.counter(name, std::move(labels));
+  }
+  return *handle;
+}
+
+Histogram& SessionManager::slo_histogram(Histogram*& handle, const char* name,
+                                         const std::string& tenant) {
+  if (handle == nullptr) {
+    handle = &slo_.histogram(name, slo_bounds_milliphase(), {{"tenant", tenant}});
+  }
+  return *handle;
 }
 
 std::int64_t SessionManager::to_milliphase(double vt) const {
@@ -197,10 +222,11 @@ void SessionManager::retire_queued(Slot& s, SessionState state, RejectReason rea
   s.request.send.clear();
   s.request.send.shrink_to_fit();
   const std::string& tenant = s.record.tenant;
+  TenantLedger& ledger = *s.ledger;
   switch (state) {
     case SessionState::kRejected:
       ++stats_.rejected;
-      slo_counter("svc.slo.rejected", tenant).add();
+      slo_counter(ledger.rejected, "svc.slo.rejected", tenant).add();
       flight_.note(s.record.id, "svc.reject", fault_tick_);
       flight_.forget(s.record.id);
       if (obs_ != nullptr) {
@@ -212,7 +238,9 @@ void SessionManager::retire_queued(Slot& s, SessionState state, RejectReason rea
     case SessionState::kDeadlineMissed:
       ++stats_.deadline_missed_queued;
       // A shed miss: the session expired before ever running.
-      slo_.counter("svc.slo.deadline_missed", {{"tenant", tenant}, {"cause", "shed"}}).add();
+      slo_counter(ledger.deadline_missed[kMissShed], "svc.slo.deadline_missed", tenant,
+                  kMissCauseNames[kMissShed])
+          .add();
       flight_.note(s.record.id, "svc.deadline_miss", fault_tick_);
       emit_flight_dump(s, "deadline_miss", error, /*terminal=*/true);
       if (obs_ != nullptr) {
@@ -223,7 +251,7 @@ void SessionManager::retire_queued(Slot& s, SessionState state, RejectReason rea
       break;
     case SessionState::kCancelled:
       ++stats_.cancelled_queued;
-      slo_counter("svc.slo.cancelled", tenant).add();
+      slo_counter(ledger.cancelled, "svc.slo.cancelled", tenant).add();
       flight_.forget(s.record.id);
       if (obs_ != nullptr) {
         obs_->metrics().counter("svc.cancelled").add();
@@ -244,17 +272,19 @@ void SessionManager::retire_running(Slot& s, SessionState state, const std::stri
   s.record.finished_at = vclock_;
   s.record.error = error;
   const std::string& tenant = s.record.tenant;
+  TenantLedger& ledger = *s.ledger;
   if (s.exchange) {
     const std::int64_t sent_now = s.exchange->sent_parcels();
     if (sent_now > s.record.sent_parcels) {
-      slo_counter("svc.slo.parcels", tenant).add(sent_now - s.record.sent_parcels);
+      slo_counter(ledger.parcels, "svc.slo.parcels", tenant)
+          .add(sent_now - s.record.sent_parcels);
     }
     s.record.sent_parcels = sent_now;
   }
   // SLO decomposition: every admitted session settles its service-time
   // observation at retirement (queue wait was observed at promotion);
   // only completions count toward the end-to-end latency objective.
-  slo_.histogram("svc.slo.service_time", slo_bounds_milliphase(), {{"tenant", tenant}})
+  slo_histogram(ledger.service_time, "svc.slo.service_time", tenant)
       .observe(to_milliphase(s.record.finished_at - s.record.admitted_at));
   switch (state) {
     case SessionState::kCompleted: {
@@ -263,8 +293,8 @@ void SessionManager::retire_running(Slot& s, SessionState state, const std::stri
       ++stats_.completed;
       const auto n = static_cast<std::int64_t>(size());
       stats_.parcels_delivered += n * n;
-      slo_counter("svc.slo.completed", tenant).add();
-      slo_.histogram("svc.slo.latency", slo_bounds_milliphase(), {{"tenant", tenant}})
+      slo_counter(ledger.completed, "svc.slo.completed", tenant).add();
+      slo_histogram(ledger.latency, "svc.slo.latency", tenant)
           .observe(to_milliphase(s.record.finished_at - s.record.arrival));
       flight_.forget(s.record.id);
       if (obs_ != nullptr) {
@@ -278,10 +308,12 @@ void SessionManager::retire_running(Slot& s, SessionState state, const std::stri
       // Mid-run miss attribution: a session the retry budget stalled
       // missed because it deferred; one that paid discovery retries
       // missed because of faults; anything else is plain overload.
-      const char* cause = s.record.deferrals > 0      ? "deferred"
-                          : s.record.retry_parcels > 0 ? "faulted"
-                                                       : "overload";
-      slo_.counter("svc.slo.deadline_missed", {{"tenant", tenant}, {"cause", cause}}).add();
+      const MissCause cause = s.record.deferrals > 0      ? kMissDeferred
+                              : s.record.retry_parcels > 0 ? kMissFaulted
+                                                           : kMissOverload;
+      slo_counter(ledger.deadline_missed[cause], "svc.slo.deadline_missed", tenant,
+                  kMissCauseNames[cause])
+          .add();
       flight_.note(s.record.id, "svc.deadline_miss", fault_tick_,
                    s.exchange != nullptr ? s.exchange->phases_done() + 1 : 0);
       emit_flight_dump(s, "deadline_miss", error, /*terminal=*/true);
@@ -294,7 +326,7 @@ void SessionManager::retire_running(Slot& s, SessionState state, const std::stri
     }
     case SessionState::kFailed:
       ++stats_.failed;
-      slo_counter("svc.slo.failed", tenant).add();
+      slo_counter(ledger.failed, "svc.slo.failed", tenant).add();
       emit_flight_dump(s, "session_failed", error, /*terminal=*/true);
       if (obs_ != nullptr) {
         obs_->instant("svc.session_failed", static_cast<std::int32_t>(s.record.id));
@@ -304,7 +336,7 @@ void SessionManager::retire_running(Slot& s, SessionState state, const std::stri
       break;
     case SessionState::kCancelled:
       ++stats_.cancelled;
-      slo_counter("svc.slo.cancelled", tenant).add();
+      slo_counter(ledger.cancelled, "svc.slo.cancelled", tenant).add();
       flight_.forget(s.record.id);
       if (obs_ != nullptr) {
         obs_->metrics().counter("svc.cancelled").add();
@@ -314,6 +346,8 @@ void SessionManager::retire_running(Slot& s, SessionState state, const std::stri
     default:
       TOREX_UNREACHABLE();
   }
+  // The journal and the counters are all a retired session keeps.
+  if (s.exchange) s.exchange->retire();
   set_queue_gauges();
 }
 
@@ -392,11 +426,12 @@ void SessionManager::promote() {
       }
       const std::int64_t frame_quota =
           quota_it != options_.quotas.end() ? quota_it->second.max_arena_frames : 0;
+      // The request's rows become the session's: they are already in
+      // the program's first slot order.
       s.exchange = std::make_unique<SessionExchange>(s.record.id, schedule_, *program_,
-                                                     s.request.send, arena_, frame_quota,
+                                                     std::move(s.request.send), arena_,
+                                                     frame_quota,
                                                      flight_.enabled() ? &flight_ : nullptr);
-      s.request.send.clear();
-      s.request.send.shrink_to_fit();
       s.record.state = SessionState::kRunning;
       s.record.admitted_at = vclock_;
       s.vfinish = vclock_ + phase_cost_ / static_cast<double>(s.record.weight);
@@ -405,9 +440,8 @@ void SessionManager::promote() {
       running_.push_back(s.record.id);
       ++tenant_running_[s.record.tenant];
       ++stats_.admitted;
-      slo_counter("svc.slo.admitted", s.record.tenant).add();
-      slo_.histogram("svc.slo.queue_wait", slo_bounds_milliphase(),
-                     {{"tenant", s.record.tenant}})
+      slo_counter(s.ledger->admitted, "svc.slo.admitted", s.record.tenant).add();
+      slo_histogram(s.ledger->queue_wait, "svc.slo.queue_wait", s.record.tenant)
           .observe(to_milliphase(s.record.admitted_at - s.record.arrival));
       flight_.note(s.record.id, "svc.admit", fault_tick_, 0, 0,
                    static_cast<std::int64_t>(queue_.size()));
@@ -493,7 +527,7 @@ bool SessionManager::run_one() {
   const auto settle = [&](Slot& sess) {
     const std::int64_t resent = sess.exchange->resent_parcels();
     if (resent > sess.record.retry_parcels) {
-      slo_counter("svc.slo.retry_parcels", sess.record.tenant)
+      slo_counter(sess.ledger->retry_parcels, "svc.slo.retry_parcels", sess.record.tenant)
           .add(resent - sess.record.retry_parcels);
       sess.record.retry_parcels = resent;
     }
@@ -515,10 +549,12 @@ bool SessionManager::run_one() {
       // it once cheaper sessions have run (and the bucket refilled).
       ++s->deferrals;
       ++s->record.deferrals;
-      slo_counter("svc.slo.deferrals", s->record.tenant).add();
+      slo_counter(s->ledger->deferrals, "svc.slo.deferrals", s->record.tenant).add();
       // Deferred-budget time: each deferral burns one phase cost of
       // virtual time on the clock without advancing the session.
-      slo_counter("svc.slo.deferred_milliphase", s->record.tenant).add(1000);
+      slo_counter(s->ledger->deferred_milliphase, "svc.slo.deferred_milliphase",
+                  s->record.tenant)
+          .add(1000);
       const bool can_refill = options_.health.retries.capacity == 0 ||
                               options_.health.retries.refill_per_time > 0.0;
       if (!can_refill || s->deferrals >= kMaxDeferralsPerSession) {
@@ -533,7 +569,8 @@ bool SessionManager::run_one() {
     if (obs_ != nullptr) obs_->metrics().counter("svc.phases").add();
     const std::int64_t sent_now = s->exchange->sent_parcels();
     if (sent_now > s->record.sent_parcels) {
-      slo_counter("svc.slo.parcels", s->record.tenant).add(sent_now - s->record.sent_parcels);
+      slo_counter(s->ledger->parcels, "svc.slo.parcels", s->record.tenant)
+          .add(sent_now - s->record.sent_parcels);
     }
     s->record.phases_done = s->exchange->phases_done();
     s->record.sent_parcels = sent_now;

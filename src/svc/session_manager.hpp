@@ -42,6 +42,7 @@
 // reproducible from the seed — wall clock never influences ordering.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <deque>
@@ -210,9 +211,33 @@ class SessionManager {
   MetricsSnapshot slo_snapshot() const;
 
  private:
+  /// One tenant's SLO ledger series. The ledger registry keeps every
+  /// series behind a stable pointer, so each handle is resolved on its
+  /// first use and reused after: a dispatch adds to its tenant's
+  /// counters without building labels or taking the registry's lock,
+  /// and the ledger lists exactly the series that were ever touched.
+  struct TenantLedger {
+    Counter* offered = nullptr;
+    Counter* admitted = nullptr;
+    Counter* rejected = nullptr;
+    Counter* completed = nullptr;
+    Counter* failed = nullptr;
+    Counter* cancelled = nullptr;
+    Counter* parcels = nullptr;
+    Counter* retry_parcels = nullptr;
+    Counter* deferrals = nullptr;
+    Counter* deferred_milliphase = nullptr;
+    /// svc.slo.deadline_missed, one series per cause (see the .cpp).
+    std::array<Counter*, 4> deadline_missed{};
+    Histogram* queue_wait = nullptr;
+    Histogram* service_time = nullptr;
+    Histogram* latency = nullptr;
+  };
+
   struct Slot {
     SessionRecord record;
-    SessionRequest request;  ///< send released once the exchange is built
+    SessionRequest request;  ///< send adopted by the exchange at admission
+    TenantLedger* ledger = nullptr;  ///< the tenant's SLO series
     std::unique_ptr<SessionExchange> exchange;
     std::shared_ptr<std::atomic<bool>> cancel_flag;
     double vfinish = 0.0;  ///< WFQ virtual finish time of the next phase
@@ -232,8 +257,12 @@ class SessionManager {
   Slot* pick_fairest();
   void health_maintenance();  ///< detector feed + probes at fault_tick_
 
-  /// SLO ledger counter for one tenant (slo_ registry, {tenant} label).
-  Counter& slo_counter(const char* name, const std::string& tenant);
+  /// The tenant's `name` series of the SLO ledger (slo_ registry,
+  /// {tenant} label, plus {cause} when given), resolved into `handle`
+  /// on first use.
+  Counter& slo_counter(Counter*& handle, const char* name, const std::string& tenant,
+                       const char* cause = nullptr);
+  Histogram& slo_histogram(Histogram*& handle, const char* name, const std::string& tenant);
   /// Virtual-time interval in milli-phase-cost units (the SLO
   /// histogram domain).
   std::int64_t to_milliphase(double vt) const;
@@ -270,6 +299,7 @@ class SessionManager {
   FlightRecorder flight_;                      ///< always-on black box
   std::vector<FlightDumpEntry> flight_dumps_;  ///< emitted dumps, in order
   MetricsRegistry slo_;                        ///< per-tenant SLO ledger (labeled)
+  std::map<std::string, TenantLedger> ledgers_;  ///< handles into slo_, per tenant
   std::int64_t last_opens_ = 0;                ///< breaker-trip edge detector
 
   // Health layer (all null/unused when disabled).

@@ -8,7 +8,9 @@
 // the fault tick axis, so every assertion is exact.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -20,6 +22,8 @@
 #include "sim/fault_model.hpp"
 #include "svc/health_registry.hpp"
 #include "svc/session_manager.hpp"
+#include "util/crc32.hpp"
+#include "util/prng.hpp"
 
 namespace torex {
 namespace {
@@ -392,6 +396,191 @@ TEST(HealthManagerTest, LateArrivalCountsAsPlannedAround) {
   const HealthStats stats = mgr.health_stats();
   EXPECT_EQ(stats.opens, 1);
   EXPECT_EQ(stats.planned_around, 1);
+  EXPECT_EQ(mgr.outstanding_frames(), 0);
+}
+
+// --- Pinned storm outcomes ---------------------------------------------
+//
+// The health gate decides remaps, quarantine hits, discoveries, budget
+// deferrals and reroutes; the manager turns them into breaker states,
+// session dispositions, journals and flight dumps. The values below
+// were recorded from the gate that copied the fault model and
+// rescanned it for every message and channel. A gate that reads a
+// per-dispatch view of the same faults must reproduce them exactly.
+
+const TorusShape kStormShape({8, 8});
+
+/// The pinned run's manager: two channels that flap on scheduled
+/// routes, a node that crashes and later rejoins, a small retry budget
+/// that refills on the virtual clock, and four sessions in flight.
+SessionManagerOptions pinned_storm_options(double phase_cost) {
+  const SuhShinAape algo(kStormShape);
+  const ExchangeTrace trace = ExchangeEngine(algo, EngineOptions{}).run_verified();
+  std::vector<TransferRecord> routes;
+  for (const StepRecord& step : trace.steps) {
+    for (const TransferRecord& t : step.transfers) routes.push_back(t);
+  }
+  SplitMix64 rng(0x5eed);
+  SessionManagerOptions options;
+  options.max_active = 4;
+  options.max_queued = 8;
+  options.health.enabled = true;
+  options.health.breaker.error_threshold = 2;
+  options.health.breaker.open_ticks = 4;
+  options.health.breaker.probe_jitter = 2;
+  options.health.breaker.seed = rng.next();
+  options.health.retries.capacity = 96;
+  options.health.retries.refill_per_time = 24.0 / phase_cost;
+  for (int f = 0; f < 2; ++f) {
+    const TransferRecord& t = routes[rng.next() % routes.size()];
+    options.service_faults.flap_channel(t.src, t.dir, 6 + 5 * f, 2, 9 + 4 * f, 8);
+  }
+  options.service_faults.crash_node(static_cast<Rank>(rng.next() % 64), 20, 52);
+  options.repro_hint = "health_test --gtest_filter=HealthManagerTest.PinnedStorm*";
+  return options;
+}
+
+/// Every HealthStats field, the per-resource detail included.
+std::string render_health(const HealthStats& h, const Torus& torus) {
+  std::ostringstream out;
+  out << "errors=" << h.errors << " opens=" << h.opens << " closes=" << h.closes
+      << " flaps=" << h.flaps << " probes=" << h.probes
+      << " probe_failures=" << h.probe_failures << " chain_walks=" << h.chain_walks
+      << " suspicions=" << h.suspicions << " integrity_reports=" << h.integrity_reports
+      << " quarantine_hits=" << h.quarantine_hits << " rerouted=" << h.rerouted_messages << " extra_hops=" << h.reroute_extra_hops
+      << " remap_hosted=" << h.remap_hosted << " resent=" << h.resent_parcels
+      << " deferrals=" << h.deferrals << " planned_around=" << h.planned_around
+      << " permanent=" << h.permanent_quarantines << " open=" << h.open_breakers
+      << " half_open=" << h.half_open_breakers << " retry_granted=" << h.retry_granted
+      << " retry_denied=" << h.retry_denied << " retry_refilled=" << h.retry_refilled
+      << " retry_capacity=" << h.retry_capacity << "\n";
+  for (const ResourceHealth& r : h.resources) {
+    out << r.describe(torus) << ", opened_at=" << r.opened_at << "\n";
+  }
+  return out.str();
+}
+
+std::uint32_t crc_of(const void* data, std::size_t bytes) {
+  Crc32 crc;
+  crc.update(data, bytes);
+  return crc.value();
+}
+
+/// The pinned run's HealthStats, every field.
+constexpr const char* kPinnedHealth = R"pin(errors=27 opens=45 closes=13 flaps=34 probes=44 probe_failures=31 chain_walks=13 suspicions=1 integrity_reports=0 quarantine_hits=158 rerouted=97 extra_hops=84 remap_hosted=114 resent=864 deferrals=20 planned_around=4 permanent=0 open=0 half_open=1 retry_granted=864 retry_denied=640 retry_refilled=864 retry_capacity=96
+channel 20 (node 5 dim 0 +): closed, errors=0, flaps=5, chain_walks=1, verdict="node 13, transient [20, 52)", opened_at=49
+channel 50 (node 12 dim 1 +): closed, errors=0, flaps=5, chain_walks=1, verdict="node 13, transient [20, 52)", opened_at=50
+channel 52 (node 13 dim 0 +): closed, errors=0, flaps=6, chain_walks=1, verdict="node 13, transient [20, 52)", opened_at=51
+channel 53 (node 13 dim 0 -): closed, errors=0, flaps=2, chain_walks=1, verdict="node 13, transient [20, 52)", opened_at=47
+channel 54 (node 13 dim 1 +): closed, errors=0, flaps=4, chain_walks=1, verdict="node 13, transient [20, 52)", opened_at=50
+channel 55 (node 13 dim 1 -): half-open, errors=0, flaps=2, chain_walks=1, verdict="node 13, transient [20, 52)", opened_at=51
+channel 59 (node 14 dim 1 -): closed, errors=0, flaps=2, chain_walks=1, verdict="node 13, transient [20, 52)", opened_at=50
+channel 85 (node 21 dim 0 -): closed, errors=0, flaps=3, chain_walks=1, verdict="node 13, transient [20, 52)", opened_at=48
+channel 205 (node 51 dim 0 -): closed, errors=1, flaps=1, chain_walks=2, verdict="channel 51 -> 43 (-0), transient [11, 13)", opened_at=27
+channel 214 (node 53 dim 1 +): closed, errors=0, flaps=2, chain_walks=3, verdict="channel 53 -> 54 (+1), transient [6, 8)", opened_at=50
+node 13: closed, errors=0, flaps=2, chain_walks=0, verdict="phi-accrual suspicion (phi=8.2516)", opened_at=48
+)pin";
+
+/// Each session's terminal state, progress, spend and finish time (in
+/// milli-phase-costs of virtual time), and the length and CRC-32 of its
+/// journal bytes when it was admitted.
+constexpr const char* kPinnedSessions = R"pin(0 completed phases 4 sent 12288 deferrals 0 retry 0 finished 10000 journal 32568 crc 1952226948
+1 completed phases 4 sent 12288 deferrals 0 retry 64 finished 11000 journal 32568 crc 1952226948
+2 completed phases 4 sent 12288 deferrals 0 retry 0 finished 12000 journal 32568 crc 1952226948
+3 deadline_missed phases 0 sent 0 deferrals 0 retry 0 finished 12000 journal 32 crc 558161692
+4 completed phases 4 sent 12288 deferrals 0 retry 64 finished 19000 journal 32568 crc 1952226948
+5 completed phases 4 sent 12288 deferrals 0 retry 64 finished 20000 journal 32568 crc 1952226948
+6 completed phases 4 sent 12288 deferrals 9 retry 320 finished 56000 journal 32568 crc 1952226948
+7 deadline_missed phases 0 sent 0 deferrals 0 retry 0 finished 20000 journal 32 crc 558161692
+8 completed phases 4 sent 12288 deferrals 7 retry 192 finished 48000 journal 32568 crc 1952226948
+9 completed phases 4 sent 12288 deferrals 0 retry 64 finished 55000 journal 32568 crc 1952226948
+10 completed phases 4 sent 12288 deferrals 4 retry 96 finished 53000 journal 32568 crc 1952226948
+11 deadline_missed phases 0 sent 0 deferrals 0 retry 0 finished 48000 never admitted
+)pin";
+
+/// Every flight dump in emission order: trigger, session, and the
+/// length and CRC-32 of its text.
+constexpr const char* kPinnedDumps = R"pin(breaker_trip session 1 bytes 1986 crc 2364575685
+deadline_miss session 3 bytes 688 crc 190891074
+breaker_trip session 4 bytes 1270 crc 2067604822
+breaker_trip session 5 bytes 2412 crc 2597891468
+deadline_miss session 7 bytes 816 crc 2251086481
+breaker_trip session 6 bytes 1317 crc 2166246000
+breaker_trip session 6 bytes 2025 crc 4007619457
+breaker_trip session 6 bytes 3150 crc 643854971
+breaker_trip session 6 bytes 3623 crc 1262096011
+breaker_trip session 8 bytes 1752 crc 2918545570
+breaker_trip session 8 bytes 3372 crc 4204943219
+breaker_trip session 8 bytes 4320 crc 4188223121
+breaker_trip session 8 bytes 5176 crc 3898140007
+breaker_trip session 6 bytes 5785 crc 1024946001
+breaker_trip session 9 bytes 2307 crc 4002906412
+breaker_trip session 8 bytes 6182 crc 229348879
+breaker_trip session 8 bytes 6989 crc 1757141491
+breaker_trip session 10 bytes 4420 crc 616106997
+breaker_trip session 6 bytes 6609 crc 2727949909
+breaker_trip session 9 bytes 3575 crc 2962543919
+breaker_trip session 8 bytes 8473 crc 543753279
+breaker_trip session 8 bytes 9795 crc 65294174
+breaker_trip session 10 bytes 5417 crc 947660683
+breaker_trip session 8 bytes 10268 crc 1346734013
+deadline_miss session 11 bytes 1757 crc 1503068569
+breaker_trip session 10 bytes 6301 crc 2928181086
+breaker_trip session 6 bytes 7545 crc 2388043392
+breaker_trip session 9 bytes 5213 crc 1369048220
+breaker_trip session 10 bytes 7881 crc 3542144294
+)pin";
+
+TEST(HealthManagerTest, PinnedStormOutcomesAreExact) {
+  const double phase_cost = SessionManager(kStormShape, CostParams{}).phase_cost();
+  SessionManager mgr(kStormShape, CostParams{}, pinned_storm_options(phase_cost));
+  const Rank n = kStormShape.num_nodes();
+  for (SessionId id = 0; id < 12; ++id) {
+    SessionRequest req = health_request(n);
+    for (auto& row : req.send) {
+      for (std::int64_t& word : row) word ^= id << 20;
+    }
+    req.tenant = id % 2 == 0 ? "even" : "odd";
+    req.weight = static_cast<int>(1 + id % 3);
+    req.arrival = static_cast<double>(id) * 1.5 * phase_cost;
+    if (id % 4 == 3) req.deadline = 6.0 * phase_cost;
+    mgr.submit(std::move(req));
+  }
+  mgr.run_until_idle();
+
+  std::ostringstream sessions;
+  for (SessionId id = 0; id < 12; ++id) {
+    const SessionRecord rec = mgr.record(id);
+    sessions << id << " " << to_string(rec.state) << " phases " << rec.phases_done << " sent "
+             << rec.sent_parcels << " deferrals " << rec.deferrals << " retry "
+             << rec.retry_parcels << " finished "
+             << std::llround(1000.0 * rec.finished_at / phase_cost);
+    try {
+      const ExchangeJournal journal = mgr.journal(id);
+      const std::vector<std::byte>& bytes = journal.encode();
+      sessions << " journal " << bytes.size() << " crc " << crc_of(bytes.data(), bytes.size());
+    } catch (const std::invalid_argument&) {
+      sessions << " never admitted";
+    }
+    sessions << "\n";
+    if (rec.state != SessionState::kCompleted) continue;
+    const auto recv = mgr.take_result(id);
+    for (Rank q = 0; q < n; ++q) {
+      for (Rank p = 0; p < n; ++p) {
+        ASSERT_EQ(recv[static_cast<std::size_t>(q)][static_cast<std::size_t>(p)],
+                  (static_cast<std::int64_t>(p) * n + q) ^ (id << 20))
+            << "session " << id << " recv[" << q << "][" << p << "]";
+      }
+    }
+  }
+  std::ostringstream dumps;
+  for (const SessionManager::FlightDumpEntry& dump : mgr.flight_dumps()) {
+    dumps << dump.trigger << " session " << dump.session << " bytes " << dump.text.size()
+          << " crc " << crc_of(dump.text.data(), dump.text.size()) << "\n";
+  }
+  EXPECT_EQ(render_health(mgr.health_stats(), Torus(kStormShape)), kPinnedHealth);
+  EXPECT_EQ(sessions.str(), kPinnedSessions);
+  EXPECT_EQ(dumps.str(), kPinnedDumps);
   EXPECT_EQ(mgr.outstanding_frames(), 0);
 }
 

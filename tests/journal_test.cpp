@@ -136,6 +136,94 @@ TEST(JournalTest, UncommittedDeliveriesAreTheFlushedSuffix) {
   EXPECT_EQ(uncommitted[1], (std::pair<Rank, Rank>{3, 2}));
 }
 
+/// The deliveries a live step of a fresh run records, in the order the
+/// journal hooks collect them: receivers in node order, each receive's
+/// arrivals in receive order, from the program's arrival table.
+std::vector<std::pair<Rank, Rank>> step_deliveries(const StepProgram& program, int phase,
+                                                   int step) {
+  std::vector<std::pair<Rank, Rank>> out;
+  for (Rank node = 0; node < program.num_nodes(); ++node) {
+    program.for_each_arrival(phase, step, node, [&](std::uint32_t, Rank origin) {
+      out.emplace_back(node, origin);
+    });
+  }
+  return out;
+}
+
+TEST(JournalTest, UncommittedDeliveriesAreReadBackFromTheStream) {
+  // uncommitted_deliveries() walks the byte stream's deliveries records
+  // past the last step commit. Each case below has its list from an
+  // oracle that does not read the stream.
+  const TorusShape shape({8, 8});
+  const SuhShinAape algo(shape);
+  const StepProgram program(algo);
+  const Rank n = shape.num_nodes();
+  int flat = 0;
+  for (const auto& [phase, step] : active_steps(algo)) {
+    // Killed after its flush: the killed step's deliveries, and the
+    // same list once the bytes are decoded.
+    ExchangeJournal killed;
+    JournalRunOptions crash;
+    crash.crash = CrashPoint{phase, step, true};
+    ResumeReport report;
+    EXPECT_THROW(
+        exchange_payloads_journaled(algo, program, make_send(n), killed, crash, report),
+        ExchangeCrashError);
+    const auto expected = step_deliveries(program, phase, step);
+    ASSERT_EQ(killed.committed_steps(), flat);
+    EXPECT_EQ(killed.uncommitted_deliveries(), expected) << phase << "/" << step;
+    EXPECT_EQ(ExchangeJournal::decode(killed.encode()).uncommitted_deliveries(), expected)
+        << phase << "/" << step;
+
+    // Killed before its flush, with the previous step's commit marker
+    // torn: decode drops the marker, and the previous step's deliveries
+    // are uncommitted again.
+    if (step >= 2) {
+      ExchangeJournal unflushed;
+      crash.crash = CrashPoint{phase, step, false};
+      EXPECT_THROW(
+          exchange_payloads_journaled(algo, program, make_send(n), unflushed, crash, report),
+          ExchangeCrashError);
+      std::vector<std::byte> torn = unflushed.encode();
+      torn.resize(torn.size() - 2);
+      const ExchangeJournal loaded = ExchangeJournal::decode(torn);
+      EXPECT_TRUE(loaded.torn_tail());
+      EXPECT_EQ(loaded.committed_steps(), flat - 1);
+      EXPECT_EQ(loaded.uncommitted_deliveries(), step_deliveries(program, phase, step - 1))
+          << phase << "/" << step;
+    }
+    ++flat;
+  }
+
+  // The direct path records on the sentinel step total_steps(): one
+  // record per origin, every pair uncommitted until its final commits —
+  // and after them too, since the sentinel is past every step.
+  ExchangeJournal direct(shape, algo.num_phases(), algo.total_steps());
+  std::atomic<bool> cancel{false};
+  JournalRunOptions options;
+  options.cancel = &cancel;
+  int origins = 0;
+  options.flush = [&](const ExchangeJournal&) {
+    if (++origins == 5) cancel.store(true);
+  };
+  ResumeReport report;
+  EXPECT_THROW(exchange_payloads_direct_journaled(algo, make_send(n), direct, options, report),
+               ExchangeCancelledError);
+  std::vector<std::pair<Rank, Rank>> expected;
+  for (Rank origin = 0; origin < origins; ++origin) {
+    for (Rank dest = 0; dest < n; ++dest) {
+      if (dest != origin) expected.emplace_back(dest, origin);
+    }
+  }
+  EXPECT_EQ(direct.uncommitted_deliveries(), expected);
+  EXPECT_EQ(ExchangeJournal::decode(direct.encode()).uncommitted_deliveries(), expected);
+  cancel.store(false);
+  options.flush = nullptr;
+  exchange_payloads_direct_journaled(algo, make_send(n), direct, options, report);
+  EXPECT_TRUE(direct.exchange_complete());
+  EXPECT_EQ(direct.uncommitted_deliveries().size(), static_cast<std::size_t>(n * (n - 1)));
+}
+
 // --- Wire format -------------------------------------------------------
 
 TEST(JournalWireTest, RoundTripPreservesEverything) {

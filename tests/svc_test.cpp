@@ -616,6 +616,61 @@ TEST(SvcDriverTest, SessionDeferredMidPhaseEndsAsIfNeverDeferred) {
   EXPECT_EQ(deferred.wire.parcels_rearranged, undeferred.wire.parcels_rearranged);
 }
 
+TEST(SvcDriverTest, RetirementKeepsTheJournalInEveryTerminalState) {
+  // Retirement frees a session's rows and the kernel's storage; its
+  // journal must read exactly as the session left it, however it ended.
+  // Each session is replayed on an exchange of its own that is never
+  // retired, to the point where the manager's session ended.
+  const TorusShape shape({8, 8});
+  const SuhShinAape algo(shape);
+  const StepProgram program(algo);
+  const Rank n = shape.num_nodes();
+  SessionManagerOptions options;
+  options.max_active = 5;
+  SessionManager mgr(shape, CostParams{}, options);
+  std::vector<SessionInjection> inject(5);
+  inject[1].crash_phase = 2;
+  inject[2].corrupt_phase = 3;
+  inject[3].cancel_after_phases = 2;
+  for (SessionId id = 0; id < 5; ++id) {
+    SessionRequest req;
+    req.send = send_rows(n, id);
+    req.inject = inject[static_cast<std::size_t>(id)];
+    if (id == 4) req.deadline = 6.5 * mgr.phase_cost();  // expires mid-run
+    mgr.submit(std::move(req));
+  }
+  mgr.run_until_idle();
+
+  const std::vector<SessionState> ended{SessionState::kCompleted, SessionState::kFailed,
+                                        SessionState::kFailed, SessionState::kCancelled,
+                                        SessionState::kDeadlineMissed};
+  for (SessionId id = 0; id < 5; ++id) {
+    const SessionRecord rec = mgr.record(id);
+    const SessionInjection& injected = inject[static_cast<std::size_t>(id)];
+    ASSERT_EQ(rec.state, ended[static_cast<std::size_t>(id)]) << id << ": " << rec.error;
+    WireArena arena;
+    SessionExchange reference(id, algo, program, send_rows(n, id), arena, 0);
+    std::atomic<bool> cancel{false};
+    for (int phase = 0; phase < rec.phases_done; ++phase) {
+      ASSERT_EQ(reference.run_phase(&cancel, injected), PhaseOutcome::kComplete);
+    }
+    if (rec.state == SessionState::kFailed) {
+      EXPECT_ANY_THROW(reference.run_phase(&cancel, injected));
+    } else if (rec.state == SessionState::kCancelled) {
+      cancel.store(true);
+      EXPECT_THROW(reference.run_phase(&cancel, injected), ExchangeCancelledError);
+    }
+    EXPECT_EQ(mgr.journal(id).encode(), reference.journal().encode()) << to_string(rec.state);
+    if (rec.state == SessionState::kCompleted) {
+      // The stream was reserved at its final size at admission.
+      EXPECT_EQ(reference.journal().encode().capacity(), reference.journal().encode().size());
+    }
+  }
+  EXPECT_GT(mgr.record(4).phases_done, 0) << "the deadline must pass mid-run";
+  expect_transposed(send_rows(n, 0), mgr.take_result(0));
+  EXPECT_EQ(mgr.outstanding_frames(), 0);
+}
+
 TEST(SvcDriverTest, ManagersAndCommunicatorsShareOneCompiledProgram) {
   // Every service epoch builds a fresh manager; none of them, and no
   // communicator of the same shape, compiles the schedule again.
