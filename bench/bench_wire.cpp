@@ -31,7 +31,7 @@
 //
 // A thread sweep then times pooled_paper and sealed_pooled with the
 // step kernel on a StepPool of 1, 2 and nproc participants, on 8x8,
-// 8x4x4 and 8x8x8. Allocations are also counted per thread: a
+// 8x4x4, 8x8x8 and 16x16. Allocations are also counted per thread: a
 // thread-local flag marks the calling thread, so an allocation made on
 // a pool worker is counted apart.
 //
@@ -54,8 +54,8 @@
 //   * in the thread sweep, pool workers must make no allocation at all
 //     once the path is warm (the caller sizes every buffer, frame and
 //     scratch vector they write);
-//   * on 8x8x8, with nproc >= 2, nproc participants must cost no more
-//     ns/parcel than one, on both swept paths.
+//   * on 8x8x8 and 16x16, with nproc >= 2, nproc participants must
+//     cost no more ns/parcel than one, on both swept paths.
 //
 // --out=FILE (default BENCH_wire.json) receives the results as JSON,
 // with a provenance record: git describe of the source tree, build
@@ -113,7 +113,7 @@ using namespace torex;
 
 /// Allocations-per-step ceiling for the warm pooled paper path. The
 /// steady-state wire itself allocates nothing (frames recycle through
-/// the arena); what remains is O(1) per exchange — the in-flight slot
+/// the arena); what remains is O(1) per exchange — the senders' frame
 /// table and the scratch rows. The budget is deliberately a
 /// hard constant: if a change re-introduces per-message allocation,
 /// allocs-per-step jumps by ~the message count and this trips.
@@ -500,7 +500,8 @@ int main(int argc, char** argv) {
                          "worker allocs/step"});
   sweep_table.set_align(0, TextTable::Align::kLeft);
   sweep_table.set_align(1, TextTable::Align::kLeft);
-  for (const auto& extents : std::vector<std::vector<std::int32_t>>{{8, 8}, {8, 4, 4}, {8, 8, 8}}) {
+  for (const auto& extents :
+       std::vector<std::vector<std::int32_t>>{{8, 8}, {8, 4, 4}, {8, 8, 8}, {16, 16}}) {
     const TorusShape shape(extents);
     const SuhShinAape algo(shape);
     const Rank N = shape.num_nodes();
@@ -550,18 +551,21 @@ int main(int argc, char** argv) {
   }
   sweep_table.print(std::cout);
   std::cout << "\n";
-  // The threaded kernel must pay for itself where the work is largest.
+  // The threaded kernel must pay for itself where the work is largest:
+  // on the most nodes, and on the most slots a step moves per node.
   if (nproc >= 2) {
-    for (const std::string path : {"pooled_paper", "sealed_pooled"}) {
-      double one = 0;
-      double all = 0;
-      for (const SweepResult& r : sweep) {
-        if (r.shape != "8x8x8" || r.path != path) continue;
-        if (r.participants == 1) one = r.timing.ns_per_parcel;
-        if (r.participants == nproc) all = r.timing.ns_per_parcel;
+    for (const std::string shape : {"8x8x8", "16x16"}) {
+      for (const std::string path : {"pooled_paper", "sealed_pooled"}) {
+        double one = 0;
+        double all = 0;
+        for (const SweepResult& r : sweep) {
+          if (r.shape != shape || r.path != path) continue;
+          if (r.participants == 1) one = r.timing.ns_per_parcel;
+          if (r.participants == nproc) all = r.timing.ns_per_parcel;
+        }
+        check(all <= one, path + " on nproc participants must cost no more ns/parcel than on "
+                                 "one (" + shape + ")");
       }
-      check(all <= one, path + " on nproc participants must cost no more ns/parcel than on one "
-                               "(8x8x8)");
     }
   }
   json << "  \"thread_sweep\": [\n";

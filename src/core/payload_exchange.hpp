@@ -510,26 +510,39 @@ void scatter_rows_strided(const StepProgram& program, const std::vector<std::vec
 // in one piece at the first run's offset. Nothing is inserted, erased,
 // compared, sorted or looked up by key.
 //
-// A message either crosses the framed wire — gathered into a pooled
-// TOX4 frame, one memcpy per run, verified against the program, landed
-// with one memcpy — or, for payloads that are not trivially copyable
-// and for steps a driver replays locally, moves through a staging
-// vector. Every message of a step leaves before any receive lands, so
-// a refused frame re-encodes from intact source runs, and a receive
-// overwrites its node's send only once every message of the step has
-// settled. The arena records LayoutStats-style run accounting, so the
-// payload path reports the same contiguity evidence as the block-level
-// simulator.
+// A message either crosses the framed wire — gathered into its sender's
+// TOX4 frame, one memcpy per run, verified against the program, and
+// landed by its receiver straight from that frame with one memcpy — or,
+// for payloads that are not trivially copyable and for steps a driver
+// replays locally, moves through a staging vector. Every message of a
+// step leaves before any receive lands, so a refused frame re-encodes
+// from intact source runs, and a receive overwrites its node's send
+// only once every message of the step has settled.
+//
+// Frames belong to senders. Each node that sends in a phase leases one
+// frame from the arena, sized for the phase's largest message (a
+// program constant), at the first framed step a call runs of that
+// phase, after that step's begin_step; it reuses the frame at every
+// step, and the receiver finds it through the program's `from`. Every
+// frame goes back to the arena whenever the call leaves the phase — at
+// its end, at a deferral or on a throw — so no replay holds a frame
+// between calls. The program's per-step totals carry the arena's
+// LayoutStats-style run accounting, so the payload path reports the
+// same contiguity evidence as the block-level simulator, at one update
+// per step.
 //
 // The one-port model makes every node's part of a stage independent —
 // each node rearranges only its own row, each sender writes only its
-// receiver's frame, each node lands only its own receive — so the
-// per-node work of a step runs on an optional StepPool
-// (util/step_pool.hpp), as bulk-synchronous stages:
+// own frame, each node lands only its own receive — so the per-node
+// work of a step runs on an optional StepPool (util/step_pool.hpp), as
+// bulk-synchronous stages. The pool splits every stage of N nodes into
+// the same home ranges, so a node's row and its frame stay on one
+// participant for the whole call unless someone stalls:
 //
 //   caller   begin_step: the driver may defer the step, untouched;
-//   caller   lease every frame at full size (or reserve staging), check
-//            the one-port model, account traffic;
+//   caller   the phase's first framed step leases the senders' frames;
+//            a local step reserves its staging slots;
+//   caller   the step's wire statistics, from the program's totals;
 //   workers  each sender gathers its runs into its frame and seals it
 //            (a local step moves them into the receiver's staging slot);
 //            with no tamper stage, each frame is verified here too;
@@ -538,18 +551,27 @@ void scatter_rows_strided(const StepProgram& program, const std::vector<std::vec
 //   workers  every frame is verified (only drivers that tamper);
 //   caller   the driver settles each message in sender order; a refused
 //            one is re-encoded, tampered with and verified right there,
-//            before the next sender's message settles;
+//            before the next sender's message settles (only drivers
+//            that settle);
 //   workers  each node closes its send's gaps, unless it receives in
-//            place, then lands its receive;
-//   caller   frames return to the arena; `received` and `step_done` run.
+//            place, then lands its receive from its sender's frame;
+//   caller   `received` runs for every receiving node, in node order
+//            (only drivers that extend it); then step_done.
 //
-// The phase-boundary permutations and the final pass into origin order
-// run on the pool too. Every hook runs on the calling thread, in node
-// order, so reports, recorder events and journal records come out the
-// same at any pool size; with a null or one-participant pool the same
-// stages run inline. Workers never allocate — the caller sizes every
-// frame, staging slot and scratch row first — and record nothing: the
-// phase and step spans wrap the stages on the caller.
+// The tamper, settle and `received` loops run only for hooks whose type
+// hides StepHooks' default, which the kernel decides at compile time.
+// Under the default settle a refused frame is a logic error, and the
+// worker that verified it raises it; the pool rethrows the lowest
+// sender's, the error a settle in sender order raises. So for a driver
+// that extends none of them the caller does O(1) work per framed step;
+// a local step keeps its O(N) staging loop. The phase-boundary
+// permutations and the final pass into origin order run on the pool
+// too. Every hook runs on the calling thread, in node order, so
+// reports, recorder events and journal records come out the same at any
+// pool size; with a null or one-participant pool the same stages run
+// inline. Workers never allocate — the caller sizes every frame,
+// staging slot and scratch row first — and record nothing: the phase
+// and step spans wrap the stages on the caller.
 //
 // The loop is resumable. A StepReplay holds where a replay stands, the
 // next (phase, step), together with the storage the kernel reuses from
@@ -576,6 +598,13 @@ struct StepMessage {
   int attempt = 0;          ///< 0: first transmission; >= 1: retransmission
 };
 
+/// The default wire is never tampered with, so a frame it refuses is a
+/// logic error: the default settle raises it, and so does the worker
+/// that verified the frame when a driver keeps that default.
+inline void require_verified(const char* refused) {
+  TOREX_CHECK(refused == nullptr, std::string("wire frame failed verification: ") + refused);
+}
+
 /// The kernel's default hooks. A driver derives from them and hides the
 /// members it extends. Every hook runs on the calling thread.
 struct StepHooks {
@@ -592,6 +621,7 @@ struct StepHooks {
 
   /// Whether frames pass through tamper() before they are verified.
   /// When false the workers verify each frame as soon as it is sealed.
+  /// Read only for drivers that hide tamper().
   bool tampers() const { return false; }
 
   /// May damage one transmission's frame in flight. All first
@@ -603,9 +633,9 @@ struct StepHooks {
   /// the frame verified, else the verifier's reason. Returning false
   /// makes the kernel re-encode the message from its intact source
   /// runs, tamper with it and verify it again (attempt + 1). The default
-  /// wire is never tampered with, so a refused frame is a logic error.
+  /// refuses nothing (see require_verified).
   bool settle(const StepMessage& /*m*/, const char* refused) {
-    TOREX_CHECK(refused == nullptr, std::string("wire frame failed verification: ") + refused);
+    require_verified(refused);
     return true;
   }
 
@@ -619,21 +649,41 @@ struct StepHooks {
   void phase_done(int /*phase*/) {}
 };
 
+/// Whether `Hooks` hides StepHooks' tamper, settle or received<T>: only
+/// then does the kernel run the caller loop that calls it. A hook `Hooks`
+/// does not declare still has the type of StepHooks' member; a plain
+/// `received` hides the template.
+template <typename Hooks>
+inline constexpr bool kHidesTamper =
+    !std::is_same_v<decltype(&Hooks::tamper), decltype(&StepHooks::tamper)>;
+template <typename Hooks>
+inline constexpr bool kHidesSettle =
+    !std::is_same_v<decltype(&Hooks::settle), decltype(&StepHooks::settle)>;
+template <typename Hooks, typename T>
+inline constexpr bool kHidesReceived = [] {
+  if constexpr (requires { &Hooks::template received<T>; }) {
+    return !std::is_same_v<decltype(&Hooks::template received<T>),
+                           decltype(&StepHooks::template received<T>)>;
+  } else {
+    return true;
+  }
+}();
+
 /// A replay in progress: the next (phase, step) to run, and the storage
 /// the kernel reuses from step to step (see the section comment).
 template <typename T>
 struct StepReplay {
-  /// In flight, one per receiver: its sender and a leased frame with the
-  /// verifier's verdict, or the payloads moved into `staged`.
-  struct Inbound {
-    Rank src = -1;  ///< -1: nothing arrives this step
+  /// One node's outbound side: the frame it sends from, leased only
+  /// while replay_phase runs one of the node's phases, and the
+  /// verifier's verdict on its message of the step in flight.
+  struct Outbound {
     PooledFrame frame;
     const char* refused = nullptr;  ///< null once the frame verified
   };
 
   int phase = 1;  ///< 1-based; num_phases() + 1 once every phase ran
   int step = 1;   ///< 1-based, within `phase`
-  std::vector<Inbound> inbound;
+  std::vector<Outbound> outbound;       // one per node
   std::vector<std::vector<T>> staged;   // local transport, sized on first use
   std::vector<std::vector<T>> scratch;  // one row per participant
 };
@@ -643,31 +693,48 @@ struct StepReplay {
 template <typename T>
 void begin_replay(const StepProgram& program, StepPool* pool, StepReplay<T>& replay) {
   const auto nodes = static_cast<std::size_t>(program.num_nodes());
-  replay.inbound.resize(nodes);
+  replay.outbound.resize(nodes);
   replay.scratch.assign(static_cast<std::size_t>(participants(pool)), std::vector<T>(nodes));
 }
 
-/// Returns every frame a replay still leases when a hook or a worker
-/// throws mid-step: the replay may outlive the throw (a failed torexd
-/// session keeps its state), its frames may not.
+/// Returns every frame of a replay to the arena when replay_phase
+/// leaves, by any exit — the end of the phase, a deferral or a throw:
+/// the replay may outlive the call (a torexd session waits for its next
+/// dispatch, and a failed one keeps its state), its frames may not.
 template <typename T>
-class ReleaseFramesOnThrow {
+class ReturnFrames {
  public:
-  explicit ReleaseFramesOnThrow(StepReplay<T>& replay) : replay_(replay) {}
-  ReleaseFramesOnThrow(const ReleaseFramesOnThrow&) = delete;
-  ReleaseFramesOnThrow& operator=(const ReleaseFramesOnThrow&) = delete;
-  ~ReleaseFramesOnThrow() {
-    if (std::uncaught_exceptions() == uncaught_) return;
-    for (auto& in : replay_.inbound) {
-      in.src = -1;
-      in.frame.reset();
-    }
+  explicit ReturnFrames(StepReplay<T>& replay) : replay_(replay) {}
+  ReturnFrames(const ReturnFrames&) = delete;
+  ReturnFrames& operator=(const ReturnFrames&) = delete;
+  ~ReturnFrames() {
+    if (!leased) return;
+    for (auto& out : replay_.outbound) out.frame.reset();
   }
+
+  bool leased = false;  ///< set once the phase's frames are leased
 
  private:
   StepReplay<T>& replay_;
-  int uncaught_ = std::uncaught_exceptions();
 };
+
+/// Adds one framed step's messages to the arena's statistics: the
+/// program's totals, at `payload` bytes a parcel (gathered once, landed
+/// once).
+inline void note_step(WirePoolStats& stats, const StepProgram::StepTotals& t,
+                      std::size_t payload) {
+  stats.messages += t.messages;
+  stats.total_sends += t.messages;
+  stats.parcels += t.parcels;
+  stats.runs_encoded += t.runs;
+  stats.contiguous_sends += t.contiguous;
+  stats.gathered_parcels += t.gathered;
+  stats.max_runs_per_send = std::max<std::int64_t>(stats.max_runs_per_send, t.max_runs);
+  stats.bytes_encoded += static_cast<std::int64_t>(
+      std::size_t{t.messages} * (kFrameHeaderBytes + kFrameTrailerBytes) +
+      std::size_t{t.parcels} * payload);
+  stats.bytes_copied += static_cast<std::int64_t>(2 * std::size_t{t.parcels} * payload);
+}
 
 /// The step kernel: runs `replay` from its (phase, step) to the end of
 /// that phase, replaying `program` over `rows` on `arena`'s frames and
@@ -683,11 +750,12 @@ bool replay_phase(const StepProgram& program, std::vector<std::vector<T>>& rows,
   const Rank N = program.num_nodes();
   const auto nodes = static_cast<std::size_t>(N);
   const int phase = replay.phase;
-  auto& inbound = replay.inbound;
+  const int steps = program.steps_in_phase(phase);
+  auto& outbound = replay.outbound;
   auto& staged = replay.staged;
   // Every stage below runs over all nodes.
   const auto each_node = [&](auto&& fn) { StepPool::run(pool, nodes, fn); };
-  const ReleaseFramesOnThrow<T> release(replay);
+  ReturnFrames<T> frames(replay);
 
   SpanGuard phase_span(obs, "phase", -1, phase);
   // Phase-boundary rearrangement: one pass, same accounting as the
@@ -707,37 +775,47 @@ bool replay_phase(const StepProgram& program, std::vector<std::vector<T>>& rows,
       row.swap(into);
     });
   };
-  if (program.steps_in_phase(phase) == 0) rearrange();
+  if (steps == 0) rearrange();
+  // One frame per node that sends in the rest of the phase.
+  const auto lease_frames = [&] {
+    const std::size_t frame_bytes = frame_size<T>(program.largest_message(phase));
+    frames.leased = true;
+    for (Rank p = 0; p < N; ++p) {
+      for (int s = replay.step; s <= steps; ++s) {
+        if (program.step(phase, s, p).count == 0) continue;
+        outbound[static_cast<std::size_t>(p)].frame.bind(arena, frame_bytes);
+        break;
+      }
+    }
+  };
 
-  for (; replay.step <= program.steps_in_phase(phase); ++replay.step) {
+  for (; replay.step <= steps; ++replay.step) {
     const int step = replay.step;
     if (!hooks.begin_step(phase, step)) return false;
     if (step == 1) rearrange();
     SpanGuard step_span(obs, "step", -1, phase, step);
     const bool framed = kFramable && hooks.framed(phase, step);
-    const bool verify_at_seal = !hooks.tampers();
-    if (!framed && staged.empty()) staged.resize(nodes);
+    const bool verify_at_seal = !(kHidesTamper<Hooks> && hooks.tampers());
     const auto header = [&](Rank p) {
       const StepProgram::NodeStep& s = program.step(phase, step, p);
       return FrameHeader{program.fingerprint(), phase, step, p, s.partner, s.count};
     };
-    // Caller: lease, check and account, in sender order.
-    for (Rank p = 0; p < N; ++p) {
-      const StepProgram::NodeStep& s = program.step(phase, step, p);
-      if (s.count == 0) continue;
-      auto& in = inbound[static_cast<std::size_t>(s.partner)];
-      TOREX_CHECK(in.src < 0, "one-port receive violation in the step kernel");
-      in.src = p;
-      if (framed) {
-        const std::size_t frame_bytes = frame_size<T>(s.count);
-        in.frame.bind(arena, frame_bytes);
-        arena.stats().note_message(static_cast<std::int64_t>(s.count),
-                                   static_cast<std::int64_t>(s.run_count));
-        arena.stats().bytes_encoded += static_cast<std::int64_t>(frame_bytes);
-        arena.stats().bytes_copied +=  // gather, land
-            static_cast<std::int64_t>(2 * std::size_t{s.count} * sizeof(T));
+    // A verdict is kept for the driver's settle, or raised right here.
+    const auto verdict = [&](std::size_t p, const char* refused) {
+      if constexpr (kHidesSettle<Hooks>) {
+        outbound[p].refused = refused;
       } else {
-        staged[static_cast<std::size_t>(s.partner)].reserve(s.count);
+        require_verified(refused);
+      }
+    };
+    if (framed) {
+      if (!frames.leased) lease_frames();
+      note_step(arena.stats(), program.totals(phase, step), sizeof(T));
+    } else {
+      if (staged.empty()) staged.resize(nodes);
+      for (Rank p = 0; p < N; ++p) {
+        const StepProgram::NodeStep& s = program.step(phase, step, p);
+        if (s.count != 0) staged[static_cast<std::size_t>(s.partner)].reserve(s.count);
       }
     }
     // Workers: gather and seal (or stage locally).
@@ -746,12 +824,12 @@ bool replay_phase(const StepProgram& program, std::vector<std::vector<T>>& rows,
       if (s.count == 0) return;
       auto& row = rows[p];
       const std::span<const SendRun> runs = program.runs(s);
-      auto& in = inbound[static_cast<std::size_t>(s.partner)];
       if constexpr (kFramable) {
         if (framed) {
           const FrameHeader h = header(static_cast<Rank>(p));
-          encode_frame(row.data(), runs, h, in.frame.bytes());
-          if (verify_at_seal) in.refused = verify_frame<T>(in.frame.view(), h);
+          PooledFrame& frame = outbound[p].frame;
+          encode_frame(row.data(), runs, h, frame.bytes());
+          if (verify_at_seal) verdict(p, verify_frame<T>(frame.view(), h));
           return;
         }
       }
@@ -768,70 +846,73 @@ bool replay_phase(const StepProgram& program, std::vector<std::vector<T>>& rows,
           const StepProgram::NodeStep& s = program.step(phase, step, p);
           return StepMessage{phase, step, p, s.partner, s.count, 0};
         };
-        if (!verify_at_seal) {
-          for (Rank p = 0; p < N; ++p) {
-            if (program.step(phase, step, p).count == 0) continue;
-            const StepMessage m = message(p);
-            hooks.tamper(m, inbound[static_cast<std::size_t>(m.dst)].frame.bytes());
+        if constexpr (kHidesTamper<Hooks>) {
+          if (!verify_at_seal) {
+            for (Rank p = 0; p < N; ++p) {
+              if (program.step(phase, step, p).count == 0) continue;
+              hooks.tamper(message(p), outbound[static_cast<std::size_t>(p)].frame.bytes());
+            }
+            each_node([&](std::size_t p, int) {
+              if (program.step(phase, step, static_cast<Rank>(p)).count == 0) return;
+              const FrameHeader h = header(static_cast<Rank>(p));
+              verdict(p, verify_frame<T>(outbound[p].frame.view(), h));
+            });
           }
-          each_node([&](std::size_t q, int) {
-            auto& in = inbound[q];
-            if (in.src < 0) return;
-            in.refused = verify_frame<T>(in.frame.view(), header(in.src));
-          });
         }
-        // Caller: settle in sender order, retransmitting refused frames.
-        for (Rank p = 0; p < N; ++p) {
-          const StepProgram::NodeStep& s = program.step(phase, step, p);
-          if (s.count == 0) continue;
-          auto& in = inbound[static_cast<std::size_t>(s.partner)];
-          for (StepMessage m = message(p); !hooks.settle(m, in.refused);) {
-            ++m.attempt;
-            const FrameHeader h = header(p);
-            encode_frame(rows[static_cast<std::size_t>(p)].data(), program.runs(s), h,
-                         in.frame.bytes());
-            arena.stats().note_message(static_cast<std::int64_t>(s.count),
-                                       static_cast<std::int64_t>(s.run_count));
-            arena.stats().bytes_encoded += static_cast<std::int64_t>(in.frame.bytes().size());
-            arena.stats().bytes_copied +=
-                static_cast<std::int64_t>(std::size_t{s.count} * sizeof(T));
-            hooks.tamper(m, in.frame.bytes());
-            in.refused = verify_frame<T>(in.frame.view(), h);
+        if constexpr (kHidesSettle<Hooks>) {
+          // Caller: settle in sender order, retransmitting refused frames.
+          for (Rank p = 0; p < N; ++p) {
+            const StepProgram::NodeStep& s = program.step(phase, step, p);
+            if (s.count == 0) continue;
+            auto& out = outbound[static_cast<std::size_t>(p)];
+            for (StepMessage m = message(p); !hooks.settle(m, out.refused);) {
+              ++m.attempt;
+              const FrameHeader h = header(p);
+              encode_frame(rows[static_cast<std::size_t>(p)].data(), program.runs(s), h,
+                           out.frame.bytes());
+              arena.stats().note_message(static_cast<std::int64_t>(s.count),
+                                         static_cast<std::int64_t>(s.run_count));
+              arena.stats().bytes_encoded +=
+                  static_cast<std::int64_t>(out.frame.bytes().size());
+              arena.stats().bytes_copied +=
+                  static_cast<std::int64_t>(std::size_t{s.count} * sizeof(T));
+              hooks.tamper(m, out.frame.bytes());
+              out.refused = verify_frame<T>(out.frame.view(), h);
+            }
           }
         }
       }
     }
     // Workers: close the send's gaps (unless the receive lands in
     // place), then land the receive at the first run's offset.
-    each_node([&](std::size_t p, int) {
-      auto& in = inbound[p];
-      if (in.src < 0) return;
-      const StepProgram::NodeStep& s = program.step(phase, step, static_cast<Rank>(p));
-      auto& row = rows[p];
+    each_node([&](std::size_t q, int) {
+      const StepProgram::NodeStep& s = program.step(phase, step, static_cast<Rank>(q));
+      if (s.count == 0) return;
+      auto& row = rows[q];
       const std::span<const SendRun> runs = program.runs(s);
       if (!s.in_place) close_send_gaps(row.data(), nodes, runs);
       T* first = row.data() + runs.front().offset;
       if constexpr (kFramable) {
         if (framed) {
-          std::memcpy(first, in.frame.bytes().data() + kFrameHeaderBytes,
+          std::memcpy(first,
+                      outbound[static_cast<std::size_t>(s.from)].frame.bytes().data() +
+                          kFrameHeaderBytes,
                       std::size_t{s.count} * sizeof(T));
           return;
         }
       }
-      auto& local = staged[p];
+      auto& local = staged[q];
       std::move(local.begin(), local.end(), first);
       local.clear();
     });
-    // Caller: frames go back to the arena, then the receive hooks run.
-    for (Rank p = 0; p < N; ++p) {
-      auto& in = inbound[static_cast<std::size_t>(p)];
-      if (in.src < 0) continue;
-      in.src = -1;
-      in.frame.reset();
-      const StepProgram::NodeStep& s = program.step(phase, step, p);
-      hooks.received(p, phase, step,
-                     rows[static_cast<std::size_t>(p)].data() + program.runs(s).front().offset,
-                     std::size_t{s.count});
+    if constexpr (kHidesReceived<Hooks, T>) {
+      // Caller: the receive hooks, in node order.
+      for (Rank q = 0; q < N; ++q) {
+        const StepProgram::NodeStep& s = program.step(phase, step, q);
+        if (s.count == 0) continue;
+        T* first = rows[static_cast<std::size_t>(q)].data() + program.runs(s).front().offset;
+        hooks.received(q, phase, step, first, std::size_t{s.count});
+      }
     }
     hooks.step_done(phase, step);
   }

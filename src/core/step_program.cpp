@@ -91,9 +91,10 @@ void StepProgram::require_compiled_for(const SuhShinAape& algo) const {
   }
 }
 
-std::array<std::span<const std::byte>, 9> StepProgram::tables() const {
+std::array<std::span<const std::byte>, 11> StepProgram::tables() const {
   return {std::as_bytes(std::span(dims_)),    std::as_bytes(std::span(phase_first_step_)),
-          std::as_bytes(std::span(steps_)),   std::as_bytes(std::span(runs_)),
+          std::as_bytes(std::span(steps_)),   std::as_bytes(std::span(totals_)),
+          std::as_bytes(std::span(largest_)), std::as_bytes(std::span(runs_)),
           std::as_bytes(std::span(perms_)),   std::as_bytes(std::span(perm_of_)),
           std::as_bytes(std::span(finals_)),  std::as_bytes(std::span(final_of_)),
           std::as_bytes(std::span(arrivals_))};
@@ -167,6 +168,8 @@ void StepProgram::compile(const SuhShinAape& algo) {
         phase_first_step_[static_cast<std::size_t>(phase - 1)] + algo.steps_in_phase(phase);
   }
   steps_.assign(static_cast<std::size_t>(phase_first_step_.back()) * nodes, NodeStep{});
+  totals_.assign(static_cast<std::size_t>(phase_first_step_.back()), StepTotals{});
+  largest_.assign(static_cast<std::size_t>(phases), 0);
   perm_of_.assign(static_cast<std::size_t>(phases) * nodes, kKeepsOrder);
   final_of_.assign(nodes, 0);
   Interner<std::uint32_t> perm_pool(perms_);
@@ -275,6 +278,8 @@ void StepProgram::compile(const SuhShinAape& algo) {
     }
 
     for (int s = 1; s <= algo.steps_in_phase(phase); ++s) {
+      StepTotals& total = totals_[static_cast<std::size_t>(
+          phase_first_step_[static_cast<std::size_t>(phase - 1)] + s - 1)];
       // Send: the runs of each row whose blocks leave, in row order.
       for (Rank p = 0; p < N; ++p) {
         auto& row = held[static_cast<std::size_t>(p)];
@@ -307,8 +312,22 @@ void StepProgram::compile(const SuhShinAape& algo) {
         }
         if (in_run) emit(run_begin, nodes);
         if (ns.run_count == 0) continue;
+        // The one-port model, proven here for every replay: the kernel
+        // lands each receive from the one sender this names.
         TOREX_CHECK(receiver_free, "one-port receive violation while compiling the schedule");
+        steps_[step_index(phase, s, ns.partner)].from = p;
         ns.count = narrow(message.size());
+        ++total.messages;
+        total.parcels += ns.count;
+        total.runs += ns.run_count;
+        if (ns.run_count == 1) {
+          ++total.contiguous;
+        } else {
+          total.gathered += ns.count;
+        }
+        total.max_runs = std::max(total.max_runs, ns.run_count);
+        largest_[static_cast<std::size_t>(phase - 1)] =
+            std::max(largest_[static_cast<std::size_t>(phase - 1)], ns.count);
       }
       // Receive: over the node's own send, in one piece at its first
       // run, which must have been exactly as large.

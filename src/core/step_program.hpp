@@ -7,12 +7,16 @@
 // fixed, so whatever the executor would otherwise recompute per call —
 // which slots each step sends, where they land, and whose block each
 // slot holds — is computed once. StepProgram records it:
-//  * per (step, node): the partner, the send set as {offset, count}
-//    runs of the node's row, and whether the receive overwrites the
-//    send's own slots (a single run). Every node receives exactly as
-//    many slots as it sends, so a row never grows or shrinks; a
-//    multi-run send closes its gaps towards the end of the row and the
-//    receive lands in one piece at the first run's offset;
+//  * per (step, node): the partner, the sender whose message the node
+//    receives, the send set as {offset, count} runs of the node's row,
+//    and whether the receive overwrites the send's own slots (a single
+//    run). Every node receives exactly as many slots as it sends, so a
+//    row never grows or shrinks; a multi-run send closes its gaps
+//    towards the end of the row and the receive lands in one piece at
+//    the first run's offset;
+//  * per step, what its messages add up to (the wire statistics the
+//    kernel records), and per phase its largest message, which sizes
+//    the frame each sender leases for the phase;
 //  * per phase boundary and node: the rearrangement (the paper's ρ
 //    pass) as a slot permutation, in gather form (slot i takes the
 //    payload of slot perm[i]);
@@ -96,12 +100,24 @@ class StepProgram {
   /// One node's part of one step: its send, and what its receive brings.
   struct NodeStep {
     Rank partner = -1;                ///< receiver of this node's message
+    Rank from = -1;                   ///< sender of the message this node receives
     std::uint32_t first_run = 0;      ///< index of the first send run
     std::uint32_t count = 0;          ///< slots sent, and received; 0 when idle
     std::uint32_t run_count = 0;      ///< send runs (1 = one memcpy)
     std::uint32_t first_arrival = 0;  ///< index of the receive's first Arrival
     std::uint32_t arrival_count = 0;  ///< received parcels that reach this node
     bool in_place = false;            ///< the receive overwrites the single send run
+  };
+
+  /// What the messages of one step add up to: the kernel records these
+  /// wire statistics once per step instead of once per message.
+  struct StepTotals {
+    std::uint32_t messages = 0;
+    std::uint32_t parcels = 0;
+    std::uint32_t runs = 0;        ///< send runs, over every message
+    std::uint32_t contiguous = 0;  ///< messages sent as a single run
+    std::uint32_t gathered = 0;    ///< parcels of multi-run messages
+    std::uint32_t max_runs = 0;    ///< most runs of one message (0: none sent)
   };
 
   /// A received parcel that has reached its destination: its offset in
@@ -116,8 +132,9 @@ class StepProgram {
   static constexpr int kMaxDims = 16;
 
   /// Compiles `algo` under `layout`. Throws when the simulated schedule
-  /// violates the AAPE postcondition or the one-port model, or when a
-  /// node would receive a different number of parcels than it sends.
+  /// violates the AAPE postcondition or the one-port model (two senders
+  /// for one receiver in a step), or when a node would receive a
+  /// different number of parcels than it sends.
   explicit StepProgram(const SuhShinAape& algo, LayoutPolicy layout = LayoutPolicy::kPaper);
 
   Rank num_nodes() const { return shape_.num_nodes(); }
@@ -138,6 +155,18 @@ class StepProgram {
   /// Node `node`'s part of (phase, step); both 1-based.
   const NodeStep& step(int phase, int step, Rank node) const {
     return steps_[step_index(phase, step, node)];
+  }
+
+  /// What the messages of (phase, step) add up to.
+  const StepTotals& totals(int phase, int step) const {
+    return totals_[static_cast<std::size_t>(
+        phase_first_step_[static_cast<std::size_t>(phase - 1)] + step - 1)];
+  }
+
+  /// The most parcels one node sends in one step of `phase` (0 when the
+  /// phase has no steps).
+  std::uint32_t largest_message(int phase) const {
+    return largest_[static_cast<std::size_t>(phase - 1)];
   }
 
   /// The send runs of one node step, ascending by offset.
@@ -208,7 +237,7 @@ class StepProgram {
 
   /// The program's tables as byte ranges. Each starts on a cache line,
   /// and the lines it spans hold nothing else.
-  std::array<std::span<const std::byte>, 9> tables() const;
+  std::array<std::span<const std::byte>, 11> tables() const;
 
   /// Bytes held by the program's tables.
   std::size_t memory_bytes() const;
@@ -261,6 +290,8 @@ class StepProgram {
   LineVector<Dim> dims_;
   LineVector<int> phase_first_step_;      // [phase - 1]: flat index of step 1; last = total
   LineVector<NodeStep> steps_;            // [flat step * N + node]
+  LineVector<StepTotals> totals_;         // [flat step]
+  LineVector<std::uint32_t> largest_;     // [phase - 1]: most parcels of one message
   LineVector<SendRun> runs_;
   LineVector<std::uint32_t> perms_;       // interned permutations, N entries each
   LineVector<std::uint32_t> perm_of_;     // [(phase - 1) * N + node]: offset, or kKeepsOrder

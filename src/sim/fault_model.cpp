@@ -269,13 +269,16 @@ ParcelTamperer CorruptionModel::tamperer(const Torus& torus) const {
   if (specs_.empty()) return {};
   return [model = *this, torus](const TransferContext& ctx,
                                 std::vector<std::byte>& wire) -> bool {
-    std::vector<ChannelId> path;
-    torus.straight_path(ctx.src, ctx.direction, ctx.hops, path);
-    for (ChannelId id : path) {
-      const auto spec = model.find(torus, id, ctx.tick);
-      if (!spec) continue;
-      apply(*spec, ctx, wire);
-      return true;
+    // Walks the straight route hop by hop: nothing is allocated per
+    // transmission.
+    Rank at = ctx.src;
+    for (int hop = 0; hop < ctx.hops; ++hop) {
+      const auto spec = model.find(torus, torus.channel_id(at, ctx.direction), ctx.tick);
+      if (spec) {
+        apply(*spec, ctx, wire);
+        return true;
+      }
+      at = torus.neighbor(at, ctx.direction);
     }
     return false;
   };

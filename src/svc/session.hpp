@@ -65,7 +65,7 @@ struct TenantQuota {
   /// admission; breach rejects with kParcelBytesQuota.
   std::int64_t max_parcel_bytes = kQuotaUnlimited;
   /// WireArena frames one session may hold leased at once (its
-  /// phases-in-flight bound: each in-flight step leases one frame per
+  /// phases-in-flight bound: the phase in flight leases one frame per
   /// sending node). Breach mid-run fails the session, isolated.
   std::int64_t max_arena_frames = kQuotaUnlimited;
   /// Concurrently running sessions of this tenant; further queued

@@ -180,8 +180,8 @@ struct SessionExchange::Driver : detail::JournalHooks<Word> {
 
   // Before the kernel touches anything of the step: cancel, the health
   // gate (nothing to check while the view is empty), then the frame
-  // quota — the kernel leases one frame per sender, in sender order —
-  // and the sent-parcel accounting.
+  // quota — the kernel leases one frame per sender of the phase, at the
+  // phase's first step — and the sent-parcel accounting.
   bool begin_step(int phase, int step) {
     throw_if_cancelled(phase, step);
     if (health.active() && !view.empty() && !self.health_gate(phase, step, health, view)) {
@@ -214,7 +214,7 @@ struct SessionExchange::Driver : detail::JournalHooks<Word> {
   }
 
   // A refused frame kills this session only; the kernel returns the
-  // step's frames to the arena as the error unwinds.
+  // phase's frames to the arena as the error unwinds.
   bool settle(const detail::StepMessage& m, const char* refused) {
     if (refused == nullptr) return true;
     self.flight_note("svc.integrity_refused", health, m.phase, m.step, m.src);
@@ -279,7 +279,7 @@ void SessionExchange::take_result_into(const std::vector<StridedView<Word>>& rec
 
 void SessionExchange::retire() {
   free_storage(rows_);
-  free_storage(replay_.inbound);
+  free_storage(replay_.outbound);
   free_storage(replay_.staged);
   free_storage(replay_.scratch);
   free_storage(arrivals_);

@@ -29,21 +29,22 @@
 // complete.
 //
 // What a session owns: the rows (adopted from the request at
-// admission), the kernel's inbound, staging and scratch storage, one
+// admission), the kernel's outbound, staging and scratch storage, one
 // arrival list sized for the program's busiest step, and a journal
 // whose stream is reserved at its final size. retire() frees all of it
 // but the journal and the counters.
 //
 // Isolation properties the manager relies on:
-//  * every frame a step leases from the shared arena goes back to it
-//    before any throw (crash, corruption, quota, cancel) leaves
-//    run_phase, so a failing session cannot leak frames into other
-//    tenants' budget (WirePoolStats::outstanding_frames() stays
-//    balanced);
+//  * every frame a phase leases from the shared arena goes back to it
+//    before run_phase returns or any throw (crash, corruption, quota,
+//    cancel) leaves it — a session holds no frame between dispatches,
+//    even when the health gate defers it mid-phase — so a failing
+//    session cannot leak frames into other tenants' budget
+//    (WirePoolStats::outstanding_frames() stays balanced);
 //  * the journal is per-session: a victim's partial journal decodes and
 //    resumes independently of every other session's;
-//  * tenant frame quotas are enforced before a step leases anything, so
-//    a quota breach costs the breaching session only.
+//  * tenant frame quotas are enforced before a phase leases anything,
+//    so a quota breach costs the breaching session only.
 #pragma once
 
 #include <atomic>

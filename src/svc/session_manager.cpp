@@ -127,7 +127,7 @@ SessionId SessionManager::submit(SessionRequest request) {
   flight_.note(id, "svc.submit", fault_tick_, 0, 0, added.record.weight);
   if (obs_ != nullptr) {
     obs_->metrics().counter("svc.offered").add();
-    obs_tenant_counter("svc.offered", added.record.tenant);
+    obs_tenant_counter(added.ledger->obs_offered, "svc.offered", added.record.tenant);
   }
   return id;
 }
@@ -154,9 +154,11 @@ std::int64_t SessionManager::to_milliphase(double vt) const {
   return std::llround(1000.0 * vt / phase_cost_);
 }
 
-void SessionManager::obs_tenant_counter(const char* name, const std::string& tenant) {
+void SessionManager::obs_tenant_counter(Counter*& handle, const char* name,
+                                        const std::string& tenant) {
   if (obs_ == nullptr) return;
-  obs_->metrics().counter(name, {{"tenant", tenant}}).add();
+  if (handle == nullptr) handle = &obs_->metrics().counter(name, {{"tenant", tenant}});
+  handle->add();
 }
 
 void SessionManager::emit_flight_dump(Slot& s, const char* trigger, const std::string& reason,
@@ -206,10 +208,17 @@ void SessionManager::cancel(SessionId id) {
 void SessionManager::set_queue_gauges() {
   if (obs_ == nullptr) return;
   MetricsRegistry& m = obs_->metrics();
-  m.gauge("svc.active_sessions").set(static_cast<std::int64_t>(running_.size()));
-  m.gauge("svc.queued_sessions").set(static_cast<std::int64_t>(queue_.size()));
+  if (obs_active_ == nullptr) {
+    obs_active_ = &m.gauge("svc.active_sessions");
+    obs_queued_ = &m.gauge("svc.queued_sessions");
+  }
+  obs_active_->set(static_cast<std::int64_t>(running_.size()));
+  obs_queued_->set(static_cast<std::int64_t>(queue_.size()));
   for (const auto& [tenant, depth] : tenant_queued_) {
-    m.gauge("svc.queue_depth", {{"tenant", tenant}}).set(depth);
+    // Every queued tenant submitted first, so its ledger exists.
+    Gauge*& gauge = ledgers_.find(tenant)->second.obs_queue_depth;
+    if (gauge == nullptr) gauge = &m.gauge("svc.queue_depth", {{"tenant", tenant}});
+    gauge->set(depth);
   }
 }
 
@@ -232,7 +241,7 @@ void SessionManager::retire_queued(Slot& s, SessionState state, RejectReason rea
       if (obs_ != nullptr) {
         obs_->instant("svc.reject", static_cast<std::int32_t>(s.record.id));
         obs_->metrics().counter("svc.rejected").add();
-        obs_tenant_counter("svc.rejected", tenant);
+        obs_tenant_counter(ledger.obs_rejected, "svc.rejected", tenant);
       }
       break;
     case SessionState::kDeadlineMissed:
@@ -246,7 +255,7 @@ void SessionManager::retire_queued(Slot& s, SessionState state, RejectReason rea
       if (obs_ != nullptr) {
         obs_->instant("svc.deadline_miss", static_cast<std::int32_t>(s.record.id));
         obs_->metrics().counter("svc.deadline_missed").add();
-        obs_tenant_counter("svc.deadline_missed", tenant);
+        obs_tenant_counter(ledger.obs_deadline_missed, "svc.deadline_missed", tenant);
       }
       break;
     case SessionState::kCancelled:
@@ -255,7 +264,7 @@ void SessionManager::retire_queued(Slot& s, SessionState state, RejectReason rea
       flight_.forget(s.record.id);
       if (obs_ != nullptr) {
         obs_->metrics().counter("svc.cancelled").add();
-        obs_tenant_counter("svc.cancelled", tenant);
+        obs_tenant_counter(ledger.obs_cancelled, "svc.cancelled", tenant);
       }
       break;
     default:
@@ -299,7 +308,7 @@ void SessionManager::retire_running(Slot& s, SessionState state, const std::stri
       flight_.forget(s.record.id);
       if (obs_ != nullptr) {
         obs_->metrics().counter("svc.completed").add();
-        obs_tenant_counter("svc.completed", tenant);
+        obs_tenant_counter(ledger.obs_completed, "svc.completed", tenant);
       }
       break;
     }
@@ -320,7 +329,7 @@ void SessionManager::retire_running(Slot& s, SessionState state, const std::stri
       if (obs_ != nullptr) {
         obs_->instant("svc.deadline_miss", static_cast<std::int32_t>(s.record.id));
         obs_->metrics().counter("svc.deadline_missed").add();
-        obs_tenant_counter("svc.deadline_missed", tenant);
+        obs_tenant_counter(ledger.obs_deadline_missed, "svc.deadline_missed", tenant);
       }
       break;
     }
@@ -331,7 +340,7 @@ void SessionManager::retire_running(Slot& s, SessionState state, const std::stri
       if (obs_ != nullptr) {
         obs_->instant("svc.session_failed", static_cast<std::int32_t>(s.record.id));
         obs_->metrics().counter("svc.failed").add();
-        obs_tenant_counter("svc.failed", tenant);
+        obs_tenant_counter(ledger.obs_failed, "svc.failed", tenant);
       }
       break;
     case SessionState::kCancelled:
@@ -340,7 +349,7 @@ void SessionManager::retire_running(Slot& s, SessionState state, const std::stri
       flight_.forget(s.record.id);
       if (obs_ != nullptr) {
         obs_->metrics().counter("svc.cancelled").add();
-        obs_tenant_counter("svc.cancelled", tenant);
+        obs_tenant_counter(ledger.obs_cancelled, "svc.cancelled", tenant);
       }
       break;
     default:
@@ -454,7 +463,7 @@ void SessionManager::promote() {
       if (obs_ != nullptr) {
         obs_->instant("svc.admit", static_cast<std::int32_t>(s.record.id));
         obs_->metrics().counter("svc.admitted").add();
-        obs_tenant_counter("svc.admitted", s.record.tenant);
+        obs_tenant_counter(s.ledger->obs_admitted, "svc.admitted", s.record.tenant);
       }
       promoted = true;
       break;

@@ -211,11 +211,12 @@ class SessionManager {
   MetricsSnapshot slo_snapshot() const;
 
  private:
-  /// One tenant's SLO ledger series. The ledger registry keeps every
-  /// series behind a stable pointer, so each handle is resolved on its
-  /// first use and reused after: a dispatch adds to its tenant's
-  /// counters without building labels or taking the registry's lock,
-  /// and the ledger lists exactly the series that were ever touched.
+  /// One tenant's SLO ledger series, and its series in an attached
+  /// recorder's registry. Both registries keep every series behind a
+  /// stable pointer, so each handle is resolved on its first use and
+  /// reused after: a dispatch adds to its tenant's counters without
+  /// building labels or taking a registry's lock, and each registry
+  /// lists exactly the series that were ever touched.
   struct TenantLedger {
     Counter* offered = nullptr;
     Counter* admitted = nullptr;
@@ -232,6 +233,15 @@ class SessionManager {
     Histogram* queue_wait = nullptr;
     Histogram* service_time = nullptr;
     Histogram* latency = nullptr;
+    /// The recorder's per-tenant dispositions and queue depth.
+    Counter* obs_offered = nullptr;
+    Counter* obs_admitted = nullptr;
+    Counter* obs_rejected = nullptr;
+    Counter* obs_completed = nullptr;
+    Counter* obs_failed = nullptr;
+    Counter* obs_cancelled = nullptr;
+    Counter* obs_deadline_missed = nullptr;
+    Gauge* obs_queue_depth = nullptr;
   };
 
   struct Slot {
@@ -271,8 +281,10 @@ class SessionManager {
   void emit_flight_dump(Slot& s, const char* trigger, const std::string& reason, bool terminal);
   /// Post-dispatch breaker-trip edge detection -> "breaker_trip" dump.
   void maybe_breaker_trip_dump(Slot& s, int phase);
-  /// Per-tenant disposition split mirrored into the obs registry.
-  void obs_tenant_counter(const char* name, const std::string& tenant);
+  /// Per-tenant disposition split mirrored into the obs registry: the
+  /// tenant's `name` series ({tenant} label), resolved into `handle` on
+  /// first use. No-op without a recorder.
+  void obs_tenant_counter(Counter*& handle, const char* name, const std::string& tenant);
 
   TorusShape shape_;
   SuhShinAape schedule_;
@@ -282,6 +294,8 @@ class SessionManager {
   std::shared_ptr<const StepProgram> program_;
   SessionManagerOptions options_;
   Recorder* obs_ = nullptr;
+  Gauge* obs_active_ = nullptr;  ///< the recorder's occupancy gauges, resolved on first use
+  Gauge* obs_queued_ = nullptr;
   double phase_cost_ = 0.0;
 
   mutable std::mutex mu_;

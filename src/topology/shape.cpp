@@ -63,6 +63,11 @@ Coord TorusShape::coord_of(Rank rank) const {
   return coord;
 }
 
+std::int64_t TorusShape::stride(int dim) const {
+  TOREX_REQUIRE(dim >= 0 && dim < num_dims(), "dimension out of range");
+  return strides_[static_cast<std::size_t>(dim)];
+}
+
 std::int32_t TorusShape::coord_along(Rank rank, int dim) const {
   TOREX_REQUIRE(rank >= 0 && rank < num_nodes_, "rank out of range");
   TOREX_REQUIRE(dim >= 0 && dim < num_dims(), "dimension out of range");

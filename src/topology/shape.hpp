@@ -43,6 +43,10 @@ class TorusShape {
   Rank rank_of(const Coord& coord) const;
   Coord coord_of(Rank rank) const;
 
+  /// Rank distance between neighbours along `dim`: the product of the
+  /// extents after it.
+  std::int64_t stride(int dim) const;
+
   /// Single component of coord_of(rank) without materializing the full
   /// coordinate vector — allocation-free, for use in sort keys and
   /// other per-block hot paths.

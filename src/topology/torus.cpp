@@ -36,9 +36,12 @@ Rank Torus::neighbor(Rank node, Direction direction) const {
 }
 
 Rank Torus::neighbor_at(Rank node, Direction direction, std::int64_t hops) const {
-  Coord c = shape_.coord_of(node);
-  c = shape_.moved(c, direction.dim, static_cast<std::int64_t>(sign_value(direction.sign)) * hops);
-  return shape_.rank_of(c);
+  // Only the coordinate along the direction moves: stride arithmetic on
+  // the rank, with no coordinate vector.
+  const int dim = direction.dim;
+  const std::int32_t from = shape_.coord_along(node, dim);
+  const std::int32_t to = shape_.wrap(dim, from + sign_value(direction.sign) * hops);
+  return static_cast<Rank>(node + (to - from) * shape_.stride(dim));
 }
 
 void Torus::straight_path(Rank from, Direction direction, std::int64_t hops,

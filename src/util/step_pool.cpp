@@ -47,15 +47,24 @@ bool spin_until(Ready&& ready) {
   }
 }
 
-std::uint32_t epoch_of(std::uint64_t ticket) { return static_cast<std::uint32_t>(ticket >> 32); }
-std::size_t index_of(std::uint64_t ticket) {
-  return static_cast<std::size_t>(ticket & 0xFFFFFFFFu);
+std::uint32_t epoch_of(std::uint64_t cursor) {
+  return static_cast<std::uint32_t>(cursor >> 32);
+}
+std::size_t index_of(std::uint64_t cursor) {
+  return static_cast<std::size_t>(cursor & 0xFFFFFFFFu);
+}
+
+/// First index of home range `r` of a stage of `count` indices split
+/// into `ranges` ranges.
+std::size_t range_begin(std::size_t r, std::size_t count, std::size_t ranges) {
+  return r * count / ranges;
 }
 
 }  // namespace
 
 StepPool::StepPool(int participants) : helpers_(participants - 1) {
   TOREX_REQUIRE(participants >= 1, "a step pool needs at least one participant");
+  cursors_ = std::make_unique<Cursor[]>(static_cast<std::size_t>(participants));
   workers_.reserve(static_cast<std::size_t>(participants - 1));
   try {
     for (int w = 1; w < participants; ++w) workers_.emplace_back([this, w] { worker_main(w); });
@@ -86,20 +95,26 @@ void StepPool::run_erased(StepPool* pool, std::size_t count, Call invoke, void* 
   }
   TOREX_REQUIRE(count <= std::numeric_limits<std::uint32_t>::max(), "stage too large");
   StepPool& p = *pool;
-  const auto participants = static_cast<std::size_t>(helpers) + 1;
-  const std::uint32_t epoch = ++p.epoch_;
+  const auto ranges = static_cast<std::size_t>(helpers) + 1;
+  const std::uint32_t epoch = p.published_.load() + 1;
   Stage& stage = p.stages_[epoch & 1u];
   stage.call.store(invoke);
   stage.fn.store(fn);
   stage.count.store(count);
-  // About eight chunks per participant: few claims, and a short tail.
-  stage.chunk.store(std::max<std::size_t>(1, count / (8 * participants)));
+  stage.ranges.store(ranges);
+  // About eight chunks per range: few claims, and a short tail.
+  stage.chunk.store(std::max<std::size_t>(1, count / (8 * ranges)));
   p.failed_at_.store(0);
   p.error_ = nullptr;
   p.unfinished_.store(count);
-  p.ticket_.store(std::uint64_t{epoch} << 32);
+  // Every cursor names the new stage before the stage is published, so
+  // a worker that sees the new epoch finds every range ready.
+  for (std::size_t r = 0; r < ranges; ++r) {
+    p.cursors_[r].at.store(std::uint64_t{epoch} << 32 | range_begin(r, count, ranges));
+  }
+  p.published_.store(epoch);
   {
-    // Orders the new ticket before any blocked worker's re-check.
+    // Orders the new epoch before any blocked worker's re-check.
     const std::lock_guard<std::mutex> lock(p.mutex_);
   }
   p.wake_.notify_all();
@@ -129,25 +144,46 @@ void StepPool::adapt(bool stalled) {
 }
 
 std::uint32_t StepPool::work(int participant) {
-  for (;;) {
-    // Claim [begin, end) of the stage the ticket names. The slot is read
-    // before the claim; a successful compare-exchange proves it still
-    // held this stage, and it stays put until the claim's indices finish.
-    std::uint64_t ticket = ticket_.load();
-    const Stage* stage = nullptr;
-    std::size_t begin = 0;
-    std::size_t end = 0;
-    for (;;) {
-      stage = &stages_[epoch_of(ticket) & 1u];
-      const std::size_t count = stage->count.load();
-      begin = index_of(ticket);
-      if (begin >= count) return epoch_of(ticket);
-      end = std::min(count, begin + stage->chunk.load());
-      if (ticket_.compare_exchange_weak(ticket, ticket + (end - begin))) break;
+  const std::uint32_t epoch = published_.load();
+  const Stage& stage = stages_[epoch & 1u];
+  const std::size_t count = stage.count.load();
+  const std::size_t ranges = stage.ranges.load();
+  const std::size_t chunk = stage.chunk.load();
+  // The slot held this stage when it was read unless a later one was
+  // published meanwhile (the caller fills the slot again only two
+  // stages on). A claim then needs a cursor that still names this
+  // stage with indices left, so the stage cannot end, nor the slot
+  // change, until the claim's indices finish.
+  if (published_.load() != epoch) return epoch;
+  const auto self = static_cast<std::size_t>(participant);
+  const std::size_t home = self < ranges ? self : 0;
+  for (std::size_t k = 0; k < ranges; ++k) {
+    const std::size_t r = (home + k) % ranges;
+    if (!drain(epoch, stage, cursors_[r], range_begin(r + 1, count, ranges), chunk,
+               participant)) {
+      break;
     }
-    const Call invoke = stage->call.load();
-    void* const fn = stage->fn.load();
-    for (std::size_t i = begin; i < end; ++i) {
+  }
+  return epoch;
+}
+
+bool StepPool::drain(std::uint32_t epoch, const Stage& stage, Cursor& cursor, std::size_t end,
+                     std::size_t chunk, int participant) {
+  for (;;) {
+    // Claim [begin, stop) of the range, while the cursor names `epoch`.
+    std::uint64_t at = cursor.at.load();
+    std::size_t begin = 0;
+    std::size_t stop = 0;
+    for (;;) {
+      if (epoch_of(at) != epoch) return false;
+      begin = index_of(at);
+      if (begin >= end) return true;
+      stop = std::min(end, begin + chunk);
+      if (cursor.at.compare_exchange_weak(at, at + (stop - begin))) break;
+    }
+    const Call invoke = stage.call.load();
+    void* const fn = stage.fn.load();
+    for (std::size_t i = begin; i < stop; ++i) {
       const std::size_t failed_at = failed_at_.load(std::memory_order_relaxed);
       if (failed_at != 0 && failed_at <= i) continue;  // a lower index already failed
       try {
@@ -156,7 +192,7 @@ std::uint32_t StepPool::work(int participant) {
         fail(i);
       }
     }
-    if (unfinished_.fetch_sub(end - begin) == end - begin) {
+    if (unfinished_.fetch_sub(stop - begin) == stop - begin) {
       const std::lock_guard<std::mutex> lock(mutex_);
       done_.notify_one();
     }
@@ -174,14 +210,14 @@ void StepPool::fail(std::size_t index) {
 void StepPool::worker_main(int participant) {
   std::uint32_t drained = 0;  // the last epoch this worker found exhausted
   for (;;) {
-    const auto fresh = [&] { return epoch_of(ticket_.load()) != drained; };
+    const auto fresh = [&] { return published_.load() != drained; };
     if (!spin_until(fresh)) {
       std::unique_lock<std::mutex> lock(mutex_);
       wake_.wait(lock, [&] { return stopping_ || fresh(); });
       if (stopping_) return;
     }
     if (participant > helpers_.load(std::memory_order_relaxed)) {
-      drained = epoch_of(ticket_.load());  // sits this stage out
+      drained = published_.load();  // sits this stage out
       continue;
     }
     drained = work(participant);

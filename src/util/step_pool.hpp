@@ -11,6 +11,22 @@
 // the workers, and a one-participant pool (or a null pool) runs the
 // same stage inline.
 //
+// Home ranges: a stage is split into one contiguous range per
+// participant — participant r's home range is [r * count / P,
+// (r + 1) * count / P) for the stage's P participants, so the caller
+// takes range 0. Each participant drains its own range chunk by chunk
+// (about eight chunks a range), then steals chunks from the other
+// ranges, in order from the next one on. Every stage of the step kernel
+// runs over the same N nodes, so as long as nobody stalls, a node's row
+// — its seed copy, every rearrangement, its send and its receive — and
+// the frame it sends stay on one core for the whole call, as each node
+// keeps its own buffer in the paper's model. Each range has its own
+// cursor: the stage's epoch (high 32 bits) and the range's first
+// unclaimed index (low 32 bits). The caller resets the cursors before it
+// publishes a stage, and a claim is a compare-exchange on a cursor, so a
+// worker still working on an earlier stage can never claim an index of
+// a later one: the epoch no longer matches, and it goes back to wait.
+//
 // Contract of a stage:
 //  * fn(i, participant) may run on any participant, concurrently with
 //    other indices; `participant` in [0, participants()) names the
@@ -23,9 +39,9 @@
 //
 // The barrier counts finished indices, not workers: a worker that has
 // not woken up (or whose core was taken away) when a stage starts holds
-// nobody up, and the others run its share. A worker whose core is taken
-// away while it runs a chunk does hold the stage up, until it runs
-// again — on a host with fewer free cores than participants, that
+// nobody up, and the others steal its range. A worker whose core is
+// taken away while it runs a chunk does hold the stage up, until it
+// runs again — on a host with fewer free cores than participants, that
 // would make every stage as slow as the slowest core. So the pool
 // adapts: a stage in which the caller, done with its own share, waited
 // longer than that share took (and longer than 200 us) counts as
@@ -43,6 +59,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <exception>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <type_traits>
@@ -90,13 +107,25 @@ class StepPool {
     std::atomic<Call> call{nullptr};
     std::atomic<void*> fn{nullptr};
     std::atomic<std::size_t> count{0};
+    std::atomic<std::size_t> ranges{1};  ///< home ranges: the stage's participants
     std::atomic<std::size_t> chunk{1};
   };
 
+  /// One home range's cursor: the stage's epoch (high 32 bits) and the
+  /// range's first unclaimed index (low 32 bits). Its own cache line:
+  /// its owner claims from it all stage long.
+  struct alignas(64) Cursor {
+    std::atomic<std::uint64_t> at{0};
+  };
+
   static void run_erased(StepPool* pool, std::size_t count, Call invoke, void* fn);
-  /// Claims and runs chunks of the current stage until none are left;
-  /// returns the epoch it found exhausted.
+  /// Drains the current stage: the participant's home range first, then
+  /// the others; returns the epoch it found exhausted.
   std::uint32_t work(int participant);
+  /// Claims and runs chunks of one range of stage `epoch` until it is
+  /// drained; false once the cursor has moved on to a later stage.
+  bool drain(std::uint32_t epoch, const Stage& stage, Cursor& cursor, std::size_t end,
+             std::size_t chunk, int participant);
   void worker_main(int participant);
   /// Records the exception of `index`, keeping the lowest index's.
   void fail(std::size_t index);
@@ -107,15 +136,14 @@ class StepPool {
   void stop();
 
   Stage stages_[2];
-  std::uint32_t epoch_ = 0;                  // the caller's stage counter
   /// Workers 1..helpers_ claim work; the others sit stages out. Written
   /// by the caller only (adapt), read by the workers.
   std::atomic<int> helpers_;
   int healthy_stages_ = 0;                   // the caller's count since the last change
-  /// The current stage's epoch (high 32 bits) and its first unclaimed
-  /// index (low 32 bits); a claim is a compare-exchange, so it can only
-  /// ever take indices of the stage it read.
-  std::atomic<std::uint64_t> ticket_{0};
+  /// The last published stage's epoch, written by the caller only;
+  /// workers wake when it moves.
+  std::atomic<std::uint32_t> published_{0};
+  std::unique_ptr<Cursor[]> cursors_;        // one per participant: its home range
   std::atomic<std::size_t> unfinished_{0};   // indices of the stage not yet done
   std::atomic<std::size_t> failed_at_{0};    // lowest failed index + 1 (0: none)
   std::exception_ptr error_;                 // that index's exception

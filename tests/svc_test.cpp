@@ -549,9 +549,10 @@ MidPhaseRoute find_mid_phase_route(const SuhShinAape& algo, const StepProgram& p
 TEST(SvcDriverTest, SessionDeferredMidPhaseEndsAsIfNeverDeferred) {
   // A live fault on a channel first used mid-phase, and a retry budget
   // that cannot pay its discovery: the dispatch defers at that step,
-  // after the phase's earlier steps committed. Resumed with a budget,
-  // the session ends exactly as one that never deferred — the deferred
-  // step had mutated nothing, and no step or rearrangement ran twice.
+  // after the phase's earlier steps committed, and returns the phase's
+  // frames. Resumed with a budget, the session ends exactly as one that
+  // never deferred — the deferred step had mutated nothing, and no step
+  // or rearrangement ran twice.
   const TorusShape shape({8, 8});
   const SuhShinAape algo(shape);
   const StepProgram program(algo);
@@ -584,12 +585,16 @@ TEST(SvcDriverTest, SessionDeferredMidPhaseEndsAsIfNeverDeferred) {
       health.budget = tight && out.deferrals == 0 ? &empty : &unlimited;
       health.tick = session.phases_done() + 1 < mid.phase ? 0 : kStorm;
       const std::int64_t committed = session.journal().committed_steps();
+      const std::int64_t acquires = arena.stats().acquires;
       if (session.run_phase(nullptr, {}, health) == PhaseOutcome::kDeferred) {
         ++out.deferrals;
         EXPECT_EQ(session.phases_done() + 1, mid.phase);
         EXPECT_EQ(session.journal().committed_steps() - committed, mid.step - 1)
             << "the steps before the faulted one commit before the deferral";
+        EXPECT_EQ(arena.stats().acquires - acquires, shape.num_nodes())
+            << "those steps ran on the phase's frames, one per sender";
       }
+      EXPECT_EQ(arena.in_use(), 0) << "a session holds no frame between dispatches";
     }
     out.journal = session.journal().encode();
     out.sent = session.sent_parcels();

@@ -300,6 +300,50 @@ TEST(StepPoolTest, LowestFailingIndexIsRethrownOnTheCaller) {
                std::out_of_range);
 }
 
+TEST(StepPoolTest, AStuckParticipantsHomeRangeIsStolen) {
+  // 32 indices on 4 participants: home ranges of 8, claimed one index
+  // at a time. The others hold their first index until participant 1
+  // has started, so participant 1 starts on index 8, the first of its
+  // home range — and is held there until every other index has run. The
+  // rest of its range must be stolen by the others.
+  constexpr std::size_t kCount = 32;
+  constexpr std::size_t kStuck = 8;
+  StepPool pool(4);
+  ASSERT_EQ(pool.helpers(), 3);
+  std::vector<std::atomic<int>> hits(kCount);
+  std::vector<std::atomic<int>> ran_on(kCount);
+  std::atomic<bool> owner_started{false};
+  std::atomic<std::size_t> done{0};
+  std::atomic<bool> timed_out{false};
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  const auto wait_for = [&](const auto& ready) {
+    while (!ready()) {
+      if (std::chrono::steady_clock::now() > deadline) {
+        timed_out.store(true);
+        return;
+      }
+      std::this_thread::yield();
+    }
+  };
+  StepPool::run(&pool, kCount, [&](std::size_t i, int who) {
+    if (who == 1) {
+      owner_started.store(true);
+    } else {
+      wait_for([&] { return owner_started.load(); });
+    }
+    ran_on[i].store(who);
+    hits[i].fetch_add(1);
+    if (who == 1 && i == kStuck) wait_for([&] { return done.load() == kCount - 1; });
+    done.fetch_add(1);
+  });
+  ASSERT_FALSE(timed_out.load()) << "the stage waited for its stuck participant";
+  for (std::size_t i = 0; i < kCount; ++i) EXPECT_EQ(hits[i].load(), 1) << "index " << i;
+  EXPECT_EQ(ran_on[kStuck].load(), 1);
+  for (std::size_t i = kStuck + 1; i < 2 * kStuck; ++i) {
+    EXPECT_NE(ran_on[i].load(), 1) << "index " << i << " waited for its stuck owner";
+  }
+}
+
 TEST(StepPoolTest, ReusableAfterAThrow) {
   StepPool pool(4);
   EXPECT_THROW(StepPool::run(&pool, 100,

@@ -537,6 +537,66 @@ TEST(PooledExchangeTest, ArenaReachesSteadyStateAcrossExchanges) {
   EXPECT_EQ(arena.in_use(), 0);
 }
 
+// The kernel runs its tamper, settle and `received` caller loops only
+// for hooks that hide StepHooks' defaults: never for the pooled wire,
+// and `received` (not settle) for the journal's.
+static_assert(!detail::kHidesTamper<detail::StepHooks> &&
+              !detail::kHidesSettle<detail::StepHooks> &&
+              !detail::kHidesReceived<detail::StepHooks, std::int64_t>);
+static_assert(!detail::kHidesSettle<detail::JournalHooks<std::int64_t>> &&
+              detail::kHidesReceived<detail::JournalHooks<std::int64_t>, std::int64_t>);
+
+TEST(PooledExchangeTest, EachSenderLeasesOneFramePerPhase) {
+  // Frames belong to senders: every node leases one frame at the first
+  // step of each phase, sized for the phase's largest message, and
+  // returns it at the phase's end. A refusal that ends the call
+  // mid-phase returns the phase's frames too.
+  const SuhShinAape algo(TorusShape({8, 8, 8}));
+  const StepProgram program(algo);
+  const Rank N = program.num_nodes();
+  std::int64_t phases_with_steps = 0;
+  for (int phase = 1; phase <= program.num_phases(); ++phase) {
+    phases_with_steps += program.steps_in_phase(phase) > 0 ? 1 : 0;
+  }
+  StepPool pool(4);
+  WireArena arena;
+  WireExchangeOptions options;
+  options.arena = &arena;
+  options.pool = &pool;
+  for (int call = 0; call < 2; ++call) {
+    const WirePoolStats before = arena.stats();
+    expect_delivered(N, exchange_payloads_pooled(algo, program, canonical_rows(N), options));
+    const WirePoolStats d = wire_stats_delta(arena.stats(), before);
+    EXPECT_EQ(d.acquires, phases_with_steps * N) << "call " << call;
+    EXPECT_EQ(d.releases, d.acquires) << "call " << call;
+    EXPECT_EQ(d.messages, algo.total_steps() * N) << "call " << call;
+    EXPECT_LE(arena.stats().peak_in_use, N) << "call " << call;
+    EXPECT_EQ(arena.in_use(), 0) << "call " << call;
+  }
+
+  // The second step of a phase refuses every frame for good.
+  int phase = 1;
+  std::int64_t leasing_phases = 1;  // every phase up to the refused one leases
+  for (; program.steps_in_phase(phase) < 2; ++phase) {
+    leasing_phases += program.steps_in_phase(phase) > 0 ? 1 : 0;
+  }
+  const ParcelTamperer refuse = [&](const TransferContext& ctx, std::vector<std::byte>& wire) {
+    if (ctx.phase != phase || ctx.step != 2) return false;
+    wire.back() ^= std::byte{0x01};
+    return true;
+  };
+  IntegrityOptions sealed;
+  sealed.arena = &arena;
+  sealed.pool = &pool;
+  sealed.max_retransmits = 1;
+  const std::int64_t acquires = arena.stats().acquires;
+  EXPECT_THROW(exchange_payloads_sealed(algo, program, canonical_rows(N), refuse, sealed),
+               IntegrityError);
+  EXPECT_EQ(arena.stats().acquires - acquires, leasing_phases * N);
+  EXPECT_EQ(arena.in_use(), 0);
+  EXPECT_EQ(arena.stats().outstanding_frames(), 0);
+}
+
 TEST(PooledExchangeTest, PublishesWireMetrics) {
   const SuhShinAape algo(TorusShape({4, 4}));
   Recorder recorder;
@@ -848,6 +908,83 @@ TEST(StepProgramTest, SendRunsAreMaximalAscendingSpans) {
             EXPECT_EQ(total, s.count) << "phase " << phase << " step " << step << " node " << p;
           }
         }
+      }
+    }
+  }
+}
+
+/// The shapes `torex_verify --layout --max-nodes=<max_nodes>` sweeps:
+/// every non-increasing multiple-of-four shape of 2 to 4 dimensions.
+std::vector<std::vector<std::int32_t>> layout_sweep_shapes(std::int64_t max_nodes) {
+  std::vector<std::vector<std::int32_t>> out;
+  std::vector<std::int32_t> prefix;
+  const auto grow = [&](const auto& self, std::int64_t nodes, std::int32_t largest) -> void {
+    if (prefix.size() >= 2) out.push_back(prefix);
+    if (prefix.size() == 4) return;
+    for (std::int32_t e = 4; e <= largest && nodes * e <= max_nodes; e += 4) {
+      prefix.push_back(e);
+      self(self, nodes * e, e);
+      prefix.pop_back();
+    }
+  };
+  for (std::int32_t e = 4; e <= max_nodes; e += 4) {
+    prefix.push_back(e);
+    grow(grow, e, e);
+    prefix.pop_back();
+  }
+  return out;
+}
+
+TEST(StepProgramTest, FromInvertsPartnerAndTotalsSumTheNodeSteps) {
+  // The kernel lands each receive from the sender `from` names, and
+  // records each step's wire statistics from the step's totals, with no
+  // per-message check: both must follow from the node steps exactly.
+  const auto shapes = layout_sweep_shapes(400);
+  ASSERT_EQ(shapes.size(), 55u);  // as torex_verify --layout --max-nodes=400 reports
+  for (const auto& extents : shapes) {
+    const SuhShinAape algo{TorusShape(extents)};
+    for (const LayoutPolicy layout :
+         {LayoutPolicy::kPaper, LayoutPolicy::kNaiveDestinationOrder}) {
+      const StepProgram program(algo, layout);
+      const Rank N = program.num_nodes();
+      for (int phase = 1; phase <= program.num_phases(); ++phase) {
+        std::uint32_t largest = 0;
+        for (int step = 1; step <= program.steps_in_phase(phase); ++step) {
+          const std::string what = algo.shape().to_string() +
+                                   (layout == LayoutPolicy::kPaper ? " paper" : " naive") +
+                                   " phase " + std::to_string(phase) + " step " +
+                                   std::to_string(step);
+          StepProgram::StepTotals sum;
+          for (Rank p = 0; p < N; ++p) {
+            const StepProgram::NodeStep& s = program.step(phase, step, p);
+            if (s.count == 0) {
+              EXPECT_EQ(s.from, -1) << what << " node " << p;
+              continue;
+            }
+            ASSERT_GE(s.from, 0) << what << " node " << p;
+            EXPECT_EQ(program.step(phase, step, s.from).partner, p) << what << " node " << p;
+            EXPECT_EQ(program.step(phase, step, s.partner).from, p) << what << " node " << p;
+            ++sum.messages;
+            sum.parcels += s.count;
+            sum.runs += s.run_count;
+            if (s.run_count == 1) {
+              ++sum.contiguous;
+            } else {
+              sum.gathered += s.count;
+            }
+            sum.max_runs = std::max(sum.max_runs, s.run_count);
+            largest = std::max(largest, s.count);
+          }
+          const StepProgram::StepTotals& t = program.totals(phase, step);
+          EXPECT_EQ(t.messages, sum.messages) << what;
+          EXPECT_EQ(t.parcels, sum.parcels) << what;
+          EXPECT_EQ(t.runs, sum.runs) << what;
+          EXPECT_EQ(t.contiguous, sum.contiguous) << what;
+          EXPECT_EQ(t.gathered, sum.gathered) << what;
+          EXPECT_EQ(t.max_runs, sum.max_runs) << what;
+        }
+        EXPECT_EQ(program.largest_message(phase), largest)
+            << algo.shape().to_string() << " phase " << phase;
       }
     }
   }
