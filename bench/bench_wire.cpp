@@ -21,13 +21,20 @@
 //
 // The wire paths replay a StepProgram compiled once per shape and
 // layout, outside the timed loop (as TorusCommunicator memoizes it).
-// Wall time is the fastest of each path's warm reps: on a shared host,
-// interference only ever adds time, so the minimum is the stable
-// estimate of the steady state the gates compare.
+// Every path is warmed first, then the reps alternate over the five
+// paths, one rep of each per round in a shuffled order. Wall time is
+// the fastest of each path's warm reps: on a shared host, interference
+// only ever adds time, so the minimum is the stable estimate of the
+// steady state the gates compare, and alternating puts a burst of host
+// load on every path alike.
 //
 // The compile table times StepProgram's constructor (the p50 of five
 // compiles, identity tables included) and reports its memory_bytes(),
 // per shape and layout, for 8x8, 8x4x4 and 8x8x8.
+//
+// The CRC table times every CRC-32 tier this CPU runs (slice8, pclmul,
+// vpclmul512, armv8-crc; see util/crc32.hpp) at the three perfbench
+// workloads' frame sizes, the fastest of kCrcReps alternating reps.
 //
 // A thread sweep then times pooled_paper and sealed_pooled with the
 // step kernel on a StepPool of 1, 2 and nproc participants, on 8x8,
@@ -48,6 +55,9 @@
 //     2^(n-2) run bound in 3D;
 //   * pooled_paper must cost no more ns/parcel than pooled_naive on
 //     every shape — the §3.3 layout exists to make sends cheaper;
+//   * from 2 KiB frames up, the dispatched CRC tier must be no slower
+//     than any other tier this CPU runs — a dispatch that silently
+//     falls back, or a wide fold that regresses, fails;
 //   * pooled_strided must gather parcels (gathered_parcels > 0, the
 //     dead run-gather path regression) with more encoded runs than
 //     messages, under the same alloc budget as pooled_paper;
@@ -65,9 +75,11 @@
 #include <chrono>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <limits>
 #include <new>
+#include <span>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -79,6 +91,7 @@
 #include "provenance.hpp"
 #include "util/cli.hpp"
 #include "util/crc32.hpp"
+#include "util/prng.hpp"
 #include "util/step_pool.hpp"
 #include "util/table.hpp"
 
@@ -152,38 +165,74 @@ struct PathResult {
   bool has_stats = false;
 };
 
-/// Runs `fn` (one full exchange over a fresh seed from `seed`) reps
-/// times, counting only the exchange itself — seed construction sits
-/// outside the measured window. Time is the fastest rep; allocations
-/// are averaged over all reps. The caller warms the path (and
-/// snapshots arena stats) before calling.
-template <typename Seed, typename Fn>
-PathResult measure(const std::string& name, const SuhShinAape& algo, int reps, Seed&& seed,
-                   Fn&& fn) {
-  const Rank N = algo.shape().num_nodes();
+/// One path's reps so far: the fastest rep's wall time, and the
+/// allocations of all of them.
+struct RepStats {
+  double best_ms = std::numeric_limits<double>::infinity();
   std::int64_t allocs = 0;
   std::int64_t alloc_bytes = 0;
-  double best_ms = std::numeric_limits<double>::infinity();
-  for (int rep = 0; rep < reps; ++rep) {
-    auto parcels = seed(N);
-    const std::int64_t a0 = g_allocs.load(std::memory_order_relaxed);
-    const std::int64_t b0 = g_alloc_bytes.load(std::memory_order_relaxed);
-    const auto start = std::chrono::steady_clock::now();
-    fn(std::move(parcels));
-    const auto elapsed = std::chrono::steady_clock::now() - start;
-    allocs += g_allocs.load(std::memory_order_relaxed) - a0;
-    alloc_bytes += g_alloc_bytes.load(std::memory_order_relaxed) - b0;
-    best_ms = std::min(best_ms, std::chrono::duration<double, std::milli>(elapsed).count());
-  }
-  const double steps = static_cast<double>(algo.total_steps()) * reps;
+  int reps = 0;
+};
+
+/// Times one exchange: `fn` over a fresh seed from `seed`, counting only
+/// the exchange itself — seed construction sits outside the window.
+template <typename Seed, typename Fn>
+void measure_rep(RepStats& stats, Rank n, Seed&& seed, Fn&& fn) {
+  auto parcels = seed(n);
+  const std::int64_t a0 = g_allocs.load(std::memory_order_relaxed);
+  const std::int64_t b0 = g_alloc_bytes.load(std::memory_order_relaxed);
+  const auto start = std::chrono::steady_clock::now();
+  fn(std::move(parcels));
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  stats.allocs += g_allocs.load(std::memory_order_relaxed) - a0;
+  stats.alloc_bytes += g_alloc_bytes.load(std::memory_order_relaxed) - b0;
+  stats.best_ms =
+      std::min(stats.best_ms, std::chrono::duration<double, std::milli>(elapsed).count());
+  ++stats.reps;
+}
+
+/// A path's result from its reps: time is the fastest rep, allocations
+/// are averaged over all reps.
+PathResult path_result(const std::string& name, const SuhShinAape& algo, const RepStats& stats) {
+  const Rank N = algo.shape().num_nodes();
+  const double steps = static_cast<double>(algo.total_steps()) * stats.reps;
   const double parcels = static_cast<double>(N) * static_cast<double>(N);  // one hop each
   PathResult r;
   r.name = name;
-  r.ms = best_ms;
-  r.ns_per_parcel = best_ms * 1e6 / parcels;
-  r.allocs_per_step = static_cast<double>(allocs) / steps;
-  r.alloc_kib_per_step = static_cast<double>(alloc_bytes) / steps / 1024.0;
+  r.ms = stats.best_ms;
+  r.ns_per_parcel = stats.best_ms * 1e6 / parcels;
+  r.allocs_per_step = static_cast<double>(stats.allocs) / steps;
+  r.alloc_kib_per_step = static_cast<double>(stats.alloc_bytes) / steps / 1024.0;
   return r;
+}
+
+/// Runs `fn` reps times back to back (see measure_rep). The caller warms
+/// the path before calling.
+template <typename Seed, typename Fn>
+PathResult measure(const std::string& name, const SuhShinAape& algo, int reps, Seed&& seed,
+                   Fn&& fn) {
+  RepStats stats;
+  for (int rep = 0; rep < reps; ++rep) measure_rep(stats, algo.shape().num_nodes(), seed, fn);
+  return path_result(name, algo, stats);
+}
+
+/// One executor of the per-shape table. `run(nullptr)` is an untimed
+/// exchange; `run(&stats)` a timed one (see measure_rep).
+struct Path {
+  std::string name;
+  WireArena* arena = nullptr;  ///< the path's own arena; nullptr for plain
+  std::function<void(RepStats*)> run;
+};
+
+template <typename Seed, typename Fn>
+Path make_path(std::string name, WireArena* arena, Rank n, Seed seed, Fn fn) {
+  return {std::move(name), arena, [n, seed, fn](RepStats* stats) {
+            if (stats == nullptr) {
+              fn(seed(n));
+            } else {
+              measure_rep(*stats, n, seed, fn);
+            }
+          }};
 }
 
 void append_path_json(std::ostringstream& out, const PathResult& r, bool last) {
@@ -257,6 +306,63 @@ CompileResult time_compile(const SuhShinAape& algo, LayoutPolicy layout) {
   return r;
 }
 
+/// CRC-32 update lengths of the three perfbench workloads' frames. A
+/// seal or verify hashes the 36-byte header, then everything after it
+/// in one update: payload plus the 4-byte header-CRC slot. So about
+/// 300 B for service_overload, 2,052 for alltoall_word (256 8-byte
+/// words) and 65,540 for checked_kib (64 1-KiB blocks).
+constexpr std::size_t kCrcFrameBytes[] = {300, 2052, 65540};
+
+/// Frames at or above this size must run fastest on the dispatched tier.
+constexpr std::size_t kCrcGateBytes = 2048;
+
+constexpr int kCrcReps = 15;
+
+/// One CRC tier at one frame size.
+struct CrcResult {
+  std::string tier;
+  std::size_t frame_bytes = 0;
+  double ns_per_frame = 0;  ///< of the fastest rep
+  double gib_per_s = 0;
+};
+
+std::atomic<std::uint32_t> g_crc_sink{0};
+
+/// Times every CRC tier this CPU runs at each of kCrcFrameBytes. A rep
+/// hashes about 4 MiB in frames on each tier in turn, so the tiers
+/// alternate; each keeps its fastest rep.
+std::vector<CrcResult> time_crc_tiers() {
+  const std::span<const detail::Crc32Tier> tiers = detail::crc32_tiers();
+  std::vector<unsigned char> frame(kCrcFrameBytes[std::size(kCrcFrameBytes) - 1]);
+  for (std::size_t i = 0; i < frame.size(); ++i) {
+    frame[i] = static_cast<unsigned char>(i * 131 + 7);
+  }
+  std::uint32_t sink = 0;
+  std::vector<CrcResult> out;
+  for (const std::size_t bytes : kCrcFrameBytes) {
+    const std::size_t frames = std::max<std::size_t>(1, (std::size_t{4} << 20) / bytes);
+    std::vector<double> best(tiers.size(), std::numeric_limits<double>::infinity());
+    for (int rep = 0; rep < kCrcReps; ++rep) {
+      for (std::size_t t = 0; t < tiers.size(); ++t) {
+        const auto start = std::chrono::steady_clock::now();
+        for (std::size_t f = 0; f < frames; ++f) {
+          sink ^= tiers[t].update(0xFFFFFFFFu, frame.data(), bytes);
+        }
+        const double ns =
+            std::chrono::duration<double, std::nano>(std::chrono::steady_clock::now() - start)
+                .count();
+        best[t] = std::min(best[t], ns / static_cast<double>(frames));
+      }
+    }
+    for (std::size_t t = 0; t < tiers.size(); ++t) {
+      out.push_back({tiers[t].name, bytes, best[t],
+                     static_cast<double>(bytes) / best[t] * 1e9 / static_cast<double>(1u << 30)});
+    }
+  }
+  g_crc_sink.store(sink, std::memory_order_relaxed);
+  return out;
+}
+
 int g_failures = 0;
 
 void check(bool ok, const std::string& what) {
@@ -288,91 +394,91 @@ int main(int argc, char** argv) {
     std::cout << "=== " << shape.to_string() << " (" << N << " nodes, "
               << algo.total_steps() << " steps, " << reps << " reps) ===\n\n";
 
-    std::vector<PathResult> results;
+    // Every path gets its own arena and one untimed warmup exchange
+    // (pool converges, caches warm); then arena stats are snapshot and
+    // the measured reps alternate over the paths, one rep of each per
+    // round in a shuffled order. The allocation counts and traffic
+    // stats cover exactly the steady-state reps, and a burst of host
+    // load lands on every path's reps alike instead of on one path's
+    // block of them, or on whichever path always follows another.
+    const StepProgram paper_program(algo, LayoutPolicy::kPaper);
+    const StepProgram naive_program(algo, LayoutPolicy::kNaiveDestinationOrder);
+    WireArena sealed_arena;
+    WireArena paper_arena;
+    WireArena naive_arena;
+    WireArena strided_arena;
+    IntegrityOptions sealed_options;
+    sealed_options.arena = &sealed_arena;
+    WireExchangeOptions paper_options;
+    paper_options.arena = &paper_arena;
+    WireExchangeOptions naive_options;
+    naive_options.arena = &naive_arena;
+    WireExchangeOptions strided_options;
+    strided_options.arena = &strided_arena;
 
-    // Each path: one untimed warmup exchange (pool converges, caches
-    // warm), then snapshot arena stats, then the measured reps — so
-    // both the allocation counts and the traffic stats cover exactly
-    // the steady-state reps.
-    const auto run_path = [&](const std::string& name, WireArena* arena, auto&& seed,
-                              auto&& exchange) {
-      exchange(seed(N));  // warmup
-      const WirePoolStats before = arena != nullptr ? arena->stats() : WirePoolStats{};
-      PathResult r = measure(name, algo, reps, seed, exchange);
-      if (arena != nullptr) {
-        r.stats = wire_stats_delta(arena->stats(), before);
+    // Strided user-buffer workload: both endpoints are columns of
+    // row-major matrices (stride = N), seeded and scattered through
+    // the StridedView API inside the measured window — the layer a
+    // Träff-style datatype user pays. Naive destination order keeps
+    // every send fragmented, so this is the workload that proves the
+    // multi-run gather path is alive.
+    const auto n = static_cast<std::size_t>(N);
+    std::vector<std::int64_t> send_mat(n * n);
+    std::vector<std::int64_t> recv_mat(n * n);
+    std::vector<StridedView<const std::int64_t>> send_views;
+    std::vector<StridedView<std::int64_t>> recv_views;
+    for (Rank p = 0; p < N; ++p) {
+      send_views.push_back({send_mat.data() + p, n, static_cast<std::ptrdiff_t>(n)});
+      recv_views.push_back({recv_mat.data() + p, n, static_cast<std::ptrdiff_t>(n)});
+      for (Rank q = 0; q < N; ++q) {
+        send_mat[static_cast<std::size_t>(q) * n + static_cast<std::size_t>(p)] =
+            static_cast<std::int64_t>(p) * N + q;
+      }
+    }
+
+    using Rows = std::vector<std::vector<std::int64_t>>;
+    std::vector<Path> paths;
+    paths.push_back(make_path("plain", nullptr, N, canonical_parcels,
+                              [&](ParcelBuffers<std::int64_t> parcels) {
+                                exchange_payloads(algo, std::move(parcels));
+                              }));
+    paths.push_back(make_path("sealed_pooled", &sealed_arena, N, canonical_rows, [&](Rows rows) {
+      exchange_payloads_sealed(algo, paper_program, std::move(rows), {}, sealed_options);
+    }));
+    paths.push_back(make_path("pooled_paper", &paper_arena, N, canonical_rows, [&](Rows rows) {
+      exchange_payloads_pooled(algo, paper_program, std::move(rows), paper_options);
+    }));
+    paths.push_back(make_path("pooled_naive", &naive_arena, N, canonical_rows, [&](Rows rows) {
+      exchange_payloads_pooled(algo, naive_program, std::move(rows), naive_options);
+    }));
+    paths.push_back(make_path("pooled_strided", &strided_arena, N, canonical_rows, [&](Rows) {
+      auto rows = seed_rows_strided(N, send_views);
+      detail::StepReplay<std::int64_t> replay;
+      detail::run_pooled(algo, naive_program, rows, strided_options, replay);
+      scatter_rows_strided(naive_program, rows, recv_views);
+    }));
+
+    std::vector<WirePoolStats> stats_before;
+    for (Path& path : paths) {
+      path.run(nullptr);  // warmup
+      stats_before.push_back(path.arena != nullptr ? path.arena->stats() : WirePoolStats{});
+    }
+    std::vector<RepStats> rep_stats(paths.size());
+    std::vector<std::size_t> order(paths.size());
+    for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+    SplitMix64 rng(0x5EEDu + si);
+    for (int rep = 0; rep < reps; ++rep) {
+      deterministic_shuffle(order, rng);
+      for (const std::size_t i : order) paths[i].run(&rep_stats[i]);
+    }
+    std::vector<PathResult> results;
+    for (std::size_t i = 0; i < paths.size(); ++i) {
+      PathResult r = path_result(paths[i].name, algo, rep_stats[i]);
+      if (paths[i].arena != nullptr) {
+        r.stats = wire_stats_delta(paths[i].arena->stats(), stats_before[i]);
         r.has_stats = true;
       }
       results.push_back(r);
-    };
-
-    run_path("plain", nullptr, canonical_parcels, [&](ParcelBuffers<std::int64_t> parcels) {
-      exchange_payloads(algo, std::move(parcels));
-    });
-
-    const StepProgram paper_program(algo, LayoutPolicy::kPaper);
-    const StepProgram naive_program(algo, LayoutPolicy::kNaiveDestinationOrder);
-
-    {
-      WireArena arena;
-      IntegrityOptions options;
-      options.arena = &arena;
-      run_path("sealed_pooled", &arena, canonical_rows,
-               [&](std::vector<std::vector<std::int64_t>> rows) {
-                 exchange_payloads_sealed(algo, paper_program, std::move(rows), {}, options);
-               });
-    }
-
-    {
-      WireArena arena;
-      WireExchangeOptions options;
-      options.arena = &arena;
-      run_path("pooled_paper", &arena, canonical_rows,
-               [&](std::vector<std::vector<std::int64_t>> rows) {
-                 exchange_payloads_pooled(algo, paper_program, std::move(rows), options);
-               });
-    }
-
-    {
-      WireArena arena;
-      WireExchangeOptions options;
-      options.arena = &arena;
-      run_path("pooled_naive", &arena, canonical_rows,
-               [&](std::vector<std::vector<std::int64_t>> rows) {
-                 exchange_payloads_pooled(algo, naive_program, std::move(rows), options);
-               });
-    }
-
-    {
-      // Strided user-buffer workload: both endpoints are columns of
-      // row-major matrices (stride = N), seeded and scattered through
-      // the StridedView API inside the measured window — the layer a
-      // Träff-style datatype user pays. Naive destination order keeps
-      // every send fragmented, so this is the workload that proves the
-      // multi-run gather path is alive.
-      const auto n = static_cast<std::size_t>(N);
-      std::vector<std::int64_t> send_mat(n * n);
-      std::vector<std::int64_t> recv_mat(n * n);
-      std::vector<StridedView<const std::int64_t>> send_views;
-      std::vector<StridedView<std::int64_t>> recv_views;
-      for (Rank p = 0; p < N; ++p) {
-        send_views.push_back({send_mat.data() + p, n, static_cast<std::ptrdiff_t>(n)});
-        recv_views.push_back({recv_mat.data() + p, n, static_cast<std::ptrdiff_t>(n)});
-        for (Rank q = 0; q < N; ++q) {
-          send_mat[static_cast<std::size_t>(q) * n + static_cast<std::size_t>(p)] =
-              static_cast<std::int64_t>(p) * N + q;
-        }
-      }
-      WireArena arena;
-      WireExchangeOptions options;
-      options.arena = &arena;
-      run_path("pooled_strided", &arena, canonical_rows,
-               [&](std::vector<std::vector<std::int64_t>>) {
-                 auto rows = seed_rows_strided(N, send_views);
-                 detail::StepReplay<std::int64_t> replay;
-                 detail::run_pooled(algo, naive_program, rows, options, replay);
-                 scatter_rows_strided(naive_program, rows, recv_views);
-               });
     }
 
     TextTable table({"path", "ms/exch", "ns/parcel", "allocs/step", "KiB alloc/step",
@@ -473,6 +579,40 @@ int main(int argc, char** argv) {
   }
   json << "  ],\n";
   compile_table.print(std::cout);
+  std::cout << "\n";
+
+  // Every CRC tier this CPU runs, at the workloads' frame sizes. From
+  // 2 KiB up the dispatched tier must be the fastest: a dispatch that
+  // silently falls back to a narrower tier, or a wide fold that
+  // regresses below the 128-bit one, fails here.
+  const std::string dispatched = crc32_backend_name();
+  const std::vector<CrcResult> crcs = time_crc_tiers();
+  std::cout << "=== CRC-32 tiers (min of " << kCrcReps << ", dispatched " << dispatched
+            << ") ===\n\n";
+  TextTable crc_table({"frame bytes", "tier", "ns/frame", "GiB/s"});
+  crc_table.set_align(1, TextTable::Align::kLeft);
+  json << "  \"crc32\": {\"dispatched\": \"" << dispatched << "\", \"reps\": " << kCrcReps
+       << ", \"frames\": [\n";
+  for (std::size_t i = 0; i < crcs.size(); ++i) {
+    const CrcResult& r = crcs[i];
+    crc_table.start_row()
+        .cell(static_cast<std::int64_t>(r.frame_bytes))
+        .cell(r.tier)
+        .cell(r.ns_per_frame, 1)
+        .cell(r.gib_per_s, 2);
+    json << "    {\"frame_bytes\": " << r.frame_bytes << ", \"tier\": \"" << r.tier
+         << "\", \"ns_per_frame\": " << r.ns_per_frame << ", \"gib_per_s\": " << r.gib_per_s
+         << "}" << (i + 1 == crcs.size() ? "\n" : ",\n");
+    if (r.frame_bytes < kCrcGateBytes || r.tier == dispatched) continue;
+    for (const CrcResult& d : crcs) {
+      if (d.frame_bytes != r.frame_bytes || d.tier != dispatched) continue;
+      check(d.ns_per_frame <= r.ns_per_frame,
+            "dispatched CRC tier " + dispatched + " must be no slower than " + r.tier + " at " +
+                std::to_string(r.frame_bytes) + " B");
+    }
+  }
+  json << "  ]},\n";
+  crc_table.print(std::cout);
   std::cout << "\n";
 
   // Thread sweep: the same kernel on 1, 2 and nproc participants.

@@ -1,17 +1,22 @@
 // CRC-32 golden digests and cross-tier equivalence.
 //
 // The wire integrity layer depends on every CRC tier (inline bytewise,
-// slicing-by-8, dispatched hardware folding) producing bit-identical
+// slicing-by-8, the hardware folding tiers) producing bit-identical
 // IEEE 802.3 digests: frames sealed by one tier must verify under any
 // other, and committed golden frames must verify forever. These tests
-// pin the standard check vectors and drive every tier over the same
-// inputs — split at every offset, misaligned, zero-length — so a table
-// or folding-constant regression cannot land silently.
+// pin the standard check vectors and drive every tier this CPU runs —
+// not just the dispatched one — over the same inputs: split at every
+// offset, misaligned, zero-length, frame-sized. A tier this CPU cannot
+// run is skipped by name. A table or folding-constant regression
+// cannot land silently, and neither can a change to which tier a CPU's
+// features select.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <initializer_list>
 #include <string>
 #include <vector>
 
@@ -71,7 +76,9 @@ TEST(Crc32Test, GoldenDigests) {
 
 TEST(Crc32Test, BackendNameIsKnown) {
   const std::string name = crc32_backend_name();
-  EXPECT_TRUE(name == "slice8" || name == "pclmul" || name == "armv8-crc") << name;
+  EXPECT_TRUE(name == "slice8" || name == "pclmul" || name == "vpclmul512" ||
+              name == "armv8-crc")
+      << name;
 }
 
 TEST(Crc32Test, TiersAgreeAcrossLengths) {
@@ -172,6 +179,150 @@ TEST(Crc32Test, DigestDetectsSingleBitFlips) {
     data[bit / 8] ^= static_cast<unsigned char>(1u << (bit % 8));
   }
   EXPECT_EQ(crc32(data.data(), data.size()), clean);
+}
+
+// ---- every tier this CPU runs -------------------------------------------
+
+/// One dispatch tier, driven directly. Parameterized by tier name; a
+/// tier this CPU cannot run (say, vpclmul512 without AVX-512) skips.
+class Crc32TierTest : public ::testing::TestWithParam<const char*> {
+ protected:
+  void SetUp() override {
+    for (const detail::Crc32Tier& tier : detail::crc32_tiers()) {
+      if (std::strcmp(tier.name, GetParam()) == 0) update_ = tier.update;
+    }
+    if (update_ == nullptr) GTEST_SKIP() << GetParam() << " does not run on this CPU";
+  }
+
+  std::uint32_t digest(const void* data, std::size_t len) const {
+    return update_(0xFFFFFFFFu, data, len) ^ 0xFFFFFFFFu;
+  }
+
+  std::uint32_t (*update_)(std::uint32_t, const void*, std::size_t) = nullptr;
+};
+
+TEST_P(Crc32TierTest, GoldenDigests) {
+  EXPECT_EQ(digest("", 0), 0x00000000u);
+  EXPECT_EQ(digest("123456789", 9), 0xCBF43926u);
+  const char* fox = "The quick brown fox jumps over the lazy dog";
+  EXPECT_EQ(digest(fox, std::strlen(fox)), 0x414FA339u);
+}
+
+TEST_P(Crc32TierTest, EveryLengthUpTo1100) {
+  // Past four 256-byte blocks: every tail of the wide fold's 256-, 64-
+  // and 16-byte loops, and every handoff to a narrower tier.
+  const std::vector<unsigned char> data = pattern_bytes(1100, 0x7135u);
+  for (std::size_t len = 0; len <= data.size(); ++len) {
+    ASSERT_EQ(digest(data.data(), len), bytewise(data.data(), len)) << "len=" << len;
+  }
+}
+
+TEST_P(Crc32TierTest, FrameLengths) {
+  // Frame-sized inputs: about alltoall_word's 2.1 KB frames and
+  // checked_kib's 64-96 KiB ones, none a whole number of 256-byte blocks.
+  const std::vector<unsigned char> data = pattern_bytes(98348, 0xF4A3Eu);
+  for (const std::size_t len : {2052u, 65540u, 98348u}) {
+    EXPECT_EQ(digest(data.data(), len), bytewise(data.data(), len)) << "len=" << len;
+  }
+}
+
+TEST_P(Crc32TierTest, EveryStartOffset) {
+  // Every start offset within a cache line: no tier may need aligned
+  // loads, 64-byte ones included.
+  const std::vector<unsigned char> data = pattern_bytes(2052 + 64, 0x0FF5E7u);
+  for (std::size_t offset = 0; offset < 64; ++offset) {
+    const unsigned char* p = data.data() + offset;
+    for (const std::size_t len :
+         {0u, 1u, 15u, 16u, 17u, 63u, 64u, 65u, 255u, 256u, 257u, 511u, 512u, 1100u, 2052u}) {
+      ASSERT_EQ(digest(p, len), bytewise(p, len)) << "offset=" << offset << " len=" << len;
+    }
+  }
+}
+
+TEST_P(Crc32TierTest, IncrementalSplitsStraddle256ByteBlocks) {
+  // A frame is hashed in pieces (header, then payload runs), so a tier
+  // must resume from any state at any point: split the input into
+  // three updates around every multiple of 256 bytes, with the middle
+  // piece shorter than, equal to and longer than one block.
+  const std::vector<unsigned char> data = pattern_bytes(1100, 0x5B11Cu);
+  const std::uint32_t whole = bytewise(data.data(), data.size());
+  for (std::size_t block = 0; block <= data.size(); block += 256) {
+    for (const std::size_t before : {1u, 16u, 63u, 64u}) {
+      for (const std::size_t middle : {0u, 1u, 255u, 256u, 257u, 300u}) {
+        const std::size_t a = block >= before ? block - before : 0;
+        const std::size_t b = std::min(data.size(), a + middle);
+        std::uint32_t state = update_(0xFFFFFFFFu, data.data(), a);
+        state = update_(state, data.data() + a, b - a);
+        state = update_(state, data.data() + b, data.size() - b);
+        ASSERT_EQ(state ^ 0xFFFFFFFFu, whole) << "split at " << a << " and " << b;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Tiers, Crc32TierTest,
+                         ::testing::Values("slice8", "pclmul", "vpclmul512", "armv8-crc"),
+                         [](const ::testing::TestParamInfo<const char*>& tier) {
+                           std::string name = tier.param;
+                           for (char& c : name) {
+                             if (c == '-') c = '_';
+                           }
+                           return name;
+                         });
+
+// ---- which tier a CPU's features select ---------------------------------
+
+detail::Crc32CpuFeatures avx512_server() {
+  detail::Crc32CpuFeatures cpu;
+  cpu.pclmulqdq = true;
+  cpu.avx512f = true;
+  cpu.avx512vl = true;
+  cpu.vpclmulqdq = true;
+  cpu.os_saves_zmm = true;
+  return cpu;
+}
+
+TEST(Crc32DispatchTest, WideTierNeedsEveryFeatureAndTheOsState) {
+  EXPECT_STREQ(detail::crc32_select_tier(avx512_server()), "vpclmul512");
+
+  detail::Crc32CpuFeatures cpu = avx512_server();
+  cpu.vpclmulqdq = false;
+  EXPECT_STREQ(detail::crc32_select_tier(cpu), "pclmul") << "no VPCLMULQDQ";
+
+  cpu = avx512_server();
+  cpu.os_saves_zmm = false;
+  EXPECT_STREQ(detail::crc32_select_tier(cpu), "pclmul") << "AVX-512 whose state the OS drops";
+
+  cpu = avx512_server();
+  cpu.avx512f = false;
+  EXPECT_STREQ(detail::crc32_select_tier(cpu), "pclmul") << "no AVX512F";
+
+  cpu = avx512_server();
+  cpu.avx512vl = false;
+  EXPECT_STREQ(detail::crc32_select_tier(cpu), "pclmul") << "no AVX512VL";
+}
+
+TEST(Crc32DispatchTest, NoCarrylessMultiplyFallsBackToSlicing) {
+  detail::Crc32CpuFeatures cpu = avx512_server();
+  cpu.pclmulqdq = false;
+  EXPECT_STREQ(detail::crc32_select_tier(cpu), "slice8");
+  EXPECT_STREQ(detail::crc32_select_tier({}), "slice8");
+
+  detail::Crc32CpuFeatures arm;
+  arm.armv8_crc = true;
+  EXPECT_STREQ(detail::crc32_select_tier(arm), "armv8-crc");
+}
+
+TEST(Crc32DispatchTest, DispatchRunsThisCpusSelectionAndItIsListed) {
+  const char* selected = detail::crc32_select_tier(detail::crc32_cpu_features());
+  EXPECT_STREQ(crc32_backend_name(), selected);
+  bool listed = false;
+  for (const detail::Crc32Tier& tier : detail::crc32_tiers()) {
+    listed = listed || std::strcmp(tier.name, selected) == 0;
+  }
+  EXPECT_TRUE(listed) << selected;
+  ASSERT_FALSE(detail::crc32_tiers().empty());
+  EXPECT_STREQ(detail::crc32_tiers().front().name, "slice8");
 }
 
 }  // namespace

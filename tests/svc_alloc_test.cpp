@@ -128,7 +128,10 @@ Budget measure(bool flapping, Recorder* obs = nullptr) {
   const Rank n = kShape.num_nodes();
   for (int id = 0; id < kSessions; ++id) {
     SessionRequest req;
-    req.tenant = "t" + std::to_string(id % 4);
+    // Appended, not `"t" + std::to_string(...)`: GCC 12 at -O3 flags
+    // that concatenation with a false -Wrestrict.
+    req.tenant = "t";
+    req.tenant += std::to_string(id % 4);
     req.weight = 1 + id % 3;
     req.arrival = static_cast<double>(id) * mgr.phase_cost();
     req.send.resize(static_cast<std::size_t>(n));

@@ -397,21 +397,35 @@ long thread_count() {
   return static_cast<long>(std::distance(tasks, std::filesystem::directory_iterator{}));
 }
 
+/// The thread count once it reaches `expected`, or the last count read
+/// when 2 s pass first. A thread that `join` has returned for can stay
+/// listed in /proc/self/task for a moment, so one read can race the
+/// kernel; a worker that really leaked still shows after the deadline.
+long thread_count_settled(long expected) {
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(2);
+  long count = thread_count();
+  while (count != expected && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    count = thread_count();
+  }
+  return count;
+}
+
 TEST(StepPoolTest, DestructorJoinsIdleWorkers) {
   const long before = thread_count();
   if (before < 0) GTEST_SKIP() << "no /proc/self/task to count threads";
   {
     StepPool never_ran(4);
-    EXPECT_EQ(thread_count(), before + 3);
+    EXPECT_EQ(thread_count_settled(before + 3), before + 3);
   }
-  EXPECT_EQ(thread_count(), before);
+  EXPECT_EQ(thread_count_settled(before), before);
   {
     StepPool pool(4);
     StepPool::run(&pool, 100, [](std::size_t, int) {});
     // Long past the spin: every worker is blocked when the pool dies.
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
   }
-  EXPECT_EQ(thread_count(), before);
+  EXPECT_EQ(thread_count_settled(before), before);
 }
 
 }  // namespace
