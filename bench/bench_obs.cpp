@@ -7,10 +7,10 @@
 //   disabled  a recorder constructed with enabled=false passed through
 //             the hooks — prices the "one branch per event" claim;
 //   recording a live recorder with default buffers.
-// Paths on 8x8: the sequential engine, the reference payload executor
-// and the step kernel on a 4-participant pool. Overhead is reported,
-// not asserted — the target is < 5% on the kernel path, but wall-clock
-// on shared CI machines is advisory.
+// Paths on 8x8: the sequential engine, and the step kernel inline and
+// on a 4-participant pool. Overhead is reported, not asserted — the
+// target is < 5% on the kernel path, but wall-clock on shared CI
+// machines is advisory.
 //
 // The service path IS asserted: a seeded multi-session torexd run on
 // 4x4 is timed with the observability plane off (flight rings
@@ -66,17 +66,6 @@ double min_ms(const std::function<void()>& fn, int reps) {
     best = std::min(best, std::chrono::duration<double, std::milli>(elapsed).count());
   }
   return best;
-}
-
-ParcelBuffers<std::int64_t> canonical_parcels(Rank n) {
-  ParcelBuffers<std::int64_t> buffers(static_cast<std::size_t>(n));
-  for (Rank p = 0; p < n; ++p) {
-    for (Rank q = 0; q < n; ++q) {
-      buffers[static_cast<std::size_t>(p)].push_back(
-          {Block{p, q}, static_cast<std::int64_t>(p) * n + q});
-    }
-  }
-  return buffers;
 }
 
 double pct(double with_obs, double base) {
@@ -144,7 +133,7 @@ int main(int argc, char** argv) {
       double off = 0, disabled = 0, recording = 0;
       std::int64_t events = 0;
     };
-    PathRow engine_row{"engine"}, payload_row{"payload"}, kernel_row{"step_kernel_x4"};
+    PathRow engine_row{"engine"}, inline_row{"step_kernel_inline"}, kernel_row{"step_kernel_x4"};
 
     std::cout << "=== Recorder overhead on 8x8 (" << N << " nodes, " << kReps
               << " reps/cell) ===\n\n";
@@ -178,48 +167,38 @@ int main(int argc, char** argv) {
       add_row(engine_row);
     }
 
-    {  // Payload exchange: span per phase/step over real parcels.
-      payload_row.off =
-          time_ms([&] { exchange_payloads(algo, canonical_parcels(N)); }, kReps);
-      Recorder disabled(disabled_options);
-      payload_row.disabled = time_ms(
-          [&] { exchange_payloads(algo, canonical_parcels(N), &disabled); }, kReps);
-      Recorder recording;
-      payload_row.recording = time_ms(
-          [&] { exchange_payloads(algo, canonical_parcels(N), &recording); }, kReps);
-      payload_row.events = static_cast<std::int64_t>(recording.snapshot().events.size());
-      add_row(payload_row);
-    }
-
-    {  // Step kernel on a 4-participant pool: exchange/phase/step/permute
-       // spans on the caller (the < 5% target path).
+    {  // Step kernel, inline and on a 4-participant pool: exchange/phase/
+       // step/permute spans on the caller (the < 5% target path).
       const StepProgram program(algo);
-      StepPool pool(4);
       std::vector<std::vector<std::int64_t>> rows(static_cast<std::size_t>(N));
       for (Rank p = 0; p < N; ++p) {
         for (Rank q = 0; q < N; ++q) {
           rows[static_cast<std::size_t>(p)].push_back(static_cast<std::int64_t>(p) * N + q);
         }
       }
-      WireExchangeOptions base;
-      base.pool = &pool;
-      // Settle the pool first (its workers wake and it adapts its helper
-      // count), so the first cell does not pay for that alone.
-      for (int i = 0; i < kReps; ++i) exchange_payloads_pooled(algo, program, rows, base);
-      kernel_row.off =
-          time_ms([&] { exchange_payloads_pooled(algo, program, rows, base); }, kReps);
-      Recorder disabled(disabled_options);
-      WireExchangeOptions with_disabled = base;
-      with_disabled.obs = &disabled;
-      kernel_row.disabled =
-          time_ms([&] { exchange_payloads_pooled(algo, program, rows, with_disabled); }, kReps);
-      Recorder recording;
-      WireExchangeOptions with_obs = base;
-      with_obs.obs = &recording;
-      kernel_row.recording =
-          time_ms([&] { exchange_payloads_pooled(algo, program, rows, with_obs); }, kReps);
-      kernel_row.events = static_cast<std::int64_t>(recording.snapshot().events.size());
-      add_row(kernel_row);
+      const auto time_kernel = [&](PathRow& row, StepPool* pool) {
+        WireExchangeOptions base;
+        base.pool = pool;
+        // Settle the pool first (its workers wake and it adapts its
+        // helper count), so the first cell does not pay for that alone.
+        for (int i = 0; i < kReps; ++i) exchange_payloads_pooled(algo, program, rows, base);
+        row.off = time_ms([&] { exchange_payloads_pooled(algo, program, rows, base); }, kReps);
+        Recorder disabled(disabled_options);
+        WireExchangeOptions with_disabled = base;
+        with_disabled.obs = &disabled;
+        row.disabled =
+            time_ms([&] { exchange_payloads_pooled(algo, program, rows, with_disabled); }, kReps);
+        Recorder recording;
+        WireExchangeOptions with_obs = base;
+        with_obs.obs = &recording;
+        row.recording =
+            time_ms([&] { exchange_payloads_pooled(algo, program, rows, with_obs); }, kReps);
+        row.events = static_cast<std::int64_t>(recording.snapshot().events.size());
+        add_row(row);
+      };
+      time_kernel(inline_row, nullptr);
+      StepPool pool(4);
+      time_kernel(kernel_row, &pool);
     }
     table.print(std::cout);
     std::cout << "\ntarget: recording < 5% on the step kernel path (advisory — wall-clock "
@@ -276,7 +255,7 @@ int main(int argc, char** argv) {
            << "      \"events\": " << row.events << "\n    }" << (last ? "\n" : ",\n");
     };
     path_json(engine_row, false);
-    path_json(payload_row, false);
+    path_json(inline_row, false);
     path_json(kernel_row, true);
     json << "  },\n  \"service\": {\n"
          << "    \"shape\": \"" << svc_shape.to_string() << "\",\n"

@@ -1,16 +1,18 @@
 // Wire-path evaluation: what the pooled zero-copy frame layer costs
-// over wire-free struct moves, and what sealing every frame costs over
-// the pooled wire, measured where it matters — heap allocations, bytes
-// copied, and wall-clock per parcel — plus what compiling each
-// StepProgram costs.
+// over the same kernel moving payloads without frames, and what sealing
+// every frame costs over the pooled wire, measured where it matters —
+// heap allocations, bytes copied, and wall-clock per parcel — plus what
+// compiling each StepProgram costs.
 //
 // Every heap allocation in the process is counted by overriding the
 // global operator new/delete, so the numbers are ground truth, not
 // instrumentation estimates. For each shape (the paper's 8x8 and the
 // 3D 8x4x4) five executors run over identical payloads:
 //
-//   plain             exchange_payloads (the reference executor: parcels
-//                     carrying their identity, struct moves, no wire)
+//   local             the step kernel replaying the paper program with
+//                     hooks whose framed() is false: every message moves
+//                     through the local transport, the wire-free baseline
+//                     of the same program
 //   sealed_pooled     exchange_payloads_sealed, §3.3 layout, clean wire
 //   pooled_paper      exchange_payloads_pooled, §3.3 layout
 //   pooled_naive      exchange_payloads_pooled, naive destination order
@@ -143,17 +145,11 @@ std::vector<std::vector<std::int64_t>> canonical_rows(Rank n) {
   return rows;
 }
 
-/// The reference executor's seed: the same payloads, identities attached.
-ParcelBuffers<std::int64_t> canonical_parcels(Rank n) {
-  ParcelBuffers<std::int64_t> buffers(static_cast<std::size_t>(n));
-  for (Rank p = 0; p < n; ++p) {
-    for (Rank q = 0; q < n; ++q) {
-      buffers[static_cast<std::size_t>(p)].push_back(
-          {Block{p, q}, static_cast<std::int64_t>(p) * n + q});
-    }
-  }
-  return buffers;
-}
+/// Kernel hooks that replay every step locally: no frame is sealed,
+/// so the program runs with no wire at all.
+struct LocalHooks : detail::StepHooks {
+  bool framed(int /*phase*/, int /*step*/) const { return false; }
+};
 
 struct PathResult {
   std::string name;
@@ -161,7 +157,7 @@ struct PathResult {
   double ns_per_parcel = 0;       ///< of the fastest exchange
   double allocs_per_step = 0;
   double alloc_kib_per_step = 0;
-  WirePoolStats stats;            ///< wire traffic delta (zero for plain)
+  WirePoolStats stats;            ///< wire traffic delta (none for local)
   bool has_stats = false;
 };
 
@@ -220,7 +216,7 @@ PathResult measure(const std::string& name, const SuhShinAape& algo, int reps, S
 /// exchange; `run(&stats)` a timed one (see measure_rep).
 struct Path {
   std::string name;
-  WireArena* arena = nullptr;  ///< the path's own arena; nullptr for plain
+  WireArena* arena = nullptr;  ///< the path's own arena; nullptr for local
   std::function<void(RepStats*)> run;
 };
 
@@ -403,6 +399,7 @@ int main(int argc, char** argv) {
     // block of them, or on whichever path always follows another.
     const StepProgram paper_program(algo, LayoutPolicy::kPaper);
     const StepProgram naive_program(algo, LayoutPolicy::kNaiveDestinationOrder);
+    WireArena local_arena;  // leases no frame: every step is local
     WireArena sealed_arena;
     WireArena paper_arena;
     WireArena naive_arena;
@@ -438,10 +435,13 @@ int main(int argc, char** argv) {
 
     using Rows = std::vector<std::vector<std::int64_t>>;
     std::vector<Path> paths;
-    paths.push_back(make_path("plain", nullptr, N, canonical_parcels,
-                              [&](ParcelBuffers<std::int64_t> parcels) {
-                                exchange_payloads(algo, std::move(parcels));
-                              }));
+    paths.push_back(make_path("local", nullptr, N, canonical_rows, [&](Rows rows) {
+      LocalHooks hooks;
+      detail::StepReplay<std::int64_t> replay;
+      detail::replay_step_program(paper_program, rows, local_arena, nullptr, nullptr, hooks,
+                                  replay);
+      detail::put_rows_in_origin_order(paper_program, rows, nullptr, replay, nullptr);
+    }));
     paths.push_back(make_path("sealed_pooled", &sealed_arena, N, canonical_rows, [&](Rows rows) {
       exchange_payloads_sealed(algo, paper_program, std::move(rows), {}, sealed_options);
     }));

@@ -7,8 +7,9 @@
 // transpose, 1-D FFTs over rows again, and a final transpose. With the
 // array row-block distributed over N torus nodes, each transpose is one
 // all-to-all personalized exchange — the paper's kernel. We run both
-// exchanges through the Suh-Shin schedule with complex payloads and
-// verify the result against a direct O(M^4) 2-D DFT.
+// exchanges through the Suh-Shin schedule on the step kernel
+// (exchange_payloads_pooled) with complex payloads and verify the
+// result against a direct O(M^4) 2-D DFT.
 #include <cmath>
 #include <complex>
 #include <iostream>
@@ -16,6 +17,7 @@
 #include <vector>
 
 #include "core/payload_exchange.hpp"
+#include "core/step_program.hpp"
 #include "util/cli.hpp"
 
 namespace {
@@ -86,22 +88,9 @@ int main(int argc, char** argv) {
 
     // Step 2: global transpose by complete exchange (element (p, q)
     // travels from node p to node q).
+    const StepProgram program(algo);  // compiled once, replayed by both transposes
     auto transpose = [&](std::vector<std::vector<Complex>>& r) {
-      ParcelBuffers<Complex> parcels(static_cast<std::size_t>(N));
-      for (Rank p = 0; p < N; ++p) {
-        auto& buf = parcels[static_cast<std::size_t>(p)];
-        buf.reserve(static_cast<std::size_t>(N));
-        for (Rank q = 0; q < N; ++q) {
-          buf.push_back({Block{p, q}, r[static_cast<std::size_t>(p)][static_cast<std::size_t>(q)]});
-        }
-      }
-      const auto delivered = exchange_payloads(algo, std::move(parcels));
-      for (Rank q = 0; q < N; ++q) {
-        for (const auto& parcel : delivered[static_cast<std::size_t>(q)]) {
-          r[static_cast<std::size_t>(q)][static_cast<std::size_t>(parcel.block.origin)] =
-              parcel.payload;
-        }
-      }
+      r = exchange_payloads_pooled(algo, program, std::move(r));
     };
     transpose(rows);
 

@@ -8,13 +8,14 @@
 // N nodes of the torus: node p owns rows [p*tile, (p+1)*tile). The
 // transpose is one all-to-all personalized exchange: the block node p
 // must send node q is the tile*tile submatrix at (rows of p) x (cols
-// of q). We run the Suh-Shin schedule over real double payloads via
-// exchange_payloads, reassemble, and verify against a straightforward
-// serial transpose.
+// of q). We run the Suh-Shin schedule over real double payloads on the
+// step kernel (exchange_payloads_pooled), reassemble, and verify against
+// a straightforward serial transpose.
 #include <iostream>
 #include <vector>
 
 #include "core/payload_exchange.hpp"
+#include "core/step_program.hpp"
 #include "util/cli.hpp"
 
 int main(int argc, char** argv) {
@@ -38,13 +39,13 @@ int main(int argc, char** argv) {
       return static_cast<double>(i * M + j);
     };
 
-    // Build parcels: node p's block for node q is the tile x tile
+    // Build rows: node p's payload for node q is the tile x tile
     // submatrix A[p*tile .. , q*tile ..], row-major.
     using Tile = std::vector<double>;
-    ParcelBuffers<Tile> parcels(static_cast<std::size_t>(N));
+    std::vector<std::vector<Tile>> rows(static_cast<std::size_t>(N));
     for (Rank p = 0; p < N; ++p) {
-      auto& buf = parcels[static_cast<std::size_t>(p)];
-      buf.reserve(static_cast<std::size_t>(N));
+      auto& row = rows[static_cast<std::size_t>(p)];
+      row.reserve(static_cast<std::size_t>(N));
       for (Rank q = 0; q < N; ++q) {
         Tile t(static_cast<std::size_t>(tile * tile));
         for (std::int64_t i = 0; i < tile; ++i) {
@@ -52,33 +53,33 @@ int main(int argc, char** argv) {
             t[static_cast<std::size_t>(i * tile + j)] = element(p * tile + i, q * tile + j);
           }
         }
-        buf.push_back({Block{p, q}, std::move(t)});
+        row.push_back(std::move(t));
       }
     }
 
-    // One complete exchange.
-    const auto delivered = exchange_payloads(algo, std::move(parcels));
+    // One complete exchange: recv[q][p] is the tile node p sent node q.
+    const auto recv = exchange_payloads_pooled(algo, StepProgram(algo), std::move(rows));
 
-    // Reassemble: after the exchange node q holds, from each p, the
-    // tile A[p*tile.., q*tile..]. Its transposed row block is
+    // Reassemble: node q holds, from each p, the tile
+    // A[p*tile.., q*tile..]. Its transposed row block is
     // B[q*tile + i][j] = A[j][q*tile + i].
     std::int64_t errors = 0;
     for (Rank q = 0; q < N; ++q) {
-      std::vector<double> rows(static_cast<std::size_t>(tile * M));
-      for (const auto& parcel : delivered[static_cast<std::size_t>(q)]) {
-        const Rank p = parcel.block.origin;
+      std::vector<double> block(static_cast<std::size_t>(tile * M));
+      for (Rank p = 0; p < N; ++p) {
+        const Tile& t = recv[static_cast<std::size_t>(q)][static_cast<std::size_t>(p)];
         for (std::int64_t i = 0; i < tile; ++i) {
           for (std::int64_t j = 0; j < tile; ++j) {
             // Local tile transpose while scattering into the row block.
-            rows[static_cast<std::size_t>(j * M + p * tile + i)] =
-                parcel.payload[static_cast<std::size_t>(i * tile + j)];
+            block[static_cast<std::size_t>(j * M + p * tile + i)] =
+                t[static_cast<std::size_t>(i * tile + j)];
           }
         }
       }
       for (std::int64_t i = 0; i < tile; ++i) {
         for (std::int64_t j = 0; j < M; ++j) {
           const double expected = element(j, q * tile + i);  // A^T[q*tile+i][j]
-          if (rows[static_cast<std::size_t>(i * M + j)] != expected) ++errors;
+          if (block[static_cast<std::size_t>(i * M + j)] != expected) ++errors;
         }
       }
     }

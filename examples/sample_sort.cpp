@@ -7,14 +7,16 @@
 // Classic sample sort: every node sorts locally, contributes samples,
 // splitters are chosen from the gathered sample, every key is routed to
 // the bucket (node) owning its splitter range — one irregular all-to-all
-// personalized exchange, executed with the Suh-Shin schedule via
-// exchange_parcels_custom — and buckets sort locally. We verify the
-// global order and that no key was lost.
+// personalized exchange (Alltoallv), executed with the Suh-Shin schedule
+// on the step kernel: each node's payload for a destination is the
+// std::vector of its keys bound there — and buckets sort locally. We
+// verify the global order and that no key was lost.
 #include <algorithm>
 #include <iostream>
 #include <vector>
 
 #include "core/payload_exchange.hpp"
+#include "core/step_program.hpp"
 #include "util/cli.hpp"
 #include "util/prng.hpp"
 
@@ -57,16 +59,19 @@ int main(int argc, char** argv) {
       splitters.push_back(sample[static_cast<std::size_t>(i) * static_cast<std::size_t>(N)]);
     }
 
-    // 3. Route every key to its bucket with one irregular exchange.
-    ParcelBuffers<std::uint64_t> parcels(static_cast<std::size_t>(N));
+    // 3. Route every key to its bucket with one irregular exchange:
+    // rows[p][b] holds the keys node p sends to bucket b.
+    using Keys = std::vector<std::uint64_t>;
+    std::vector<std::vector<Keys>> rows(static_cast<std::size_t>(N),
+                                        std::vector<Keys>(static_cast<std::size_t>(N)));
     for (Rank p = 0; p < N; ++p) {
       for (std::uint64_t key : local[static_cast<std::size_t>(p)]) {
         const auto it = std::upper_bound(splitters.begin(), splitters.end(), key);
-        const Rank bucket = static_cast<Rank>(it - splitters.begin());
-        parcels[static_cast<std::size_t>(p)].push_back({Block{p, bucket}, key});
+        const auto bucket = static_cast<std::size_t>(it - splitters.begin());
+        rows[static_cast<std::size_t>(p)][bucket].push_back(key);
       }
     }
-    const auto delivered = exchange_parcels_custom(algo, std::move(parcels));
+    const auto delivered = exchange_payloads_pooled(algo, StepProgram(algo), std::move(rows));
 
     // 4. Local sort per bucket, then verify the global order.
     std::int64_t total = 0;
@@ -74,9 +79,9 @@ int main(int argc, char** argv) {
     bool sorted = true;
     std::int64_t largest_bucket = 0;
     for (Rank b = 0; b < N; ++b) {
-      std::vector<std::uint64_t> bucket;
-      for (const auto& parcel : delivered[static_cast<std::size_t>(b)]) {
-        bucket.push_back(parcel.payload);
+      Keys bucket;
+      for (const Keys& keys : delivered[static_cast<std::size_t>(b)]) {
+        bucket.insert(bucket.end(), keys.begin(), keys.end());
       }
       std::sort(bucket.begin(), bucket.end());
       total += static_cast<std::int64_t>(bucket.size());

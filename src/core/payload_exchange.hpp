@@ -5,10 +5,12 @@
 // starts with one payload per destination and ends with one payload per
 // origin — so examples (matrix transpose, FFT) and downstream users
 // exercise exactly the communication pattern the paper schedules, with
-// their own element types. The reference executor (exchange_payloads)
-// attaches each payload to its block identity as a Parcel; the step
-// kernel and its drivers move bare payloads in rows, and the compiled
-// StepProgram knows whose payload sits in every slot.
+// their own element types. One executor moves them: the step kernel
+// and its drivers move bare payloads in rows, and the compiled
+// StepProgram knows whose payload sits in every slot. Sparse exchanges
+// (scatter, gather, §6 padding) run the same schedule over rows of
+// default-constructed placeholders, and irregular ones (Alltoallv) over
+// rows of buckets: one container of payloads per (origin, dest) pair.
 #pragma once
 
 #include <algorithm>
@@ -23,10 +25,10 @@
 #include <vector>
 
 #include "core/aape.hpp"
-#include "core/block.hpp"
 #include "core/data_array.hpp"
 #include "core/integrity.hpp"
 #include "core/step_program.hpp"
+#include "core/step_program_cache.hpp"
 #include "core/wire_buffer.hpp"
 #include "obs/recorder.hpp"
 #include "util/assert.hpp"
@@ -34,18 +36,6 @@
 #include "util/step_pool.hpp"
 
 namespace torex {
-
-/// One payload in flight in the reference executor: its block identity
-/// plus user data.
-template <typename T>
-struct Parcel {
-  Block block;
-  T payload;
-};
-
-/// The reference executor's per-node parcel buffers, indexed by rank.
-template <typename T>
-using ParcelBuffers = std::vector<std::vector<Parcel<T>>>;
 
 /// Per-destination delivery state of one all-to-all: bit (dest, origin)
 /// is set once `dest` durably holds the parcel `origin` addressed to
@@ -118,103 +108,6 @@ class DeliveryBitmap {
   std::int64_t delivered_ = 0;
   std::vector<std::uint64_t> words_;
 };
-
-namespace detail {
-
-/// Validates the canonical all-to-all seed of the reference executor:
-/// one buffer per node, one parcel per destination, every parcel
-/// originating at its node.
-template <typename T>
-void require_canonical_parcel_seed(Rank N, const ParcelBuffers<T>& buffers) {
-  TOREX_REQUIRE(static_cast<Rank>(buffers.size()) == N, "need one buffer per node");
-  std::vector<char> seen(static_cast<std::size_t>(N));
-  for (Rank p = 0; p < N; ++p) {
-    const auto& buf = buffers[static_cast<std::size_t>(p)];
-    TOREX_REQUIRE(static_cast<Rank>(buf.size()) == N,
-                  "node must start with one parcel per destination");
-    std::fill(seen.begin(), seen.end(), 0);
-    for (const auto& parcel : buf) {
-      TOREX_REQUIRE(parcel.block.origin == p, "parcel origin must match its node");
-      TOREX_REQUIRE(parcel.block.dest >= 0 && parcel.block.dest < N,
-                    "parcel destination out of range");
-      TOREX_REQUIRE(!seen[static_cast<std::size_t>(parcel.block.dest)],
-                    "duplicate destination in a node's initial parcels");
-      seen[static_cast<std::size_t>(parcel.block.dest)] = 1;
-    }
-  }
-}
-
-/// Verifies the AAPE postcondition on the reference executor's
-/// delivered parcels: node p holds exactly one parcel from every
-/// origin, all addressed to p.
-template <typename T>
-void check_parcel_postcondition(Rank N, const ParcelBuffers<T>& buffers) {
-  std::vector<char> seen(static_cast<std::size_t>(N));
-  for (Rank p = 0; p < N; ++p) {
-    const auto& buf = buffers[static_cast<std::size_t>(p)];
-    TOREX_CHECK(static_cast<Rank>(buf.size()) == N, "payload exchange lost parcels");
-    std::fill(seen.begin(), seen.end(), 0);
-    for (const auto& parcel : buf) {
-      TOREX_CHECK(parcel.block.dest == p, "payload delivered to the wrong node");
-      TOREX_CHECK(!seen[static_cast<std::size_t>(parcel.block.origin)], "duplicate origin");
-      seen[static_cast<std::size_t>(parcel.block.origin)] = 1;
-    }
-  }
-}
-
-/// The reference loop: runs the whole schedule over `buffers`, moving
-/// every parcel the oracle's predicate selects to the step's partner
-/// (partition, then inbox). Records an `exchange` span with its
-/// `phase` and `step` spans when `obs` is live.
-template <typename T>
-void forward_parcels(const SuhShinAape& algo, ParcelBuffers<T>& buffers, Recorder* obs) {
-  const Rank N = algo.shape().num_nodes();
-  SpanGuard exchange_span(obs, "exchange");
-  ParcelBuffers<T> inbox(static_cast<std::size_t>(N));
-  for (int phase = 1; phase <= algo.num_phases(); ++phase) {
-    SpanGuard phase_span(obs, "phase", -1, phase);
-    for (int step = 1; step <= algo.steps_in_phase(phase); ++step) {
-      SpanGuard step_span(obs, "step", -1, phase, step);
-      for (Rank p = 0; p < N; ++p) {
-        auto& buf = buffers[static_cast<std::size_t>(p)];
-        auto split = std::stable_partition(buf.begin(), buf.end(), [&](const Parcel<T>& x) {
-          return !algo.should_send(p, phase, step, x.block);
-        });
-        if (split == buf.end()) continue;
-        const Rank q = algo.partner(p, phase, step);
-        auto& in = inbox[static_cast<std::size_t>(q)];
-        in.insert(in.end(), std::make_move_iterator(split),
-                  std::make_move_iterator(buf.end()));
-        buf.erase(split, buf.end());
-      }
-      for (Rank p = 0; p < N; ++p) {
-        auto& in = inbox[static_cast<std::size_t>(p)];
-        if (in.empty()) continue;
-        auto& buf = buffers[static_cast<std::size_t>(p)];
-        buf.insert(buf.end(), std::make_move_iterator(in.begin()),
-                   std::make_move_iterator(in.end()));
-        in.clear();
-      }
-    }
-  }
-}
-
-}  // namespace detail
-
-/// The reference executor: runs the full schedule over `initial`
-/// parcels. Requirements: initial[p] holds exactly one parcel per
-/// destination, each with block.origin == p. Returns the final buffers:
-/// node p ends with one parcel from every origin, all with
-/// block.dest == p. Throws on any violation.
-template <typename T>
-ParcelBuffers<T> exchange_payloads(const SuhShinAape& algo, ParcelBuffers<T> buffers,
-                                   Recorder* obs = nullptr) {
-  const Rank N = algo.shape().num_nodes();
-  detail::require_canonical_parcel_seed(N, buffers);
-  detail::forward_parcels(algo, buffers, obs);
-  detail::check_parcel_postcondition(N, buffers);
-  return buffers;
-}
 
 // --- Wire frames (TOX4, the one frame format) ---------------------------
 //
@@ -427,6 +320,16 @@ void require_rows(Rank N, const std::vector<std::vector<T>>& rows) {
 template <typename T>
 StepPool* copy_pool(StepPool* pool) {
   return std::is_trivially_copyable_v<T> ? pool : nullptr;
+}
+
+/// N rows of N default-constructed placeholders. A sparse exchange
+/// (scatter, gather, §6 padding) fills only the slots it uses; the
+/// schedule forwards the rest like any payload.
+template <typename T>
+std::vector<std::vector<T>> placeholder_rows(Rank N) {
+  std::vector<std::vector<T>> rows(static_cast<std::size_t>(N));
+  for (auto& row : rows) row.resize(static_cast<std::size_t>(N));
+  return rows;
 }
 
 /// Swaps rows[a][b] with rows[b][a] for every pair: N rows in
@@ -694,7 +597,9 @@ template <typename T>
 void begin_replay(const StepProgram& program, StepPool* pool, StepReplay<T>& replay) {
   const auto nodes = static_cast<std::size_t>(program.num_nodes());
   replay.outbound.resize(nodes);
-  replay.scratch.assign(static_cast<std::size_t>(participants(pool)), std::vector<T>(nodes));
+  // Sized in place, so payloads that can only be moved replay too.
+  replay.scratch.resize(static_cast<std::size_t>(participants(pool)));
+  for (auto& row : replay.scratch) row.resize(nodes);
 }
 
 /// Returns every frame of a replay to the arena when replay_phase
@@ -1148,79 +1053,41 @@ std::vector<std::vector<T>> exchange_payloads_sealed(const SuhShinAape& algo,
   return rows;
 }
 
-/// Runs the schedule over an arbitrary parcel multiset (the Alltoallv
-/// generalization): initial[p] may hold any parcels with origin p.
-/// Returns the final buffers; every parcel ends on its destination
-/// (checked), with no constraint on counts.
-template <typename T>
-ParcelBuffers<T> exchange_parcels_custom(const SuhShinAape& algo, ParcelBuffers<T> buffers) {
-  const Rank N = algo.shape().num_nodes();
-  TOREX_REQUIRE(static_cast<Rank>(buffers.size()) == N, "need one buffer per node");
-  std::int64_t total = 0;
-  for (Rank p = 0; p < N; ++p) {
-    for (const auto& parcel : buffers[static_cast<std::size_t>(p)]) {
-      TOREX_REQUIRE(parcel.block.origin == p, "parcel origin must match its node");
-      TOREX_REQUIRE(parcel.block.dest >= 0 && parcel.block.dest < N,
-                    "parcel destination out of range");
-      ++total;
-    }
-  }
-  detail::forward_parcels(algo, buffers, nullptr);
-
-  std::int64_t delivered = 0;
-  for (Rank p = 0; p < N; ++p) {
-    for (const auto& parcel : buffers[static_cast<std::size_t>(p)]) {
-      TOREX_CHECK(parcel.block.dest == p, "parcel delivered to the wrong node");
-      ++delivered;
-    }
-  }
-  TOREX_CHECK(delivered == total, "parcels lost or duplicated");
-  return buffers;
-}
-
 /// One-to-all personalized scatter: the root holds one payload per
 /// node; after running the (same) schedule, node d holds payloads[d].
-/// Returns the received payload per node (root keeps its own).
+/// Returns the received payload per node (root keeps its own). One
+/// kernel exchange, inline: the root's row holds the payloads and every
+/// other slot a placeholder.
 template <typename T>
 std::vector<T> scatter_payloads(const SuhShinAape& algo, Rank root, std::vector<T> payloads) {
   const Rank N = algo.shape().num_nodes();
   TOREX_REQUIRE(root >= 0 && root < N, "root out of range");
   TOREX_REQUIRE(static_cast<Rank>(payloads.size()) == N, "need one payload per node");
-  ParcelBuffers<T> parcels(static_cast<std::size_t>(N));
-  for (Rank d = 0; d < N; ++d) {
-    parcels[static_cast<std::size_t>(root)].push_back(
-        {Block{root, d}, std::move(payloads[static_cast<std::size_t>(d)])});
-  }
-  auto delivered = exchange_parcels_custom(algo, std::move(parcels));
+  const auto r = static_cast<std::size_t>(root);
+  auto rows = detail::placeholder_rows<T>(N);
+  rows[r] = std::move(payloads);
+  rows = exchange_payloads_pooled(algo, *step_program_cache().get(algo, LayoutPolicy::kPaper),
+                                  std::move(rows));
   std::vector<T> out(static_cast<std::size_t>(N));
-  for (Rank d = 0; d < N; ++d) {
-    auto& buf = delivered[static_cast<std::size_t>(d)];
-    TOREX_CHECK(buf.size() == 1, "scatter must deliver exactly one payload per node");
-    out[static_cast<std::size_t>(d)] = std::move(buf.front().payload);
-  }
+  for (std::size_t d = 0; d < out.size(); ++d) out[d] = std::move(rows[d][r]);
   return out;
 }
 
 /// All-to-one personalized gather: every node contributes one payload;
-/// the root ends with all of them, indexed by origin.
+/// the root ends with all of them, indexed by origin. One kernel
+/// exchange, inline: each node's payload sits in its row's root slot,
+/// and every other slot holds a placeholder.
 template <typename T>
 std::vector<T> gather_payloads(const SuhShinAape& algo, Rank root, std::vector<T> payloads) {
   const Rank N = algo.shape().num_nodes();
   TOREX_REQUIRE(root >= 0 && root < N, "root out of range");
   TOREX_REQUIRE(static_cast<Rank>(payloads.size()) == N, "need one payload per node");
-  ParcelBuffers<T> parcels(static_cast<std::size_t>(N));
-  for (Rank p = 0; p < N; ++p) {
-    parcels[static_cast<std::size_t>(p)].push_back(
-        {Block{p, root}, std::move(payloads[static_cast<std::size_t>(p)])});
-  }
-  auto delivered = exchange_parcels_custom(algo, std::move(parcels));
-  auto& buf = delivered[static_cast<std::size_t>(root)];
-  TOREX_CHECK(static_cast<Rank>(buf.size()) == N, "gather must collect N payloads");
-  std::vector<T> out(static_cast<std::size_t>(N));
-  for (auto& parcel : buf) {
-    out[static_cast<std::size_t>(parcel.block.origin)] = std::move(parcel.payload);
-  }
-  return out;
+  const auto r = static_cast<std::size_t>(root);
+  auto rows = detail::placeholder_rows<T>(N);
+  for (std::size_t p = 0; p < rows.size(); ++p) rows[p][r] = std::move(payloads[p]);
+  rows = exchange_payloads_pooled(algo, *step_program_cache().get(algo, LayoutPolicy::kPaper),
+                                  std::move(rows));
+  return std::move(rows[r]);
 }
 
 }  // namespace torex

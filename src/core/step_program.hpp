@@ -81,14 +81,16 @@ using LineVector = std::vector<T, CacheLineAllocator<T>>;
 /// Closes the gaps a multi-run send leaves in a row of `size` slots:
 /// the slots after the first run that stay behind move, in order, to
 /// the end of the row, in one backward pass. The receive then lands in
-/// one piece at runs.front().offset.
+/// one piece at runs.front().offset. Slots already in place (those
+/// after the last run) are not moved: a move onto itself may empty a
+/// payload such as std::string, and std::move_backward forbids it.
 template <typename T>
 void close_send_gaps(T* row, std::size_t size, std::span<const SendRun> runs) {
   std::size_t write = size;
   for (std::size_t r = runs.size(); r-- > 0;) {
     const std::size_t begin = std::size_t{runs[r].offset} + runs[r].count;
     const std::size_t end = r + 1 < runs.size() ? runs[r + 1].offset : size;
-    std::move_backward(row + begin, row + end, row + write);
+    if (write != end) std::move_backward(row + begin, row + end, row + write);
     write -= end - begin;
   }
 }

@@ -209,8 +209,13 @@ AlltoallAlgorithm TorusCommunicator::select(std::int64_t block_bytes) const {
        {AlltoallAlgorithm::kSuhShin, AlltoallAlgorithm::kSuhShinPadded,
         AlltoallAlgorithm::kRing, AlltoallAlgorithm::kDirect, AlltoallAlgorithm::kBruck}) {
     if (algorithm == AlltoallAlgorithm::kSuhShin && !suh_shin_applicable()) continue;
-    // Padding only earns its keep when the plain schedule cannot run.
-    if (algorithm == AlltoallAlgorithm::kSuhShinPadded && suh_shin_applicable()) continue;
+    // Padding only earns its keep when the plain schedule cannot run,
+    // and §6 pads only tori of two or more dimensions sorted
+    // non-increasing.
+    if (algorithm == AlltoallAlgorithm::kSuhShinPadded &&
+        (suh_shin_applicable() || shape_.num_dims() < 2 || !shape_.extents_non_increasing())) {
+      continue;
+    }
     const double t = estimate(algorithm, block_bytes).total();
     if (t < best_time) {
       best_time = t;

@@ -8,10 +8,11 @@
 // cheapest for the given block size (kAuto), or runs a caller-forced
 // choice.
 //
-// The Suh-Shin path executes the real schedule over the payloads; the
-// other paths apply the (identical) permutation result and are
-// distinguished by their cost estimates — this is a simulator, so
-// "time" always comes from the model, never from the wall clock.
+// The Suh-Shin paths, plain and §6-padded, execute the real schedule
+// over the payloads on the step kernel; the other paths apply the
+// (identical) permutation result and are distinguished by their cost
+// estimates — this is a simulator, so "time" always comes from the
+// model, never from the wall clock.
 #pragma once
 
 #include <algorithm>
@@ -222,10 +223,10 @@ class TorusCommunicator {
   /// All-to-all personalized exchange: send[p][q] is node p's payload
   /// for node q; returns recv with recv[q][p] == send[p][q]. The
   /// estimated time of the run is written to `modeled_time` when
-  /// non-null. Under Suh-Shin every payload type runs on the step
-  /// kernel: trivially copyable payloads cross the framed wire on the
-  /// communicator's pool, other payloads move locally on the calling
-  /// thread.
+  /// non-null. Under Suh-Shin, plain or §6-padded, every payload type
+  /// runs on the step kernel: trivially copyable payloads cross the
+  /// framed wire on the communicator's pool, other payloads move
+  /// locally on the calling thread.
   template <typename T>
   std::vector<std::vector<T>> alltoall(const std::vector<std::vector<T>>& send,
                                        AlltoallAlgorithm algorithm = AlltoallAlgorithm::kAuto,
@@ -370,9 +371,9 @@ class TorusCommunicator {
       outcome.integrity_failure = failure;
       if (outcome.algorithm != AlltoallAlgorithm::kSuhShin || outcome.degraded ||
           !schedule_.has_value()) {
-        // Degraded/baseline realizations are permutation-level
-        // simulations (see alltoall) — a remapped plan does not run the
-        // pristine schedule, so nothing crosses the sealed wire.
+        // Padded, degraded and baseline realizations run unsealed (see
+        // alltoall) — a remapped plan does not run the pristine
+        // schedule, so nothing crosses the sealed wire.
         return alltoall_impl(send, outcome.algorithm, bytes, nullptr, obs);
       }
       IntegrityOptions iopts = integrity;
@@ -521,34 +522,34 @@ class TorusCommunicator {
     }
 
     if (chosen == AlltoallAlgorithm::kSuhShinPadded) {
-      // Run the padded (virtual-torus) schedule over the payloads:
-      // parcels seeded at the primary virtual ranks, results read back
-      // by physical rank.
+      // §6: replay the virtual torus's own program, one row per virtual
+      // rank, on the same pool and arena. A primary virtual rank's row
+      // holds its physical node's payloads at the primary ranks of their
+      // destinations; every other slot holds a placeholder, which the
+      // schedule forwards like any payload.
       const VirtualTorusAape padded(shape_);
-      const SuhShinAape& algo = padded.schedule();
-      const TorusShape& vshape = padded.virtual_shape();
-      // physical rank -> primary virtual rank.
-      std::vector<Rank> to_virtual(static_cast<std::size_t>(N), -1);
-      for (Rank v = 0; v < vshape.num_nodes(); ++v) {
-        if (padded.is_primary(v)) to_virtual[static_cast<std::size_t>(padded.host_of(v))] = v;
-      }
-      ParcelBuffers<T> parcels(static_cast<std::size_t>(vshape.num_nodes()));
-      for (Rank p = 0; p < N; ++p) {
-        const Rank vp = to_virtual[static_cast<std::size_t>(p)];
-        auto& buf = parcels[static_cast<std::size_t>(vp)];
-        for (Rank q = 0; q < N; ++q) {
-          buf.push_back({Block{vp, to_virtual[static_cast<std::size_t>(q)]},
-                         send[static_cast<std::size_t>(p)][static_cast<std::size_t>(q)]});
+      const Rank V = padded.virtual_shape().num_nodes();
+      std::vector<std::size_t> to_virtual(static_cast<std::size_t>(N));  // physical -> primary
+      for (Rank v = 0; v < V; ++v) {
+        if (padded.is_primary(v)) {
+          to_virtual[static_cast<std::size_t>(padded.host_of(v))] = static_cast<std::size_t>(v);
         }
       }
-      const auto delivered = exchange_parcels_custom(algo, std::move(parcels));
-      std::vector<std::vector<T>> recv(static_cast<std::size_t>(N));
-      for (Rank q = 0; q < N; ++q) {
-        auto& row = recv[static_cast<std::size_t>(q)];
-        row.resize(static_cast<std::size_t>(N));
-        const Rank vq = to_virtual[static_cast<std::size_t>(q)];
-        for (const auto& parcel : delivered[static_cast<std::size_t>(vq)]) {
-          row[static_cast<std::size_t>(padded.host_of(parcel.block.origin))] = parcel.payload;
+      const auto program = step_program_cache().get(padded.schedule(), LayoutPolicy::kPaper);
+      StepPool* pool = detail::copy_pool<T>(step_pool());
+      auto rows = detail::placeholder_rows<T>(V);
+      for (std::size_t p = 0; p < send.size(); ++p) {
+        auto& row = rows[to_virtual[p]];
+        for (std::size_t q = 0; q < send.size(); ++q) row[to_virtual[q]] = send[p][q];
+      }
+      rows = exchange_payloads_pooled(padded.schedule(), *program, std::move(rows),
+                                      WireExchangeOptions{&wire_arena_, pool, obs});
+      std::vector<std::vector<T>> recv(send.size());
+      for (std::size_t q = 0; q < recv.size(); ++q) {
+        auto& from = rows[to_virtual[q]];
+        recv[q].reserve(send.size());
+        for (std::size_t p = 0; p < send.size(); ++p) {
+          recv[q].push_back(std::move(from[to_virtual[p]]));
         }
       }
       return recv;

@@ -30,52 +30,50 @@ namespace {
 TEST(PayloadExchangeTest, DeliversEveryPayload) {
   const SuhShinAape algo(TorusShape::make_2d(8, 8));
   const Rank N = algo.shape().num_nodes();
-  ParcelBuffers<std::int64_t> parcels(static_cast<std::size_t>(N));
+  std::vector<std::vector<std::int64_t>> rows(static_cast<std::size_t>(N));
   for (Rank p = 0; p < N; ++p) {
     for (Rank q = 0; q < N; ++q) {
-      parcels[static_cast<std::size_t>(p)].push_back(
-          {Block{p, q}, static_cast<std::int64_t>(p) * 1000 + q});
+      rows[static_cast<std::size_t>(p)].push_back(static_cast<std::int64_t>(p) * 1000 + q);
     }
   }
-  const auto delivered = exchange_payloads(algo, std::move(parcels));
+  const auto recv = exchange_payloads_pooled(algo, StepProgram(algo), std::move(rows));
   for (Rank q = 0; q < N; ++q) {
-    for (const auto& parcel : delivered[static_cast<std::size_t>(q)]) {
-      EXPECT_EQ(parcel.payload, static_cast<std::int64_t>(parcel.block.origin) * 1000 + q);
+    for (Rank p = 0; p < N; ++p) {
+      EXPECT_EQ(recv[static_cast<std::size_t>(q)][static_cast<std::size_t>(p)],
+                static_cast<std::int64_t>(p) * 1000 + q);
     }
   }
 }
 
 TEST(PayloadExchangeTest, MoveOnlyPayloadsWork) {
-  const SuhShinAape algo(TorusShape::make_2d(4, 4));
-  const Rank N = algo.shape().num_nodes();
-  ParcelBuffers<std::unique_ptr<int>> parcels(static_cast<std::size_t>(N));
-  for (Rank p = 0; p < N; ++p) {
-    for (Rank q = 0; q < N; ++q) {
-      parcels[static_cast<std::size_t>(p)].push_back(
-          {Block{p, q}, std::make_unique<int>(p * 100 + q)});
+  // The kernel sizes its scratch rows in place, so payloads that can
+  // only be moved replay too: inline, and with their moves on one or
+  // three participants. 8x4x4 closes multi-run sends' gaps as well.
+  for (const std::vector<std::int32_t>& extents :
+       std::vector<std::vector<std::int32_t>>{{4, 4}, {8, 4, 4}}) {
+    const SuhShinAape algo{TorusShape(extents)};
+    const StepProgram program(algo);
+    const Rank N = algo.shape().num_nodes();
+    for (const int participants : {0, 1, 3}) {
+      std::vector<std::vector<std::unique_ptr<int>>> rows(static_cast<std::size_t>(N));
+      for (Rank p = 0; p < N; ++p) {
+        for (Rank q = 0; q < N; ++q) {
+          rows[static_cast<std::size_t>(p)].push_back(std::make_unique<int>(p * 1000 + q));
+        }
+      }
+      const auto pool = participants > 0 ? std::make_unique<StepPool>(participants) : nullptr;
+      WireExchangeOptions options;
+      options.pool = pool.get();
+      const auto recv = exchange_payloads_pooled(algo, program, std::move(rows), options);
+      for (Rank q = 0; q < N; ++q) {
+        for (Rank p = 0; p < N; ++p) {
+          const auto& got = recv[static_cast<std::size_t>(q)][static_cast<std::size_t>(p)];
+          ASSERT_NE(got, nullptr) << algo.shape().to_string() << " at " << participants;
+          EXPECT_EQ(*got, p * 1000 + q) << algo.shape().to_string() << " at " << participants;
+        }
+      }
     }
   }
-  const auto delivered = exchange_payloads(algo, std::move(parcels));
-  for (Rank q = 0; q < N; ++q) {
-    for (const auto& parcel : delivered[static_cast<std::size_t>(q)]) {
-      ASSERT_NE(parcel.payload, nullptr);
-      EXPECT_EQ(*parcel.payload, parcel.block.origin * 100 + q);
-    }
-  }
-}
-
-TEST(PayloadExchangeTest, RejectsMalformedInput) {
-  const SuhShinAape algo(TorusShape::make_2d(4, 4));
-  ParcelBuffers<int> too_few(3);
-  EXPECT_THROW(exchange_payloads(algo, std::move(too_few)), std::invalid_argument);
-
-  ParcelBuffers<int> wrong_origin(16);
-  for (Rank p = 0; p < 16; ++p) {
-    for (Rank q = 0; q < 16; ++q) {
-      wrong_origin[static_cast<std::size_t>(p)].push_back({Block{0, q}, 0});
-    }
-  }
-  EXPECT_THROW(exchange_payloads(algo, std::move(wrong_origin)), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------
@@ -205,6 +203,37 @@ TEST(CommunicatorTest, StringPayloadsRunOnTheStepKernel) {
   EXPECT_EQ(exchange_payloads_pooled(algo, StepProgram(algo), send, options), recv);
 }
 
+TEST(CommunicatorTest, StringPayloadsSurviveMultiRunSends) {
+  // On 8x4x4 some sends take two runs, and closing their gaps moves the
+  // slots after the last run as well: none may come back empty, through
+  // alltoall or alltoall_resilient.
+  TorusCommunicator comm(TorusShape({8, 4, 4}), CostParams::balanced());
+  const Rank N = comm.size();
+  const auto payload = [](Rank from, Rank to) {
+    return "parcel " + std::to_string(from) + " -> " + std::to_string(to) +
+           ", longer than any small-string buffer";
+  };
+  std::vector<std::vector<std::string>> send(static_cast<std::size_t>(N));
+  for (Rank p = 0; p < N; ++p) {
+    for (Rank q = 0; q < N; ++q) send[static_cast<std::size_t>(p)].push_back(payload(p, q));
+  }
+  ResilienceOptions options;
+  options.algorithm = AlltoallAlgorithm::kSuhShin;
+  ExchangeOutcome outcome;
+  for (const auto& recv : {comm.alltoall(send, AlltoallAlgorithm::kSuhShin),
+                           comm.alltoall_resilient(send, FaultModel{}, outcome, options)}) {
+    std::int64_t wrong = 0;
+    for (Rank q = 0; q < N; ++q) {
+      for (Rank p = 0; p < N; ++p) {
+        if (recv[static_cast<std::size_t>(q)][static_cast<std::size_t>(p)] != payload(p, q)) {
+          ++wrong;
+        }
+      }
+    }
+    EXPECT_EQ(wrong, 0) << "of " << N * N << " payloads";
+  }
+}
+
 TEST(CommunicatorTest, AlltoallStridedExchangesColumnsInPlace) {
   // Träff-style datatypes: both endpoints are columns of row-major
   // matrices (stride = row length); the exchange reads and writes the
@@ -322,6 +351,102 @@ TEST(CommunicatorTest, PaddedSuhShinRunsOnAwkwardShapes) {
   // On a qualifying shape, auto never picks the padded variant.
   TorusCommunicator square(TorusShape({8, 8}), CostParams::balanced());
   EXPECT_NE(square.select(64), AlltoallAlgorithm::kSuhShinPadded);
+}
+
+// --- §6 padding on the step kernel ---------------------------------------
+
+class PaddedAlltoallTest : public ::testing::TestWithParam<std::vector<std::int32_t>> {};
+
+/// comm.alltoall(kSuhShinPadded) over payload(p, q) must return the
+/// transpose, run on the kernel (rearrangement passes counted) and
+/// leave no frame outstanding in the communicator's arena.
+template <typename Payload>
+void expect_padded_transpose(const TorusCommunicator& comm, Payload payload) {
+  const Rank N = comm.size();
+  std::vector<std::vector<decltype(payload(0, 0))>> send(static_cast<std::size_t>(N));
+  for (Rank p = 0; p < N; ++p) {
+    for (Rank q = 0; q < N; ++q) send[static_cast<std::size_t>(p)].push_back(payload(p, q));
+  }
+  const auto recv = comm.alltoall(send, AlltoallAlgorithm::kSuhShinPadded);
+  ASSERT_EQ(recv.size(), static_cast<std::size_t>(N));
+  std::int64_t wrong = 0;
+  for (Rank q = 0; q < N; ++q) {
+    ASSERT_EQ(recv[static_cast<std::size_t>(q)].size(), static_cast<std::size_t>(N));
+    for (Rank p = 0; p < N; ++p) {
+      if (recv[static_cast<std::size_t>(q)][static_cast<std::size_t>(p)] != payload(p, q)) {
+        ++wrong;
+      }
+    }
+  }
+  EXPECT_EQ(wrong, 0) << "of " << N * N << " payloads";
+  EXPECT_GT(comm.wire_stats().rearrangement_passes, 0);
+  EXPECT_EQ(comm.wire_stats().outstanding_frames(), 0);
+}
+
+TEST_P(PaddedAlltoallTest, WordsArriveAsTheTranspose) {
+  const TorusCommunicator comm(TorusShape(GetParam()), CostParams::balanced());
+  expect_padded_transpose(comm, [](Rank p, Rank q) {
+    return static_cast<std::int64_t>(p) * 100000 + q;
+  });
+  EXPECT_GT(comm.wire_stats().messages, 0);  // words cross the framed wire
+}
+
+TEST_P(PaddedAlltoallTest, StringsArriveAsTheTranspose) {
+  const TorusCommunicator comm(TorusShape(GetParam()), CostParams::balanced());
+  expect_padded_transpose(comm, [](Rank p, Rank q) {
+    return "parcel " + std::to_string(p) + " -> " + std::to_string(q) +
+           ", longer than any small-string buffer";
+  });
+  EXPECT_EQ(comm.wire_stats().messages, 0);  // strings move locally
+}
+
+INSTANTIATE_TEST_SUITE_P(Shapes, PaddedAlltoallTest,
+                         ::testing::Values(std::vector<std::int32_t>{6, 6},
+                                           std::vector<std::int32_t>{10, 6},
+                                           std::vector<std::int32_t>{7, 5},
+                                           std::vector<std::int32_t>{10, 7},
+                                           std::vector<std::int32_t>{14, 10},
+                                           std::vector<std::int32_t>{7, 5, 3},
+                                           std::vector<std::int32_t>{6, 6, 6}),
+                         [](const ::testing::TestParamInfo<std::vector<std::int32_t>>& shape) {
+                           return TorusShape(shape.param).to_string();
+                         });
+
+TEST(CommunicatorTest, AutoSkipsPaddingWhereItCannotPad) {
+  // §6 pads tori of two or more dimensions sorted non-increasing. On
+  // these shapes kAuto must price and run ring, direct or Bruck instead,
+  // through every entry point that selects, while an explicit padded
+  // request still refuses.
+  for (const std::vector<std::int32_t>& extents :
+       std::vector<std::vector<std::int32_t>>{{16}, {4, 8}, {6, 10}, {8, 4, 6}}) {
+    const TorusCommunicator comm(TorusShape(extents), CostParams{});
+    const std::string label = comm.shape().to_string();
+    const Rank N = comm.size();
+    std::vector<std::vector<int>> send(static_cast<std::size_t>(N));
+    for (Rank p = 0; p < N; ++p) {
+      for (Rank q = 0; q < N; ++q) send[static_cast<std::size_t>(p)].push_back(p * 1000 + q);
+    }
+    const auto expect_transpose = [&](const std::vector<std::vector<int>>& recv) {
+      for (Rank q = 0; q < N; ++q) {
+        for (Rank p = 0; p < N; ++p) {
+          ASSERT_EQ(recv[static_cast<std::size_t>(q)][static_cast<std::size_t>(p)], p * 1000 + q)
+              << label;
+        }
+      }
+    };
+    const AlltoallAlgorithm chosen = comm.select(64);
+    EXPECT_TRUE(chosen == AlltoallAlgorithm::kRing || chosen == AlltoallAlgorithm::kDirect ||
+                chosen == AlltoallAlgorithm::kBruck)
+        << label << " chose " << to_string(chosen);
+    expect_transpose(comm.alltoall(send));
+    ExchangeOutcome outcome;
+    expect_transpose(comm.alltoall_resilient(send, FaultModel{}, outcome));
+    EXPECT_EQ(outcome.algorithm, chosen) << label;
+    expect_transpose(comm.alltoall_checked(send, FaultModel{}, CorruptionModel{}, outcome));
+    EXPECT_EQ(outcome.algorithm, chosen) << label;
+    EXPECT_THROW(comm.alltoall(send, AlltoallAlgorithm::kSuhShinPadded), std::invalid_argument)
+        << label;
+  }
 }
 
 TEST(CommunicatorTest, BruckEstimateAvailableOnAnyShape) {

@@ -1,10 +1,13 @@
-// Tests for the derived collectives (scatter, gather, custom parcel
-// workloads) built on the same schedule.
+// Tests for the derived collectives built on the same schedule, all on
+// the step kernel: scatter and gather (rows of placeholders), and
+// irregular Alltoallv workloads as buckets, one std::vector of payloads
+// per (origin, dest) pair.
 #include <gtest/gtest.h>
 
 #include <string>
 
 #include "core/payload_exchange.hpp"
+#include "core/step_program.hpp"
 #include "util/prng.hpp"
 
 namespace torex {
@@ -63,27 +66,27 @@ INSTANTIATE_TEST_SUITE_P(Cases, ScatterGatherTest,
 TEST(CustomParcelsTest, RandomSparseWorkloadWithPayloads) {
   const SuhShinAape algo(TorusShape::make_2d(8, 8));
   const Rank N = algo.shape().num_nodes();
+  const auto n = static_cast<std::size_t>(N);
   SplitMix64 rng(99);
-  ParcelBuffers<std::uint64_t> parcels(static_cast<std::size_t>(N));
+  using Bucket = std::vector<std::uint64_t>;
+  std::vector<std::vector<Bucket>> rows(n, std::vector<Bucket>(n));
   std::int64_t created = 0;
   for (Rank p = 0; p < N; ++p) {
     const int count = static_cast<int>(rng.next_below(5));
     for (int i = 0; i < count; ++i) {
       const Rank d = static_cast<Rank>(rng.next_below(static_cast<std::uint64_t>(N)));
-      parcels[static_cast<std::size_t>(p)].push_back(
-          {Block{p, d}, (static_cast<std::uint64_t>(p) << 32) | static_cast<std::uint64_t>(d)});
+      rows[static_cast<std::size_t>(p)][static_cast<std::size_t>(d)].push_back(
+          (static_cast<std::uint64_t>(p) << 32) | static_cast<std::uint64_t>(d));
       ++created;
     }
   }
-  const auto delivered = exchange_parcels_custom(algo, std::move(parcels));
+  const auto sent = rows;
+  const auto recv = exchange_payloads_pooled(algo, StepProgram(algo), std::move(rows));
   std::int64_t received = 0;
-  for (Rank q = 0; q < N; ++q) {
-    for (const auto& parcel : delivered[static_cast<std::size_t>(q)]) {
-      EXPECT_EQ(parcel.block.dest, q);
-      EXPECT_EQ(parcel.payload,
-                (static_cast<std::uint64_t>(parcel.block.origin) << 32) |
-                    static_cast<std::uint64_t>(q));
-      ++received;
+  for (std::size_t q = 0; q < n; ++q) {
+    for (std::size_t p = 0; p < n; ++p) {
+      EXPECT_EQ(recv[q][p], sent[p][q]) << "bucket " << p << " -> " << q;
+      received += static_cast<std::int64_t>(recv[q][p].size());
     }
   }
   EXPECT_EQ(received, created);
@@ -91,11 +94,18 @@ TEST(CustomParcelsTest, RandomSparseWorkloadWithPayloads) {
 
 TEST(CustomParcelsTest, SelfAddressedParcelsStayPut) {
   const SuhShinAape algo(TorusShape::make_2d(4, 4));
-  ParcelBuffers<int> parcels(16);
-  parcels[5].push_back({Block{5, 5}, 42});
-  const auto delivered = exchange_parcels_custom(algo, std::move(parcels));
-  ASSERT_EQ(delivered[5].size(), 1u);
-  EXPECT_EQ(delivered[5][0].payload, 42);
+  std::vector<std::vector<std::vector<int>>> rows(16, std::vector<std::vector<int>>(16));
+  rows[5][5] = {42};
+  const auto recv = exchange_payloads_pooled(algo, StepProgram(algo), std::move(rows));
+  for (std::size_t q = 0; q < recv.size(); ++q) {
+    for (std::size_t p = 0; p < recv[q].size(); ++p) {
+      if (p == 5 && q == 5) {
+        EXPECT_EQ(recv[q][p], std::vector<int>{42});
+      } else {
+        EXPECT_TRUE(recv[q][p].empty()) << "bucket " << p << " -> " << q;
+      }
+    }
+  }
 }
 
 TEST(CustomParcelsTest, RejectsRootAndSizeErrors) {

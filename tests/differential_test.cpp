@@ -1,9 +1,10 @@
-// Cross-executor differential tests: the four independent executors
-// (sequential engine, layout engine, step kernel, parcel runner)
-// replay the same schedule oracle; on random workloads and shapes their
-// observable results must agree. A bug in any one of them — or in the
-// oracle — shows up as a divergence here even if each executor's own
-// checks pass.
+// Cross-executor differential tests: the three independent executors
+// (sequential engine, layout engine, step kernel) replay the same
+// schedule oracle; on random workloads and shapes their observable
+// results must agree. A bug in any one of them — or in the oracle —
+// shows up as a divergence here even if each executor's own checks
+// pass. Irregular (Alltoallv) workloads run on the kernel as buckets:
+// one std::vector of payloads per (origin, dest) pair.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -27,38 +28,48 @@ struct DiffCase {
 
 class DifferentialTest : public ::testing::TestWithParam<DiffCase> {};
 
-TEST_P(DifferentialTest, CustomWorkloadMatchesParcelRunner) {
+TEST_P(DifferentialTest, CustomWorkloadBucketsMatchEngine) {
   // Same random sparse workload through ExchangeEngine::run_custom and
-  // exchange_parcels_custom: identical delivered multisets.
+  // through the step kernel as buckets, on a seeded pool of 1 to 4
+  // participants: identical delivered multisets, every bucket whole.
   const SuhShinAape algo{TorusShape{GetParam().extents}};
   const Rank N = algo.shape().num_nodes();
+  const auto n = static_cast<std::size_t>(N);
   SplitMix64 rng(GetParam().seed);
 
-  std::vector<std::vector<Block>> blocks(static_cast<std::size_t>(N));
-  ParcelBuffers<std::uint64_t> parcels(static_cast<std::size_t>(N));
+  using Bucket = std::vector<std::uint64_t>;
+  std::vector<std::vector<Block>> blocks(n);
+  std::vector<std::vector<Bucket>> rows(n, std::vector<Bucket>(n));
   for (Rank p = 0; p < N; ++p) {
     const int count = static_cast<int>(rng.next_below(7));
     for (int i = 0; i < count; ++i) {
       const Rank d = static_cast<Rank>(rng.next_below(static_cast<std::uint64_t>(N)));
       blocks[static_cast<std::size_t>(p)].push_back(Block{p, d});
-      parcels[static_cast<std::size_t>(p)].push_back(
-          {Block{p, d}, rng.next()});
+      rows[static_cast<std::size_t>(p)][static_cast<std::size_t>(d)].push_back(rng.next());
     }
   }
+  const int participants = 1 + static_cast<int>(rng.next_below(4));
 
   ExchangeEngine engine(algo);
   engine.run_custom(blocks);
   const auto& engine_buffers = engine.buffers();
-  const auto delivered = exchange_parcels_custom(algo, std::move(parcels));
+  const auto sent = rows;
+  StepPool pool(participants);
+  WireExchangeOptions options;
+  options.pool = &pool;
+  const auto recv = exchange_payloads_pooled(algo, StepProgram(algo), std::move(rows), options);
 
   for (Rank q = 0; q < N; ++q) {
+    const auto& row = recv[static_cast<std::size_t>(q)];
     std::vector<Block> a = engine_buffers[static_cast<std::size_t>(q)];
     std::vector<Block> b;
-    for (const auto& parcel : delivered[static_cast<std::size_t>(q)]) {
-      b.push_back(parcel.block);
+    for (Rank o = 0; o < N; ++o) {
+      const Bucket& bucket = row[static_cast<std::size_t>(o)];
+      EXPECT_EQ(bucket, sent[static_cast<std::size_t>(o)][static_cast<std::size_t>(q)])
+          << "bucket " << o << " -> " << q << " at " << participants << " participant(s)";
+      b.insert(b.end(), bucket.size(), Block{o, q});
     }
     std::sort(a.begin(), a.end());
-    std::sort(b.begin(), b.end());
     EXPECT_EQ(a, b) << "node " << q;
   }
 }
@@ -129,27 +140,15 @@ TEST(DifferentialTest, CanonicalWorkloadAcrossAllExecutors) {
   const ExchangeTrace trace = engine.run_verified();
   expect_kernel_agrees(algo, trace, 3, 0xC0FFEE);
 
-  ParcelBuffers<Rank> parcels(static_cast<std::size_t>(N));
-  for (Rank p = 0; p < N; ++p) {
-    for (Rank q = 0; q < N; ++q) {
-      parcels[static_cast<std::size_t>(p)].push_back({Block{p, q}, p});
-    }
-  }
-  const auto delivered = exchange_payloads(algo, std::move(parcels));
-
   const LayoutStats layout = run_layout_simulation(algo);
   EXPECT_TRUE(layout.fully_contiguous());  // 2D: §3.3 exact
 
   for (Rank q = 0; q < N; ++q) {
     auto a = engine.buffers()[static_cast<std::size_t>(q)];
-    std::vector<Block> c;
-    for (const auto& parcel : delivered[static_cast<std::size_t>(q)]) {
-      EXPECT_EQ(parcel.payload, parcel.block.origin);  // payload integrity
-      c.push_back(parcel.block);
-    }
+    std::vector<Block> expected;
+    for (Rank o = 0; o < N; ++o) expected.push_back(Block{o, q});
     std::sort(a.begin(), a.end());
-    std::sort(c.begin(), c.end());
-    EXPECT_EQ(a, c);
+    EXPECT_EQ(a, expected) << "node " << q;
   }
 }
 

@@ -349,46 +349,7 @@ TEST(SealedExchangeTest, SameRunAtOneAndFourParticipants) {
   EXPECT_GT(thrown, 0);
 }
 
-// --- exchange_payloads preconditions -----------------------------------
-
-/// The reference executor's canonical parcels: identities attached.
-ParcelBuffers<std::int64_t> canonical_parcels(Rank N) {
-  ParcelBuffers<std::int64_t> buffers(static_cast<std::size_t>(N));
-  for (Rank p = 0; p < N; ++p) {
-    for (Rank q = 0; q < N; ++q) {
-      buffers[static_cast<std::size_t>(p)].push_back({Block{p, q}, p * 10000 + q});
-    }
-  }
-  return buffers;
-}
-
-TEST(PayloadPreconditionTest, RejectsDuplicateDestination) {
-  const SuhShinAape algo(TorusShape({4, 4}));
-  auto buffers = canonical_parcels(16);
-  buffers[0][1].block.dest = 0;  // two parcels for destination 0
-  EXPECT_THROW(exchange_payloads(algo, std::move(buffers)), std::invalid_argument);
-}
-
-TEST(PayloadPreconditionTest, RejectsWrongOrigin) {
-  const SuhShinAape algo(TorusShape({4, 4}));
-  auto buffers = canonical_parcels(16);
-  buffers[2][0].block.origin = 3;
-  EXPECT_THROW(exchange_payloads(algo, std::move(buffers)), std::invalid_argument);
-}
-
-TEST(PayloadPreconditionTest, RejectsShortRow) {
-  const SuhShinAape algo(TorusShape({4, 4}));
-  auto buffers = canonical_parcels(16);
-  buffers[5].pop_back();
-  EXPECT_THROW(exchange_payloads(algo, std::move(buffers)), std::invalid_argument);
-}
-
-TEST(PayloadPreconditionTest, RejectsDestinationOutOfRange) {
-  const SuhShinAape algo(TorusShape({4, 4}));
-  auto buffers = canonical_parcels(16);
-  buffers[1][2].block.dest = 16;
-  EXPECT_THROW(exchange_payloads(algo, std::move(buffers)), std::invalid_argument);
-}
+// --- Sealed exchange preconditions --------------------------------------
 
 TEST(PayloadPreconditionTest, SealedVariantChecksTheSamePreconditions) {
   // The sealed driver's rows carry no identity to forge: a row per node,

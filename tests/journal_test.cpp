@@ -556,6 +556,48 @@ JournaledRun run_journaled_on(const SuhShinAape& algo, const StepProgram& progra
   return run;
 }
 
+TEST(ResumeTest, StringPayloadsSurviveMultiRunSends) {
+  // On 8x4x4 some sends take two runs, and closing their gaps moves the
+  // slots after the last run as well: none may come back empty, from a
+  // fresh run or from one killed at phase 2 step 1 and resumed.
+  const TorusShape shape({8, 4, 4});
+  const TorusCommunicator comm(shape, CostParams{});
+  const Rank n = shape.num_nodes();
+  const auto payload = [](Rank from, Rank to) {
+    return "parcel " + std::to_string(from) + " -> " + std::to_string(to) +
+           ", longer than any small-string buffer";
+  };
+  std::vector<std::vector<std::string>> send(static_cast<std::size_t>(n));
+  for (Rank p = 0; p < n; ++p) {
+    for (Rank q = 0; q < n; ++q) send[static_cast<std::size_t>(p)].push_back(payload(p, q));
+  }
+  const auto wrong_payloads = [&](const std::vector<std::vector<std::string>>& recv) {
+    std::int64_t wrong = 0;
+    for (Rank q = 0; q < n; ++q) {
+      for (Rank p = 0; p < n; ++p) {
+        wrong += recv[static_cast<std::size_t>(q)][static_cast<std::size_t>(p)] != payload(p, q);
+      }
+    }
+    return wrong;
+  };
+  ResumeOptions scheduled;
+  scheduled.resilience.algorithm = AlltoallAlgorithm::kSuhShin;
+  ExchangeJournal fresh;
+  ExchangeOutcome outcome;
+  EXPECT_EQ(wrong_payloads(comm.alltoall_resumable(send, FaultModel{}, fresh, outcome, scheduled)),
+            0);
+
+  ExchangeJournal killed;
+  ResumeOptions options = scheduled;
+  options.crash = CrashPoint{2, 1, true};
+  EXPECT_THROW(comm.alltoall_resumable(send, FaultModel{}, killed, outcome, options),
+               ExchangeCrashError);
+  ExchangeJournal loaded = ExchangeJournal::decode(killed.encode());
+  EXPECT_EQ(wrong_payloads(comm.alltoall_resumable(send, FaultModel{}, loaded, outcome, scheduled)),
+            0);
+  EXPECT_TRUE(loaded.exchange_complete());
+}
+
 TEST(ResumeTest, JournalBytesAreIdenticalAtOneAndFourParticipants) {
   // The journal is written by hooks on the calling thread in node
   // order, so the kernel's pool size must not show in a single byte:

@@ -136,19 +136,17 @@ TEST(StepKernelTest, OnePoolAndArenaReplayExchangeAfterExchange) {
   EXPECT_EQ(pool.participants(), 3);
 }
 
-TEST(StepKernelTest, StringPayloadsAgreeAtEveryParticipantCount) {
-  // Payloads that are not trivially copyable cross the kernel's local
-  // transport, their moves on the pool's workers. Heap-sized strings,
-  // so a move that lost or shared a buffer shows.
-  const SuhShinAape algo(TorusShape({8, 8}));
+/// Runs the kernel over payload(p, q) rows of a payload type that is
+/// not trivially copyable at 1, 3 and 4 participants: they cross the
+/// local transport, their moves on the pool's workers, and must arrive
+/// as the transpose.
+template <typename Payload>
+void expect_moved_payloads_agree(const std::vector<std::int32_t>& extents, Payload payload) {
+  const SuhShinAape algo{TorusShape(extents)};
   const Rank N = algo.shape().num_nodes();
   const StepProgram program(algo);
-  const auto payload = [](Rank p, Rank q) {
-    return "payload from " + std::to_string(p) + " to " + std::to_string(q) +
-           std::string(24, '.');
-  };
   for (const int participants : {1, 3, 4}) {
-    std::vector<std::vector<std::string>> rows(static_cast<std::size_t>(N));
+    std::vector<std::vector<decltype(payload(0, 0))>> rows(static_cast<std::size_t>(N));
     for (Rank p = 0; p < N; ++p) {
       for (Rank q = 0; q < N; ++q) rows[static_cast<std::size_t>(p)].push_back(payload(p, q));
     }
@@ -163,11 +161,40 @@ TEST(StepKernelTest, StringPayloadsAgreeAtEveryParticipantCount) {
       ASSERT_EQ(recv[static_cast<std::size_t>(q)].size(), static_cast<std::size_t>(N));
       for (Rank p = 0; p < N; ++p) {
         ASSERT_EQ(recv[static_cast<std::size_t>(q)][static_cast<std::size_t>(p)], payload(p, q))
-            << "recv[" << q << "][" << p << "] at " << participants << " participant(s)";
+            << "recv[" << q << "][" << p << "] on " << algo.shape().to_string() << " at "
+            << participants << " participant(s)";
       }
     }
-    EXPECT_EQ(arena.stats().messages, 0) << "strings never cross the framed wire";
+    EXPECT_EQ(arena.stats().messages, 0) << "these payloads never cross the framed wire";
   }
+}
+
+/// Heap-sized strings, so a move that lost or shared a buffer shows.
+std::string string_payload(Rank p, Rank q) {
+  return "payload from " + std::to_string(p) + " to " + std::to_string(q) +
+         std::string(24, '.');
+}
+
+/// A vector that names its pair, sized by it (never empty).
+std::vector<int> vector_payload(Rank p, Rank q) {
+  return std::vector<int>(static_cast<std::size_t>(1 + (p + q) % 5), p * 1000 + q);
+}
+
+TEST(StepKernelTest, StringPayloadsAgreeAtEveryParticipantCount) {
+  expect_moved_payloads_agree({8, 8}, string_payload);
+}
+
+// Beyond two dimensions some sends take several runs, so closing their
+// gaps moves the slots after the last run too: a move of a slot onto
+// itself empties a std::string or std::vector.
+TEST(StepKernelTest, StringPayloadsSurviveMultiRunSends) {
+  expect_moved_payloads_agree({8, 4, 4}, string_payload);
+  expect_moved_payloads_agree({4, 4, 4, 4}, string_payload);
+}
+
+TEST(StepKernelTest, VectorPayloadsSurviveMultiRunSends) {
+  expect_moved_payloads_agree({8, 4, 4}, vector_payload);
+  expect_moved_payloads_agree({4, 4, 4, 4}, vector_payload);
 }
 
 // --- The per-rank loop of a port -----------------------------------------

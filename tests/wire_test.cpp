@@ -322,6 +322,20 @@ TEST(MultiRunFrameTest, CloseSendGapsCompactsStably) {
   EXPECT_EQ(row[7], 7);
 }
 
+TEST(MultiRunFrameTest, CloseSendGapsLeavesTheTailInPlace) {
+  // The slot after the last run is already where it belongs; moving it
+  // onto itself would empty a heap-sized string.
+  const auto slot = [](int i) { return "slot " + std::to_string(i) + std::string(32, '.'); };
+  std::vector<std::string> row;
+  for (int i = 0; i < 8; ++i) row.push_back(slot(i));
+  const std::vector<SendRun> runs{{1, 2}, {5, 2}};
+  close_send_gaps(row.data(), row.size(), runs);
+  EXPECT_EQ(row[0], slot(0));
+  EXPECT_EQ(row[5], slot(3));
+  EXPECT_EQ(row[6], slot(4));
+  EXPECT_EQ(row[7], slot(7));
+}
+
 // --- Strided user-buffer views ------------------------------------------
 
 TEST(StridedViewTest, SeedAndScatterTransposeColumns) {
