@@ -63,6 +63,8 @@
 //   * pooled_strided must gather parcels (gathered_parcels > 0, the
 //     dead run-gather path regression) with more encoded runs than
 //     messages, under the same alloc budget as pooled_paper;
+//   * local must allocate at most once per step: the local transport
+//     stages a step in one buffer the replay keeps, not one per node;
 //   * in the thread sweep, pool workers must make no allocation at all
 //     once the path is warm (the caller sizes every buffer, frame and
 //     scratch vector they write);
@@ -503,6 +505,7 @@ int main(int argc, char** argv) {
     table.print(std::cout);
     std::cout << "\n";
 
+    const PathResult& local = results[0];
     const PathResult& sealed_pooled = results[1];
     const PathResult& pooled_paper = results[2];
     const PathResult& pooled_naive = results[3];
@@ -531,6 +534,8 @@ int main(int argc, char** argv) {
           "strided workload must encode more runs than messages" + tag);
     check(pooled_strided.allocs_per_step <= kAllocBudgetPerStep,
           "strided workload exceeded the alloc budget" + tag);
+    check(local.allocs_per_step <= 1.0,
+          "local transport must allocate at most once per step" + tag);
     check(pooled_paper.ns_per_parcel <= pooled_naive.ns_per_parcel,
           "pooled_paper must cost no more ns/parcel than pooled_naive" + tag);
     if (shape.num_dims() == 2) {

@@ -17,7 +17,6 @@
 #include <cstddef>
 #include <cstring>
 #include <exception>
-#include <iterator>
 #include <span>
 #include <string>
 #include <type_traits>
@@ -36,78 +35,6 @@
 #include "util/step_pool.hpp"
 
 namespace torex {
-
-/// Per-destination delivery state of one all-to-all: bit (dest, origin)
-/// is set once `dest` durably holds the parcel `origin` addressed to
-/// it. This is the unit of progress the exchange journal
-/// (runtime/journal.hpp) persists and the delta-resume path consults to
-/// re-send only what is missing and drop what is re-received.
-class DeliveryBitmap {
- public:
-  DeliveryBitmap() = default;
-  explicit DeliveryBitmap(Rank num_nodes)
-      : num_nodes_(num_nodes),
-        words_(static_cast<std::size_t>(num_nodes) * words_per_row(num_nodes), 0) {
-    TOREX_REQUIRE(num_nodes >= 1, "delivery bitmap needs at least one node");
-  }
-
-  Rank num_nodes() const { return num_nodes_; }
-
-  bool test(Rank dest, Rank origin) const {
-    check_pair(dest, origin);
-    return (words_[word_index(dest, origin)] >> bit_index(origin)) & 1u;
-  }
-
-  /// Sets bit (dest, origin); returns true when it was newly set.
-  bool mark(Rank dest, Rank origin) {
-    check_pair(dest, origin);
-    std::uint64_t& word = words_[word_index(dest, origin)];
-    const std::uint64_t bit = std::uint64_t{1} << bit_index(origin);
-    if ((word & bit) != 0) return false;
-    word |= bit;
-    ++delivered_;
-    return true;
-  }
-
-  /// Parcels marked delivered so far (out of expected()).
-  std::int64_t delivered() const { return delivered_; }
-
-  /// Total parcels of the exchange: one per ordered (origin, dest)
-  /// pair, self pairs included.
-  std::int64_t expected() const {
-    return static_cast<std::int64_t>(num_nodes_) * num_nodes_;
-  }
-
-  bool complete() const { return delivered_ == expected(); }
-
-  /// Delivered count for one destination's row.
-  std::int64_t delivered_to(Rank dest) const {
-    TOREX_REQUIRE(dest >= 0 && dest < num_nodes_, "destination out of range");
-    std::int64_t count = 0;
-    for (Rank origin = 0; origin < num_nodes_; ++origin) {
-      if (test(dest, origin)) ++count;
-    }
-    return count;
-  }
-
- private:
-  static std::size_t words_per_row(Rank num_nodes) {
-    return (static_cast<std::size_t>(num_nodes) + 63) / 64;
-  }
-  std::size_t word_index(Rank dest, Rank origin) const {
-    return static_cast<std::size_t>(dest) * words_per_row(num_nodes_) +
-           static_cast<std::size_t>(origin) / 64;
-  }
-  static unsigned bit_index(Rank origin) { return static_cast<unsigned>(origin) % 64; }
-  void check_pair(Rank dest, Rank origin) const {
-    TOREX_REQUIRE(dest >= 0 && dest < num_nodes_ && origin >= 0 && origin < num_nodes_,
-                  "delivery bitmap pair out of range");
-  }
-
-  Rank num_nodes_ = 0;
-  std::int64_t delivered_ = 0;
-  std::vector<std::uint64_t> words_;
-};
 
 // --- Wire frames (TOX4, the one frame format) ---------------------------
 //
@@ -417,10 +344,12 @@ void scatter_rows_strided(const StepProgram& program, const std::vector<std::vec
 // TOX4 frame, one memcpy per run, verified against the program, and
 // landed by its receiver straight from that frame with one memcpy — or,
 // for payloads that are not trivially copyable and for steps a driver
-// replays locally, moves through a staging vector. Every message of a
-// step leaves before any receive lands, so a refused frame re-encodes
-// from intact source runs, and a receive overwrites its node's send
-// only once every message of the step has settled.
+// replays locally, moves through its sender's slice of one staging
+// buffer the replay keeps, where its receiver finds it through `from`
+// as it would a frame. Every message of a step leaves before any
+// receive lands, so a refused frame re-encodes from intact source runs,
+// and a receive overwrites its node's send only once every message of
+// the step has settled.
 //
 // Frames belong to senders. Each node that sends in a phase leases one
 // frame from the arena, sized for the phase's largest message (a
@@ -444,10 +373,10 @@ void scatter_rows_strided(const StepProgram& program, const std::vector<std::vec
 //
 //   caller   begin_step: the driver may defer the step, untouched;
 //   caller   the phase's first framed step leases the senders' frames;
-//            a local step reserves its staging slots;
+//            a local step sizes the staging buffer (grown, never shrunk);
 //   caller   the step's wire statistics, from the program's totals;
 //   workers  each sender gathers its runs into its frame and seals it
-//            (a local step moves them into the receiver's staging slot);
+//            (a local step moves them into the sender's staging slice);
 //            with no tamper stage, each frame is verified here too;
 //   caller   the driver tampers with every first transmission, in
 //            sender order (only drivers that tamper);
@@ -457,7 +386,8 @@ void scatter_rows_strided(const StepProgram& program, const std::vector<std::vec
 //            before the next sender's message settles (only drivers
 //            that settle);
 //   workers  each node closes its send's gaps, unless it receives in
-//            place, then lands its receive from its sender's frame;
+//            place, then lands its receive from its sender's frame (or
+//            staging slice);
 //   caller   `received` runs for every receiving node, in node order
 //            (only drivers that extend it); then step_done.
 //
@@ -466,13 +396,12 @@ void scatter_rows_strided(const StepProgram& program, const std::vector<std::vec
 // Under the default settle a refused frame is a logic error, and the
 // worker that verified it raises it; the pool rethrows the lowest
 // sender's, the error a settle in sender order raises. So for a driver
-// that extends none of them the caller does O(1) work per framed step;
-// a local step keeps its O(N) staging loop. The phase-boundary
-// permutations and the final pass into origin order run on the pool
-// too. Every hook runs on the calling thread, in node order, so
-// reports, recorder events and journal records come out the same at any
-// pool size; with a null or one-participant pool the same stages run
-// inline. Workers never allocate — the caller sizes every frame,
+// that extends none of them the caller does O(1) work per step. The
+// phase-boundary permutations and the final pass into origin order run
+// on the pool too. Every hook runs on the calling thread, in node order,
+// so reports, recorder events and journal records come out the same at
+// any pool size; with a null or one-participant pool the same stages
+// run inline. Workers never allocate — the caller sizes every frame,
 // staging slot and scratch row first — and record nothing: the phase
 // and step spans wrap the stages on the caller.
 //
@@ -587,7 +516,9 @@ struct StepReplay {
   int phase = 1;  ///< 1-based; num_phases() + 1 once every phase ran
   int step = 1;   ///< 1-based, within `phase`
   std::vector<Outbound> outbound;       // one per node
-  std::vector<std::vector<T>> staged;   // local transport, sized on first use
+  /// The local transport: sender p's slice starts at slot p times the
+  /// phase's largest message. Grown on first use, never shrunk.
+  std::vector<T> staged;
   std::vector<std::vector<T>> scratch;  // one row per participant
 };
 
@@ -658,6 +589,7 @@ bool replay_phase(const StepProgram& program, std::vector<std::vector<T>>& rows,
   const int steps = program.steps_in_phase(phase);
   auto& outbound = replay.outbound;
   auto& staged = replay.staged;
+  const std::size_t slice = program.largest_message(phase);  // staging slots per sender
   // Every stage below runs over all nodes.
   const auto each_node = [&](auto&& fn) { StepPool::run(pool, nodes, fn); };
   ReturnFrames<T> frames(replay);
@@ -717,11 +649,7 @@ bool replay_phase(const StepProgram& program, std::vector<std::vector<T>>& rows,
       if (!frames.leased) lease_frames();
       note_step(arena.stats(), program.totals(phase, step), sizeof(T));
     } else {
-      if (staged.empty()) staged.resize(nodes);
-      for (Rank p = 0; p < N; ++p) {
-        const StepProgram::NodeStep& s = program.step(phase, step, p);
-        if (s.count != 0) staged[static_cast<std::size_t>(s.partner)].reserve(s.count);
-      }
+      if (staged.size() < nodes * slice) staged.resize(nodes * slice);
     }
     // Workers: gather and seal (or stage locally).
     each_node([&](std::size_t p, int) {
@@ -738,11 +666,10 @@ bool replay_phase(const StepProgram& program, std::vector<std::vector<T>>& rows,
           return;
         }
       }
-      auto& out = staged[static_cast<std::size_t>(s.partner)];
+      T* out = staged.data() + p * slice;
       for (const SendRun& r : runs) {
-        const auto first = row.begin() + static_cast<std::ptrdiff_t>(r.offset);
-        out.insert(out.end(), std::make_move_iterator(first),
-                   std::make_move_iterator(first + static_cast<std::ptrdiff_t>(r.count)));
+        T* first = row.data() + r.offset;
+        out = std::move(first, first + r.count, out);
       }
     });
     if constexpr (kFramable) {
@@ -806,9 +733,8 @@ bool replay_phase(const StepProgram& program, std::vector<std::vector<T>>& rows,
           return;
         }
       }
-      auto& local = staged[q];
-      std::move(local.begin(), local.end(), first);
-      local.clear();
+      T* from = staged.data() + static_cast<std::size_t>(s.from) * slice;
+      std::move(from, from + s.count, first);
     });
     if constexpr (kHidesReceived<Hooks, T>) {
       // Caller: the receive hooks, in node order.

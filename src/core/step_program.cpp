@@ -211,6 +211,7 @@ void StepProgram::compile(const SuhShinAape& algo) {
   std::vector<std::uint32_t> key_of_class;
   std::vector<std::vector<Block>> incoming(nodes);
   std::vector<Arrival> arrived;
+  std::size_t arrivals = 0;  // over every step
   Coord rep(dims, 0);
 
   for (int phase = 1; phase <= phases; ++phase) {
@@ -349,6 +350,8 @@ void StepProgram::compile(const SuhShinAape& algo) {
           arrived.push_back(Arrival{narrow(i), relative(message[i].origin, q).first});
         }
         ns.arrival_count = narrow(arrived.size());
+        total.arrivals += ns.arrival_count;
+        arrivals += arrived.size();
         if (!arrived.empty()) ns.first_arrival = arrival_pool.intern(arrived);
         message.clear();
       }
@@ -356,7 +359,11 @@ void StepProgram::compile(const SuhShinAape& algo) {
   }
 
   // The AAPE postcondition, proven here for every replay: each row
-  // holds one block from every origin, all addressed to its node.
+  // holds one block from every origin, all addressed to its node, and
+  // every parcel but the self parcels arrived exactly once (a block at
+  // its destination never leaves it), which the exchange journal's step
+  // records rely on.
+  TOREX_CHECK(arrivals == nodes * (nodes - 1), "compiled schedule miscounted its arrivals");
   std::vector<std::uint32_t> slot_of(nodes);
   for (Rank p = 0; p < N; ++p) {
     const auto& row = held[static_cast<std::size_t>(p)];

@@ -120,6 +120,7 @@ class StepProgram {
     std::uint32_t contiguous = 0;  ///< messages sent as a single run
     std::uint32_t gathered = 0;    ///< parcels of multi-run messages
     std::uint32_t max_runs = 0;    ///< most runs of one message (0: none sent)
+    std::uint32_t arrivals = 0;    ///< parcels that reach their destinations
   };
 
   /// A received parcel that has reached its destination: its offset in
@@ -139,11 +140,21 @@ class StepProgram {
   /// different number of parcels than it sends.
   explicit StepProgram(const SuhShinAape& algo, LayoutPolicy layout = LayoutPolicy::kPaper);
 
+  const TorusShape& shape() const { return shape_; }
   Rank num_nodes() const { return shape_.num_nodes(); }
   int num_phases() const { return static_cast<int>(phase_first_step_.size()) - 1; }
   int steps_in_phase(int phase) const {
     return phase_first_step_[static_cast<std::size_t>(phase)] -
            phase_first_step_[static_cast<std::size_t>(phase - 1)];
+  }
+  /// Steps over every phase.
+  std::int64_t total_steps() const { return phase_first_step_.back(); }
+  /// The 1-based (phase, step) of 0-based flat step `flat`.
+  std::pair<int, int> coordinates(std::int64_t flat) const {
+    const auto next = std::upper_bound(phase_first_step_.begin(), phase_first_step_.end(), flat);
+    const auto phase = static_cast<int>(next - phase_first_step_.begin());
+    return {phase,
+            static_cast<int>(flat - phase_first_step_[static_cast<std::size_t>(phase - 1)]) + 1};
   }
 
   /// 64-bit digest of (shape, pattern convention, layout): every frame

@@ -63,6 +63,13 @@ void ResumeOptions::validate() const {
   if (crash.armed()) {
     TOREX_REQUIRE(crash.step >= 1, "resume options: crash step is 1-based");
   }
+  TOREX_REQUIRE(resilience.algorithm == AlltoallAlgorithm::kAuto ||
+                    resilience.algorithm == AlltoallAlgorithm::kSuhShin,
+                "resume options: a resumable exchange runs the Suh-Shin schedule (kAuto or "
+                "kSuhShin)");
+  TOREX_REQUIRE(resilience.policy != RecoveryPolicy::kFallbackDirect,
+                "resume options: a resumable exchange recovers by retry or remap, never by the "
+                "direct fallback");
 }
 
 bool add_corruption_as_faults(const Torus& torus, const CorruptionModel& corruption,

@@ -152,15 +152,17 @@ struct ResumeOptions {
   /// detector observes heartbeats over, and the bar its suspicion must
   /// beat for outcome.proactive_recovery.
   std::int64_t stall_deadline_ticks = 64;
-  /// Simulated process death for tests/tools (see runtime/journal.hpp);
-  /// only honored on the scheduled (non-degraded) path.
+  /// Simulated process death for tests/tools (see runtime/journal.hpp),
+  /// honored on healthy, retried and remapped plans alike.
   CrashPoint crash;
   /// Cooperative cancel, polled between journal flush and step commit.
   const std::atomic<bool>* cancel = nullptr;
   /// Durability hook: persist journal.encode() here on every flush.
   std::function<void(const ExchangeJournal&)> flush;
 
-  /// Rejects invalid backoff/detector/deadline settings with
+  /// Rejects invalid backoff/detector/deadline settings, and any
+  /// algorithm or recovery policy that does not run the schedule (only
+  /// kAuto and kSuhShin, and no kFallbackDirect), with
   /// std::invalid_argument before any data moves.
   void validate() const;
 };
@@ -415,17 +417,21 @@ class TorusCommunicator {
   }
 
   /// Crash-durable all-to-all: a journaled run whose progress survives
-  /// process death. Every schedule step appends a CRC-sealed delivery
-  /// record + commit marker to `journal` (persist it via options.flush);
-  /// passing a journal with prior progress resumes the exchange,
-  /// replaying the committed prefix locally and re-sending only parcels
-  /// undelivered at the kill point, with re-received durable parcels
-  /// deduplicated (exactly-once). When the fault model carries node
-  /// faults, the heartbeat failure detector runs first — its fd.suspect
-  /// spans precede the recovery.attempt spans of planning — and the
-  /// outcome reports whether suspicion beat the tick watchdog deadline.
-  /// Degraded plans (crashed nodes) deliver the delta directly, still
-  /// journaled. Requires a qualifying (Suh-Shin) shape and copyable T.
+  /// process death. Every plan it reports — healthy, retried or
+  /// remapped — runs the paper's program on the journaled step kernel:
+  /// each schedule step appends a CRC-sealed deliveries record (its
+  /// step) and a commit marker to `journal` (persist it via
+  /// options.flush); passing a journal with prior progress resumes the
+  /// exchange, replaying the committed prefix locally and re-sending
+  /// only parcels undelivered at the kill point, with re-received
+  /// durable parcels deduplicated (exactly-once). kAuto resolves to
+  /// kSuhShin, and the recovery chain is retry, then remap; other
+  /// algorithms and kFallbackDirect throw std::invalid_argument before
+  /// any data moves. When the fault model carries node faults, the
+  /// heartbeat failure detector runs first — its fd.suspect spans
+  /// precede the recovery.attempt spans of planning — and the outcome
+  /// reports whether suspicion beat the tick watchdog deadline.
+  /// Requires a qualifying (Suh-Shin) shape and copyable T.
   template <typename T>
   std::vector<std::vector<T>> alltoall_resumable(const std::vector<std::vector<T>>& send,
                                                  const FaultModel& faults,
@@ -612,9 +618,17 @@ class TorusCommunicator {
     }
 
     {
+      // kAuto resolves to the schedule, and the recovery chain ends at
+      // remap: a remapped plan hosts failed nodes on neighbours and
+      // detours routes, but moves the same slots at the same steps.
       SpanGuard plan_span(obs, "plan");
-      outcome = plan_resilient(faults, options.resilience, bytes);
+      ResilienceOptions scheduled = options.resilience;
+      scheduled.algorithm = AlltoallAlgorithm::kSuhShin;
+      outcome = plan_resilient(faults, scheduled, bytes);
+      outcome.requested = options.resilience.algorithm;
     }
+    TOREX_CHECK(outcome.algorithm == AlltoallAlgorithm::kSuhShin,
+                "resumable exchange planned something other than the schedule");
     outcome.suspected_nodes = suspected_nodes;
     outcome.suspicion_tick = suspicion_tick;
     outcome.proactive_recovery = ran_detector && suspected_nodes > 0 &&
@@ -640,17 +654,8 @@ class TorusCommunicator {
     run_options.wire = &wire_arena_;
     run_options.pool = pool;
     ResumeReport report;
-    std::vector<std::vector<T>> recv;
-    if (outcome.algorithm == AlltoallAlgorithm::kSuhShin && !outcome.degraded) {
-      recv = exchange_payloads_journaled(*schedule_, compiled_program(), std::move(rows), journal,
-                                         run_options, report);
-    } else {
-      // Degraded plan: the schedule is abandoned, but the journal stays
-      // the source of truth — deliver the undelivered delta directly.
-      run_options.crash = CrashPoint{};  // crash injection is schedule-granular
-      recv = exchange_payloads_direct_journaled(*schedule_, std::move(rows), journal, run_options,
-                                                report);
-    }
+    auto recv = exchange_payloads_journaled(*schedule_, compiled_program(), std::move(rows),
+                                            journal, run_options, report);
     outcome.resume = report;
     return recv;
   }

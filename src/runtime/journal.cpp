@@ -16,24 +16,29 @@ std::uint32_t crc_of(const std::vector<std::byte>& bytes, std::size_t begin, std
   return crc.value();
 }
 
-/// Little-endian write of a 32-bit word at `out`, which advances.
-void put_u32(std::byte*& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) *out++ = static_cast<std::byte>((v >> (8 * i)) & 0xFFu);
+/// Records of a complete run of `program`: every step's commit marker,
+/// the deliveries record of each step with arrivals, and every phase's
+/// commit marker.
+std::size_t complete_run_records(const StepProgram& program) {
+  auto records = static_cast<std::size_t>(program.num_phases());
+  for (int phase = 1; phase <= program.num_phases(); ++phase) {
+    for (int step = 1; step <= program.steps_in_phase(phase); ++step) {
+      records += program.totals(phase, step).arrivals > 0 ? 2u : 1u;
+    }
+  }
+  return records;
 }
 
 }  // namespace
 
-ExchangeJournal::ExchangeJournal(const TorusShape& shape, int num_phases,
-                                 std::int64_t total_steps)
-    : extents_(shape.extents()),
-      num_nodes_(shape.num_nodes()),
+ExchangeJournal::ExchangeJournal(std::vector<std::int32_t> extents, int num_phases,
+                                 std::int64_t total_steps, std::uint64_t fingerprint,
+                                 std::size_t record_bytes)
+    : extents_(std::move(extents)),
       num_phases_(num_phases),
       total_steps_(total_steps),
-      bitmap_(shape.num_nodes()) {
-  TOREX_REQUIRE(num_phases >= 1, "journal needs at least one phase");
-  TOREX_REQUIRE(total_steps >= 0, "journal step count must be non-negative");
-  for (Rank p = 0; p < num_nodes_; ++p) bitmap_.mark(p, p);  // self-deliveries are free
-
+      fingerprint_(fingerprint) {
+  bytes_.reserve(header_bytes() + record_bytes);
   wire_put_u32(bytes_, kMagic);
   wire_put_u32(bytes_, kVersion);
   wire_put_u32(bytes_, static_cast<std::uint32_t>(extents_.size()));
@@ -42,101 +47,45 @@ ExchangeJournal::ExchangeJournal(const TorusShape& shape, int num_phases,
   }
   wire_put_u32(bytes_, static_cast<std::uint32_t>(num_phases_));
   wire_put_u32(bytes_, static_cast<std::uint32_t>(total_steps_));
+  wire_put_u64(bytes_, fingerprint_);
   wire_put_u32(bytes_, crc_of(bytes_, 0, bytes_.size()));
 }
 
-std::vector<std::pair<Rank, Rank>> ExchangeJournal::uncommitted_deliveries() const {
-  // The stream holds only intact records (decode drops a torn tail), so
-  // every field read below is in bounds.
-  std::vector<std::pair<Rank, Rank>> out;
-  std::size_t offset = header_bytes();
-  while (offset < bytes_.size()) {
-    std::uint32_t kind = 0, payload_len = 0;
-    wire_get_u32(bytes_, offset, kind);
-    wire_get_u32(bytes_, offset, payload_len);
-    const std::size_t next = offset + payload_len + 4;
-    std::uint32_t flat_step = 0, count = 0;
-    if (kind == kDeliveries && wire_get_u32(bytes_, offset, flat_step) &&
-        static_cast<std::int64_t>(flat_step) >= committed_steps_ &&
-        wire_get_u32(bytes_, offset, count)) {
-      for (std::uint32_t i = 0; i < count; ++i) {
-        std::uint32_t dest = 0, origin = 0;
-        wire_get_u32(bytes_, offset, dest);
-        wire_get_u32(bytes_, offset, origin);
-        out.emplace_back(static_cast<Rank>(dest), static_cast<Rank>(origin));
-      }
-    }
-    offset = next;
-  }
-  return out;
-}
+ExchangeJournal::ExchangeJournal(const StepProgram& program)
+    : ExchangeJournal(program.shape().extents(), program.num_phases(), program.total_steps(),
+                      program.fingerprint(), complete_run_records(program) * kRecordBytes) {}
 
-void ExchangeJournal::mark_pair(Rank dest, Rank origin, bool require_new) {
-  const bool fresh_mark = bitmap_.mark(dest, origin);
-  if (require_new) {
-    TOREX_CHECK(fresh_mark, "journal recorded the same delivery twice");
-  }
-}
-
-void ExchangeJournal::reserve_records(std::size_t bytes) { bytes_.reserve(bytes_.size() + bytes); }
-
-std::byte* ExchangeJournal::open_record(RecordKind kind, std::size_t payload_bytes) {
+void ExchangeJournal::append_record(RecordKind kind, std::uint32_t value) {
   const std::size_t record_begin = bytes_.size();
-  bytes_.resize(record_begin + kRecordFrameBytes + payload_bytes);
-  std::byte* out = bytes_.data() + record_begin;
-  put_u32(out, static_cast<std::uint32_t>(kind));
-  put_u32(out, static_cast<std::uint32_t>(payload_bytes));
-  return out;
-}
-
-void ExchangeJournal::seal_record(std::size_t record_begin) {
-  std::byte* crc_at = bytes_.data() + bytes_.size() - 4;
-  put_u32(crc_at, crc_of(bytes_, record_begin, bytes_.size() - 4));
+  wire_put_u32(bytes_, static_cast<std::uint32_t>(kind));
+  wire_put_u32(bytes_, 4);
+  wire_put_u32(bytes_, value);
+  wire_put_u32(bytes_, crc_of(bytes_, record_begin, bytes_.size()));
   ++records_;
 }
 
-void ExchangeJournal::append_marker(RecordKind kind, std::uint32_t value) {
-  const std::size_t record_begin = bytes_.size();
-  std::byte* out = open_record(kind, 4);
-  put_u32(out, value);
-  seal_record(record_begin);
-}
-
-void ExchangeJournal::record_deliveries(std::int64_t flat_step,
-                                        const std::vector<std::pair<Rank, Rank>>& pairs) {
+void ExchangeJournal::deliver_step(std::int64_t flat_step) {
   TOREX_REQUIRE(bound(), "journal is not bound to an exchange");
-  TOREX_REQUIRE(flat_step >= 0 && flat_step <= total_steps_,
-                "delivery record step out of range");
-  TOREX_REQUIRE(!pairs.empty(), "delivery record needs at least one pair");
-  const std::size_t record_begin = bytes_.size();
-  std::byte* out = open_record(kDeliveries, 8 + 8 * pairs.size());
-  put_u32(out, static_cast<std::uint32_t>(flat_step));
-  put_u32(out, static_cast<std::uint32_t>(pairs.size()));
-  for (const auto& [dest, origin] : pairs) {
-    const bool in_range = dest >= 0 && dest < num_nodes_ && origin >= 0 && origin < num_nodes_;
-    if (!in_range || dest == origin) bytes_.resize(record_begin);  // refused: no bytes
-    TOREX_REQUIRE(in_range, "delivery pair out of range");
-    TOREX_REQUIRE(dest != origin, "self-deliveries are implicit, never recorded");
-    put_u32(out, static_cast<std::uint32_t>(dest));
-    put_u32(out, static_cast<std::uint32_t>(origin));
-  }
-  seal_record(record_begin);
-  for (const auto& [dest, origin] : pairs) mark_pair(dest, origin, /*require_new=*/true);
+  TOREX_REQUIRE(flat_step == committed_steps_ && flat_step < total_steps_,
+                "deliveries must name the step after the last commit");
+  TOREX_CHECK(delivered_steps_ == committed_steps_, "journal delivered the same step twice");
+  append_record(kDeliveries, static_cast<std::uint32_t>(flat_step));
+  delivered_steps_ = flat_step + 1;
 }
 
 void ExchangeJournal::commit_step(std::int64_t flat_step) {
   TOREX_REQUIRE(bound(), "journal is not bound to an exchange");
   TOREX_REQUIRE(flat_step == committed_steps_, "steps must commit in order");
   TOREX_REQUIRE(flat_step < total_steps_, "step commit past the schedule");
-  append_marker(kStepCommit, static_cast<std::uint32_t>(flat_step));
-  committed_steps_ = flat_step + 1;
+  append_record(kStepCommit, static_cast<std::uint32_t>(flat_step));
+  committed_steps_ = delivered_steps_ = flat_step + 1;
 }
 
 void ExchangeJournal::commit_phase(int phase) {
   TOREX_REQUIRE(bound(), "journal is not bound to an exchange");
   TOREX_REQUIRE(phase == committed_phase_ + 1, "phases must commit in order");
   TOREX_REQUIRE(phase <= num_phases_, "phase commit past the schedule");
-  append_marker(kPhaseCommit, static_cast<std::uint32_t>(phase));
+  append_record(kPhaseCommit, static_cast<std::uint32_t>(phase));
   committed_phase_ = phase;
 }
 
@@ -162,11 +111,16 @@ ExchangeJournal ExchangeJournal::decode(const std::vector<std::byte>& bytes) {
     extents.push_back(static_cast<std::int32_t>(extent));
   }
   std::uint32_t num_phases = 0, total_steps = 0, header_crc = 0;
-  if (!wire_get_u32(bytes, offset, num_phases) || num_phases == 0) {
+  std::uint64_t fingerprint = 0;
+  if (!wire_get_u32(bytes, offset, num_phases) || num_phases == 0 ||
+      num_phases > static_cast<std::uint32_t>(std::numeric_limits<int>::max())) {
     throw JournalError("journal: malformed phase count");
   }
   if (!wire_get_u32(bytes, offset, total_steps)) {
     throw JournalError("journal: malformed step count");
+  }
+  if (!wire_get_u64(bytes, offset, fingerprint)) {
+    throw JournalError("journal: malformed program fingerprint");
   }
   const std::size_t header_end = offset;
   if (!wire_get_u32(bytes, offset, header_crc) ||
@@ -174,18 +128,17 @@ ExchangeJournal ExchangeJournal::decode(const std::vector<std::byte>& bytes) {
     throw JournalError("journal: header checksum mismatch");
   }
 
-  ExchangeJournal journal(TorusShape(extents), static_cast<int>(num_phases),
-                          static_cast<std::int64_t>(total_steps));
-  journal.bytes_.reserve(bytes.size());
-
+  ExchangeJournal journal(std::move(extents), static_cast<int>(num_phases),
+                          static_cast<std::int64_t>(total_steps), fingerprint,
+                          bytes.size() - offset);
   while (offset < bytes.size()) {
     const std::size_t record_begin = offset;
     std::uint32_t kind = 0, payload_len = 0;
     const bool have_frame = wire_get_u32(bytes, offset, kind) &&
                             wire_get_u32(bytes, offset, payload_len) &&
-                            bytes.size() - offset >= payload_len + 4;
+                            bytes.size() - offset >= std::size_t{payload_len} + 4;
     bool intact = have_frame;
-    std::size_t payload_begin = offset;
+    const std::size_t payload_begin = offset;
     if (have_frame) {
       offset = payload_begin + payload_len;
       std::uint32_t stored_crc = 0;
@@ -198,7 +151,7 @@ ExchangeJournal ExchangeJournal::decode(const std::vector<std::byte>& bytes) {
       // write: drop it. Anything with intact bytes after it cannot be
       // a tail and the journal is corrupt.
       const bool reaches_end =
-          !have_frame || record_begin + 8 + payload_len + 4 >= bytes.size();
+          !have_frame || record_begin + 8 + std::size_t{payload_len} + 4 >= bytes.size();
       if (reaches_end) {
         journal.torn_tail_ = true;
         break;
@@ -207,64 +160,42 @@ ExchangeJournal ExchangeJournal::decode(const std::vector<std::byte>& bytes) {
     }
 
     std::size_t cursor = payload_begin;
-    const std::size_t payload_end = payload_begin + payload_len;
-    auto read_field = [&](std::uint32_t& v) {
-      return cursor + 4 <= payload_end && wire_get_u32(bytes, cursor, v);
-    };
+    std::uint32_t value = 0;
+    if (payload_len != 4 || !wire_get_u32(bytes, cursor, value)) {
+      throw JournalError("journal: record payload length mismatch");
+    }
+    const auto at = static_cast<std::int64_t>(value);
     switch (kind) {
-      case kDeliveries: {
-        std::uint32_t flat_step = 0, count = 0;
-        if (!read_field(flat_step) || !read_field(count) || count == 0 ||
-            flat_step > static_cast<std::uint32_t>(journal.total_steps_)) {
-          throw JournalError("journal: malformed deliveries record");
+      case kDeliveries:
+        if (at != journal.committed_steps_ || at >= journal.total_steps_) {
+          throw JournalError("journal: deliveries record for step " + std::to_string(at) +
+                             ", not the step after the last commit (" +
+                             std::to_string(journal.committed_steps_) + ")");
         }
-        std::vector<std::pair<Rank, Rank>> pairs;
-        for (std::uint32_t i = 0; i < count; ++i) {
-          std::uint32_t dest = 0, origin = 0;
-          if (!read_field(dest) || !read_field(origin) ||
-              dest >= static_cast<std::uint32_t>(journal.num_nodes_) ||
-              origin >= static_cast<std::uint32_t>(journal.num_nodes_) || dest == origin) {
-            throw JournalError("journal: malformed delivery pair");
-          }
-          pairs.emplace_back(static_cast<Rank>(dest), static_cast<Rank>(origin));
+        if (journal.delivered_steps_ > at) {
+          throw JournalError("journal: second deliveries record for step " + std::to_string(at));
         }
-        for (const auto& [dest, origin] : pairs) {
-          if (journal.bitmap_.test(dest, origin)) {
-            throw JournalError("journal: duplicate delivery record");
-          }
-          journal.bitmap_.mark(dest, origin);
-        }
+        journal.delivered_steps_ = at + 1;
         break;
-      }
-      case kStepCommit: {
-        std::uint32_t flat_step = 0;
-        if (!read_field(flat_step) ||
-            static_cast<std::int64_t>(flat_step) != journal.committed_steps_ ||
-            static_cast<std::int64_t>(flat_step) >= journal.total_steps_) {
+      case kStepCommit:
+        if (at != journal.committed_steps_ || at >= journal.total_steps_) {
           throw JournalError("journal: out-of-order step commit");
         }
-        journal.committed_steps_ = static_cast<std::int64_t>(flat_step) + 1;
+        journal.committed_steps_ = journal.delivered_steps_ = at + 1;
         break;
-      }
-      case kPhaseCommit: {
-        std::uint32_t phase = 0;
-        if (!read_field(phase) ||
-            static_cast<int>(phase) != journal.committed_phase_ + 1 ||
-            static_cast<int>(phase) > journal.num_phases_) {
+      case kPhaseCommit:
+        if (at != journal.committed_phase_ + 1 || at > journal.num_phases_) {
           throw JournalError("journal: out-of-order phase commit");
         }
-        journal.committed_phase_ = static_cast<int>(phase);
+        journal.committed_phase_ = static_cast<int>(at);
         break;
-      }
       default:
         throw JournalError("journal: unknown record kind " + std::to_string(kind));
     }
-    if (cursor != payload_end) {
-      throw JournalError("journal: record payload length mismatch");
-    }
     ++journal.records_;
-    journal.bytes_.insert(journal.bytes_.end(), bytes.begin() + static_cast<std::ptrdiff_t>(record_begin),
-                          bytes.begin() + static_cast<std::ptrdiff_t>(payload_end + 4));
+    journal.bytes_.insert(journal.bytes_.end(),
+                          bytes.begin() + static_cast<std::ptrdiff_t>(record_begin),
+                          bytes.begin() + static_cast<std::ptrdiff_t>(offset));
   }
   return journal;
 }
@@ -298,8 +229,10 @@ std::string ExchangeJournal::summary() const {
     out << (d == 0 ? "" : "x") << extents_[d];
   }
   out << " torus, " << records_ << " records, " << committed_steps_ << "/" << total_steps_
-      << " steps committed, phase " << committed_phase_ << "/" << num_phases_ << ", "
-      << bitmap_.delivered() << "/" << bitmap_.expected() << " parcels delivered";
+      << " steps committed, phase " << committed_phase_ << "/" << num_phases_;
+  if (delivered_steps_ > committed_steps_) {
+    out << ", step " << committed_steps_ << " delivered but not committed";
+  }
   if (torn_tail_) out << ", torn tail dropped";
   return out.str();
 }
@@ -340,26 +273,31 @@ void throw_journal_cancelled(int phase, int step) {
                                std::to_string(phase) + ", step " + std::to_string(step) + ")");
 }
 
-void require_journal_matches(const SuhShinAape& algo, const ExchangeJournal& journal) {
+void require_journal_matches(const StepProgram& program, const ExchangeJournal& journal) {
   TOREX_REQUIRE(journal.bound(), "journal is not bound to an exchange");
-  TOREX_REQUIRE(journal.extents() == algo.shape().extents(),
+  TOREX_REQUIRE(journal.extents() == program.shape().extents(),
                 "journal was recorded for a different torus shape");
-  TOREX_REQUIRE(journal.num_phases() == algo.num_phases() &&
-                    journal.total_steps() == algo.total_steps(),
+  TOREX_REQUIRE(journal.num_phases() == program.num_phases() &&
+                    journal.total_steps() == program.total_steps(),
                 "journal was recorded for a different schedule");
+  TOREX_REQUIRE(journal.fingerprint() == program.fingerprint(),
+                "journal was recorded by a different program");
 }
 
-void begin_journaled_run(const SuhShinAape& algo, ExchangeJournal& journal,
+void begin_journaled_run(const StepProgram& program, ExchangeJournal& journal,
                          ResumeReport& report) {
-  if (!journal.bound()) {
-    journal = ExchangeJournal(algo.shape(), algo.num_phases(), algo.total_steps());
-  }
-  require_journal_matches(algo, journal);
+  if (!journal.bound()) journal = ExchangeJournal(program);
+  require_journal_matches(program, journal);
   report = ResumeReport{};
   report.resumed = !journal.fresh();
   report.committed_steps_at_start = journal.committed_steps();
   report.committed_phase_at_start = journal.committed_phase();
-  report.delivered_at_start = journal.delivered_parcels();
+  // The self parcels, and every arrival of the durable steps.
+  report.delivered_at_start = program.num_nodes();
+  for (std::int64_t flat = 0; flat < journal.delivered_steps(); ++flat) {
+    const auto [phase, step] = program.coordinates(flat);
+    report.delivered_at_start += program.totals(phase, step).arrivals;
+  }
 }
 
 }  // namespace detail

@@ -1,31 +1,36 @@
 // Write-ahead exchange journal and the delta-resume runner.
 //
-// The Suh-Shin schedule is phase-structured, which makes it naturally
-// checkpointable: after every schedule step the set of parcels that
-// already sit on their destination is exactly known. This module makes
-// that progress durable. A run appends CRC-32-sealed records to an
-// ExchangeJournal — per-step delivery bitmaps (core/payload_exchange.hpp
-// DeliveryBitmap pairs) followed by step/phase commit markers — and a
-// crash between flush and commit loses at most the in-memory state of
-// one step. Resume replays the committed prefix locally (deterministic,
-// no wire traffic), materializes flushed-but-uncommitted deliveries from
-// the journal, then re-runs only the remaining steps; a re-received
-// parcel whose delivery is already durable is detected via the bitmap
-// and dropped, giving exactly-once integration.
+// The Suh-Shin schedule is step-synchronous and does not depend on the
+// data, so after every schedule step the set of parcels that already
+// sit on their destination is a function of the schedule alone: the
+// compiled StepProgram lists each step's arrivals. Progress is a step
+// index, not a delivery list. A run appends CRC-32-sealed records to an
+// ExchangeJournal — per step, a deliveries record that names the step
+// ("every arrival the program lists for it is durable"), then the
+// step's commit marker — and a crash between flush and commit loses at
+// most the in-memory state of one step. Resume replays the committed
+// prefix locally (deterministic, no wire traffic), materializes the
+// arrivals of a step that was delivered but not committed from the
+// seed, then re-runs only the remaining steps; the re-received seed
+// copies of those arrivals are dropped, giving exactly-once
+// integration.
 //
-// Wire format (little-endian, version 1):
+// Wire format (little-endian, version 2):
 //   header:  magic "TOXJ" | version | num_dims | extents... |
-//            num_phases | total_steps | CRC-32(header bytes)
+//            num_phases | total_steps | program fingerprint (u64) |
+//            CRC-32(header bytes)
 //   record:  kind | payload_len | payload | CRC-32(kind+len+payload)
-//     kind 1 kDeliveries  payload: flat_step | count | count x (dest, origin)
+//     kind 1 kDeliveries  payload: flat_step   (the step's arrivals are durable)
 //     kind 2 kStepCommit  payload: flat_step   (steps [0, flat_step] durable)
 //     kind 3 kPhaseCommit payload: phase       (1-based)
-// A torn tail (truncated or CRC-damaged *final* record) is dropped on
-// load and reported via torn_tail(); damage anywhere earlier is
-// unrecoverable corruption and raises JournalError.
+// A step with no arrivals writes no deliveries record, and a deliveries
+// record names the step after the last commit, once. Only the program
+// whose fingerprint the header carries resumes the journal. A torn tail
+// (truncated or CRC-damaged *final* record) is dropped on load and
+// reported via torn_tail(); damage anywhere earlier is unrecoverable
+// corruption and raises JournalError.
 #pragma once
 
-#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -37,14 +42,15 @@
 
 #include "core/aape.hpp"
 #include "core/payload_exchange.hpp"
+#include "core/step_program.hpp"
 #include "obs/recorder.hpp"
-#include "topology/shape.hpp"
 #include "util/assert.hpp"
 
 namespace torex {
 
 /// Raised when a journal's bytes are unusable: bad magic, unsupported
-/// version, malformed header, or corruption before the final record.
+/// version, malformed header, out-of-order records, or corruption
+/// before the final record.
 class JournalError : public std::runtime_error {
  public:
   explicit JournalError(const std::string& what) : std::runtime_error(what) {}
@@ -56,7 +62,7 @@ class JournalError : public std::runtime_error {
 class ExchangeJournal {
  public:
   static constexpr std::uint32_t kMagic = 0x4A584F54u;  // "TOXJ" little-endian
-  static constexpr std::uint32_t kVersion = 1;
+  static constexpr std::uint32_t kVersion = 2;
   enum RecordKind : std::uint32_t {
     kDeliveries = 1,
     kStepCommit = 2,
@@ -66,55 +72,41 @@ class ExchangeJournal {
   /// Unbound journal: bound() is false and every mutator refuses.
   ExchangeJournal() = default;
 
-  /// Binds a fresh journal to one exchange's geometry. Self-parcels
-  /// (p -> p) never cross the wire; they are durable by construction
-  /// and pre-marked here (and again on decode).
-  ExchangeJournal(const TorusShape& shape, int num_phases, std::int64_t total_steps);
+  /// Binds a fresh journal to the exchange `program` replays, its stream
+  /// reserved at the size of a complete run's records.
+  explicit ExchangeJournal(const StepProgram& program);
 
-  bool bound() const { return num_nodes_ > 0; }
+  bool bound() const { return num_phases_ > 0; }
   const std::vector<std::int32_t>& extents() const { return extents_; }
-  Rank num_nodes() const { return num_nodes_; }
   int num_phases() const { return num_phases_; }
   std::int64_t total_steps() const { return total_steps_; }
+  /// The fingerprint of the program the journal was written for.
+  std::uint64_t fingerprint() const { return fingerprint_; }
 
-  /// No progress recorded beyond the implicit self-deliveries.
+  /// No progress recorded.
   bool fresh() const { return records_ == 0; }
   std::int64_t records() const { return records_; }
 
   /// Number of flat schedule steps whose commit record is durable
   /// (commit of 0-based step s implies committed_steps() >= s + 1).
   std::int64_t committed_steps() const { return committed_steps_; }
+  /// Number of flat steps whose arrivals are durable: committed_steps(),
+  /// plus one when the next step's deliveries record is in the stream
+  /// but its commit marker is not (a death between the two).
+  std::int64_t delivered_steps() const { return delivered_steps_; }
   /// Highest phase-commit marker seen (0 = none).
   int committed_phase() const { return committed_phase_; }
 
-  const DeliveryBitmap& delivered() const { return bitmap_; }
-  std::int64_t delivered_parcels() const { return bitmap_.delivered(); }
-  bool exchange_complete() const { return bitmap_.complete() && committed_phase_ == num_phases_; }
-
-  /// Deliveries recorded for steps after the last committed one —
-  /// durable parcels whose step died before its commit marker — in
-  /// journal order. Read back from the byte stream's deliveries records,
-  /// so it costs one pass over the stream; only resume asks for it.
-  std::vector<std::pair<Rank, Rank>> uncommitted_deliveries() const;
-
-  /// Bytes the records of one live step take in the stream: its
-  /// deliveries record when `arrivals` > 0, and its commit marker.
-  static constexpr std::size_t step_record_bytes(std::size_t arrivals) {
-    return (arrivals > 0 ? kRecordFrameBytes + 8 + 8 * arrivals : 0) + kMarkerRecordBytes;
+  /// Every step and every phase is committed.
+  bool exchange_complete() const {
+    return bound() && committed_steps_ == total_steps_ && committed_phase_ == num_phases_;
   }
-  /// Bytes of one phase commit marker.
-  static constexpr std::size_t phase_record_bytes() { return kMarkerRecordBytes; }
-  /// Reserves room for `bytes` more bytes of records, so a writer that
-  /// knows its run up front appends without regrowing the stream.
-  void reserve_records(std::size_t bytes);
 
-  /// Appends one kDeliveries record for `flat_step` (0-based) and marks
-  /// the bitmap. Pairs are (dest, origin); re-marking an already
-  /// delivered pair is an error (exactly-once is the writer's job). The
-  /// record is encoded straight into the stream; a pair refused as out
-  /// of range or as a self-delivery leaves the stream as it was.
-  void record_deliveries(std::int64_t flat_step,
-                         const std::vector<std::pair<Rank, Rank>>& pairs);
+  /// Appends one kDeliveries record for `flat_step` (0-based): every
+  /// arrival the program lists for that step is durable. The step must
+  /// be the one after the last commit; delivering it twice is an error
+  /// (exactly-once is the writer's job).
+  void deliver_step(std::int64_t flat_step);
   /// Appends a kStepCommit marker; steps must commit in order.
   void commit_step(std::int64_t flat_step);
   /// Appends a kPhaseCommit marker; phases must commit in order.
@@ -136,28 +128,25 @@ class ExchangeJournal {
   std::string summary() const;
 
  private:
-  /// kind, payload length, and the trailing CRC-32.
-  static constexpr std::size_t kRecordFrameBytes = 12;
-  /// A commit marker: one u32 payload field.
-  static constexpr std::size_t kMarkerRecordBytes = kRecordFrameBytes + 4;
+  /// Every record: kind, payload length, one u32 payload field, CRC-32.
+  static constexpr std::size_t kRecordBytes = 16;
 
-  /// Grows the stream by one record of `payload_bytes`, writes its kind
-  /// and length, and returns where its payload goes; seal_record() then
-  /// writes the CRC of the record that starts at `record_begin`.
-  std::byte* open_record(RecordKind kind, std::size_t payload_bytes);
-  void seal_record(std::size_t record_begin);
-  void append_marker(RecordKind kind, std::uint32_t value);
-  void mark_pair(Rank dest, Rank origin, bool require_new);
+  /// Writes the header of a fresh journal into a stream with room for
+  /// `record_bytes` more.
+  ExchangeJournal(std::vector<std::int32_t> extents, int num_phases, std::int64_t total_steps,
+                  std::uint64_t fingerprint, std::size_t record_bytes);
+
+  void append_record(RecordKind kind, std::uint32_t value);
   /// Bytes of the stream's header.
-  std::size_t header_bytes() const { return 4 * (6 + extents_.size()); }
+  std::size_t header_bytes() const { return 4 * (6 + extents_.size()) + 8; }
 
   std::vector<std::int32_t> extents_;
-  Rank num_nodes_ = 0;
   int num_phases_ = 0;
   std::int64_t total_steps_ = 0;
+  std::uint64_t fingerprint_ = 0;
 
-  DeliveryBitmap bitmap_;
   std::int64_t committed_steps_ = 0;
+  std::int64_t delivered_steps_ = 0;
   int committed_phase_ = 0;
   std::int64_t records_ = 0;
   bool torn_tail_ = false;
@@ -273,47 +262,41 @@ inline void journal_flush(ExchangeJournal& journal, const JournalRunOptions& opt
   ++report.journal_flushes;
 }
 
-/// Requires `journal` bound and matching the schedule's geometry.
-void require_journal_matches(const SuhShinAape& algo, const ExchangeJournal& journal);
+/// Requires `journal` bound and written for `program`: the same torus,
+/// phases, steps and fingerprint.
+void require_journal_matches(const StepProgram& program, const ExchangeJournal& journal);
 
-/// A journaled run's opening: binds an unbound journal to the schedule's
-/// geometry, checks a bound one, and starts the report from the
-/// journal's durable progress.
-void begin_journaled_run(const SuhShinAape& algo, ExchangeJournal& journal,
+/// A journaled run's opening: binds an unbound journal to `program`,
+/// checks a bound one, and starts the report from the journal's durable
+/// progress.
+void begin_journaled_run(const StepProgram& program, ExchangeJournal& journal,
                          ResumeReport& report);
-
-/// Materialized copies of flushed-but-uncommitted deliveries, per
-/// destination: (origin, payload) pairs waiting for their re-sent seed
-/// copies.
-template <typename T>
-using DurableCopies = std::vector<std::vector<std::pair<Rank, T>>>;
 
 /// The journal side of the step kernel's hooks, shared by every driver
 /// that journals: the journaled exchange below and torexd's sessions
 /// (svc/session_exchange.cpp). Steps before report.committed_steps_at_start
-/// are already durable and replay locally. Every live receive collects
-/// its new deliveries for the step's record from the program's arrival
-/// table; a re-received parcel whose delivery is already durable is
-/// dropped, and its materialized copy from `durable` takes its slot.
-/// Drivers add the write-ahead sequence (record_arrivals(), their crash
-/// and cancel window, commit_step()) in their own step_done.
+/// are already durable and replay locally. A live step whose arrivals
+/// are durable already (delivered before a death, never committed)
+/// receives their seed copies again: each is dropped, and its
+/// materialized copy from `durable` takes its slot. Drivers add the
+/// write-ahead sequence (record_arrivals(), their crash and cancel
+/// window, commit_step()) in their own step_done.
 template <typename T>
 struct JournalHooks : StepHooks {
   JournalHooks(const StepProgram& program_in, ExchangeJournal& journal_in,
-               ResumeReport& report_in, DurableCopies<T>* durable_in, Recorder* obs_in,
-               std::vector<std::pair<Rank, Rank>>& arrivals_in)
+               ResumeReport& report_in, std::vector<T>* durable_in, Recorder* obs_in)
       : program(program_in), journal(journal_in), report(report_in), durable(durable_in),
-        obs(obs_in), arrivals(arrivals_in) {}
+        obs(obs_in) {}
 
   const StepProgram& program;
   ExchangeJournal& journal;
   ResumeReport& report;
-  DurableCopies<T>* durable;  ///< materialized deliveries, per destination; resume only
+  /// The materialized arrivals of the delivered, uncommitted step, in
+  /// the program's arrival order; resume only.
+  std::vector<T>* durable;
+  std::size_t next_durable = 0;  ///< the next copy to take a slot
   Recorder* obs;
   std::int64_t flat_step = 0;  ///< 0-based global index of the step in flight
-  /// The live step's new (dest, origin) pairs, in storage the driver
-  /// keeps, so a driver that runs one phase per call reuses it.
-  std::vector<std::pair<Rank, Rank>>& arrivals;
 
   bool replaying() const { return flat_step < report.committed_steps_at_start; }
   bool framed(int /*phase*/, int /*step*/) const { return !replaying(); }
@@ -324,33 +307,27 @@ struct JournalHooks : StepHooks {
       return;
     }
     report.sent_parcels += static_cast<std::int64_t>(count);
+    if (flat_step >= journal.delivered_steps()) return;
+    // The seed copies of durable deliveries: exactly-once, so each is
+    // dropped and its materialized copy takes its slot.
     program.for_each_arrival(phase, step, node, [&](std::uint32_t offset, Rank origin) {
-      if (!journal.delivered().test(node, origin)) {
-        arrivals.emplace_back(node, origin);
-        return;
-      }
-      // The seed copy of a durable delivery: exactly-once, so it is
-      // dropped and the materialized copy takes its slot.
       ++report.duplicates_dropped;
       if (obs != nullptr) {
         obs->instant("duplicate_dropped", node, phase, step, static_cast<std::int64_t>(origin));
       }
-      TOREX_CHECK(durable != nullptr, "durable parcel re-received without a materialized copy");
-      auto& side = (*durable)[static_cast<std::size_t>(node)];
-      const auto it = std::find_if(side.begin(), side.end(),
-                                   [&](const auto& copy) { return copy.first == origin; });
-      TOREX_CHECK(it != side.end(), "durable parcel re-received without a materialized copy");
-      first[offset] = std::move(it->second);
-      side.erase(it);
+      TOREX_CHECK(durable != nullptr && next_durable < durable->size(),
+                  "durable parcel re-received without a materialized copy");
+      first[offset] = std::move((*durable)[next_durable++]);
     });
   }
 
-  /// Appends the live step's deliveries record; false when nothing new
-  /// arrived (no record is written then).
-  bool record_arrivals() {
-    if (arrivals.empty()) return false;
-    journal.record_deliveries(flat_step, arrivals);
-    arrivals.clear();
+  /// Appends the live step's deliveries record; false when the step has
+  /// no arrivals or they are durable already (no record is written then).
+  bool record_arrivals(int phase, int step) {
+    if (flat_step < journal.delivered_steps() || program.totals(phase, step).arrivals == 0) {
+      return false;
+    }
+    journal.deliver_step(flat_step);
     return true;
   }
 
@@ -365,13 +342,13 @@ struct JournalHooks : StepHooks {
 /// `journal`: the step kernel replaying `program`. Returns the same rows
 /// in origin order (rows[q][p] is what p sent to q). A bound journal
 /// with prior progress triggers delta resume: the committed prefix is
-/// replayed locally, flushed-but-uncommitted deliveries are
-/// materialized from the seed, and only the remaining steps touch the
-/// wire; re-received durable parcels are dropped
+/// replayed locally, the arrivals of a step delivered but not committed
+/// are materialized from the seed, and only the remaining steps touch
+/// the wire; re-received durable parcels are dropped
 /// (report.duplicates_dropped). An unbound journal is bound to the
-/// schedule's geometry first. Live steps of trivially copyable payloads
-/// cross the framed wire; other payloads move locally. Requires T
-/// copyable (materialization duplicates payloads on purpose).
+/// program first. Live steps of trivially copyable payloads cross the
+/// framed wire; other payloads move locally. Requires T copyable
+/// (materialization duplicates payloads on purpose).
 template <typename T>
 std::vector<std::vector<T>> exchange_payloads_journaled(const SuhShinAape& algo,
                                                         const StepProgram& program,
@@ -382,7 +359,7 @@ std::vector<std::vector<T>> exchange_payloads_journaled(const SuhShinAape& algo,
   program.require_compiled_for(algo);
   const Rank N = algo.shape().num_nodes();
   detail::require_rows(N, rows);
-  detail::begin_journaled_run(algo, journal, report);
+  detail::begin_journaled_run(program, journal, report);
 
   Recorder* obs = options.obs;
   if (obs != nullptr && !obs->enabled()) obs = nullptr;
@@ -398,21 +375,26 @@ std::vector<std::vector<T>> exchange_payloads_journaled(const SuhShinAape& algo,
   WireArena& arena = options.wire != nullptr ? *options.wire : local_arena;
   const WirePoolStats wire_stats_before = arena.stats();
 
-  // Materialize flushed-but-uncommitted deliveries from the seed: the
-  // payload of (origin -> dest) sits in slot dest of origin's row. The
-  // copy waits in a side list at dest, so the rows keep the program's
-  // order. The seed copy re-travels the re-run steps exactly as a real
-  // sender that never saw the ack would re-send it; when it arrives,
-  // the bitmap catches it and the durable copy takes its slot.
-  detail::DurableCopies<T> durable(static_cast<std::size_t>(N));
-  for (const auto& [dest, origin] : journal.uncommitted_deliveries()) {
-    if (origin == dest) continue;
-    durable[static_cast<std::size_t>(dest)].emplace_back(
-        origin, rows[static_cast<std::size_t>(origin)][static_cast<std::size_t>(dest)]);
-    ++report.materialized;
+  // Materialize the arrivals of the step the journal holds delivered but
+  // not committed, from the seed: the payload of (origin -> dest) sits
+  // in slot dest of origin's row. The copies wait in the program's
+  // arrival order, so the rows keep the program's order. The seed copy
+  // re-travels the re-run steps exactly as a real sender that never saw
+  // the ack would re-send it; when it arrives, it is dropped and the
+  // durable copy takes its slot.
+  std::vector<T> durable;
+  if (journal.delivered_steps() > journal.committed_steps()) {
+    const auto [phase, step] = program.coordinates(journal.committed_steps());
+    durable.reserve(program.totals(phase, step).arrivals);
+    for (Rank dest = 0; dest < N; ++dest) {
+      program.for_each_arrival(phase, step, dest, [&](std::uint32_t, Rank origin) {
+        durable.push_back(rows[static_cast<std::size_t>(origin)][static_cast<std::size_t>(dest)]);
+      });
+    }
+    report.materialized = static_cast<std::int64_t>(durable.size());
   }
 
-  // Local replay of the committed prefix, bitmap dedup, and the
+  // Local replay of the committed prefix, duplicate drops, and the
   // write-ahead sequence of every live step.
   struct Journaler : detail::JournalHooks<T> {
     const JournalRunOptions& options;
@@ -432,10 +414,12 @@ std::vector<std::vector<T>> exchange_payloads_journaled(const SuhShinAape& algo,
                                      std::to_string(phase) + ", step " + std::to_string(step) +
                                      ")");
       }
-      const auto delivered = static_cast<std::int64_t>(this->arrivals.size());
-      if (this->record_arrivals()) {
+      if (this->record_arrivals(phase, step)) {
         detail::journal_flush(this->journal, options, this->report);
-        if (this->obs != nullptr) this->obs->instant("journal_flush", -1, phase, step, delivered);
+        if (this->obs != nullptr) {
+          this->obs->instant("journal_flush", -1, phase, step,
+                             this->program.totals(phase, step).arrivals);
+        }
       }
       if (crash_here) {
         throw ExchangeCrashError(phase, step,
@@ -456,13 +440,11 @@ std::vector<std::vector<T>> exchange_payloads_journaled(const SuhShinAape& algo,
       detail::journal_flush(this->journal, options, this->report);
     }
   };
-  std::vector<std::pair<Rank, Rank>> arrivals;
-  Journaler hooks{{program, journal, report, &durable, obs, arrivals}, options};
+  Journaler hooks{{program, journal, report, &durable, obs}, options};
   detail::StepReplay<T> replay;
   detail::replay_step_program(program, rows, arena, options.pool, obs, hooks, replay);
-  for (const auto& side : durable) {
-    TOREX_CHECK(side.empty(), "a materialized delivery never met its re-sent seed copy");
-  }
+  TOREX_CHECK(hooks.next_durable == durable.size(),
+              "a materialized delivery never met its re-sent seed copy");
   TOREX_CHECK(journal.exchange_complete(), "journal incomplete after a finished exchange");
   if (obs != nullptr) {
     obs->metrics().counter("journal.records").add(journal.records());
@@ -472,75 +454,6 @@ std::vector<std::vector<T>> exchange_payloads_journaled(const SuhShinAape& algo,
     detail::publish_wire_metrics(obs, wire_stats_delta(arena.stats(), wire_stats_before));
   }
   detail::put_rows_in_origin_order(program, rows, options.pool, replay, obs);
-  return rows;
-}
-
-/// Degraded-mode journaled delta: delivers every still-undelivered
-/// payload of `rows` (destination order) straight to its destination
-/// (no schedule), journaling one deliveries record per origin, and
-/// returns the rows in origin order. Used when the recovery chain has
-/// abandoned the Suh-Shin schedule (remap/direct plans) but the journal
-/// must stay the source of truth so a later resume — scheduled or
-/// direct — sends strictly less. Already-durable parcels are
-/// materialized, not re-sent.
-template <typename T>
-std::vector<std::vector<T>> exchange_payloads_direct_journaled(const SuhShinAape& algo,
-                                                               std::vector<std::vector<T>> rows,
-                                                               ExchangeJournal& journal,
-                                                               const JournalRunOptions& options,
-                                                               ResumeReport& report) {
-  const Rank N = algo.shape().num_nodes();
-  detail::require_rows(N, rows);
-  detail::begin_journaled_run(algo, journal, report);
-
-  Recorder* obs = options.obs;
-  if (obs != nullptr && !obs->enabled()) obs = nullptr;
-  SpanGuard run_span(obs, "journaled_direct_delta");
-
-  if (journal.exchange_complete()) {
-    report.materialized += static_cast<std::int64_t>(N) * (N - 1);
-    detail::transpose_rows(rows);
-    return rows;
-  }
-
-  // The direct path ignores step structure entirely: all delivery
-  // records land on the sentinel flat step total_steps(), and only the
-  // final phase is committed. A scheduled resume of such a journal sees
-  // zero committed steps and treats every durable pair as
-  // flushed-but-uncommitted — materialize + dedup — which is correct.
-  std::vector<std::pair<Rank, Rank>> new_deliveries;
-  for (Rank origin = 0; origin < N; ++origin) {
-    new_deliveries.clear();
-    for (Rank dest = 0; dest < N; ++dest) {
-      if (journal.delivered().test(dest, origin)) {
-        ++report.materialized;
-      } else if (dest != origin) {
-        ++report.sent_parcels;
-        new_deliveries.emplace_back(dest, origin);
-      }
-    }
-    if (!new_deliveries.empty()) {
-      journal.record_deliveries(journal.total_steps(), new_deliveries);
-      detail::journal_flush(journal, options, report);
-    }
-    if (options.cancel != nullptr && options.cancel->load(std::memory_order_relaxed)) {
-      detail::throw_journal_cancelled(0, static_cast<int>(origin));
-    }
-  }
-  while (journal.committed_steps() < journal.total_steps()) {
-    journal.commit_step(journal.committed_steps());
-  }
-  for (int phase = journal.committed_phase() + 1; phase <= journal.num_phases(); ++phase) {
-    journal.commit_phase(phase);
-  }
-  detail::journal_flush(journal, options, report);
-
-  TOREX_CHECK(journal.exchange_complete(), "journal incomplete after a finished direct delta");
-  if (obs != nullptr) {
-    obs->metrics().counter("resume.sent_parcels").add(report.sent_parcels);
-    obs->metrics().counter("resume.duplicates_dropped").add(report.duplicates_dropped);
-  }
-  detail::transpose_rows(rows);
   return rows;
 }
 

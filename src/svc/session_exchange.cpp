@@ -24,27 +24,11 @@ SessionExchange::SessionExchange(SessionId id, const SuhShinAape& algo, const St
                                  std::vector<std::vector<Word>> send, WireArena& arena,
                                  std::int64_t max_leased_frames, FlightRecorder* flight)
     : id_(id), algo_(&algo), program_(&program), arena_(&arena), flight_(flight),
-      frame_quota_(max_leased_frames), rows_(std::move(send)) {
+      frame_quota_(max_leased_frames), rows_(std::move(send)), journal_(program) {
   program.require_compiled_for(algo);
   const Rank N = algo.shape().num_nodes();
   detail::require_rows(N, rows_);
   detail::begin_replay(program, nullptr, replay_);
-  journal_ = ExchangeJournal(algo.shape(), algo.num_phases(), algo.total_steps());
-  // The program knows every step's arrivals: size the journal stream
-  // and the arrival list once, here.
-  std::size_t record_bytes = 0;
-  std::size_t most_arrivals = 0;
-  for (int phase = 1; phase <= program.num_phases(); ++phase) {
-    for (int step = 1; step <= program.steps_in_phase(phase); ++step) {
-      std::size_t arrivals = 0;
-      for (Rank p = 0; p < N; ++p) arrivals += program.step(phase, step, p).arrival_count;
-      record_bytes += ExchangeJournal::step_record_bytes(arrivals);
-      most_arrivals = std::max(most_arrivals, arrivals);
-    }
-    record_bytes += ExchangeJournal::phase_record_bytes();
-  }
-  journal_.reserve_records(record_bytes);
-  arrivals_.reserve(most_arrivals);
 }
 
 SessionExchange::SessionExchange(SessionId id, const SuhShinAape& algo, const StepProgram& program,
@@ -145,16 +129,16 @@ bool SessionExchange::health_gate(int phase, int step, const HealthContext& heal
 }
 
 // The service's policies as step-kernel hooks, for one dispatch. The
-// journal side (deliveries collected per receive, the record, the
-// commit marker) is the journaled executor's; a session's journal
-// starts fresh and never resumes, so every step is live, and the next
-// step's flat index is the journal's count of committed steps.
+// journal side (the step's deliveries record, the commit marker) is the
+// journaled executor's; a session's journal starts fresh and never
+// resumes, so every step is live, and the next step's flat index is the
+// journal's count of committed steps.
 struct SessionExchange::Driver : detail::JournalHooks<Word> {
   Driver(SessionExchange& session, ResumeReport& journal_report,
          const std::atomic<bool>* cancel_flag, const SessionInjection& injection,
          const HealthContext& health_context, HealthView& health_view)
       : detail::JournalHooks<Word>(*session.program_, session.journal_, journal_report, nullptr,
-                                   nullptr, session.arrivals_),
+                                   nullptr),
         self(session),
         cancel(cancel_flag),
         inject(injection),
@@ -225,7 +209,7 @@ struct SessionExchange::Driver : detail::JournalHooks<Word> {
   // flush before the commit marker; the crash injection and the cancel
   // window both sit between them.
   void step_done(int phase, int step) {
-    record_arrivals();
+    record_arrivals(phase, step);
     if (inject.crash_phase == phase && step == 1) {
       self.flight_note("svc.crash", health, phase, step);
       throw ExchangeCrashError(phase, step,
@@ -282,7 +266,6 @@ void SessionExchange::retire() {
   free_storage(replay_.outbound);
   free_storage(replay_.staged);
   free_storage(replay_.scratch);
-  free_storage(arrivals_);
 }
 
 }  // namespace torex

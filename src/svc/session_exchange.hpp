@@ -22,17 +22,17 @@
 // quarantined at the dispatch's tick it has nothing to check. The
 // corrupt injection flips a payload bit of the phase's first frame, the
 // settle hook turns a refused frame into SessionIntegrityError, and the
-// journal records reuse the journaled executor's hooks (the program's
-// arrival tables), with the crash injection and the cancel window
-// between each step's flush and its commit. The result unpacks through
-// the program's final table, once the journal's delivery bitmap is
-// complete.
+// journal records reuse the journaled executor's hooks (a deliveries
+// record per step with arrivals, then its commit), with the crash
+// injection and the cancel window between each step's flush and its
+// commit. The result unpacks through
+// the program's final table, once the journal has committed every step
+// and phase.
 //
 // What a session owns: the rows (adopted from the request at
-// admission), the kernel's outbound, staging and scratch storage, one
-// arrival list sized for the program's busiest step, and a journal
-// whose stream is reserved at its final size. retire() frees all of it
-// but the journal and the counters.
+// admission), the kernel's outbound, staging and scratch storage, and a
+// journal whose stream is reserved at its final size. retire() frees
+// all of it but the journal and the counters.
 //
 // Isolation properties the manager relies on:
 //  * every frame a phase leases from the shared arena goes back to it
@@ -150,10 +150,9 @@ class SessionExchange {
   /// program's final table; requires complete(). Consumes the rows.
   void take_result_into(const std::vector<StridedView<std::int64_t>>& recv);
 
-  /// Frees the rows (unless the result was taken), the kernel's storage
-  /// and the arrival list once the session is terminal. The journal and
-  /// the counters stay readable; run_phase and the result calls then
-  /// refuse.
+  /// Frees the rows (unless the result was taken) and the kernel's
+  /// storage once the session is terminal. The journal and the counters
+  /// stay readable; run_phase and the result calls then refuse.
   void retire();
 
  private:
@@ -179,9 +178,6 @@ class SessionExchange {
   /// resumes.
   detail::StepReplay<std::int64_t> replay_;
   ExchangeJournal journal_;
-  /// The live step's (dest, origin) deliveries; reserved for the
-  /// program's busiest step, so no dispatch grows it.
-  std::vector<std::pair<Rank, Rank>> arrivals_;
   std::int64_t sent_parcels_ = 0;
   std::int64_t resent_parcels_ = 0;
   std::int64_t peak_leased_ = 0;

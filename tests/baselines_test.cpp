@@ -2,7 +2,9 @@
 // Gray-code ring exchange.
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <set>
+#include <string>
 
 #include "baselines/bruck.hpp"
 #include "baselines/dimwise.hpp"
@@ -25,6 +27,20 @@ struct GrayCase {
 };
 
 class GrayCodeTest : public ::testing::TestWithParam<GrayCase> {};
+
+/// The case's name, e.g. "8x4x4": its extents.
+std::string gray_case_label(const GrayCase& c) {
+  std::string label;
+  for (const std::int32_t extent : c.extents) label += std::to_string(extent) + "x";
+  label.pop_back();
+  return label;
+}
+
+void PrintTo(const GrayCase& c, std::ostream* os) { *os << gray_case_label(c); }
+
+std::string gray_case_name(const ::testing::TestParamInfo<GrayCase>& info) {
+  return gray_case_label(info.param);
+}
 
 TEST_P(GrayCodeTest, VisitsEveryNodeOnce) {
   const TorusShape s(GetParam().extents);
@@ -55,7 +71,8 @@ INSTANTIATE_TEST_SUITE_P(Shapes, GrayCodeTest,
                          ::testing::Values(GrayCase{{4, 4}}, GrayCase{{8, 6}},
                                            GrayCase{{2, 2}}, GrayCase{{6, 4, 2}},
                                            GrayCase{{4, 4, 4}}, GrayCase{{2, 2, 2, 2}},
-                                           GrayCase{{12, 8}}));
+                                           GrayCase{{12, 8}}),
+                         gray_case_name);
 
 TEST(GrayCodeTest, RejectsOddExtents) {
   EXPECT_THROW(RingExchange(TorusShape({5, 4})), std::invalid_argument);

@@ -4,6 +4,7 @@
 // per (origin, dest) pair.
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 
 #include "core/payload_exchange.hpp"
@@ -19,6 +20,20 @@ struct CollectiveCase {
 };
 
 class ScatterGatherTest : public ::testing::TestWithParam<CollectiveCase> {};
+
+/// The case's name, e.g. "8x8_root37": its extents and root.
+std::string collective_case_label(const CollectiveCase& c) {
+  std::string label;
+  for (const std::int32_t extent : c.extents) label += std::to_string(extent) + "x";
+  label.pop_back();
+  return label + "_root" + std::to_string(c.root);
+}
+
+void PrintTo(const CollectiveCase& c, std::ostream* os) { *os << collective_case_label(c); }
+
+std::string collective_case_name(const ::testing::TestParamInfo<CollectiveCase>& info) {
+  return collective_case_label(info.param);
+}
 
 TEST_P(ScatterGatherTest, ScatterDeliversPerNodePayloads) {
   const SuhShinAape algo{TorusShape{GetParam().extents}};
@@ -61,7 +76,8 @@ INSTANTIATE_TEST_SUITE_P(Cases, ScatterGatherTest,
                                            CollectiveCase{{8, 8}, 0},
                                            CollectiveCase{{8, 8}, 37},
                                            CollectiveCase{{12, 8}, 95},
-                                           CollectiveCase{{8, 4, 4}, 64}));
+                                           CollectiveCase{{8, 4, 4}, 64}),
+                         collective_case_name);
 
 TEST(CustomParcelsTest, RandomSparseWorkloadWithPayloads) {
   const SuhShinAape algo(TorusShape::make_2d(8, 8));

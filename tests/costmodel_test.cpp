@@ -3,6 +3,9 @@
 // overlap, and with measured traces everywhere.
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <string>
+
 #include "core/exchange_engine.hpp"
 #include "costmodel/lower_bounds.hpp"
 #include "costmodel/models.hpp"
@@ -109,6 +112,20 @@ struct PriceCase {
 
 class TracePricingTest : public ::testing::TestWithParam<PriceCase> {};
 
+/// The case's name, e.g. "8x4x4": its extents.
+std::string price_case_label(const PriceCase& c) {
+  std::string label;
+  for (const std::int32_t extent : c.extents) label += std::to_string(extent) + "x";
+  label.pop_back();
+  return label;
+}
+
+void PrintTo(const PriceCase& c, std::ostream* os) { *os << price_case_label(c); }
+
+std::string price_case_name(const ::testing::TestParamInfo<PriceCase>& info) {
+  return price_case_label(info.param);
+}
+
 TEST_P(TracePricingTest, MeasuredTraceMatchesClosedForm) {
   // The central calibration check: pricing the engine's measured trace
   // with the model parameters reproduces Table 1's closed form exactly,
@@ -130,7 +147,8 @@ INSTANTIATE_TEST_SUITE_P(Shapes, TracePricingTest,
                          ::testing::Values(PriceCase{{8, 8}}, PriceCase{{12, 8}},
                                            PriceCase{{12, 12}}, PriceCase{{16, 16}},
                                            PriceCase{{8, 8, 4}}, PriceCase{{12, 8, 4}},
-                                           PriceCase{{8, 8, 8}}, PriceCase{{8, 4, 4, 4}}));
+                                           PriceCase{{8, 8, 8}}, PriceCase{{8, 4, 4, 4}}),
+                         price_case_name);
 
 TEST(CostModelTest, BreakdownTotalsAndAccumulate) {
   CostBreakdown a{1.0, 2.0, 3.0, 4.0};

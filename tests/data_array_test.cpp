@@ -2,6 +2,9 @@
 // padding extension (§6).
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <string>
+
 #include "core/data_array.hpp"
 #include "core/virtual_torus.hpp"
 #include "sim/cost_simulator.hpp"
@@ -103,6 +106,20 @@ struct VirtualCase {
 
 class VirtualSweepTest : public ::testing::TestWithParam<VirtualCase> {};
 
+/// The case's name, e.g. "8x4x4": its extents.
+std::string virtual_case_label(const VirtualCase& c) {
+  std::string label;
+  for (const std::int32_t extent : c.extents) label += std::to_string(extent) + "x";
+  label.pop_back();
+  return label;
+}
+
+void PrintTo(const VirtualCase& c, std::ostream* os) { *os << virtual_case_label(c); }
+
+std::string virtual_case_name(const ::testing::TestParamInfo<VirtualCase>& info) {
+  return virtual_case_label(info.param);
+}
+
 TEST_P(VirtualSweepTest, PaddedExchangeCompletes) {
   const VirtualTorusAape padded{TorusShape{GetParam().extents}};
   VirtualExchangeResult result;
@@ -116,7 +133,8 @@ INSTANTIATE_TEST_SUITE_P(Shapes, VirtualSweepTest,
                          ::testing::Values(VirtualCase{{10, 10}}, VirtualCase{{9, 7}},
                                            VirtualCase{{11, 5}}, VirtualCase{{6, 6}},
                                            VirtualCase{{13, 4}}, VirtualCase{{7, 6, 5}},
-                                           VirtualCase{{5, 4, 3}}, VirtualCase{{8, 8}}));
+                                           VirtualCase{{5, 4, 3}}, VirtualCase{{8, 8}}),
+                         virtual_case_name);
 
 TEST(VirtualTorusTest, ExactMultipleOfFourHasNoSerializationOverhead) {
   // When no padding is needed every virtual node is primary and hosts

@@ -9,6 +9,8 @@
 
 #include <algorithm>
 #include <map>
+#include <ostream>
+#include <string>
 
 #include "core/data_array.hpp"
 #include "core/exchange_engine.hpp"
@@ -27,6 +29,20 @@ struct DiffCase {
 };
 
 class DifferentialTest : public ::testing::TestWithParam<DiffCase> {};
+
+/// The case's name, e.g. "8x4x4_seed6": its extents and seed.
+std::string diff_case_label(const DiffCase& c) {
+  std::string label;
+  for (const std::int32_t extent : c.extents) label += std::to_string(extent) + "x";
+  label.pop_back();
+  return label + "_seed" + std::to_string(c.seed);
+}
+
+void PrintTo(const DiffCase& c, std::ostream* os) { *os << diff_case_label(c); }
+
+std::string diff_case_name(const ::testing::TestParamInfo<DiffCase>& info) {
+  return diff_case_label(info.param);
+}
 
 TEST_P(DifferentialTest, CustomWorkloadBucketsMatchEngine) {
   // Same random sparse workload through ExchangeEngine::run_custom and
@@ -129,7 +145,8 @@ INSTANTIATE_TEST_SUITE_P(Cases, DifferentialTest,
                                            DiffCase{{12, 8}, 3}, DiffCase{{12, 12}, 4},
                                            DiffCase{{8, 8, 4}, 5}, DiffCase{{8, 4, 4}, 6},
                                            DiffCase{{16, 4}, 7},
-                                           DiffCase{{4, 4, 4, 4}, 8}));
+                                           DiffCase{{4, 4, 4, 4}, 8}),
+                         diff_case_name);
 
 TEST(DifferentialTest, CanonicalWorkloadAcrossAllExecutors) {
   // The full N^2 workload through every executor on one shape.

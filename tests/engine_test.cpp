@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <ostream>
+#include <string>
 
 #include "core/exchange_engine.hpp"
 #include "sim/contention.hpp"
@@ -15,12 +17,19 @@ struct EngineCase {
   PatternConvention convention;
 };
 
-std::string case_name(const ::testing::TestParamInfo<EngineCase>& info) {
+/// The case's name, e.g. "8x8_paper2d": its extents and convention.
+std::string engine_case_label(const EngineCase& c) {
   std::string name;
-  for (auto e : info.param.extents) name += std::to_string(e) + "x";
+  for (auto e : c.extents) name += std::to_string(e) + "x";
   name.pop_back();
-  name += info.param.convention == PatternConvention::kPaper2D ? "_paper2d" : "_nested";
+  name += c.convention == PatternConvention::kPaper2D ? "_paper2d" : "_nested";
   return name;
+}
+
+void PrintTo(const EngineCase& c, std::ostream* os) { *os << engine_case_label(c); }
+
+std::string case_name(const ::testing::TestParamInfo<EngineCase>& info) {
+  return engine_case_label(info.param);
 }
 
 class EngineSweepTest : public ::testing::TestWithParam<EngineCase> {

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
+#include <string>
 
 #include "core/exchange_engine.hpp"
 #include "runtime/communicator.hpp"
@@ -12,6 +14,10 @@
 #include "sim/wormhole.hpp"
 
 namespace torex {
+
+// gtest prints a parameter through the PrintTo next to its type.
+void PrintTo(RecoveryPolicy policy, std::ostream* os) { *os << to_string(policy); }
+
 namespace {
 
 std::vector<std::vector<int>> make_send(Rank n) {
@@ -262,6 +268,13 @@ TEST(FaultedWormholeTest, FaultedTraceStepsPriceAboveHealthyBaseline) {
 
 class PermanentChannelFaultPolicyTest : public ::testing::TestWithParam<RecoveryPolicy> {};
 
+/// The case's name, e.g. "retry_backoff": the policy's name.
+std::string policy_case_name(const ::testing::TestParamInfo<RecoveryPolicy>& info) {
+  std::string name = to_string(info.param);
+  std::replace(name.begin(), name.end(), '-', '_');
+  return name;
+}
+
 TEST_P(PermanentChannelFaultPolicyTest, TwelveByEightStillPermutesCorrectly) {
   const TorusShape shape = TorusShape::make_2d(12, 8);
   const TorusCommunicator comm(shape, CostParams{});
@@ -308,7 +321,8 @@ TEST_P(PermanentChannelFaultPolicyTest, TwelveByEightStillPermutesCorrectly) {
 INSTANTIATE_TEST_SUITE_P(Policies, PermanentChannelFaultPolicyTest,
                          ::testing::Values(RecoveryPolicy::kRetryBackoff,
                                            RecoveryPolicy::kRemap,
-                                           RecoveryPolicy::kFallbackDirect));
+                                           RecoveryPolicy::kFallbackDirect),
+                         policy_case_name);
 
 TEST(RecoveryTest, TransientFaultRetryConvergesWithinBudget) {
   const TorusShape shape = TorusShape::make_2d(12, 8);

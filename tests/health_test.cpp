@@ -484,17 +484,17 @@ node 13: closed, errors=0, flaps=2, chain_walks=0, verdict="phi-accrual suspicio
 /// Each session's terminal state, progress, spend and finish time (in
 /// milli-phase-costs of virtual time), and the length and CRC-32 of its
 /// journal bytes when it was admitted.
-constexpr const char* kPinnedSessions = R"pin(0 completed phases 4 sent 12288 deferrals 0 retry 0 finished 10000 journal 32568 crc 1952226948
-1 completed phases 4 sent 12288 deferrals 0 retry 64 finished 11000 journal 32568 crc 1952226948
-2 completed phases 4 sent 12288 deferrals 0 retry 0 finished 12000 journal 32568 crc 1952226948
-3 deadline_missed phases 0 sent 0 deferrals 0 retry 0 finished 12000 journal 32 crc 558161692
-4 completed phases 4 sent 12288 deferrals 0 retry 64 finished 19000 journal 32568 crc 1952226948
-5 completed phases 4 sent 12288 deferrals 0 retry 64 finished 20000 journal 32568 crc 1952226948
-6 completed phases 4 sent 12288 deferrals 9 retry 320 finished 56000 journal 32568 crc 1952226948
-7 deadline_missed phases 0 sent 0 deferrals 0 retry 0 finished 20000 journal 32 crc 558161692
-8 completed phases 4 sent 12288 deferrals 7 retry 192 finished 48000 journal 32568 crc 1952226948
-9 completed phases 4 sent 12288 deferrals 0 retry 64 finished 55000 journal 32568 crc 1952226948
-10 completed phases 4 sent 12288 deferrals 4 retry 96 finished 53000 journal 32568 crc 1952226948
+constexpr const char* kPinnedSessions = R"pin(0 completed phases 4 sent 12288 deferrals 0 retry 0 finished 10000 journal 296 crc 3997646795
+1 completed phases 4 sent 12288 deferrals 0 retry 64 finished 11000 journal 296 crc 3997646795
+2 completed phases 4 sent 12288 deferrals 0 retry 0 finished 12000 journal 296 crc 3997646795
+3 deadline_missed phases 0 sent 0 deferrals 0 retry 0 finished 12000 journal 40 crc 558161692
+4 completed phases 4 sent 12288 deferrals 0 retry 64 finished 19000 journal 296 crc 3997646795
+5 completed phases 4 sent 12288 deferrals 0 retry 64 finished 20000 journal 296 crc 3997646795
+6 completed phases 4 sent 12288 deferrals 9 retry 320 finished 56000 journal 296 crc 3997646795
+7 deadline_missed phases 0 sent 0 deferrals 0 retry 0 finished 20000 journal 40 crc 558161692
+8 completed phases 4 sent 12288 deferrals 7 retry 192 finished 48000 journal 296 crc 3997646795
+9 completed phases 4 sent 12288 deferrals 0 retry 64 finished 55000 journal 296 crc 3997646795
+10 completed phases 4 sent 12288 deferrals 4 retry 96 finished 53000 journal 296 crc 3997646795
 11 deadline_missed phases 0 sent 0 deferrals 0 retry 0 finished 48000 never admitted
 )pin";
 

@@ -61,107 +61,122 @@ std::vector<std::pair<int, int>> active_steps(const SuhShinAape& algo) {
   return out;
 }
 
-// --- DeliveryBitmap ----------------------------------------------------
-
-TEST(DeliveryBitmapTest, MarksAreIdempotentAndCounted) {
-  DeliveryBitmap bitmap(4);
-  EXPECT_EQ(bitmap.delivered(), 0);
-  EXPECT_EQ(bitmap.expected(), 16);
-  EXPECT_FALSE(bitmap.test(2, 3));
-  EXPECT_TRUE(bitmap.mark(2, 3));
-  EXPECT_TRUE(bitmap.test(2, 3));
-  EXPECT_FALSE(bitmap.mark(2, 3));  // re-mark is not a new delivery
-  EXPECT_EQ(bitmap.delivered(), 1);
-  EXPECT_EQ(bitmap.delivered_to(2), 1);
-  EXPECT_EQ(bitmap.delivered_to(3), 0);
-  EXPECT_FALSE(bitmap.complete());
+/// The 4x4 schedule's program: 4 phases, 4 steps, each step with
+/// arrivals.
+const StepProgram& program_4x4() {
+  static const StepProgram program(SuhShinAape(TorusShape({4, 4})));
+  return program;
 }
 
-TEST(DeliveryBitmapTest, CompleteMeansEveryPair) {
-  const Rank n = 5;
-  DeliveryBitmap bitmap(n);
-  for (Rank d = 0; d < n; ++d) {
-    for (Rank o = 0; o < n; ++o) bitmap.mark(d, o);
-  }
-  EXPECT_TRUE(bitmap.complete());
-  EXPECT_EQ(bitmap.delivered(), bitmap.expected());
+/// Bytes of a 2-D journal's header: magic, version, dimension count, two
+/// extents, phases, steps, the 8-byte fingerprint and the header CRC.
+constexpr std::size_t kHeader2d = (3 + 2 + 2 + 1) * 4 + 8;
+
+/// Appends one sealed record (kind, length 4, `value`, CRC) to `bytes`.
+void append_sealed_record(std::vector<std::byte>& bytes, std::uint32_t kind,
+                          std::uint32_t value) {
+  const std::size_t begin = bytes.size();
+  wire_put_u32(bytes, kind);
+  wire_put_u32(bytes, 4);
+  wire_put_u32(bytes, value);
+  Crc32 crc;
+  crc.update(bytes.data() + begin, bytes.size() - begin);
+  wire_put_u32(bytes, crc.value());
 }
 
 // --- Journal write path ------------------------------------------------
 
-TEST(JournalTest, FreshJournalPreMarksSelfDeliveries) {
-  const TorusShape shape({4, 4});
-  ExchangeJournal journal(shape, 4, 4);
+TEST(JournalTest, FreshJournalCarriesItsProgram) {
+  const StepProgram& program = program_4x4();
+  const ExchangeJournal journal(program);
   EXPECT_TRUE(journal.bound());
   EXPECT_TRUE(journal.fresh());
-  EXPECT_EQ(journal.delivered_parcels(), 16);  // the p -> p diagonal
-  for (Rank p = 0; p < 16; ++p) EXPECT_TRUE(journal.delivered().test(p, p));
+  EXPECT_EQ(journal.extents(), (std::vector<std::int32_t>{4, 4}));
+  EXPECT_EQ(journal.num_phases(), 4);
+  EXPECT_EQ(journal.total_steps(), 4);
+  EXPECT_EQ(journal.fingerprint(), program.fingerprint());
+  EXPECT_EQ(journal.committed_steps(), 0);
+  EXPECT_EQ(journal.delivered_steps(), 0);
   EXPECT_FALSE(journal.exchange_complete());
+  EXPECT_EQ(journal.encode().size(), kHeader2d);
 }
 
 TEST(JournalTest, UnboundJournalRefusesMutation) {
   ExchangeJournal journal;
   EXPECT_FALSE(journal.bound());
-  EXPECT_THROW(journal.record_deliveries(0, {{0, 1}}), std::invalid_argument);
+  EXPECT_FALSE(journal.exchange_complete());
+  EXPECT_THROW(journal.deliver_step(0), std::invalid_argument);
   EXPECT_THROW(journal.commit_step(0), std::invalid_argument);
   EXPECT_THROW(journal.commit_phase(1), std::invalid_argument);
 }
 
 TEST(JournalTest, WriterInvariantsAreEnforced) {
-  const TorusShape shape({4, 4});
-  ExchangeJournal journal(shape, 4, 4);
-  EXPECT_THROW(journal.record_deliveries(0, {}), std::invalid_argument);
-  EXPECT_THROW(journal.record_deliveries(0, {{1, 1}}), std::invalid_argument);  // self pair
-  EXPECT_THROW(journal.record_deliveries(0, {{16, 0}}), std::invalid_argument);
-  EXPECT_THROW(journal.record_deliveries(5, {{0, 1}}), std::invalid_argument);  // past sentinel
-  journal.record_deliveries(0, {{0, 1}});
-  EXPECT_THROW(journal.record_deliveries(0, {{0, 1}}), std::logic_error);  // exactly-once
+  ExchangeJournal journal(program_4x4());
+  const std::vector<std::byte> header = journal.encode();
+  EXPECT_THROW(journal.deliver_step(-1), std::invalid_argument);
+  EXPECT_THROW(journal.deliver_step(1), std::invalid_argument);  // not the next step
+  EXPECT_THROW(journal.deliver_step(4), std::invalid_argument);  // past the schedule
+  EXPECT_EQ(journal.encode(), header);  // a refused record leaves no bytes
+  journal.deliver_step(0);
+  EXPECT_EQ(journal.delivered_steps(), 1);
+  EXPECT_THROW(journal.deliver_step(0), std::logic_error);  // exactly-once
   EXPECT_THROW(journal.commit_step(1), std::invalid_argument);  // out of order
   journal.commit_step(0);
   EXPECT_EQ(journal.committed_steps(), 1);
+  EXPECT_EQ(journal.delivered_steps(), 1);
+  EXPECT_THROW(journal.deliver_step(0), std::invalid_argument);  // committed already
+  journal.commit_step(1);  // a step without arrivals commits without a record
+  EXPECT_EQ(journal.delivered_steps(), 2);
   EXPECT_THROW(journal.commit_phase(2), std::invalid_argument);  // skips phase 1
   journal.commit_phase(1);
   EXPECT_EQ(journal.committed_phase(), 1);
+  EXPECT_EQ(journal.records(), 4);
+  EXPECT_EQ(journal.encode().size(), kHeader2d + 4 * 16);
 }
 
-TEST(JournalTest, UncommittedDeliveriesAreTheFlushedSuffix) {
-  const TorusShape shape({4, 4});
-  ExchangeJournal journal(shape, 4, 4);
-  journal.record_deliveries(0, {{0, 1}});
+TEST(JournalTest, DeliveredStepIsTheFlushedSuffix) {
+  ExchangeJournal journal(program_4x4());
+  journal.deliver_step(0);
   journal.commit_step(0);
-  journal.record_deliveries(1, {{2, 3}, {3, 2}});
-  const auto uncommitted = journal.uncommitted_deliveries();
-  ASSERT_EQ(uncommitted.size(), 2u);
-  EXPECT_EQ(uncommitted[0], (std::pair<Rank, Rank>{2, 3}));
-  EXPECT_EQ(uncommitted[1], (std::pair<Rank, Rank>{3, 2}));
+  journal.deliver_step(1);
+  EXPECT_EQ(journal.committed_steps(), 1);
+  EXPECT_EQ(journal.delivered_steps(), 2);
+  const ExchangeJournal loaded = ExchangeJournal::decode(journal.encode());
+  EXPECT_EQ(loaded.committed_steps(), 1);
+  EXPECT_EQ(loaded.delivered_steps(), 2);
+  EXPECT_NE(loaded.summary().find("step 1 delivered but not committed"), std::string::npos)
+      << loaded.summary();
 }
 
-/// The deliveries a live step of a fresh run records, in the order the
-/// journal hooks collect them: receivers in node order, each receive's
-/// arrivals in receive order, from the program's arrival table.
-std::vector<std::pair<Rank, Rank>> step_deliveries(const StepProgram& program, int phase,
-                                                   int step) {
-  std::vector<std::pair<Rank, Rank>> out;
+/// Parcels that reach their destinations in (phase, step), counted from
+/// the program's per-node arrival lists.
+std::int64_t step_arrivals(const StepProgram& program, int phase, int step) {
+  std::int64_t count = 0;
   for (Rank node = 0; node < program.num_nodes(); ++node) {
-    program.for_each_arrival(phase, step, node, [&](std::uint32_t, Rank origin) {
-      out.emplace_back(node, origin);
-    });
+    program.for_each_arrival(phase, step, node, [&](std::uint32_t, Rank) { ++count; });
   }
-  return out;
+  return count;
 }
 
-TEST(JournalTest, UncommittedDeliveriesAreReadBackFromTheStream) {
-  // uncommitted_deliveries() walks the byte stream's deliveries records
-  // past the last step commit. Each case below has its list from an
-  // oracle that does not read the stream.
+TEST(JournalTest, DeliveredStepsAreReadBackFromTheStream) {
+  // A kill after a step's flush leaves that step delivered but not
+  // committed, exactly when the step has arrivals; a resume then starts
+  // from the self parcels plus every arrival of the delivered steps.
+  // Each case has its expectation from an oracle that does not read the
+  // stream: the program's per-node arrival lists.
   const TorusShape shape({8, 8});
   const SuhShinAape algo(shape);
   const StepProgram program(algo);
   const Rank n = shape.num_nodes();
-  int flat = 0;
+  std::int64_t durable = n;  // the self parcels, then every committed step's arrivals
+  std::int64_t flat = 0;
+  std::int64_t previous_arrivals = 0;
   for (const auto& [phase, step] : active_steps(algo)) {
-    // Killed after its flush: the killed step's deliveries, and the
-    // same list once the bytes are decoded.
+    const std::int64_t arrivals = step_arrivals(program, phase, step);
+    EXPECT_EQ(static_cast<std::int64_t>(program.totals(phase, step).arrivals), arrivals)
+        << phase << "/" << step;
+    // Killed after its flush: the killed step is delivered when it has
+    // arrivals, and the same holds once the bytes are decoded.
     ExchangeJournal killed;
     JournalRunOptions crash;
     crash.crash = CrashPoint{phase, step, true};
@@ -169,15 +184,22 @@ TEST(JournalTest, UncommittedDeliveriesAreReadBackFromTheStream) {
     EXPECT_THROW(
         exchange_payloads_journaled(algo, program, make_send(n), killed, crash, report),
         ExchangeCrashError);
-    const auto expected = step_deliveries(program, phase, step);
+    const std::int64_t delivered = flat + (arrivals > 0 ? 1 : 0);
     ASSERT_EQ(killed.committed_steps(), flat);
-    EXPECT_EQ(killed.uncommitted_deliveries(), expected) << phase << "/" << step;
-    EXPECT_EQ(ExchangeJournal::decode(killed.encode()).uncommitted_deliveries(), expected)
-        << phase << "/" << step;
+    EXPECT_EQ(killed.delivered_steps(), delivered) << phase << "/" << step;
+    ExchangeJournal loaded = ExchangeJournal::decode(killed.encode());
+    EXPECT_EQ(loaded.delivered_steps(), delivered) << phase << "/" << step;
+    expect_transposed(
+        exchange_payloads_journaled(algo, program, make_send(n), loaded, JournalRunOptions{},
+                                    report),
+        n);
+    EXPECT_EQ(report.delivered_at_start, durable + arrivals) << phase << "/" << step;
+    EXPECT_EQ(report.materialized, arrivals) << phase << "/" << step;
+    EXPECT_EQ(report.duplicates_dropped, arrivals) << phase << "/" << step;
 
     // Killed before its flush, with the previous step's commit marker
-    // torn: decode drops the marker, and the previous step's deliveries
-    // are uncommitted again.
+    // torn: decode drops the marker, and the previous step is delivered
+    // but not committed again.
     if (step >= 2) {
       ExchangeJournal unflushed;
       crash.crash = CrashPoint{phase, step, false};
@@ -186,50 +208,24 @@ TEST(JournalTest, UncommittedDeliveriesAreReadBackFromTheStream) {
           ExchangeCrashError);
       std::vector<std::byte> torn = unflushed.encode();
       torn.resize(torn.size() - 2);
-      const ExchangeJournal loaded = ExchangeJournal::decode(torn);
-      EXPECT_TRUE(loaded.torn_tail());
-      EXPECT_EQ(loaded.committed_steps(), flat - 1);
-      EXPECT_EQ(loaded.uncommitted_deliveries(), step_deliveries(program, phase, step - 1))
+      const ExchangeJournal cut = ExchangeJournal::decode(torn);
+      EXPECT_TRUE(cut.torn_tail());
+      EXPECT_EQ(cut.committed_steps(), flat - 1);
+      EXPECT_EQ(cut.delivered_steps(), flat - (previous_arrivals > 0 ? 0 : 1))
           << phase << "/" << step;
     }
+    durable += arrivals;
+    previous_arrivals = arrivals;
     ++flat;
   }
-
-  // The direct path records on the sentinel step total_steps(): one
-  // record per origin, every pair uncommitted until its final commits —
-  // and after them too, since the sentinel is past every step.
-  ExchangeJournal direct(shape, algo.num_phases(), algo.total_steps());
-  std::atomic<bool> cancel{false};
-  JournalRunOptions options;
-  options.cancel = &cancel;
-  int origins = 0;
-  options.flush = [&](const ExchangeJournal&) {
-    if (++origins == 5) cancel.store(true);
-  };
-  ResumeReport report;
-  EXPECT_THROW(exchange_payloads_direct_journaled(algo, make_send(n), direct, options, report),
-               ExchangeCancelledError);
-  std::vector<std::pair<Rank, Rank>> expected;
-  for (Rank origin = 0; origin < origins; ++origin) {
-    for (Rank dest = 0; dest < n; ++dest) {
-      if (dest != origin) expected.emplace_back(dest, origin);
-    }
-  }
-  EXPECT_EQ(direct.uncommitted_deliveries(), expected);
-  EXPECT_EQ(ExchangeJournal::decode(direct.encode()).uncommitted_deliveries(), expected);
-  cancel.store(false);
-  options.flush = nullptr;
-  exchange_payloads_direct_journaled(algo, make_send(n), direct, options, report);
-  EXPECT_TRUE(direct.exchange_complete());
-  EXPECT_EQ(direct.uncommitted_deliveries().size(), static_cast<std::size_t>(n * (n - 1)));
+  EXPECT_EQ(durable, static_cast<std::int64_t>(n) * n);
 }
 
 // --- Wire format -------------------------------------------------------
 
 TEST(JournalWireTest, RoundTripPreservesEverything) {
-  const TorusShape shape({4, 4});
-  ExchangeJournal journal(shape, 4, 4);
-  journal.record_deliveries(0, {{0, 1}, {1, 0}});
+  ExchangeJournal journal(program_4x4());
+  journal.deliver_step(0);
   journal.commit_step(0);
   journal.commit_phase(1);
   journal.commit_phase(2);
@@ -238,22 +234,20 @@ TEST(JournalWireTest, RoundTripPreservesEverything) {
   EXPECT_EQ(loaded.extents(), journal.extents());
   EXPECT_EQ(loaded.num_phases(), 4);
   EXPECT_EQ(loaded.total_steps(), 4);
+  EXPECT_EQ(loaded.fingerprint(), program_4x4().fingerprint());
   EXPECT_EQ(loaded.records(), journal.records());
   EXPECT_EQ(loaded.committed_steps(), 1);
+  EXPECT_EQ(loaded.delivered_steps(), 1);
   EXPECT_EQ(loaded.committed_phase(), 2);
-  EXPECT_EQ(loaded.delivered_parcels(), journal.delivered_parcels());
-  EXPECT_TRUE(loaded.delivered().test(0, 1));
-  EXPECT_TRUE(loaded.delivered().test(1, 0));
   EXPECT_FALSE(loaded.torn_tail());
   EXPECT_EQ(loaded.encode(), journal.encode());  // byte-identical re-encode
 }
 
 TEST(JournalWireTest, TornFinalRecordIsDroppedNotFatal) {
-  const TorusShape shape({4, 4});
-  ExchangeJournal journal(shape, 4, 4);
-  journal.record_deliveries(0, {{0, 1}});
+  ExchangeJournal journal(program_4x4());
+  journal.deliver_step(0);
   journal.commit_step(0);
-  journal.record_deliveries(1, {{2, 3}});  // this record will be torn
+  journal.deliver_step(1);  // this record will be torn
 
   for (std::size_t cut = 1; cut <= 7; ++cut) {
     std::vector<std::byte> bytes = journal.encode();
@@ -261,29 +255,25 @@ TEST(JournalWireTest, TornFinalRecordIsDroppedNotFatal) {
     const ExchangeJournal loaded = ExchangeJournal::decode(bytes);
     EXPECT_TRUE(loaded.torn_tail());
     EXPECT_EQ(loaded.committed_steps(), 1);
-    EXPECT_TRUE(loaded.delivered().test(0, 1));
-    EXPECT_FALSE(loaded.delivered().test(2, 3)) << "torn record must not count";
+    EXPECT_EQ(loaded.delivered_steps(), 1) << "torn record must not count";
   }
 }
 
 TEST(JournalWireTest, MidStreamDamageIsFatal) {
-  const TorusShape shape({4, 4});
-  ExchangeJournal journal(shape, 4, 4);
-  journal.record_deliveries(0, {{0, 1}});
+  ExchangeJournal journal(program_4x4());
+  journal.deliver_step(0);
   journal.commit_step(0);
-  journal.record_deliveries(1, {{2, 3}});
+  journal.deliver_step(1);
 
   // Flip one byte inside the *first* record's payload: damage with
   // intact records after it cannot be a torn tail.
   std::vector<std::byte> bytes = journal.encode();
-  const std::size_t header_size = (3 + 2 + 2 + 1) * 4;  // magic..crc with 2 extents
-  bytes[header_size + 9] ^= std::byte{0x40};
+  bytes[kHeader2d + 9] ^= std::byte{0x40};
   EXPECT_THROW(ExchangeJournal::decode(bytes), JournalError);
 }
 
 TEST(JournalWireTest, HeaderDamageIsFatal) {
-  const TorusShape shape({4, 4});
-  const ExchangeJournal journal(shape, 4, 4);
+  const ExchangeJournal journal(program_4x4());
   std::vector<std::byte> bytes = journal.encode();
   bytes[0] ^= std::byte{0x01};  // magic
   EXPECT_THROW(ExchangeJournal::decode(bytes), JournalError);
@@ -293,29 +283,76 @@ TEST(JournalWireTest, HeaderDamageIsFatal) {
   EXPECT_THROW(ExchangeJournal::decode(bytes), JournalError);
 
   bytes = journal.encode();
+  bytes[kHeader2d - 5] ^= std::byte{0x10};  // the fingerprint
+  EXPECT_THROW(ExchangeJournal::decode(bytes), JournalError);
+
+  bytes = journal.encode();
   bytes[bytes.size() - 1] ^= std::byte{0x04};  // header CRC itself
   EXPECT_THROW(ExchangeJournal::decode(bytes), JournalError);
 }
 
+TEST(JournalWireTest, VersionOneBytesAreRefusedByName) {
+  // A version-1 stream (pairs, no fingerprint), built by hand: its
+  // header is intact, and decode names the version it refuses.
+  std::vector<std::byte> bytes;
+  for (const std::uint32_t word : {ExchangeJournal::kMagic, 1u, 2u, 4u, 4u, 4u, 4u}) {
+    wire_put_u32(bytes, word);
+  }
+  Crc32 crc;
+  crc.update(bytes.data(), bytes.size());
+  wire_put_u32(bytes, crc.value());
+  try {
+    ExchangeJournal::decode(bytes);
+    ADD_FAILURE() << "version-1 bytes must not decode";
+  } catch (const JournalError& error) {
+    EXPECT_NE(std::string(error.what()).find("unsupported version 1"), std::string::npos)
+        << error.what();
+  }
+}
+
 TEST(JournalWireTest, ForgedDuplicateDeliveryIsRejected) {
-  // Two records claiming the same (dest, origin) cannot both be real;
-  // decode must refuse rather than double-count.
-  const TorusShape shape({4, 4});
-  ExchangeJournal honest(shape, 4, 4);
-  honest.record_deliveries(0, {{0, 1}});
+  // Two records delivering the same step cannot both be real; decode
+  // must refuse rather than double-count.
+  ExchangeJournal honest(program_4x4());
+  honest.deliver_step(0);
   std::vector<std::byte> bytes = honest.encode();
   // Append a byte-identical copy of the first record.
-  const std::size_t header_size = (3 + 2 + 2 + 1) * 4;
-  const std::vector<std::byte> record(bytes.begin() + static_cast<std::ptrdiff_t>(header_size),
+  const std::vector<std::byte> record(bytes.begin() + static_cast<std::ptrdiff_t>(kHeader2d),
                                       bytes.end());
   bytes.insert(bytes.end(), record.begin(), record.end());
-  EXPECT_THROW(ExchangeJournal::decode(bytes), JournalError);
+  try {
+    ExchangeJournal::decode(bytes);
+    ADD_FAILURE() << "a second deliveries record for one step must not decode";
+  } catch (const JournalError& error) {
+    EXPECT_NE(std::string(error.what()).find("second deliveries record for step 0"),
+              std::string::npos)
+        << error.what();
+  }
+}
+
+TEST(JournalWireTest, DeliveriesForAnyStepButTheNextAreRefused) {
+  // A deliveries record names the step after the last commit. Forged
+  // records with valid CRCs for a later step, for a committed step, or
+  // past the schedule are refused, wherever they sit in the stream.
+  ExchangeJournal journal(program_4x4());
+  journal.deliver_step(0);
+  journal.commit_step(0);
+  for (const std::uint32_t forged : {0u, 2u, 3u, 4u}) {
+    std::vector<std::byte> bytes = journal.encode();
+    append_sealed_record(bytes, ExchangeJournal::kDeliveries, forged);
+    EXPECT_THROW(ExchangeJournal::decode(bytes), JournalError) << "step " << forged;
+    append_sealed_record(bytes, ExchangeJournal::kStepCommit, 1);
+    EXPECT_THROW(ExchangeJournal::decode(bytes), JournalError) << "step " << forged;
+  }
+  // The next step decodes.
+  std::vector<std::byte> bytes = journal.encode();
+  append_sealed_record(bytes, ExchangeJournal::kDeliveries, 1);
+  EXPECT_EQ(ExchangeJournal::decode(bytes).delivered_steps(), 2);
 }
 
 TEST(JournalWireTest, FileRoundTrip) {
-  const TorusShape shape({4, 4});
-  ExchangeJournal journal(shape, 4, 4);
-  journal.record_deliveries(0, {{0, 1}});
+  ExchangeJournal journal(program_4x4());
+  journal.deliver_step(0);
   journal.commit_step(0);
 
   const std::string path = ::testing::TempDir() + "journal_roundtrip.toxj";
@@ -330,21 +367,20 @@ TEST(JournalFileSinkTest, IncrementalSyncMatchesFullSave) {
   // journal's encoding is append-only), so a long run pays O(new
   // records) per flush instead of rewriting the whole file — and the
   // final file must still be byte-identical to a full save.
-  const TorusShape shape({4, 4});
-  ExchangeJournal journal(shape, 4, 4);
+  ExchangeJournal journal(program_4x4());
   const std::string path = ::testing::TempDir() + "journal_sink.toxj";
   JournalFileSink sink(path);
   sink.sync(journal);  // first sync rewrites (header only)
-  journal.record_deliveries(0, {{0, 1}});
+  journal.deliver_step(0);
   journal.commit_step(0);
   sink.sync(journal);  // appends the new records
-  journal.record_deliveries(1, {{1, 2}});
+  journal.deliver_step(1);
   journal.commit_step(1);
   sink.sync(journal);
   sink.sync(journal);  // no new bytes: a no-op
   EXPECT_EQ(sink.rewrites(), 1);
   EXPECT_EQ(sink.appends(), 2);
-  EXPECT_GT(sink.bytes_written(), 0);
+  EXPECT_EQ(sink.bytes_written(), static_cast<std::int64_t>(journal.encode().size()));
   const ExchangeJournal loaded = ExchangeJournal::load_file(path);
   EXPECT_EQ(loaded.encode(), journal.encode());
   std::remove(path.c_str());
@@ -353,14 +389,13 @@ TEST(JournalFileSinkTest, IncrementalSyncMatchesFullSave) {
 TEST(JournalFileSinkTest, ShorterJournalForcesRewrite) {
   // A sink re-pointed at a fresh (shorter) journal — the restart case —
   // must rewrite from scratch, never append onto stale bytes.
-  const TorusShape shape({4, 4});
   const std::string path = ::testing::TempDir() + "journal_sink_rewrite.toxj";
   JournalFileSink sink(path);
-  ExchangeJournal big(shape, 4, 4);
-  big.record_deliveries(0, {{0, 1}});
+  ExchangeJournal big(program_4x4());
+  big.deliver_step(0);
   big.commit_step(0);
   sink.sync(big);
-  const ExchangeJournal fresh(shape, 4, 4);
+  const ExchangeJournal fresh(program_4x4());
   sink.sync(fresh);
   EXPECT_EQ(sink.rewrites(), 2);
   const ExchangeJournal loaded = ExchangeJournal::load_file(path);
@@ -381,16 +416,11 @@ TEST(ResumeTest, KillAtEveryStepThenResumeIsExactlyOnce) {
   const Rank n = shape.num_nodes();
   const auto send = make_send(n);
 
-  // Pin the scheduled algorithm: kAuto may plan the direct journaled
-  // path, which has no schedule steps for the crash point to hit.
-  ResumeOptions scheduled;
-  scheduled.resilience.algorithm = AlltoallAlgorithm::kSuhShin;
-
   std::int64_t full_sent = 0;
   {
     ExchangeJournal journal;
     ExchangeOutcome outcome;
-    const auto recv = comm.alltoall_resumable(send, FaultModel{}, journal, outcome, scheduled);
+    const auto recv = comm.alltoall_resumable(send, FaultModel{}, journal, outcome);
     expect_transposed(recv, n);
     ASSERT_TRUE(outcome.resume.has_value());
     full_sent = outcome.resume->sent_parcels;
@@ -401,7 +431,7 @@ TEST(ResumeTest, KillAtEveryStepThenResumeIsExactlyOnce) {
     for (const bool after_flush : {false, true}) {
       ExchangeJournal journal;
       ExchangeOutcome outcome;
-      ResumeOptions options = scheduled;
+      ResumeOptions options;
       options.crash = CrashPoint{phase, step, after_flush};
       EXPECT_THROW(comm.alltoall_resumable(send, FaultModel{}, journal, outcome, options),
                    ExchangeCrashError)
@@ -412,7 +442,7 @@ TEST(ResumeTest, KillAtEveryStepThenResumeIsExactlyOnce) {
       const std::int64_t committed = loaded.committed_steps();
 
       ExchangeOutcome resumed;
-      const auto recv = comm.alltoall_resumable(send, FaultModel{}, loaded, resumed, scheduled);
+      const auto recv = comm.alltoall_resumable(send, FaultModel{}, loaded, resumed);
       expect_transposed(recv, n);
       ASSERT_TRUE(resumed.resume.has_value());
       const ResumeReport& report = *resumed.resume;
@@ -598,6 +628,19 @@ TEST(ResumeTest, StringPayloadsSurviveMultiRunSends) {
   EXPECT_TRUE(loaded.exchange_complete());
 }
 
+/// Expects two resume reports to agree field for field.
+void expect_same_report(const ResumeReport& a, const ResumeReport& b, const std::string& what) {
+  EXPECT_EQ(a.resumed, b.resumed) << what;
+  EXPECT_EQ(a.committed_steps_at_start, b.committed_steps_at_start) << what;
+  EXPECT_EQ(a.committed_phase_at_start, b.committed_phase_at_start) << what;
+  EXPECT_EQ(a.delivered_at_start, b.delivered_at_start) << what;
+  EXPECT_EQ(a.materialized, b.materialized) << what;
+  EXPECT_EQ(a.replayed_parcels, b.replayed_parcels) << what;
+  EXPECT_EQ(a.sent_parcels, b.sent_parcels) << what;
+  EXPECT_EQ(a.duplicates_dropped, b.duplicates_dropped) << what;
+  EXPECT_EQ(a.journal_flushes, b.journal_flushes) << what;
+}
+
 TEST(ResumeTest, JournalBytesAreIdenticalAtOneAndFourParticipants) {
   // The journal is written by hooks on the calling thread in node
   // order, so the kernel's pool size must not show in a single byte:
@@ -619,17 +662,7 @@ TEST(ResumeTest, JournalBytesAreIdenticalAtOneAndFourParticipants) {
       const JournaledRun four = run_journaled_on(algo, program, crash, 4);
       EXPECT_EQ(one.killed_bytes, four.killed_bytes) << what;
       EXPECT_EQ(one.final_bytes, four.final_bytes) << what;
-      const ResumeReport& a = one.report;
-      const ResumeReport& b = four.report;
-      EXPECT_EQ(a.resumed, b.resumed) << what;
-      EXPECT_EQ(a.committed_steps_at_start, b.committed_steps_at_start) << what;
-      EXPECT_EQ(a.committed_phase_at_start, b.committed_phase_at_start) << what;
-      EXPECT_EQ(a.delivered_at_start, b.delivered_at_start) << what;
-      EXPECT_EQ(a.materialized, b.materialized) << what;
-      EXPECT_EQ(a.replayed_parcels, b.replayed_parcels) << what;
-      EXPECT_EQ(a.sent_parcels, b.sent_parcels) << what;
-      EXPECT_EQ(a.duplicates_dropped, b.duplicates_dropped) << what;
-      EXPECT_EQ(a.journal_flushes, b.journal_flushes) << what;
+      expect_same_report(one.report, four.report, what);
       // Slot for slot, materialized copies included.
       EXPECT_EQ(testing::transpose_mismatch(algo.shape().num_nodes(), one.out, kSalt), "")
           << what;
@@ -638,25 +671,33 @@ TEST(ResumeTest, JournalBytesAreIdenticalAtOneAndFourParticipants) {
   }
 }
 
-/// Length and CRC-32 of a journal's bytes.
-std::pair<std::size_t, std::uint32_t> digest(const std::vector<std::byte>& bytes) {
-  Crc32 crc;
-  crc.update(bytes.data(), bytes.size());
-  return {bytes.size(), crc.value()};
+/// Length and 64-bit FNV-1a of a journal's bytes. Not a CRC-32: the
+/// header and every record end in the CRC-32 of their own bytes, and a
+/// CRC-32 over such sealed pieces depends only on their lengths, so it
+/// would pin no header field and no record value.
+std::pair<std::size_t, std::uint64_t> digest(const std::vector<std::byte>& bytes) {
+  std::uint64_t hash = 0xCBF29CE484222325ull;
+  for (const std::byte b : bytes) {
+    hash = (hash ^ std::to_integer<std::uint64_t>(b)) * 0x100000001B3ull;
+  }
+  return {bytes.size(), hash};
 }
 
 TEST(ResumeTest, JournalBytesMatchTheGoldenRecords) {
-  // The journal's bytes, pinned: these lengths and CRC-32s were recorded
-  // from the step kernel that carried each parcel's block identity and
-  // read its arrivals off the parcels. The kernel now reads them from
-  // the program's arrival tables, and must write the same records in
-  // the same order: fresh runs on three shapes, and a kill at
-  // (phase 2, step 1) then a resume on 8x4x4, at 1 and 4 participants.
-  using Golden = std::pair<std::size_t, std::uint32_t>;
+  // The journal's bytes, pinned: these lengths and digests were
+  // recorded from the version-2 journal, whose deliveries records name
+  // their step and nothing else, so a change that moves, adds or drops a
+  // record or changes a header field (the program's fingerprint
+  // included) fails here: fresh runs on five shapes, none over 1 KB, and
+  // a kill at (phase 2, step 1) then a resume on 8x4x4, at 1 and 4
+  // participants.
+  using Golden = std::pair<std::size_t, std::uint64_t>;
   const std::vector<std::pair<std::vector<std::int32_t>, Golden>> fresh{
-      {{4, 4}, {2160, 0x62CE9AB4u}},
-      {{8, 8}, {32568, 0x745C9E84u}},
-      {{8, 4, 4}, {130488, 0xE82084F7u}},
+      {{4, 4}, {232, 0x0FA6E8F62E57D16Dull}},
+      {{8, 8}, {296, 0xFC23551F25D9D6A9ull}},
+      {{8, 4, 4}, {412, 0x0245D00C4CC5C1F6ull}},
+      {{16, 16}, {424, 0x2B6CAF97F1D87AE8ull}},
+      {{8, 8, 8}, {412, 0xE31246AB54083B22ull}},
   };
   for (const int participants : {1, 4}) {
     for (const auto& [extents, golden] : fresh) {
@@ -669,8 +710,8 @@ TEST(ResumeTest, JournalBytesMatchTheGoldenRecords) {
     const SuhShinAape algo{TorusShape({8, 4, 4})};
     const JournaledRun run =
         run_journaled_on(algo, StepProgram(algo), CrashPoint{2, 1, true}, participants);
-    EXPECT_EQ(digest(run.killed_bytes), (Golden{876, 0xDA5091E2u})) << participants;
-    EXPECT_EQ(digest(run.final_bytes), (Golden{130488, 0xE82084F7u})) << participants;
+    EXPECT_EQ(digest(run.killed_bytes), (Golden{108, 0xE15C1CBFCFC55622ull})) << participants;
+    EXPECT_EQ(digest(run.final_bytes), (Golden{412, 0x0245D00C4CC5C1F6ull})) << participants;
     EXPECT_EQ(run.report.materialized, 64) << participants;
     EXPECT_EQ(run.report.duplicates_dropped, 64) << participants;
     EXPECT_EQ(run.report.sent_parcels, 55296) << participants;
@@ -706,50 +747,141 @@ TEST(ResumeTest, ResumeRefusesFreshJournalsAndForeignShapes) {
   ExchangeJournal unbound;
   EXPECT_THROW(comm.resume(send, FaultModel{}, unbound, outcome), std::invalid_argument);
 
-  ExchangeJournal fresh(TorusShape({4, 4}), 4, 4);
+  ExchangeJournal fresh(program_4x4());
   EXPECT_THROW(comm.resume(send, FaultModel{}, fresh, outcome), std::invalid_argument);
 
   // Bound to a different torus: the delta is meaningless there.
-  ExchangeJournal foreign(TorusShape({8, 4}), 4, 6);
-  foreign.record_deliveries(0, {{0, 1}});
+  ExchangeJournal foreign{StepProgram(SuhShinAape(TorusShape({8, 4})))};
+  foreign.deliver_step(0);
   EXPECT_THROW(comm.resume(send, FaultModel{}, foreign, outcome), std::invalid_argument);
 }
 
-TEST(ResumeTest, DirectDeltaJournalResumesOnTheSchedule) {
-  // A degraded (direct) delta journals against the same geometry with
-  // only final commits; a later *scheduled* resume must still honor its
-  // bitmap. Kill the direct delta mid-way via cooperative cancel, then
-  // finish on the scheduled path.
+TEST(ResumeTest, ResumeRefusesAnotherProgramsJournal) {
+  // The same torus, phases and steps, written by the naive layout's
+  // program: its arrivals sit elsewhere, so its fingerprint refuses it.
   const TorusShape shape({4, 4});
   const SuhShinAape algo(shape);
-  const Rank n = shape.num_nodes();
-
-  ExchangeJournal journal(shape, algo.num_phases(), algo.total_steps());
-  std::atomic<bool> cancel{false};
-  JournalRunOptions options;
-  options.cancel = &cancel;
-  int flushes = 0;
-  options.flush = [&](const ExchangeJournal&) {
-    if (++flushes == 8) cancel.store(true);  // half the origins delivered
-  };
+  const StepProgram naive(algo, LayoutPolicy::kNaiveDestinationOrder);
+  ASSERT_NE(naive.fingerprint(), program_4x4().fingerprint());
+  ExchangeJournal journal;
+  JournalRunOptions crash;
+  const auto [phase, step] = active_steps(algo)[1];
+  crash.crash = CrashPoint{phase, step, true};
   ResumeReport report;
-  EXPECT_THROW(exchange_payloads_direct_journaled(algo, make_send(n), journal, options, report),
-               ExchangeCancelledError);
-  EXPECT_GT(journal.delivered_parcels(), 16);  // more than the self diagonal
-  EXPECT_FALSE(journal.exchange_complete());
-  EXPECT_EQ(journal.committed_steps(), 0);  // direct mode commits only at the end
+  EXPECT_THROW(exchange_payloads_journaled(algo, naive, make_send(16), journal, crash, report),
+               ExchangeCrashError);
+  ASSERT_EQ(journal.fingerprint(), naive.fingerprint());
 
-  ExchangeJournal loaded = ExchangeJournal::decode(journal.encode());
   const TorusCommunicator comm(shape, CostParams{});
   ExchangeOutcome outcome;
-  ResumeOptions resume_options;
-  resume_options.resilience.algorithm = AlltoallAlgorithm::kSuhShin;
-  const auto recv = comm.resume(make_send(n), FaultModel{}, loaded, outcome, resume_options);
-  expect_transposed(recv, n);
-  ASSERT_TRUE(outcome.resume.has_value());
-  EXPECT_GT(outcome.resume->materialized, 0);
-  EXPECT_EQ(outcome.resume->materialized, outcome.resume->duplicates_dropped);
-  EXPECT_TRUE(loaded.exchange_complete());
+  ExchangeJournal loaded = ExchangeJournal::decode(journal.encode());
+  EXPECT_THROW(comm.resume(make_send(16), FaultModel{}, loaded, outcome), std::invalid_argument);
+  EXPECT_EQ(loaded.encode(), journal.encode());  // refused before anything was written
+}
+
+TEST(ResumeTest, DefaultOptionsRunTheScheduleAndOtherPlansAreRefused) {
+  // kAuto resolves to the schedule, which the journal's steps name:
+  // whatever select() would price cheapest, a resumable exchange runs
+  // and reports Suh-Shin and sends the schedule's parcels.
+  const std::vector<std::pair<std::vector<std::int32_t>, std::int64_t>> cases{
+      {{4, 4}, 512}, {{8, 4, 4}, 57344}};
+  for (const auto& [extents, parcels] : cases) {
+    const TorusShape shape(extents);
+    const TorusCommunicator comm(shape, CostParams{});
+    const Rank n = shape.num_nodes();
+    ExchangeJournal journal;
+    ExchangeOutcome outcome;
+    expect_transposed(comm.alltoall_resumable(make_send(n), FaultModel{}, journal, outcome), n);
+    EXPECT_EQ(outcome.requested, AlltoallAlgorithm::kAuto) << shape.to_string();
+    EXPECT_EQ(to_string(outcome.algorithm), "suh-shin") << shape.to_string();
+    ASSERT_TRUE(outcome.resume.has_value());
+    EXPECT_EQ(outcome.resume->sent_parcels, parcels) << shape.to_string();
+    EXPECT_TRUE(journal.exchange_complete()) << shape.to_string();
+  }
+
+  // Plans that do not run the schedule are refused before any data
+  // moves: the journal stays unbound.
+  const TorusCommunicator comm(TorusShape({4, 4}), CostParams{});
+  FaultModel crashed;
+  crashed.crash_node(5, /*crash_tick=*/0);
+  for (const AlltoallAlgorithm algorithm :
+       {AlltoallAlgorithm::kRing, AlltoallAlgorithm::kDirect, AlltoallAlgorithm::kBruck,
+        AlltoallAlgorithm::kSuhShinPadded}) {
+    ResumeOptions options;
+    options.resilience.algorithm = algorithm;
+    ExchangeJournal journal;
+    ExchangeOutcome outcome;
+    EXPECT_THROW(comm.alltoall_resumable(make_send(16), FaultModel{}, journal, outcome, options),
+                 std::invalid_argument)
+        << to_string(algorithm);
+    EXPECT_FALSE(journal.bound()) << to_string(algorithm);
+  }
+  ResumeOptions direct;
+  direct.resilience.policy = RecoveryPolicy::kFallbackDirect;
+  ExchangeJournal journal;
+  ExchangeOutcome outcome;
+  EXPECT_THROW(comm.alltoall_resumable(make_send(16), crashed, journal, outcome, direct),
+               std::invalid_argument);
+  EXPECT_FALSE(journal.bound());
+}
+
+TEST(ResumeTest, RemappedPlanJournalsTheSchedule) {
+  // A remapped plan hosts a crashed node on a neighbour and detours its
+  // routes, but moves the same slots at the same steps: it runs the
+  // schedule on the journaled kernel. Its journal is the healthy run's
+  // byte for byte, and a kill at any step, before or after the flush,
+  // resumes to the transpose exactly as the healthy run's does.
+  for (const auto& extents : std::vector<std::vector<std::int32_t>>{{4, 4}, {8, 8}, {8, 4, 4}}) {
+    const TorusShape shape(extents);
+    const TorusCommunicator comm(shape, CostParams{});
+    const SuhShinAape algo(shape);
+    const Rank n = shape.num_nodes();
+    const auto send = make_send(n);
+    FaultModel crashed;
+    crashed.crash_node(n / 3, /*crash_tick=*/0);
+    const std::string where = shape.to_string();
+
+    ExchangeJournal healthy;
+    ExchangeOutcome healthy_outcome;
+    expect_transposed(comm.alltoall_resumable(send, FaultModel{}, healthy, healthy_outcome), n);
+    ExchangeJournal remapped;
+    ExchangeOutcome outcome;
+    expect_transposed(comm.alltoall_resumable(send, crashed, remapped, outcome), n);
+    EXPECT_TRUE(outcome.degraded) << where;
+    EXPECT_EQ(outcome.policy, RecoveryPolicy::kRemap) << where;
+    EXPECT_EQ(outcome.algorithm, AlltoallAlgorithm::kSuhShin) << where;
+    EXPECT_EQ(remapped.encode(), healthy.encode()) << where;
+    ASSERT_TRUE(outcome.resume.has_value() && healthy_outcome.resume.has_value());
+    expect_same_report(*outcome.resume, *healthy_outcome.resume, where);
+
+    for (const auto& [phase, step] : active_steps(algo)) {
+      for (const bool after_flush : {false, true}) {
+        const std::string what = where + " kill at (" + std::to_string(phase) + ", " +
+                                 std::to_string(step) + (after_flush ? ") after" : ") before") +
+                                 " the flush";
+        const auto kill_and_resume = [&](const FaultModel& faults) {
+          ResumeOptions options;
+          options.crash = CrashPoint{phase, step, after_flush};
+          ExchangeJournal journal;
+          ExchangeOutcome killed;
+          EXPECT_THROW(comm.alltoall_resumable(send, faults, journal, killed, options),
+                       ExchangeCrashError)
+              << what;
+          ExchangeJournal loaded = ExchangeJournal::decode(journal.encode());
+          ExchangeOutcome resumed;
+          expect_transposed(comm.alltoall_resumable(send, faults, loaded, resumed), n);
+          EXPECT_TRUE(loaded.exchange_complete()) << what;
+          EXPECT_EQ(resumed.policy, faults.empty() ? RecoveryPolicy::kNone : RecoveryPolicy::kRemap)
+              << what;
+          return std::pair{journal.encode(), resumed.resume.value_or(ResumeReport{})};
+        };
+        const auto [healthy_bytes, healthy_report] = kill_and_resume(FaultModel{});
+        const auto [bytes, report] = kill_and_resume(crashed);
+        EXPECT_EQ(bytes, healthy_bytes) << what;
+        expect_same_report(report, healthy_report, what);
+      }
+    }
+  }
 }
 
 // --- Cancellation and worker failures ------------------------------------
@@ -783,7 +915,7 @@ TEST(JournalCancelRaceTest, CancelBetweenFlushAndCommitLeavesResumableJournal) {
   EXPECT_THROW(comm.alltoall_resumable(send, FaultModel{}, journal, outcome, options),
                ExchangeCancelledError);
   EXPECT_FALSE(journal.exchange_complete());
-  EXPECT_GT(journal.uncommitted_deliveries().size(), 0u)
+  EXPECT_GT(journal.delivered_steps(), journal.committed_steps())
       << "the cancel must land between a flush and its commit";
 
   ExchangeJournal loaded = ExchangeJournal::decode(journal.encode());
@@ -1318,9 +1450,10 @@ TEST(ProactiveRecoveryTest, SuspicionPrecedesRecoveryInTheTrace) {
 }
 
 TEST(ProactiveRecoveryTest, CrashedNodeStillGetsItsParcelsJournaled) {
-  // With a node dead from tick 0 the planner degrades; the journaled
-  // direct delta must still complete the permutation exactly once and
-  // leave a complete journal behind.
+  // With a node dead from tick 2 the planner degrades to a remapped
+  // plan, which runs the schedule on the journaled kernel: it must still
+  // complete the permutation exactly once and leave a complete journal
+  // behind.
   const TorusShape shape({4, 4});
   const TorusCommunicator comm(shape, CostParams{});
   const Rank n = shape.num_nodes();

@@ -1,7 +1,9 @@
 // Tests for the direction-assignment patterns (paper §3.2, §4.1, §4.2).
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "core/pattern.hpp"
@@ -184,6 +186,20 @@ struct PatternCase {
 
 class PatternPropertyTest : public ::testing::TestWithParam<PatternCase> {};
 
+/// The case's name, e.g. "8x8_nested": its extents and convention.
+std::string pattern_case_label(const PatternCase& c) {
+  std::string label;
+  for (const std::int32_t extent : c.extents) label += std::to_string(extent) + "x";
+  label.pop_back();
+  return label + (c.convention == PatternConvention::kPaper2D ? "_paper2d" : "_nested");
+}
+
+void PrintTo(const PatternCase& c, std::ostream* os) { *os << pattern_case_label(c); }
+
+std::string pattern_case_name(const ::testing::TestParamInfo<PatternCase>& info) {
+  return pattern_case_label(info.param);
+}
+
 TEST_P(PatternPropertyTest, AssignmentIsAGroupInvariant) {
   const TorusShape s(GetParam().extents);
   const auto conv = GetParam().convention;
@@ -297,7 +313,8 @@ INSTANTIATE_TEST_SUITE_P(
         PatternCase{{16, 12, 8, 4}, PatternConvention::kNested},
         PatternCase{{8, 8, 8, 8}, PatternConvention::kNested},
         PatternCase{{4, 4, 4, 4, 4}, PatternConvention::kNested},
-        PatternCase{{8, 4, 4, 4, 4, 4}, PatternConvention::kNested}));
+        PatternCase{{8, 4, 4, 4, 4, 4}, PatternConvention::kNested}),
+    pattern_case_name);
 
 }  // namespace
 }  // namespace torex

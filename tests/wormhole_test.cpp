@@ -4,6 +4,9 @@
 // contention-freedom.
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <string>
+
 #include "baselines/direct_exchange.hpp"
 #include "core/exchange_engine.hpp"
 #include "sim/wormhole.hpp"
@@ -121,6 +124,20 @@ struct FlitCase {
 
 class FlitLevelScheduleTest : public ::testing::TestWithParam<FlitCase> {};
 
+/// The case's name, e.g. "8x4x4": its extents.
+std::string flit_case_label(const FlitCase& c) {
+  std::string label;
+  for (const std::int32_t extent : c.extents) label += std::to_string(extent) + "x";
+  label.pop_back();
+  return label;
+}
+
+void PrintTo(const FlitCase& c, std::ostream* os) { *os << flit_case_label(c); }
+
+std::string flit_case_name(const ::testing::TestParamInfo<FlitCase>& info) {
+  return flit_case_label(info.param);
+}
+
 TEST_P(FlitLevelScheduleTest, EveryScheduleStepIsStallFree) {
   // Flit-level confirmation of the paper's central claim: every step of
   // the proposed schedule runs without a single stall cycle, so each
@@ -145,7 +162,8 @@ TEST_P(FlitLevelScheduleTest, EveryScheduleStepIsStallFree) {
 INSTANTIATE_TEST_SUITE_P(Shapes, FlitLevelScheduleTest,
                          ::testing::Values(FlitCase{{8, 8}}, FlitCase{{12, 8}},
                                            FlitCase{{12, 12}}, FlitCase{{8, 8, 4}},
-                                           FlitCase{{8, 4, 4, 4}}));
+                                           FlitCase{{8, 4, 4, 4}}),
+                         flit_case_name);
 
 TEST(WormholeTest, DirectExchangeStallsButCompletes) {
   // The direct baseline must survive (deadlock-free dateline VCs) and

@@ -27,6 +27,13 @@
 //     exchange and compared against the sequential oracle. Every run
 //     must either match the oracle exactly or end in a *detected,
 //     attributed* failure — one silently wrong element fails the sweep.
+//   * optionally (--kill-rate=P) a kill-and-resume sweep on the chaos
+//     shapes: a P-percent share of the rounds kills the journaled
+//     exchange at a schedule step, round-trips its journal (tearing some
+//     tails) and resumes it against the oracle. The rounds then run
+//     again with one seeded node crashed from tick 0: every plan must be
+//     a remap, which runs the same program, so the pass must count the
+//     same kills, re-sent parcels, duplicates and torn tails.
 //   * optionally (--sessions=K) a multi-session kill-one-tenant sweep:
 //     K sessions share one torexd SessionManager, one victim per round
 //     carries a rotating failure mode (journal-window crash, corrupted
@@ -299,6 +306,17 @@ bool chaos_sweep(const TorusShape& shape, int runs, std::uint64_t base_seed, Rec
   return true;
 }
 
+/// What one pass of the kill-and-resume sweep counted.
+struct KillTally {
+  std::int64_t full_sent = 0;  ///< parcels a full journaled run sends
+  std::int64_t kills = 0;
+  std::int64_t avg_resent = 0;  ///< parcels re-sent per resume
+  std::int64_t duplicates = 0;
+  std::int64_t torn = 0;
+
+  bool operator==(const KillTally&) const = default;
+};
+
 /// Kill-and-resume sweep over one shape: `runs` seeded rounds; a
 /// `kill_rate`-percent fraction injects a crash (cycling through every
 /// active (phase, step) of the schedule, alternating before/after the
@@ -307,9 +325,12 @@ bool chaos_sweep(const TorusShape& shape, int runs, std::uint64_t base_seed, Rec
 /// and resumes. Every round must deliver the exact AAPE permutation
 /// (zero lost, zero duplicated parcels; duplicates that arrive are
 /// counted and dropped), and every resume with at least one committed
-/// step must re-send strictly fewer parcels than a full restart. On
-/// failure the offending journal is saved as a .toxj artifact for CI to
-/// upload.
+/// step must re-send strictly fewer parcels than a full restart. The
+/// rounds run twice, with the same per-round seeds: on a healthy
+/// network, then with one seeded node crashed from tick 0, where every
+/// plan must be a remap. A remapped plan runs the same program, so the
+/// second pass must count exactly what the first did. On failure the
+/// offending journal is saved as a .toxj artifact for CI to upload.
 bool kill_resume_sweep(const TorusShape& shape, int runs, int kill_rate,
                        std::uint64_t base_seed, Recorder* obs) {
   const std::string kill_repro = repro(
@@ -353,124 +374,162 @@ bool kill_resume_sweep(const TorusShape& shape, int runs, int kill_rate,
     }
   }
 
-  // Full-restart baseline: one healthy journaled run fixes the send
-  // count every resume must beat.
-  std::int64_t full_sent = 0;
-  {
-    ExchangeJournal journal;
-    ExchangeOutcome outcome;
-    ResumeOptions options;
-    options.resilience.algorithm = AlltoallAlgorithm::kSuhShin;
-    options.resilience.obs = obs;
-    const auto recv = comm.alltoall_resumable(send, FaultModel{}, journal, outcome, options);
-    if (!matches_oracle(recv) || !journal.exchange_complete()) {
-      std::cerr << "FAIL " << shape.to_string() << ": healthy journaled baseline broke ("
+  // One pass of the rounds under `faults`, whose plans must all be
+  // `policy`; false on the first failure.
+  const auto pass = [&](const FaultModel& faults, RecoveryPolicy policy, const std::string& label,
+                        KillTally& tally) {
+    const auto planned = [&](const ExchangeOutcome& outcome, int run) {
+      if (outcome.policy == policy) return true;
+      std::cerr << "FAIL " << label << ": run " << run << " planned policy="
+                << to_string(outcome.policy) << ", expected " << to_string(policy) << " ("
                 << outcome.summary() << ")\n";
       std::cerr << kill_repro << '\n';
-      save_artifact(journal, -1);
       return false;
-    }
-    full_sent = outcome.resume->sent_parcels;
-  }
-
-  std::int64_t kills = 0, resumed_sent = 0, duplicates = 0, torn = 0;
-  for (int run = 0; run < runs; ++run) {
-    SplitMix64 rng(shape_seed(shape, base_seed) + 0xD1CEu + static_cast<std::uint64_t>(run));
+    };
     ResumeOptions options;
     options.resilience.algorithm = AlltoallAlgorithm::kSuhShin;
     options.resilience.obs = obs;
-    if (static_cast<int>(rng.next_below(100)) >= kill_rate) {
+
+    // Full-restart baseline: one journaled run fixes the send count
+    // every resume must beat.
+    {
       ExchangeJournal journal;
       ExchangeOutcome outcome;
-      const auto recv = comm.alltoall_resumable(send, FaultModel{}, journal, outcome, options);
-      if (!matches_oracle(recv)) {
-        std::cerr << "FAIL " << shape.to_string() << ": kill sweep run " << run
-                  << " (no kill) broke the permutation\n";
+      const auto recv = comm.alltoall_resumable(send, faults, journal, outcome, options);
+      if (!matches_oracle(recv) || !journal.exchange_complete()) {
+        std::cerr << "FAIL " << label << ": journaled baseline broke (" << outcome.summary()
+                  << ")\n";
+        std::cerr << kill_repro << '\n';
+        save_artifact(journal, -1);
+        return false;
+      }
+      if (!planned(outcome, -1)) return false;
+      tally.full_sent = outcome.resume->sent_parcels;
+    }
+
+    std::int64_t resumed_sent = 0;
+    for (int run = 0; run < runs; ++run) {
+      SplitMix64 rng(shape_seed(shape, base_seed) + 0xD1CEu + static_cast<std::uint64_t>(run));
+      if (static_cast<int>(rng.next_below(100)) >= kill_rate) {
+        ExchangeJournal journal;
+        ExchangeOutcome outcome;
+        const auto recv = comm.alltoall_resumable(send, faults, journal, outcome, options);
+        if (!matches_oracle(recv)) {
+          std::cerr << "FAIL " << label << ": kill sweep run " << run
+                    << " (no kill) broke the permutation\n";
+          std::cerr << kill_repro << '\n';
+          save_artifact(journal, run);
+          return false;
+        }
+        if (!planned(outcome, run)) return false;
+        continue;
+      }
+
+      // Cycle the kill point by kill count so every phase and step of
+      // the schedule gets killed in, regardless of the rate.
+      const auto [phase, step] = active[static_cast<std::size_t>(tally.kills) % active.size()];
+      ++tally.kills;
+      ResumeOptions killed = options;
+      killed.crash = CrashPoint{phase, step, (rng.next() & 1u) != 0};
+      ExchangeJournal journal;
+      ExchangeOutcome outcome;
+      bool crashed = false;
+      try {
+        comm.alltoall_resumable(send, faults, journal, outcome, killed);
+      } catch (const ExchangeCrashError&) {
+        crashed = true;
+      }
+      if (!crashed) {
+        std::cerr << "FAIL " << label << ": crash point phase " << phase << " step " << step
+                  << " never fired in run " << run << '\n';
         std::cerr << kill_repro << '\n';
         save_artifact(journal, run);
         return false;
       }
-      continue;
-    }
 
-    // Cycle the kill point by kill count so every phase and step of the
-    // schedule gets killed in, regardless of the rate.
-    const auto [phase, step] = active[static_cast<std::size_t>(kills) % active.size()];
-    ++kills;
-    options.crash = CrashPoint{phase, step, (rng.next() & 1u) != 0};
-    ExchangeJournal journal;
-    ExchangeOutcome outcome;
-    bool crashed = false;
-    try {
-      comm.alltoall_resumable(send, FaultModel{}, journal, outcome, options);
-    } catch (const ExchangeCrashError&) {
-      crashed = true;
-    }
-    if (!crashed) {
-      std::cerr << "FAIL " << shape.to_string() << ": crash point phase " << phase << " step "
-                << step << " never fired in run " << run << '\n';
-      std::cerr << kill_repro << '\n';
-      save_artifact(journal, run);
-      return false;
-    }
+      // Durability round-trip; every fourth kill also tears the tail to
+      // prove a mid-write death still loads. A fresh journal (kill
+      // before the first flush) is all header — tearing it is header
+      // corruption, not a torn record, so leave it whole.
+      std::vector<std::byte> bytes = journal.encode();
+      if ((rng.next() & 3u) == 0 && !journal.fresh()) {
+        bytes.resize(bytes.size() - static_cast<std::size_t>(1 + rng.next_below(7)));
+      }
+      ExchangeJournal loaded = ExchangeJournal::decode(bytes);
+      if (loaded.torn_tail()) ++tally.torn;
+      const std::int64_t committed = loaded.committed_steps();
 
-    // Durability round-trip; every fourth kill also tears the tail to
-    // prove a mid-write death still loads. A fresh journal (kill before
-    // the first flush) is all header — tearing it is header corruption,
-    // not a torn record, so leave it whole.
-    std::vector<std::byte> bytes = journal.encode();
-    if ((rng.next() & 3u) == 0 && !journal.fresh()) {
-      bytes.resize(bytes.size() - static_cast<std::size_t>(1 + rng.next_below(7)));
+      ExchangeOutcome resumed_outcome;
+      const auto recv = comm.alltoall_resumable(send, faults, loaded, resumed_outcome, options);
+      if (!matches_oracle(recv)) {
+        std::cerr << "FAIL " << label << ": LOST OR DUPLICATED PARCELS after "
+                  << "kill+resume in run " << run << " (kill at phase " << phase << " step "
+                  << step << "; " << resumed_outcome.summary() << ")\n";
+        std::cerr << kill_repro << '\n';
+        save_artifact(loaded, run);
+        return false;
+      }
+      if (!planned(resumed_outcome, run)) return false;
+      const ResumeReport& report = *resumed_outcome.resume;
+      tally.duplicates += report.duplicates_dropped;
+      resumed_sent += report.sent_parcels;
+      if (committed > 0 && report.sent_parcels >= tally.full_sent) {
+        std::cerr << "FAIL " << label << ": resume after kill at phase " << phase << " step "
+                  << step << " re-sent " << report.sent_parcels
+                  << " parcels, not fewer than a full restart (" << tally.full_sent << ")\n";
+        std::cerr << kill_repro << '\n';
+        save_artifact(loaded, run);
+        return false;
+      }
+      if (committed == 0 && report.sent_parcels != tally.full_sent) {
+        std::cerr << "FAIL " << label << ": resume with nothing committed sent "
+                  << report.sent_parcels << " parcels, expected the full " << tally.full_sent
+                  << '\n';
+        std::cerr << kill_repro << '\n';
+        save_artifact(loaded, run);
+        return false;
+      }
+      if (!loaded.exchange_complete()) {
+        std::cerr << "FAIL " << label << ": journal incomplete after resume in run " << run
+                  << '\n';
+        std::cerr << kill_repro << '\n';
+        save_artifact(loaded, run);
+        return false;
+      }
     }
-    ExchangeJournal loaded = ExchangeJournal::decode(bytes);
-    if (loaded.torn_tail()) ++torn;
-    const std::int64_t committed = loaded.committed_steps();
+    tally.avg_resent = tally.kills > 0 ? resumed_sent / tally.kills : 0;
+    return true;
+  };
 
-    ExchangeOutcome resumed_outcome;
-    ResumeOptions resume_options;
-    resume_options.resilience.algorithm = AlltoallAlgorithm::kSuhShin;
-    resume_options.resilience.obs = obs;
-    const auto recv =
-        comm.alltoall_resumable(send, FaultModel{}, loaded, resumed_outcome, resume_options);
-    if (!matches_oracle(recv)) {
-      std::cerr << "FAIL " << shape.to_string() << ": LOST OR DUPLICATED PARCELS after "
-                << "kill+resume in run " << run << " (kill at phase " << phase << " step "
-                << step << "; " << resumed_outcome.summary() << ")\n";
-      std::cerr << kill_repro << '\n';
-      save_artifact(loaded, run);
-      return false;
-    }
-    const ResumeReport& report = *resumed_outcome.resume;
-    duplicates += report.duplicates_dropped;
-    resumed_sent += report.sent_parcels;
-    if (committed > 0 && report.sent_parcels >= full_sent) {
-      std::cerr << "FAIL " << shape.to_string() << ": resume after kill at phase " << phase
-                << " step " << step << " re-sent " << report.sent_parcels
-                << " parcels, not fewer than a full restart (" << full_sent << ")\n";
-      std::cerr << kill_repro << '\n';
-      save_artifact(loaded, run);
-      return false;
-    }
-    if (committed == 0 && report.sent_parcels != full_sent) {
-      std::cerr << "FAIL " << shape.to_string() << ": resume with nothing committed sent "
-                << report.sent_parcels << " parcels, expected the full " << full_sent << '\n';
-      std::cerr << kill_repro << '\n';
-      save_artifact(loaded, run);
-      return false;
-    }
-    if (!loaded.exchange_complete()) {
-      std::cerr << "FAIL " << shape.to_string() << ": journal incomplete after resume in run "
-                << run << '\n';
-      std::cerr << kill_repro << '\n';
-      save_artifact(loaded, run);
-      return false;
-    }
-  }
-  std::cout << "  kill+resume " << shape.to_string() << ": " << runs << " runs — " << kills
-            << " kills across " << active.size() << " schedule steps, "
-            << (kills > 0 ? resumed_sent / kills : 0) << " avg parcels re-sent vs " << full_sent
-            << " full restart, " << duplicates << " duplicates dropped, " << torn
+  KillTally healthy;
+  if (!pass(FaultModel{}, RecoveryPolicy::kNone, shape.to_string(), healthy)) return false;
+  std::cout << "  kill+resume " << shape.to_string() << ": " << runs << " runs — "
+            << healthy.kills << " kills across " << active.size() << " schedule steps, "
+            << healthy.avg_resent << " avg parcels re-sent vs " << healthy.full_sent
+            << " full restart, " << healthy.duplicates << " duplicates dropped, " << healthy.torn
             << " torn tails recovered, 0 lost parcels\n";
+  SplitMix64 victim_rng(shape_seed(shape, base_seed) + 0xC4A5u);
+  const auto victim = static_cast<Rank>(victim_rng.next_below(static_cast<std::uint64_t>(N)));
+  FaultModel crashed;
+  crashed.crash_node(victim, /*crash_tick=*/0);
+  const std::string label =
+      shape.to_string() + " (node " + std::to_string(victim) + " crashed from tick 0)";
+  KillTally remapped;
+  if (!pass(crashed, RecoveryPolicy::kRemap, label, remapped)) return false;
+  if (!(remapped == healthy)) {
+    std::cerr << "FAIL " << label << ": the remapped pass counted " << remapped.full_sent
+              << " sent in full, " << remapped.kills << " kills, " << remapped.avg_resent
+              << " avg re-sent, " << remapped.duplicates << " duplicates, " << remapped.torn
+              << " torn tails; the healthy pass " << healthy.full_sent << ", " << healthy.kills
+              << ", " << healthy.avg_resent << ", " << healthy.duplicates << ", " << healthy.torn
+              << "\n";
+    std::cerr << kill_repro << '\n';
+    return false;
+  }
+  std::cout << "  kill+resume " << label << ": policy=remap in every round — " << remapped.kills
+            << " kills, " << remapped.avg_resent << " avg parcels re-sent, "
+            << remapped.duplicates << " duplicates dropped, " << remapped.torn
+            << " torn tails recovered, 0 lost parcels, as on the healthy network\n";
   return true;
 }
 
