@@ -76,7 +76,8 @@ class ExchangeEngine {
   void verify_postcondition() const;
 
  private:
-  void reset();
+  /// Plays every phase over buffers_ and returns the trace.
+  ExchangeTrace play();
   void execute_step(int phase, int step, StepRecord& record);
   void check_after_scatter() const;
   void check_after_quarter() const;

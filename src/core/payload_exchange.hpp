@@ -388,22 +388,25 @@ void scatter_rows_strided(const StepProgram& program, const std::vector<std::vec
 //   workers  each node closes its send's gaps, unless it receives in
 //            place, then lands its receive from its sender's frame (or
 //            staging slice);
-//   caller   `received` runs for every receiving node, in node order
-//            (only drivers that extend it); then step_done.
+//   caller   step_done.
 //
-// The tamper, settle and `received` loops run only for hooks whose type
-// hides StepHooks' default, which the kernel decides at compile time.
-// Under the default settle a refused frame is a logic error, and the
-// worker that verified it raises it; the pool rethrows the lowest
-// sender's, the error a settle in sender order raises. So for a driver
-// that extends none of them the caller does O(1) work per step. The
-// phase-boundary permutations and the final pass into origin order run
-// on the pool too. Every hook runs on the calling thread, in node order,
-// so reports, recorder events and journal records come out the same at
-// any pool size; with a null or one-participant pool the same stages
-// run inline. Workers never allocate — the caller sizes every frame,
-// staging slot and scratch row first — and record nothing: the phase
-// and step spans wrap the stages on the caller.
+// The tamper and settle loops run only for hooks whose type hides
+// StepHooks' default, which the kernel decides at compile time. Under
+// the default settle a refused frame is a logic error, and the worker
+// that verified it raises it; the pool rethrows the lowest sender's, the
+// error a settle in sender order raises. What a step sends and delivers
+// is a constant of the program (StepProgram::totals), so drivers count
+// it there, not node by node. So the caller does O(1) work per step for
+// the pooled and journaled drivers, which extend neither loop (a resume
+// adds one pass over the re-delivered step's arrivals); torexd's session
+// driver adds its settle loop, and its health gate while the gate's view
+// is not empty. The phase-boundary permutations and the final pass into
+// origin order run on the pool too. Every hook runs on the calling
+// thread, in node order, so reports, recorder events and journal records
+// come out the same at any pool size; with a null or one-participant
+// pool the same stages run inline. Workers never allocate — the caller
+// sizes every frame, staging slot and scratch row first — and record
+// nothing: the phase and step spans wrap the stages on the caller.
 //
 // The loop is resumable. A StepReplay holds where a replay stands, the
 // next (phase, step), together with the storage the kernel reuses from
@@ -471,35 +474,20 @@ struct StepHooks {
     return true;
   }
 
-  /// One landed receive: `count` payloads at `first` in `node`'s row.
-  /// Called in node order once every receive of the step landed.
-  template <typename T>
-  void received(Rank /*node*/, int /*phase*/, int /*step*/, T* /*first*/,
-                std::size_t /*count*/) {}
-
+  /// Runs once every receive of (phase, step) landed.
   void step_done(int /*phase*/, int /*step*/) {}
   void phase_done(int /*phase*/) {}
 };
 
-/// Whether `Hooks` hides StepHooks' tamper, settle or received<T>: only
-/// then does the kernel run the caller loop that calls it. A hook `Hooks`
-/// does not declare still has the type of StepHooks' member; a plain
-/// `received` hides the template.
+/// Whether `Hooks` hides StepHooks' tamper or settle: only then does the
+/// kernel run the caller loop that calls it. A hook `Hooks` does not
+/// declare still has the type of StepHooks' member.
 template <typename Hooks>
 inline constexpr bool kHidesTamper =
     !std::is_same_v<decltype(&Hooks::tamper), decltype(&StepHooks::tamper)>;
 template <typename Hooks>
 inline constexpr bool kHidesSettle =
     !std::is_same_v<decltype(&Hooks::settle), decltype(&StepHooks::settle)>;
-template <typename Hooks, typename T>
-inline constexpr bool kHidesReceived = [] {
-  if constexpr (requires { &Hooks::template received<T>; }) {
-    return !std::is_same_v<decltype(&Hooks::template received<T>),
-                           decltype(&StepHooks::template received<T>)>;
-  } else {
-    return true;
-  }
-}();
 
 /// A replay in progress: the next (phase, step) to run, and the storage
 /// the kernel reuses from step to step (see the section comment).
@@ -736,15 +724,6 @@ bool replay_phase(const StepProgram& program, std::vector<std::vector<T>>& rows,
       T* from = staged.data() + static_cast<std::size_t>(s.from) * slice;
       std::move(from, from + s.count, first);
     });
-    if constexpr (kHidesReceived<Hooks, T>) {
-      // Caller: the receive hooks, in node order.
-      for (Rank q = 0; q < N; ++q) {
-        const StepProgram::NodeStep& s = program.step(phase, step, q);
-        if (s.count == 0) continue;
-        T* first = rows[static_cast<std::size_t>(q)].data() + program.runs(s).front().offset;
-        hooks.received(q, phase, step, first, std::size_t{s.count});
-      }
-    }
     hooks.step_done(phase, step);
   }
   hooks.phase_done(phase);

@@ -44,8 +44,7 @@ std::string ExchangeOutcome::summary() const {
     }
   }
   if (suspected_nodes > 0) {
-    os << " suspected=" << suspected_nodes << " suspicion_tick=" << suspicion_tick
-       << (proactive_recovery ? " (proactive)" : " (late)");
+    os << " suspected=" << suspected_nodes << " suspicion_tick=" << suspicion_tick;
   }
   if (resume.has_value()) {
     os << " [" << resume->summary() << "]";
@@ -56,8 +55,6 @@ std::string ExchangeOutcome::summary() const {
 void ResumeOptions::validate() const {
   resilience.backoff.validate();
   detector.validate();
-  TOREX_REQUIRE(stall_deadline_ticks >= 1,
-                "resume options: stall deadline must be at least one tick");
   TOREX_REQUIRE(resilience.start_tick >= 0,
                 "resume options: start tick must be non-negative");
   if (crash.armed()) {

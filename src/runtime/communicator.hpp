@@ -114,9 +114,6 @@ struct ExchangeOutcome {
   int suspected_nodes = 0;
   /// Latest suspicion transition tick (-1 when nothing was suspected).
   std::int64_t suspicion_tick = -1;
-  /// Suspicion landed strictly before the tick-axis watchdog deadline,
-  /// i.e. recovery started proactively instead of stall-then-cancel.
-  bool proactive_recovery = false;
 
   std::string summary() const;
 };
@@ -148,10 +145,9 @@ struct ResumeOptions {
   /// Heartbeat failure detector tuning; the detector runs whenever the
   /// fault model contains node faults (crashes).
   FailureDetectorOptions detector;
-  /// Stall deadline on the fault-tick axis: the horizon the failure
-  /// detector observes heartbeats over, and the bar its suspicion must
-  /// beat for outcome.proactive_recovery.
-  std::int64_t stall_deadline_ticks = 64;
+  /// The horizon on the fault-tick axis that the failure detector
+  /// observes heartbeats over.
+  static constexpr std::int64_t kDetectorHorizonTicks = 64;
   /// Simulated process death for tests/tools (see runtime/journal.hpp),
   /// honored on healthy, retried and remapped plans alike.
   CrashPoint crash;
@@ -160,10 +156,10 @@ struct ResumeOptions {
   /// Durability hook: persist journal.encode() here on every flush.
   std::function<void(const ExchangeJournal&)> flush;
 
-  /// Rejects invalid backoff/detector/deadline settings, and any
-  /// algorithm or recovery policy that does not run the schedule (only
-  /// kAuto and kSuhShin, and no kFallbackDirect), with
-  /// std::invalid_argument before any data moves.
+  /// Rejects invalid backoff and detector settings, and any algorithm
+  /// or recovery policy that does not run the schedule (only kAuto and
+  /// kSuhShin, and no kFallbackDirect), with std::invalid_argument
+  /// before any data moves.
   void validate() const;
 };
 
@@ -430,7 +426,7 @@ class TorusCommunicator {
   /// any data moves. When the fault model carries node faults, the
   /// heartbeat failure detector runs first — its fd.suspect spans
   /// precede the recovery.attempt spans of planning — and the outcome
-  /// reports whether suspicion beat the tick watchdog deadline.
+  /// reports how many nodes it suspected and by which tick.
   /// Requires a qualifying (Suh-Shin) shape and copyable T.
   template <typename T>
   std::vector<std::vector<T>> alltoall_resumable(const std::vector<std::vector<T>>& send,
@@ -601,16 +597,14 @@ class TorusCommunicator {
     // land ahead of the recovery.attempt spans they trigger.
     int suspected_nodes = 0;
     std::int64_t suspicion_tick = -1;
-    bool ran_detector = false;
     bool node_faults = false;
     for (const auto& spec : faults.specs()) {
       node_faults = node_faults || spec.kind == FaultKind::kNode;
     }
     if (node_faults) {
-      ran_detector = true;
       HeartbeatFailureDetector detector(N, options.detector, obs);
       const auto suspicions =
-          detector.observe_heartbeats(faults, options.stall_deadline_ticks);
+          detector.observe_heartbeats(faults, ResumeOptions::kDetectorHorizonTicks);
       suspected_nodes = static_cast<int>(suspicions.size());
       for (const auto& suspicion : suspicions) {
         suspicion_tick = std::max(suspicion_tick, suspicion.suspected_at);
@@ -631,17 +625,10 @@ class TorusCommunicator {
                 "resumable exchange planned something other than the schedule");
     outcome.suspected_nodes = suspected_nodes;
     outcome.suspicion_tick = suspicion_tick;
-    outcome.proactive_recovery = ran_detector && suspected_nodes > 0 &&
-                                 suspicion_tick < options.stall_deadline_ticks;
-    if (ran_detector) {
+    if (node_faults) {
       outcome.note += "; failure detector suspected " + std::to_string(suspected_nodes) +
-                      " node(s)" +
-                      (suspected_nodes > 0
-                           ? " by tick " + std::to_string(suspicion_tick) +
-                                 (outcome.proactive_recovery ? " (before the watchdog deadline "
-                                  : " (at/after the watchdog deadline ") +
-                                 std::to_string(options.stall_deadline_ticks) + ")"
-                           : "");
+                      " node(s)";
+      if (suspected_nodes > 0) outcome.note += " by tick " + std::to_string(suspicion_tick);
     }
 
     StepPool* pool = step_pool();

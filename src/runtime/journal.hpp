@@ -274,52 +274,17 @@ void begin_journaled_run(const StepProgram& program, ExchangeJournal& journal,
 
 /// The journal side of the step kernel's hooks, shared by every driver
 /// that journals: the journaled exchange below and torexd's sessions
-/// (svc/session_exchange.cpp). Steps before report.committed_steps_at_start
-/// are already durable and replay locally. A live step whose arrivals
-/// are durable already (delivered before a death, never committed)
-/// receives their seed copies again: each is dropped, and its
-/// materialized copy from `durable` takes its slot. Drivers add the
-/// write-ahead sequence (record_arrivals(), their crash and cancel
-/// window, commit_step()) in their own step_done.
-template <typename T>
+/// (svc/session_exchange.cpp). Drivers add the write-ahead sequence
+/// (record_arrivals(), their crash and cancel window, commit_step()) in
+/// their own step_done.
 struct JournalHooks : StepHooks {
   JournalHooks(const StepProgram& program_in, ExchangeJournal& journal_in,
-               ResumeReport& report_in, std::vector<T>* durable_in, Recorder* obs_in)
-      : program(program_in), journal(journal_in), report(report_in), durable(durable_in),
-        obs(obs_in) {}
+               std::int64_t flat_step_in)
+      : program(program_in), journal(journal_in), flat_step(flat_step_in) {}
 
   const StepProgram& program;
   ExchangeJournal& journal;
-  ResumeReport& report;
-  /// The materialized arrivals of the delivered, uncommitted step, in
-  /// the program's arrival order; resume only.
-  std::vector<T>* durable;
-  std::size_t next_durable = 0;  ///< the next copy to take a slot
-  Recorder* obs;
-  std::int64_t flat_step = 0;  ///< 0-based global index of the step in flight
-
-  bool replaying() const { return flat_step < report.committed_steps_at_start; }
-  bool framed(int /*phase*/, int /*step*/) const { return !replaying(); }
-
-  void received(Rank node, int phase, int step, T* first, std::size_t count) {
-    if (replaying()) {
-      report.replayed_parcels += static_cast<std::int64_t>(count);
-      return;
-    }
-    report.sent_parcels += static_cast<std::int64_t>(count);
-    if (flat_step >= journal.delivered_steps()) return;
-    // The seed copies of durable deliveries: exactly-once, so each is
-    // dropped and its materialized copy takes its slot.
-    program.for_each_arrival(phase, step, node, [&](std::uint32_t offset, Rank origin) {
-      ++report.duplicates_dropped;
-      if (obs != nullptr) {
-        obs->instant("duplicate_dropped", node, phase, step, static_cast<std::int64_t>(origin));
-      }
-      TOREX_CHECK(durable != nullptr && next_durable < durable->size(),
-                  "durable parcel re-received without a materialized copy");
-      first[offset] = std::move((*durable)[next_durable++]);
-    });
-  }
+  std::int64_t flat_step;  ///< 0-based global index of the step in flight
 
   /// Appends the live step's deliveries record; false when the step has
   /// no arrivals or they are durable already (no record is written then).
@@ -394,18 +359,36 @@ std::vector<std::vector<T>> exchange_payloads_journaled(const SuhShinAape& algo,
     report.materialized = static_cast<std::int64_t>(durable.size());
   }
 
-  // Local replay of the committed prefix, duplicate drops, and the
-  // write-ahead sequence of every live step.
-  struct Journaler : detail::JournalHooks<T> {
+  // Local replay of the committed prefix (steps before
+  // report.committed_steps_at_start are durable already), duplicate
+  // drops, and the write-ahead sequence of every live step.
+  struct Journaler : detail::JournalHooks {
     const JournalRunOptions& options;
+    ResumeReport& report;
+    std::vector<std::vector<T>>& rows;
+    std::vector<T>& durable;
+    Recorder* obs;
+    std::size_t next_durable = 0;  ///< the next materialized copy to take a slot
 
-    // Write-ahead order: deliveries flush before the commit marker, and
-    // the cooperative cancel window sits exactly between them.
+    bool replaying() const { return flat_step < report.committed_steps_at_start; }
+    bool framed(int /*phase*/, int /*step*/) const { return !replaying(); }
+
+    // The step's parcels, from the program: every receive count sums to
+    // its send count. A live step whose arrivals are durable already
+    // (delivered before a death, never committed) received their seed
+    // copies again: exactly-once, so each is dropped and its
+    // materialized copy takes its slot. Then the write-ahead order:
+    // deliveries flush before the commit marker, and the cooperative
+    // cancel window sits exactly between them.
     void step_done(int phase, int step) {
-      if (this->replaying()) {
-        ++this->flat_step;  // already durable
+      const std::int64_t parcels = program.totals(phase, step).parcels;
+      if (replaying()) {
+        report.replayed_parcels += parcels;
+        ++flat_step;  // already durable
         return;
       }
+      report.sent_parcels += parcels;
+      if (flat_step < journal.delivered_steps()) drop_duplicates(phase, step);
       const bool crash_here = options.crash.armed() && options.crash.phase == phase &&
                               options.crash.step == step;
       if (crash_here && !options.crash.after_flush) {
@@ -414,11 +397,10 @@ std::vector<std::vector<T>> exchange_payloads_journaled(const SuhShinAape& algo,
                                      std::to_string(phase) + ", step " + std::to_string(step) +
                                      ")");
       }
-      if (this->record_arrivals(phase, step)) {
-        detail::journal_flush(this->journal, options, this->report);
-        if (this->obs != nullptr) {
-          this->obs->instant("journal_flush", -1, phase, step,
-                             this->program.totals(phase, step).arrivals);
+      if (record_arrivals(phase, step)) {
+        detail::journal_flush(journal, options, report);
+        if (obs != nullptr) {
+          obs->instant("journal_flush", -1, phase, step, program.totals(phase, step).arrivals);
         }
       }
       if (crash_here) {
@@ -430,17 +412,37 @@ std::vector<std::vector<T>> exchange_payloads_journaled(const SuhShinAape& algo,
       if (options.cancel != nullptr && options.cancel->load(std::memory_order_relaxed)) {
         detail::throw_journal_cancelled(phase, step);
       }
-      this->commit_step();
-      detail::journal_flush(this->journal, options, this->report);
+      commit_step();
+      detail::journal_flush(journal, options, report);
+    }
+
+    // Receivers in node order, each one's arrivals in arrival order: the
+    // order the materialized copies wait in.
+    void drop_duplicates(int phase, int step) {
+      for (Rank node = 0; node < program.num_nodes(); ++node) {
+        const StepProgram::NodeStep& s = program.step(phase, step, node);
+        if (s.arrival_count == 0) continue;
+        T* first = rows[static_cast<std::size_t>(node)].data() + program.runs(s).front().offset;
+        program.for_each_arrival(phase, step, node, [&](std::uint32_t offset, Rank origin) {
+          ++report.duplicates_dropped;
+          if (obs != nullptr) {
+            obs->instant("duplicate_dropped", node, phase, step,
+                         static_cast<std::int64_t>(origin));
+          }
+          TOREX_CHECK(next_durable < durable.size(),
+                      "durable parcel re-received without a materialized copy");
+          first[offset] = std::move(durable[next_durable++]);
+        });
+      }
     }
 
     void phase_done(int phase) {
-      if (phase <= this->journal.committed_phase()) return;
-      this->journal.commit_phase(phase);
-      detail::journal_flush(this->journal, options, this->report);
+      if (phase <= journal.committed_phase()) return;
+      journal.commit_phase(phase);
+      detail::journal_flush(journal, options, report);
     }
   };
-  Journaler hooks{{program, journal, report, &durable, obs}, options};
+  Journaler hooks{{program, journal, 0}, options, report, rows, durable, obs};
   detail::StepReplay<T> replay;
   detail::replay_step_program(program, rows, arena, options.pool, obs, hooks, replay);
   TOREX_CHECK(hooks.next_durable == durable.size(),

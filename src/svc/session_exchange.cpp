@@ -133,28 +133,25 @@ bool SessionExchange::health_gate(int phase, int step, const HealthContext& heal
 // journaled executor's; a session's journal starts fresh and never
 // resumes, so every step is live, and the next step's flat index is the
 // journal's count of committed steps.
-struct SessionExchange::Driver : detail::JournalHooks<Word> {
-  Driver(SessionExchange& session, ResumeReport& journal_report,
-         const std::atomic<bool>* cancel_flag, const SessionInjection& injection,
-         const HealthContext& health_context, HealthView& health_view)
-      : detail::JournalHooks<Word>(*session.program_, session.journal_, journal_report, nullptr,
-                                   nullptr),
+struct SessionExchange::Driver : detail::JournalHooks {
+  Driver(SessionExchange& session, const std::atomic<bool>* cancel_flag,
+         const SessionInjection& injection, const HealthContext& health_context,
+         HealthView& health_view)
+      : detail::JournalHooks(*session.program_, session.journal_,
+                             session.journal_.committed_steps()),
         self(session),
         cancel(cancel_flag),
         inject(injection),
         health(health_context),
         view(health_view),
-        corrupt_pending(injection.corrupt_phase == session.replay_.phase) {
-    flat_step = journal.committed_steps();
-  }
+        corrupt_pending(injection.corrupt_phase == session.replay_.phase) {}
 
   SessionExchange& self;
   const std::atomic<bool>* cancel;
   const SessionInjection& inject;
   const HealthContext& health;
   HealthView& view;
-  bool corrupt_pending;       ///< the phase's first frame is still to be damaged
-  std::int64_t step_sent = 0;  ///< parcels the step in flight sends
+  bool corrupt_pending;  ///< the phase's first frame is still to be damaged
 
   void throw_if_cancelled(int phase, int step) {
     if (cancel == nullptr || !cancel->load(std::memory_order_relaxed)) return;
@@ -164,26 +161,21 @@ struct SessionExchange::Driver : detail::JournalHooks<Word> {
 
   // Before the kernel touches anything of the step: cancel, the health
   // gate (nothing to check while the view is empty), then the frame
-  // quota — the kernel leases one frame per sender of the phase, at the
-  // phase's first step — and the sent-parcel accounting.
+  // quota — the step's senders each lease a frame — and the sent-parcel
+  // accounting, both from the program's totals. A refused step leases
+  // and sends nothing, so it is refused before anything is counted.
   bool begin_step(int phase, int step) {
     throw_if_cancelled(phase, step);
     if (health.active() && !view.empty() && !self.health_gate(phase, step, health, view)) {
       return false;
     }
-    std::int64_t frames = 0;
-    step_sent = 0;
-    for (Rank p = 0; p < self.program_->num_nodes(); ++p) {
-      const std::uint32_t count = self.program_->step(phase, step, p).count;
-      if (count == 0) continue;
-      if (self.frame_quota_ > 0 && frames >= self.frame_quota_) {
-        self.flight_note("svc.quota_breach", health, phase, step, frames + 1);
-        throw SessionQuotaError(self.id_, frames, self.frame_quota_);
-      }
-      ++frames;
-      step_sent += count;
-      self.sent_parcels_ += count;
+    const StepProgram::StepTotals& totals = program.totals(phase, step);
+    const std::int64_t frames = totals.messages;
+    if (self.frame_quota_ > 0 && frames > self.frame_quota_) {
+      self.flight_note("svc.quota_breach", health, phase, step, self.frame_quota_ + 1);
+      throw SessionQuotaError(self.id_, self.frame_quota_, self.frame_quota_);
     }
+    self.sent_parcels_ += totals.parcels;
     self.peak_leased_ = std::max(self.peak_leased_, frames);
     return true;
   }
@@ -219,7 +211,7 @@ struct SessionExchange::Driver : detail::JournalHooks<Word> {
     }
     throw_if_cancelled(phase, step);
     commit_step();
-    self.flight_note("wire.step", health, phase, step, step_sent);
+    self.flight_note("wire.step", health, phase, step, program.totals(phase, step).parcels);
   }
 
   void phase_done(int phase) { journal.commit_phase(phase); }
@@ -233,8 +225,7 @@ PhaseOutcome SessionExchange::run_phase(const std::atomic<bool>* cancel,
   HealthView view = health.active() ? HealthView(algo_->torus(), health.faults,
                                                  *health.registry, health.tick)
                                       : HealthView();
-  ResumeReport report;
-  Driver driver(*this, report, cancel, inject, health, view);
+  Driver driver(*this, cancel, inject, health, view);
   return detail::replay_phase(*program_, rows_, *arena_, nullptr, nullptr, driver, replay_)
              ? PhaseOutcome::kComplete
              : PhaseOutcome::kDeferred;

@@ -19,6 +19,7 @@
 #include "core/exchange_engine.hpp"
 #include "core/integrity.hpp"
 #include "costmodel/params.hpp"
+#include "digest.hpp"
 #include "sim/fault_model.hpp"
 #include "svc/health_registry.hpp"
 #include "svc/session_manager.hpp"
@@ -482,19 +483,19 @@ node 13: closed, errors=0, flaps=2, chain_walks=0, verdict="phi-accrual suspicio
 )pin";
 
 /// Each session's terminal state, progress, spend and finish time (in
-/// milli-phase-costs of virtual time), and the length and CRC-32 of its
-/// journal bytes when it was admitted.
-constexpr const char* kPinnedSessions = R"pin(0 completed phases 4 sent 12288 deferrals 0 retry 0 finished 10000 journal 296 crc 3997646795
-1 completed phases 4 sent 12288 deferrals 0 retry 64 finished 11000 journal 296 crc 3997646795
-2 completed phases 4 sent 12288 deferrals 0 retry 0 finished 12000 journal 296 crc 3997646795
-3 deadline_missed phases 0 sent 0 deferrals 0 retry 0 finished 12000 journal 40 crc 558161692
-4 completed phases 4 sent 12288 deferrals 0 retry 64 finished 19000 journal 296 crc 3997646795
-5 completed phases 4 sent 12288 deferrals 0 retry 64 finished 20000 journal 296 crc 3997646795
-6 completed phases 4 sent 12288 deferrals 9 retry 320 finished 56000 journal 296 crc 3997646795
-7 deadline_missed phases 0 sent 0 deferrals 0 retry 0 finished 20000 journal 40 crc 558161692
-8 completed phases 4 sent 12288 deferrals 7 retry 192 finished 48000 journal 296 crc 3997646795
-9 completed phases 4 sent 12288 deferrals 0 retry 64 finished 55000 journal 296 crc 3997646795
-10 completed phases 4 sent 12288 deferrals 4 retry 96 finished 53000 journal 296 crc 3997646795
+/// milli-phase-costs of virtual time), and the length and 64-bit FNV-1a
+/// of its journal bytes when it was admitted (testing::digest).
+constexpr const char* kPinnedSessions = R"pin(0 completed phases 4 sent 12288 deferrals 0 retry 0 finished 10000 journal 296 fnv fc23551f25d9d6a9
+1 completed phases 4 sent 12288 deferrals 0 retry 64 finished 11000 journal 296 fnv fc23551f25d9d6a9
+2 completed phases 4 sent 12288 deferrals 0 retry 0 finished 12000 journal 296 fnv fc23551f25d9d6a9
+3 deadline_missed phases 0 sent 0 deferrals 0 retry 0 finished 12000 journal 40 fnv 20ac11507efd6930
+4 completed phases 4 sent 12288 deferrals 0 retry 64 finished 19000 journal 296 fnv fc23551f25d9d6a9
+5 completed phases 4 sent 12288 deferrals 0 retry 64 finished 20000 journal 296 fnv fc23551f25d9d6a9
+6 completed phases 4 sent 12288 deferrals 9 retry 320 finished 56000 journal 296 fnv fc23551f25d9d6a9
+7 deadline_missed phases 0 sent 0 deferrals 0 retry 0 finished 20000 journal 40 fnv 20ac11507efd6930
+8 completed phases 4 sent 12288 deferrals 7 retry 192 finished 48000 journal 296 fnv fc23551f25d9d6a9
+9 completed phases 4 sent 12288 deferrals 0 retry 64 finished 55000 journal 296 fnv fc23551f25d9d6a9
+10 completed phases 4 sent 12288 deferrals 4 retry 96 finished 53000 journal 296 fnv fc23551f25d9d6a9
 11 deadline_missed phases 0 sent 0 deferrals 0 retry 0 finished 48000 never admitted
 )pin";
 
@@ -557,8 +558,8 @@ TEST(HealthManagerTest, PinnedStormOutcomesAreExact) {
              << std::llround(1000.0 * rec.finished_at / phase_cost);
     try {
       const ExchangeJournal journal = mgr.journal(id);
-      const std::vector<std::byte>& bytes = journal.encode();
-      sessions << " journal " << bytes.size() << " crc " << crc_of(bytes.data(), bytes.size());
+      const auto [length, fnv] = testing::digest(journal.encode());
+      sessions << " journal " << length << " fnv " << std::hex << fnv << std::dec;
     } catch (const std::invalid_argument&) {
       sessions << " never admitted";
     }

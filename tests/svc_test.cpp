@@ -377,6 +377,8 @@ TEST(SvcIsolationTest, FrameQuotaBreachFailsOnlyTheBreacher) {
   const SessionRecord dead = mgr.record(0);
   EXPECT_EQ(dead.state, SessionState::kFailed);
   EXPECT_NE(dead.error.find("frame quota"), std::string::npos);
+  // The refused step leased and sent nothing, so it credits nothing.
+  EXPECT_EQ(dead.sent_parcels, 0);
   ASSERT_EQ(mgr.record(1).state, SessionState::kCompleted);
   expect_oracle(1, mgr.take_result(1));
   EXPECT_EQ(mgr.outstanding_frames(), 0)

@@ -551,14 +551,12 @@ TEST(PooledExchangeTest, ArenaReachesSteadyStateAcrossExchanges) {
   EXPECT_EQ(arena.in_use(), 0);
 }
 
-// The kernel runs its tamper, settle and `received` caller loops only
-// for hooks that hide StepHooks' defaults: never for the pooled wire,
-// and `received` (not settle) for the journal's.
+// The kernel runs its tamper and settle caller loops only for hooks that
+// hide StepHooks' defaults: never for the pooled wire or the journal's.
 static_assert(!detail::kHidesTamper<detail::StepHooks> &&
-              !detail::kHidesSettle<detail::StepHooks> &&
-              !detail::kHidesReceived<detail::StepHooks, std::int64_t>);
-static_assert(!detail::kHidesSettle<detail::JournalHooks<std::int64_t>> &&
-              detail::kHidesReceived<detail::JournalHooks<std::int64_t>, std::int64_t>);
+              !detail::kHidesSettle<detail::StepHooks>);
+static_assert(!detail::kHidesTamper<detail::JournalHooks> &&
+              !detail::kHidesSettle<detail::JournalHooks>);
 
 TEST(PooledExchangeTest, EachSenderLeasesOneFramePerPhase) {
   // Frames belong to senders: every node leases one frame at the first
